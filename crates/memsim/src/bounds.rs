@@ -10,6 +10,15 @@
 //! what the differential harness and the soundness proptests check
 //! against the engine on every corpus program and workload pipeline.
 //!
+//! [`tagged_trace_bounds`] is the same walk over a merged multi-tenant
+//! trace, with the [`crate::interleave_tenants`] tag column as a
+//! per-burst attribution sink: alongside the unchanged set-level
+//! bounds it returns each tenant's exact [`TenantCounts`]. One pass
+//! over the merged bursts yields everything the interference composer
+//! needs — no per-tenant or per-prefix re-walk — and [`trace_bounds`]
+//! is the untagged call of that one loop, so there is a single burst
+//! walk in this module.
+//!
 //! Where the bounds come from (each anchored to an engine invariant):
 //!
 //! * **bytes, RD/WR bursts, per-unit traffic** — exact. The burst
@@ -104,6 +113,40 @@ impl TraceBounds {
     }
 }
 
+/// Exact per-tenant counts from one [`tagged_trace_bounds`] walk.
+///
+/// Every field equals what [`trace_bounds`] reports on the tenant's own
+/// subsequence: the burst stream of a request depends only on the
+/// request and the mapping, never on its neighbours in the merge.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TenantCounts {
+    /// Bytes read by the tenant's requests.
+    pub bytes_read: u64,
+    /// Bytes written by the tenant's requests.
+    pub bytes_written: u64,
+    /// READ bursts of the tenant's requests.
+    pub read_bursts: u64,
+    /// WRITE bursts of the tenant's requests.
+    pub write_bursts: u64,
+    /// Bursts per unit, indexed like [`TraceBounds::unit_bursts`].
+    pub unit_bursts: Vec<u64>,
+    /// Bursts of the merged prefix ending at the tenant's last request
+    /// (co-tenants included) on the unit holding that request's final
+    /// byte — `trace_bounds(prefix).unit_bursts[u_final]`, snapshotted
+    /// as the walk passes the request. `None` for a tenant without
+    /// requests.
+    pub final_unit_prefix_bursts: Option<u64>,
+}
+
+/// The attribution sink of a tagged walk.
+struct Attribution<'a> {
+    tags: &'a [u16],
+    /// Merged index of each tenant's last request (`usize::MAX` when
+    /// the tenant has none).
+    last: Vec<usize>,
+    tenants: Vec<TenantCounts>,
+}
+
 /// Per-unit accumulator for the timing-free replay.
 struct UnitBounds {
     /// Open row per bank in the refresh-free automaton.
@@ -126,6 +169,59 @@ pub fn trace_bounds(
     config: &MemoryConfig,
     trace: &TraceBuffer,
 ) -> Result<TraceBounds, mealib_types::ConfigError> {
+    walk(config, trace, None)
+}
+
+/// Derives the certified bounds of a merged multi-tenant `trace` and,
+/// in the same burst walk, each of `tenants` tenants' exact
+/// [`TenantCounts`]. `tags[i]` names the tenant owning request `i`, as
+/// returned by [`crate::interleave_tenants`]. The set-level bounds are
+/// exactly [`trace_bounds`]`(config, trace)`; a tenant without
+/// requests reports all-zero counts.
+///
+/// # Errors
+///
+/// The same [`mealib_types::ConfigError`]s as [`trace_bounds`].
+///
+/// # Panics
+///
+/// Panics when `tags` and `trace` differ in length or a tag is not
+/// below `tenants` — the tag column and tenant count come from the
+/// interleaver, so a mismatch is a caller bug.
+pub fn tagged_trace_bounds(
+    config: &MemoryConfig,
+    trace: &TraceBuffer,
+    tags: &[u16],
+    tenants: usize,
+) -> Result<(TraceBounds, Vec<TenantCounts>), mealib_types::ConfigError> {
+    assert_eq!(tags.len(), trace.len(), "one tag per merged request");
+    let mut last = vec![usize::MAX; tenants];
+    for (pos, &tag) in tags.iter().enumerate() {
+        let slot = last
+            .get_mut(tag as usize)
+            .unwrap_or_else(|| panic!("tag {tag} out of range for {tenants} tenants"));
+        *slot = pos;
+    }
+    let zero = TenantCounts {
+        unit_bursts: vec![0; config.mapping.units()],
+        ..TenantCounts::default()
+    };
+    let mut sink = Attribution {
+        tags,
+        last,
+        tenants: vec![zero; tenants],
+    };
+    let bounds = walk(config, trace, Some(&mut sink))?;
+    Ok((bounds, sink.tenants))
+}
+
+/// The one burst walk behind [`trace_bounds`] and
+/// [`tagged_trace_bounds`].
+fn walk(
+    config: &MemoryConfig,
+    trace: &TraceBuffer,
+    mut sink: Option<&mut Attribution<'_>>,
+) -> Result<TraceBounds, mealib_types::ConfigError> {
     config.validate()?;
     let t = &config.timing;
     let m = &config.mapping;
@@ -145,9 +241,13 @@ pub fn trace_bounds(
     let mut bytes_written = 0u64;
 
     // The engine's burst splitting, verbatim: burst-aligned chunks.
-    for req in trace.iter() {
+    for (pos, req) in trace.iter().enumerate() {
+        let mut owner = sink
+            .as_deref_mut()
+            .map(|s| &mut s.tenants[s.tags[pos] as usize]);
         let mut remaining = req.bytes;
         let mut addr = req.addr.get();
+        let mut bursts = 0u64;
         while remaining > 0 {
             let offset_in_burst = addr % t.burst_bytes;
             let take = (t.burst_bytes - offset_in_burst).min(remaining);
@@ -155,22 +255,46 @@ pub fn trace_bounds(
             let u = &mut per_unit[loc.unit];
             u.bursts += 1;
             match req.op {
-                Op::Read => {
-                    u.read_bursts += 1;
-                    bytes_read += take;
-                }
-                Op::Write => {
-                    u.write_bursts += 1;
-                    bytes_written += take;
-                }
+                Op::Read => u.read_bursts += 1,
+                Op::Write => u.write_bursts += 1,
             }
             // Refresh-free row automaton: exact lower bound on misses.
             if u.rows[loc.bank] != Some(loc.row) {
                 u.bank_misses[loc.bank] += 1;
                 u.rows[loc.bank] = Some(loc.row);
             }
+            if let Some(o) = owner.as_deref_mut() {
+                o.unit_bursts[loc.unit] += 1;
+            }
+            bursts += 1;
             addr += take;
             remaining -= take;
+        }
+        // The chunks cover the request exactly, so its bytes count
+        // whole.
+        match req.op {
+            Op::Read => bytes_read += req.bytes,
+            Op::Write => bytes_written += req.bytes,
+        }
+        if let Some(o) = owner {
+            match req.op {
+                Op::Read => {
+                    o.read_bursts += bursts;
+                    o.bytes_read += req.bytes;
+                }
+                Op::Write => {
+                    o.write_bursts += bursts;
+                    o.bytes_written += req.bytes;
+                }
+            }
+        }
+        if let Some(s) = sink.as_deref_mut() {
+            let tenant = s.tags[pos] as usize;
+            if s.last[tenant] == pos {
+                let final_byte = req.addr.get() + req.bytes.saturating_sub(1);
+                let u_final = m.decode(PhysAddr::new(final_byte)).unit;
+                s.tenants[tenant].final_unit_prefix_bursts = Some(per_unit[u_final].bursts);
+            }
         }
     }
 

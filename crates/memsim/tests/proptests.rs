@@ -1,7 +1,12 @@
 //! Property tests over the DRAM simulator invariants.
 
+use mealib_memsim::address::AddressMapping;
+use mealib_memsim::bounds::{tagged_trace_bounds, trace_bounds};
 use mealib_memsim::engine::{simulate, Op, Request, SimOptions};
-use mealib_memsim::{analytic, AccessPattern, MemoryConfig, TraceBuffer};
+use mealib_memsim::{
+    analytic, interleave_tenants, AccessPattern, MemoryConfig, TenantStream, TraceBuffer,
+};
+use mealib_types::PhysAddr;
 use proptest::prelude::*;
 
 /// Replays through the unified API in dual-check mode, so every corpus
@@ -31,8 +36,82 @@ fn config_strategy() -> impl Strategy<Value = MemoryConfig> {
     ]
 }
 
+/// The stack preset under each of the three interleaving modes.
+fn mapping_config_strategy() -> impl Strategy<Value = MemoryConfig> {
+    (0u8..3, prop_oneof![Just(2usize), Just(8), Just(32)]).prop_map(|(mode, units)| {
+        let mut cfg = MemoryConfig::hmc_stack();
+        let (banks_per_unit, row_bytes, line_bytes) = (8, 8192, 256);
+        cfg.mapping = match mode {
+            0 => AddressMapping::Interleaved {
+                units,
+                banks_per_unit,
+                row_bytes,
+                line_bytes,
+            },
+            1 => AddressMapping::XorInterleaved {
+                units,
+                banks_per_unit,
+                row_bytes,
+                line_bytes,
+            },
+            _ => AddressMapping::Asymmetric {
+                low_units: units,
+                banks_per_unit,
+                row_bytes,
+                line_bytes,
+                split: PhysAddr::new(1 << 23),
+            },
+        };
+        cfg
+    })
+}
+
+/// One tenant stream: possibly empty, arriving early, late, or at a
+/// `u64::MAX`-adjacent slot where merge keys saturate.
+fn tenant_strategy() -> impl Strategy<Value = TenantStream> {
+    (
+        proptest::collection::vec(request_strategy(), 0..24),
+        prop_oneof![0u64..16, Just(u64::MAX), (u64::MAX - 8)..=u64::MAX,],
+    )
+        .prop_map(|(trace, arrival)| {
+            TenantStream::new(TraceBuffer::from(trace.as_slice())).arriving_at(arrival)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The tagged walk is `trace_bounds` with an attribution sink: the
+    /// set bounds equal the untagged walk of the merge, every tenant's
+    /// counts equal the untagged walk of its own trace, and its prefix
+    /// count equals the untagged walk of the merged prefix ending at
+    /// its last request, read on the unit of that request's final byte.
+    #[test]
+    fn tagged_walk_matches_untagged_walks(
+        cfg in mapping_config_strategy(),
+        streams in proptest::collection::vec(tenant_strategy(), 1..=4),
+    ) {
+        let (merged, tags) = interleave_tenants(&streams);
+        let (set, counts) = tagged_trace_bounds(&cfg, &merged, &tags, streams.len()).unwrap();
+        prop_assert_eq!(&set, &trace_bounds(&cfg, &merged).unwrap());
+        prop_assert_eq!(counts.len(), streams.len());
+        for (i, (stream, own)) in streams.iter().zip(&counts).enumerate() {
+            let solo = trace_bounds(&cfg, &stream.trace).unwrap();
+            prop_assert_eq!(own.bytes_read as f64, solo.bytes_read.lo);
+            prop_assert_eq!(own.bytes_written as f64, solo.bytes_written.lo);
+            prop_assert_eq!(own.read_bursts as f64, solo.read_bursts.lo);
+            prop_assert_eq!(own.write_bursts as f64, solo.write_bursts.lo);
+            prop_assert_eq!(&own.unit_bursts, &solo.unit_bursts);
+            let expected_prefix = tags.iter().rposition(|&t| t as usize == i).map(|pos| {
+                let last = merged.get(pos).unwrap();
+                let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
+                let u_final = cfg.mapping.decode(PhysAddr::new(final_byte)).unit;
+                let prefix: TraceBuffer = merged.iter().take(pos + 1).collect();
+                trace_bounds(&cfg, &prefix).unwrap().unit_bursts[u_final]
+            });
+            prop_assert_eq!(own.final_unit_prefix_bursts, expected_prefix);
+        }
+    }
 
     /// Every requested byte is accounted for, reads and writes
     /// separately, on every device.

@@ -180,6 +180,7 @@ impl Value {
 /// Returns a message describing the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -193,6 +194,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -319,10 +321,13 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading sign.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err("bad \\u escape".to_string());
+                            }
+                            let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -331,11 +336,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the remaining input.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().expect("nonempty");
+                    // Consume one scalar straight from the `&str` input;
+                    // the cursor only ever advances by whole scalars.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("not a character boundary at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -386,6 +393,40 @@ mod tests {
         o.str("k", nasty);
         let v = parse(&o.render()).expect("valid");
         assert_eq!(v.get("k").and_then(Value::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn long_mixed_width_strings_parse() {
+        // ASCII, 2-, 3- and 4-byte scalars and escapes, repeated into a
+        // string long enough that re-validating the remaining input per
+        // character would be quadratic.
+        let unit = "span-é-€-\u{1f600}-\\\"-\n|";
+        let long: String = unit.repeat(20_000);
+        let mut o = Object::new();
+        o.str("name", &long);
+        let v = parse(&o.render()).expect("valid");
+        assert_eq!(v.get("name").and_then(Value::as_str), Some(long.as_str()));
+        assert_eq!(
+            parse("\"\\u00e9\\u20ac\"").expect("valid"),
+            Value::String("é€".to_string())
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_escapes() {
+        for bad in [
+            "\"\\u12\"",
+            "\"\\u12",
+            "\"\\uZZZZ\"",
+            "\"\\u+123\"",
+            "\"\\u-123\"",
+            "\"\\u00é\"",
+            "\"\\q\"",
+            "\"\\",
+            "\"é",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

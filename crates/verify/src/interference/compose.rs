@@ -35,6 +35,15 @@
 //!   `trace_energy` is monotone in all three arguments, so mapping the
 //!   interval endpoints through it is sound.
 //!
+//! **Cost.** [`compose`] elaborates each tenant once, interleaves once,
+//! and makes one pass over the merged bursts:
+//! [`tagged_trace_bounds`] walks the merged trace with the tag column
+//! as an attribution sink and returns the set-level bounds together
+//! with every tenant's own traffic and its merged-prefix burst count
+//! on its final unit. Nothing re-walks a tenant's own trace or a
+//! prefix copy of the merge, so a k-tenant set costs one walk, not
+//! 2 + k.
+//!
 //! The `interference_soundness` differential harness replays every
 //! corpus manifest and random mix through
 //! [`mealib_memsim::simulate_tenants`] and asserts
@@ -43,8 +52,8 @@
 //! [`interleave_tenants`]: mealib_memsim::interleave_tenants
 
 use mealib_accel::power;
-use mealib_memsim::bounds::{trace_bounds, TraceBounds};
-use mealib_memsim::{interleave_tenants, MemoryConfig, TenantStream, TraceBuffer};
+use mealib_memsim::bounds::{tagged_trace_bounds, TraceBounds};
+use mealib_memsim::{interleave_tenants, MemoryConfig, TenantStream};
 use mealib_types::{BytesPerSec, ConfigError, Interval, Seconds};
 
 use super::manifest::SessionSet;
@@ -152,40 +161,40 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
 /// fails validation; unreachable with [`BoundsEnv`]'s presets.
 pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigError> {
     let cfg = resolved_set_config(set, env);
-    let streams = tenant_streams(set);
+    // Elaborate each tenant once: the trace feeds the interleaver, the
+    // phases and missing extents feed the per-tenant record.
+    let mut streams = Vec::with_capacity(set.tenants.len());
+    let mut programs = Vec::with_capacity(set.tenants.len());
+    for t in &set.tenants {
+        let e = elaborate(&t.session);
+        streams.push(TenantStream {
+            trace: e.trace,
+            arrival: t.arrival,
+        });
+        programs.push((e.phases, e.missing_extents));
+    }
     let (merged, tags) = interleave_tenants(&streams);
-    let set_tb = trace_bounds(&cfg, &merged)?;
+    let (set_tb, counts) = tagged_trace_bounds(&cfg, &merged, &tags, streams.len())?;
     let t_ck = cfg.timing.t_ck.get();
     let t_burst = cfg.timing.t_burst as f64;
     let cold = (cfg.timing.t_rcd + cfg.timing.t_cl) as f64;
 
     let mut tenants = Vec::with_capacity(set.tenants.len());
-    for (i, decl) in set.tenants.iter().enumerate() {
-        let e = elaborate(&decl.session);
-        let own_tb = trace_bounds(&cfg, &streams[i].trace)?;
-        let own_bursts = own_tb.read_bursts.lo + own_tb.write_bursts.lo;
+    for ((decl, own), (phases, missing_extents)) in set.tenants.iter().zip(&counts).zip(programs) {
+        let own_bursts = own.read_bursts as f64 + own.write_bursts as f64;
 
         // Bus-occupancy floor from the tenant's own traffic: its last
         // burst on the busiest unit waits for all its own bursts there.
-        let own_occ = own_tb.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
+        let own_occ = own.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
 
         // Interference-aware refinement: the final burst of the
         // tenant's last merged request is issued after every burst of
         // the merged prefix ending at that request, so it serializes
         // behind every prefix burst on its own unit — and the first
         // burst on that unit pays the cold activation.
-        let mut prefix_occ = 0.0f64;
-        if let Some(pos) = tags.iter().rposition(|&t| t as usize == i) {
-            let last = merged.get(pos).expect("tag position in bounds");
-            let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
-            let u_final = cfg
-                .mapping
-                .decode(mealib_types::PhysAddr::new(final_byte))
-                .unit;
-            let prefix: TraceBuffer = merged.iter().take(pos + 1).collect();
-            let prefix_tb = trace_bounds(&cfg, &prefix)?;
-            prefix_occ = cold + prefix_tb.unit_bursts[u_final] as f64 * t_burst;
-        }
+        let prefix_occ = own
+            .final_unit_prefix_bursts
+            .map_or(0.0, |n| cold + n as f64 * t_burst);
 
         let cycles = if own_bursts == 0.0 {
             Interval::ZERO
@@ -193,7 +202,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
             Interval::new(own_occ.max(prefix_occ), set_tb.cycles.hi)
         };
         let elapsed = Interval::new(cycles.lo * t_ck, set_tb.elapsed.hi.min(cycles.hi * t_ck));
-        let own_bytes = (own_tb.bytes_read.lo + own_tb.bytes_written.lo) as u64;
+        let own_bytes = own.bytes_read + own.bytes_written;
         let energy = if own_bursts == 0.0 {
             Interval::ZERO
         } else {
@@ -213,7 +222,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
         let mut datapath_j = 0.0;
         let mut leakage_w = 0.0;
         let mut seen = std::collections::BTreeSet::new();
-        for phase in &e.phases {
+        for phase in &phases {
             for &accel in &phase.accels {
                 let prof = power::profile(accel);
                 datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
@@ -225,17 +234,17 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
 
         tenants.push(TenantBounds {
             name: decl.name.clone(),
-            bytes_read: own_tb.bytes_read,
-            bytes_written: own_tb.bytes_written,
-            read_bursts: own_tb.read_bursts,
-            write_bursts: own_tb.write_bursts,
+            bytes_read: Interval::exact(own.bytes_read as f64),
+            bytes_written: Interval::exact(own.bytes_written as f64),
+            read_bursts: Interval::exact(own.read_bursts as f64),
+            write_bursts: Interval::exact(own.write_bursts as f64),
             activations: Interval::new(0.0, own_bursts),
             cycles,
             elapsed,
             energy,
             accel_energy: Interval::new(datapath_j, datapath_j + leakage_w * set_tb.elapsed.hi),
             budgets: decl.session.budgets,
-            missing_extents: e.missing_extents,
+            missing_extents,
         });
     }
 
@@ -252,6 +261,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
 mod tests {
     use super::*;
     use crate::interference::manifest::parse_session_set;
+    use mealib_memsim::bounds::trace_bounds;
     use mealib_memsim::{simulate_tenants, SimOptions};
 
     fn two_tenant_set() -> SessionSet {

@@ -22,17 +22,169 @@
 //!    simulation (the measured run really violates the budget or
 //!    isolation relation the diagnostic names), and no ADMIT-ed set
 //!    measurably violates any declared budget.
+//!
+//! On top of containment, every corpus manifest and random mix checks
+//! that [`compose`]'s single tagged walk is bit-identical to
+//! [`reference_compose`], the multi-pass composition it replaced.
 
 use std::fs;
 use std::path::PathBuf;
 
-use mealib_memsim::{simulate_tenants, SimOptions};
-use mealib_types::ErrorCode;
+use mealib_accel::power;
+use mealib_memsim::bounds::{trace_bounds, TraceBounds};
+use mealib_memsim::{interleave_tenants, simulate_tenants, SimOptions, TraceBuffer};
+use mealib_types::{ErrorCode, Interval, PhysAddr, Seconds};
+use mealib_verify::bounds::elaborate;
 use mealib_verify::interference::{
     certify_set, compose, parse_session_set, resolved_set_config, tenant_streams, SessionSet,
+    SetBounds, TenantBounds,
 };
 use mealib_verify::{BoundsEnv, Verdict};
 use proptest::prelude::*;
+
+/// Test-only reference for [`compose`]: the straightforward multi-pass
+/// derivation, one `trace_bounds` walk of the merged trace, one per
+/// tenant over its own trace, and one per tenant over a copy of the
+/// merged prefix ending at its last request.
+fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
+    let cfg = resolved_set_config(set, env);
+    let streams = tenant_streams(set);
+    let (merged, tags) = interleave_tenants(&streams);
+    let set_tb = trace_bounds(&cfg, &merged).expect("preset env validates");
+    let t_ck = cfg.timing.t_ck.get();
+    let t_burst = cfg.timing.t_burst as f64;
+    let cold = (cfg.timing.t_rcd + cfg.timing.t_cl) as f64;
+
+    let mut tenants = Vec::with_capacity(set.tenants.len());
+    for (i, decl) in set.tenants.iter().enumerate() {
+        let e = elaborate(&decl.session);
+        let own_tb = trace_bounds(&cfg, &streams[i].trace).expect("preset env validates");
+        let own_bursts = own_tb.read_bursts.lo + own_tb.write_bursts.lo;
+        let own_occ = own_tb.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
+        let mut prefix_occ = 0.0f64;
+        if let Some(pos) = tags.iter().rposition(|&t| t as usize == i) {
+            let last = merged.get(pos).expect("tag position in bounds");
+            let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
+            let u_final = cfg.mapping.decode(PhysAddr::new(final_byte)).unit;
+            let prefix: TraceBuffer = merged.iter().take(pos + 1).collect();
+            let prefix_tb = trace_bounds(&cfg, &prefix).expect("preset env validates");
+            prefix_occ = cold + prefix_tb.unit_bursts[u_final] as f64 * t_burst;
+        }
+        let cycles = if own_bursts == 0.0 {
+            Interval::ZERO
+        } else {
+            Interval::new(own_occ.max(prefix_occ), set_tb.cycles.hi)
+        };
+        let elapsed = Interval::new(cycles.lo * t_ck, set_tb.elapsed.hi.min(cycles.hi * t_ck));
+        let own_bytes = (own_tb.bytes_read.lo + own_tb.bytes_written.lo) as u64;
+        let energy = if own_bursts == 0.0 {
+            Interval::ZERO
+        } else {
+            Interval::new(
+                cfg.energy
+                    .trace_energy(0, own_bytes, Seconds::new(elapsed.lo))
+                    .get(),
+                cfg.energy
+                    .trace_energy(own_bursts as u64, own_bytes, Seconds::new(elapsed.hi))
+                    .get(),
+            )
+        };
+        let mut datapath_j = 0.0;
+        let mut leakage_w = 0.0;
+        let mut seen = std::collections::BTreeSet::new();
+        for phase in &e.phases {
+            for &accel in &phase.accels {
+                let prof = power::profile(accel);
+                datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
+                if seen.insert(accel) {
+                    leakage_w += prof.p_leakage.get();
+                }
+            }
+        }
+        tenants.push(TenantBounds {
+            name: decl.name.clone(),
+            bytes_read: own_tb.bytes_read,
+            bytes_written: own_tb.bytes_written,
+            read_bursts: own_tb.read_bursts,
+            write_bursts: own_tb.write_bursts,
+            activations: Interval::new(0.0, own_bursts),
+            cycles,
+            elapsed,
+            energy,
+            accel_energy: Interval::new(datapath_j, datapath_j + leakage_w * set_tb.elapsed.hi),
+            budgets: decl.session.budgets,
+            missing_extents: e.missing_extents,
+        });
+    }
+    SetBounds {
+        config_name: cfg.name.clone(),
+        peak_bandwidth: cfg.peak_bandwidth(),
+        set: set_tb,
+        tenants,
+        budgets: set.budgets,
+    }
+}
+
+/// Asserts two intervals are equal bit for bit.
+fn assert_same_bits(what: &str, got: Interval, want: Interval) {
+    assert!(
+        got.lo.to_bits() == want.lo.to_bits() && got.hi.to_bits() == want.hi.to_bits(),
+        "{what}: one-walk {got} differs from reference {want}"
+    );
+}
+
+fn assert_same_trace_bounds(what: &str, got: &TraceBounds, want: &TraceBounds) {
+    let fields = [
+        ("bytes_read", got.bytes_read, want.bytes_read),
+        ("bytes_written", got.bytes_written, want.bytes_written),
+        ("read_bursts", got.read_bursts, want.read_bursts),
+        ("write_bursts", got.write_bursts, want.write_bursts),
+        ("activations", got.activations, want.activations),
+        ("cycles", got.cycles, want.cycles),
+        ("elapsed", got.elapsed, want.elapsed),
+        ("energy", got.energy, want.energy),
+    ];
+    for (field, g, w) in fields {
+        assert_same_bits(&format!("{what}.{field}"), g, w);
+    }
+    assert_eq!(got.unit_bursts, want.unit_bursts, "{what}.unit_bursts");
+}
+
+/// Asserts [`compose`] reproduces [`reference_compose`] on every
+/// `SetBounds` and `TenantBounds` field, floats compared by `to_bits`.
+fn assert_matches_reference(name: &str, set: &SessionSet, env: &BoundsEnv) {
+    let got = compose(set, env).expect("preset env validates");
+    let want = reference_compose(set, env);
+    assert_eq!(got.config_name, want.config_name, "{name}");
+    assert_eq!(
+        got.peak_bandwidth.get().to_bits(),
+        want.peak_bandwidth.get().to_bits(),
+        "{name}"
+    );
+    assert_eq!(got.budgets, want.budgets, "{name}");
+    assert_same_trace_bounds(&format!("{name}/set"), &got.set, &want.set);
+    assert_eq!(got.tenants.len(), want.tenants.len(), "{name}");
+    for (g, w) in got.tenants.iter().zip(&want.tenants) {
+        let t = format!("{name}/{}", w.name);
+        assert_eq!(g.name, w.name, "{t}");
+        let fields = [
+            ("bytes_read", g.bytes_read, w.bytes_read),
+            ("bytes_written", g.bytes_written, w.bytes_written),
+            ("read_bursts", g.read_bursts, w.read_bursts),
+            ("write_bursts", g.write_bursts, w.write_bursts),
+            ("activations", g.activations, w.activations),
+            ("cycles", g.cycles, w.cycles),
+            ("elapsed", g.elapsed, w.elapsed),
+            ("energy", g.energy, w.energy),
+            ("accel_energy", g.accel_energy, w.accel_energy),
+        ];
+        for (field, gi, wi) in fields {
+            assert_same_bits(&format!("{t}.{field}"), gi, wi);
+        }
+        assert_eq!(g.budgets, w.budgets, "{t}");
+        assert_eq!(g.missing_extents, w.missing_extents, "{t}");
+    }
+}
 
 /// Every session-set manifest in a corpus directory, sorted.
 fn set_sources(dir: &str) -> Vec<(String, String)> {
@@ -99,6 +251,7 @@ fn every_corpus_set_is_certified_soundly() {
     for dir in ["corpus/bad", "corpus/clean"] {
         for (name, src) in set_sources(dir) {
             let set = parse_session_set(&src).expect("corpus manifests parse");
+            assert_matches_reference(&name, &set, &env);
             assert_contained(&name, &set, &env);
             n += 1;
         }
@@ -318,6 +471,7 @@ proptest! {
         let src = render_manifest(layer, &tenants);
         let set = parse_session_set(&src).expect("generated manifests parse");
         let env = BoundsEnv::default();
+        assert_matches_reference("random-mix", &set, &env);
         assert_contained("random-mix", &set, &env);
         let cert = certify_set(&set, &env).expect("preset env validates");
         prop_assert_eq!(cert.verdict, Verdict::Admit);

@@ -10,11 +10,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test (root package: integration + doc tests)"
+echo "==> cargo test (default-members: root, crates/*, vendor/* = the workspace)"
 cargo test -q
-
-echo "==> cargo test --workspace"
-cargo test -q --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
