@@ -230,20 +230,6 @@ impl Mealib {
         MealibBuilder::default()
     }
 
-    /// Creates a handle over the default runtime (32-vault stack,
-    /// Haswell-class host).
-    #[deprecated(since = "0.2.0", note = "use `Mealib::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a handle over an explicit runtime (custom layer or memory
-    /// configuration).
-    #[deprecated(since = "0.2.0", note = "use `Mealib::builder().runtime(rt).build()`")]
-    pub fn with_runtime(rt: Runtime) -> Self {
-        Self::builder().runtime(rt).build()
-    }
-
     /// The underlying runtime (counters, driver, layer).
     pub fn runtime(&self) -> &Runtime {
         &self.rt

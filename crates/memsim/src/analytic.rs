@@ -22,23 +22,6 @@ use crate::stats::TraceStats;
 /// Estimates the timing, row-buffer, and energy statistics of `pattern`
 /// on the device described by `config`.
 ///
-/// # Panics
-///
-/// Panics if `config` fails validation, which makes it unusable for
-/// lint-time evaluation of arbitrary configurations — the bounds
-/// analyzer and every in-tree caller go through [`try_estimate`]
-/// instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on configs try_estimate rejects; call try_estimate and handle the ConfigError"
-)]
-pub fn estimate(config: &MemoryConfig, pattern: &AccessPattern) -> TraceStats {
-    try_estimate(config, pattern).unwrap_or_else(|e| panic!("invalid memory configuration: {e}"))
-}
-
-/// Like [`estimate`], but reports an invalid configuration as a typed
-/// error instead of panicking.
-///
 /// # Errors
 ///
 /// Returns the first [`mealib_types::ConfigError`] found in `config`.
@@ -289,8 +272,8 @@ mod tests {
     use super::*;
     use crate::engine::{self, Op};
 
-    /// Shadows the deprecated panicking entry point: every test config
-    /// validates, so the typed error path is just unwrapped.
+    /// Every test config validates, so the typed error path is just
+    /// unwrapped.
     fn estimate(config: &MemoryConfig, pattern: &AccessPattern) -> TraceStats {
         try_estimate(config, pattern).expect("test configs validate")
     }

@@ -47,7 +47,6 @@ pub mod stats;
 pub mod tenancy;
 pub mod timing;
 pub mod trace;
-pub mod vault;
 
 pub use address::AddressMapping;
 pub use config::MemoryConfig;
@@ -59,4 +58,3 @@ pub use pattern::AccessPattern;
 pub use stats::TraceStats;
 pub use tenancy::{interleave_tenants, simulate_tenants, TenantStream};
 pub use trace::TraceBuffer;
-pub use vault::{RequestSource, VaultController};

@@ -148,15 +148,22 @@ impl DecisionEvent {
         }
     }
 
-    /// `true` for the three variants that dispose a session as shed.
-    pub fn is_shed(&self) -> bool {
-        matches!(
-            self,
-            DecisionEvent::ShedPolicy { .. }
-                | DecisionEvent::ShedSlot { .. }
-                | DecisionEvent::ShedQueueFull { .. }
-                | DecisionEvent::ShedDrain { .. }
-        )
+    /// Why the decision shed its session: `Some` for the four shed
+    /// variants, `None` for admissions, rejections, and parked
+    /// retries. The one place the event-to-[`ShedReason`] mapping
+    /// lives — the report's `ShedSession`s and the telemetry's
+    /// `serve_shed_total{reason}` labels both derive from it.
+    pub fn shed_reason(&self) -> Option<ShedReason> {
+        match *self {
+            DecisionEvent::ShedPolicy { reason, .. } => Some(reason),
+            DecisionEvent::ShedSlot { .. } => Some(ShedReason::Undecidable),
+            DecisionEvent::ShedQueueFull { .. } => Some(ShedReason::QueueFull),
+            DecisionEvent::ShedDrain { .. } => Some(ShedReason::DrainDeadline),
+            DecisionEvent::Admit { .. }
+            | DecisionEvent::Reject { .. }
+            | DecisionEvent::Backoff { .. }
+            | DecisionEvent::UnknownRetry { .. } => None,
+        }
     }
 
     /// Renders the decision as one JSON object via `mealib-obs::json`.
@@ -388,15 +395,66 @@ mod tests {
         assert_eq!(ev.epoch(), 4);
         assert_eq!(ev.id(), 6);
         assert_eq!(ev.kind(), "shed_queue_full");
-        assert!(ev.is_shed());
-        let adm = DecisionEvent::Admit {
-            epoch: 0,
-            id: 0,
-            class: "c".into(),
-            part_start: 0,
-            part_len: 0,
-            attempt: 1,
-        };
-        assert!(!adm.is_shed());
+        let cases = [
+            (
+                DecisionEvent::Admit {
+                    epoch: 0,
+                    id: 0,
+                    class: "c".into(),
+                    part_start: 0,
+                    part_len: 0,
+                    attempt: 1,
+                },
+                None,
+            ),
+            (
+                DecisionEvent::Reject {
+                    epoch: 0,
+                    id: 0,
+                    codes: vec![ErrorCode::InterfereLatencyBudget],
+                    attempts: 4,
+                },
+                None,
+            ),
+            (
+                DecisionEvent::Backoff {
+                    epoch: 0,
+                    id: 0,
+                    until_epoch: 2,
+                    attempt: 1,
+                },
+                None,
+            ),
+            (
+                DecisionEvent::UnknownRetry {
+                    epoch: 0,
+                    id: 0,
+                    retry_epoch: 2,
+                    attempt: 1,
+                },
+                None,
+            ),
+            (
+                DecisionEvent::ShedPolicy {
+                    epoch: 0,
+                    id: 0,
+                    reason: ShedReason::RetriesExhausted,
+                    attempts: 4,
+                },
+                Some(ShedReason::RetriesExhausted),
+            ),
+            (
+                DecisionEvent::ShedSlot { epoch: 0, id: 0 },
+                Some(ShedReason::Undecidable),
+            ),
+            (ev, Some(ShedReason::QueueFull)),
+            (
+                DecisionEvent::ShedDrain { epoch: 0, id: 0 },
+                Some(ShedReason::DrainDeadline),
+            ),
+        ];
+        for (ev, reason) in cases {
+            assert_eq!(ev.shed_reason(), reason, "{}", ev.kind());
+        }
     }
 }

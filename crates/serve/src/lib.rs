@@ -40,7 +40,7 @@ pub use batch::DescriptorBatcher;
 pub use decision::DecisionEvent;
 pub use metrics::{ClassStats, EpochStats, ServeReport};
 pub use partition::PartitionTable;
-pub use scheduler::{serve, serve_observed, serve_with_telemetry, ServeConfig};
+pub use scheduler::{serve, serve_with_telemetry, ServeConfig};
 pub use session::{
     Catalogue, CompletedSession, RejectedSession, SessionClass, SessionRequest, ShedReason,
     ShedSession, MIN_SLOT,

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use mealib_memsim::{simulate_tenants, SimOptions};
 use mealib_obs::{Breakdown, Obs, Phase};
 use mealib_types::{Joules, Seconds};
-use mealib_verify::interference::{resolved_set_config, tenant_streams};
+use mealib_verify::interference::{resolved_set_config, tenant_streams, TenantBounds};
 use mealib_verify::{BoundsEnv, Verdict};
 
 use crate::admission::{AdmissionGate, Resident, UnknownPolicy};
@@ -99,45 +99,106 @@ struct Pending {
     arrival_clock_s: f64,
 }
 
-/// Runs the serving loop without observability.
-pub fn serve(
-    catalogue: &Catalogue,
-    traffic: &Traffic,
-    config: &ServeConfig,
-    env: &BoundsEnv,
-) -> ServeReport {
-    serve_observed(catalogue, traffic, config, env, &Obs::off())
+/// First epoch a session may retry after its `attempts`-th failed
+/// admission in `epoch`: `epoch + 1 + base · 2^(attempts - 1)`,
+/// saturating at `u64::MAX` (the drain deadline sheds a session parked
+/// that far out) instead of overflowing for large retry budgets or
+/// bases.
+fn backoff_until(epoch: u64, base: u64, attempts: u32) -> u64 {
+    let delay = u128::from(base) << (attempts - 1).min(64);
+    epoch
+        .saturating_add(1)
+        .saturating_add(u64::try_from(delay).unwrap_or(u64::MAX))
 }
 
-/// Runs the serving loop, emitting admission (`Verify`) and replay
-/// (`Compute`) spans into `obs`.
+/// The run's one decision sink. Every scheduler decision is a single
+/// [`Ledger::decide`] call and every completion a single
+/// [`Ledger::complete`]: the sink feeds telemetry when it is attached,
+/// appends the event to the decision log, and derives the terminal
+/// [`RejectedSession`] / [`ShedSession`] record from the event itself,
+/// so the report's vectors are the in-order projection of the log by
+/// construction.
+struct Ledger<'t> {
+    log: Vec<DecisionEvent>,
+    completed: Vec<CompletedSession>,
+    rejected: Vec<RejectedSession>,
+    shed: Vec<ShedSession>,
+    tele: Option<&'t mut Telemetry>,
+}
+
+impl Ledger<'_> {
+    /// Records one decision about a session of `class`. Only terminal
+    /// events keep the class: an owned `String` moves in, a borrowed
+    /// one is copied once.
+    fn decide(&mut self, ev: DecisionEvent, class: impl AsRef<str> + Into<String>, clock_s: f64) {
+        if let Some(t) = self.tele.as_deref_mut() {
+            t.on_decision(&ev, class.as_ref(), clock_s);
+        }
+        if let DecisionEvent::Reject {
+            epoch,
+            id,
+            codes,
+            attempts,
+        } = &ev
+        {
+            self.rejected.push(RejectedSession {
+                id: *id,
+                class: class.into(),
+                epoch: *epoch,
+                codes: codes.clone(),
+                retries: *attempts,
+            });
+        } else if let Some(reason) = ev.shed_reason() {
+            self.shed.push(ShedSession {
+                id: ev.id(),
+                class: class.into(),
+                epoch: ev.epoch(),
+                reason,
+            });
+        }
+        self.log.push(ev);
+    }
+
+    /// Records one completion with the bounds its admission proved.
+    /// `epoch_clock_s` is the clock when the epoch's replay started.
+    fn complete(
+        &mut self,
+        done: CompletedSession,
+        bounds: &TenantBounds,
+        first_burst_s: f64,
+        epoch_clock_s: f64,
+    ) {
+        if let Some(t) = self.tele.as_deref_mut() {
+            t.on_completion(epoch_clock_s, &done, bounds, first_burst_s);
+        }
+        self.completed.push(done);
+    }
+}
+
+/// Runs the serving loop without telemetry.
 ///
 /// # Panics
 ///
 /// Panics if `traffic` names a class the catalogue does not carry, or
 /// on internal invariant violations (certified batches that fail to
 /// replay).
-pub fn serve_observed(
+pub fn serve(
     catalogue: &Catalogue,
     traffic: &Traffic,
     config: &ServeConfig,
     env: &BoundsEnv,
-    obs: &Obs,
 ) -> ServeReport {
-    serve_core(catalogue, traffic, config, env, obs, None)
+    serve_core(catalogue, traffic, config, env, &Obs::off(), None)
 }
 
 /// Runs the serving loop with live telemetry: streaming metric
 /// sketches, the per-session lifecycle trace, and the SLO /
-/// certified-bounds engines, all driven by the modeled clock.
-///
-/// With [`TelemetryConfig::stream_only`] the report's per-session
-/// vectors and decision log come back empty — the telemetry registry
-/// is the record and run memory stays `O(classes × buckets + epochs)`.
+/// certified-bounds engines, all driven by the modeled clock. `obs`
+/// receives the admission (`Verify`) and replay (`Compute`) spans.
 ///
 /// # Panics
 ///
-/// Panics as [`serve_observed`] does.
+/// Panics as [`serve`] does.
 pub fn serve_with_telemetry(
     catalogue: &Catalogue,
     traffic: &Traffic,
@@ -152,7 +213,7 @@ pub fn serve_with_telemetry(
     (report, tele_report)
 }
 
-/// The epoch loop shared by every entry point. `tele` costs one
+/// The epoch loop shared by both entry points. `tele` costs one
 /// `Option` discriminant check per event when telemetry is off — the
 /// bench's <2% untelemetered wall criterion rides on that.
 fn serve_core(
@@ -161,7 +222,7 @@ fn serve_core(
     config: &ServeConfig,
     env: &BoundsEnv,
     obs: &Obs,
-    mut tele: Option<&mut Telemetry>,
+    tele: Option<&mut Telemetry>,
 ) -> ServeReport {
     let mut gate = AdmissionGate::new(env.clone());
     if let Some(split) = config.asym_split {
@@ -175,16 +236,15 @@ fn serve_core(
     // deterministic and oldest-first.
     let mut parked: BTreeMap<(u64, u64), Pending> = BTreeMap::new();
 
-    let mut completed: Vec<CompletedSession> = Vec::new();
-    let mut rejected: Vec<RejectedSession> = Vec::new();
-    let mut shed: Vec<ShedSession> = Vec::new();
+    let mut ledger = Ledger {
+        log: Vec::new(),
+        completed: Vec::new(),
+        rejected: Vec::new(),
+        shed: Vec::new(),
+        tele,
+    };
     let mut epochs: Vec<EpochStats> = Vec::new();
-    let mut log: Vec<DecisionEvent> = Vec::new();
     let mut breakdown = Breakdown::new();
-    // Streaming mode trades the per-session ledger for the bounded
-    // registry; everything else (epochs, clock, fingerprintable
-    // counters) is identical either way.
-    let retain = tele.as_ref().is_none_or(|t| !t.stream_only());
 
     let sessions = &traffic.sessions;
     let mut arr_idx = 0usize;
@@ -207,35 +267,11 @@ fn serve_core(
                     epoch,
                     id: p.req.id,
                 };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &p.req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: p.req.id,
-                        class: p.req.class,
-                        epoch,
-                        reason: ShedReason::DrainDeadline,
-                    });
-                }
+                ledger.decide(ev, p.req.class, clock_s);
             }
-            while arr_idx < sessions.len() {
-                let req = &sessions[arr_idx];
+            for req in &sessions[arr_idx..] {
                 let ev = DecisionEvent::ShedDrain { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class.clone(),
-                        epoch,
-                        reason: ShedReason::DrainDeadline,
-                    });
-                }
-                arr_idx += 1;
+                ledger.decide(ev, &req.class, clock_s);
             }
             break;
         }
@@ -250,6 +286,7 @@ fn serve_core(
             replay_elapsed_s: 0.0,
             clock_s,
         };
+        let (rejected_before, shed_before) = (ledger.rejected.len(), ledger.shed.len());
 
         // (1a) Promote due retries to the queue front, oldest first.
         // Promotion respects the queue bound: retries past it stay
@@ -269,54 +306,28 @@ fn serve_core(
 
         // (1b) Fresh arrivals at the back, tail-dropping at capacity.
         while arr_idx < sessions.len() && sessions[arr_idx].arrival_epoch == epoch {
-            let req = sessions[arr_idx].clone();
+            let req = &sessions[arr_idx];
             arr_idx += 1;
             st.arrivals += 1;
-            if let Some(t) = tele.as_deref_mut() {
-                t.on_arrival(&req, clock_s);
+            if let Some(t) = ledger.tele.as_deref_mut() {
+                t.on_arrival(req, clock_s);
             }
             let class = catalogue
                 .get(&req.class)
                 .unwrap_or_else(|| panic!("unknown traffic class {}", req.class));
             if class.slot > config.capacity {
                 let ev = DecisionEvent::ShedSlot { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class,
-                        epoch,
-                        reason: ShedReason::Undecidable,
-                    });
-                }
-                st.shed += 1;
-                continue;
-            }
-            if queue.len() >= config.queue_cap {
+                ledger.decide(ev, &req.class, clock_s);
+            } else if queue.len() >= config.queue_cap {
                 let ev = DecisionEvent::ShedQueueFull { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class,
-                        epoch,
-                        reason: ShedReason::QueueFull,
-                    });
-                }
-                st.shed += 1;
-                continue;
+                ledger.decide(ev, &req.class, clock_s);
+            } else {
+                queue.push_back(Pending {
+                    req: req.clone(),
+                    attempts: 0,
+                    arrival_clock_s: clock_s,
+                });
             }
-            queue.push_back(Pending {
-                req,
-                attempts: 0,
-                arrival_clock_s: clock_s,
-            });
         }
         peak_queue = peak_queue.max(queue.len());
 
@@ -344,6 +355,9 @@ fn serve_core(
             trial.push(candidate.clone());
             let (set, cert) = gate.certify(&trial);
             p.attempts += 1;
+            if cert.verdict != Verdict::Admit {
+                table.free(partition);
+            }
             match cert.verdict {
                 Verdict::Admit => {
                     let ev = DecisionEvent::Admit {
@@ -354,103 +368,60 @@ fn serve_core(
                         part_len: partition.len().get(),
                         attempt: p.attempts,
                     };
-                    if let Some(t) = tele.as_deref_mut() {
-                        t.on_decision(&ev, &p.req.class, clock_s);
-                    }
-                    if retain {
-                        log.push(ev);
-                    }
+                    ledger.decide(ev, &p.req.class, clock_s);
                     batch.push(candidate);
                     batch_meta.push(p);
                     admitted_cert = Some((set, cert));
                 }
+                Verdict::Reject if p.attempts > config.max_retries => {
+                    let codes = cert.codes();
+                    debug_assert!(!codes.is_empty(), "REJECT always carries its proof");
+                    let ev = DecisionEvent::Reject {
+                        epoch,
+                        id: p.req.id,
+                        codes,
+                        attempts: p.attempts,
+                    };
+                    ledger.decide(ev, p.req.class, clock_s);
+                }
                 Verdict::Reject => {
-                    table.free(partition);
-                    if p.attempts > config.max_retries {
-                        let codes = cert.codes();
-                        debug_assert!(!codes.is_empty(), "REJECT always carries its proof");
-                        let ev = DecisionEvent::Reject {
-                            epoch,
-                            id: p.req.id,
-                            codes: codes.clone(),
-                            attempts: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                            rejected.push(RejectedSession {
-                                id: p.req.id,
-                                class: p.req.class.clone(),
-                                epoch,
-                                codes,
-                                retries: p.attempts,
-                            });
-                        }
-                        st.rejected += 1;
+                    let until_epoch = backoff_until(epoch, config.backoff_base, p.attempts);
+                    let ev = DecisionEvent::Backoff {
+                        epoch,
+                        id: p.req.id,
+                        until_epoch,
+                        attempt: p.attempts,
+                    };
+                    ledger.decide(ev, &p.req.class, clock_s);
+                    parked.insert((until_epoch, p.req.id), p);
+                }
+                Verdict::Unknown
+                    if config.unknown_policy == UnknownPolicy::Shed
+                        || p.attempts > config.max_retries =>
+                {
+                    let reason = if config.unknown_policy == UnknownPolicy::Shed {
+                        ShedReason::Undecidable
                     } else {
-                        let eligible = epoch + 1 + (config.backoff_base << (p.attempts - 1));
-                        let ev = DecisionEvent::Backoff {
-                            epoch,
-                            id: p.req.id,
-                            until_epoch: eligible,
-                            attempt: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                        }
-                        parked.insert((eligible, p.req.id), p);
-                    }
+                        ShedReason::RetriesExhausted
+                    };
+                    let ev = DecisionEvent::ShedPolicy {
+                        epoch,
+                        id: p.req.id,
+                        reason,
+                        attempts: p.attempts,
+                    };
+                    ledger.decide(ev, p.req.class, clock_s);
                 }
                 Verdict::Unknown => {
-                    table.free(partition);
-                    let terminal = config.unknown_policy == UnknownPolicy::Shed
-                        || p.attempts > config.max_retries;
-                    if terminal {
-                        let reason = if config.unknown_policy == UnknownPolicy::Shed {
-                            ShedReason::Undecidable
-                        } else {
-                            ShedReason::RetriesExhausted
-                        };
-                        let ev = DecisionEvent::ShedPolicy {
-                            epoch,
-                            id: p.req.id,
-                            reason,
-                            attempts: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                            shed.push(ShedSession {
-                                id: p.req.id,
-                                class: p.req.class.clone(),
-                                epoch,
-                                reason,
-                            });
-                        }
-                        st.shed += 1;
-                    } else {
-                        let eligible = epoch + 1 + (config.backoff_base << (p.attempts - 1));
-                        let ev = DecisionEvent::UnknownRetry {
-                            epoch,
-                            id: p.req.id,
-                            retry_epoch: eligible,
-                            attempt: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                        }
-                        parked.insert((eligible, p.req.id), p);
-                    }
+                    let retry_epoch = backoff_until(epoch, config.backoff_base, p.attempts);
+                    let ev = DecisionEvent::UnknownRetry {
+                        epoch,
+                        id: p.req.id,
+                        retry_epoch,
+                        attempt: p.attempts,
+                    };
+                    ledger.decide(ev, &p.req.class, clock_s);
+                    parked.insert((retry_epoch, p.req.id), p);
                 }
             }
         }
@@ -481,7 +452,7 @@ fn serve_core(
                 run.stats.energy,
             );
             breakdown.add_phase(Phase::Compute, run.stats.elapsed, run.stats.energy);
-            if let Some(t) = tele.as_deref_mut() {
+            if let Some(t) = ledger.tele.as_deref_mut() {
                 t.on_replay(run.stats.elapsed.get(), run.stats.energy.get());
             }
             for (i, (r, p)) in batch.iter().zip(&batch_meta).enumerate() {
@@ -500,16 +471,11 @@ fn serve_core(
                     certified_elapsed_hi: tb.elapsed.hi,
                     retries: p.attempts - 1,
                 };
-                if let Some(tl) = tele.as_deref_mut() {
-                    // The epoch's service spans share the pre-advance
-                    // clock, so one batch's spans nest in the trace.
-                    tl.on_completion(clock_s, &done, tb, t.first_elapsed.get());
-                }
-                if retain {
-                    completed.push(done);
-                }
-                st.admitted += 1;
+                // The epoch's service spans share the pre-advance
+                // clock, so one batch's spans nest in the trace.
+                ledger.complete(done, tb, t.first_elapsed.get(), clock_s);
             }
+            st.admitted = batch.len();
             st.replay_elapsed_s = run.stats.elapsed.get();
             clock_s += run.stats.elapsed.get();
             // (4) Residency is one epoch: return every slot.
@@ -518,25 +484,27 @@ fn serve_core(
             }
         }
 
+        st.rejected = ledger.rejected.len() - rejected_before;
+        st.shed = ledger.shed.len() - shed_before;
         st.queue_depth_end = queue.len();
         st.clock_s = clock_s;
-        if let Some(t) = tele.as_deref_mut() {
+        if let Some(t) = ledger.tele.as_deref_mut() {
             t.on_epoch_end(&st);
         }
         epochs.push(st);
         epoch += 1;
     }
 
-    if let Some(t) = tele {
+    if let Some(t) = ledger.tele {
         batcher.export_metrics(t.registry_mut());
     }
 
     ServeReport {
-        completed,
-        rejected,
-        shed,
+        completed: ledger.completed,
+        rejected: ledger.rejected,
+        shed: ledger.shed,
         epochs,
-        decision_log: log,
+        decision_log: ledger.log,
         modeled_s: clock_s,
         breakdown,
         peak_queue_depth: peak_queue,
@@ -641,5 +609,45 @@ mod tests {
         report
             .check_conservation(&traffic, &cat)
             .expect("deadline preserves conservation");
+    }
+
+    #[test]
+    fn backoff_until_doubles_then_saturates() {
+        assert_eq!(backoff_until(5, 1, 1), 7);
+        assert_eq!(backoff_until(5, 3, 3), 5 + 1 + 12);
+        assert_eq!(backoff_until(0, 0, 70), 1, "a zero base never waits");
+        assert_eq!(backoff_until(0, 1, 64), 1 + (1 << 63));
+        assert_eq!(backoff_until(0, 1, 65), u64::MAX);
+        assert_eq!(backoff_until(0, 1 << 40, 70), u64::MAX);
+        assert_eq!(backoff_until(7, u64::MAX, 1), u64::MAX);
+        assert_eq!(backoff_until(u64::MAX, 0, 1), u64::MAX);
+    }
+
+    /// Retry budgets past 64 attempts and huge bases once overflowed
+    /// the backoff shift (a panic in debug builds). A zero base retries
+    /// every epoch, so proved-impossible sessions really reach 71
+    /// attempts; the huge bases park them until the drain deadline.
+    #[test]
+    fn huge_retry_budgets_and_bases_never_overflow_the_backoff() {
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        let traffic = generate(&cat, &small_spec(&cat, 5));
+        for backoff_base in [0, 1 << 40, u64::MAX] {
+            let config = ServeConfig {
+                max_retries: 70,
+                backoff_base,
+                max_epochs: 90,
+                ..ServeConfig::default()
+            };
+            let report = serve(&cat, &traffic, &config, &BoundsEnv::default());
+            report
+                .check_conservation(&traffic, &cat)
+                .unwrap_or_else(|e| panic!("base {backoff_base}: {e}"));
+            if backoff_base == 0 {
+                assert!(
+                    report.rejected.iter().any(|r| r.retries > 65),
+                    "a zero base must drive a proved rejection past 65 attempts"
+                );
+            }
+        }
     }
 }

@@ -57,13 +57,6 @@ pub struct TelemetryConfig {
     pub sketch_alpha: f64,
     /// Declared objectives: `(class, objective)` pairs.
     pub slos: Vec<(String, Objective)>,
-    /// When `true`, the scheduler drops its per-session vectors and
-    /// decision log — the streaming registry *is* the record, and run
-    /// memory stays `O(classes × buckets + epochs)`.
-    pub stream_only: bool,
-    /// Emit the per-session lifecycle trace (disable for soaks:
-    /// markers grow `O(sessions)` by design).
-    pub trace: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -72,8 +65,6 @@ impl Default for TelemetryConfig {
             window_epochs: 8,
             sketch_alpha: 0.01,
             slos: Vec::new(),
-            stream_only: false,
-            trace: true,
         }
     }
 }
@@ -137,8 +128,6 @@ struct EpochAgg {
 #[derive(Debug)]
 pub struct Telemetry {
     window_epochs: usize,
-    stream_only: bool,
-    trace: bool,
     registry: MetricsRegistry,
     slo: SloEngine,
     latency_thresholds: BTreeMap<String, f64>,
@@ -181,8 +170,6 @@ impl Telemetry {
         describe_metrics(&mut registry);
         Self {
             window_epochs: config.window_epochs.max(1),
-            stream_only: config.stream_only,
-            trace: config.trace,
             registry,
             slo,
             latency_thresholds,
@@ -201,12 +188,6 @@ impl Telemetry {
         }
     }
 
-    /// `true` when the scheduler should *not* retain per-session
-    /// vectors (streaming mode).
-    pub fn stream_only(&self) -> bool {
-        self.stream_only
-    }
-
     /// Mutable registry access (the scheduler exports runtime/plan
     /// counters through this at the end of the run).
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
@@ -214,9 +195,6 @@ impl Telemetry {
     }
 
     fn marker(&mut self, class: &str, phase: Phase, label: String, clock_s: f64) {
-        if !self.trace {
-            return;
-        }
         // `Profile::interval` drops zero-duration spans; lifecycle
         // markers are *meant* to be instants, so push directly.
         self.profile.intervals.push(IntervalEvent {
@@ -246,53 +224,23 @@ impl Telemetry {
     pub fn on_decision(&mut self, ev: &DecisionEvent, class: &str, clock_s: f64) {
         self.classes_seen.insert(class.to_string());
         self.last_epoch = self.last_epoch.max(ev.epoch());
-        match ev {
-            DecisionEvent::Admit { .. } => {
-                self.registry
-                    .inc("serve_admitted_total", &[("class", class)]);
-            }
-            DecisionEvent::Reject { .. } => {
+        if let Some(reason) = ev.shed_reason() {
+            self.registry.inc(
+                "serve_shed_total",
+                &[("class", class), ("reason", reason.label())],
+            );
+            self.pending.entry(class.to_string()).or_default().shed += 1;
+        } else {
+            let counter = match ev {
+                DecisionEvent::Admit { .. } => "serve_admitted_total",
                 // Proved rejections are client errors — they count
                 // nowhere in the availability window (4xx exclusion).
-                self.registry
-                    .inc("serve_rejected_total", &[("class", class)]);
-            }
-            DecisionEvent::Backoff { .. } => {
-                self.registry
-                    .inc("serve_backoff_total", &[("class", class)]);
-            }
-            DecisionEvent::UnknownRetry { .. } => {
-                self.registry
-                    .inc("serve_unknown_retry_total", &[("class", class)]);
-            }
-            DecisionEvent::ShedPolicy { reason, .. } => {
-                self.registry.inc(
-                    "serve_shed_total",
-                    &[("class", class), ("reason", reason.label())],
-                );
-                self.pending.entry(class.to_string()).or_default().shed += 1;
-            }
-            DecisionEvent::ShedSlot { .. } => {
-                self.registry.inc(
-                    "serve_shed_total",
-                    &[("class", class), ("reason", "undecidable")],
-                );
-                self.pending.entry(class.to_string()).or_default().shed += 1;
-            }
-            DecisionEvent::ShedQueueFull { .. } => {
-                self.registry.inc(
-                    "serve_shed_total",
-                    &[("class", class), ("reason", "queue_full")],
-                );
-                self.pending.entry(class.to_string()).or_default().shed += 1;
-            }
-            DecisionEvent::ShedDrain { .. } => {
-                self.registry.inc(
-                    "serve_shed_total",
-                    &[("class", class), ("reason", "drain_deadline")],
-                );
-                self.pending.entry(class.to_string()).or_default().shed += 1;
-            }
+                DecisionEvent::Reject { .. } => "serve_rejected_total",
+                DecisionEvent::Backoff { .. } => "serve_backoff_total",
+                DecisionEvent::UnknownRetry { .. } => "serve_unknown_retry_total",
+                _ => unreachable!("every shed event has a shed_reason"),
+            };
+            self.registry.inc(counter, &[("class", class)]);
         }
         // The marker label *is* the legacy decision line, so a REJECT
         // span carries the proved MEA3xx codes verbatim.
@@ -355,29 +303,27 @@ impl Telemetry {
 
         self.check_certified(done, certified);
 
-        if self.trace {
-            self.profile.intervals.push(IntervalEvent {
-                track: class.clone(),
-                phase: Phase::Compute,
-                label: format!("serve s{}", done.id),
-                start: Seconds::new(epoch_clock_s),
-                end: Seconds::new(epoch_clock_s + done.service_s),
-            });
-            if first_burst_s > 0.0 {
-                self.marker(
-                    &class,
-                    Phase::Dma,
-                    format!("first-burst s{}", done.id),
-                    epoch_clock_s + first_burst_s,
-                );
-            }
+        self.profile.intervals.push(IntervalEvent {
+            track: class.clone(),
+            phase: Phase::Compute,
+            label: format!("serve s{}", done.id),
+            start: Seconds::new(epoch_clock_s),
+            end: Seconds::new(epoch_clock_s + done.service_s),
+        });
+        if first_burst_s > 0.0 {
             self.marker(
                 &class,
-                Phase::Drain,
-                format!("complete s{}", done.id),
-                epoch_clock_s + done.service_s,
+                Phase::Dma,
+                format!("first-burst s{}", done.id),
+                epoch_clock_s + first_burst_s,
             );
         }
+        self.marker(
+            &class,
+            Phase::Drain,
+            format!("complete s{}", done.id),
+            epoch_clock_s + done.service_s,
+        );
     }
 
     /// The conformance monitor: measured attribution must stay inside
@@ -550,7 +496,6 @@ impl Telemetry {
             profile: self.profile,
             replay_total_s: self.replay_total_s,
             energy_total_j: self.energy_total_j,
-            stream_only: self.stream_only,
         }
     }
 }
@@ -622,8 +567,6 @@ pub struct TelemetryReport {
     pub replay_total_s: f64,
     /// Energy re-accumulated in scheduler order.
     pub energy_total_j: f64,
-    /// Whether the run streamed (per-session vectors dropped).
-    pub stream_only: bool,
 }
 
 impl TelemetryReport {
@@ -695,13 +638,8 @@ impl TelemetryReport {
     ///
     /// # Errors
     ///
-    /// Returns the first violated clause, rendered. Only meaningful
-    /// for retained (non-streaming) runs — streaming runs have no
-    /// per-session ledger to reconcile against.
+    /// Returns the first violated clause, rendered.
     pub fn reconcile(&self, report: &ServeReport) -> Result<(), String> {
-        if self.stream_only {
-            return Err("stream-only runs retain no ledger to reconcile".into());
-        }
         // (1) Snapshot deltas sum exactly to the cumulative counters.
         let mut summed: BTreeMap<String, u64> = BTreeMap::new();
         for (i, line) in self.snapshots.iter().enumerate() {
@@ -844,7 +782,6 @@ mod tests {
             cat.len(),
             "every class carries a latency threshold"
         );
-        assert!(!tele.stream_only());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! exactly one terminal disposition, and per-class served bytes
 //! reconcile against the traffic generator's emitted-byte ledger.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use mealib_obs::Obs;
 use mealib_serve::{
-    generate, serve, serve_with_telemetry, Catalogue, ServeConfig, TelemetryConfig, TrafficSpec,
+    generate, serve, serve_with_telemetry, Catalogue, DecisionEvent, ServeConfig, TelemetryConfig,
+    TrafficSpec, UnknownPolicy,
 };
 use mealib_verify::BoundsEnv;
 use proptest::prelude::*;
@@ -96,6 +98,111 @@ fn telemetry_artifacts_are_bit_identical_across_repeats_and_jobs() {
     }
     for jobs in [2usize, 4] {
         assert_eq!(run(jobs), baseline, "jobs={jobs} diverged");
+    }
+}
+
+/// The report's terminal vectors are the in-order projection of the
+/// decision log: `rejected` is exactly the REJECT events and `shed`
+/// exactly the shed events, each carrying its event's epoch, attempt
+/// count or `shed_reason()`, and its session's class. Covers the
+/// shed-on-UNKNOWN policy, a tight queue (tail drops) with a finite
+/// drain deadline, and a capacity too small for one class's slot
+/// (slot sheds).
+#[test]
+fn terminal_vectors_are_the_in_order_projection_of_the_log() {
+    let cat = catalogue();
+    let env = BoundsEnv::default();
+    let mut kinds = BTreeMap::new();
+    for seed in [3u64, 17, 4242] {
+        // `sar-chain-1024` needs a 32 MiB slot: the 16 MiB device
+        // below can never place it.
+        let mut wide = TrafficSpec::poisson(cat, seed, 4, 2.0);
+        wide.classes.retain(|c| {
+            matches!(
+                c.class.as_str(),
+                "stap-tiny" | "sar-chain-256" | "sar-chain-1024"
+            )
+        });
+        wide.p_impossible = 0.25;
+        let cases = [
+            (ServeConfig::default(), small_spec(seed, 4, 2.0)),
+            (
+                ServeConfig {
+                    unknown_policy: UnknownPolicy::Shed,
+                    ..ServeConfig::default()
+                },
+                small_spec(seed, 4, 2.0),
+            ),
+            (
+                ServeConfig {
+                    queue_cap: 2,
+                    max_epochs: 3,
+                    ..ServeConfig::default()
+                },
+                small_spec(seed, 4, 2.0),
+            ),
+            (
+                ServeConfig {
+                    capacity: 1 << 24,
+                    ..ServeConfig::default()
+                },
+                wide,
+            ),
+        ];
+        for (config, spec) in &cases {
+            let traffic = generate(cat, spec);
+            let class_of: BTreeMap<u64, &str> = traffic
+                .sessions
+                .iter()
+                .map(|s| (s.id, s.class.as_str()))
+                .collect();
+            let report = serve(cat, &traffic, config, &env);
+            report
+                .check_conservation(&traffic, cat)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for ev in &report.decision_log {
+                *kinds.entry(ev.kind()).or_insert(0u64) += 1;
+            }
+
+            let proved: Vec<_> = report
+                .decision_log
+                .iter()
+                .filter_map(|ev| match ev {
+                    DecisionEvent::Reject {
+                        epoch,
+                        id,
+                        codes,
+                        attempts,
+                    } => Some((*id, class_of[id], *epoch, codes.clone(), *attempts)),
+                    _ => None,
+                })
+                .collect();
+            let rejected: Vec<_> = report
+                .rejected
+                .iter()
+                .map(|r| (r.id, r.class.as_str(), r.epoch, r.codes.clone(), r.retries))
+                .collect();
+            assert_eq!(rejected, proved, "seed {seed}: rejected != REJECT events");
+
+            let dropped: Vec<_> = report
+                .decision_log
+                .iter()
+                .filter_map(|ev| {
+                    let reason = ev.shed_reason()?;
+                    Some((ev.id(), class_of[&ev.id()], ev.epoch(), reason))
+                })
+                .collect();
+            let shed: Vec<_> = report
+                .shed
+                .iter()
+                .map(|s| (s.id, s.class.as_str(), s.epoch, s.reason))
+                .collect();
+            assert_eq!(shed, dropped, "seed {seed}: shed != shed events");
+        }
+    }
+    // The sweep reaches every terminal path it is meant to cover.
+    for kind in ["reject", "shed_queue_full", "shed_slot", "shed_drain"] {
+        assert!(kinds.contains_key(kind), "no {kind} event in {kinds:?}");
     }
 }
 

@@ -81,10 +81,10 @@ fn diurnal_soak_holds_every_invariant() {
     assert!(report.plan_cache_hits > report.plans_planned / 2);
 }
 
-/// Streaming telemetry over the same ≥10k-session soak: memory stays
-/// O(classes × buckets) — the sketches absorb every sample without
-/// hoarding them — and the counters still reconcile count-wise with
-/// the retained ledger even though the per-session vectors are gone.
+/// Telemetry over the same ≥10k-session soak: the sketches absorb
+/// every sample in O(classes × buckets) memory without hoarding them,
+/// the counters reconcile count-wise with the traffic generator, and
+/// the full telemetry ↔ ledger reconciliation holds at scale.
 #[test]
 #[ignore = "ten-thousand-session telemetered soak; run with --ignored"]
 fn streaming_telemetry_soak_is_bounded_memory() {
@@ -106,11 +106,7 @@ fn streaming_telemetry_soak_is_bounded_memory() {
         jobs: 2,
         ..ServeConfig::default()
     };
-    let tcfg = TelemetryConfig {
-        stream_only: true,
-        trace: false,
-        ..TelemetryConfig::standard(&cat)
-    };
+    let tcfg = TelemetryConfig::standard(&cat);
     let (report, tele) = serve_with_telemetry(
         &cat,
         &traffic,
@@ -120,12 +116,10 @@ fn streaming_telemetry_soak_is_bounded_memory() {
         &tcfg,
     );
 
-    // Streaming mode really streams: no per-session hoarding anywhere.
-    assert!(report.completed.is_empty());
-    assert!(report.rejected.is_empty());
-    assert!(report.shed.is_empty());
-    assert!(report.decision_log.is_empty());
-    assert!(tele.profile.intervals.is_empty(), "tracing was off");
+    // Snapshot deltas, disposition counters, sketch totals, the replay
+    // clock, and the lifecycle trace all agree with the ledger.
+    tele.reconcile(&report)
+        .expect("telemetry reconciles with the ledger at soak scale");
 
     // Sketch memory is O(classes × buckets), not O(sessions): for
     // alpha = 1% a three-decade dynamic range occupies ~350 buckets,

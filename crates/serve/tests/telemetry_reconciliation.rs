@@ -169,45 +169,6 @@ fn lifecycle_trace_round_trips_and_rejects_carry_their_proofs() {
 }
 
 #[test]
-fn stream_only_mode_keeps_counters_and_drops_the_vectors() {
-    let retained_cfg = TelemetryConfig::default();
-    let (retained_report, retained_tele) = run(7, &retained_cfg);
-
-    let stream_cfg = TelemetryConfig {
-        stream_only: true,
-        trace: false,
-        ..TelemetryConfig::default()
-    };
-    let (stream_report, stream_tele) = run(7, &stream_cfg);
-
-    // The per-session vectors are gone — that is the point of
-    // streaming mode.
-    assert!(stream_report.completed.is_empty());
-    assert!(stream_report.rejected.is_empty());
-    assert!(stream_report.shed.is_empty());
-    assert!(stream_report.decision_log.is_empty());
-
-    // But the counters are the same stream the retained run saw.
-    assert_eq!(
-        stream_tele.registry.to_prometheus(),
-        retained_tele.registry.to_prometheus()
-    );
-    assert_eq!(
-        stream_tele
-            .registry
-            .counter("serve_admitted_total", &[("class", "stap-tiny")]),
-        retained_report
-            .completed
-            .iter()
-            .filter(|c| c.class == "stap-tiny")
-            .count() as u64
-    );
-
-    // Reconciliation is impossible without the vectors, and says so.
-    assert!(stream_tele.reconcile(&stream_report).is_err());
-}
-
-#[test]
 fn attaching_telemetry_never_changes_the_run() {
     let env = BoundsEnv::default();
     let catalogue = Catalogue::standard(&env);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bench smoke: run every mealib-bench harness at reduced sizes with
 # --json, validate that each summary parses, and collect the records
-# into a schema-v1 BENCH file (default BENCH_pr9.json) — the
-# perf-trajectory data point for this PR. Each record carries the
+# into a schema-v1 BENCH file (first argument, default BENCH_pr10.json)
+# — the perf-trajectory data point for a change. Each record carries the
 # harness's wall time as `wall_s`.
 #
 # Also exercises:
@@ -17,9 +17,10 @@
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
 #   * the perf gate: when a baseline BENCH file exists (BASE env var,
-#     default BENCH_pr7.json), `meaperf BASE OUT --wall-report-only`
-#     must pass — modeled metrics gate hard, wall metrics (noisy on a
-#     1-CPU container) are report-only;
+#     default: the highest-numbered BENCH_pr<N>.json tracked by git,
+#     other than OUT), `meaperf BASE OUT --wall-report-only` must pass
+#     — modeled metrics gate hard, wall metrics (noisy on a shared
+#     2-CPU host) are report-only;
 #   * the dual-engine floor: `meaperf --min` requires the fast engine's
 #     geomean speedup over the cycle oracle (engine_throughput's
 #     fast_over_cycle) to stay >= 5x, baseline or not;
@@ -44,7 +45,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_pr10.json}"
-BASE="${BASE:-BENCH_pr9.json}"
+if [[ -z "${BASE:-}" ]]; then
+  BASE="$(git ls-files 'BENCH_pr*.json' | grep -vxF "$OUT" \
+    | sort -V | tail -n 1 || true)"
+fi
 JQ="$(command -v jq || true)"
 
 echo "==> cargo build --release -p mealib-bench --bins"

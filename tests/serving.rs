@@ -1,11 +1,13 @@
-//! Cross-layer checks of the serving loop: `serve_observed` feeds the
+//! Cross-layer checks of the serving loop: `serve_with_telemetry` feeds the
 //! `mealib-obs` pipeline (JSONL traces parse, phases are the known
 //! ones), the recorder's view reconciles bit-for-bit with the report's
 //! own breakdown, and the umbrella re-export path works end to end.
 
 use mealib_obs::json;
 use mealib_obs::{Obs, Phase, TraceRecorder};
-use mealib_repro::serve::{generate, serve_observed, Catalogue, ServeConfig, TrafficSpec};
+use mealib_repro::serve::{
+    generate, serve_with_telemetry, Catalogue, ServeConfig, TelemetryConfig, TrafficSpec,
+};
 use mealib_verify::BoundsEnv;
 
 fn small_traffic(cat: &Catalogue, seed: u64) -> mealib_repro::serve::Traffic {
@@ -24,12 +26,13 @@ fn serve_trace_jsonl_parses_and_breakdown_reconciles() {
     assert!(!traffic.sessions.is_empty());
 
     let rec = TraceRecorder::shared();
-    let report = serve_observed(
+    let (report, _) = serve_with_telemetry(
         &cat,
         &traffic,
         &ServeConfig::default(),
         &env,
         &Obs::new(rec.clone()),
+        &TelemetryConfig::default(),
     );
     assert!(!report.completed.is_empty(), "some sessions complete");
 
@@ -99,12 +102,13 @@ fn observed_and_unobserved_runs_are_bit_identical() {
     let config = ServeConfig::default();
 
     let silent = mealib_repro::serve::serve(&cat, &traffic, &config, &env);
-    let observed = serve_observed(
+    let (observed, _) = serve_with_telemetry(
         &cat,
         &traffic,
         &config,
         &env,
         &Obs::new(TraceRecorder::shared()),
+        &TelemetryConfig::default(),
     );
     assert_eq!(silent.fingerprint(), observed.fingerprint());
     assert_eq!(silent, observed);
