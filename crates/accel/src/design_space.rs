@@ -8,8 +8,8 @@
 //!
 //! Two sweep strategies share one grid:
 //!
-//! * [`sweep_with`] evaluates every point in full, including the
-//!   optional cycle-engine bandwidth cross-check;
+//! * [`sweep`] evaluates every point in full, including the optional
+//!   cycle-engine bandwidth cross-check;
 //! * [`sweep_pruned`] first prices every point with the closed-form
 //!   static bounds from [`point_bounds`] plus the analytic model, then
 //!   replays the cycle engine only for points no certified point
@@ -91,8 +91,8 @@ impl Default for SweepGrid {
     }
 }
 
-/// Execution options for [`sweep_with`]: worker-pool width and the
-/// optional cycle-engine cross-check.
+/// Execution options for [`sweep`] and [`sweep_pruned`]: worker-pool
+/// width and the optional cycle-engine cross-check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker threads for the design-point fan-out (`1` = serial).
@@ -115,31 +115,17 @@ impl Default for SweepOptions {
 }
 
 /// Sweeps the design space of one accelerator over the grid, pricing
-/// `workload` at every point with default [`SweepOptions`] (serial, no
-/// engine cross-check).
+/// `workload` at every point. Design points are priced on up to
+/// `opts.jobs` worker threads (grid order is preserved regardless), and
+/// when `opts.engine_check_bytes > 0` each point additionally replays
+/// that much sequential traffic through the cycle engine to cross-check
+/// the analytic bandwidth model. `SweepOptions::default()` is serial
+/// with no cross-check.
 ///
 /// # Panics
 ///
 /// Panics if `workload` does not belong to `kind`.
 pub fn sweep(
-    kind: AcceleratorKind,
-    workload: &AccelParams,
-    grid: &SweepGrid,
-    base_mem: &MemoryConfig,
-) -> Vec<DesignPoint> {
-    sweep_with(kind, workload, grid, base_mem, &SweepOptions::default())
-}
-
-/// Like [`sweep`], but with explicit execution options: design points
-/// are priced on up to `opts.jobs` worker threads (grid order is
-/// preserved regardless), and when `opts.engine_check_bytes > 0` each
-/// point additionally replays that much sequential traffic through the
-/// cycle engine to cross-check the analytic bandwidth model.
-///
-/// # Panics
-///
-/// Panics if `workload` does not belong to `kind`.
-pub fn sweep_with(
     kind: AcceleratorKind,
     workload: &AccelParams,
     grid: &SweepGrid,
@@ -342,7 +328,7 @@ pub struct PrunedSweep {
     pub pruned: usize,
 }
 
-/// Like [`sweep_with`], but prunes the expensive cycle-engine replay
+/// Like [`sweep`], but prunes the expensive cycle-engine replay
 /// for provably-dominated grid points.
 ///
 /// Every point is first priced statically: the closed-form
@@ -351,7 +337,7 @@ pub struct PrunedSweep {
 /// [`pareto_frontier`] tolerance — by an already-retained point is
 /// skipped; a point whose analytic price escapes its certified interval
 /// is never pruned (and never prunes others). Retained points then run
-/// the same full evaluation as [`sweep_with`], so the pruned sweep's
+/// the same full evaluation as [`sweep`], so the pruned sweep's
 /// Pareto frontier is bit-identical to the full sweep's, including the
 /// engine cross-check values.
 ///
@@ -470,28 +456,28 @@ pub fn spmv_reference_workload() -> AccelParams {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sweep_covers_the_grid() {
-        let grid = SweepGrid::default();
-        let pts = sweep(
+    /// The full FFT sweep over the default grid, serial, no engine
+    /// cross-check.
+    fn fft_sweep() -> Vec<DesignPoint> {
+        sweep(
             AcceleratorKind::Fft,
             &fft_reference_workload(),
-            &grid,
+            &SweepGrid::default(),
             &MemoryConfig::hmc_stack(),
-        );
-        assert_eq!(pts.len(), 4 * 4 * 2 * 2);
+            &SweepOptions::default(),
+        )
+    }
+
+    #[test]
+    fn sweep_covers_the_grid() {
+        assert_eq!(fft_sweep().len(), 4 * 4 * 2 * 2);
     }
 
     #[test]
     fn fft_efficiency_range_matches_fig11a() {
         // Paper: FFT energy efficiency varies from 10 to 56 GFLOPS/W
         // across the design space.
-        let pts = sweep(
-            AcceleratorKind::Fft,
-            &fft_reference_workload(),
-            &SweepGrid::default(),
-            &MemoryConfig::hmc_stack(),
-        );
+        let pts = fft_sweep();
         let effs: Vec<f64> = pts.iter().map(DesignPoint::gflops_per_watt).collect();
         let min = effs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = effs.iter().cloned().fold(0.0_f64, f64::max);
@@ -509,17 +495,13 @@ mod tests {
     fn spmv_efficiency_is_an_order_below_fft() {
         // Paper: SPMV varies 0.18-1.76 GFLOPS/W — an order of magnitude
         // below FFT.
-        let fft = sweep(
-            AcceleratorKind::Fft,
-            &fft_reference_workload(),
-            &SweepGrid::default(),
-            &MemoryConfig::hmc_stack(),
-        );
+        let fft = fft_sweep();
         let spmv = sweep(
             AcceleratorKind::Spmv,
             &spmv_reference_workload(),
             &SweepGrid::default(),
             &MemoryConfig::hmc_stack(),
+            &SweepOptions::default(),
         );
         let fft_best = fft
             .iter()
@@ -537,12 +519,7 @@ mod tests {
 
     #[test]
     fn pareto_frontier_is_monotone() {
-        let pts = sweep(
-            AcceleratorKind::Fft,
-            &fft_reference_workload(),
-            &SweepGrid::default(),
-            &MemoryConfig::hmc_stack(),
-        );
+        let pts = fft_sweep();
         let frontier = pareto_frontier(&pts);
         assert!(!frontier.is_empty());
         assert!(frontier.len() <= pts.len());
@@ -564,12 +541,7 @@ mod tests {
 
     #[test]
     fn budget_picker_respects_the_budget() {
-        let pts = sweep(
-            AcceleratorKind::Fft,
-            &fft_reference_workload(),
-            &SweepGrid::default(),
-            &MemoryConfig::hmc_stack(),
-        );
+        let pts = fft_sweep();
         let best = best_under_budget(&pts, 20.0).expect("something fits 20 W");
         assert!(best.power_w <= 20.0);
         let unlimited = best_under_budget(&pts, f64::INFINITY).unwrap();
@@ -585,7 +557,7 @@ mod tests {
             jobs: 1,
             engine_check_bytes: 1 << 20,
         };
-        let serial = sweep_with(
+        let serial = sweep(
             AcceleratorKind::Fft,
             &fft_reference_workload(),
             &grid,
@@ -593,7 +565,7 @@ mod tests {
             &opts,
         );
         for jobs in [2usize, 4, 8] {
-            let parallel = sweep_with(
+            let parallel = sweep(
                 AcceleratorKind::Fft,
                 &fft_reference_workload(),
                 &grid,
@@ -649,7 +621,7 @@ mod tests {
             (AcceleratorKind::Fft, fft_reference_workload()),
             (AcceleratorKind::Spmv, spmv_reference_workload()),
         ] {
-            let full = sweep_with(kind, &workload, &grid, &mem, &opts);
+            let full = sweep(kind, &workload, &grid, &mem, &opts);
             let pruned = sweep_pruned(kind, &workload, &grid, &mem, &opts);
             assert_eq!(pruned.simulated + pruned.pruned, full.len());
             assert_eq!(pruned.simulated, pruned.points.len());
@@ -710,7 +682,7 @@ mod tests {
             row_bytes: vec![2048, 4096],
         };
         let mem = MemoryConfig::hmc_stack();
-        let pts = sweep_with(
+        let pts = sweep(
             AcceleratorKind::Fft,
             &fft_reference_workload(),
             &grid,
@@ -728,8 +700,14 @@ mod tests {
                 p.engine_gbps
             );
         }
-        // Disabled by default: sweep() leaves the field zero.
-        let plain = sweep(AcceleratorKind::Fft, &fft_reference_workload(), &grid, &mem);
+        // Disabled by default: the default options leave the field zero.
+        let plain = sweep(
+            AcceleratorKind::Fft,
+            &fft_reference_workload(),
+            &grid,
+            &mem,
+            &SweepOptions::default(),
+        );
         assert!(plain.iter().all(|p| p.engine_gbps == 0.0));
     }
 
@@ -746,6 +724,7 @@ mod tests {
             &fft_reference_workload(),
             &grid,
             &MemoryConfig::hmc_stack(),
+            &SweepOptions::default(),
         );
         assert!(pts[1].gflops >= pts[0].gflops * 0.99);
         assert!(pts[1].power_w > pts[0].power_w, "speed costs power");

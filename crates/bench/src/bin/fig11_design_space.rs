@@ -15,7 +15,7 @@
 //! drops, which the prune-mode summary records.
 
 use mealib_accel::design_space::{
-    fft_reference_workload, pareto_frontier, spmv_reference_workload, sweep_pruned, sweep_with,
+    fft_reference_workload, pareto_frontier, spmv_reference_workload, sweep, sweep_pruned,
     DesignPoint, SweepGrid, SweepOptions,
 };
 use mealib_accel::AccelParams;
@@ -103,7 +103,7 @@ fn explore(
         let s = sweep_pruned(kind, workload, grid, mem, sweep_opts);
         (s.points, s.simulated, s.pruned)
     } else {
-        let points = sweep_with(kind, workload, grid, mem, sweep_opts);
+        let points = sweep(kind, workload, grid, mem, sweep_opts);
         let n = points.len();
         (points, n, 0)
     }

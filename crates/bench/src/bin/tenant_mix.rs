@@ -190,10 +190,15 @@ fn main() {
         // Replay the interleaved mix and hold the verdict to account.
         let cfg = resolved_set_config(&set, &env);
         let t0 = Instant::now();
-        let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::default())
-            .expect("merged replay succeeds");
+        let replay = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::dual_check());
         let simulate_s = t0.elapsed().as_secs_f64();
         simulate_wall += simulate_s;
+        // DualCheck returns the cycle run; a tagged fast/cycle
+        // divergence leaves the mix unconfirmed, so the
+        // `verdict_correctness` floor catches engine bugs too.
+        let Ok(run) = replay.inspect_err(|e| eprintln!("{}: replay failed: {e}", mix.name)) else {
+            continue;
+        };
 
         let contained = cert.bounds.set.check_contains(&run.stats).is_none()
             && cert.bounds.tenants.iter().zip(&run.tenants).all(|(tb, m)| {

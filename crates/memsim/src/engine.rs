@@ -15,6 +15,10 @@
 //! Traces live in the SoA [`TraceBuffer`]; [`SimOptions`] selects the
 //! engine, worker count, and optional cycle-windowed profiling.
 //!
+//! Per-tenant attribution and the cycle-window timeline are per-unit
+//! **sinks** on [`UnitEngine`] that both engines fill, not engine
+//! switches.
+//!
 //! Writes share the read datapath model; write-recovery (`tWR`) is
 //! folded into the precharge path, which is accurate enough for the
 //! bandwidth/energy questions this reproduction asks.
@@ -25,6 +29,7 @@ use mealib_types::{Bytes, ConfigError, Cycles, PhysAddr};
 
 use crate::address::{AddressMapping, Location};
 use crate::config::MemoryConfig;
+use crate::fast::run_fast;
 use crate::stats::TraceStats;
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
@@ -214,7 +219,8 @@ pub struct VaultStats {
     pub refreshes: u64,
 }
 
-/// Per-tenant slice of a tagged replay (see [`simulate_tagged`]).
+/// Per-tenant slice of a tagged replay (see
+/// [`crate::tenancy::simulate_tenants`]).
 ///
 /// Byte and burst tallies are the tenant's own traffic exactly. An
 /// activation is attributed to the tenant whose burst triggered it —
@@ -267,14 +273,14 @@ pub struct TenantStats {
 pub struct EngineRun {
     /// Aggregate timing / row-buffer / energy statistics.
     pub stats: TraceStats,
-    /// Per-burst latency histogram (empty when the run was configured
-    /// with `latencies: false`).
+    /// Per-burst latency histogram.
     pub latencies: LatencyHistogram,
     /// Command counts per vault (index = unit number in the mapping).
     pub vaults: Vec<VaultStats>,
     /// Per-tenant attribution; non-empty exactly when the replay was
-    /// tagged (see [`simulate_tagged`] / [`crate::tenancy`]). Index =
-    /// tenant tag.
+    /// tagged (see [`crate::tenancy::simulate_tenants`]). Index =
+    /// tenant tag. Both engines fill it, so [`EngineKind::DualCheck`]
+    /// compares it like every other field.
     pub tenants: Vec<TenantStats>,
     /// Cycle-windowed per-vault counters; `Some` exactly when
     /// [`SimOptions::profile`] was `Some(window_cycles)`. Window `w`
@@ -322,8 +328,8 @@ pub enum EngineKind {
 
 /// Options for one [`simulate`] call.
 ///
-/// The `Default` is the cycle-accurate oracle, serial, with latency
-/// collection on and profiling off.
+/// The `Default` is the cycle-accurate oracle, serial, with profiling
+/// off.
 ///
 /// # `jobs` semantics
 ///
@@ -344,14 +350,11 @@ pub struct SimOptions {
     /// Worker threads: `0` = auto, `1` = exact serial path, `n` = up to
     /// `n` workers (vault-sharded).
     pub jobs: usize,
-    /// Collect the per-burst latency histogram (`true` by default).
-    /// When `false` the returned [`EngineRun::latencies`] is empty.
-    pub latencies: bool,
     /// `Some(window_cycles)` additionally accumulates the cycle-windowed
     /// per-vault [`Timeline`] into [`EngineRun::timeline`]. Profiling
-    /// charges every burst individually, so it forces the per-burst
-    /// cycle-accurate accounting path on any engine kind (the fast
-    /// engine's streak batching is bypassed; results are unchanged).
+    /// charges every burst to its window individually, so the fast
+    /// engine replays a profiled run without streak batching (same
+    /// engine, same `jobs`; results are unchanged).
     pub profile: Option<u64>,
 }
 
@@ -360,7 +363,6 @@ impl Default for SimOptions {
         Self {
             engine: EngineKind::Cycle,
             jobs: 1,
-            latencies: true,
             profile: None,
         }
     }
@@ -394,12 +396,6 @@ impl SimOptions {
         self
     }
 
-    /// Enables or disables latency-histogram collection.
-    pub fn latencies(mut self, collect: bool) -> Self {
-        self.latencies = collect;
-        self
-    }
-
     /// Requests the cycle-windowed per-vault timeline with windows of
     /// `window_cycles` command-clock cycles.
     pub fn profile(mut self, window_cycles: u64) -> Self {
@@ -417,14 +413,6 @@ pub enum SimError {
     /// `SimOptions::profile` was `Some(0)`; the timeline window must be
     /// a positive cycle count.
     ZeroWindow,
-    /// [`simulate_tagged`] was given a tag column whose length differs
-    /// from the trace's request count.
-    TagLength {
-        /// Number of tenant tags supplied.
-        tags: usize,
-        /// Number of requests in the trace.
-        requests: usize,
-    },
     /// [`EngineKind::DualCheck`] found the fast engine disagreeing with
     /// the cycle oracle. The payload names the differing fields — this
     /// is always an engine bug, never an input problem.
@@ -436,10 +424,6 @@ impl std::fmt::Display for SimError {
         match self {
             Self::Config(e) => write!(f, "invalid memory configuration: {e}"),
             Self::ZeroWindow => write!(f, "profile window must be a positive cycle count"),
-            Self::TagLength { tags, requests } => write!(
-                f,
-                "tenant tag column has {tags} entries for a {requests}-request trace"
-            ),
             Self::EngineDivergence(what) => {
                 write!(f, "fast engine diverged from the cycle oracle: {what}")
             }
@@ -456,8 +440,9 @@ impl From<ConfigError> for SimError {
 }
 
 /// Replays `trace` in program order against the device described by
-/// `config` — the one entry point for every engine, threading, latency,
-/// and profiling combination (see [`SimOptions`]).
+/// `config` — the one entry point for every engine, threading, and
+/// profiling combination (see [`SimOptions`]). Its tagged sibling is
+/// [`crate::tenancy::simulate_tenants`].
 ///
 /// Requests longer than one burst are split into burst-sized accesses at
 /// burst-aligned boundaries, exactly as a vault controller would issue
@@ -491,48 +476,18 @@ pub fn simulate(
     dispatch(config, trace, None, opts)
 }
 
-/// Replays a *tagged* trace: `tags[i]` names the tenant owning request
-/// `i`, and the returned [`EngineRun::tenants`] carries one
-/// [`TenantStats`] slice per tenant (`0..=max(tags)`). Build the tagged
-/// trace from per-tenant streams with
-/// [`crate::tenancy::interleave_tenants`], or call
-/// [`crate::tenancy::simulate_tenants`] to do both steps at once.
+/// Shared body of [`simulate`] and [`crate::tenancy::simulate_tenants`]:
+/// `tenants` is the per-request tag column plus the tenant count the
+/// run reports, `None` on untagged replays.
 ///
-/// Attribution charges every burst individually, so the fast engine's
-/// streak batching is bypassed (the tagged replay runs the cycle path
-/// on any engine kind; results are unchanged by construction and
-/// [`EngineKind::DualCheck`] still diffs both calls). Everything except
-/// the new `tenants` field is bit-identical to the untagged
-/// [`simulate`] of the same trace.
-///
-/// # Errors
-///
-/// Everything [`simulate`] reports, plus [`SimError::TagLength`] when
-/// `tags.len() != trace.len()`.
-pub fn simulate_tagged(
+/// Every unit of either engine starts from one prototype carrying the
+/// run's sinks (a timeline when profiling, tenant accumulators when
+/// tagged), and one tail folds the units into the [`EngineRun`], so
+/// neither sink is a reason to pick a different engine.
+pub(crate) fn dispatch(
     config: &MemoryConfig,
     trace: &TraceBuffer,
-    tags: &[u16],
-    opts: &SimOptions,
-) -> Result<EngineRun, SimError> {
-    if tags.len() != trace.len() {
-        return Err(SimError::TagLength {
-            tags: tags.len(),
-            requests: trace.len(),
-        });
-    }
-    let n_tenants = tags.iter().map(|&t| t as usize + 1).max().unwrap_or(0);
-    dispatch(config, trace, Some((tags, n_tenants)), opts)
-}
-
-/// Per-request tenant tags plus the tenant count the run reports.
-pub(crate) type Tenancy<'a> = Option<(&'a [u16], usize)>;
-
-/// Shared body of [`simulate`] and [`simulate_tagged`].
-fn dispatch(
-    config: &MemoryConfig,
-    trace: &TraceBuffer,
-    tags: Tenancy<'_>,
+    tenants: Option<(&[u16], usize)>,
     opts: &SimOptions,
 ) -> Result<EngineRun, SimError> {
     config.validate()?;
@@ -540,28 +495,38 @@ fn dispatch(
         return Err(SimError::ZeroWindow);
     }
     let jobs = mealib_types::auto_jobs(opts.jobs);
-    let mut run = match opts.engine {
-        EngineKind::Cycle => run_cycle(config, trace, jobs, opts.profile, tags),
-        EngineKind::Fast => crate::fast::run_fast(config, trace, jobs, opts.profile, tags),
+    let tags = tenants.map(|(col, _)| col);
+    let proto = UnitEngine::new(
+        config.mapping.banks_per_unit(),
+        opts.profile,
+        tenants.map(|(_, n)| n),
+    );
+    let cycle = || finish_run(config, run_cycle(config, trace, tags, jobs, &proto));
+    let fast = || finish_run(config, run_fast(config, trace, tags, jobs, &proto));
+    match opts.engine {
+        EngineKind::Cycle => Ok(cycle()),
+        EngineKind::Fast => Ok(fast()),
         EngineKind::DualCheck => {
-            let cycle = run_cycle(config, trace, jobs, opts.profile, tags);
-            let fast = crate::fast::run_fast(config, trace, jobs, opts.profile, tags);
+            let (cycle, fast) = (cycle(), fast());
             if fast != cycle {
                 return Err(SimError::EngineDivergence(divergence_report(&cycle, &fast)));
             }
-            cycle
+            Ok(cycle)
         }
-    };
-    if !opts.latencies {
-        run.latencies = LatencyHistogram::default();
     }
-    Ok(run)
 }
 
 /// Names the fields where two runs disagree, with a one-line numeric
 /// sketch for the aggregates — enough to localize an engine bug without
 /// dumping whole histograms.
 fn divergence_report(cycle: &EngineRun, fast: &EngineRun) -> String {
+    /// Where two per-unit or per-tenant slices first differ.
+    fn first<T: PartialEq>(index: &str, a: &[T], b: &[T]) -> String {
+        match a.iter().zip(b).position(|(x, y)| x != y) {
+            Some(i) => format!("first divergent {index}: {i}"),
+            None => format!("{index} count differs"),
+        }
+    }
     let mut parts = Vec::new();
     if cycle.stats != fast.stats {
         parts.push(format!(
@@ -582,18 +547,12 @@ fn divergence_report(cycle: &EngineRun, fast: &EngineRun) -> String {
         ));
     }
     if cycle.vaults != fast.vaults {
-        let unit = cycle
-            .vaults
-            .iter()
-            .zip(&fast.vaults)
-            .position(|(c, f)| c != f);
-        match unit {
-            Some(u) => parts.push(format!("vault stats (first divergent unit: {u})")),
-            None => parts.push("vault stats (unit count differs)".to_string()),
-        }
+        let at = first("unit", &cycle.vaults, &fast.vaults);
+        parts.push(format!("vault stats ({at})"));
     }
     if cycle.tenants != fast.tenants {
-        parts.push("tenant stats".to_string());
+        let at = first("tenant", &cycle.tenants, &fast.tenants);
+        parts.push(format!("tenant stats ({at})"));
     }
     if cycle.timeline != fast.timeline {
         parts.push("timeline".to_string());
@@ -607,7 +566,8 @@ fn divergence_report(cycle: &EngineRun, fast: &EngineRun) -> String {
 }
 
 /// The cycle-accurate oracle replay: serial when `jobs <= 1`, otherwise
-/// vault-sharded across up to `jobs` workers.
+/// vault-sharded across up to `jobs` workers. Returns one [`UnitEngine`]
+/// per unit, each a copy of `proto` that replayed the unit's bursts.
 ///
 /// The trace is partitioned at *burst* granularity — consecutive bursts
 /// of one request land on different units under interleaving, so whole
@@ -624,64 +584,30 @@ fn divergence_report(cycle: &EngineRun, fast: &EngineRun) -> String {
 /// time and energy.
 ///
 /// Expects a pre-validated `config` and a pre-normalized `jobs`.
-pub(crate) fn run_cycle(
+fn run_cycle(
     config: &MemoryConfig,
     trace: &TraceBuffer,
+    tags: Option<&[u16]>,
     jobs: usize,
-    profile: Option<u64>,
-    tags: Tenancy<'_>,
-) -> EngineRun {
+    proto: &UnitEngine,
+) -> Vec<UnitEngine> {
     let t = &config.timing;
     let mapping = &config.mapping;
-    let banks = mapping.banks_per_unit();
-    let make = || {
-        let mut unit = match profile {
-            Some(w) => UnitEngine::with_timeline(banks, w),
-            None => UnitEngine::new(banks),
-        };
-        if let Some((_, n)) = tags {
-            unit.tenants = Some(vec![TenantAccum::default(); n]);
-        }
-        unit
-    };
-    let tag_col = tags.map(|(col, _)| col);
-    let mut units: Vec<UnitEngine> = if jobs <= 1 {
-        let mut units: Vec<UnitEngine> = (0..mapping.units()).map(|_| make()).collect();
-        for_each_burst_tagged(t, mapping, trace, tag_col, |b| {
-            units[b.loc.unit].burst(t, &b)
-        });
+    if jobs <= 1 {
+        let mut units = vec![proto.clone(); mapping.units()];
+        for_each_burst_tagged(t, mapping, trace, tags, |b| units[b.loc.unit].burst(t, &b));
         units
     } else {
         let mut shards: Vec<Vec<Burst>> = vec![Vec::new(); mapping.units()];
-        for_each_burst_tagged(t, mapping, trace, tag_col, |b| shards[b.loc.unit].push(b));
+        for_each_burst_tagged(t, mapping, trace, tags, |b| shards[b.loc.unit].push(b));
         mealib_types::par_map(&shards, jobs, |shard| {
-            let mut unit = make();
+            let mut unit = proto.clone();
             for b in shard {
                 unit.burst(t, b);
             }
             unit
         })
-    };
-    let timeline = profile.map(|w| collect_timeline(w, &mut units));
-    let mut run = finish_run(config, units);
-    run.timeline = timeline;
-    run
-}
-
-/// Folds the per-unit window maps into one [`Timeline`], assigning each
-/// unit its index as the lane. `par_map` returns units in shard order
-/// regardless of completion order, and cell insertion is a commutative
-/// sum, so the fold is order-independent.
-pub(crate) fn collect_timeline(window_cycles: u64, units: &mut [UnitEngine]) -> Timeline {
-    let mut timeline = Timeline::new(window_cycles);
-    for (unit, u) in units.iter_mut().enumerate() {
-        if let Some(ut) = u.timeline.take() {
-            for (w, counters) in &ut.windows {
-                timeline.add_cell(*w, unit as u16, counters);
-            }
-        }
     }
-    timeline
 }
 
 /// One decoded burst-sized access, in program order.
@@ -766,6 +692,33 @@ pub(crate) struct TenantAccum {
 }
 
 impl TenantAccum {
+    /// Charges `bursts` bursts of one direction moving `bytes` and
+    /// triggering `activations`, the first completing at `first` and the
+    /// last at `last`. The cycle engine charges one burst at a time; the
+    /// fast engine charges a whole streak chunk in closed form.
+    pub(crate) fn charge(
+        &mut self,
+        write: bool,
+        bytes: u64,
+        bursts: u64,
+        activations: u64,
+        first: u64,
+        last: u64,
+    ) {
+        if write {
+            self.bytes_written += bytes;
+            self.write_bursts += bursts;
+        } else {
+            self.bytes_read += bytes;
+            self.read_bursts += bursts;
+        }
+        self.activations += activations;
+        self.last_done = self.last_done.max(last);
+        if self.first_done == 0 {
+            self.first_done = first;
+        }
+    }
+
     fn merge(&mut self, other: &TenantAccum) {
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
@@ -813,7 +766,10 @@ pub(crate) struct UnitEngine {
 }
 
 impl UnitEngine {
-    pub(crate) fn new(banks: usize) -> Self {
+    /// A fresh unit with `banks` idle banks, a timeline sink when
+    /// `profile` is `Some(window_cycles)`, and `tenants` accumulators
+    /// when the replay is tagged.
+    pub(crate) fn new(banks: usize, profile: Option<u64>, tenants: Option<usize>) -> Self {
         Self {
             banks: vec![BankState::default(); banks],
             bus_free: 0,
@@ -824,25 +780,28 @@ impl UnitEngine {
             latencies: LatencyHistogram::default(),
             bytes_read: 0,
             bytes_written: 0,
-            timeline: None,
-            tenants: None,
+            timeline: profile.map(UnitTimeline::new),
+            tenants: tenants.map(|n| vec![TenantAccum::default(); n]),
         }
-    }
-
-    pub(crate) fn with_timeline(banks: usize, window_cycles: u64) -> Self {
-        let mut unit = Self::new(banks);
-        unit.timeline = Some(UnitTimeline::new(window_cycles));
-        unit
     }
 
     /// Services one burst, accumulating windowed counters and/or tenant
     /// attribution when those paths are on. The disabled path costs two
     /// `Option` discriminant checks on top of [`UnitEngine::burst_core`].
+    #[inline]
     pub(crate) fn burst(&mut self, t: &DramTiming, b: &Burst) {
         if self.timeline.is_none() && self.tenants.is_none() {
             self.burst_core(t, b);
-            return;
+        } else {
+            self.burst_into_sinks(t, b);
         }
+    }
+
+    /// The sink path of [`UnitEngine::burst`], kept out of line so the
+    /// fast engine's slow path (every burst of a scalar gather) inlines
+    /// to the two checks plus [`UnitEngine::burst_core`].
+    #[inline(never)]
+    fn burst_into_sinks(&mut self, t: &DramTiming, b: &Burst) {
         // Snapshot-delta accumulation: everything `burst_core` charges to
         // this burst (including refresh debt paid before it) lands in the
         // window containing the burst's last data-bus cycle. The rule is
@@ -855,16 +814,8 @@ impl UnitEngine {
         self.burst_core(t, b);
         let done = self.bus_free;
         if let Some(tenants) = self.tenants.as_mut() {
-            let acc = &mut tenants[b.tenant as usize];
-            acc.bytes_read += self.bytes_read - read_before;
-            acc.bytes_written += self.bytes_written - written_before;
-            acc.read_bursts += self.vault.read_bursts - vault_before.read_bursts;
-            acc.write_bursts += self.vault.write_bursts - vault_before.write_bursts;
-            acc.activations += self.vault.activations - vault_before.activations;
-            acc.last_done = acc.last_done.max(done);
-            if acc.first_done == 0 {
-                acc.first_done = done;
-            }
+            let acts = self.vault.activations - vault_before.activations;
+            tenants[b.tenant as usize].charge(b.op == Op::Write, b.bytes, 1, acts, done, done);
         }
         if self.timeline.is_none() {
             return;
@@ -890,10 +841,10 @@ impl UnitEngine {
     /// Services one burst in FCFS order: refresh accounting, row-buffer
     /// logic, then a slot on the unit's data bus.
     ///
-    /// This is the shared slow path: the fast engine calls it verbatim
-    /// for every burst its analytic streak batching cannot cover, which
-    /// is what keeps the two engines bit-exact on conflicts, refreshes,
-    /// and activations.
+    /// This is the shared slow path: the fast engine reaches it through
+    /// [`UnitEngine::burst`] for every burst its analytic streak
+    /// batching cannot cover, which is what keeps the two engines
+    /// bit-exact on conflicts, refreshes, and activations.
     pub(crate) fn burst_core(&mut self, t: &DramTiming, b: &Burst) {
         // Periodic all-bank refresh (REFab): once per tREFI the whole
         // unit spends tRFC refreshing, closing every row buffer.
@@ -976,6 +927,11 @@ impl UnitEngine {
 /// fields (`elapsed`, `energy`) are computed once here from the merged
 /// integer totals, so parallel and serial runs — and the fast and cycle
 /// engines — agree bit-for-bit.
+///
+/// The sinks fold here too: tenant accumulators merge per tenant, and
+/// the per-unit window maps become one [`Timeline`] with each unit's
+/// index as its lane (cell insertion is a commutative sum, so the fold
+/// is order-independent).
 pub(crate) fn finish_run(config: &MemoryConfig, units: Vec<UnitEngine>) -> EngineRun {
     let t = &config.timing;
     let hz = mealib_types::Hertz::new(1.0 / t.t_ck.get());
@@ -983,8 +939,9 @@ pub(crate) fn finish_run(config: &MemoryConfig, units: Vec<UnitEngine>) -> Engin
     let mut latencies = LatencyHistogram::default();
     let mut vaults = Vec::with_capacity(units.len());
     let mut accums: Vec<TenantAccum> = Vec::new();
+    let mut timeline: Option<Timeline> = None;
     let mut end_cycle = 0u64;
-    for u in units {
+    for (unit, u) in units.into_iter().enumerate() {
         end_cycle = end_cycle.max(u.bus_free);
         stats.bytes_read += Bytes::new(u.bytes_read);
         stats.bytes_written += Bytes::new(u.bytes_written);
@@ -1002,6 +959,12 @@ pub(crate) fn finish_run(config: &MemoryConfig, units: Vec<UnitEngine>) -> Engin
                 for (mine, theirs) in accums.iter_mut().zip(&ts) {
                     mine.merge(theirs);
                 }
+            }
+        }
+        if let Some(ut) = u.timeline {
+            let tl = timeline.get_or_insert_with(|| Timeline::new(ut.window_cycles));
+            for (w, counters) in &ut.windows {
+                tl.add_cell(*w, unit as u16, counters);
             }
         }
     }
@@ -1043,7 +1006,7 @@ pub(crate) fn finish_run(config: &MemoryConfig, units: Vec<UnitEngine>) -> Engin
         latencies,
         vaults,
         tenants,
-        timeline: None,
+        timeline,
     }
 }
 
@@ -1240,18 +1203,6 @@ mod tests {
         assert!(median <= 8, "median latency bound {median} cycles");
         // The tail (first access, row openings) is slower than the median.
         assert!(lat.quantile_bound(1.0).unwrap() >= median);
-    }
-
-    #[test]
-    fn latencies_off_returns_an_empty_histogram() {
-        let c = single_channel_config();
-        let trace = sequential_trace(0, 1 << 16, 64, Op::Read);
-        let quiet = simulate(&c, &trace, &SimOptions::default().latencies(false)).unwrap();
-        assert_eq!(quiet.latencies, LatencyHistogram::default());
-        // Every other statistic is unchanged by the flag.
-        let full = run(&c, &trace);
-        assert_eq!(quiet.stats, full.stats);
-        assert_eq!(quiet.vaults, full.vaults);
     }
 
     #[test]
@@ -1562,6 +1513,18 @@ mod tests {
         assert!((3.0..5.0).contains(&ratio), "energy ratio {ratio}");
     }
 
+    /// Splits `trace` round-robin into `n` tenant streams arriving at
+    /// slot 0; [`crate::tenancy::interleave_tenants`] merges them back
+    /// into `trace` itself, tagging request `i` with tenant `i % n`.
+    fn round_robin(trace: &TraceBuffer, n: usize) -> Vec<crate::tenancy::TenantStream> {
+        (0..n)
+            .map(|k| {
+                let own: TraceBuffer = trace.iter().skip(k).step_by(n).collect();
+                crate::tenancy::TenantStream::new(own)
+            })
+            .collect()
+    }
+
     #[test]
     fn tagged_run_matches_untagged_and_attributes_every_burst() {
         // Tenant attribution must not perturb the model: the shared
@@ -1570,9 +1533,11 @@ mod tests {
         let c = MemoryConfig::ddr_dual_channel();
         let mut trace = sequential_trace(0, 1 << 19, 64, Op::Read);
         trace.extend(&strided_trace(1 << 22, 8192, 64, 1024, Op::Write));
-        let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 3) as u16).collect();
+        let streams = round_robin(&trace, 3);
+        assert_eq!(crate::tenancy::interleave_tenants(&streams).0, trace);
         let plain = run(&c, &trace);
-        let tagged = simulate_tagged(&c, &trace, &tags, &SimOptions::default()).unwrap();
+        let tagged =
+            crate::tenancy::simulate_tenants(&c, &streams, &SimOptions::default()).unwrap();
         assert_eq!(tagged.stats, plain.stats);
         assert_eq!(tagged.vaults, plain.vaults);
         assert_eq!(tagged.latencies, plain.latencies);
@@ -1600,28 +1565,40 @@ mod tests {
         let c = MemoryConfig::hmc_stack();
         let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
         trace.extend(&strided_trace(1 << 24, 8192, 64, 2048, Op::Write));
-        let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 4) as u16).collect();
-        let serial = simulate_tagged(&c, &trace, &tags, &SimOptions::default()).unwrap();
+        let streams = round_robin(&trace, 4);
+        let tenants = |opts: &SimOptions| crate::tenancy::simulate_tenants(&c, &streams, opts);
+        let serial = tenants(&SimOptions::default()).unwrap();
         for opts in [
             SimOptions::cycle().jobs(4),
             SimOptions::fast(),
             SimOptions::fast().jobs(8),
             SimOptions::dual_check(),
             SimOptions::dual_check().jobs(2),
+            SimOptions::fast().profile(4096),
+            SimOptions::dual_check().profile(4096).jobs(2),
         ] {
-            let other = simulate_tagged(&c, &trace, &tags, &opts).unwrap();
+            let mut other = tenants(&opts).unwrap();
+            assert_eq!(other.timeline.is_some(), opts.profile.is_some(), "{opts:?}");
+            other.timeline = None;
             assert_eq!(other, serial, "{opts:?}");
         }
     }
 
     #[test]
-    fn tagged_run_rejects_mismatched_tag_columns() {
+    fn divergence_report_names_the_first_divergent_tenant() {
         let c = MemoryConfig::hmc_stack();
-        let trace = sequential_trace(0, 1 << 16, 64, Op::Read);
-        let tags = vec![0u16; trace.len() - 1];
-        assert!(matches!(
-            simulate_tagged(&c, &trace, &tags, &SimOptions::default()),
-            Err(SimError::TagLength { .. })
-        ));
+        let streams = round_robin(&sequential_trace(0, 1 << 16, 64, Op::Read), 3);
+        let cycle = crate::tenancy::simulate_tenants(&c, &streams, &SimOptions::cycle()).unwrap();
+        let mut fast = cycle.clone();
+        fast.tenants[1].activations += 1;
+        assert_eq!(
+            divergence_report(&cycle, &fast),
+            "tenant stats (first divergent tenant: 1)"
+        );
+        fast.tenants = cycle.tenants[..2].to_vec();
+        assert_eq!(
+            divergence_report(&cycle, &fast),
+            "tenant stats (tenant count differs)"
+        );
     }
 }

@@ -27,11 +27,19 @@
 //!
 //! Any burst that fails the conditions — a conflict, an idle bank, a
 //! refresh boundary, a cold column path — is replayed through the
-//! *shared* [`UnitEngine::burst_core`], so the slow path is the cycle
+//! *shared* [`UnitEngine::burst`], so the slow path is the cycle
 //! engine's code, not a reimplementation. That, plus the closed-form
 //! algebra above, is why `EngineKind::DualCheck` and the determinism
 //! proptests hold the two engines bit-for-bit equal on every statistic
-//! (stats, vault counts, histogram buckets, energy).
+//! (stats, vault counts, histogram buckets, energy, tenant slices).
+//!
+//! The unit's sinks ride along. On tagged replays every run carries
+//! its tenant (a run never spans two requests), and each streak chunk
+//! of `k` bursts at streak offset `c` charges it in closed form: bytes,
+//! bursts, zero activations (all row hits), completions from
+//! `bus_free + (c + 1)·t_burst` to `bus_free + (c + k)·t_burst`. A
+//! timeline sink charges every burst to its window, so while one is
+//! present batching is off and every burst takes the slow path.
 //!
 //! # Run-granular decode
 //!
@@ -46,16 +54,15 @@
 //! engine's per-unit burst sequence exactly: same bursts, same
 //! locations, same order. The replay then consumes runs whole in the
 //! streak scan and only rematerializes individual bursts on the slow
-//! path.
+//! path. Runs coalesce only within one tenant; untagged replays keep the
+//! tenant column empty.
 //!
 //! [`AddressMapping::contiguous_run_bytes`]: crate::address::AddressMapping::contiguous_run_bytes
 //! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
 
 use crate::address::AddressMapping;
 use crate::config::MemoryConfig;
-use crate::engine::{
-    collect_timeline, finish_run, Burst, EngineRun, LatencyHistogram, Op, UnitEngine,
-};
+use crate::engine::{Burst, LatencyHistogram, Op, UnitEngine};
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
 use mealib_types::PhysAddr;
@@ -80,11 +87,18 @@ struct UnitStream {
     /// Number of bursts in the run.
     n: Vec<u32>,
     write: Vec<bool>,
+    /// Owning tenant of each run on tagged replays; empty (tenant 0
+    /// throughout) on untagged ones.
+    tenant: Vec<u16>,
 }
 
 impl UnitStream {
     fn runs(&self) -> usize {
         self.bank.len()
+    }
+
+    fn tenant(&self, r: usize) -> u16 {
+        self.tenant.get(r).copied().unwrap_or(0)
     }
 
     fn reserve(&mut self, runs: usize) {
@@ -120,72 +134,46 @@ impl UnitStream {
             },
             bytes: self.cum(r, j + 1) - start,
             op: if self.write[r] { Op::Write } else { Op::Read },
-            tenant: 0,
+            tenant: self.tenant(r),
         }
     }
 }
 
 /// The fast replay: serial when `jobs <= 1`, vault-sharded otherwise.
+/// Returns one [`UnitEngine`] per unit, each a copy of `proto` (which
+/// carries the run's sinks) that replayed the unit's stream.
 ///
-/// Expects a pre-validated `config` and a pre-normalized `jobs`, like
-/// [`crate::engine::run_cycle`]. Profiled runs charge every burst to a
-/// cycle window individually, which is exactly the per-burst accounting
-/// the streak batch elides — so `profile: Some(_)` delegates to the
-/// cycle path (results are identical either way; only the unprofiled
-/// replay is the throughput hot path).
+/// Expects a pre-validated `config` and a pre-normalized `jobs`.
 pub(crate) fn run_fast(
     config: &MemoryConfig,
     trace: &TraceBuffer,
+    tags: Option<&[u16]>,
     jobs: usize,
-    profile: Option<u64>,
-    tags: crate::engine::Tenancy<'_>,
-) -> EngineRun {
-    if tags.is_some() {
-        // Tenant attribution charges every burst individually — the same
-        // per-burst accounting profiling forces — and needs the
-        // request→tag association the run decode erases. The tagged
-        // replay therefore shares the cycle path outright and is
-        // bit-exact by construction.
-        return crate::engine::run_cycle(config, trace, jobs, profile, tags);
-    }
-    if let Some(w) = profile {
-        let mut units: Vec<UnitEngine> = decode_streams(config, trace)
-            .iter()
-            .map(|stream| {
-                let mut unit = UnitEngine::with_timeline(config.mapping.banks_per_unit(), w);
-                for r in 0..stream.runs() {
-                    for j in 0..stream.n[r] {
-                        unit.burst(&config.timing, &stream.burst(r, j, 0));
-                    }
-                }
-                unit
-            })
-            .collect();
-        let timeline = collect_timeline(w, &mut units);
-        let mut run = finish_run(config, units);
-        run.timeline = Some(timeline);
-        return run;
-    }
-    let streams = decode_streams(config, trace);
+    proto: &UnitEngine,
+) -> Vec<UnitEngine> {
+    let streams = decode_streams(config, trace, tags);
     let t = &config.timing;
-    let banks = config.mapping.banks_per_unit();
-    let units = if jobs <= 1 {
+    if jobs <= 1 {
         streams
             .iter()
-            .map(|stream| replay_unit(t, banks, stream))
+            .map(|stream| replay_unit(t, proto, stream))
             .collect()
     } else {
-        mealib_types::par_map(&streams, jobs, |stream| replay_unit(t, banks, stream))
-    };
-    finish_run(config, units)
+        mealib_types::par_map(&streams, jobs, |stream| replay_unit(t, proto, stream))
+    }
 }
 
 /// Splits the trace into same-row runs and routes each to its unit's
 /// stream. Decoding happens once per run (or once per aligned stretch
 /// of whole lines on the bulk path); the burst split inside a run is
 /// the same `t.burst_bytes`-aligned arithmetic as [`for_each_burst_tagged`],
-/// so per-unit burst order is preserved exactly.
-fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream> {
+/// so per-unit burst order is preserved exactly. `tags` (one tenant per
+/// request) fills each stream's tenant column.
+fn decode_streams(
+    config: &MemoryConfig,
+    trace: &TraceBuffer,
+    tags: Option<&[u16]>,
+) -> Vec<UnitStream> {
     let t = &config.timing;
     let mapping = &config.mapping;
     let mut streams: Vec<UnitStream> = vec![
@@ -223,12 +211,16 @@ fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream>
     let est = (trace.total_bytes() / gran / units_n + trace.len() as u64 / units_n + 4) as usize;
     for s in streams.iter_mut() {
         s.reserve(est);
+        if tags.is_some() {
+            s.tenant.reserve(est);
+        }
     }
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
         let mut remaining = bytes[i];
         let mut addr = addrs[i];
         let write = ops[i] == Op::Write;
+        let tenant = tags.map(|col| col[i]);
         while remaining > 0 {
             if let Some((units, line_bytes, xor)) = bulk {
                 if addr % line_bytes == 0 && remaining >= line_bytes {
@@ -256,6 +248,7 @@ fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream>
                             line_bytes,
                             nb,
                             write,
+                            tenant,
                         );
                     }
                     addr += m * line_bytes;
@@ -294,6 +287,7 @@ fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream>
             s.total.push(total);
             s.n.push(1 + extra as u32);
             s.write.push(write);
+            s.tenant.extend(tenant);
             addr += total;
             remaining -= total;
         }
@@ -303,10 +297,10 @@ fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream>
 
 /// Appends a run, coalescing with the stream's tail when the result is
 /// burst-arithmetic-equivalent to keeping them separate: same bank,
-/// row, and op; column-contiguous; the tail's last burst complete; and
-/// the appended run starting burst-aligned. (The bulk decode path
-/// always satisfies the alignment conditions — its runs are whole
-/// lines — so pure streams coalesce into row-length runs.)
+/// row, op, and tenant; column-contiguous; the tail's last burst
+/// complete; and the appended run starting burst-aligned. (The bulk
+/// decode path always satisfies the alignment conditions — its runs are
+/// whole lines — so pure streams coalesce into row-length runs.)
 #[allow(clippy::too_many_arguments)]
 fn push_run(
     s: &mut UnitStream,
@@ -318,6 +312,7 @@ fn push_run(
     total: u64,
     n: u32,
     write: bool,
+    tenant: Option<u16>,
 ) {
     if let Some(last) = s.runs().checked_sub(1) {
         if s.bank[last] == bank
@@ -326,6 +321,7 @@ fn push_run(
             && s.col0[last] + s.total[last] == col0
             && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * burst_bytes
             && head == burst_bytes
+            && s.tenant.last().copied() == tenant
         {
             s.total[last] += total;
             s.n[last] += n;
@@ -339,14 +335,18 @@ fn push_run(
     s.total.push(total);
     s.n.push(n);
     s.write.push(write);
+    s.tenant.extend(tenant);
 }
 
 /// Replays one unit's run stream with streak batching. The cursor
 /// `(r, j)` points at burst `j` of run `r`: the slow path advances it
 /// one burst at a time, the streak batch whole (or partial, at a
-/// refresh cap) runs at a time.
-fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine {
-    let mut u = UnitEngine::new(banks);
+/// refresh cap) runs at a time. Batching is off while the unit carries a
+/// timeline sink, which charges every burst to its window.
+fn replay_unit(t: &DramTiming, proto: &UnitEngine, stream: &UnitStream) -> UnitEngine {
+    let mut u = proto.clone();
+    let banks = u.banks.len();
+    let batch = u.timeline.is_none();
     let runs = stream.runs();
     let t_burst = t.t_burst;
     let hit_bucket = LatencyHistogram::bucket_of(t_burst);
@@ -359,23 +359,19 @@ fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine 
     let mut r = 0usize;
     let mut j = 0u32;
     while r < runs {
-        // A refresh owed now forces the slow path, which pays it.
-        let next_refresh = (u.refreshes_done + 1) * t.t_refi;
-        if u.bus_free >= next_refresh {
-            u.burst_core(t, &stream.burst(r, j, 0));
-            j += 1;
-            if j == stream.n[r] {
-                r += 1;
-                j = 0;
-            }
-            continue;
-        }
         // Longest streak of bus-limited row hits before the refresh
         // epoch: the burst at streak offset `c` sees the bus at
         // `bus_free + c·t_burst`, so the refresh caps the streak at
-        // `ceil((next_refresh - bus_free) / t_burst)` bursts.
+        // `ceil((next_refresh - bus_free) / t_burst)` bursts. A refresh
+        // owed now (cap 0) or a timeline sink leaves no streak, and the
+        // slow path below takes the burst.
         generation += 1;
-        let k_max = (next_refresh - u.bus_free).div_ceil(t_burst);
+        let next_refresh = (u.refreshes_done + 1) * t.t_refi;
+        let k_max = if batch {
+            next_refresh.saturating_sub(u.bus_free).div_ceil(t_burst)
+        } else {
+            0
+        };
         let mut count = 0u64;
         let (mut rr, mut jj) = (r, j);
         let mut bytes_read = 0u64;
@@ -412,8 +408,13 @@ fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine 
             } else {
                 bytes_read += b;
             }
+            let first = u.bus_free + (count + 1) * t_burst;
             count += take;
             last_done[bank] = u.bus_free + count * t_burst;
+            if let Some(tenants) = u.tenants.as_mut() {
+                let acc = &mut tenants[stream.tenant(rr) as usize];
+                acc.charge(stream.write[rr], b, take, 0, first, last_done[bank]);
+            }
             if take == avail {
                 rr += 1;
                 jj = 0;
@@ -422,9 +423,10 @@ fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine 
             }
         }
         if count == 0 {
-            // Not bus-limited (conflict, idle bank, or cold column
-            // path): one exact step through the shared slow path.
-            u.burst_core(t, &stream.burst(r, j, 0));
+            // Not bus-limited (refresh owed, conflict, idle bank, cold
+            // column path, or batching off): one exact step through the
+            // shared slow path.
+            u.burst(t, &stream.burst(r, j, 0));
             j += 1;
             if j == stream.n[r] {
                 r += 1;
@@ -475,7 +477,8 @@ mod tests {
     fn run_decode_reproduces_the_per_burst_decode() {
         // The run decomposition must concatenate back into exactly the
         // cycle engine's per-unit burst sequence: same locations, same
-        // byte counts, same order.
+        // byte counts, same order, same tenants — untagged, and under a
+        // tag column that changes tenant inside same-row streaks.
         let mut xor_stack = MemoryConfig::hmc_stack();
         xor_stack.mapping = AddressMapping::XorInterleaved {
             units: 32,
@@ -494,28 +497,29 @@ mod tests {
             trace.push(Request::read(30, 100));
             trace.push(Request::read(5, 1));
             trace.push(Request::write(4093, 10)); // straddles a row edge
-            let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
-            for_each_burst_tagged(&config.timing, &config.mapping, &trace, None, |b| {
-                expected[b.loc.unit].push(b)
-            });
-            let streams = decode_streams(&config, &trace);
-            for (unit, stream) in streams.iter().enumerate() {
-                let mut got = Vec::new();
-                for r in 0..stream.runs() {
-                    for j in 0..stream.n[r] {
-                        got.push(stream.burst(r, j, unit));
+            let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 3) as u16).collect();
+            for tags in [None, Some(tags.as_slice())] {
+                let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
+                for_each_burst_tagged(&config.timing, &config.mapping, &trace, tags, |b| {
+                    expected[b.loc.unit].push(b)
+                });
+                let streams = decode_streams(&config, &trace, tags);
+                for (unit, stream) in streams.iter().enumerate() {
+                    assert_eq!(stream.tenant.len(), tags.map_or(0, |_| stream.runs()));
+                    let mut got = Vec::new();
+                    for r in 0..stream.runs() {
+                        for j in 0..stream.n[r] {
+                            got.push(stream.burst(r, j, unit));
+                        }
                     }
-                }
-                assert_eq!(
-                    got.len(),
-                    expected[unit].len(),
-                    "{}: unit {unit}",
-                    config.name
-                );
-                for (g, e) in got.iter().zip(&expected[unit]) {
-                    assert_eq!(g.loc, e.loc, "{}: unit {unit}", config.name);
-                    assert_eq!(g.bytes, e.bytes, "{}: unit {unit}", config.name);
-                    assert_eq!(g.op, e.op, "{}: unit {unit}", config.name);
+                    let what = format!("{} (tagged: {}): unit {unit}", config.name, tags.is_some());
+                    assert_eq!(got.len(), expected[unit].len(), "{what}");
+                    for (g, e) in got.iter().zip(&expected[unit]) {
+                        assert_eq!(g.loc, e.loc, "{what}");
+                        assert_eq!(g.bytes, e.bytes, "{what}");
+                        assert_eq!(g.op, e.op, "{what}");
+                        assert_eq!(g.tenant, e.tenant, "{what}");
+                    }
                 }
             }
         }

@@ -13,6 +13,12 @@
 //!   [`engine::simulate`] entry point: a cycle-accurate oracle and a
 //!   bit-exact event-driven epoch-skipping fast engine, replaying SoA
 //!   [`trace::TraceBuffer`] request traces;
+//! * [`tenancy`] — deterministic multi-tenant interleaving and
+//!   [`tenancy::simulate_tenants`], the tagged sibling of `simulate`.
+//!   Per-tenant attribution and the cycle-window timeline are per-unit
+//!   sinks both engines fill, so tagged and profiled replays run on
+//!   whichever engine [`engine::SimOptions`] names and `DualCheck`
+//!   compares the two on them;
 //! * [`pattern::AccessPattern`] + [`analytic`] — closed-form estimates of
 //!   the same quantities for the regular streams accelerators generate,
 //!   validated against the cycle engine in tests;
@@ -51,8 +57,8 @@ pub mod trace;
 pub use address::AddressMapping;
 pub use config::MemoryConfig;
 pub use engine::{
-    simulate, simulate_tagged, EngineKind, EngineRun, LatencyHistogram, Op, Request, SimError,
-    SimOptions, TenantStats, VaultStats,
+    simulate, EngineKind, EngineRun, LatencyHistogram, Op, Request, SimError, SimOptions,
+    TenantStats, VaultStats,
 };
 pub use pattern::AccessPattern;
 pub use stats::TraceStats;

@@ -10,14 +10,17 @@
 //! slots of earlier tenants — while preserving each tenant's internal
 //! program order exactly.
 //!
-//! The merged trace replays through [`crate::engine::simulate_tagged`],
-//! which attributes bytes, bursts, activations, completion time, and
-//! energy back to each tenant. That per-tenant measurement is the
-//! ground truth the `mealib-verify` interference certifier (MEA3xx) is
-//! proven sound against.
+//! [`simulate_tenants`] replays the merged trace with the tag column as a
+//! per-unit attribution sink, which charges bytes, bursts, activations,
+//! completion time, and energy back to each tenant. Both engines honour
+//! the sink — the fast engine charges batched row-hit streaks in closed
+//! form — so [`crate::engine::EngineKind::DualCheck`] compares the two
+//! on tagged replays like on any other. That per-tenant measurement is
+//! the ground truth the `mealib-verify` interference certifier (MEA3xx)
+//! is proven sound against.
 
 use crate::config::MemoryConfig;
-use crate::engine::{simulate_tagged, EngineRun, SimError, SimOptions, TenantStats};
+use crate::engine::{dispatch, EngineRun, SimError, SimOptions};
 use crate::trace::TraceBuffer;
 
 /// One tenant's request stream plus its arrival offset in request
@@ -102,10 +105,13 @@ pub fn interleave_tenants(streams: &[TenantStream]) -> (TraceBuffer, Vec<u16>) {
 }
 
 /// Interleaves `streams` and replays the merged trace with per-tenant
-/// attribution — [`interleave_tenants`] + [`simulate_tagged`] in one
-/// call. The returned [`EngineRun::tenants`] always has exactly
-/// `streams.len()` entries (a tenant with an empty trace reports a
-/// default [`TenantStats`]).
+/// attribution — the tagged sibling of [`crate::engine::simulate`], on
+/// any engine kind and worker count. The returned
+/// [`EngineRun::tenants`] always has exactly `streams.len()` entries (a
+/// tenant with an empty trace reports a default
+/// [`crate::engine::TenantStats`]). Everything except `tenants` is
+/// bit-identical to the untagged [`crate::engine::simulate`] of the
+/// merged trace.
 ///
 /// # Errors
 ///
@@ -116,15 +122,13 @@ pub fn simulate_tenants(
     opts: &SimOptions,
 ) -> Result<EngineRun, SimError> {
     let (trace, tags) = interleave_tenants(streams);
-    let mut run = simulate_tagged(config, &trace, &tags, opts)?;
-    run.tenants.resize(streams.len(), TenantStats::default());
-    Ok(run)
+    dispatch(config, &trace, Some((&tags, streams.len())), opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{sequential_trace, simulate, strided_trace, Op, Request};
+    use crate::engine::{sequential_trace, simulate, strided_trace, Op, Request, TenantStats};
 
     fn streams() -> Vec<TenantStream> {
         vec![

@@ -317,7 +317,6 @@ proptest! {
                     engine,
                     jobs,
                     profile: Some(window_cycles),
-                    ..SimOptions::default()
                 };
                 let parallel = simulate(&cfg, &trace, &opts).expect("valid config");
                 prop_assert_eq!(&parallel, &serial, "{} {:?} jobs={}", cfg.name, engine, jobs);

@@ -4,7 +4,8 @@ use mealib_memsim::address::AddressMapping;
 use mealib_memsim::bounds::{tagged_trace_bounds, trace_bounds};
 use mealib_memsim::engine::{simulate, Op, Request, SimOptions};
 use mealib_memsim::{
-    analytic, interleave_tenants, AccessPattern, MemoryConfig, TenantStream, TraceBuffer,
+    analytic, interleave_tenants, simulate_tenants, AccessPattern, MemoryConfig, TenantStream,
+    TraceBuffer,
 };
 use mealib_types::PhysAddr;
 use proptest::prelude::*;
@@ -111,6 +112,22 @@ proptest! {
             });
             prop_assert_eq!(own.final_unit_prefix_bursts, expected_prefix);
         }
+    }
+
+    /// Tagged replays are bit-exact across engines: the fast engine's
+    /// closed-form streak charges and its slow path fill the same
+    /// tenant slices as the cycle oracle, alongside every other field,
+    /// serial and sharded.
+    #[test]
+    fn tagged_fast_matches_cycle(
+        cfg in mapping_config_strategy(),
+        streams in proptest::collection::vec(tenant_strategy(), 1..=4),
+        jobs in 1usize..=2,
+    ) {
+        let cycle = simulate_tenants(&cfg, &streams, &SimOptions::cycle().jobs(jobs)).unwrap();
+        let fast = simulate_tenants(&cfg, &streams, &SimOptions::fast().jobs(jobs)).unwrap();
+        prop_assert_eq!(fast.tenants.len(), streams.len());
+        prop_assert_eq!(&fast, &cycle);
     }
 
     /// Every requested byte is accounted for, reads and writes

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example design_space`
 
 use mealib_accel::design_space::{
-    best_under_budget, fft_reference_workload, pareto_frontier, sweep, SweepGrid,
+    best_under_budget, fft_reference_workload, pareto_frontier, sweep, SweepGrid, SweepOptions,
 };
 use mealib_memsim::MemoryConfig;
 use mealib_tdl::AcceleratorKind;
@@ -17,6 +17,7 @@ fn main() {
         &fft_reference_workload(),
         &grid,
         &MemoryConfig::hmc_stack(),
+        &SweepOptions::default(),
     );
     println!("explored {} FFT design points (Fig 11a axes)", points.len());
 

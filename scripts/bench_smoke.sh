@@ -27,7 +27,9 @@
 #   * the admission-control floor: tenant_mix's verdict_correctness
 #     must stay exactly 1 — every ADMIT/REJECT/UNKNOWN verdict the
 #     MEA3xx certifier hands out is confirmed against the interleaved
-#     cycle simulation, baseline or not;
+#     simulation, baseline or not. tenant_mix replays each mix under
+#     DualCheck, so a tagged fast/cycle divergence (per tenant) also
+#     leaves its mix unconfirmed and fails this floor;
 #   * the serving-soundness floor: serve_traffic's admission_soundness
 #     must stay exactly 1 — every session the certified-admission
 #     scheduler completes lands inside the elapsed ceiling its
