@@ -1,23 +1,26 @@
 //! Certified static bounds on what the cycle engine will measure.
 //!
-//! [`trace_bounds`] walks a request trace through exactly the burst
-//! splitting and address decoding the engine uses
-//! ([`crate::engine::simulate`]), but instead of replaying DRAM
-//! timing it derives closed [`Interval`] bounds on every counter the
-//! engine reports. The guarantee — for every valid config and every
-//! trace, `lo <= measured <= hi` on bytes, RD/WR bursts, activations,
-//! cycles, and energy — is what `mealib-verify::bounds` certifies and
-//! what the differential harness and the soundness proptests check
-//! against the engine on every corpus program and workload pipeline.
+//! [`trace_bounds`] walks a request trace through the engine's
+//! address decoding, but instead of replaying DRAM timing it derives
+//! closed [`Interval`] bounds on every counter the engine reports. The
+//! walk consumes the same-row runs of `crate::runs::RunDecoder` — the
+//! decoder the fast engine replays, whose runs expand into exactly the
+//! cycle engine's per-unit burst sequence ([`crate::engine::simulate`])
+//! — so it decodes once per run, not once per burst. The guarantee —
+//! for every valid config and every trace, `lo <= measured <= hi` on
+//! bytes, RD/WR bursts, activations, cycles, and energy — is what
+//! `mealib-verify::bounds` certifies and what the differential harness
+//! and the soundness proptests check against the engine on every
+//! corpus program and workload pipeline.
 //!
 //! [`tagged_trace_bounds`] is the same walk over a merged multi-tenant
 //! trace, with the [`crate::interleave_tenants`] tag column as a
-//! per-burst attribution sink: alongside the unchanged set-level
+//! per-request attribution sink: alongside the unchanged set-level
 //! bounds it returns each tenant's exact [`TenantCounts`]. One pass
-//! over the merged bursts yields everything the interference composer
+//! over the merged runs yields everything the interference composer
 //! needs — no per-tenant or per-prefix re-walk — and [`trace_bounds`]
-//! is the untagged call of that one loop, so there is a single burst
-//! walk in this module.
+//! is the untagged call of that one loop, so there is a single walk in
+//! this module.
 //!
 //! Where the bounds come from (each anchored to an engine invariant):
 //!
@@ -25,7 +28,10 @@
 //!   stream is a pure function of the trace and the mapping; no timing
 //!   is involved.
 //! * **activations** — the row-buffer automaton without refresh is
-//!   deterministic, giving an exact miss count `base`; refresh only
+//!   deterministic, giving an exact miss count `base` (stepped once per
+//!   run: every burst of a run shares its `(unit, bank, row)`, so only
+//!   the first can miss, and per-unit run order is per-unit burst
+//!   order, all the count depends on); refresh only
 //!   *closes* rows, so it can only add activations: at most
 //!   `banks` per refresh window, and never more than one per burst.
 //!   Hence `base <= ACT <= min(bursts, base + refresh_hi * banks)`.
@@ -43,7 +49,8 @@
 use mealib_types::{Interval, PhysAddr, Seconds};
 
 use crate::config::MemoryConfig;
-use crate::engine::Op;
+use crate::engine::{Op, Request};
+use crate::runs::RunDecoder;
 use crate::stats::TraceStats;
 use crate::trace::TraceBuffer;
 
@@ -148,6 +155,7 @@ struct Attribution<'a> {
 }
 
 /// Per-unit accumulator for the timing-free replay.
+#[derive(Debug, PartialEq)]
 struct UnitBounds {
     /// Open row per bank in the refresh-free automaton.
     rows: Vec<Option<u64>>,
@@ -173,7 +181,7 @@ pub fn trace_bounds(
 }
 
 /// Derives the certified bounds of a merged multi-tenant `trace` and,
-/// in the same burst walk, each of `tenants` tenants' exact
+/// in the same walk, each of `tenants` tenants' exact
 /// [`TenantCounts`]. `tags[i]` names the tenant owning request `i`, as
 /// returned by [`crate::interleave_tenants`]. The set-level bounds are
 /// exactly [`trace_bounds`]`(config, trace)`; a tenant without
@@ -195,108 +203,164 @@ pub fn tagged_trace_bounds(
     tenants: usize,
 ) -> Result<(TraceBounds, Vec<TenantCounts>), mealib_types::ConfigError> {
     assert_eq!(tags.len(), trace.len(), "one tag per merged request");
-    let mut last = vec![usize::MAX; tenants];
-    for (pos, &tag) in tags.iter().enumerate() {
-        let slot = last
-            .get_mut(tag as usize)
-            .unwrap_or_else(|| panic!("tag {tag} out of range for {tenants} tenants"));
-        *slot = pos;
-    }
-    let zero = TenantCounts {
-        unit_bursts: vec![0; config.mapping.units()],
-        ..TenantCounts::default()
-    };
-    let mut sink = Attribution {
-        tags,
-        last,
-        tenants: vec![zero; tenants],
-    };
+    let mut sink = Attribution::new(config, tags, tenants);
     let bounds = walk(config, trace, Some(&mut sink))?;
     Ok((bounds, sink.tenants))
 }
 
-/// The one burst walk behind [`trace_bounds`] and
-/// [`tagged_trace_bounds`].
+impl<'a> Attribution<'a> {
+    /// An all-zero sink for `tenants` tenants tagged by `tags`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a tag is not below `tenants`.
+    fn new(config: &MemoryConfig, tags: &'a [u16], tenants: usize) -> Self {
+        let mut last = vec![usize::MAX; tenants];
+        for (pos, &tag) in tags.iter().enumerate() {
+            let slot = last
+                .get_mut(tag as usize)
+                .unwrap_or_else(|| panic!("tag {tag} out of range for {tenants} tenants"));
+            *slot = pos;
+        }
+        let zero = TenantCounts {
+            unit_bursts: vec![0; config.mapping.units()],
+            ..TenantCounts::default()
+        };
+        Self {
+            tags,
+            last,
+            tenants: vec![zero; tenants],
+        }
+    }
+}
+
+/// Everything the walk counts before the interval tail: per-unit
+/// traffic and refresh-free misses, and the byte totals. (Tenant counts
+/// go to the walk's sink.)
+#[derive(Debug, PartialEq)]
+struct Accum {
+    per_unit: Vec<UnitBounds>,
+    bytes_read: u64,
+    bytes_written: u64,
+}
+
+impl Accum {
+    fn new(config: &MemoryConfig) -> Self {
+        let banks = config.mapping.banks_per_unit();
+        Self {
+            per_unit: (0..config.mapping.units())
+                .map(|_| UnitBounds {
+                    rows: vec![None; banks],
+                    bank_misses: vec![0; banks],
+                    bursts: 0,
+                    read_bursts: 0,
+                    write_bursts: 0,
+                })
+                .collect(),
+            bytes_read: 0,
+            bytes_written: 0,
+        }
+    }
+
+    /// Closes the request at merged position `pos`, whose `bursts`
+    /// bursts are already counted per unit: adds its bytes and, with a
+    /// `sink`, its tenant's bytes and RD/WR bursts, snapshotting the
+    /// tenant's prefix count when this is its last request.
+    fn finish_request(
+        &mut self,
+        config: &MemoryConfig,
+        sink: Option<&mut Attribution<'_>>,
+        pos: usize,
+        req: Request,
+        bursts: u64,
+    ) {
+        match req.op {
+            Op::Read => self.bytes_read += req.bytes,
+            Op::Write => self.bytes_written += req.bytes,
+        }
+        let Some(s) = sink else { return };
+        let tenant = s.tags[pos] as usize;
+        let o = &mut s.tenants[tenant];
+        match req.op {
+            Op::Read => {
+                o.read_bursts += bursts;
+                o.bytes_read += req.bytes;
+            }
+            Op::Write => {
+                o.write_bursts += bursts;
+                o.bytes_written += req.bytes;
+            }
+        }
+        if s.last[tenant] == pos {
+            let final_byte = req.addr.get() + req.bytes.saturating_sub(1);
+            let u_final = config.mapping.decode(PhysAddr::new(final_byte)).unit;
+            o.final_unit_prefix_bursts = Some(self.per_unit[u_final].bursts);
+        }
+    }
+}
+
+/// The one walk behind [`trace_bounds`] and [`tagged_trace_bounds`]:
+/// [`accumulate`], then the interval tail.
 fn walk(
     config: &MemoryConfig,
     trace: &TraceBuffer,
-    mut sink: Option<&mut Attribution<'_>>,
+    sink: Option<&mut Attribution<'_>>,
 ) -> Result<TraceBounds, mealib_types::ConfigError> {
     config.validate()?;
-    let t = &config.timing;
-    let m = &config.mapping;
-    let units = m.units();
-    let banks = m.banks_per_unit();
+    Ok(interval_bounds(config, &accumulate(config, trace, sink)))
+}
 
-    let mut per_unit: Vec<UnitBounds> = (0..units)
-        .map(|_| UnitBounds {
-            rows: vec![None; banks],
-            bank_misses: vec![0; banks],
-            bursts: 0,
-            read_bursts: 0,
-            write_bursts: 0,
-        })
-        .collect();
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-
-    // The engine's burst splitting, verbatim: burst-aligned chunks.
+/// Counts `trace`'s runs on a validated `config`. A run adds its `n`
+/// bursts to its unit (and its tenant) and steps the bank's row
+/// automaton once: every burst of a run shares its `(unit, bank, row)`,
+/// so only the first can miss.
+fn accumulate(
+    config: &MemoryConfig,
+    trace: &TraceBuffer,
+    mut sink: Option<&mut Attribution<'_>>,
+) -> Accum {
+    let decoder = RunDecoder::new(config);
+    let mut acc = Accum::new(config);
     for (pos, req) in trace.iter().enumerate() {
         let mut owner = sink
             .as_deref_mut()
-            .map(|s| &mut s.tenants[s.tags[pos] as usize]);
-        let mut remaining = req.bytes;
-        let mut addr = req.addr.get();
+            .map(|s| &mut s.tenants[s.tags[pos] as usize].unit_bursts);
         let mut bursts = 0u64;
-        while remaining > 0 {
-            let offset_in_burst = addr % t.burst_bytes;
-            let take = (t.burst_bytes - offset_in_burst).min(remaining);
-            let loc = m.decode(PhysAddr::new(addr));
-            let u = &mut per_unit[loc.unit];
-            u.bursts += 1;
-            match req.op {
-                Op::Read => u.read_bursts += 1,
-                Op::Write => u.write_bursts += 1,
-            }
-            // Refresh-free row automaton: exact lower bound on misses.
-            if u.rows[loc.bank] != Some(loc.row) {
-                u.bank_misses[loc.bank] += 1;
-                u.rows[loc.bank] = Some(loc.row);
-            }
-            if let Some(o) = owner.as_deref_mut() {
-                o.unit_bursts[loc.unit] += 1;
-            }
-            bursts += 1;
-            addr += take;
-            remaining -= take;
-        }
-        // The chunks cover the request exactly, so its bytes count
-        // whole.
-        match req.op {
-            Op::Read => bytes_read += req.bytes,
-            Op::Write => bytes_written += req.bytes,
-        }
-        if let Some(o) = owner {
-            match req.op {
-                Op::Read => {
-                    o.read_bursts += bursts;
-                    o.bytes_read += req.bytes;
+        decoder.request(
+            req.addr.get(),
+            req.bytes,
+            #[inline(always)]
+            |run| {
+                let n = u64::from(run.n);
+                let u = &mut acc.per_unit[run.unit];
+                u.bursts += n;
+                match req.op {
+                    Op::Read => u.read_bursts += n,
+                    Op::Write => u.write_bursts += n,
                 }
-                Op::Write => {
-                    o.write_bursts += bursts;
-                    o.bytes_written += req.bytes;
+                // Refresh-free row automaton: exact lower bound on misses.
+                let bank = run.bank as usize;
+                if u.rows[bank] != Some(run.row) {
+                    u.bank_misses[bank] += 1;
+                    u.rows[bank] = Some(run.row);
                 }
-            }
-        }
-        if let Some(s) = sink.as_deref_mut() {
-            let tenant = s.tags[pos] as usize;
-            if s.last[tenant] == pos {
-                let final_byte = req.addr.get() + req.bytes.saturating_sub(1);
-                let u_final = m.decode(PhysAddr::new(final_byte)).unit;
-                s.tenants[tenant].final_unit_prefix_bursts = Some(per_unit[u_final].bursts);
-            }
-        }
+                if let Some(o) = owner.as_deref_mut() {
+                    o[run.unit] += n;
+                }
+                bursts += n;
+            },
+        );
+        acc.finish_request(config, sink.as_deref_mut(), pos, req, bursts);
     }
+    acc
+}
+
+/// The interval tail: certified bounds from the accumulated counts.
+fn interval_bounds(config: &MemoryConfig, acc: &Accum) -> TraceBounds {
+    let t = &config.timing;
+    let banks = config.mapping.banks_per_unit();
+    let per_unit = &acc.per_unit;
+    let (bytes_read, bytes_written) = (acc.bytes_read, acc.bytes_written);
 
     // Worst-case bus advance of a single burst (conflict + tFAW stall).
     let delta = t.t_rc().max(t.t_faw) + t.t_rcd + t.t_cl + t.t_burst;
@@ -308,7 +372,7 @@ fn walk(
     let mut cycles_hi = 0u64;
     let mut act_lo = 0u64;
     let mut act_hi = 0u64;
-    for u in &per_unit {
+    for u in per_unit {
         if u.bursts == 0 {
             continue;
         }
@@ -354,7 +418,7 @@ fn walk(
         .energy
         .trace_energy(act_hi, bytes_moved, Seconds::new(elapsed.hi));
 
-    Ok(TraceBounds {
+    TraceBounds {
         bytes_read: Interval::exact(bytes_read as f64),
         bytes_written: Interval::exact(bytes_written as f64),
         read_bursts: Interval::exact(per_unit.iter().map(|u| u.read_bursts).sum::<u64>() as f64),
@@ -364,13 +428,77 @@ fn walk(
         elapsed,
         energy: Interval::new(energy_lo.get(), energy_hi.get()),
         unit_bursts: per_unit.iter().map(|u| u.bursts).collect(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{self, Op, Request, SimOptions};
+    use crate::interleave_tenants;
+    use crate::strategies::{mapping_config_strategy, tenant_strategy};
+    use proptest::prelude::*;
+
+    /// The per-burst loop the run walk replaced, kept as its reference:
+    /// every burst of the cycle oracle's split decoded and stepped
+    /// through the row automaton on its own.
+    fn reference_accumulate(
+        config: &MemoryConfig,
+        trace: &TraceBuffer,
+        mut sink: Option<&mut Attribution<'_>>,
+    ) -> Accum {
+        let mut acc = Accum::new(config);
+        for (pos, req) in trace.iter().enumerate() {
+            let mut bursts = 0u64;
+            let one = TraceBuffer::from(&[req]);
+            engine::for_each_burst_tagged(&config.timing, &config.mapping, &one, None, |b| {
+                let loc = b.loc;
+                let u = &mut acc.per_unit[loc.unit];
+                u.bursts += 1;
+                match req.op {
+                    Op::Read => u.read_bursts += 1,
+                    Op::Write => u.write_bursts += 1,
+                }
+                if u.rows[loc.bank] != Some(loc.row) {
+                    u.bank_misses[loc.bank] += 1;
+                    u.rows[loc.bank] = Some(loc.row);
+                }
+                if let Some(s) = sink.as_deref_mut() {
+                    s.tenants[s.tags[pos] as usize].unit_bursts[loc.unit] += 1;
+                }
+                bursts += 1;
+            });
+            acc.finish_request(config, sink.as_deref_mut(), pos, req, bursts);
+        }
+        acc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The run walk accumulates exactly what the per-burst walk did —
+        /// per-unit bursts, RD/WR bursts, per-bank misses and open rows,
+        /// bytes, and every tenant count — untagged and tagged. The
+        /// interval tail is shared, so every `TraceBounds` field follows.
+        #[test]
+        fn run_walk_matches_the_per_burst_reference(
+            cfg in mapping_config_strategy(),
+            streams in proptest::collection::vec(tenant_strategy(), 1..=4),
+        ) {
+            let (merged, tags) = interleave_tenants(&streams);
+            prop_assert_eq!(
+                accumulate(&cfg, &merged, None),
+                reference_accumulate(&cfg, &merged, None)
+            );
+            let mut runs = Attribution::new(&cfg, &tags, streams.len());
+            let mut bursts = Attribution::new(&cfg, &tags, streams.len());
+            prop_assert_eq!(
+                accumulate(&cfg, &merged, Some(&mut runs)),
+                reference_accumulate(&cfg, &merged, Some(&mut bursts))
+            );
+            prop_assert_eq!(runs.tenants, bursts.tenants);
+        }
+    }
 
     fn check(config: &MemoryConfig, trace: &TraceBuffer) -> TraceBounds {
         let bounds = trace_bounds(config, trace).expect("valid config");

@@ -611,7 +611,7 @@ fn run_cycle(
 }
 
 /// One decoded burst-sized access, in program order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Burst {
     pub(crate) loc: Location,
     pub(crate) bytes: u64,

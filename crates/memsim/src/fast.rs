@@ -41,31 +41,17 @@
 //! timeline sink charges every burst to its window, so while one is
 //! present batching is off and every burst takes the slow path.
 //!
-//! # Run-granular decode
-//!
-//! Address decoding is the other per-burst cost, and it dominates once
-//! replay is batched. The decoder therefore splits each request into
-//! **runs** — maximal groups of consecutive bursts whose start
-//! addresses fall inside one contiguous `(unit, bank, row)` span, as
-//! advertised by [`AddressMapping::contiguous_run_bytes`] — and calls
-//! [`AddressMapping::decode`] once per run. Burst boundaries within a
-//! run are pure arithmetic (`t.burst_bytes`-aligned, like
-//! [`for_each_burst_tagged`]), so the concatenated runs reproduce the cycle
-//! engine's per-unit burst sequence exactly: same bursts, same
-//! locations, same order. The replay then consumes runs whole in the
-//! streak scan and only rematerializes individual bursts on the slow
-//! path. Runs coalesce only within one tenant; untagged replays keep the
-//! tenant column empty.
-//!
-//! [`AddressMapping::contiguous_run_bytes`]: crate::address::AddressMapping::contiguous_run_bytes
-//! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
+//! Address decoding is split into same-row runs by the shared
+//! [`RunDecoder`], one decode per run, so the streak scan consumes runs
+//! whole and only the slow path rematerializes individual bursts. Runs
+//! coalesce only within one tenant; untagged replays keep the tenant
+//! column empty.
 
-use crate::address::AddressMapping;
 use crate::config::MemoryConfig;
 use crate::engine::{Burst, LatencyHistogram, Op, UnitEngine};
+use crate::runs::{Run, RunDecoder};
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
-use mealib_types::PhysAddr;
 
 /// One unit's pre-decoded stream of same-row runs in SoA layout. The
 /// streak scan reads `bank`/`row`/`n`, the batch tally reads
@@ -163,52 +149,28 @@ pub(crate) fn run_fast(
     }
 }
 
-/// Splits the trace into same-row runs and routes each to its unit's
-/// stream. Decoding happens once per run (or once per aligned stretch
-/// of whole lines on the bulk path); the burst split inside a run is
-/// the same `t.burst_bytes`-aligned arithmetic as [`for_each_burst_tagged`],
-/// so per-unit burst order is preserved exactly. `tags` (one tenant per
-/// request) fills each stream's tenant column.
+/// Splits the trace into same-row runs ([`RunDecoder`]) and routes
+/// each to its unit's stream, so per-unit burst order is preserved
+/// exactly. `tags` (one tenant per request) fills each stream's tenant
+/// column.
 fn decode_streams(
     config: &MemoryConfig,
     trace: &TraceBuffer,
     tags: Option<&[u16]>,
 ) -> Vec<UnitStream> {
-    let t = &config.timing;
-    let mapping = &config.mapping;
+    let decoder = RunDecoder::new(config);
     let mut streams: Vec<UnitStream> = vec![
         UnitStream {
-            burst_bytes: t.burst_bytes,
+            burst_bytes: config.timing.burst_bytes,
             ..UnitStream::default()
         };
-        mapping.units()
+        config.mapping.units()
     ];
-    // Bulk-path eligibility: within one super-line (`units *
-    // line_bytes`, line-aligned), every line has the same
-    // `within_unit` offset — hence the same bank, row, and column —
-    // and the lines land on `units` distinct units (the XOR unit fold
-    // keys on `line / units`, constant across the super-line, and is a
-    // permutation for power-of-two unit counts). One decode therefore
-    // covers a whole aligned stretch of lines; only the unit index
-    // varies, by the same fold `decode` applies.
-    let bulk = match *mapping {
-        AddressMapping::Interleaved {
-            units, line_bytes, ..
-        } if units > 1 && line_bytes % t.burst_bytes == 0 => {
-            Some((units as u64, line_bytes, false))
-        }
-        AddressMapping::XorInterleaved {
-            units, line_bytes, ..
-        } if units > 1 && units.is_power_of_two() && line_bytes % t.burst_bytes == 0 => {
-            Some((units as u64, line_bytes, true))
-        }
-        _ => None,
-    };
     // Upper-bound-ish run estimate: one run per decode granule of bulk
     // traffic plus one per request (scalar gathers), split across units.
     let units_n = streams.len() as u64;
-    let gran = bulk.map_or(t.burst_bytes, |(_, line_bytes, _)| line_bytes);
-    let est = (trace.total_bytes() / gran / units_n + trace.len() as u64 / units_n + 4) as usize;
+    let est = (trace.total_bytes() / decoder.granule() / units_n + trace.len() as u64 / units_n + 4)
+        as usize;
     for s in streams.iter_mut() {
         s.reserve(est);
         if tags.is_some() {
@@ -217,123 +179,49 @@ fn decode_streams(
     }
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
-        let mut remaining = bytes[i];
-        let mut addr = addrs[i];
         let write = ops[i] == Op::Write;
         let tenant = tags.map(|col| col[i]);
-        while remaining > 0 {
-            if let Some((units, line_bytes, xor)) = bulk {
-                if addr % line_bytes == 0 && remaining >= line_bytes {
-                    let line = addr / line_bytes;
-                    let j0 = line % units;
-                    let m = (remaining / line_bytes).min(units - j0);
-                    let loc = mapping.decode(PhysAddr::new(addr));
-                    let nb = (line_bytes / t.burst_bytes) as u32;
-                    for j in 0..m {
-                        // The unit fold from `decode`, applied to line
-                        // `j0 + j` (same hash, same super-line).
-                        let unit = if xor {
-                            let hash = line / units;
-                            (((j0 + j) ^ hash) % units) as usize
-                        } else {
-                            (j0 + j) as usize
-                        };
-                        push_run(
-                            &mut streams[unit],
-                            t.burst_bytes,
-                            loc.bank as u32,
-                            loc.row,
-                            loc.col_byte,
-                            t.burst_bytes,
-                            line_bytes,
-                            nb,
-                            write,
-                            tenant,
-                        );
-                    }
-                    addr += m * line_bytes;
-                    remaining -= m * line_bytes;
-                    continue;
-                }
-            }
-            let loc = mapping.decode(PhysAddr::new(addr));
-            // First burst: up to the next burst-aligned boundary. It is
-            // attributed wholly to `loc` even if it extends past the
-            // span — exactly what the per-burst decode does, which
-            // decodes each burst at its *start* address.
-            let head = (t.burst_bytes - addr % t.burst_bytes).min(remaining);
-            // Further bursts join the run while their start addresses
-            // stay inside the span (and inside the request). A request
-            // that ends inside its first burst needs no span at all —
-            // the common case for scalar gathers.
-            let extra = if remaining > head {
-                let reach = mapping
-                    .contiguous_run_bytes(PhysAddr::new(addr))
-                    .min(remaining);
-                if reach > head {
-                    (reach - head).div_ceil(t.burst_bytes)
-                } else {
-                    0
-                }
-            } else {
-                0
-            };
-            let total = remaining.min(head + extra * t.burst_bytes);
-            let s = &mut streams[loc.unit];
-            s.bank.push(loc.bank as u32);
-            s.row.push(loc.row);
-            s.col0.push(loc.col_byte);
-            s.head.push(head);
-            s.total.push(total);
-            s.n.push(1 + extra as u32);
-            s.write.push(write);
-            s.tenant.extend(tenant);
-            addr += total;
-            remaining -= total;
-        }
+        decoder.request(
+            addrs[i],
+            bytes[i],
+            #[inline(always)]
+            |run| push_run(&mut streams[run.unit], run, write, tenant),
+        );
     }
     streams
 }
 
-/// Appends a run, coalescing with the stream's tail when the result is
-/// burst-arithmetic-equivalent to keeping them separate: same bank,
-/// row, op, and tenant; column-contiguous; the tail's last burst
-/// complete; and the appended run starting burst-aligned. (The bulk
-/// decode path always satisfies the alignment conditions — its runs are
-/// whole lines — so pure streams coalesce into row-length runs.)
-#[allow(clippy::too_many_arguments)]
-fn push_run(
-    s: &mut UnitStream,
-    burst_bytes: u64,
-    bank: u32,
-    row: u64,
-    col0: u64,
-    head: u64,
-    total: u64,
-    n: u32,
-    write: bool,
-    tenant: Option<u16>,
-) {
-    if let Some(last) = s.runs().checked_sub(1) {
-        if s.bank[last] == bank
-            && s.row[last] == row
-            && s.write[last] == write
-            && s.col0[last] + s.total[last] == col0
-            && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * burst_bytes
-            && head == burst_bytes
-            && s.tenant.last().copied() == tenant
-        {
-            s.total[last] += total;
-            s.n[last] += n;
-            return;
+/// Appends a run. A bulk run coalesces with the stream's tail when the
+/// result is burst-arithmetic-equivalent to keeping them separate: same
+/// bank, row, op, and tenant; column-contiguous; and the tail's last
+/// burst complete (a bulk run itself is whole bursts). Pure streams
+/// therefore coalesce into row-length runs; scalar runs are appended
+/// as decoded.
+// Inlined at both of `RunDecoder::request`'s emission sites (see the
+// note there).
+#[inline(always)]
+fn push_run(s: &mut UnitStream, run: Run, write: bool, tenant: Option<u16>) {
+    if run.bulk {
+        if let Some(last) = s.runs().checked_sub(1) {
+            if s.bank[last] == run.bank
+                && s.row[last] == run.row
+                && s.write[last] == write
+                && s.col0[last] + s.total[last] == run.col0
+                && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * s.burst_bytes
+                && s.tenant.last().copied() == tenant
+            {
+                s.total[last] += run.total;
+                s.n[last] += run.n;
+                return;
+            }
         }
     }
-    s.bank.push(bank);
-    s.row.push(row);
-    s.col0.push(col0);
-    s.head.push(head);
-    s.total.push(total);
-    s.n.push(n);
+    s.bank.push(run.bank);
+    s.row.push(run.row);
+    s.col0.push(run.col0);
+    s.head.push(run.head);
+    s.total.push(run.total);
+    s.n.push(run.n);
     s.write.push(write);
     s.tenant.extend(tenant);
 }
@@ -474,13 +362,14 @@ mod tests {
     }
 
     #[test]
-    fn run_decode_reproduces_the_per_burst_decode() {
-        // The run decomposition must concatenate back into exactly the
-        // cycle engine's per-unit burst sequence: same locations, same
-        // byte counts, same order, same tenants — untagged, and under a
-        // tag column that changes tenant inside same-row streaks.
+    fn streams_coalesce_runs_only_within_a_tenant() {
+        // `push_run` merges the decoder's bulk runs into row-length runs;
+        // the streams must still expand into exactly the cycle engine's
+        // per-unit burst sequence, tenants included, untagged and under
+        // a tag column that changes tenant inside same-row streaks. (The
+        // decoder itself is checked in `runs.rs`.)
         let mut xor_stack = MemoryConfig::hmc_stack();
-        xor_stack.mapping = AddressMapping::XorInterleaved {
+        xor_stack.mapping = crate::address::AddressMapping::XorInterleaved {
             units: 32,
             banks_per_unit: 8,
             row_bytes: 4096,
@@ -506,20 +395,11 @@ mod tests {
                 let streams = decode_streams(&config, &trace, tags);
                 for (unit, stream) in streams.iter().enumerate() {
                     assert_eq!(stream.tenant.len(), tags.map_or(0, |_| stream.runs()));
-                    let mut got = Vec::new();
-                    for r in 0..stream.runs() {
-                        for j in 0..stream.n[r] {
-                            got.push(stream.burst(r, j, unit));
-                        }
-                    }
+                    let got: Vec<Burst> = (0..stream.runs())
+                        .flat_map(|r| (0..stream.n[r]).map(move |j| stream.burst(r, j, unit)))
+                        .collect();
                     let what = format!("{} (tagged: {}): unit {unit}", config.name, tags.is_some());
-                    assert_eq!(got.len(), expected[unit].len(), "{what}");
-                    for (g, e) in got.iter().zip(&expected[unit]) {
-                        assert_eq!(g.loc, e.loc, "{what}");
-                        assert_eq!(g.bytes, e.bytes, "{what}");
-                        assert_eq!(g.op, e.op, "{what}");
-                        assert_eq!(g.tenant, e.tenant, "{what}");
-                    }
+                    assert_eq!(got, expected[unit], "{what}");
                 }
             }
         }

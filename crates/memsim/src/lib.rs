@@ -49,10 +49,19 @@ pub mod energy;
 pub mod engine;
 mod fast;
 pub mod pattern;
+mod runs;
 pub mod stats;
 pub mod tenancy;
 pub mod timing;
 pub mod trace;
+
+// The integration proptests' strategies, shared with the unit tests;
+// they name this crate `mealib_memsim`, as the integration tests do.
+#[cfg(test)]
+extern crate self as mealib_memsim;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod strategies;
 
 pub use address::AddressMapping;
 pub use config::MemoryConfig;

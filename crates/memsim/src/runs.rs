@@ -1,0 +1,287 @@
+//! Run-granular address decode: the one decoder behind the fast engine
+//! and the static bounds walk.
+//!
+//! Address decoding is a per-burst cost in a naive replay, and it
+//! dominates once replay is batched. [`RunDecoder`] therefore splits
+//! each request into **runs** — maximal groups of consecutive bursts
+//! whose start addresses fall inside one contiguous `(unit, bank, row)`
+//! span, as advertised by [`AddressMapping::contiguous_run_bytes`] —
+//! and calls [`AddressMapping::decode`] once per run (or once per
+//! aligned stretch of whole lines on the bulk path). Burst boundaries
+//! within a run are pure arithmetic (`burst_bytes`-aligned, like
+//! [`for_each_burst_tagged`]), so the concatenated runs reproduce the
+//! cycle engine's per-unit burst sequence exactly: same bursts, same
+//! locations, same order.
+//!
+//! Two consumers read the runs. The fast engine (`fast.rs`) routes
+//! them into per-unit streams, consumes them whole in its streak scan
+//! and only rematerializes individual bursts on its slow path. The
+//! bounds walk (`bounds.rs`) adds each run's bursts by `n` and steps
+//! its refresh-free row automaton once per run: every burst of a run
+//! shares one `(unit, bank, row)`, so only the first can miss. Both
+//! therefore check the same decode — `DualCheck` against the cycle
+//! oracle, the bounds proptests against the engine.
+//!
+//! [`AddressMapping::contiguous_run_bytes`]: crate::address::AddressMapping::contiguous_run_bytes
+//! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
+//! [`for_each_burst_tagged`]: crate::engine::for_each_burst_tagged
+
+use crate::address::AddressMapping;
+use crate::config::MemoryConfig;
+use mealib_types::PhysAddr;
+
+/// One same-row run of a request: `n` consecutive bursts on one
+/// `(unit, bank, row)`, starting at column byte `col0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) unit: usize,
+    pub(crate) bank: u32,
+    pub(crate) row: u64,
+    /// Column byte offset of the run's first burst.
+    pub(crate) col0: u64,
+    /// Bytes of the run's first burst (it may start mid-burst).
+    pub(crate) head: u64,
+    /// Total bytes across the run's bursts.
+    pub(crate) total: u64,
+    /// Number of bursts in the run.
+    pub(crate) n: u32,
+    /// A whole line from the aligned super-line path: burst-aligned
+    /// and burst-complete, so it may coalesce with a column-contiguous
+    /// predecessor.
+    pub(crate) bulk: bool,
+}
+
+/// Splits requests into [`Run`]s for one validated configuration.
+pub(crate) struct RunDecoder<'a> {
+    mapping: &'a AddressMapping,
+    /// `DramTiming::burst_bytes`.
+    burst: u64,
+    /// Bulk-path parameters `(units, line_bytes, xor)`, when the
+    /// mapping admits it.
+    bulk: Option<(u64, u64, bool)>,
+}
+
+impl<'a> RunDecoder<'a> {
+    /// A decoder for `config`, which must already be validated.
+    pub(crate) fn new(config: &'a MemoryConfig) -> Self {
+        let burst = config.timing.burst_bytes;
+        // Bulk-path eligibility: within one super-line (`units *
+        // line_bytes`, line-aligned), every line has the same
+        // `within_unit` offset — hence the same bank, row, and column —
+        // and the lines land on `units` distinct units (the XOR unit fold
+        // keys on `line / units`, constant across the super-line, and is a
+        // permutation for power-of-two unit counts). One decode therefore
+        // covers a whole aligned stretch of lines; only the unit index
+        // varies, by the same fold `decode` applies.
+        let bulk = match config.mapping {
+            AddressMapping::Interleaved {
+                units, line_bytes, ..
+            } if units > 1 && line_bytes % burst == 0 => Some((units as u64, line_bytes, false)),
+            AddressMapping::XorInterleaved {
+                units, line_bytes, ..
+            } if units > 1 && units.is_power_of_two() && line_bytes % burst == 0 => {
+                Some((units as u64, line_bytes, true))
+            }
+            _ => None,
+        };
+        Self {
+            mapping: &config.mapping,
+            burst,
+            bulk,
+        }
+    }
+
+    /// Bytes one decode covers at least on bulk traffic: a line on the
+    /// bulk path, a burst otherwise. Sizes stream reservations.
+    pub(crate) fn granule(&self) -> u64 {
+        self.bulk
+            .map_or(self.burst, |(_, line_bytes, _)| line_bytes)
+    }
+
+    /// Emits the runs of the request `[addr, addr + bytes)` to `f`, in
+    /// address order.
+    // Forced inline, and each consumer forces its `f` inline too: with
+    // a call per request and `f` out of line at its two call sites, the
+    // fast engine's decode measured 15–40% slower on sequential and
+    // gather streams (2-core x86-64 host).
+    #[inline(always)]
+    pub(crate) fn request(&self, mut addr: u64, mut remaining: u64, mut f: impl FnMut(Run)) {
+        let burst = self.burst;
+        while remaining > 0 {
+            if let Some((units, line_bytes, xor)) = self.bulk {
+                if remaining >= line_bytes && addr.is_multiple_of(line_bytes) {
+                    let line = addr / line_bytes;
+                    let j0 = line % units;
+                    let m = (remaining / line_bytes).min(units - j0);
+                    let loc = self.mapping.decode(PhysAddr::new(addr));
+                    let n = (line_bytes / burst) as u32;
+                    for j in 0..m {
+                        // The unit fold from `decode`, applied to line
+                        // `j0 + j` (same hash, same super-line).
+                        let unit = if xor {
+                            let hash = line / units;
+                            (((j0 + j) ^ hash) % units) as usize
+                        } else {
+                            (j0 + j) as usize
+                        };
+                        f(Run {
+                            unit,
+                            bank: loc.bank as u32,
+                            row: loc.row,
+                            col0: loc.col_byte,
+                            head: burst,
+                            total: line_bytes,
+                            n,
+                            bulk: true,
+                        });
+                    }
+                    addr += m * line_bytes;
+                    remaining -= m * line_bytes;
+                    continue;
+                }
+            }
+            let loc = self.mapping.decode(PhysAddr::new(addr));
+            // First burst: up to the next burst-aligned boundary. It is
+            // attributed wholly to `loc` even if it extends past the
+            // span — exactly what the per-burst decode does, which
+            // decodes each burst at its *start* address.
+            let head = (burst - addr % burst).min(remaining);
+            // Further bursts join the run while their start addresses
+            // stay inside the span (and inside the request). A request
+            // that ends inside its first burst needs no span at all —
+            // the common case for scalar gathers.
+            let extra = if remaining > head {
+                let reach = self
+                    .mapping
+                    .contiguous_run_bytes(PhysAddr::new(addr))
+                    .min(remaining);
+                if reach > head {
+                    (reach - head).div_ceil(burst)
+                } else {
+                    0
+                }
+            } else {
+                0
+            };
+            let total = remaining.min(head + extra * burst);
+            f(Run {
+                unit: loc.unit,
+                bank: loc.bank as u32,
+                row: loc.row,
+                col0: loc.col_byte,
+                head,
+                total,
+                n: 1 + extra as u32,
+                bulk: false,
+            });
+            addr += total;
+            remaining -= total;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{
+        for_each_burst_tagged, sequential_trace, strided_trace, Burst, Op, Request,
+    };
+
+    /// Expands `run` into its bursts with the burst arithmetic every
+    /// consumer relies on: the head, then `burst`-byte bursts, the last
+    /// clipped at `total`.
+    fn bursts_of(run: &Run, burst: u64, op: Op) -> Vec<Burst> {
+        let cum = |j: u32| match j {
+            0 => 0,
+            j => run.total.min(run.head + (u64::from(j) - 1) * burst),
+        };
+        (0..run.n)
+            .map(|j| Burst {
+                loc: crate::address::Location {
+                    unit: run.unit,
+                    bank: run.bank as usize,
+                    row: run.row,
+                    col_byte: run.col0 + cum(j),
+                },
+                bytes: cum(j + 1) - cum(j),
+                op,
+                tenant: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_decode_reproduces_the_per_burst_decode() {
+        // The runs of each request, expanded and concatenated per unit,
+        // must be exactly the cycle engine's per-unit burst sequence:
+        // same locations, same byte counts, same order.
+        let mut xor_stack = MemoryConfig::hmc_stack();
+        xor_stack.mapping = AddressMapping::XorInterleaved {
+            units: 32,
+            banks_per_unit: 8,
+            row_bytes: 4096,
+            line_bytes: 256,
+        };
+        let split = 3u64 << 20;
+        let mut asymmetric = MemoryConfig::ddr_dual_channel();
+        asymmetric.mapping = AddressMapping::Asymmetric {
+            low_units: 2,
+            banks_per_unit: 8,
+            row_bytes: 8192,
+            line_bytes: 64,
+            split: PhysAddr::new(split),
+        };
+        let mut single_unit = MemoryConfig::ddr_dual_channel();
+        single_unit.mapping = AddressMapping::Interleaved {
+            units: 1,
+            banks_per_unit: 8,
+            row_bytes: 8192,
+            line_bytes: 64,
+        };
+        for config in [
+            MemoryConfig::hmc_stack(),
+            MemoryConfig::ddr_dual_channel(),
+            MemoryConfig::msas_dram(),
+            xor_stack,
+            asymmetric,
+            single_unit,
+        ] {
+            let line_bytes = match config.mapping {
+                AddressMapping::Interleaved { line_bytes, .. }
+                | AddressMapping::XorInterleaved { line_bytes, .. }
+                | AddressMapping::Asymmetric { line_bytes, .. } => line_bytes,
+            };
+            let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
+            trace.extend(strided_trace(1 << 22, 8192, 64, 512, Op::Write).iter());
+            trace.push(Request::read(30, 100));
+            trace.push(Request::read(5, 1));
+            trace.push(Request::write(4093, 10)); // straddles a row edge
+                                                  // Crosses the asymmetric split (an ordinary stretch elsewhere).
+            trace.push(Request::read(split - 3000, 9000));
+            // Aligned, starting mid-super-line, running past it.
+            trace.push(Request::write(3 * line_bytes, 40 * line_bytes));
+            trace.push(Request::read(
+                (1 << 21) + 5 * line_bytes,
+                70 * line_bytes + 17,
+            ));
+            let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
+            for_each_burst_tagged(&config.timing, &config.mapping, &trace, None, |b| {
+                expected[b.loc.unit].push(b)
+            });
+            let decoder = RunDecoder::new(&config);
+            let burst = config.timing.burst_bytes;
+            let mut got: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
+            for req in trace.iter() {
+                decoder.request(req.addr.get(), req.bytes, |run| {
+                    if run.bulk {
+                        // What lets a bulk run coalesce: whole bursts.
+                        assert_eq!(run.head, burst, "{}", config.name);
+                        assert_eq!(run.total, u64::from(run.n) * burst, "{}", config.name);
+                    }
+                    got[run.unit].extend(bursts_of(&run, burst, req.op));
+                });
+            }
+            assert_eq!(got, expected, "{}", config.name);
+        }
+    }
+}

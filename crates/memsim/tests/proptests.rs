@@ -1,14 +1,15 @@
 //! Property tests over the DRAM simulator invariants.
 
-use mealib_memsim::address::AddressMapping;
+mod support;
+
 use mealib_memsim::bounds::{tagged_trace_bounds, trace_bounds};
 use mealib_memsim::engine::{simulate, Op, Request, SimOptions};
 use mealib_memsim::{
-    analytic, interleave_tenants, simulate_tenants, AccessPattern, MemoryConfig, TenantStream,
-    TraceBuffer,
+    analytic, interleave_tenants, simulate_tenants, AccessPattern, MemoryConfig, TraceBuffer,
 };
 use mealib_types::PhysAddr;
 use proptest::prelude::*;
+use support::{mapping_config_strategy, request_strategy, tenant_strategy};
 
 /// Replays through the unified API in dual-check mode, so every corpus
 /// trace also proves fast-vs-cycle bit-exactness.
@@ -18,16 +19,6 @@ fn replay(cfg: &MemoryConfig, trace: &[Request]) -> mealib_memsim::TraceStats {
         .stats
 }
 
-fn request_strategy() -> impl Strategy<Value = Request> {
-    (0u64..(1 << 24), 1u64..4096, any::<bool>()).prop_map(|(addr, bytes, write)| {
-        if write {
-            Request::write(addr, bytes)
-        } else {
-            Request::read(addr, bytes)
-        }
-    })
-}
-
 fn config_strategy() -> impl Strategy<Value = MemoryConfig> {
     prop_oneof![
         Just(MemoryConfig::hmc_stack()),
@@ -35,48 +26,6 @@ fn config_strategy() -> impl Strategy<Value = MemoryConfig> {
         Just(MemoryConfig::msas_dram()),
         Just(MemoryConfig::hmc_stack_remote()),
     ]
-}
-
-/// The stack preset under each of the three interleaving modes.
-fn mapping_config_strategy() -> impl Strategy<Value = MemoryConfig> {
-    (0u8..3, prop_oneof![Just(2usize), Just(8), Just(32)]).prop_map(|(mode, units)| {
-        let mut cfg = MemoryConfig::hmc_stack();
-        let (banks_per_unit, row_bytes, line_bytes) = (8, 8192, 256);
-        cfg.mapping = match mode {
-            0 => AddressMapping::Interleaved {
-                units,
-                banks_per_unit,
-                row_bytes,
-                line_bytes,
-            },
-            1 => AddressMapping::XorInterleaved {
-                units,
-                banks_per_unit,
-                row_bytes,
-                line_bytes,
-            },
-            _ => AddressMapping::Asymmetric {
-                low_units: units,
-                banks_per_unit,
-                row_bytes,
-                line_bytes,
-                split: PhysAddr::new(1 << 23),
-            },
-        };
-        cfg
-    })
-}
-
-/// One tenant stream: possibly empty, arriving early, late, or at a
-/// `u64::MAX`-adjacent slot where merge keys saturate.
-fn tenant_strategy() -> impl Strategy<Value = TenantStream> {
-    (
-        proptest::collection::vec(request_strategy(), 0..24),
-        prop_oneof![0u64..16, Just(u64::MAX), (u64::MAX - 8)..=u64::MAX,],
-    )
-        .prop_map(|(trace, arrival)| {
-            TenantStream::new(TraceBuffer::from(trace.as_slice())).arriving_at(arrival)
-        })
 }
 
 proptest! {

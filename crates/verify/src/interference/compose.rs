@@ -36,7 +36,7 @@
 //!   interval endpoints through it is sound.
 //!
 //! **Cost.** [`compose`] elaborates each tenant once, interleaves once,
-//! and makes one pass over the merged bursts:
+//! and makes one pass over the merged trace's same-row runs:
 //! [`tagged_trace_bounds`] walks the merged trace with the tag column
 //! as an attribution sink and returns the set-level bounds together
 //! with every tenant's own traffic and its merged-prefix burst count
