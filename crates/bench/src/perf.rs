@@ -3,10 +3,10 @@
 //! [`compare`] diffs two schema-versioned `BENCH_*.json` summaries
 //! (see [`mealib_obs::bench_schema`]) metric by metric and classifies
 //! each delta against configurable thresholds. Modeled metrics gate
-//! hard; wall-clock metrics (`*wall_s`, `speedup_wall`, per-record
-//! `wall_s`) get their own, looser threshold and can be demoted to
-//! report-only — the smoke container has one CPU, so wall time is noisy
-//! in ways modeled time never is.
+//! hard; wall-clock metrics (`*wall_s`, `speedup_wall`, `*per_sec*`,
+//! `fast_over_cycle`, per-record `wall_s`) get their own, looser
+//! threshold and can be demoted to report-only — the smoke container
+//! has one CPU, so wall time is noisy in ways modeled time never is.
 //!
 //! Whether a drop or a rise is bad depends on the metric:
 //! gains/speedups/bandwidth are better bigger, times/energy/EDP are
@@ -43,7 +43,7 @@ pub fn metric_direction(key: &str) -> Direction {
         "per_sec",
     ];
     const SMALLER: [&str; 6] = ["time", "edp", "energy", "wall", "overhead", "latency"];
-    if BIGGER.iter().any(|m| k.contains(m)) {
+    if BenchRecord::is_wall_speedup(key) || BIGGER.iter().any(|m| k.contains(m)) {
         Direction::BiggerBetter
     } else if SMALLER.iter().any(|m| k.contains(m)) {
         Direction::SmallerBetter
@@ -445,6 +445,30 @@ mod tests {
         let before = summary(&[("b", &[("speedup_wall", 2.0)])]);
         let after = summary(&[("b", &[("speedup_wall", 4.0)])]);
         assert!(!compare(&before, &after, &gate).failed(&gate));
+    }
+
+    #[test]
+    fn fast_over_cycle_gates_as_a_wall_speedup() {
+        // The engines' measured burst-rate ratio: a rise is an
+        // improvement, a drop gates at the wall threshold and is
+        // demotable, while `--min` keeps its absolute floor.
+        assert_eq!(metric_direction("fast_over_cycle"), Direction::BiggerBetter);
+        let before = summary(&[("engine_throughput", &[("fast_over_cycle", 8.0)])]);
+        let faster = summary(&[("engine_throughput", &[("fast_over_cycle", 16.0)])]);
+        let slower = summary(&[("engine_throughput", &[("fast_over_cycle", 6.0)])]);
+        let gate = GateOptions::default();
+        assert!(!compare(&before, &faster, &gate).failed(&gate));
+        let report = compare(&before, &slower, &gate);
+        assert!(report.deltas[0].wall);
+        assert!(report.failed(&gate), "-25% over the 20% wall gate");
+        let demoted = GateOptions {
+            wall_report_only: true,
+            ..gate
+        };
+        assert!(!report.failed(&demoted));
+        let floor = [MinRule::parse("engine_throughput.fast_over_cycle=7").unwrap()];
+        assert!(check_minimums(&faster, &floor).is_empty());
+        assert_eq!(check_minimums(&slower, &floor).len(), 1);
     }
 
     #[test]

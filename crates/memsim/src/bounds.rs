@@ -541,7 +541,7 @@ mod tests {
         let config = MemoryConfig::hmc_stack();
         let trace = engine::sequential_trace(4096, 2 << 20, 256, Op::Read);
         let bounds = trace_bounds(&config, &trace).unwrap();
-        let run = engine::simulate(&config, &trace, &SimOptions::default()).unwrap();
+        let run = engine::simulate(&config, &trace, &SimOptions::cycle()).unwrap();
         let measured: Vec<u64> = run
             .vaults
             .iter()

@@ -313,12 +313,12 @@ impl EngineRun {
 pub enum EngineKind {
     /// The cycle-accurate oracle: every burst steps the per-bank state
     /// machines individually.
-    #[default]
     Cycle,
     /// The event-driven epoch-skipping engine: contiguous row-hit burst
     /// streaks are batched analytically and dead time is skipped to the
     /// next bank/bus/refresh event. Bit-exact against [`Cycle`]
-    /// (`EngineKind::Cycle`) for every statistic.
+    /// (`EngineKind::Cycle`) for every statistic, and the default.
+    #[default]
     Fast,
     /// Runs both engines and diffs the results; returns
     /// [`SimError::EngineDivergence`] on any mismatch. The validation
@@ -328,8 +328,10 @@ pub enum EngineKind {
 
 /// Options for one [`simulate`] call.
 ///
-/// The `Default` is the cycle-accurate oracle, serial, with profiling
-/// off.
+/// The `Default` is the fast engine, serial, with profiling off.
+/// [`SimOptions::cycle`] names the cycle-accurate oracle, the reference
+/// that tests and [`EngineKind::DualCheck`] compare the fast engine
+/// against.
 ///
 /// # `jobs` semantics
 ///
@@ -345,7 +347,7 @@ pub enum EngineKind {
 /// time changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Replay engine ([`EngineKind::Cycle`] by default).
+    /// Replay engine ([`EngineKind::Fast`] by default).
     pub engine: EngineKind,
     /// Worker threads: `0` = auto, `1` = exact serial path, `n` = up to
     /// `n` workers (vault-sharded).
@@ -361,7 +363,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         Self {
-            engine: EngineKind::Cycle,
+            engine: EngineKind::Fast,
             jobs: 1,
             profile: None,
         }
@@ -369,17 +371,17 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Cycle-accurate oracle engine (same as `Default`).
+    /// Cycle-accurate oracle engine.
     pub fn cycle() -> Self {
-        Self::default()
-    }
-
-    /// Event-driven epoch-skipping engine.
-    pub fn fast() -> Self {
         Self {
-            engine: EngineKind::Fast,
+            engine: EngineKind::Cycle,
             ..Self::default()
         }
+    }
+
+    /// Event-driven epoch-skipping engine (same as `Default`).
+    pub fn fast() -> Self {
+        Self::default()
     }
 
     /// Run both engines and diff every statistic.
@@ -1056,7 +1058,7 @@ mod tests {
     }
 
     fn run(c: &MemoryConfig, trace: &TraceBuffer) -> EngineRun {
-        simulate(c, trace, &SimOptions::default()).expect("valid config")
+        simulate(c, trace, &SimOptions::cycle()).expect("valid config")
     }
 
     fn stats(c: &MemoryConfig, trace: &TraceBuffer) -> TraceStats {
@@ -1388,8 +1390,7 @@ mod tests {
         ] {
             let serial = run(&config, &trace);
             for jobs in [0usize, 1, 2, 4, 8] {
-                let parallel =
-                    simulate(&config, &trace, &SimOptions::default().jobs(jobs)).unwrap();
+                let parallel = simulate(&config, &trace, &SimOptions::cycle().jobs(jobs)).unwrap();
                 assert_eq!(parallel, serial, "{} jobs={jobs}", config.name);
                 assert_eq!(
                     parallel.stats.elapsed.get().to_bits(),
@@ -1433,7 +1434,7 @@ mod tests {
         let mut trace = sequential_trace(0, 1 << 20, 64, Op::Read);
         trace.extend(&strided_trace(1 << 22, 8192, 64, 2048, Op::Write));
         let plain = run(&c, &trace);
-        let mut profiled = simulate(&c, &trace, &SimOptions::default().profile(4096)).unwrap();
+        let mut profiled = simulate(&c, &trace, &SimOptions::cycle().profile(4096)).unwrap();
         let timeline = profiled.timeline.take().expect("profiled run has timeline");
         // Profiling must not perturb the model.
         assert_eq!(profiled, plain);
@@ -1463,10 +1464,10 @@ mod tests {
         let c = MemoryConfig::hmc_stack();
         let mut trace = sequential_trace(0, 2 << 20, 256, Op::Read);
         trace.extend(&strided_trace(1 << 24, 8192, 64, 4096, Op::Write));
-        let serial = simulate(&c, &trace, &SimOptions::default().profile(1024)).unwrap();
+        let serial = simulate(&c, &trace, &SimOptions::cycle().profile(1024)).unwrap();
         for jobs in [1usize, 2, 4, 8] {
             let parallel =
-                simulate(&c, &trace, &SimOptions::default().profile(1024).jobs(jobs)).unwrap();
+                simulate(&c, &trace, &SimOptions::cycle().profile(1024).jobs(jobs)).unwrap();
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
     }
@@ -1475,7 +1476,7 @@ mod tests {
     fn per_lane_timeline_matches_vault_stats() {
         let c = MemoryConfig::ddr_dual_channel();
         let trace = sequential_trace(0, 1 << 20, 64, Op::Read);
-        let profiled = simulate(&c, &trace, &SimOptions::default().profile(2048)).unwrap();
+        let profiled = simulate(&c, &trace, &SimOptions::cycle().profile(2048)).unwrap();
         let timeline = profiled.timeline.as_ref().expect("timeline requested");
         for (unit, v) in profiled.vaults.iter().enumerate() {
             let mut lane_total = WindowCounters::default();
@@ -1496,7 +1497,7 @@ mod tests {
         let p = simulate(
             &MemoryConfig::hmc_stack(),
             &TraceBuffer::new(),
-            &SimOptions::default().profile(512),
+            &SimOptions::cycle().profile(512),
         )
         .unwrap();
         let timeline = p.timeline.expect("timeline requested");
@@ -1536,8 +1537,7 @@ mod tests {
         let streams = round_robin(&trace, 3);
         assert_eq!(crate::tenancy::interleave_tenants(&streams).0, trace);
         let plain = run(&c, &trace);
-        let tagged =
-            crate::tenancy::simulate_tenants(&c, &streams, &SimOptions::default()).unwrap();
+        let tagged = crate::tenancy::simulate_tenants(&c, &streams, &SimOptions::cycle()).unwrap();
         assert_eq!(tagged.stats, plain.stats);
         assert_eq!(tagged.vaults, plain.vaults);
         assert_eq!(tagged.latencies, plain.latencies);
@@ -1567,7 +1567,7 @@ mod tests {
         trace.extend(&strided_trace(1 << 24, 8192, 64, 2048, Op::Write));
         let streams = round_robin(&trace, 4);
         let tenants = |opts: &SimOptions| crate::tenancy::simulate_tenants(&c, &streams, opts);
-        let serial = tenants(&SimOptions::default()).unwrap();
+        let serial = tenants(&SimOptions::cycle()).unwrap();
         for opts in [
             SimOptions::cycle().jobs(4),
             SimOptions::fast(),

@@ -15,11 +15,12 @@
 //! `done = bus_free + t_burst`, latency exactly `t_burst`, and touches
 //! nothing but `bus_free`, `cmd_ready`, `issued_at`, the hit counter,
 //! and the byte/burst tallies — all of which a streak of `k` such
-//! bursts updates in closed form. The engine therefore scans ahead for
-//! the longest streak of bus-limited bursts (capped at the next refresh
-//! epoch, the next **event** that could perturb the state), applies the
-//! batch update, and *skips* the `k·t_burst` dead cycles in one step.
-//! Condition 3 stays decidable during the scan without simulating: the
+//! bursts updates in closed form. The engine therefore grows the longest
+//! streak of bus-limited bursts (capped at the next refresh epoch, the
+//! next **event** that could perturb the state), applies the batch
+//! update, and *skips* the `k·t_burst` dead cycles in one step.
+//! Condition 3 stays decidable while the streak grows, without
+//! simulating: the
 //! bus pointer at streak offset `j` is exactly `bus_free + j·t_burst`,
 //! and a bank serviced earlier in the streak has
 //! `cmd_ready + t_cl == its last done cycle <= the current bus pointer`
@@ -41,11 +42,16 @@
 //! timeline sink charges every burst to its window, so while one is
 //! present batching is off and every burst takes the slow path.
 //!
-//! Address decoding is split into same-row runs by the shared
-//! [`RunDecoder`], one decode per run, so the streak scan consumes runs
-//! whole and only the slow path rematerializes individual bursts. Runs
-//! coalesce only within one tenant; untagged replays keep the tenant
-//! column empty.
+//! The replay is a per-unit streak state fed run by run. Each unit
+//! keeps its engine plus the open streak's cap, count, byte/write
+//! tallies and per-bank first-touch/last-completion marks, and takes
+//! its same-row runs in trace order straight from the shared
+//! [`RunDecoder`]. The serial path buffers no run or burst, so its
+//! working state is O(units × banks). Feeding runs one at a time is
+//! exact: growing a streak only reads the unit state frozen at streak
+//! start plus the running count, and each unit receives its runs in
+//! program order. An open streak absorbs consecutive runs itself,
+//! across request and tenant boundaries alike.
 
 use crate::config::MemoryConfig;
 use crate::engine::{Burst, LatencyHistogram, Op, UnitEngine};
@@ -53,81 +59,14 @@ use crate::runs::{Run, RunDecoder};
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
 
-/// One unit's pre-decoded stream of same-row runs in SoA layout. The
-/// streak scan reads `bank`/`row`/`n`, the batch tally reads
-/// `head`/`total`/`write`, and only the slow path reconstructs
-/// individual bursts (via `col0` + burst arithmetic).
-#[derive(Debug, Clone, Default)]
-struct UnitStream {
-    /// `DramTiming::burst_bytes`, carried so `cum`/`burst` stay
-    /// self-contained for `par_map`.
-    burst_bytes: u64,
-    bank: Vec<u32>,
-    row: Vec<u64>,
-    /// Column byte offset of the run's first burst.
-    col0: Vec<u64>,
-    /// Bytes of the run's first burst (it may start mid-burst).
-    head: Vec<u64>,
-    /// Total bytes across the run's bursts.
-    total: Vec<u64>,
-    /// Number of bursts in the run.
-    n: Vec<u32>,
-    write: Vec<bool>,
-    /// Owning tenant of each run on tagged replays; empty (tenant 0
-    /// throughout) on untagged ones.
-    tenant: Vec<u16>,
-}
-
-impl UnitStream {
-    fn runs(&self) -> usize {
-        self.bank.len()
-    }
-
-    fn tenant(&self, r: usize) -> u16 {
-        self.tenant.get(r).copied().unwrap_or(0)
-    }
-
-    fn reserve(&mut self, runs: usize) {
-        self.bank.reserve(runs);
-        self.row.reserve(runs);
-        self.col0.reserve(runs);
-        self.head.reserve(runs);
-        self.total.reserve(runs);
-        self.n.reserve(runs);
-        self.write.reserve(runs);
-    }
-
-    /// Byte offset (within the run) where burst `j` starts; `j == n`
-    /// yields the run's total length.
-    fn cum(&self, r: usize, j: u32) -> u64 {
-        if j == 0 {
-            0
-        } else {
-            self.total[r].min(self.head[r] + (u64::from(j) - 1) * self.burst_bytes)
-        }
-    }
-
-    /// Reconstructs burst `j` of run `r`, exactly as [`for_each_burst_tagged`]
-    /// would have produced it.
-    fn burst(&self, r: usize, j: u32, unit: usize) -> Burst {
-        let start = self.cum(r, j);
-        Burst {
-            loc: crate::address::Location {
-                unit,
-                bank: self.bank[r] as usize,
-                row: self.row[r],
-                col_byte: self.col0[r] + start,
-            },
-            bytes: self.cum(r, j + 1) - start,
-            op: if self.write[r] { Op::Write } else { Op::Read },
-            tenant: self.tenant(r),
-        }
-    }
-}
-
 /// The fast replay: serial when `jobs <= 1`, vault-sharded otherwise.
 /// Returns one [`UnitEngine`] per unit, each a copy of `proto` (which
-/// carries the run's sinks) that replayed the unit's stream.
+/// carries the run's sinks) that replayed the unit's runs.
+///
+/// The serial path feeds each run to its unit as it is decoded. The
+/// sharded path mirrors the cycle engine's: it collects each unit's
+/// runs first, then replays the shards on up to `jobs` workers through
+/// the same [`Streak`] consumer.
 ///
 /// Expects a pre-validated `config` and a pre-normalized `jobs`.
 pub(crate) fn run_fast(
@@ -137,271 +76,345 @@ pub(crate) fn run_fast(
     jobs: usize,
     proto: &UnitEngine,
 ) -> Vec<UnitEngine> {
-    let streams = decode_streams(config, trace, tags);
     let t = &config.timing;
+    let units = config.mapping.units();
     if jobs <= 1 {
-        streams
-            .iter()
-            .map(|stream| replay_unit(t, proto, stream))
-            .collect()
+        let mut streaks: Vec<Streak> = (0..units).map(|_| Streak::new(t, proto)).collect();
+        for_each_run(
+            config,
+            trace,
+            tags,
+            #[inline(always)]
+            |run, write, tenant| streaks[run.unit].feed(t, &run, write, tenant),
+        );
+        streaks.into_iter().map(|s| s.finish(t)).collect()
     } else {
-        mealib_types::par_map(&streams, jobs, |stream| replay_unit(t, proto, stream))
+        let mut shards: Vec<Vec<(Run, bool, u16)>> = vec![Vec::new(); units];
+        for_each_run(config, trace, tags, |run, write, tenant| {
+            shards[run.unit].push((run, write, tenant))
+        });
+        mealib_types::par_map(&shards, jobs, |shard| {
+            let mut streak = Streak::new(t, proto);
+            for (run, write, tenant) in shard {
+                streak.feed(t, run, *write, *tenant);
+            }
+            streak.finish(t)
+        })
     }
 }
 
-/// Splits the trace into same-row runs ([`RunDecoder`]) and routes
-/// each to its unit's stream, so per-unit burst order is preserved
-/// exactly. `tags` (one tenant per request) fills each stream's tenant
-/// column.
-fn decode_streams(
+/// Emits every run of `trace` ([`RunDecoder`]) to `f` in trace order,
+/// with its request's direction (`true` = write) and tenant (`0` when
+/// `tags` is `None`).
+// Forced inline like `RunDecoder::request`, so the serial path's
+// `Streak::feed` inlines into the decode loop.
+#[inline(always)]
+fn for_each_run(
     config: &MemoryConfig,
     trace: &TraceBuffer,
     tags: Option<&[u16]>,
-) -> Vec<UnitStream> {
+    mut f: impl FnMut(Run, bool, u16),
+) {
     let decoder = RunDecoder::new(config);
-    let mut streams: Vec<UnitStream> = vec![
-        UnitStream {
-            burst_bytes: config.timing.burst_bytes,
-            ..UnitStream::default()
-        };
-        config.mapping.units()
-    ];
-    // Upper-bound-ish run estimate: one run per decode granule of bulk
-    // traffic plus one per request (scalar gathers), split across units.
-    let units_n = streams.len() as u64;
-    let est = (trace.total_bytes() / decoder.granule() / units_n + trace.len() as u64 / units_n + 4)
-        as usize;
-    for s in streams.iter_mut() {
-        s.reserve(est);
-        if tags.is_some() {
-            s.tenant.reserve(est);
-        }
-    }
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
         let write = ops[i] == Op::Write;
-        let tenant = tags.map(|col| col[i]);
+        let tenant = tags.map_or(0, |col| col[i]);
         decoder.request(
             addrs[i],
             bytes[i],
             #[inline(always)]
-            |run| push_run(&mut streams[run.unit], run, write, tenant),
+            |run| f(run, write, tenant),
         );
     }
-    streams
 }
 
-/// Appends a run. A bulk run coalesces with the stream's tail when the
-/// result is burst-arithmetic-equivalent to keeping them separate: same
-/// bank, row, op, and tenant; column-contiguous; and the tail's last
-/// burst complete (a bulk run itself is whole bursts). Pure streams
-/// therefore coalesce into row-length runs; scalar runs are appended
-/// as decoded.
-// Inlined at both of `RunDecoder::request`'s emission sites (see the
-// note there).
-#[inline(always)]
-fn push_run(s: &mut UnitStream, run: Run, write: bool, tenant: Option<u16>) {
-    if run.bulk {
-        if let Some(last) = s.runs().checked_sub(1) {
-            if s.bank[last] == run.bank
-                && s.row[last] == run.row
-                && s.write[last] == write
-                && s.col0[last] + s.total[last] == run.col0
-                && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * s.burst_bytes
-                && s.tenant.last().copied() == tenant
-            {
-                s.total[last] += run.total;
-                s.n[last] += run.n;
-                return;
-            }
-        }
+/// One unit's replay state: its engine plus the open streak of
+/// bus-limited row hits, which [`Streak::flush`] applies in closed
+/// form. A streak is always open, possibly empty; its cap and
+/// generation are fixed by [`Streak::open`] from the unit state at
+/// streak start, which no accepted burst changes until the flush.
+struct Streak {
+    u: UnitEngine,
+    /// Longest streak before the refresh epoch: the burst at streak
+    /// offset `c` sees the bus at `bus_free + c·t_burst`, so the refresh
+    /// caps the streak at `ceil((next_refresh - bus_free) / t_burst)`
+    /// bursts. Zero when a refresh is owed or a timeline sink is on.
+    k_max: u64,
+    /// Bursts accepted into the open streak.
+    count: u64,
+    bytes_read: u64,
+    bytes_written: u64,
+    write_bursts: u64,
+    /// `seen[bank] == generation` marks a bank touched by the open
+    /// streak; the counter reuses `seen` across streaks without
+    /// clearing it.
+    generation: u64,
+    seen: Vec<u64>,
+    /// Completion cycle of each touched bank's last burst in the open
+    /// streak.
+    last_done: Vec<u64>,
+}
+
+impl Streak {
+    fn new(t: &DramTiming, proto: &UnitEngine) -> Self {
+        let banks = proto.banks.len();
+        let mut s = Self {
+            u: proto.clone(),
+            k_max: 0,
+            count: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+            write_bursts: 0,
+            generation: 0,
+            seen: vec![0; banks],
+            last_done: vec![0; banks],
+        };
+        s.open(t);
+        s
     }
-    s.bank.push(run.bank);
-    s.row.push(run.row);
-    s.col0.push(run.col0);
-    s.head.push(run.head);
-    s.total.push(run.total);
-    s.n.push(run.n);
-    s.write.push(write);
-    s.tenant.extend(tenant);
-}
 
-/// Replays one unit's run stream with streak batching. The cursor
-/// `(r, j)` points at burst `j` of run `r`: the slow path advances it
-/// one burst at a time, the streak batch whole (or partial, at a
-/// refresh cap) runs at a time. Batching is off while the unit carries a
-/// timeline sink, which charges every burst to its window.
-fn replay_unit(t: &DramTiming, proto: &UnitEngine, stream: &UnitStream) -> UnitEngine {
-    let mut u = proto.clone();
-    let banks = u.banks.len();
-    let batch = u.timeline.is_none();
-    let runs = stream.runs();
-    let t_burst = t.t_burst;
-    let hit_bucket = LatencyHistogram::bucket_of(t_burst);
-    // Per-bank completion cycle of the bank's last burst in the current
-    // streak; `seen[bank] == generation` marks validity. Reused across
-    // streaks without clearing via the generation counter.
-    let mut last_done = vec![0u64; banks];
-    let mut seen = vec![0u64; banks];
-    let mut generation = 0u64;
-    let mut r = 0usize;
-    let mut j = 0u32;
-    while r < runs {
-        // Longest streak of bus-limited row hits before the refresh
-        // epoch: the burst at streak offset `c` sees the bus at
-        // `bus_free + c·t_burst`, so the refresh caps the streak at
-        // `ceil((next_refresh - bus_free) / t_burst)` bursts. A refresh
-        // owed now (cap 0) or a timeline sink leaves no streak, and the
-        // slow path below takes the burst.
-        generation += 1;
-        let next_refresh = (u.refreshes_done + 1) * t.t_refi;
-        let k_max = if batch {
-            next_refresh.saturating_sub(u.bus_free).div_ceil(t_burst)
+    /// Opens a fresh, empty streak at the unit's current state.
+    fn open(&mut self, t: &DramTiming) {
+        self.generation += 1;
+        self.k_max = if self.u.timeline.is_none() {
+            let next_refresh = (self.u.refreshes_done + 1) * t.t_refi;
+            next_refresh
+                .saturating_sub(self.u.bus_free)
+                .div_ceil(t.t_burst)
         } else {
             0
         };
-        let mut count = 0u64;
-        let (mut rr, mut jj) = (r, j);
-        let mut bytes_read = 0u64;
-        let mut bytes_written = 0u64;
-        let mut write_bursts = 0u64;
-        while count < k_max && rr < runs {
-            let bank = stream.bank[rr] as usize;
-            let state = &u.banks[bank];
-            if state.open_row != Some(stream.row[rr]) {
-                break;
-            }
-            if seen[bank] != generation {
-                // First touch this streak: the stored cmd_ready is
-                // current. (Later touches need no check — their
-                // cmd_ready becomes `done - t_cl` of an earlier streak
-                // burst, which trails the bus pointer by construction.)
-                if state.cmd_ready + t.t_cl > u.bus_free + count * t_burst {
-                    break;
+    }
+
+    /// Replays one run, the unit's next in program order. The greedy
+    /// rule: extend the open streak while the run's bursts are
+    /// bus-limited (clipped at the refresh cap); when the next burst is
+    /// not, flush the streak and retry that burst on a fresh one; and
+    /// when even an empty streak cannot take it (refresh owed, conflict,
+    /// idle bank, cold column path, or batching off), step it through
+    /// the shared slow path.
+    // Inlined at both of `RunDecoder::request`'s emission sites on the
+    // serial path (see the note there).
+    #[inline(always)]
+    fn feed(&mut self, t: &DramTiming, run: &Run, write: bool, tenant: u16) {
+        let t_burst = t.t_burst;
+        let bank = run.bank as usize;
+        let mut j = 0u32;
+        while j < run.n {
+            let state = &self.u.banks[bank];
+            // First touch this streak must check the stored cmd_ready.
+            // Later touches need no check: their cmd_ready becomes
+            // `done - t_cl` of an earlier streak burst, which trails the
+            // bus pointer by construction.
+            let limited = self.count < self.k_max
+                && state.open_row == Some(run.row)
+                && (self.seen[bank] == self.generation
+                    || state.cmd_ready + t.t_cl <= self.u.bus_free + self.count * t_burst);
+            if !limited {
+                if self.count == 0 {
+                    self.u.burst(t, &burst_of(t, run, j, write, tenant));
+                    j += 1;
+                } else {
+                    self.flush(t);
                 }
-                seen[bank] = generation;
+                self.open(t);
+                continue;
             }
-            // Accept the run's remaining bursts, clipped at the
-            // refresh cap; a clipped run leaves the cursor mid-run.
-            let avail = u64::from(stream.n[rr] - jj);
-            let take = avail.min(k_max - count);
-            let b = if jj == 0 && take == avail {
-                stream.total[rr]
+            self.seen[bank] = self.generation;
+            // Accept the run's remaining bursts, clipped at the refresh
+            // cap; a clipped run resumes on the next streak.
+            let avail = u64::from(run.n - j);
+            let take = avail.min(self.k_max - self.count);
+            let b = if j == 0 && take == avail {
+                run.total
             } else {
-                stream.cum(rr, jj + take as u32) - stream.cum(rr, jj)
+                let burst = t.burst_bytes;
+                run.offset(burst, j + take as u32) - run.offset(burst, j)
             };
-            if stream.write[rr] {
-                bytes_written += b;
-                write_bursts += take;
+            if write {
+                self.bytes_written += b;
+                self.write_bursts += take;
             } else {
-                bytes_read += b;
+                self.bytes_read += b;
             }
-            let first = u.bus_free + (count + 1) * t_burst;
-            count += take;
-            last_done[bank] = u.bus_free + count * t_burst;
-            if let Some(tenants) = u.tenants.as_mut() {
-                let acc = &mut tenants[stream.tenant(rr) as usize];
-                acc.charge(stream.write[rr], b, take, 0, first, last_done[bank]);
+            let first = self.u.bus_free + (self.count + 1) * t_burst;
+            self.count += take;
+            let last = self.u.bus_free + self.count * t_burst;
+            self.last_done[bank] = last;
+            if let Some(tenants) = self.u.tenants.as_mut() {
+                tenants[tenant as usize].charge(write, b, take, 0, first, last);
             }
-            if take == avail {
-                rr += 1;
-                jj = 0;
-            } else {
-                jj += take as u32;
-            }
+            j += take as u32;
         }
-        if count == 0 {
-            // Not bus-limited (refresh owed, conflict, idle bank, cold
-            // column path, or batching off): one exact step through the
-            // shared slow path.
-            u.burst(t, &stream.burst(r, j, 0));
-            j += 1;
-            if j == stream.n[r] {
-                r += 1;
-                j = 0;
-            }
-            continue;
-        }
-        // Closed-form batch update for `count` bus-limited bursts —
-        // each line mirrors what burst_core's hit arm would have done
-        // `count` times over.
-        u.bytes_read += bytes_read;
-        u.bytes_written += bytes_written;
-        u.vault.read_bursts += count - write_bursts;
-        u.vault.write_bursts += write_bursts;
+    }
+
+    /// Closed-form update for the open streak's `count` bus-limited
+    /// bursts — each line mirrors what `burst_core`'s hit arm would have
+    /// done `count` times over. Leaves the streak empty (and stale:
+    /// [`Streak::open`] must follow).
+    fn flush(&mut self, t: &DramTiming) {
+        let u = &mut self.u;
+        let count = self.count;
+        u.bytes_read += self.bytes_read;
+        u.bytes_written += self.bytes_written;
+        u.vault.read_bursts += count - self.write_bursts;
+        u.vault.write_bursts += self.write_bursts;
         u.vault.row_hits += count;
-        u.latencies.record_n(hit_bucket, count);
-        u.bus_free += count * t_burst;
+        u.latencies
+            .record_n(LatencyHistogram::bucket_of(t.t_burst), count);
+        u.bus_free += count * t.t_burst;
         u.issued_at = u.bus_free;
         for (bank, state) in u.banks.iter_mut().enumerate() {
-            if seen[bank] == generation {
-                state.cmd_ready = last_done[bank] - t.t_cl;
+            if self.seen[bank] == self.generation {
+                state.cmd_ready = self.last_done[bank] - t.t_cl;
             }
         }
-        r = rr;
-        j = jj;
+        self.count = 0;
+        self.bytes_read = 0;
+        self.bytes_written = 0;
+        self.write_bursts = 0;
     }
-    u
+
+    /// Flushes the streak still open at the end of the trace.
+    fn finish(mut self, t: &DramTiming) -> UnitEngine {
+        if self.count > 0 {
+            self.flush(t);
+        }
+        self.u
+    }
+}
+
+/// Burst `j` of `run`, exactly as [`for_each_burst_tagged`] would have
+/// produced it.
+///
+/// [`for_each_burst_tagged`]: crate::engine::for_each_burst_tagged
+fn burst_of(t: &DramTiming, run: &Run, j: u32, write: bool, tenant: u16) -> Burst {
+    let start = run.offset(t.burst_bytes, j);
+    Burst {
+        loc: crate::address::Location {
+            unit: run.unit,
+            bank: run.bank as usize,
+            row: run.row,
+            col_byte: run.col0 + start,
+        },
+        bytes: run.offset(t.burst_bytes, j + 1) - start,
+        op: if write { Op::Write } else { Op::Read },
+        tenant,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{
-        for_each_burst_tagged, sequential_trace, simulate, strided_trace, EngineKind, Request,
+        dispatch, finish_run, sequential_trace, simulate, strided_trace, EngineKind, Request,
         SimOptions,
     };
 
+    /// Fast and DualCheck replays equal the cycle oracle's through both
+    /// worker paths (`jobs` 1 and 2), untagged and under a tag column
+    /// that changes tenant on every request.
     fn assert_engines_agree(config: &MemoryConfig, trace: &TraceBuffer, what: &str) {
-        let cycle = simulate(config, trace, &SimOptions::cycle()).unwrap();
-        let fast = simulate(config, trace, &SimOptions::fast()).unwrap();
-        assert_eq!(fast, cycle, "{what}");
-        // DualCheck performs the same comparison internally.
-        let dual = simulate(config, trace, &SimOptions::dual_check()).unwrap();
-        assert_eq!(dual, cycle, "{what} (dual)");
+        let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 3) as u16).collect();
+        for jobs in [1usize, 2] {
+            for tenants in [None, Some((tags.as_slice(), 3))] {
+                let run = |opts: SimOptions| dispatch(config, trace, tenants, &opts.jobs(jobs));
+                let cycle = run(SimOptions::cycle()).unwrap();
+                let what = format!("{what} (jobs {jobs}, tagged: {})", tenants.is_some());
+                assert_eq!(run(SimOptions::fast()).unwrap(), cycle, "{what}");
+                // DualCheck performs the same comparison internally.
+                let dual = run(SimOptions::dual_check()).unwrap();
+                assert_eq!(dual, cycle, "{what} (dual)");
+            }
+        }
+    }
+
+    /// One unit with row-length runs (128 bursts each), so refresh
+    /// epochs (every ~1,560 bursts) land inside runs.
+    fn single_unit_ddr() -> MemoryConfig {
+        let mut c = MemoryConfig::ddr_dual_channel();
+        c.mapping = crate::address::AddressMapping::Interleaved {
+            units: 1,
+            banks_per_unit: 8,
+            row_bytes: 8192,
+            line_bytes: 64,
+        };
+        c
     }
 
     #[test]
-    fn streams_coalesce_runs_only_within_a_tenant() {
-        // `push_run` merges the decoder's bulk runs into row-length runs;
-        // the streams must still expand into exactly the cycle engine's
-        // per-unit burst sequence, tenants included, untagged and under
-        // a tag column that changes tenant inside same-row streaks. (The
-        // decoder itself is checked in `runs.rs`.)
-        let mut xor_stack = MemoryConfig::hmc_stack();
-        xor_stack.mapping = crate::address::AddressMapping::XorInterleaved {
-            units: 32,
-            banks_per_unit: 8,
-            row_bytes: 4096,
-            line_bytes: 256,
+    fn streak_clipped_by_the_refresh_cap_resumes_mid_run() {
+        // Engine level: one 1 MiB request crosses ~10 refresh epochs,
+        // and each cap clips a streak inside a row-length run.
+        let c = single_unit_ddr();
+        let mut trace = TraceBuffer::from(&[Request::read(0, 1 << 20)]);
+        trace.extend(sequential_trace(1 << 21, 1 << 20, 4096, Op::Write).iter());
+        let plain = simulate(&c, &trace, &SimOptions::cycle()).unwrap();
+        assert!(plain.stats.refreshes >= 10, "{}", plain.stats.refreshes);
+        assert_engines_agree(&c, &trace, "refresh-clipped runs");
+
+        // Unit level: a streak opened three bursts before the refresh
+        // epoch takes three of an 8-burst run; the rest pays the refresh
+        // on the slow path (a miss, since refresh closes the row) and
+        // resumes on a fresh streak still open at the end.
+        let t = &c.timing;
+        let mut proto = UnitEngine::new(8, None, Some(2));
+        proto.banks[0].open_row = Some(5);
+        proto.banks[0].has_activated = true;
+        proto.bus_free = t.t_refi - 3 * t.t_burst;
+        proto.issued_at = proto.bus_free;
+        let run = Run {
+            unit: 0,
+            bank: 0,
+            row: 5,
+            col0: 0,
+            head: t.burst_bytes,
+            total: 8 * t.burst_bytes,
+            n: 8,
         };
+        let mut streak = Streak::new(t, &proto);
+        assert_eq!(streak.k_max, 3);
+        streak.feed(t, &run, false, 1);
+        assert_eq!(streak.count, 4, "bursts 4..8 ride the resumed streak");
+        let mut oracle = proto.clone();
+        for j in 0..run.n {
+            oracle.burst(t, &burst_of(t, &run, j, false, 1));
+        }
+        let fast = finish_run(&c, vec![streak.finish(t)]);
+        assert_eq!(fast, finish_run(&c, vec![oracle]));
+        assert_eq!(fast.stats.refreshes, 1);
+        assert_eq!(fast.stats.row_hits, 7);
+    }
+
+    #[test]
+    fn same_row_streak_spans_tenant_changes() {
+        // 64-byte requests keep each unit on one 8 KiB row for 128 of
+        // its requests, so one streak absorbs runs of all three tenants
+        // in turn; each
+        // tenant's first and last completion must land where the cycle
+        // engine puts them. The strided tail mixes in conflicts.
+        for config in [MemoryConfig::ddr_dual_channel(), single_unit_ddr()] {
+            let mut trace = sequential_trace(0, 1 << 18, 64, Op::Read);
+            trace.extend(strided_trace(1 << 22, 8192, 64, 256, Op::Write).iter());
+            trace.push(Request::write(4093, 10)); // straddles a row edge
+            assert_engines_agree(&config, &trace, &config.name);
+        }
+    }
+
+    #[test]
+    fn streak_open_at_the_end_of_the_trace_is_flushed() {
+        // Too short to reach a refresh epoch: the last streak on every
+        // unit is still open when the trace ends.
         for config in [
             MemoryConfig::hmc_stack(),
             MemoryConfig::ddr_dual_channel(),
-            MemoryConfig::msas_dram(),
-            xor_stack,
+            single_unit_ddr(),
         ] {
-            let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
-            trace.extend(strided_trace(1 << 22, 8192, 64, 512, Op::Write).iter());
-            trace.push(Request::read(30, 100));
-            trace.push(Request::read(5, 1));
-            trace.push(Request::write(4093, 10)); // straddles a row edge
-            let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 3) as u16).collect();
-            for tags in [None, Some(tags.as_slice())] {
-                let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
-                for_each_burst_tagged(&config.timing, &config.mapping, &trace, tags, |b| {
-                    expected[b.loc.unit].push(b)
-                });
-                let streams = decode_streams(&config, &trace, tags);
-                for (unit, stream) in streams.iter().enumerate() {
-                    assert_eq!(stream.tenant.len(), tags.map_or(0, |_| stream.runs()));
-                    let got: Vec<Burst> = (0..stream.runs())
-                        .flat_map(|r| (0..stream.n[r]).map(move |j| stream.burst(r, j, unit)))
-                        .collect();
-                    let what = format!("{} (tagged: {}): unit {unit}", config.name, tags.is_some());
-                    assert_eq!(got, expected[unit], "{what}");
-                }
-            }
+            let trace = sequential_trace(0, 64 << 10, 256, Op::Read);
+            let run = simulate(&config, &trace, &SimOptions::cycle()).unwrap();
+            assert_eq!(run.stats.refreshes, 0, "{}", config.name);
+            assert_engines_agree(&config, &trace, &config.name);
         }
     }
 
@@ -482,6 +495,6 @@ mod tests {
         assert_eq!(opts.engine, EngineKind::DualCheck);
         assert_eq!(SimOptions::fast().engine, EngineKind::Fast);
         assert_eq!(SimOptions::cycle().engine, EngineKind::Cycle);
-        assert_eq!(SimOptions::default().engine, EngineKind::Cycle);
+        assert_eq!(SimOptions::default().engine, EngineKind::Fast);
     }
 }

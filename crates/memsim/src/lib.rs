@@ -11,8 +11,8 @@
 //!   to carve a contiguous DIMM out of a commodity system (§4.2);
 //! * [`engine`] — a dual-engine bank/vault/bus simulator behind one
 //!   [`engine::simulate`] entry point: a cycle-accurate oracle and a
-//!   bit-exact event-driven epoch-skipping fast engine, replaying SoA
-//!   [`trace::TraceBuffer`] request traces;
+//!   bit-exact event-driven epoch-skipping fast engine (the default),
+//!   replaying SoA [`trace::TraceBuffer`] request traces;
 //! * [`tenancy`] — deterministic multi-tenant interleaving and
 //!   [`tenancy::simulate_tenants`], the tagged sibling of `simulate`.
 //!   Per-tenant attribution and the cycle-window timeline are per-unit

@@ -13,9 +13,10 @@
 //! cycle engine's per-unit burst sequence exactly: same bursts, same
 //! locations, same order.
 //!
-//! Two consumers read the runs. The fast engine (`fast.rs`) routes
-//! them into per-unit streams, consumes them whole in its streak scan
-//! and only rematerializes individual bursts on its slow path. The
+//! Two consumers read the runs. The fast engine (`fast.rs`) feeds
+//! each run, as it is decoded, to its unit's open streak, which takes
+//! the run's bursts whole while they are bus-limited; only its slow
+//! path rematerializes individual bursts ([`Run::offset`]). The
 //! bounds walk (`bounds.rs`) adds each run's bursts by `n` and steps
 //! its refresh-free row automaton once per run: every burst of a run
 //! shares one `(unit, bank, row)`, so only the first can miss. Both
@@ -45,10 +46,19 @@ pub(crate) struct Run {
     pub(crate) total: u64,
     /// Number of bursts in the run.
     pub(crate) n: u32,
-    /// A whole line from the aligned super-line path: burst-aligned
-    /// and burst-complete, so it may coalesce with a column-contiguous
-    /// predecessor.
-    pub(crate) bulk: bool,
+}
+
+impl Run {
+    /// Byte offset within the run where burst `j` starts (`burst` is
+    /// `DramTiming::burst_bytes`); `j == n` yields the run's total
+    /// length. Bursts after the head are `burst` bytes, the last
+    /// clipped at `total`.
+    pub(crate) fn offset(&self, burst: u64, j: u32) -> u64 {
+        match j {
+            0 => 0,
+            j => self.total.min(self.head + (u64::from(j) - 1) * burst),
+        }
+    }
 }
 
 /// Splits requests into [`Run`]s for one validated configuration.
@@ -91,13 +101,6 @@ impl<'a> RunDecoder<'a> {
         }
     }
 
-    /// Bytes one decode covers at least on bulk traffic: a line on the
-    /// bulk path, a burst otherwise. Sizes stream reservations.
-    pub(crate) fn granule(&self) -> u64 {
-        self.bulk
-            .map_or(self.burst, |(_, line_bytes, _)| line_bytes)
-    }
-
     /// Emits the runs of the request `[addr, addr + bytes)` to `f`, in
     /// address order.
     // Forced inline, and each consumer forces its `f` inline too: with
@@ -132,7 +135,6 @@ impl<'a> RunDecoder<'a> {
                             head: burst,
                             total: line_bytes,
                             n,
-                            bulk: true,
                         });
                     }
                     addr += m * line_bytes;
@@ -172,7 +174,6 @@ impl<'a> RunDecoder<'a> {
                 head,
                 total,
                 n: 1 + extra as u32,
-                bulk: false,
             });
             addr += total;
             remaining -= total;
@@ -188,13 +189,9 @@ mod tests {
     };
 
     /// Expands `run` into its bursts with the burst arithmetic every
-    /// consumer relies on: the head, then `burst`-byte bursts, the last
-    /// clipped at `total`.
+    /// consumer relies on ([`Run::offset`]).
     fn bursts_of(run: &Run, burst: u64, op: Op) -> Vec<Burst> {
-        let cum = |j: u32| match j {
-            0 => 0,
-            j => run.total.min(run.head + (u64::from(j) - 1) * burst),
-        };
+        let cum = |j: u32| run.offset(burst, j);
         (0..run.n)
             .map(|j| Burst {
                 loc: crate::address::Location {
@@ -273,12 +270,7 @@ mod tests {
             let mut got: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
             for req in trace.iter() {
                 decoder.request(req.addr.get(), req.bytes, |run| {
-                    if run.bulk {
-                        // What lets a bulk run coalesce: whole bursts.
-                        assert_eq!(run.head, burst, "{}", config.name);
-                        assert_eq!(run.total, u64::from(run.n) * burst, "{}", config.name);
-                    }
-                    got[run.unit].extend(bursts_of(&run, burst, req.op));
+                    got[run.unit].extend(bursts_of(&run, burst, req.op))
                 });
             }
             assert_eq!(got, expected, "{}", config.name);

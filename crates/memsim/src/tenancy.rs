@@ -180,7 +180,7 @@ mod tests {
         let c = MemoryConfig::hmc_stack();
         let s = streams();
         let (merged, _) = interleave_tenants(&s);
-        let plain = simulate(&c, &merged, &SimOptions::default()).unwrap();
+        let plain = simulate(&c, &merged, &SimOptions::cycle()).unwrap();
         let tenants = simulate_tenants(&c, &s, &SimOptions::dual_check()).unwrap();
         assert_eq!(tenants.stats, plain.stats);
         assert_eq!(tenants.vaults, plain.vaults);
@@ -251,7 +251,7 @@ mod tests {
             TenantStream::new(sequential_trace(0, 4096, 64, Op::Read)),
             TenantStream::new(TraceBuffer::new()),
         ];
-        let run = simulate_tenants(&c, &with_idle, &SimOptions::default()).unwrap();
+        let run = simulate_tenants(&c, &with_idle, &SimOptions::cycle()).unwrap();
         assert_eq!(run.tenants[1].first_cycles.get(), 0);
         assert_eq!(run.tenants[1].first_elapsed.get(), 0.0);
     }
@@ -263,7 +263,7 @@ mod tests {
             TenantStream::new(sequential_trace(0, 4096, 64, Op::Read)),
             TenantStream::new(TraceBuffer::new()),
         ];
-        let run = simulate_tenants(&c, &s, &SimOptions::default()).unwrap();
+        let run = simulate_tenants(&c, &s, &SimOptions::cycle()).unwrap();
         assert_eq!(run.tenants.len(), 2);
         assert_eq!(run.tenants[1], TenantStats::default());
     }

@@ -19,9 +19,10 @@
 //! Earlier BENCH files (`BENCH_pr2.json`, `BENCH_pr4.json`) predate the
 //! version field; [`BenchSummary::parse`] accepts that legacy shape and
 //! converts it on the fly, which is also how `meaperf --convert` migrates
-//! files on disk. Metrics keyed with a `wall_s` suffix are treated as
-//! wall-clock measurements by the trajectory gate (report-only on
-//! single-CPU CI); everything else is a modeled metric and gates hard.
+//! files on disk. Metrics [`BenchRecord::is_wall_metric`] names (a
+//! `wall_s` suffix, say) are treated as wall-clock measurements by the
+//! trajectory gate (report-only on single-CPU CI); everything else is a
+//! modeled metric and gates hard.
 
 use crate::json::{array, parse, Object, Value};
 
@@ -49,7 +50,19 @@ impl BenchRecord {
     /// derived from one, like a measured-throughput `*per_sec*` rate)
     /// rather than a modeled metric.
     pub fn is_wall_metric(key: &str) -> bool {
-        key.ends_with("wall_s") || key.ends_with("_wall") || key.contains("per_sec")
+        key.ends_with("wall_s")
+            || key.ends_with("_wall")
+            || key.contains("per_sec")
+            || Self::is_wall_speedup(key)
+    }
+
+    /// True for the wall-derived speedups whose names carry no wall
+    /// marker: `fast_over_cycle`, `engine_throughput`'s ratio of the
+    /// engines' measured burst rates. They are wall metrics whose
+    /// bigger values are better; the name stays for trajectory
+    /// continuity across BENCH files.
+    pub fn is_wall_speedup(key: &str) -> bool {
+        key == "fast_over_cycle"
     }
 }
 
@@ -246,5 +259,16 @@ mod tests {
         assert!(BenchRecord::is_wall_metric("fast_bursts_per_sec_per_core"));
         assert!(!BenchRecord::is_wall_metric("avg_speedup"));
         assert!(!BenchRecord::is_wall_metric("bandwidth_gbps"));
+    }
+
+    #[test]
+    fn fast_over_cycle_is_a_wall_speedup() {
+        // A ratio of two measured burst rates: wall-derived, so it must
+        // not gate like a bit-stable modeled metric.
+        assert!(BenchRecord::is_wall_metric("fast_over_cycle"));
+        assert!(BenchRecord::is_wall_speedup("fast_over_cycle"));
+        // Exact key only: modeled ratios stay modeled.
+        assert!(!BenchRecord::is_wall_speedup("fast_over_cycle_modeled"));
+        assert!(!BenchRecord::is_wall_metric("energy_over_baseline"));
     }
 }

@@ -655,9 +655,13 @@ impl TelemetryReport {
                 *summed.entry(key.clone()).or_default() += n as u64;
             }
         }
-        for (key, value) in self.registry.counters() {
-            let flat = key.flat();
-            let got = summed.get(&flat).copied().unwrap_or(0);
+        let counters: BTreeMap<String, u64> = self
+            .registry
+            .counters()
+            .map(|(key, value)| (key.flat(), value))
+            .collect();
+        for (flat, &value) in &counters {
+            let got = summed.get(flat).copied().unwrap_or(0);
             if got != value {
                 return Err(format!(
                     "{flat}: snapshot deltas sum {got} != counter {value}"
@@ -665,11 +669,7 @@ impl TelemetryReport {
             }
         }
         for (key, got) in &summed {
-            if !self
-                .registry
-                .counters()
-                .any(|(k, v)| &k.flat() == key && v == *got)
-            {
+            if counters.get(key) != Some(got) {
                 return Err(format!("snapshot key {key} missing from final registry"));
             }
         }

@@ -168,7 +168,7 @@ fn noisy_neighbor_cannot_push_victim_below_certified_floor() {
     assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
 
     let cfg = resolved_set_config(&set, gate.env());
-    let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::default())
+    let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::cycle())
         .expect("admitted batch replays");
 
     let victim = &run.tenants[0];

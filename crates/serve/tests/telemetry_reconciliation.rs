@@ -123,6 +123,40 @@ fn telemetry_reconciles_with_the_exact_ledger() {
 }
 
 #[test]
+fn reconcile_names_a_snapshot_key_absent_from_the_registry() {
+    let (report, mut tele) = run(4242, &TelemetryConfig::default());
+    tele.snapshots
+        .push(r#"{"counters":{"serve_phantom_total":1}}"#.to_string());
+    assert_eq!(
+        tele.reconcile(&report),
+        Err("snapshot key serve_phantom_total missing from final registry".to_string())
+    );
+}
+
+#[test]
+fn reconcile_names_a_delta_sum_off_by_one() {
+    let (report, mut tele) = run(4242, &TelemetryConfig::default());
+    let (key, value) = tele
+        .registry
+        .counters()
+        .map(|(k, v)| (k.flat(), v))
+        .next()
+        .expect("the run moved a counter");
+    let mut counters = json::Object::new();
+    counters.int(&key, 1);
+    let mut line = json::Object::new();
+    line.raw("counters", counters.render());
+    tele.snapshots.push(line.render());
+    assert_eq!(
+        tele.reconcile(&report),
+        Err(format!(
+            "{key}: snapshot deltas sum {} != counter {value}",
+            value + 1
+        ))
+    );
+}
+
+#[test]
 fn lifecycle_trace_round_trips_and_rejects_carry_their_proofs() {
     let (report, tele) = run(99, &TelemetryConfig::default());
     assert!(

@@ -263,7 +263,7 @@ fn every_corpus_set_is_certified_soundly() {
 /// violation the diagnostic proves must actually happen.
 fn confirm_reject(name: &str, set: &SessionSet, code: ErrorCode, env: &BoundsEnv) {
     let cfg = resolved_set_config(set, env);
-    let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::default())
+    let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::cycle())
         .expect("merged replay succeeds");
     match code {
         ErrorCode::InterferePartitionOverlap => {
@@ -365,7 +365,7 @@ fn clean_twins_admit_and_no_admitted_set_measurably_violates() {
         // Faithfulness: an admitted set must keep every promise when
         // the mix actually runs.
         let cfg = resolved_set_config(&set, &env);
-        let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::default())
+        let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::cycle())
             .expect("merged replay succeeds");
         if let Some(b) = set.budgets.time_s {
             assert!(run.stats.elapsed.get() <= b, "{name}: set envelope broken");
