@@ -104,11 +104,6 @@ impl AcceleratorLayer {
         mealib_obs::Roofline::new(self.mem.peak_bandwidth(), self.hw.peak_flops())
     }
 
-    /// Returns a copy with a different hardware configuration.
-    pub fn with_hw(&self, hw: AccelHwConfig) -> Self {
-        Self { hw, ..self.clone() }
-    }
-
     /// Returns a copy talking to a different memory device (e.g. the
     /// remote-stack view of §3.3).
     pub fn with_mem(&self, mem: MemoryConfig) -> Self {

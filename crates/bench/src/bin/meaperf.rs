@@ -1,18 +1,19 @@
 //! `meaperf` — the perf-trajectory gate.
 //!
 //! Compares two or more schema-versioned `BENCH_*.json` summaries in
-//! chronological order and exits nonzero when a modeled metric (or,
-//! unless demoted, a wall-clock metric) regresses beyond its threshold:
+//! chronological order and exits nonzero when a metric regresses beyond
+//! the threshold. BENCH files carry modeled and counted metrics only;
+//! host wall time is measured by the separate `perfbench` benchmark.
 //!
 //! ```text
 //! meaperf [options] BENCH_pr4.json BENCH_pr5.json [BENCH_pr6.json ...]
 //!
-//!   --threshold-pct <N>        modeled-metric gate (default 5)
-//!   --wall-threshold-pct <N>   wall-clock gate (default 20)
-//!   --wall-report-only         report wall regressions, never fail on them
+//!   --threshold-pct <N>        allowed worsening, percent (default 5);
+//!                              finite and non-negative
 //!   --min <bench.key=N>        absolute floor on a metric of the *newest*
 //!                              summary (repeatable); fails the gate when
-//!                              the metric is below N or missing
+//!                              the metric is below N or missing; N
+//!                              must be finite
 //!   --json                     machine-readable report per comparison
 //!   --check-trace <FILE>       standalone: validate a Chrome trace-event
 //!                              profile (as written by --profile) and exit
@@ -25,13 +26,14 @@
 
 use std::process::ExitCode;
 
-use mealib_bench::perf::{check_minimums, compare, GateOptions, MinRule};
+use mealib_bench::perf::{
+    check_minimums, compare, parse_threshold_pct, MinRule, DEFAULT_THRESHOLD_PCT,
+};
 use mealib_obs::bench_schema::BenchSummary;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: meaperf [--threshold-pct N] [--wall-threshold-pct N] \
-         [--wall-report-only] [--min bench.key=N] [--json] \
+        "usage: meaperf [--threshold-pct N] [--min bench.key=N] [--json] \
          BENCH_old.json BENCH_new.json ...\n\
          \x20      meaperf --check-trace FILE.trace.json\n\
          \x20      meaperf --convert BENCH_legacy.json"
@@ -86,7 +88,7 @@ fn convert(path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut gate = GateOptions::default();
+    let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut json = false;
     let mut minimums: Vec<MinRule> = Vec::new();
     let mut files: Vec<String> = Vec::new();
@@ -94,13 +96,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--wall-report-only" => gate.wall_report_only = true,
-            "--threshold-pct" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => gate.metric_threshold_pct = n,
-                None => return usage(),
-            },
-            "--wall-threshold-pct" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => gate.wall_threshold_pct = n,
+            "--threshold-pct" => match args.next().as_deref().and_then(parse_threshold_pct) {
+                Some(n) => threshold_pct = n,
                 None => return usage(),
             },
             "--min" => match args.next().as_deref().and_then(MinRule::parse) {
@@ -139,9 +136,9 @@ fn main() -> ExitCode {
             Ok(s) => s,
             Err(code) => return code,
         };
-        let report = compare(&before, &after, &gate);
+        let report = compare(&before, &after, threshold_pct);
         if json {
-            println!("{}", report.to_json(&gate));
+            println!("{}", report.to_json());
         } else {
             println!("meaperf: {old_path} -> {new_path}");
             for note in [&before, &after]
@@ -152,9 +149,9 @@ fn main() -> ExitCode {
             {
                 println!("note {note}: legacy (pre-schema) file; consider --convert");
             }
-            print!("{}", report.render(&gate));
+            print!("{}", report.render());
         }
-        failed |= report.failed(&gate);
+        failed |= report.failed();
     }
     if !minimums.is_empty() {
         // Floors apply to the newest summary only — they assert where

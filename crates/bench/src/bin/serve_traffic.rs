@@ -21,8 +21,6 @@
 //! the JSON summary come from the streaming sketches; without it the
 //! run is byte-identical to the pre-telemetry harness.
 
-use std::time::Instant;
-
 use mealib_bench::{banner, section, HarnessOpts, JsonSummary};
 use mealib_obs::{validate_exposition, AlertKind, Obs};
 use mealib_serve::{
@@ -117,7 +115,6 @@ fn main() {
         ..ServeConfig::default()
     };
     section("serving the stream");
-    let t0 = Instant::now();
     let (report, telemetry) = if extra.telemetry.is_some() {
         let tcfg = TelemetryConfig::standard(&catalogue);
         let (report, tele) =
@@ -126,7 +123,6 @@ fn main() {
     } else {
         (serve(&catalogue, &traffic, &config, &env), None)
     };
-    let wall_s = t0.elapsed().as_secs_f64();
 
     let mut table = TextTable::new(vec![
         "class",
@@ -221,7 +217,6 @@ fn main() {
     summary.metric("peak_queue_depth", report.peak_queue_depth as f64);
     summary.metric("plan_cache_hits", report.plan_cache_hits as f64);
     summary.metric("plans_planned", report.plans_planned as f64);
-    summary.metric("serve_wall_s", wall_s);
     for (class, s) in &class_stats {
         let key = class.replace('-', "_");
         // With telemetry the percentiles come from the streaming

@@ -21,8 +21,6 @@
 //! check; the perf gate floors it at 1.0 — the certifier is only fast
 //! if it is also right.
 
-use std::time::Instant;
-
 use mealib_bench::{banner, section, HarnessOpts, JsonSummary};
 use mealib_memsim::{simulate_tenants, SimOptions};
 use mealib_sim::TextTable;
@@ -154,19 +152,10 @@ fn main() {
     let env = BoundsEnv::default();
     let all = mixes(opts.small);
 
-    let mut table = TextTable::new(vec![
-        "mix",
-        "tenants",
-        "verdict",
-        "expected",
-        "confirmed",
-        "certify_ms",
-        "simulate_ms",
-    ]);
+    let mut table = TextTable::new(vec!["mix", "tenants", "verdict", "expected", "confirmed"]);
     let (mut admitted, mut rejected, mut unknown) = (0u32, 0u32, 0u32);
     let mut correct = 0u32;
     let mut tenants_total = 0u32;
-    let (mut certify_wall, mut simulate_wall) = (0.0f64, 0.0f64);
     let mut tightness_sum = 0.0f64;
     let mut tightness_n = 0u32;
 
@@ -176,10 +165,7 @@ fn main() {
         let set = parse_session_set(&src).expect("constructed manifests parse");
         tenants_total += mix.tenants.len() as u32;
 
-        let t0 = Instant::now();
         let cert = certify_set(&set, &env).expect("preset env validates");
-        let certify_s = t0.elapsed().as_secs_f64();
-        certify_wall += certify_s;
 
         match cert.verdict {
             Verdict::Admit => admitted += 1,
@@ -189,10 +175,7 @@ fn main() {
 
         // Replay the interleaved mix and hold the verdict to account.
         let cfg = resolved_set_config(&set, &env);
-        let t0 = Instant::now();
         let replay = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::dual_check());
-        let simulate_s = t0.elapsed().as_secs_f64();
-        simulate_wall += simulate_s;
         // DualCheck returns the cycle run; a tagged fast/cycle
         // divergence leaves the mix unconfirmed, so the
         // `verdict_correctness` floor catches engine bugs too.
@@ -226,8 +209,6 @@ fn main() {
             cert.verdict.to_string(),
             mix.expect.to_string(),
             if confirmed { "yes".into() } else { "NO".into() },
-            format!("{:.2}", certify_s * 1e3),
-            format!("{:.2}", simulate_s * 1e3),
         ]);
     }
     print!("{table}");
@@ -243,12 +224,7 @@ fn main() {
          ({correct}/{} confirmed by interleaved replay)",
         all.len()
     );
-    println!(
-        "certify {:.1} ms total vs replay {:.1} ms total; mean set elapsed tightness {:.3}",
-        certify_wall * 1e3,
-        simulate_wall * 1e3,
-        tightness
-    );
+    println!("mean set elapsed tightness {tightness:.3}");
 
     let mut summary = JsonSummary::new("tenant_mix");
     summary.metric("mixes", all.len() as f64);
@@ -258,8 +234,6 @@ fn main() {
     summary.metric("unknown", f64::from(unknown));
     summary.metric("verdict_correctness", correctness);
     summary.metric("bound_tightness", tightness);
-    summary.metric("certify_wall_s", certify_wall);
-    summary.metric("simulate_wall_s", simulate_wall);
     summary.emit(&opts);
 
     assert!(

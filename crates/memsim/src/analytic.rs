@@ -90,20 +90,6 @@ pub fn try_effective_bandwidth(
     Ok(try_estimate(config, pattern)?.achieved_bandwidth())
 }
 
-/// Effective sustainable bandwidth of `pattern` on `config`.
-///
-/// # Panics
-///
-/// Panics if `config` fails validation; use
-/// [`try_effective_bandwidth`] at lint time.
-pub fn effective_bandwidth(
-    config: &MemoryConfig,
-    pattern: &AccessPattern,
-) -> mealib_types::BytesPerSec {
-    try_effective_bandwidth(config, pattern)
-        .unwrap_or_else(|e| panic!("invalid memory configuration: {e}"))
-}
-
 fn startup_cycles(config: &MemoryConfig) -> u64 {
     let t = &config.timing;
     t.t_rcd + t.t_cl + t.t_burst

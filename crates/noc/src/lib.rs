@@ -343,11 +343,6 @@ impl Mesh {
         self.clock
     }
 
-    /// Static (idle) power of the mesh.
-    pub fn static_power(&self) -> Watts {
-        self.p_static
-    }
-
     /// Average power of the mesh while executing `stats`'s traffic.
     pub fn average_power(&self, stats: &NocStats) -> Watts {
         stats.energy.over(stats.elapsed)

@@ -1,8 +1,8 @@
 //! The versioned `BENCH_*.json` summary schema.
 //!
 //! Schema v1 is the perf-trajectory interchange format: one document per
-//! benchmark sweep, one record per harness, scalar metrics only, plus an
-//! optional harness wall time per record:
+//! benchmark sweep, one record per harness, scalar modeled or counted
+//! metrics only:
 //!
 //! ```json
 //! {
@@ -10,8 +10,7 @@
 //!   "generated_by": "scripts/bench_smoke.sh",
 //!   "benches": [
 //!     {"bench": "fig09_performance",
-//!      "metrics": {"avg_speedup": 23.6, ...},
-//!      "wall_s": 1.42}
+//!      "metrics": {"avg_speedup": 23.6, ...}}
 //!   ]
 //! }
 //! ```
@@ -19,50 +18,28 @@
 //! Earlier BENCH files (`BENCH_pr2.json`, `BENCH_pr4.json`) predate the
 //! version field; [`BenchSummary::parse`] accepts that legacy shape and
 //! converts it on the fly, which is also how `meaperf --convert` migrates
-//! files on disk. Metrics [`BenchRecord::is_wall_metric`] names (a
-//! `wall_s` suffix, say) are treated as wall-clock measurements by the
-//! trajectory gate (report-only on single-CPU CI); everything else is a
-//! modeled metric and gates hard.
+//! files on disk. Host wall time has no place here: it is measured by
+//! the separate `perfbench` benchmark. A record-level `wall_s` left in
+//! an older document is ignored on parse and never rendered.
 
 use crate::json::{array, parse, Object, Value};
 
 /// Current schema version emitted by the tooling.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
-/// One harness record: name, scalar metrics, optional harness wall time.
+/// One harness record: name and scalar metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Harness name, e.g. `"fig09_performance"`.
     pub bench: String,
     /// Scalar metrics in deterministic (sorted) key order.
     pub metrics: Vec<(String, f64)>,
-    /// Harness wall-clock seconds, when measured.
-    pub wall_s: Option<f64>,
 }
 
 impl BenchRecord {
     /// Looks up one metric by key.
     pub fn metric(&self, key: &str) -> Option<f64> {
         self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-    }
-
-    /// True when `key` names a wall-clock measurement (or a metric
-    /// derived from one, like a measured-throughput `*per_sec*` rate)
-    /// rather than a modeled metric.
-    pub fn is_wall_metric(key: &str) -> bool {
-        key.ends_with("wall_s")
-            || key.ends_with("_wall")
-            || key.contains("per_sec")
-            || Self::is_wall_speedup(key)
-    }
-
-    /// True for the wall-derived speedups whose names carry no wall
-    /// marker: `fast_over_cycle`, `engine_throughput`'s ratio of the
-    /// engines' measured burst rates. They are wall metrics whose
-    /// bigger values are better; the name stays for trajectory
-    /// continuity across BENCH files.
-    pub fn is_wall_speedup(key: &str) -> bool {
-        key == "fast_over_cycle"
     }
 }
 
@@ -156,12 +133,7 @@ impl BenchSummary {
                     .ok_or_else(|| format!("metric {bench}.{k} is not a number"))?;
                 metrics.push((k.clone(), n));
             }
-            let wall_s = rec.get("wall_s").and_then(Value::as_f64);
-            benches.push(BenchRecord {
-                bench,
-                metrics,
-                wall_s,
-            });
+            benches.push(BenchRecord { bench, metrics });
         }
         Ok(BenchSummary {
             schema_version,
@@ -184,9 +156,6 @@ impl BenchSummary {
                 let mut o = Object::new();
                 o.str("bench", &b.bench);
                 o.raw("metrics", metrics.render());
-                if let Some(w) = b.wall_s {
-                    o.num("wall_s", w);
-                }
                 o.render()
             })
             .collect();
@@ -232,12 +201,10 @@ mod tests {
         s.benches.push(BenchRecord {
             bench: "fig13_stap".into(),
             metrics: vec![("ee_gain".into(), 8.5), ("speedup".into(), 3.2)],
-            wall_s: Some(0.25),
         });
         let doc = s.render();
         let round = BenchSummary::parse(&doc).expect("parses");
         assert_eq!(round, s);
-        assert_eq!(round.bench("fig13_stap").unwrap().wall_s, Some(0.25));
     }
 
     #[test]
@@ -249,26 +216,5 @@ mod tests {
             r#"{"schema_version": 1, "benches": [{"bench": "x", "metrics": {"m": "oops"}}]}"#
         )
         .is_err());
-    }
-
-    #[test]
-    fn wall_metric_keys_are_recognized() {
-        assert!(BenchRecord::is_wall_metric("jobs1_wall_s"));
-        assert!(BenchRecord::is_wall_metric("wall_s"));
-        assert!(BenchRecord::is_wall_metric("speedup_wall"));
-        assert!(BenchRecord::is_wall_metric("fast_bursts_per_sec_per_core"));
-        assert!(!BenchRecord::is_wall_metric("avg_speedup"));
-        assert!(!BenchRecord::is_wall_metric("bandwidth_gbps"));
-    }
-
-    #[test]
-    fn fast_over_cycle_is_a_wall_speedup() {
-        // A ratio of two measured burst rates: wall-derived, so it must
-        // not gate like a bit-stable modeled metric.
-        assert!(BenchRecord::is_wall_metric("fast_over_cycle"));
-        assert!(BenchRecord::is_wall_speedup("fast_over_cycle"));
-        // Exact key only: modeled ratios stay modeled.
-        assert!(!BenchRecord::is_wall_speedup("fast_over_cycle_modeled"));
-        assert!(!BenchRecord::is_wall_metric("energy_over_baseline"));
     }
 }

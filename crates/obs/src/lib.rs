@@ -469,15 +469,6 @@ impl Breakdown {
         e
     }
 
-    /// Sum of wall time over all phases.
-    pub fn total_wall(&self) -> Seconds {
-        let mut t = Seconds::ZERO;
-        for totals in self.phases.values() {
-            t += totals.wall;
-        }
-        t
-    }
-
     /// Folds another breakdown into this one.
     pub fn merge(&mut self, other: &Breakdown) {
         for (phase, totals) in other.phases() {

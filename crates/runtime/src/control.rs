@@ -187,11 +187,6 @@ impl RunReport {
     pub fn overhead_time_fraction(&self) -> f64 {
         (self.invocation_time + self.run.setup_time).get() / self.total_time().get()
     }
-
-    /// Overhead as a fraction of total energy.
-    pub fn overhead_energy_fraction(&self) -> f64 {
-        (self.invocation_energy + self.run.setup_energy).get() / self.total_energy().get()
-    }
 }
 
 /// Cumulative runtime statistics.

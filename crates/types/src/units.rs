@@ -255,12 +255,6 @@ impl Hertz {
 }
 
 impl BytesPerSec {
-    /// Creates a data rate from GiB/s (2^30 bytes per second).
-    #[inline]
-    pub fn from_gib_per_sec(gib: f64) -> Self {
-        Self(gib * (1u64 << 30) as f64)
-    }
-
     /// Creates a data rate from GB/s (10^9 bytes per second).
     #[inline]
     pub fn from_gb_per_sec(gb: f64) -> Self {

@@ -58,12 +58,6 @@ impl ResourceSummary {
     pub fn total_energy(&self) -> Interval {
         self.dram.energy + self.accel_energy
     }
-
-    /// `true` when every buffer the program touches has a declared
-    /// extent, i.e. the intervals cover all of the program's traffic.
-    pub fn is_complete(&self) -> bool {
-        self.missing_extents.is_empty()
-    }
 }
 
 /// Resolves the session's `MEM` directive to a concrete memory

@@ -164,19 +164,6 @@ fn proves_admissible(set: &SessionSet, bounds: &SetBounds) -> bool {
     })
 }
 
-/// Parses `src` as a session-set manifest and certifies it; parse
-/// errors yield an empty report (the caller surfaces those as usage
-/// failures, matching [`crate::bounds::verify_source_bounds`]).
-pub fn verify_source_set(src: &str) -> Report {
-    match parse_session_set(src) {
-        Ok(set) => match certify_set(&set, &BoundsEnv::default()) {
-            Ok(cert) => cert.report,
-            Err(_) => Report::new(),
-        },
-        Err(_) => Report::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,29 +1,31 @@
 #!/usr/bin/env bash
 # Bench smoke: run every mealib-bench harness at reduced sizes with
 # --json, validate that each summary parses, and collect the records
-# into a schema-v1 BENCH file (first argument, default BENCH_pr10.json)
-# — the perf-trajectory data point for a change. Each record carries the
-# harness's wall time as `wall_s`.
+# into a schema-v1 BENCH file (first argument, default
+# target/bench_smoke/BENCH.json, which git ignores) — the
+# perf-trajectory data point for a change. Records carry modeled and
+# counted metrics only; host wall time is measured by perfbench/. To
+# record a new baseline, pass its path: scripts/bench_smoke.sh
+# BENCH_pr<N>.json.
 #
 # Also exercises:
 #   * the fig14 --trace path (every JSONL trace line parses);
 #   * the fig13 --profile path (the Chrome trace-event profile passes
 #     `meaperf --check-trace`'s round-trip validation);
 #   * the fig11 --jobs path: the design-space sweep runs at full size
-#     with --jobs 1 and --jobs 4, the two JSON summaries must be
+#     with --jobs 1 and --jobs 4, and the two JSON summaries must be
 #     byte-identical (parallelism may change wall time, never modeled
-#     outputs), and both wall times are recorded;
+#     outputs);
 #   * the fig11 --prune path: the MEA2xx static-bounds pruner must skip
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
 #   * the perf gate: when a baseline BENCH file exists (BASE env var,
 #     default: the highest-numbered BENCH_pr<N>.json tracked by git,
-#     other than OUT), `meaperf BASE OUT --wall-report-only` must pass
-#     — modeled metrics gate hard, wall metrics (noisy on a shared
-#     2-CPU host) are report-only;
-#   * the dual-engine floor: `meaperf --min` requires the fast engine's
-#     geomean speedup over the cycle oracle (engine_throughput's
-#     fast_over_cycle) to stay >= 5x, baseline or not;
+#     other than OUT), `meaperf BASE OUT` must pass — every metric
+#     gates hard;
+#   * the dual-engine floor: engine_throughput exits nonzero unless the
+#     fast engine's geomean speedup over the cycle oracle stays >= 5x,
+#     so the harness loop below stops on it, baseline or not;
 #   * the admission-control floor: tenant_mix's verdict_correctness
 #     must stay exactly 1 — every ADMIT/REJECT/UNKNOWN verdict the
 #     MEA3xx certifier hands out is confirmed against the interleaved
@@ -46,7 +48,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_pr10.json}"
+OUT="${1:-target/bench_smoke/BENCH.json}"
+mkdir -p "$(dirname "$OUT")"
 if [[ -z "${BASE:-}" ]]; then
   BASE="$(git ls-files 'BENCH_pr*.json' | grep -vxF "$OUT" \
     | sort -V | tail -n 1 || true)"
@@ -79,9 +82,6 @@ trap 'rm -rf "$tmpdir"' EXIT
 records="$tmpdir/records.jsonl"
 : > "$records"
 
-now_ns() { date +%s%N; }
-elapsed_s() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'; }
-
 tel_prefix="$tmpdir/serve_tel"
 
 for bin in "${BINS[@]}"; do
@@ -90,15 +90,13 @@ for bin in "${BINS[@]}"; do
   extra=()
   [[ "$bin" == "serve_traffic" ]] && extra=(--telemetry "$tel_prefix")
   echo "==> $bin --small --json ${extra[*]}"
-  t0="$(now_ns)"
-  line="$(./target/release/$bin --small --json "${extra[@]}" | tail -n 1)"
-  wall="$(elapsed_s "$t0" "$(now_ns)")"
+  line="$(./target/release/$bin --small --json "${extra[@]}" | tail -n 1)" \
+    || { echo "error: $bin failed" >&2; exit 1; }
   if [[ -n "$JQ" ]]; then
     echo "$line" | "$JQ" -e '.bench and (.metrics | type == "object")' > /dev/null \
       || { echo "error: $bin summary failed validation: $line" >&2; exit 1; }
   fi
-  # Attach the harness wall time to the record (schema v1 field).
-  echo "${line%\}},\"wall_s\":${wall}}" >> "$records"
+  echo "$line" >> "$records"
 done
 
 echo "==> fig14_breakdown --small --trace (JSONL validation)"
@@ -129,34 +127,22 @@ profile="$tmpdir/fig13_stap.trace.json"
 
 # Full-size fig11 at --jobs 1 vs --jobs 4: modeled outputs must not
 # depend on the worker count.
-echo "==> fig11_design_space --json --jobs 1 vs --jobs 4 (determinism + wall time)"
-t0="$(now_ns)"
+echo "==> fig11_design_space --json --jobs 1 vs --jobs 4 (determinism)"
 jobs1="$(./target/release/fig11_design_space --json --jobs 1 | tail -n 1)"
-t1="$(now_ns)"
 jobs4="$(./target/release/fig11_design_space --json --jobs 4 | tail -n 1)"
-t2="$(now_ns)"
 if [[ "$jobs1" != "$jobs4" ]]; then
   echo "error: fig11 summary differs between --jobs 1 and --jobs 4" >&2
   echo "  jobs1: $jobs1" >&2
   echo "  jobs4: $jobs4" >&2
   exit 1
 fi
-jobs1_wall_s="$(elapsed_s "$t0" "$t1")"
-jobs4_wall_s="$(elapsed_s "$t1" "$t2")"
-speedup_wall="$(awk -v a="$jobs1_wall_s" -v b="$jobs4_wall_s" 'BEGIN { printf "%.3f", (b > 0) ? a / b : 0 }')"
-echo "fig11 jobs scaling OK: identical summaries; jobs1 ${jobs1_wall_s}s, jobs4 ${jobs4_wall_s}s (${speedup_wall}x)"
-# All three keys are wall-derived, so they carry wall names and the
-# perf gate applies its (looser, demotable) wall threshold to them.
-printf '{"bench":"fig11_jobs_scaling","metrics":{"jobs1_wall_s":%s,"jobs4_wall_s":%s,"speedup_wall":%s}}\n' \
-  "$jobs1_wall_s" "$jobs4_wall_s" "$speedup_wall" >> "$records"
+echo "fig11 jobs OK: identical summaries under --jobs 1 and --jobs 4"
 
 # Full-size fig11 with the MEA2xx static-bounds pruner: the frontier
 # metrics must match the full sweep's exactly, and at least 30% of the
 # grid must be provably dominated (skipped without simulation).
 echo "==> fig11_design_space --json --prune (frontier identity + prune floor)"
-t0="$(now_ns)"
 pruned="$(./target/release/fig11_design_space --json --prune | tail -n 1)"
-prune_wall_s="$(elapsed_s "$t0" "$(now_ns)")"
 
 # Pull "key":value out of a one-line JSON summary without requiring jq.
 metric() { grep -o "\"$2\":[^,}]*" <<<"$1" | head -n 1 | cut -d: -f2; }
@@ -184,7 +170,7 @@ if (( pruned_total * 10 < 3 * grid * 2 )); then
   exit 1
 fi
 echo "fig11 prune OK: frontier identical; $pruned_total/$((grid * 2)) simulations pruned"
-echo "${pruned%\}},\"wall_s\":${prune_wall_s}}" >> "$records"
+echo "$pruned" >> "$records"
 
 if [[ -n "$JQ" ]]; then
   "$JQ" -s '{schema_version: 1, generated_by: "scripts/bench_smoke.sh", benches: .}' "$records" > "$OUT"
@@ -196,20 +182,19 @@ else
   } > "$OUT"
 fi
 
-# The dual-engine speedup is an absolute floor, not a trajectory
-# comparison, so it gates even without a baseline (self-compare).
-MIN_FLOORS=(--min "engine_throughput.fast_over_cycle=5"
-            --min "tenant_mix.verdict_correctness=1"
+# Absolute floors, not trajectory comparisons, so they gate even
+# without a baseline (self-compare).
+MIN_FLOORS=(--min "tenant_mix.verdict_correctness=1"
             --min "serve_traffic.admission_soundness=1"
             --min "serve_traffic.slo_conformance=1"
             --min "serve_traffic.certified_bounds_conformance=1")
 if [[ -f "$BASE" && "$BASE" != "$OUT" ]]; then
-  echo "==> meaperf $BASE $OUT (modeled metrics gate hard; wall report-only; floors)"
-  ./target/release/meaperf --wall-report-only "${MIN_FLOORS[@]}" "$BASE" "$OUT" \
+  echo "==> meaperf $BASE $OUT (every metric gates hard; floors)"
+  ./target/release/meaperf "${MIN_FLOORS[@]}" "$BASE" "$OUT" \
     || { echo "error: perf gate failed against $BASE" >&2; exit 1; }
 else
   echo "note: no baseline $BASE — checking the absolute floors only"
-  ./target/release/meaperf --wall-report-only "${MIN_FLOORS[@]}" "$OUT" "$OUT" \
+  ./target/release/meaperf "${MIN_FLOORS[@]}" "$OUT" "$OUT" \
     || { echo "error: absolute metric floor failed" >&2; exit 1; }
 fi
 
