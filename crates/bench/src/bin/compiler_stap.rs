@@ -2,9 +2,7 @@
 //! Listing 1 (the STAP fragment) — 16M+ library calls compacted into
 //! three accelerator descriptors.
 
-use mealib_bench::{banner, section, write_profile, HarnessOpts, JsonSummary};
-use mealib_obs::{Phase, Profile};
-use mealib_types::Seconds;
+use mealib_bench::{banner, section, HarnessOpts, JsonSummary};
 
 const LISTING1: &str = r#"
     int N_DOP = 256;
@@ -64,9 +62,7 @@ fn main() {
         "more than 16M cblas_cdotc_sub calls translate to one accelerator invocation",
     );
 
-    let started = std::time::Instant::now();
     let out = mealib_compiler::compile(LISTING1).expect("Listing 1 compiles");
-    let compile_wall = started.elapsed();
 
     section("statistics");
     println!("accelerable call sites:    {}", out.stats.accelerable_calls);
@@ -95,19 +91,5 @@ fn main() {
     summary.metric("dynamic_calls", out.stats.dynamic_calls as f64);
     summary.metric("descriptors", out.stats.descriptors as f64);
     summary.metric("chained_calls", out.stats.chained_calls as f64);
-    if opts.profile.is_some() {
-        // The compiler is host-side tooling, so its profile is the
-        // measured wall time of the translation itself — the only bench
-        // bin whose trace is not in modeled time.
-        let mut p = Profile::new();
-        p.interval(
-            "compiler",
-            Phase::Plan,
-            "compile Listing 1",
-            Seconds::ZERO,
-            Seconds::new(compile_wall.as_secs_f64()),
-        );
-        write_profile(&opts, &p);
-    }
     summary.emit(&opts);
 }

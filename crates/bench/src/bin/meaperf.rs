@@ -17,8 +17,6 @@
 //!   --json                     machine-readable report per comparison
 //!   --check-trace <FILE>       standalone: validate a Chrome trace-event
 //!                              profile (as written by --profile) and exit
-//!   --convert <FILE>           standalone: re-render a legacy BENCH file
-//!                              in the current schema on stdout and exit
 //! ```
 //!
 //! With more than two summaries, adjacent pairs are compared in
@@ -35,8 +33,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: meaperf [--threshold-pct N] [--min bench.key=N] [--json] \
          BENCH_old.json BENCH_new.json ...\n\
-         \x20      meaperf --check-trace FILE.trace.json\n\
-         \x20      meaperf --convert BENCH_legacy.json"
+         \x20      meaperf --check-trace FILE.trace.json"
     );
     ExitCode::from(2)
 }
@@ -75,18 +72,6 @@ fn check_trace(path: &str) -> ExitCode {
     }
 }
 
-fn convert(path: &str) -> ExitCode {
-    match load(path) {
-        Ok(summary) => {
-            // render() always emits the current schema version, so a
-            // legacy file parses as version 0 and re-renders upgraded.
-            print!("{}", summary.render());
-            ExitCode::SUCCESS
-        }
-        Err(code) => code,
-    }
-}
-
 fn main() -> ExitCode {
     let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut json = false;
@@ -107,12 +92,6 @@ fn main() -> ExitCode {
             "--check-trace" => {
                 return match args.next() {
                     Some(path) => check_trace(&path),
-                    None => usage(),
-                };
-            }
-            "--convert" => {
-                return match args.next() {
-                    Some(path) => convert(&path),
                     None => usage(),
                 };
             }
@@ -141,14 +120,6 @@ fn main() -> ExitCode {
             println!("{}", report.to_json());
         } else {
             println!("meaperf: {old_path} -> {new_path}");
-            for note in [&before, &after]
-                .iter()
-                .zip([old_path, new_path])
-                .filter(|(s, _)| s.is_legacy())
-                .map(|(_, p)| p)
-            {
-                println!("note {note}: legacy (pre-schema) file; consider --convert");
-            }
             print!("{}", report.render());
         }
         failed |= report.failed();

@@ -253,10 +253,7 @@ fn main() {
     spec.classes
         .retain(|c| matches!(c.class.as_str(), "stap-tiny" | "sar-chain-256"));
     let traffic = generate(&catalogue, &spec);
-    let config = ServeConfig {
-        jobs: opts.jobs.max(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig::default();
     for class in catalogue
         .classes()
         .filter(|c| matches!(c.name.as_str(), "stap-tiny" | "sar-chain-256"))

@@ -110,10 +110,7 @@ fn main() {
         spec.classes.len()
     );
 
-    let config = ServeConfig {
-        jobs: opts.jobs.max(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig::default();
     section("serving the stream");
     let (report, telemetry) = if extra.telemetry.is_some() {
         let tcfg = TelemetryConfig::standard(&catalogue);

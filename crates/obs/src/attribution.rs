@@ -42,7 +42,7 @@ pub enum Bound {
     Bandwidth,
     /// PE/host arithmetic dominated.
     Compute,
-    /// Control phases dominated: plan, encode, verify, flush, drain.
+    /// Control phases dominated: plan, verify, flush, drain.
     Overhead,
     /// Nothing was modeled as running.
     Idle,
@@ -173,7 +173,7 @@ impl Attribution {
             match iv.phase {
                 Phase::Dma => bw_t += t,
                 Phase::Compute => compute_t += t,
-                Phase::Plan | Phase::Encode | Phase::Verify | Phase::Flush | Phase::Drain => {
+                Phase::Plan | Phase::Verify | Phase::Flush | Phase::Drain => {
                     overhead_t += t;
                 }
             }

@@ -15,12 +15,11 @@
 //! }
 //! ```
 //!
-//! Earlier BENCH files (`BENCH_pr2.json`, `BENCH_pr4.json`) predate the
-//! version field; [`BenchSummary::parse`] accepts that legacy shape and
-//! converts it on the fly, which is also how `meaperf --convert` migrates
-//! files on disk. Host wall time has no place here: it is measured by
-//! the separate `perfbench` benchmark. A record-level `wall_s` left in
-//! an older document is ignored on parse and never rendered.
+//! [`BenchSummary::parse`] requires `"schema_version": 1`; a document
+//! without it is an error. Host wall time has no place here: it is
+//! measured by the separate `perfbench` benchmark. A record-level
+//! `wall_s` left in an older document is ignored on parse and never
+//! rendered.
 
 use crate::json::{array, parse, Object, Value};
 
@@ -46,8 +45,6 @@ impl BenchRecord {
 /// A parsed, schema-versioned BENCH summary document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSummary {
-    /// Schema version of the source document (legacy files parse as 0).
-    pub schema_version: u64,
     /// Producer string.
     pub generated_by: String,
     /// Per-harness records, document order.
@@ -58,7 +55,6 @@ impl BenchSummary {
     /// Starts an empty v1 summary.
     pub fn new(generated_by: &str) -> Self {
         Self {
-            schema_version: BENCH_SCHEMA_VERSION,
             generated_by: generated_by.to_string(),
             benches: Vec::new(),
         }
@@ -74,32 +70,24 @@ impl BenchSummary {
         self.bench(bench).and_then(|b| b.metric(key))
     }
 
-    /// True when the source document carried no `schema_version`.
-    pub fn is_legacy(&self) -> bool {
-        self.schema_version == 0
-    }
-
-    /// Parses a BENCH document — schema v1 or the legacy unversioned
-    /// shape (which is converted in place, `schema_version` reported
-    /// as 0).
+    /// Parses a schema-v1 BENCH document.
     ///
     /// # Errors
     ///
     /// Returns a description of the first structural problem: invalid
-    /// JSON, unsupported future version, or a malformed record.
+    /// JSON, a missing or unsupported `schema_version`, or a malformed
+    /// record.
     pub fn parse(text: &str) -> Result<BenchSummary, String> {
         let v = parse(text)?;
         let obj = v.as_object().ok_or("BENCH document is not an object")?;
-        let schema_version = match obj.get("schema_version") {
-            None => 0,
-            Some(v) => {
-                let n = v.as_f64().ok_or("schema_version is not a number")?;
-                if n != 1.0 {
-                    return Err(format!("unsupported schema_version {n}"));
-                }
-                1
-            }
-        };
+        let version = obj
+            .get("schema_version")
+            .ok_or("missing schema_version")?
+            .as_f64()
+            .ok_or("schema_version is not a number")?;
+        if version != BENCH_SCHEMA_VERSION as f64 {
+            return Err(format!("unsupported schema_version {version}"));
+        }
         let generated_by = obj
             .get("generated_by")
             .and_then(Value::as_str)
@@ -136,14 +124,12 @@ impl BenchSummary {
             benches.push(BenchRecord { bench, metrics });
         }
         Ok(BenchSummary {
-            schema_version,
             generated_by,
             benches,
         })
     }
 
-    /// Renders the summary as a schema-v1 document (regardless of the
-    /// version it was parsed from — rendering *is* the conversion).
+    /// Renders the summary as a schema-v1 document.
     pub fn render(&self) -> String {
         let records: Vec<String> = self
             .benches
@@ -171,30 +157,6 @@ impl BenchSummary {
 mod tests {
     use super::*;
 
-    const LEGACY: &str = r#"{
-      "generated_by": "scripts/bench_smoke.sh",
-      "benches": [
-        {"bench": "fig09_performance",
-         "metrics": {"avg_speedup": 23.6, "speedup_fft": 38.1}},
-        {"bench": "fig11_jobs_scaling",
-         "metrics": {"jobs1_wall_s": 6.55, "jobs4_wall_s": 6.59, "speedup": 0.994}}
-      ]
-    }"#;
-
-    #[test]
-    fn legacy_documents_parse_and_convert() {
-        let s = BenchSummary::parse(LEGACY).expect("legacy parses");
-        assert!(s.is_legacy());
-        assert_eq!(s.benches.len(), 2);
-        assert_eq!(s.metric("fig09_performance", "avg_speedup"), Some(23.6));
-
-        let converted = s.render();
-        let round = BenchSummary::parse(&converted).expect("converted parses");
-        assert_eq!(round.schema_version, BENCH_SCHEMA_VERSION);
-        assert!(!round.is_legacy());
-        assert_eq!(round.benches, s.benches);
-    }
-
     #[test]
     fn v1_documents_round_trip_exactly() {
         let mut s = BenchSummary::new("test");
@@ -212,6 +174,7 @@ mod tests {
         assert!(BenchSummary::parse("[]").is_err());
         assert!(BenchSummary::parse(r#"{"schema_version": 2, "benches": []}"#).is_err());
         assert!(BenchSummary::parse(r#"{"schema_version": 1}"#).is_err());
+        assert!(BenchSummary::parse(r#"{"benches": []}"#).is_err());
         assert!(BenchSummary::parse(
             r#"{"schema_version": 1, "benches": [{"bench": "x", "metrics": {"m": "oops"}}]}"#
         )

@@ -4,11 +4,13 @@
 //! end-of-run aggregates; this crate adds the *attribution* layer the
 //! paper's Figure 14 is built on. Two primitives:
 //!
-//! * **Spans** — phase-labeled `(modeled time, modeled energy, wall
-//!   time)` events. The phase taxonomy follows the software stack's
-//!   life of a call: `plan`/`encode`/`verify` (host-side descriptor
-//!   preparation, wall-clocked), `flush`/`dma`/`compute`/`drain`
-//!   (modeled device-side cost).
+//! * **Spans** — phase-labeled `(modeled time, modeled energy)`
+//!   events. The phase taxonomy follows the software stack's life of a
+//!   call: `plan` (CU descriptor decode, session arrivals), `verify`
+//!   (admission decisions), `flush`/`dma`/`compute`/`drain` (modeled
+//!   device-side cost). Every recorded quantity is modeled or counted,
+//!   never host wall time, so two identical runs record byte-identical
+//!   traces.
 //! * **Counters** — a typed registry of micro-architectural event
 //!   counts (DRAM ACT/PRE/RD/WR, NoC flits, CU fetch/decode/loop
 //!   statistics, allocator traffic), optionally per-lane (e.g. per
@@ -60,19 +62,18 @@ use std::sync::{Arc, Mutex};
 
 /// The phase taxonomy for span events.
 ///
-/// `Plan`, `Encode` and `Verify` are host-side software phases (their
-/// modeled time is zero; the wall clock captures real library
-/// overhead). The remaining phases partition the modeled device time:
-/// `Flush` (cache flush + driver invocation), `Dma` (descriptor fetch,
-/// configuration broadcast and memory streaming), `Compute` (PE
-/// arithmetic) and `Drain` (result gather).
+/// `Plan` carries the CU's modeled descriptor decode and the serving
+/// loop's zero-cost session-arrival markers; `Verify` carries its
+/// zero-cost admission-decision markers. The remaining
+/// phases partition the modeled device time: `Flush` (cache flush +
+/// driver invocation), `Dma` (descriptor fetch, configuration broadcast
+/// and memory streaming), `Compute` (PE arithmetic) and `Drain` (result
+/// gather).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// TDL parsing / planning on the host.
+    /// CU descriptor decode ahead of the passes; session arrivals.
     Plan,
-    /// Descriptor encoding on the host.
-    Encode,
-    /// Static verification (mealint) on the host.
+    /// Admission decisions of the serving loop.
     Verify,
     /// Cache flush + driver round trip before an invocation.
     Flush,
@@ -86,9 +87,8 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in taxonomy order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 6] = [
         Phase::Plan,
-        Phase::Encode,
         Phase::Verify,
         Phase::Flush,
         Phase::Dma,
@@ -100,7 +100,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Plan => "plan",
-            Phase::Encode => "encode",
             Phase::Verify => "verify",
             Phase::Flush => "flush",
             Phase::Dma => "dma",
@@ -243,9 +242,6 @@ pub struct SpanEvent {
     pub time: Seconds,
     /// Modeled energy attributed to this span.
     pub energy: Joules,
-    /// Wall-clock time spent in the library (host phases only;
-    /// zero for modeled device phases).
-    pub wall: Seconds,
 }
 
 /// A sink for instrumentation events. Methods take `&self`;
@@ -258,7 +254,7 @@ pub trait Recorder {
     fn record_count(&self, key: CounterKey, value: u64);
     /// Records a batch of events in order. The default forwards one by
     /// one; lock-based sinks override this to take their lock once per
-    /// batch instead of once per event (see [`SpoolRecorder`]).
+    /// batch instead of once per event.
     fn record_batch(&self, events: &[TraceEvent]) {
         for event in events {
             match event {
@@ -301,33 +297,21 @@ impl Obs {
     }
 
     /// The installed recorder, if any. Lets infrastructure (e.g. the
-    /// sweep's per-worker spool) interpose another recorder in front of
-    /// the user's sink.
+    /// sweep, which records each run on its own and feeds the sink in
+    /// input order) interpose another recorder in front of the user's
+    /// sink.
     pub fn recorder(&self) -> Option<Arc<dyn Recorder + Send + Sync>> {
         self.0.clone()
     }
 
-    /// Records a modeled span (no wall time).
+    /// Records a modeled span.
     pub fn span(&self, phase: Phase, label: &str, time: Seconds, energy: Joules) {
-        self.span_wall(phase, label, time, energy, Seconds::ZERO);
-    }
-
-    /// Records a span with an explicit wall-clock component.
-    pub fn span_wall(
-        &self,
-        phase: Phase,
-        label: &str,
-        time: Seconds,
-        energy: Joules,
-        wall: Seconds,
-    ) {
         if let Some(rec) = &self.0 {
             rec.record_span(&SpanEvent {
                 phase,
                 label: label.to_string(),
                 time,
                 energy,
-                wall,
             });
         }
     }
@@ -371,24 +355,12 @@ impl Obs {
 }
 
 /// Accumulated time/energy for one phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTotals {
     /// Modeled time.
     pub time: Seconds,
     /// Modeled energy.
     pub energy: Joules,
-    /// Wall-clock time (host phases).
-    pub wall: Seconds,
-}
-
-impl Default for PhaseTotals {
-    fn default() -> Self {
-        Self {
-            time: Seconds::ZERO,
-            energy: Joules::ZERO,
-            wall: Seconds::ZERO,
-        }
-    }
 }
 
 /// Per-phase totals plus the counter registry — the generalized
@@ -408,15 +380,9 @@ impl Breakdown {
 
     /// Adds a modeled (time, energy) contribution to `phase`.
     pub fn add_phase(&mut self, phase: Phase, time: Seconds, energy: Joules) {
-        self.add_phase_wall(phase, time, energy, Seconds::ZERO);
-    }
-
-    /// Adds a contribution with a wall-clock component.
-    pub fn add_phase_wall(&mut self, phase: Phase, time: Seconds, energy: Joules, wall: Seconds) {
         let slot = self.phases.entry(phase).or_default();
         slot.time += time;
         slot.energy += energy;
-        slot.wall += wall;
     }
 
     /// Adds `value` to a counter key.
@@ -472,7 +438,7 @@ impl Breakdown {
     /// Folds another breakdown into this one.
     pub fn merge(&mut self, other: &Breakdown) {
         for (phase, totals) in other.phases() {
-            self.add_phase_wall(phase, totals.time, totals.energy, totals.wall);
+            self.add_phase(phase, totals.time, totals.energy);
         }
         for (key, value) in other.counters() {
             self.add_count(key, value);
@@ -492,7 +458,6 @@ impl Breakdown {
             let mut o = json::Object::new();
             o.num("time_s", totals.time.get());
             o.num("energy_j", totals.energy.get());
-            o.num("wall_s", totals.wall.get());
             phases.raw(phase.name(), o.render());
         }
         let mut counters = json::Object::new();
@@ -535,7 +500,6 @@ impl TraceEvent {
                 o.str("label", &s.label);
                 o.num("time_s", s.time.get());
                 o.num("energy_j", s.energy.get());
-                o.num("wall_s", s.wall.get());
                 o.render()
             }
             TraceEvent::Count { key, value } => {
@@ -624,7 +588,7 @@ impl Recorder for TraceRecorder {
         let mut inner = self.lock();
         inner
             .breakdown
-            .add_phase_wall(event.phase, event.time, event.energy, event.wall);
+            .add_phase(event.phase, event.time, event.energy);
         inner.events.push(TraceEvent::Span(event.clone()));
     }
 
@@ -637,8 +601,8 @@ impl Recorder for TraceRecorder {
         inner.events.push(TraceEvent::Count { key, value });
     }
 
-    /// One lock acquisition for the whole batch — this is what makes the
-    /// per-worker [`SpoolRecorder`] drain cheap under `--jobs N`.
+    /// One lock acquisition for the whole batch, which is how a sweep
+    /// hands each run's events to a shared sink.
     fn record_batch(&self, events: &[TraceEvent]) {
         if events.is_empty() {
             return;
@@ -646,93 +610,11 @@ impl Recorder for TraceRecorder {
         let mut inner = self.lock();
         for event in events {
             match event {
-                TraceEvent::Span(s) => {
-                    inner
-                        .breakdown
-                        .add_phase_wall(s.phase, s.time, s.energy, s.wall);
-                }
+                TraceEvent::Span(s) => inner.breakdown.add_phase(s.phase, s.time, s.energy),
                 TraceEvent::Count { key, value } => inner.breakdown.add_count(*key, *value),
             }
             inner.events.push(event.clone());
         }
-    }
-}
-
-/// A per-worker buffering recorder.
-///
-/// Under a parallel sweep every worker used to contend on the shared
-/// [`TraceRecorder`] mutex for *every* span and counter event. A
-/// `SpoolRecorder` sits in front of the shared sink, accumulates the
-/// worker's events in a local (uncontended) buffer, and hands them to the
-/// target in one [`Recorder::record_batch`] call at drain time — one lock
-/// acquisition per run instead of one per event. Event order within a
-/// worker is preserved; cross-worker interleaving is batch-granular,
-/// which is fine because [`Breakdown`] merging is commutative.
-pub struct SpoolRecorder {
-    target: Arc<dyn Recorder + Send + Sync>,
-    buffer: Mutex<Vec<TraceEvent>>,
-}
-
-impl fmt::Debug for SpoolRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SpoolRecorder")
-            .field("buffered", &self.buffered())
-            .finish()
-    }
-}
-
-impl SpoolRecorder {
-    /// Creates a spool in front of `target`.
-    pub fn new(target: Arc<dyn Recorder + Send + Sync>) -> Self {
-        Self {
-            target,
-            buffer: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Creates a shared spool in front of `target`.
-    pub fn shared(target: Arc<dyn Recorder + Send + Sync>) -> Arc<Self> {
-        Arc::new(Self::new(target))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        self.buffer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Number of events waiting in the buffer.
-    pub fn buffered(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Drains the buffer into the target with a single batch call.
-    pub fn flush(&self) {
-        let events = std::mem::take(&mut *self.lock());
-        if !events.is_empty() {
-            self.target.record_batch(&events);
-        }
-    }
-}
-
-impl Drop for SpoolRecorder {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl Recorder for SpoolRecorder {
-    fn record_span(&self, event: &SpanEvent) {
-        self.lock().push(TraceEvent::Span(event.clone()));
-    }
-
-    fn record_count(&self, key: CounterKey, value: u64) {
-        if value == 0 {
-            return;
-        }
-        self.lock().push(TraceEvent::Count { key, value });
-    }
-
-    fn record_batch(&self, events: &[TraceEvent]) {
-        self.lock().extend_from_slice(events);
     }
 }
 
@@ -799,13 +681,7 @@ mod tests {
     fn jsonl_round_trips_through_the_parser() {
         let rec = TraceRecorder::shared();
         let obs = Obs::new(rec.clone());
-        obs.span_wall(
-            Phase::Plan,
-            "parse \"tdl\"",
-            Seconds::ZERO,
-            Joules::ZERO,
-            s(1.5e-6),
-        );
+        obs.span(Phase::Plan, "decode \"tdl\"", s(1.5e-6), Joules::ZERO);
         obs.span(Phase::Compute, "pass0", s(1.25e-3), j(3.5e-2));
         obs.count_lane(Counter::DramAct, 12, 345);
         let jsonl = rec.to_jsonl();
@@ -821,8 +697,9 @@ mod tests {
             first.get("phase").and_then(json::Value::as_str),
             Some("plan")
         );
-        let wall = first.get("wall_s").and_then(json::Value::as_f64).unwrap();
-        assert!((wall - 1.5e-6).abs() < 1e-18);
+        let time = first.get("time_s").and_then(json::Value::as_f64).unwrap();
+        assert!((time - 1.5e-6).abs() < 1e-18);
+        assert!(first.get("wall_s").is_none());
     }
 
     #[test]
@@ -854,39 +731,6 @@ mod tests {
             counters.get("dram_act[1]").and_then(json::Value::as_f64),
             Some(4.0)
         );
-    }
-
-    #[test]
-    fn spool_buffers_until_flush_and_preserves_order() {
-        let sink = TraceRecorder::shared();
-        let spool = SpoolRecorder::shared(sink.clone());
-        let obs = Obs::new(spool.clone());
-        obs.span(Phase::Dma, "a", s(1.0), j(2.0));
-        obs.count_lane(Counter::DramAct, 4, 7);
-        obs.span(Phase::Compute, "b", s(3.0), j(1.0));
-        assert_eq!(spool.buffered(), 3);
-        assert!(sink.is_empty(), "nothing reaches the sink before flush");
-
-        spool.flush();
-        assert_eq!(spool.buffered(), 0);
-        let events = sink.events();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(&events[0], TraceEvent::Span(e) if e.label == "a"));
-        assert!(matches!(&events[1], TraceEvent::Count { value: 7, .. }));
-        let bd = sink.breakdown();
-        assert_eq!(bd.total_time(), s(4.0));
-        assert_eq!(bd.counter(Counter::DramAct), 7);
-    }
-
-    #[test]
-    fn spool_drop_flushes_remaining_events() {
-        let sink = TraceRecorder::shared();
-        {
-            let spool = SpoolRecorder::new(sink.clone());
-            Obs::new(Arc::new(spool)).span(Phase::Flush, "tail", s(0.5), j(0.0));
-        }
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.breakdown().phase(Phase::Flush).time, s(0.5));
     }
 
     #[test]

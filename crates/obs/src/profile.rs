@@ -4,7 +4,7 @@
 //! run:
 //!
 //! * **phase intervals** ([`IntervalEvent`]) — `accel`/`runtime`/`host`
-//!   phases (plan, encode, flush, DMA, compute, drain) with start/end in
+//!   phases (plan, flush, DMA, compute, drain) with start/end in
 //!   modeled seconds, grouped into named tracks;
 //! * **counter timelines** ([`TimelineTrack`]) — cycle-windowed
 //!   [`Timeline`]s from the DRAM engine and the NoC, anchored to modeled

@@ -133,13 +133,12 @@ fn apply(doc: &str, m: Mutation) -> String {
 }
 
 /// Parses `text` as BENCH and, on success, checks the rendered form:
-/// it parses again, is schema v1 and carries no `wall_s`.
+/// it parses again (so it is schema v1) and carries no `wall_s`.
 fn check_bench(text: &str) {
     if let Ok(summary) = BenchSummary::parse(text) {
         let rendered = summary.render();
         assert!(!rendered.contains("wall_s"), "{rendered}");
         let again = BenchSummary::parse(&rendered).expect("rendered summaries parse");
-        assert!(!again.is_legacy());
         assert_eq!(again.benches.len(), summary.benches.len());
     }
 }

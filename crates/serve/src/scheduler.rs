@@ -62,8 +62,6 @@ pub struct ServeConfig {
     pub backoff_base: u64,
     /// What to do with UNKNOWN verdicts (never admit).
     pub unknown_policy: UnknownPolicy,
-    /// Worker threads for the epoch replay (bit-exact at any value).
-    pub jobs: usize,
     /// Request-slot arrival stagger between batch positions.
     pub stagger_slots: u64,
     /// Drain deadline: at this epoch everything still unserved is shed
@@ -83,7 +81,6 @@ impl Default for ServeConfig {
             max_retries: 3,
             backoff_base: 1,
             unknown_policy: UnknownPolicy::Retry,
-            jobs: 1,
             stagger_slots: 64,
             max_epochs: u64::MAX,
             asym_split: None,
@@ -434,11 +431,8 @@ fn serve_core(
             }
             let cfg = resolved_set_config(&set, gate.env());
             let streams = tenant_streams(&set);
-            let opts = SimOptions {
-                jobs: config.jobs,
-                ..SimOptions::default()
-            };
-            let run = simulate_tenants(&cfg, &streams, &opts).expect("certified batches replay");
+            let run = simulate_tenants(&cfg, &streams, &SimOptions::default())
+                .expect("certified batches replay");
             obs.span(
                 Phase::Verify,
                 &format!("admit-e{epoch}"),

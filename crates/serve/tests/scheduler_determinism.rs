@@ -2,9 +2,9 @@
 //! of (catalogue, traffic, config, environment).
 //!
 //! Same seed ⇒ bit-identical admission decisions, queue orders, and
-//! per-tenant attribution — across repeated runs AND across replay
-//! worker counts (`jobs` shards the engine, never the result). The
-//! conservation invariant rides along: every generated session gets
+//! per-tenant attribution across repeated runs. The epoch replay is
+//! serial, so there is no worker count to vary. The conservation
+//! invariant rides along: every generated session gets
 //! exactly one terminal disposition, and per-class served bytes
 //! reconcile against the traffic generator's emitted-byte ledger.
 
@@ -52,38 +52,18 @@ fn ten_replays_are_bit_identical() {
     }
 }
 
-#[test]
-fn worker_count_never_changes_the_run() {
-    let cat = catalogue();
-    let traffic = generate(cat, &small_spec(77, 4, 2.0));
-    let env = BoundsEnv::default();
-    let baseline = serve(cat, &traffic, &ServeConfig::default(), &env).fingerprint();
-    for jobs in [2usize, 4] {
-        let config = ServeConfig {
-            jobs,
-            ..ServeConfig::default()
-        };
-        let fp = serve(cat, &traffic, &config, &env).fingerprint();
-        assert_eq!(fp, baseline, "jobs={jobs} diverged from the serial run");
-    }
-}
-
 /// The telemetry artifacts inherit the scheduler's determinism: ten
-/// repeats and every worker count render byte-identical expositions,
-/// snapshot streams, and lifecycle traces (the sketches, windows, and
-/// trace events are all fed in scheduler order, which `jobs` never
-/// changes).
+/// repeats render byte-identical expositions, snapshot streams, and
+/// lifecycle traces (the sketches, windows, and trace events are all
+/// fed in scheduler order).
 #[test]
-fn telemetry_artifacts_are_bit_identical_across_repeats_and_jobs() {
+fn telemetry_artifacts_are_bit_identical_across_repeats() {
     let cat = catalogue();
     let traffic = generate(cat, &small_spec(555, 4, 1.5));
     let env = BoundsEnv::default();
     let tcfg = TelemetryConfig::standard(cat);
-    let run = |jobs: usize| {
-        let config = ServeConfig {
-            jobs,
-            ..ServeConfig::default()
-        };
+    let config = ServeConfig::default();
+    let run = || {
         let (report, tele) = serve_with_telemetry(cat, &traffic, &config, &env, &Obs::off(), &tcfg);
         tele.reconcile(&report).expect("telemetry reconciles");
         (
@@ -92,12 +72,9 @@ fn telemetry_artifacts_are_bit_identical_across_repeats_and_jobs() {
             tele.chrome_trace(),
         )
     };
-    let baseline = run(1);
+    let baseline = run();
     for rep in 1..10 {
-        assert_eq!(run(1), baseline, "repeat {rep} diverged");
-    }
-    for jobs in [2usize, 4] {
-        assert_eq!(run(jobs), baseline, "jobs={jobs} diverged");
+        assert_eq!(run(), baseline, "repeat {rep} diverged");
     }
 }
 

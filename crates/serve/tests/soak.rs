@@ -30,7 +30,6 @@ fn diurnal_soak_holds_every_invariant() {
     let config = ServeConfig {
         max_resident: 6,
         queue_cap: 32,
-        jobs: 2,
         ..ServeConfig::default()
     };
     let report = serve(&cat, &traffic, &config, &BoundsEnv::default());
@@ -103,7 +102,6 @@ fn streaming_telemetry_soak_is_bounded_memory() {
     let config = ServeConfig {
         max_resident: 6,
         queue_cap: 32,
-        jobs: 2,
         ..ServeConfig::default()
     };
     let tcfg = TelemetryConfig::standard(&cat);

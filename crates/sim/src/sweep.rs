@@ -8,17 +8,18 @@
 //! sinks, the [`preflight`](crate::preflight) verdict cache, the
 //! sanitizer state) are behind `Arc`/`Mutex`/`OnceLock` — so fanning the
 //! calls across a bounded worker pool preserves every per-run result
-//! bit-for-bit. Only the *interleaving* of recorder events differs, and
-//! [`mealib_obs::Breakdown`] merging is commutative, so per-run
-//! reconciliation still holds.
+//! bit-for-bit.
 //!
-//! When a recorder is installed and `jobs > 1`, each run records into a
-//! private [`SpoolRecorder`] that is drained into the shared sink with
-//! one batched (single-lock) call per run — workers never contend on the
-//! sink's mutex per event, only once per experiment.
+//! When a recorder is installed, each run records into its own
+//! [`TraceRecorder`], and the sweep feeds those event logs to the shared
+//! sink in input order, one
+//! [`Recorder::record_batch`](mealib_obs::Recorder::record_batch) per
+//! run. The sink therefore sees the same events in the same order at
+//! every `jobs` value, and its floating-point phase totals are summed in
+//! that order too, so a traced sweep is byte-identical to the serial one.
 
 use mealib_accel::AccelParams;
-use mealib_obs::{Obs, SpoolRecorder};
+use mealib_obs::TraceRecorder;
 
 use crate::experiment::{run_experiment, ExperimentOptions, ExperimentReport};
 
@@ -30,9 +31,9 @@ use crate::experiment::{run_experiment, ExperimentOptions, ExperimentReport};
 /// runs serially on the calling thread. Results are
 /// positionally identical to the serial loop regardless of `jobs`: the
 /// scheduling is handled by [`mealib_types::par_map`], which reassembles
-/// results by index. Recorder events are spooled per run and delivered
-/// to the shared sink in one batch each, so an enabled recorder does not
-/// serialize the workers on its mutex.
+/// results by index. Recorder events are collected per run and
+/// delivered to the shared sink in input order, one batch per run, so
+/// the sink's contents do not depend on `jobs` either.
 ///
 /// When an active [`Sanitizer`](mealib_runtime::Sanitizer) is installed
 /// in `opts`, the sweep degrades to serial execution: all runs share the
@@ -48,16 +49,20 @@ pub fn run_sweep(
     } else {
         mealib_types::auto_jobs(jobs)
     };
-    match (jobs > 1).then(|| opts.obs.recorder()).flatten() {
-        Some(sink) => mealib_types::par_map(ops, jobs, move |op| {
-            let spool = SpoolRecorder::shared(sink.clone());
-            let local = opts.clone().obs(Obs::new(spool.clone()));
-            let result = run_experiment(op, &local);
-            spool.flush();
+    let Some(sink) = opts.obs.recorder() else {
+        return mealib_types::par_map(ops, jobs, |op| run_experiment(op, opts));
+    };
+    let runs = mealib_types::par_map(ops, jobs, |op| {
+        let local = TraceRecorder::shared();
+        let result = run_experiment(op, &opts.clone().recorder(local.clone()));
+        (result, local.events())
+    });
+    runs.into_iter()
+        .map(|(result, events)| {
+            sink.record_batch(&events);
             result
-        }),
-        None => mealib_types::par_map(ops, jobs, |op| run_experiment(op, opts)),
-    }
+        })
+        .collect()
 }
 
 /// The sweep fans one `ExperimentOptions` out to all workers by shared
@@ -148,10 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn spooled_parallel_recording_matches_serial_recording() {
-        // jobs=1 records straight into the sink; jobs=4 goes through the
-        // per-worker spools. Integer counters must agree exactly (u64
-        // sums commute); float totals agree up to summation order.
+    fn parallel_recording_equals_serial_recording_exactly() {
+        // Every run records on its own and the sink is fed in input
+        // order, so the event log and the float phase totals are
+        // identical under any worker count, not merely close.
         let ops = small_ops();
         let serial_rec = TraceRecorder::shared();
         let serial = run_sweep(
@@ -170,18 +175,14 @@ mod tests {
             let p = p.as_ref().expect("preflight clean");
             assert_eq!(s.comparison, p.comparison, "results must not change");
         }
-        let s = serial_rec.breakdown();
-        let p = par_rec.breakdown();
-        for c in [
-            mealib_obs::Counter::DramAct,
-            mealib_obs::Counter::DramRdBytes,
-            mealib_obs::Counter::CuPasses,
-            mealib_obs::Counter::NocFlits,
-        ] {
-            assert_eq!(s.counter(c), p.counter(c), "{c:?}");
-        }
-        let (st, pt) = (s.total_time().get(), p.total_time().get());
-        assert!((st - pt).abs() <= 1e-9 * st.abs(), "{st} vs {pt}");
+        assert!(!serial_rec.is_empty());
+        assert_eq!(serial_rec.events(), par_rec.events());
+        assert_eq!(serial_rec.breakdown(), par_rec.breakdown());
+        assert_eq!(serial_rec.to_jsonl(), par_rec.to_jsonl());
+        assert_eq!(
+            serial_rec.breakdown().to_json(),
+            par_rec.breakdown().to_json()
+        );
     }
 
     #[test]

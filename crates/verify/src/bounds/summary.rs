@@ -120,26 +120,13 @@ pub fn summarize(
     let cfg = resolve_layer(layer, stack, host);
     let e = elaborate(session);
     let dram = trace_bounds(&cfg, &e.trace)?;
-
-    // Modeled accelerator energy: every comp in a chain streams the
-    // phase's bytes through its datapath (floor); leakage of the
-    // accelerator kinds actually deployed accrues for at most the
-    // elapsed upper bound.
-    let mut datapath_j = 0.0;
-    let mut leakage_w = 0.0;
-    let mut seen = std::collections::BTreeSet::new();
-    let mut max_chain_len = 0usize;
-    for phase in &e.phases {
-        max_chain_len = max_chain_len.max(phase.chain_len());
-        for &accel in &phase.accels {
-            let prof = power::profile(accel);
-            datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
-            if seen.insert(accel) {
-                leakage_w += prof.p_leakage.get();
-            }
-        }
-    }
-    let accel_energy = Interval::new(datapath_j, datapath_j + leakage_w * dram.elapsed.hi);
+    let accel_energy = accel_energy(&e.phases, dram.elapsed.hi);
+    let max_chain_len = e
+        .phases
+        .iter()
+        .map(PhaseTraffic::chain_len)
+        .max()
+        .unwrap_or(0);
 
     let capacity = session
         .budgets
@@ -161,4 +148,24 @@ pub fn summarize(
         phases: e.phases,
         missing_extents: e.missing_extents,
     })
+}
+
+/// Modeled accelerator energy under the Table-5 synthesis constants:
+/// every comp in a chain streams its phase's bytes through its datapath
+/// (the floor), and the leakage of each accelerator kind deployed
+/// accrues for at most `elapsed_hi` seconds (the ceiling).
+pub(crate) fn accel_energy(phases: &[PhaseTraffic], elapsed_hi: f64) -> Interval {
+    let mut datapath_j = 0.0;
+    let mut leakage_w = 0.0;
+    let mut seen = std::collections::BTreeSet::new();
+    for phase in phases {
+        for &accel in &phase.accels {
+            let prof = power::profile(accel);
+            datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
+            if seen.insert(accel) {
+                leakage_w += prof.p_leakage.get();
+            }
+        }
+    }
+    Interval::new(datapath_j, datapath_j + leakage_w * elapsed_hi)
 }

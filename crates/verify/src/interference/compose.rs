@@ -51,13 +51,13 @@
 //!
 //! [`interleave_tenants`]: mealib_memsim::interleave_tenants
 
-use mealib_accel::power;
 use mealib_memsim::bounds::{tagged_trace_bounds, TraceBounds};
 use mealib_memsim::{interleave_tenants, MemoryConfig, TenantStream};
 use mealib_types::{BytesPerSec, ConfigError, Interval, Seconds};
 
 use super::manifest::SessionSet;
 use crate::bounds::elaborate;
+use crate::bounds::summary::accel_energy;
 use crate::bounds::BoundsEnv;
 use crate::dataflow::{Budgets, MemLayer};
 
@@ -216,22 +216,6 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
             )
         };
 
-        // Modeled accelerator energy, same Table-5 pricing as the
-        // single-program summary: datapath floor, leakage of deployed
-        // kinds for at most the set-level elapsed ceiling.
-        let mut datapath_j = 0.0;
-        let mut leakage_w = 0.0;
-        let mut seen = std::collections::BTreeSet::new();
-        for phase in &phases {
-            for &accel in &phase.accels {
-                let prof = power::profile(accel);
-                datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
-                if seen.insert(accel) {
-                    leakage_w += prof.p_leakage.get();
-                }
-            }
-        }
-
         tenants.push(TenantBounds {
             name: decl.name.clone(),
             bytes_read: Interval::exact(own.bytes_read as f64),
@@ -242,7 +226,8 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
             cycles,
             elapsed,
             energy,
-            accel_energy: Interval::new(datapath_j, datapath_j + leakage_w * set_tb.elapsed.hi),
+            // Leakage accrues for at most the set-level elapsed ceiling.
+            accel_energy: accel_energy(&phases, set_tb.elapsed.hi),
             budgets: decl.session.budgets,
             missing_extents,
         });

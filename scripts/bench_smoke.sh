@@ -16,6 +16,9 @@
 #     with --jobs 1 and --jobs 4, and the two JSON summaries must be
 #     byte-identical (parallelism may change wall time, never modeled
 #     outputs);
+#   * the traced --jobs path: fig09 --small --profile at --jobs 1 and
+#     --jobs 4 must write byte-identical profiles (the sweep feeds the
+#     recorder in input order at any worker count);
 #   * the fig11 --prune path: the MEA2xx static-bounds pruner must skip
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
@@ -137,6 +140,17 @@ if [[ "$jobs1" != "$jobs4" ]]; then
   exit 1
 fi
 echo "fig11 jobs OK: identical summaries under --jobs 1 and --jobs 4"
+
+# A traced sweep records the same events at any worker count, so the
+# profile it writes must not change with --jobs either.
+echo "==> fig09_performance --small --profile --jobs 1 vs --jobs 4 (traced determinism)"
+for j in 1 4; do
+  ./target/release/fig09_performance --small --profile "$tmpdir/fig09.j$j.trace.json" \
+    --jobs "$j" > /dev/null
+done
+cmp -s "$tmpdir/fig09.j1.trace.json" "$tmpdir/fig09.j4.trace.json" \
+  || { echo "error: fig09 profile differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+echo "fig09 profile OK: byte-identical under --jobs 1 and --jobs 4"
 
 # Full-size fig11 with the MEA2xx static-bounds pruner: the frontier
 # metrics must match the full sweep's exactly, and at least 30% of the

@@ -153,3 +153,25 @@ fn sar_breakdown_reconciles_with_op_report() {
         "each invocation flushes the cache"
     );
 }
+
+#[test]
+fn traced_sar_pipeline_records_identical_traces_on_every_run() {
+    // Every recorded quantity is modeled or counted, so two identical
+    // traced runs must serialize to the same bytes.
+    let traced = || {
+        let rec = TraceRecorder::shared();
+        let mut ml = Mealib::builder().recorder(rec.clone()).build();
+        let n = 64;
+        let raw: Vec<Complex32> = (0..n * n)
+            .map(|i| Complex32::new((i % 13) as f32 - 6.0, (i % 7) as f32 - 3.0))
+            .collect();
+        sar::form_image(&mut ml, &raw, n).expect("SAR image forms");
+        (rec.to_jsonl(), rec.breakdown().to_json())
+    };
+    let (jsonl, breakdown) = traced();
+    assert!(jsonl.contains("\"type\":\"span\""), "spans recorded");
+    assert!(!jsonl.contains("wall_s") && !breakdown.contains("wall_s"));
+    let (again_jsonl, again_breakdown) = traced();
+    assert_eq!(jsonl, again_jsonl, "JSONL trace differs between runs");
+    assert_eq!(breakdown, again_breakdown, "breakdown differs between runs");
+}
