@@ -6,7 +6,7 @@
 //! one, and the per-bank state machines advance in lockstep with the
 //! bus. Formally, a burst is **bus-limited** when, at its turn,
 //!
-//! 1. no refresh is owed (`bus_free / t_refi == refreshes_done`),
+//! 1. no refresh is owed (`bus_free < (refreshes_done + 1)·t_refi`),
 //! 2. its bank's open row matches (`open_row == Some(row)`), and
 //! 3. the bank's column command is not the bottleneck
 //!    (`cmd_ready + t_cl <= bus_free`).
@@ -33,6 +33,20 @@
 //! algebra above, is why `EngineKind::DualCheck` and the determinism
 //! proptests hold the two engines bit-for-bit equal on every statistic
 //! (stats, vault counts, histogram buckets, energy, tenant slices).
+//!
+//! **When a streak opens.** A bus-limited burst leaves the same state
+//! whether `burst_core` services it or a one-burst streak does, so which
+//! path takes it is a cost choice only. A streak opens on a bus-limited
+//! burst that has a successor in its run, or whose unit's previous
+//! burst was bus-limited too; a lone bus-limited burst after a miss —
+//! the occasional row hit of a scalar gather stream — takes the slow
+//! path, since a one-burst streak would cost a flush and a re-open
+//! when the next miss arrives. One-burst runs that follow each other on
+//! a row (64-byte lines on DDR) still batch: from the row's second hit
+//! on, each has a bus-limited predecessor. The streak's refresh cap is
+//! computed when it accepts its first burst, not on every re-open, and
+//! the refresh test itself is a compare; the division runs only when a
+//! refresh is owed.
 //!
 //! The unit's sinks ride along. On tagged replays every run carries
 //! its tenant (a run never spans two requests), and each streak chunk
@@ -79,7 +93,7 @@ pub(crate) fn run_fast(
     let t = &config.timing;
     let units = config.mapping.units();
     if jobs <= 1 {
-        let mut streaks: Vec<Streak> = (0..units).map(|_| Streak::new(t, proto)).collect();
+        let mut streaks: Vec<Streak> = (0..units).map(|_| Streak::new(proto)).collect();
         for_each_run(
             config,
             trace,
@@ -94,7 +108,7 @@ pub(crate) fn run_fast(
             shards[run.unit].push((run, write, tenant))
         });
         mealib_types::par_map(&shards, jobs, |shard| {
-            let mut streak = Streak::new(t, proto);
+            let mut streak = Streak::new(proto);
             for (run, write, tenant) in shard {
                 streak.feed(t, run, *write, *tenant);
             }
@@ -131,21 +145,24 @@ fn for_each_run(
 
 /// One unit's replay state: its engine plus the open streak of
 /// bus-limited row hits, which [`Streak::flush`] applies in closed
-/// form. A streak is always open, possibly empty; its cap and
-/// generation are fixed by [`Streak::open`] from the unit state at
-/// streak start, which no accepted burst changes until the flush.
+/// form. A streak is always open, possibly empty; its cap is fixed when
+/// it accepts its first burst, from the unit state at streak start,
+/// which no accepted burst changes until the flush.
 struct Streak {
     u: UnitEngine,
     /// Longest streak before the refresh epoch: the burst at streak
     /// offset `c` sees the bus at `bus_free + c·t_burst`, so the refresh
     /// caps the streak at `ceil((next_refresh - bus_free) / t_burst)`
-    /// bursts. Zero when a refresh is owed or a timeline sink is on.
+    /// bursts. Set when the streak accepts its first burst.
     k_max: u64,
     /// Bursts accepted into the open streak.
     count: u64,
     bytes_read: u64,
     bytes_written: u64,
     write_bursts: u64,
+    /// Whether the unit's last burst was bus-limited, whichever path
+    /// serviced it.
+    last_limited: bool,
     /// `seen[bank] == generation` marks a bank touched by the open
     /// streak; the counter reuses `seen` across streaks without
     /// clearing it.
@@ -157,43 +174,35 @@ struct Streak {
 }
 
 impl Streak {
-    fn new(t: &DramTiming, proto: &UnitEngine) -> Self {
+    fn new(proto: &UnitEngine) -> Self {
         let banks = proto.banks.len();
-        let mut s = Self {
+        Self {
             u: proto.clone(),
             k_max: 0,
             count: 0,
             bytes_read: 0,
             bytes_written: 0,
             write_bursts: 0,
-            generation: 0,
+            last_limited: false,
+            generation: 1,
             seen: vec![0; banks],
             last_done: vec![0; banks],
-        };
-        s.open(t);
-        s
-    }
-
-    /// Opens a fresh, empty streak at the unit's current state.
-    fn open(&mut self, t: &DramTiming) {
-        self.generation += 1;
-        self.k_max = if self.u.timeline.is_none() {
-            let next_refresh = (self.u.refreshes_done + 1) * t.t_refi;
-            next_refresh
-                .saturating_sub(self.u.bus_free)
-                .div_ceil(t.t_burst)
-        } else {
-            0
-        };
+        }
     }
 
     /// Replays one run, the unit's next in program order. The greedy
     /// rule: extend the open streak while the run's bursts are
-    /// bus-limited (clipped at the refresh cap); when the next burst is
-    /// not, flush the streak and retry that burst on a fresh one; and
-    /// when even an empty streak cannot take it (refresh owed, conflict,
-    /// idle bank, cold column path, or batching off), step it through
-    /// the shared slow path.
+    /// bus-limited (clipped at the refresh cap), and when the next burst
+    /// is not, flush the streak and retry that burst on an empty one. An
+    /// empty streak steps a burst through the shared slow path instead
+    /// of opening when the burst is not bus-limited (refresh owed,
+    /// conflict, idle bank, cold column path), when batching is off, or
+    /// when the streak would hold that one burst alone: it is its run's
+    /// last and the unit's previous burst was not bus-limited either.
+    /// A bus-limited burst costs the same state either way, so the last
+    /// rule only spares a scalar gather's lone row hit the round trip
+    /// through a one-burst streak, while back-to-back one-burst runs
+    /// (64-byte lines on DDR) still batch from their second burst on.
     // Inlined at both of `RunDecoder::request`'s emission sites on the
     // serial path (see the note there).
     #[inline(always)]
@@ -203,25 +212,36 @@ impl Streak {
         let mut j = 0u32;
         while j < run.n {
             let state = &self.u.banks[bank];
-            // First touch this streak must check the stored cmd_ready.
-            // Later touches need no check: their cmd_ready becomes
-            // `done - t_cl` of an earlier streak burst, which trails the
-            // bus pointer by construction.
-            let limited = self.count < self.k_max
-                && state.open_row == Some(run.row)
-                && (self.seen[bank] == self.generation
-                    || state.cmd_ready + t.t_cl <= self.u.bus_free + self.count * t_burst);
-            if !limited {
-                if self.count == 0 {
+            let hit = state.open_row == Some(run.row);
+            if self.count == 0 {
+                let bus_free = self.u.bus_free;
+                let next_refresh = self.u.next_refresh(t);
+                let limited = hit
+                    && state.cmd_ready + t.t_cl <= bus_free
+                    && next_refresh.is_none_or(|next| bus_free < next);
+                let batch = self.u.timeline.is_none() && (j + 1 < run.n || self.last_limited);
+                if !(limited && batch) {
                     self.u.burst(t, &burst_of(t, run, j, write, tenant));
+                    self.last_limited = limited;
                     j += 1;
-                } else {
-                    self.flush(t);
+                    continue;
                 }
-                self.open(t);
+                self.k_max =
+                    next_refresh.map_or(u64::MAX, |next| (next - bus_free).div_ceil(t_burst));
+            } else if !(self.count < self.k_max
+                && hit
+                // First touch this streak must check the stored
+                // cmd_ready. Later touches need no check: their
+                // cmd_ready becomes `done - t_cl` of an earlier streak
+                // burst, which trails the bus pointer by construction.
+                && (self.seen[bank] == self.generation
+                    || state.cmd_ready + t.t_cl <= self.u.bus_free + self.count * t_burst))
+            {
+                self.flush(t);
                 continue;
             }
             self.seen[bank] = self.generation;
+            self.last_limited = true;
             // Accept the run's remaining bursts, clipped at the refresh
             // cap; a clipped run resumes on the next streak.
             let avail = u64::from(run.n - j);
@@ -251,8 +271,8 @@ impl Streak {
 
     /// Closed-form update for the open streak's `count` bus-limited
     /// bursts — each line mirrors what `burst_core`'s hit arm would have
-    /// done `count` times over. Leaves the streak empty (and stale:
-    /// [`Streak::open`] must follow).
+    /// done `count` times over. Leaves the streak empty, under a fresh
+    /// generation.
     fn flush(&mut self, t: &DramTiming) {
         let u = &mut self.u;
         let count = self.count;
@@ -270,6 +290,7 @@ impl Streak {
                 state.cmd_ready = self.last_done[bank] - t.t_cl;
             }
         }
+        self.generation += 1;
         self.count = 0;
         self.bytes_read = 0;
         self.bytes_written = 0;
@@ -357,7 +378,9 @@ mod tests {
         // Unit level: a streak opened three bursts before the refresh
         // epoch takes three of an 8-burst run; the rest pays the refresh
         // on the slow path (a miss, since refresh closes the row) and
-        // resumes on a fresh streak still open at the end.
+        // resumes on a fresh streak still open at the end. The cap is
+        // set when a streak accepts its first burst, so the first
+        // streak's shows in its flushed hits.
         let t = &c.timing;
         let mut proto = UnitEngine::new(8, None, Some(2));
         proto.banks[0].open_row = Some(5);
@@ -373,10 +396,16 @@ mod tests {
             total: 8 * t.burst_bytes,
             n: 8,
         };
-        let mut streak = Streak::new(t, &proto);
-        assert_eq!(streak.k_max, 3);
+        let mut streak = Streak::new(&proto);
         streak.feed(t, &run, false, 1);
+        assert_eq!(
+            streak.u.vault.row_hits, 3,
+            "the first streak stops at the cap"
+        );
+        assert_eq!(streak.u.vault.refreshes, 1);
         assert_eq!(streak.count, 4, "bursts 4..8 ride the resumed streak");
+        let epoch_left = 2 * t.t_refi - streak.u.bus_free;
+        assert_eq!(streak.k_max, epoch_left.div_ceil(t.t_burst));
         let mut oracle = proto.clone();
         for j in 0..run.n {
             oracle.burst(t, &burst_of(t, &run, j, false, 1));
@@ -385,6 +414,66 @@ mod tests {
         assert_eq!(fast, finish_run(&c, vec![oracle]));
         assert_eq!(fast.stats.refreshes, 1);
         assert_eq!(fast.stats.row_hits, 7);
+    }
+
+    #[test]
+    fn one_burst_runs_on_one_row_grow_an_open_streak() {
+        // 64-byte lines on DDR: every run is one burst. The row's first
+        // burst activates it and its second, the first bus-limited hit,
+        // takes the slow path (its predecessor was not bus-limited);
+        // from the third on, each run joins one open streak.
+        let c = single_unit_ddr();
+        let t = &c.timing;
+        let proto = UnitEngine::new(8, None, None);
+        let run = |j: u64| Run {
+            unit: 0,
+            bank: 0,
+            row: 0,
+            col0: j * t.burst_bytes,
+            head: t.burst_bytes,
+            total: t.burst_bytes,
+            n: 1,
+        };
+        let mut streak = Streak::new(&proto);
+        let mut oracle = proto.clone();
+        for j in 0..16 {
+            streak.feed(t, &run(j), false, 0);
+            oracle.burst(t, &burst_of(t, &run(j), 0, false, 0));
+        }
+        assert_eq!(streak.count, 14);
+        let fast = finish_run(&c, vec![streak.finish(t)]);
+        assert_eq!(fast, finish_run(&c, vec![oracle]));
+        assert_eq!(fast.stats.row_hits, 15);
+    }
+
+    #[test]
+    fn random_gathers_match_cycle() {
+        // Scalar 4-byte gathers over 4 MiB, the spmv `x` pattern: almost
+        // every burst misses, and the occasional lone hit takes the slow
+        // path or a streak depending on its predecessor.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut trace = TraceBuffer::new();
+        for i in 0..20_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let addr = (state % (1 << 20)) * 4;
+            trace.push(if i % 5 == 0 {
+                Request::write(addr, 4)
+            } else {
+                Request::read(addr, 4)
+            });
+        }
+        for config in [MemoryConfig::hmc_stack(), MemoryConfig::ddr_dual_channel()] {
+            assert_engines_agree(&config, &trace, &config.name);
+            let profiled = |opts: SimOptions| simulate(&config, &trace, &opts.profile(4096));
+            assert_eq!(
+                profiled(SimOptions::fast()).unwrap(),
+                profiled(SimOptions::cycle()).unwrap(),
+                "{} (profiled)",
+                config.name
+            );
+        }
     }
 
     #[test]

@@ -6,12 +6,23 @@
 //! each request into **runs** — maximal groups of consecutive bursts
 //! whose start addresses fall inside one contiguous `(unit, bank, row)`
 //! span, as advertised by [`AddressMapping::contiguous_run_bytes`] —
-//! and calls [`AddressMapping::decode`] once per run (or once per
-//! aligned stretch of whole lines on the bulk path). Burst boundaries
-//! within a run are pure arithmetic (`burst_bytes`-aligned, like
-//! [`for_each_burst_tagged`]), so the concatenated runs reproduce the
-//! cycle engine's per-unit burst sequence exactly: same bursts, same
-//! locations, same order.
+//! and decodes once per run (or once per aligned stretch of whole lines
+//! on the bulk path). Burst boundaries within a run are pure arithmetic
+//! (`burst_bytes`-aligned, like [`for_each_burst_tagged`]), so the
+//! concatenated runs reproduce the cycle engine's per-unit burst
+//! sequence exactly: same bursts, same locations, same order.
+//!
+//! A scalar gather is a whole run, so on row-miss streams the decode
+//! itself is the per-burst cost. The decoder therefore compiles the
+//! mapping once, at construction, into shifts and masks: `line_bytes`
+//! and `row_bytes` are validated powers of two, unit and bank counts
+//! that are powers of two become masks too, and only other counts keep
+//! a division. The compiled decode computes exactly
+//! [`AddressMapping::decode`] and [`AddressMapping::contiguous_run_bytes`]
+//! for all three mapping modes (a proptest below holds them equal on
+//! any address). The cycle oracle keeps calling
+//! [`AddressMapping::decode`] itself, so every `DualCheck` run checks
+//! the compiled decode against the reference one.
 //!
 //! Two consumers read the runs. The fast engine (`fast.rs`) feeds
 //! each run, as it is decoded, to its unit's open streak, which takes
@@ -27,9 +38,8 @@
 //! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
 //! [`for_each_burst_tagged`]: crate::engine::for_each_burst_tagged
 
-use crate::address::AddressMapping;
+use crate::address::{AddressMapping, Location};
 use crate::config::MemoryConfig;
-use mealib_types::PhysAddr;
 
 /// One same-row run of a request: `n` consecutive bursts on one
 /// `(unit, bank, row)`, starting at column byte `col0`.
@@ -61,20 +71,157 @@ impl Run {
     }
 }
 
-/// Splits requests into [`Run`]s for one validated configuration.
-pub(crate) struct RunDecoder<'a> {
-    mapping: &'a AddressMapping,
-    /// `DramTiming::burst_bytes`.
-    burst: u64,
-    /// Bulk-path parameters `(units, line_bytes, xor)`, when the
-    /// mapping admits it.
-    bulk: Option<(u64, u64, bool)>,
+/// Division by a divisor fixed at decoder construction: a shift and a
+/// mask when it is a power of two, a hardware divide otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    shift: u32,
+    pow2: bool,
 }
 
-impl<'a> RunDecoder<'a> {
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Self {
+            d,
+            shift: d.trailing_zeros(),
+            pow2: d.is_power_of_two(),
+        }
+    }
+
+    /// `(x / d, x % d)`.
+    #[inline(always)]
+    fn div_rem(self, x: u64) -> (u64, u64) {
+        if self.pow2 {
+            (x >> self.shift, x & (self.d - 1))
+        } else {
+            (x / self.d, x % self.d)
+        }
+    }
+
+    #[inline(always)]
+    fn rem(self, x: u64) -> u64 {
+        self.div_rem(x).1
+    }
+
+    #[inline(always)]
+    fn div_ceil(self, x: u64) -> u64 {
+        let (q, r) = self.div_rem(x);
+        q + u64::from(r != 0)
+    }
+}
+
+/// An [`AddressMapping`] compiled to shifts and masks: the same
+/// function as [`AddressMapping::decode`] and
+/// [`AddressMapping::contiguous_run_bytes`], without their runtime
+/// divisions. `line_bytes` and `row_bytes` are validated powers of two;
+/// unit and bank counts go through [`Divisor`].
+#[derive(Debug, Clone, Copy)]
+struct CompiledMapping {
+    line_shift: u32,
+    line_mask: u64,
+    row_shift: u32,
+    row_mask: u64,
+    /// Units of the interleaved region (`low_units` when asymmetric).
+    units: Divisor,
+    banks: Divisor,
+    /// Span mask of the interleaved region: a single unit keeps
+    /// contiguous addresses in one row up to the row edge, several
+    /// break the span at the next line edge.
+    span_mask: u64,
+    xor: bool,
+    /// The asymmetric split and the dedicated unit above it.
+    split: Option<(u64, usize)>,
+}
+
+impl CompiledMapping {
+    fn new(mapping: &AddressMapping) -> Self {
+        let (units, line_bytes, xor, split) = match *mapping {
+            AddressMapping::Interleaved {
+                units, line_bytes, ..
+            } => (units, line_bytes, false, None),
+            AddressMapping::XorInterleaved {
+                units, line_bytes, ..
+            } => (units, line_bytes, true, None),
+            AddressMapping::Asymmetric {
+                low_units,
+                line_bytes,
+                split,
+                ..
+            } => (low_units, line_bytes, false, Some((split.get(), low_units))),
+        };
+        let row_bytes = mapping.row_bytes();
+        let span = if units == 1 { row_bytes } else { line_bytes };
+        Self {
+            line_shift: line_bytes.trailing_zeros(),
+            line_mask: line_bytes - 1,
+            row_shift: row_bytes.trailing_zeros(),
+            row_mask: row_bytes - 1,
+            units: Divisor::new(units as u64),
+            banks: Divisor::new(mapping.banks_per_unit() as u64),
+            span_mask: span - 1,
+            xor,
+            split,
+        }
+    }
+
+    /// [`AddressMapping::decode`].
+    #[inline(always)]
+    fn decode(&self, addr: u64) -> Location {
+        if let Some((split, unit)) = self.split {
+            if addr >= split {
+                // The dedicated unit: contiguous rows from the split.
+                let within = addr - split;
+                let (row, bank) = self.banks.div_rem(within >> self.row_shift);
+                return Location {
+                    unit,
+                    bank: bank as usize,
+                    row,
+                    col_byte: within & self.row_mask,
+                };
+            }
+        }
+        let (hash, mut unit) = self.units.div_rem(addr >> self.line_shift);
+        let within_unit = (hash << self.line_shift) | (addr & self.line_mask);
+        let (row, mut bank) = self.banks.div_rem(within_unit >> self.row_shift);
+        if self.xor {
+            unit = self.units.rem(unit ^ hash);
+            bank = self.banks.rem(bank ^ row);
+        }
+        Location {
+            unit: unit as usize,
+            bank: bank as usize,
+            row,
+            col_byte: within_unit & self.row_mask,
+        }
+    }
+
+    /// [`AddressMapping::contiguous_run_bytes`].
+    #[inline(always)]
+    fn span(&self, addr: u64) -> u64 {
+        let to_edge = |mask: u64, offset: u64| mask + 1 - (offset & mask);
+        match self.split {
+            Some((split, _)) if addr >= split => to_edge(self.row_mask, addr - split),
+            Some((split, _)) => to_edge(self.span_mask, addr).min(split - addr),
+            None => to_edge(self.span_mask, addr),
+        }
+    }
+}
+
+/// Splits requests into [`Run`]s for one validated configuration.
+pub(crate) struct RunDecoder {
+    map: CompiledMapping,
+    /// `DramTiming::burst_bytes`.
+    burst: Divisor,
+    /// Bursts per line, when the mapping admits the bulk path.
+    bulk: Option<u32>,
+}
+
+impl RunDecoder {
     /// A decoder for `config`, which must already be validated.
-    pub(crate) fn new(config: &'a MemoryConfig) -> Self {
+    pub(crate) fn new(config: &MemoryConfig) -> Self {
         let burst = config.timing.burst_bytes;
+        let map = CompiledMapping::new(&config.mapping);
         // Bulk-path eligibility: within one super-line (`units *
         // line_bytes`, line-aligned), every line has the same
         // `within_unit` offset — hence the same bank, row, and column —
@@ -86,18 +233,18 @@ impl<'a> RunDecoder<'a> {
         let bulk = match config.mapping {
             AddressMapping::Interleaved {
                 units, line_bytes, ..
-            } if units > 1 && line_bytes % burst == 0 => Some((units as u64, line_bytes, false)),
+            } if units > 1 && line_bytes % burst == 0 => Some(line_bytes / burst),
             AddressMapping::XorInterleaved {
                 units, line_bytes, ..
             } if units > 1 && units.is_power_of_two() && line_bytes % burst == 0 => {
-                Some((units as u64, line_bytes, true))
+                Some(line_bytes / burst)
             }
             _ => None,
         };
         Self {
-            mapping: &config.mapping,
-            burst,
-            bulk,
+            map,
+            burst: Divisor::new(burst),
+            bulk: bulk.map(|n| n as u32),
         }
     }
 
@@ -109,21 +256,21 @@ impl<'a> RunDecoder<'a> {
     // gather streams (2-core x86-64 host).
     #[inline(always)]
     pub(crate) fn request(&self, mut addr: u64, mut remaining: u64, mut f: impl FnMut(Run)) {
-        let burst = self.burst;
+        let map = &self.map;
+        let burst = self.burst.d;
         while remaining > 0 {
-            if let Some((units, line_bytes, xor)) = self.bulk {
-                if remaining >= line_bytes && addr.is_multiple_of(line_bytes) {
-                    let line = addr / line_bytes;
-                    let j0 = line % units;
-                    let m = (remaining / line_bytes).min(units - j0);
-                    let loc = self.mapping.decode(PhysAddr::new(addr));
-                    let n = (line_bytes / burst) as u32;
+            if let Some(n) = self.bulk {
+                let line_bytes = map.line_mask + 1;
+                if remaining >= line_bytes && addr & map.line_mask == 0 {
+                    let units = map.units.d;
+                    let (hash, j0) = map.units.div_rem(addr >> map.line_shift);
+                    let m = (remaining >> map.line_shift).min(units - j0);
+                    let loc = map.decode(addr);
                     for j in 0..m {
                         // The unit fold from `decode`, applied to line
                         // `j0 + j` (same hash, same super-line).
-                        let unit = if xor {
-                            let hash = line / units;
-                            (((j0 + j) ^ hash) % units) as usize
+                        let unit = if map.xor {
+                            map.units.rem((j0 + j) ^ hash) as usize
                         } else {
                             (j0 + j) as usize
                         };
@@ -142,23 +289,20 @@ impl<'a> RunDecoder<'a> {
                     continue;
                 }
             }
-            let loc = self.mapping.decode(PhysAddr::new(addr));
+            let loc = map.decode(addr);
             // First burst: up to the next burst-aligned boundary. It is
             // attributed wholly to `loc` even if it extends past the
             // span — exactly what the per-burst decode does, which
             // decodes each burst at its *start* address.
-            let head = (burst - addr % burst).min(remaining);
+            let head = (burst - self.burst.rem(addr)).min(remaining);
             // Further bursts join the run while their start addresses
             // stay inside the span (and inside the request). A request
             // that ends inside its first burst needs no span at all —
             // the common case for scalar gathers.
             let extra = if remaining > head {
-                let reach = self
-                    .mapping
-                    .contiguous_run_bytes(PhysAddr::new(addr))
-                    .min(remaining);
+                let reach = map.span(addr).min(remaining);
                 if reach > head {
-                    (reach - head).div_ceil(burst)
+                    self.burst.div_ceil(reach - head)
                 } else {
                     0
                 }
@@ -187,6 +331,9 @@ mod tests {
     use crate::engine::{
         for_each_burst_tagged, sequential_trace, strided_trace, Burst, Op, Request,
     };
+    use crate::strategies::mapping_config_strategy;
+    use mealib_types::PhysAddr;
+    use proptest::prelude::*;
 
     /// Expands `run` into its bursts with the burst arithmetic every
     /// consumer relies on ([`Run::offset`]).
@@ -274,6 +421,36 @@ mod tests {
                 });
             }
             assert_eq!(got, expected, "{}", config.name);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compiled decode is the reference decode: same location
+        /// and same contiguous span, on every mapping the strategy
+        /// draws and on any address, up to `u64::MAX`.
+        #[test]
+        fn compiled_decode_matches_the_reference(
+            cfg in mapping_config_strategy(),
+            addrs in proptest::collection::vec(
+                prop_oneof![
+                    any::<u64>(),
+                    0u64..(1 << 24),
+                    (u64::MAX - (1 << 20))..=u64::MAX,
+                ],
+                1..64,
+            ),
+        ) {
+            let compiled = CompiledMapping::new(&cfg.mapping);
+            for addr in addrs {
+                let reference = PhysAddr::new(addr);
+                prop_assert_eq!(compiled.decode(addr), cfg.mapping.decode(reference));
+                prop_assert_eq!(
+                    compiled.span(addr),
+                    cfg.mapping.contiguous_run_bytes(reference)
+                );
+            }
         }
     }
 }

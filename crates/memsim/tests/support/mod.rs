@@ -34,15 +34,18 @@ pub fn request_strategy() -> impl Strategy<Value = Request> {
 }
 
 /// The stack preset under each of the three interleaving modes, with
-/// one unit (whose runs span whole rows) or several.
+/// one unit (whose runs span whole rows) or several, and power-of-two
+/// or other unit and bank counts (which decode by division, not by
+/// shift and mask).
 pub fn mapping_config_strategy() -> impl Strategy<Value = MemoryConfig> {
     (
         0u8..3,
-        prop_oneof![Just(1usize), Just(2), Just(8), Just(32)],
+        prop_oneof![Just(1usize), Just(2), Just(3), Just(8), Just(32)],
+        prop_oneof![Just(8usize), Just(6)],
     )
-        .prop_map(|(mode, units)| {
+        .prop_map(|(mode, units, banks_per_unit)| {
             let mut cfg = MemoryConfig::hmc_stack();
-            let (banks_per_unit, row_bytes, line_bytes) = (8, 8192, LINE_BYTES);
+            let (row_bytes, line_bytes) = (8192, LINE_BYTES);
             cfg.mapping = match mode {
                 0 => AddressMapping::Interleaved {
                     units,

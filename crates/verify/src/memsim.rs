@@ -57,8 +57,8 @@ fn verify_timing(t: &DramTiming, report: &mut Report) {
         }
     }
     // A row must stay open long enough to deliver the column read that
-    // activated it.
-    if t.t_ras < t.t_rcd + t.t_cl {
+    // activated it. Sums of untrusted parameters are taken in `u128`.
+    if u128::from(t.t_ras) < u128::from(t.t_rcd) + u128::from(t.t_cl) {
         report.push(Diagnostic::error(
             ErrorCode::MemTimingInequality,
             format!(
@@ -79,14 +79,14 @@ fn verify_timing(t: &DramTiming, report: &mut Report) {
     }
     // tFAW gates four activations, so a window shorter than one row
     // cycle makes it vacuous — suspicious but not fatal.
-    if t.t_faw != 0 && t.t_faw > 4 * t.t_rc() {
+    let four_row_cycles = 4 * (u128::from(t.t_ras) + u128::from(t.t_rp));
+    if t.t_faw != 0 && u128::from(t.t_faw) > four_row_cycles {
         report.push(Diagnostic::warning(
             ErrorCode::MemTimingInequality,
             format!(
-                "t_faw ({}) exceeds four row cycles ({}); activations would be \
-                 current-limited even when banks are idle",
+                "t_faw ({}) exceeds four row cycles ({four_row_cycles}); activations \
+                 would be current-limited even when banks are idle",
                 t.t_faw,
-                4 * t.t_rc()
             ),
         ));
     }
@@ -118,7 +118,9 @@ const BIJECTIVITY_LINE_CAP: u64 = 1 << 20;
 /// Verifies an address mapping: structural parameters, then a
 /// byte-accounting proof that decoding is injective over one full
 /// rotation window (`units * banks * row_bytes` bytes — after which the
-/// plain interleavings repeat with only the row index advancing).
+/// plain interleavings repeat with only the row index advancing). A
+/// window past the 64-bit address space is clipped to it: no address
+/// beyond `u64::MAX` exists to collide.
 pub fn verify_mapping(mapping: &AddressMapping) -> Report {
     let mut report = Report::new();
 
@@ -201,13 +203,18 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
             }
             // Low region: a plain interleave, but the proof window must
             // not cross the split.
-            let window = (units as u64 * banks as u64 * row_bytes).min(split.get());
-            check_injective(mapping, 0, window, line_bytes, &mut report);
+            let window = rotation_window(units, banks, row_bytes, 1)
+                .map_or(split.get(), |w| w.min(split.get()));
+            check_injective(mapping, 0, Some(window), line_bytes, &mut report);
             // High region: must be contiguous within the single dedicated
             // unit `low_units` (what the accelerators require, §3.3).
             let probe = row_bytes.min(split.get().max(line_bytes));
             for offset in [0, line_bytes, probe - line_bytes] {
-                let addr = PhysAddr::new(split.get() + offset);
+                // A probe past `u64::MAX` names no address.
+                let Some(addr) = split.get().checked_add(offset) else {
+                    continue;
+                };
+                let addr = PhysAddr::new(addr);
                 let loc = mapping.decode(addr);
                 if loc.unit != low_units {
                     report.push(Diagnostic::error(
@@ -242,7 +249,7 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
             } else {
                 1
             };
-            let window = units as u64 * banks as u64 * row_bytes * rotations;
+            let window = rotation_window(units, banks, row_bytes, rotations);
             check_injective(mapping, 0, window, line_bytes, &mut report);
         }
     }
@@ -250,23 +257,37 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
     report
 }
 
-/// Decodes every line in `[base, base + window)` and reports the first
-/// pair of addresses that land on the same device location (`MEA024`),
-/// plus any line whose interior bytes scatter across locations.
+/// `units * banks * row_bytes * rotations` bytes, or `None` past
+/// `u64::MAX`.
+fn rotation_window(units: usize, banks: usize, row_bytes: u64, rotations: u64) -> Option<u64> {
+    (units as u64)
+        .checked_mul(banks as u64)?
+        .checked_mul(row_bytes)?
+        .checked_mul(rotations)
+}
+
+/// Decodes every line in `[base, base + window)` (to the end of the
+/// address space when `window` is `None`) and reports the first pair of
+/// addresses that land on the same device location (`MEA024`), plus any
+/// line whose interior bytes scatter across locations.
 fn check_injective(
     mapping: &AddressMapping,
     base: u64,
-    window: u64,
+    window: Option<u64>,
     line_bytes: u64,
     report: &mut Report,
 ) {
-    let mut lines = window / line_bytes;
+    let mut lines = window.unwrap_or(u64::MAX) / line_bytes;
     if lines > BIJECTIVITY_LINE_CAP {
+        let size = match window {
+            Some(_) => format!("has {lines} lines"),
+            None => "exceeds the 64-bit address space".to_string(),
+        };
         report.push(Diagnostic::warning(
             ErrorCode::MemMappingNotBijective,
             format!(
-                "rotation window has {lines} lines; bijectivity checked for the \
-                 first {BIJECTIVITY_LINE_CAP} only"
+                "rotation window {size}; bijectivity checked for the first \
+                 {BIJECTIVITY_LINE_CAP} lines only"
             ),
         ));
         lines = BIJECTIVITY_LINE_CAP;
@@ -409,6 +430,60 @@ mod tests {
             line_bytes: 64,
         });
         assert!(r.has_code(ErrorCode::MemMappingNotBijective), "{r}");
+    }
+
+    #[test]
+    fn rotation_window_past_the_address_space_is_capped_not_overflowed() {
+        // 2^40 units x 2^20 banks x 2^20-byte rows is a 2^80-byte
+        // rotation: the window clips to the address space and the proof
+        // samples it, warning about the cap.
+        let huge = |kind: fn(usize, usize, u64, u64) -> AddressMapping| {
+            verify_mapping(&kind(1 << 40, 1 << 20, 1 << 20, 256))
+        };
+        for r in [
+            huge(
+                |units, banks_per_unit, row_bytes, line_bytes| AddressMapping::Interleaved {
+                    units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                },
+            ),
+            huge(
+                |units, banks_per_unit, row_bytes, line_bytes| AddressMapping::XorInterleaved {
+                    units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                },
+            ),
+            huge(
+                |low_units, banks_per_unit, row_bytes, line_bytes| AddressMapping::Asymmetric {
+                    low_units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                    split: PhysAddr::new(u64::MAX - 255),
+                },
+            ),
+        ] {
+            assert!(r.has_code(ErrorCode::MemMappingNotBijective), "{r}");
+            assert!(r.to_string().contains("checked for the first"), "{r}");
+        }
+    }
+
+    #[test]
+    fn timing_sums_past_u64_are_compared_not_overflowed() {
+        let mut c = MemoryConfig::hmc_stack();
+        c.timing.t_rcd = u64::MAX;
+        c.timing.t_cl = u64::MAX;
+        c.timing.t_rp = u64::MAX;
+        let r = verify_memconfig(&c);
+        assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
+        c.timing.t_ras = u64::MAX;
+        c.timing.t_faw = u64::MAX;
+        let r = verify_memconfig(&c);
+        assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
     }
 
     #[test]

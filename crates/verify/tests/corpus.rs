@@ -378,6 +378,20 @@ mod cli {
     }
 
     #[test]
+    fn oversized_memconfig_is_linted_not_a_panic() {
+        // A 2^80-byte rotation window: the bijectivity proof must cap it
+        // and say so, not overflow computing it.
+        let cfg = scratch(
+            "huge.memcfg",
+            b"base = hmc_stack\nunits = 1099511627776\nbanks_per_unit = 1048576\n\
+              row_bytes = 1048576\nline_bytes = 256\n",
+        );
+        let (code, stdout, stderr) = mealint(&[cfg.to_str().unwrap()]);
+        assert!((0..=2).contains(&code), "exit {code}: {stdout}{stderr}");
+        assert!(stdout.contains("MEA024"), "{stdout}{stderr}");
+    }
+
+    #[test]
     fn unusable_inputs_exit_two() {
         let garbage = scratch("garbage.tdl", b"PASS oops");
         let (code, _, stderr) = mealint(&[garbage.to_str().unwrap()]);

@@ -5,7 +5,8 @@
 
 use mealib_memsim::address::AddressMapping;
 use mealib_types::PhysAddr;
-use mealib_verify::memsim::verify_mapping;
+use mealib_verify::memconfig::{parse_memconfig, KNOWN_KEYS};
+use mealib_verify::memsim::{verify_mapping, verify_memconfig};
 use mealib_verify::ErrorCode;
 use proptest::prelude::*;
 
@@ -54,6 +55,52 @@ fn asymmetric() -> impl Strategy<Value = AddressMapping> {
             }
         },
     )
+}
+
+/// One line of a memconfig file: arbitrary text, or a known key set
+/// to a value at the edges of `u64` (every key but `base`, `name` and
+/// `mapping` takes a number), or a preset or mapping kind.
+fn memconfig_line() -> impl Strategy<Value = String> {
+    let numeric: Vec<&str> = KNOWN_KEYS
+        .iter()
+        .copied()
+        .filter(|k| !matches!(*k, "base" | "name" | "mapping"))
+        .collect();
+    prop_oneof![
+        "\\PC*",
+        (
+            proptest::sample::select(numeric),
+            proptest::sample::select(vec![0, 1, 1 << 63, u64::MAX]),
+        )
+            .prop_map(|(key, value)| format!("{key} = {value}")),
+        proptest::sample::select(vec![
+            "hmc_stack",
+            "hmc_stack_external",
+            "hmc_stack_gen1",
+            "hmc_stack_remote",
+            "ddr_dual_channel",
+            "msas_dram",
+        ])
+        .prop_map(|preset| format!("base = {preset}")),
+        proptest::sample::select(vec!["interleaved", "xor", "asymmetric"])
+            .prop_map(|kind| format!("mapping = {kind}")),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `mealint`'s memconfig path is total: whatever the text, parsing
+    /// returns a config or an error, and verifying a parsed config
+    /// returns a report — no arithmetic overflow, no division by zero.
+    #[test]
+    fn memconfig_parse_and_verify_never_panic(
+        lines in proptest::collection::vec(memconfig_line(), 0..12),
+    ) {
+        if let Ok(config) = parse_memconfig(&lines.join("\n")) {
+            let _ = verify_memconfig(&config);
+        }
+    }
 }
 
 proptest! {

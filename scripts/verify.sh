@@ -77,6 +77,39 @@ for f in crates/verify/corpus/bad/*.set; do
     fi
 done
 
+echo "==> mealint: adversarial memconfigs must exit 0/1/2 with the diagnostic they promise"
+# Parameters at the edges of u64. Written to a temporary directory, not
+# the corpus: the corpus is a benchmark input. Each file is named
+# <code>_<what>.memcfg after the code its report must carry.
+adv=$(mktemp -d)
+trap 'rm -rf "$adv"' EXIT
+geometry="units = 1099511627776
+banks_per_unit = 1048576
+row_bytes = 1048576
+line_bytes = 256"
+printf 'base = hmc_stack\n%s\n' "$geometry" >"$adv/mea024_window_interleaved.memcfg"
+printf 'base = hmc_stack\nmapping = xor\n%s\n' "$geometry" >"$adv/mea024_window_xor.memcfg"
+printf 'base = hmc_stack\nmapping = asymmetric\nsplit = 18446744073709551360\n%s\n' \
+    "$geometry" >"$adv/mea024_window_asymmetric.memcfg"
+printf 'base = hmc_stack\nt_rcd = 9223372036854775808\nt_cl = 9223372036854775808\n' \
+    >"$adv/mea021_timing_sum.memcfg"
+for f in "$adv"/*.memcfg; do
+    name=$(basename "$f" .memcfg)
+    code="MEA${name:3:3}"
+    status=0
+    out=$("${MEALINT[@]}" "$f" 2>&1) || status=$?
+    if (( status > 2 )); then
+        echo "mealint exited $status on $name:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    if ! grep -q "\[$code\]" <<<"$out"; then
+        echo "mealint missed $code in $name:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
+
 echo "==> interference corpus coverage: every MEA3xx code needs >=2 bad manifests + clean twins"
 for code in 300 301 302 303; do
     bad=$(ls crates/verify/corpus/bad/mea${code}_*.set 2>/dev/null | wc -l)
