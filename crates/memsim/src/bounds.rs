@@ -18,9 +18,33 @@
 //! per-request attribution sink: alongside the unchanged set-level
 //! bounds it returns each tenant's exact [`TenantCounts`]. One pass
 //! over the merged runs yields everything the interference composer
-//! needs — no per-tenant or per-prefix re-walk — and [`trace_bounds`]
-//! is the untagged call of that one loop, so there is a single walk in
-//! this module.
+//! needs — no per-tenant or per-prefix re-walk. [`segment_bounds`]
+//! takes a program as [`Segment`]s — request sequences with a repeat
+//! count, the shape of a `LOOP` body — and [`trace_bounds`] is its
+//! single-segment call, so there is a single walk in this module.
+//!
+//! **Cost.** The walk costs O(mapping periods + loop bodies), not
+//! O(bytes × iterations):
+//!
+//! * *Periods.* A mapping period is `units × banks × row_bytes`
+//!   (1 MiB on `hmc_stack`; one per region of an asymmetric mapping).
+//!   Every whole, aligned period of a request gives each unit of its
+//!   region the same bursts, opens one row — the period index — in
+//!   every bank, and nothing else, so the walk prices a stretch of `k`
+//!   whole periods in closed form (`Accum::periods`) and decodes only
+//!   the request's head and tail literally. The rule for where that
+//!   algebra is exact lives in `PeriodRule::new`; everywhere else the
+//!   walk is literal.
+//! * *Loops.* A segment repeated `r > 2` times is walked twice; the
+//!   remaining `r − 2` iterations add iteration 2's deltas. A body
+//!   leaves every bank it touches on the row it touched last, whatever
+//!   state it entered with, so the state entering iteration 2 is the
+//!   state entering every later iteration.
+//!
+//! Both compressions leave every count bit-identical to the literal
+//! per-burst walk (a proptest below holds them equal), and counts that
+//! cannot fit `u64` are a typed [`BoundsError::Overflow`], never a
+//! wrapped value.
 //!
 //! Where the bounds come from (each anchored to an engine invariant):
 //!
@@ -46,8 +70,12 @@
 //!   activations, bytes, and elapsed time, so the interval endpoints
 //!   map through it soundly.
 
-use mealib_types::{Interval, PhysAddr, Seconds};
+use std::fmt;
+use std::ops::Range;
 
+use mealib_types::{ConfigError, Interval, PhysAddr, Seconds};
+
+use crate::address::AddressMapping;
 use crate::config::MemoryConfig;
 use crate::engine::{Op, Request};
 use crate::runs::RunDecoder;
@@ -120,6 +148,46 @@ impl TraceBounds {
     }
 }
 
+/// Why a walk certified nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundsError {
+    /// The configuration failed validation — the same rejection surface
+    /// as [`crate::analytic::try_estimate`] and
+    /// [`crate::engine::simulate`].
+    Config(ConfigError),
+    /// The bytes the trace moves, reads and writes together and loops
+    /// repeated, do not fit `u64`: no bound is certified rather than
+    /// one computed from a wrapped count.
+    Overflow,
+}
+
+impl From<ConfigError> for BoundsError {
+    fn from(e: ConfigError) -> Self {
+        Self::Config(e)
+    }
+}
+
+impl fmt::Display for BoundsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Config(e) => e.fmt(f),
+            Self::Overflow => f.write_str("the trace moves more bytes than a u64 counts"),
+        }
+    }
+}
+
+impl std::error::Error for BoundsError {}
+
+/// A request sequence issued `repeat` times back to back: how a `LOOP`
+/// body reaches [`segment_bounds`] without being unrolled.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    /// One iteration's requests, in order.
+    pub trace: &'a TraceBuffer,
+    /// Iterations; 0 issues nothing.
+    pub repeat: u64,
+}
+
 /// Exact per-tenant counts from one [`tagged_trace_bounds`] walk.
 ///
 /// Every field equals what [`trace_bounds`] reports on the tenant's own
@@ -155,7 +223,7 @@ struct Attribution<'a> {
 }
 
 /// Per-unit accumulator for the timing-free replay.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct UnitBounds {
     /// Open row per bank in the refresh-free automaton.
     rows: Vec<Option<u64>>,
@@ -170,14 +238,29 @@ struct UnitBounds {
 ///
 /// # Errors
 ///
-/// Returns the first [`mealib_types::ConfigError`] found in `config` —
-/// the same rejection surface as [`crate::analytic::try_estimate`] and
-/// [`crate::engine::simulate`].
+/// [`BoundsError::Config`] with the first [`ConfigError`] found in
+/// `config`; [`BoundsError::Overflow`] when the trace moves more than
+/// `u64::MAX` bytes.
 pub fn trace_bounds(
     config: &MemoryConfig,
     trace: &TraceBuffer,
-) -> Result<TraceBounds, mealib_types::ConfigError> {
-    walk(config, trace, None)
+) -> Result<TraceBounds, BoundsError> {
+    segment_bounds(config, &[Segment { trace, repeat: 1 }])
+}
+
+/// Derives certified bounds for the program that issues `segments` in
+/// order, each segment's requests `repeat` times over: exactly
+/// [`trace_bounds`] of the unrolled trace, for the walk of at most two
+/// iterations per segment.
+///
+/// # Errors
+///
+/// The same [`BoundsError`]s as [`trace_bounds`] on the unrolled trace.
+pub fn segment_bounds(
+    config: &MemoryConfig,
+    segments: &[Segment<'_>],
+) -> Result<TraceBounds, BoundsError> {
+    walk(config, segments, None)
 }
 
 /// Derives the certified bounds of a merged multi-tenant `trace` and,
@@ -189,7 +272,7 @@ pub fn trace_bounds(
 ///
 /// # Errors
 ///
-/// The same [`mealib_types::ConfigError`]s as [`trace_bounds`].
+/// The same [`BoundsError`]s as [`trace_bounds`].
 ///
 /// # Panics
 ///
@@ -201,10 +284,10 @@ pub fn tagged_trace_bounds(
     trace: &TraceBuffer,
     tags: &[u16],
     tenants: usize,
-) -> Result<(TraceBounds, Vec<TenantCounts>), mealib_types::ConfigError> {
+) -> Result<(TraceBounds, Vec<TenantCounts>), BoundsError> {
     assert_eq!(tags.len(), trace.len(), "one tag per merged request");
     let mut sink = Attribution::new(config, tags, tenants);
-    let bounds = walk(config, trace, Some(&mut sink))?;
+    let bounds = walk(config, &[Segment { trace, repeat: 1 }], Some(&mut sink))?;
     Ok((bounds, sink.tenants))
 }
 
@@ -234,12 +317,144 @@ impl<'a> Attribution<'a> {
     }
 }
 
+/// A region of the address space whose whole mapping periods the walk
+/// prices in closed form.
+#[derive(Debug, Clone)]
+struct PeriodRegion {
+    /// Where periods are counted from: 0, or the asymmetric split.
+    origin: u64,
+    /// First address past the region.
+    limit: u64,
+    /// Bytes per period: the region's units × banks × `row_bytes`.
+    period: u64,
+    /// The units the region maps to.
+    units: Range<usize>,
+    /// Bursts each unit of the region takes per period:
+    /// banks × `row_bytes` / `burst_bytes`.
+    unit_bursts: u64,
+}
+
+/// `k ≥ 1` whole periods of one region inside a request.
+#[derive(Debug, Clone, Copy)]
+struct Stretch<'r> {
+    region: &'r PeriodRegion,
+    /// First byte, a period boundary.
+    start: u64,
+    periods: u64,
+}
+
+impl Stretch<'_> {
+    /// First byte past the stretch, a period boundary.
+    fn end(&self) -> u64 {
+        self.start + self.periods * self.region.period
+    }
+}
+
+/// Where the walk may price whole periods in closed form: at most two
+/// regions, in address order.
+#[derive(Debug)]
+struct PeriodRule {
+    regions: Vec<PeriodRegion>,
+}
+
+impl PeriodRule {
+    /// The compression rule. A region's whole, aligned periods are
+    /// priced in closed form only where all of these hold — everywhere
+    /// else the walk decodes literally:
+    ///
+    /// 1. `burst_bytes` divides `line_bytes` (and, above an asymmetric
+    ///    split, the split): every line of a period then holds whole
+    ///    bursts starting on it, period edges are burst and span edges
+    ///    — so no run crosses one, and the walk may cut a request there
+    ///    — and each unit of the region takes banks × `row_bytes` /
+    ///    `burst_bytes` bursts per period.
+    /// 2. Within a period every unit of the region sees every bank on
+    ///    one row, the period index: `Interleaved` with any counts,
+    ///    `XorInterleaved` with power-of-two units and banks (its unit
+    ///    fold then permutes the units of a super-line and its bank
+    ///    fold the banks of a row index; other counts need not be
+    ///    permutations), and each side of `Asymmetric` — its
+    ///    interleaved low region below the split, and its one-unit high
+    ///    region counted from the split.
+    /// 3. The period fits `u64`.
+    ///
+    /// The first period of a stretch then misses once in every bank
+    /// not already holding its row, each later period once in every
+    /// bank, and the banks end on the last period's row.
+    fn new(config: &MemoryConfig) -> Self {
+        let burst = config.timing.burst_bytes;
+        let banks = config.mapping.banks_per_unit();
+        let row = config.mapping.row_bytes();
+        let region = |origin: u64, limit: u64, units: Range<usize>| {
+            let period = (units.len() as u64)
+                .checked_mul(banks as u64)?
+                .checked_mul(row)?;
+            Some(PeriodRegion {
+                origin,
+                limit,
+                period,
+                units,
+                unit_bursts: banks as u64 * (row / burst),
+            })
+        };
+        let regions = match config.mapping {
+            AddressMapping::Interleaved {
+                units, line_bytes, ..
+            } if line_bytes % burst == 0 => vec![region(0, u64::MAX, 0..units)],
+            AddressMapping::XorInterleaved {
+                units, line_bytes, ..
+            } if line_bytes % burst == 0 && units.is_power_of_two() && banks.is_power_of_two() => {
+                vec![region(0, u64::MAX, 0..units)]
+            }
+            AddressMapping::Asymmetric {
+                low_units,
+                line_bytes,
+                split,
+                ..
+            } if line_bytes % burst == 0 => {
+                let split = split.get();
+                let mut sides = vec![region(0, split, 0..low_units)];
+                if split % burst == 0 {
+                    sides.push(region(split, u64::MAX, low_units..low_units + 1));
+                }
+                sides
+            }
+            _ => Vec::new(),
+        };
+        Self {
+            regions: regions.into_iter().flatten().collect(),
+        }
+    }
+
+    /// The first stretch of whole periods inside `[addr, end)`, if any.
+    fn next_stretch(&self, addr: u64, end: u64) -> Option<Stretch<'_>> {
+        self.regions.iter().find_map(|r| {
+            let lo = addr.max(r.origin);
+            let hi = end.min(r.limit);
+            if hi <= lo || hi - lo < r.period {
+                return None;
+            }
+            let start = (lo - r.origin)
+                .div_ceil(r.period)
+                .checked_mul(r.period)?
+                .checked_add(r.origin)?;
+            let periods = hi.checked_sub(start)? / r.period;
+            (periods > 0).then_some(Stretch {
+                region: r,
+                start,
+                periods,
+            })
+        })
+    }
+}
+
 /// Everything the walk counts before the interval tail: per-unit
 /// traffic and refresh-free misses, and the byte totals. (Tenant counts
 /// go to the walk's sink.)
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Accum {
     per_unit: Vec<UnitBounds>,
+    /// With `bytes_written`, at most `u64::MAX` bytes together.
     bytes_read: u64,
     bytes_written: u64,
 }
@@ -262,23 +477,149 @@ impl Accum {
         }
     }
 
-    /// Closes the request at merged position `pos`, whose `bursts`
-    /// bursts are already counted per unit: adds its bytes and, with a
-    /// `sink`, its tenant's bytes and RD/WR bursts, snapshotting the
-    /// tenant's prefix count when this is its last request.
-    fn finish_request(
+    /// Adds a request's bytes, unless the bytes moved would no longer
+    /// fit `u64`. Every other count is bounded by the bytes moved (a
+    /// burst carries at least one byte), so none can overflow after
+    /// this check passes.
+    fn add_bytes(&mut self, op: Op, bytes: u64) -> Result<(), BoundsError> {
+        self.bytes_read
+            .checked_add(self.bytes_written)
+            .and_then(|moved| moved.checked_add(bytes))
+            .ok_or(BoundsError::Overflow)?;
+        match op {
+            Op::Read => self.bytes_read += bytes,
+            Op::Write => self.bytes_written += bytes,
+        }
+        Ok(())
+    }
+
+    /// Counts one request: whole periods in closed form, the rest run
+    /// by run. Returns the bursts it issued; `owner` is its tenant's
+    /// per-unit burst row.
+    fn request(
         &mut self,
+        decoder: &RunDecoder,
+        rule: &PeriodRule,
+        req: Request,
+        mut owner: Option<&mut Vec<u64>>,
+    ) -> u64 {
+        let start = req.addr.get();
+        let end = start.checked_add(req.bytes);
+        let mut addr = start;
+        let mut bursts = 0;
+        while let Some(s) = end.and_then(|end| rule.next_stretch(addr, end)) {
+            bursts += self.runs(decoder, req.op, addr, s.start - addr, owner.as_deref_mut());
+            bursts += self.periods(s, req.op, owner.as_deref_mut());
+            addr = s.end();
+        }
+        bursts + self.runs(decoder, req.op, addr, req.bytes - (addr - start), owner)
+    }
+
+    /// Counts the runs of `[addr, addr + bytes)`. A run adds its `n`
+    /// bursts to its unit (and its tenant) and steps the bank's row
+    /// automaton once: every burst of a run shares its
+    /// `(unit, bank, row)`, so only the first can miss.
+    fn runs(
+        &mut self,
+        decoder: &RunDecoder,
+        op: Op,
+        addr: u64,
+        bytes: u64,
+        mut owner: Option<&mut Vec<u64>>,
+    ) -> u64 {
+        let mut bursts = 0u64;
+        decoder.request(
+            addr,
+            bytes,
+            #[inline(always)]
+            |run| {
+                let n = u64::from(run.n);
+                let u = &mut self.per_unit[run.unit];
+                u.bursts += n;
+                match op {
+                    Op::Read => u.read_bursts += n,
+                    Op::Write => u.write_bursts += n,
+                }
+                // Refresh-free row automaton: exact lower bound on misses.
+                let bank = run.bank as usize;
+                if u.rows[bank] != Some(run.row) {
+                    u.bank_misses[bank] += 1;
+                    u.rows[bank] = Some(run.row);
+                }
+                if let Some(o) = owner.as_deref_mut() {
+                    o[run.unit] += n;
+                }
+                bursts += n;
+            },
+        );
+        bursts
+    }
+
+    /// Counts a stretch of whole periods in closed form (see
+    /// [`PeriodRule::new`] for why it is exact). Returns its bursts.
+    fn periods(&mut self, s: Stretch<'_>, op: Op, mut owner: Option<&mut Vec<u64>>) -> u64 {
+        let r = s.region;
+        let k = s.periods;
+        let row = (s.start - r.origin) / r.period;
+        let n = r.unit_bursts * k;
+        for unit in r.units.clone() {
+            let u = &mut self.per_unit[unit];
+            u.bursts += n;
+            match op {
+                Op::Read => u.read_bursts += n,
+                Op::Write => u.write_bursts += n,
+            }
+            for (open, misses) in u.rows.iter_mut().zip(&mut u.bank_misses) {
+                *misses += u64::from(*open != Some(row)) + (k - 1);
+                *open = Some(row + k - 1);
+            }
+            if let Some(o) = owner.as_deref_mut() {
+                o[unit] += n;
+            }
+        }
+        n * r.units.len() as u64
+    }
+
+    /// Adds `times` more iterations of what was counted since `before`
+    /// — the deltas of one loop iteration. Open rows stay as they are:
+    /// the iteration after `before` left them where every later one
+    /// will.
+    fn repeat_since(&mut self, before: &Accum, times: u64) -> Result<(), BoundsError> {
+        let grow = |now: &mut u64, then: u64| -> Result<(), BoundsError> {
+            *now = (*now - then)
+                .checked_mul(times)
+                .and_then(|more| now.checked_add(more))
+                .ok_or(BoundsError::Overflow)?;
+            Ok(())
+        };
+        grow(&mut self.bytes_read, before.bytes_read)?;
+        grow(&mut self.bytes_written, before.bytes_written)?;
+        self.bytes_read
+            .checked_add(self.bytes_written)
+            .ok_or(BoundsError::Overflow)?;
+        for (u, b) in self.per_unit.iter_mut().zip(&before.per_unit) {
+            grow(&mut u.bursts, b.bursts)?;
+            grow(&mut u.read_bursts, b.read_bursts)?;
+            grow(&mut u.write_bursts, b.write_bursts)?;
+            for (m, &then) in u.bank_misses.iter_mut().zip(&b.bank_misses) {
+                grow(m, then)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Attributes the request at merged position `pos`, whose `bursts`
+    /// bursts are already counted per unit, to its tenant: its bytes
+    /// and RD/WR bursts, and the tenant's prefix count when this is its
+    /// last request.
+    fn attribute(
+        &self,
         config: &MemoryConfig,
-        sink: Option<&mut Attribution<'_>>,
+        s: &mut Attribution<'_>,
         pos: usize,
         req: Request,
         bursts: u64,
     ) {
-        match req.op {
-            Op::Read => self.bytes_read += req.bytes,
-            Op::Write => self.bytes_written += req.bytes,
-        }
-        let Some(s) = sink else { return };
         let tenant = s.tags[pos] as usize;
         let o = &mut s.tenants[tenant];
         match req.op {
@@ -299,77 +640,81 @@ impl Accum {
     }
 }
 
-/// The one walk behind [`trace_bounds`] and [`tagged_trace_bounds`]:
-/// [`accumulate`], then the interval tail.
+/// The one walk behind [`trace_bounds`], [`segment_bounds`] and
+/// [`tagged_trace_bounds`]: [`accumulate`], then the interval tail.
 fn walk(
     config: &MemoryConfig,
-    trace: &TraceBuffer,
+    segments: &[Segment<'_>],
     sink: Option<&mut Attribution<'_>>,
-) -> Result<TraceBounds, mealib_types::ConfigError> {
+) -> Result<TraceBounds, BoundsError> {
     config.validate()?;
-    Ok(interval_bounds(config, &accumulate(config, trace, sink)))
+    Ok(interval_bounds(
+        config,
+        &accumulate(config, segments, sink)?,
+    ))
 }
 
-/// Counts `trace`'s runs on a validated `config`. A run adds its `n`
-/// bursts to its unit (and its tenant) and steps the bank's row
-/// automaton once: every burst of a run shares its `(unit, bank, row)`,
-/// so only the first can miss.
+/// Counts `segments` on a validated `config`: iterations 1 and 2 of a
+/// segment request by request, later ones as repeats of iteration 2.
+/// Merged positions, which index the sink's tags, count every request
+/// walked; the tagged walk passes one segment of one iteration.
 fn accumulate(
     config: &MemoryConfig,
-    trace: &TraceBuffer,
+    segments: &[Segment<'_>],
     mut sink: Option<&mut Attribution<'_>>,
-) -> Accum {
+) -> Result<Accum, BoundsError> {
     let decoder = RunDecoder::new(config);
+    let rule = PeriodRule::new(config);
     let mut acc = Accum::new(config);
-    for (pos, req) in trace.iter().enumerate() {
-        let mut owner = sink
-            .as_deref_mut()
-            .map(|s| &mut s.tenants[s.tags[pos] as usize].unit_bursts);
-        let mut bursts = 0u64;
-        decoder.request(
-            req.addr.get(),
-            req.bytes,
-            #[inline(always)]
-            |run| {
-                let n = u64::from(run.n);
-                let u = &mut acc.per_unit[run.unit];
-                u.bursts += n;
-                match req.op {
-                    Op::Read => u.read_bursts += n,
-                    Op::Write => u.write_bursts += n,
+    let mut pos = 0usize;
+    for seg in segments {
+        let mut before = None;
+        for iter in 0..seg.repeat.min(2) {
+            if iter == 1 && seg.repeat > 2 {
+                before = Some(acc.clone());
+            }
+            for req in seg.trace.iter() {
+                acc.add_bytes(req.op, req.bytes)?;
+                let owner = sink
+                    .as_deref_mut()
+                    .map(|s| &mut s.tenants[s.tags[pos] as usize].unit_bursts);
+                let bursts = acc.request(&decoder, &rule, req, owner);
+                if let Some(s) = sink.as_deref_mut() {
+                    acc.attribute(config, s, pos, req, bursts);
                 }
-                // Refresh-free row automaton: exact lower bound on misses.
-                let bank = run.bank as usize;
-                if u.rows[bank] != Some(run.row) {
-                    u.bank_misses[bank] += 1;
-                    u.rows[bank] = Some(run.row);
-                }
-                if let Some(o) = owner.as_deref_mut() {
-                    o[run.unit] += n;
-                }
-                bursts += n;
-            },
-        );
-        acc.finish_request(config, sink.as_deref_mut(), pos, req, bursts);
+                pos += 1;
+            }
+        }
+        if let Some(before) = before {
+            acc.repeat_since(&before, seg.repeat - 2)?;
+        }
     }
-    acc
+    Ok(acc)
 }
 
 /// The interval tail: certified bounds from the accumulated counts.
+///
+/// Products and sums are taken in `u128` — a walk of a 2⁶² B request
+/// counts bursts whose cycle products pass `u64::MAX` — with the upper
+/// bounds saturating, so every value the `u64` arithmetic computes
+/// without overflow comes out bit-identical.
 fn interval_bounds(config: &MemoryConfig, acc: &Accum) -> TraceBounds {
     let t = &config.timing;
-    let banks = config.mapping.banks_per_unit();
+    let wide = u128::from;
+    let banks = config.mapping.banks_per_unit() as u128;
     let per_unit = &acc.per_unit;
     let (bytes_read, bytes_written) = (acc.bytes_read, acc.bytes_written);
 
+    let t_rc = wide(t.t_ras) + wide(t.t_rp);
+    let cold = wide(t.t_rcd) + wide(t.t_cl);
     // Worst-case bus advance of a single burst (conflict + tFAW stall).
-    let delta = t.t_rc().max(t.t_faw) + t.t_rcd + t.t_cl + t.t_burst;
+    let delta = t_rc.max(wide(t.t_faw)) + cold + wide(t.t_burst);
     // Refresh steals t_rfc per t_refi; validate() guarantees the
     // denominator is positive.
     let refresh_stretch = 1.0 / (1.0 - t.t_rfc as f64 / t.t_refi as f64);
 
-    let mut cycles_lo = 0u64;
-    let mut cycles_hi = 0u64;
+    let mut cycles_lo = 0u128;
+    let mut cycles_hi = 0u128;
     let mut act_lo = 0u64;
     let mut act_hi = 0u64;
     for u in per_unit {
@@ -380,13 +725,13 @@ fn interval_bounds(config: &MemoryConfig, acc: &Accum) -> TraceBounds {
 
         // Lower bound: data-bus occupancy plus the first access's
         // ACT-to-data latency...
-        let lo_bus = t.t_rcd + t.t_cl + u.bursts * t.t_burst;
+        let lo_bus = cold + wide(u.bursts) * wide(t.t_burst);
         // ...and the per-bank activation spacing (t_rc between ACTs).
         let lo_bank = u
             .bank_misses
             .iter()
             .filter(|&&mis| mis > 0)
-            .map(|&mis| (mis - 1) * t.t_rc() + t.t_rcd + t.t_cl + t.t_burst)
+            .map(|&mis| wide(mis - 1) * t_rc + cold + wide(t.t_burst))
             .max()
             .unwrap_or(0);
         cycles_lo = cycles_lo.max(lo_bus.max(lo_bank));
@@ -394,20 +739,23 @@ fn interval_bounds(config: &MemoryConfig, acc: &Accum) -> TraceBounds {
         // Upper bound: every burst pays the full conflict path, then the
         // whole schedule is stretched by refresh; one extra t_rfc covers
         // a refresh landing after the final burst's due computation.
-        let hi_u = ((u.bursts * delta) as f64 * refresh_stretch).ceil() as u64 + t.t_rfc;
+        let hi_u = ((wide(u.bursts) * delta) as f64 * refresh_stretch).ceil() as u128;
+        let hi_u = hi_u.saturating_add(wide(t.t_rfc));
         cycles_hi = cycles_hi.max(hi_u);
 
         // Activation interval (see module docs for the soundness
-        // argument).
+        // argument); at most one per burst, so it fits u64.
         act_lo += base_misses;
-        let refresh_hi = hi_u / t.t_refi;
+        let refresh_hi = hi_u / wide(t.t_refi);
+        let refresh_acts = wide(base_misses).saturating_add(refresh_hi.saturating_mul(banks));
         act_hi += u
             .bursts
-            .min(base_misses + refresh_hi.saturating_mul(banks as u64));
+            .min(u64::try_from(refresh_acts).unwrap_or(u64::MAX));
     }
 
     let cycles = Interval::new(cycles_lo as f64, cycles_hi as f64);
     let elapsed = cycles.scale(t.t_ck.get());
+    // `Accum::add_bytes` keeps the bytes moved within u64.
     let bytes_moved = bytes_read + bytes_written;
     // trace_energy is monotone in all three arguments, so mapping the
     // endpoints through it bounds the engine's energy.
@@ -436,12 +784,12 @@ mod tests {
     use super::*;
     use crate::engine::{self, Op, Request, SimOptions};
     use crate::interleave_tenants;
-    use crate::strategies::{mapping_config_strategy, tenant_strategy};
+    use crate::strategies::{mapping_config_strategy, period_case_strategy, tenant_strategy};
     use proptest::prelude::*;
 
     /// The per-burst loop the run walk replaced, kept as its reference:
     /// every burst of the cycle oracle's split decoded and stepped
-    /// through the row automaton on its own.
+    /// through the row automaton on its own, over the unrolled trace.
     fn reference_accumulate(
         config: &MemoryConfig,
         trace: &TraceBuffer,
@@ -449,6 +797,8 @@ mod tests {
     ) -> Accum {
         let mut acc = Accum::new(config);
         for (pos, req) in trace.iter().enumerate() {
+            acc.add_bytes(req.op, req.bytes)
+                .expect("test traces fit u64");
             let mut bursts = 0u64;
             let one = TraceBuffer::from(&[req]);
             engine::for_each_burst_tagged(&config.timing, &config.mapping, &one, None, |b| {
@@ -468,35 +818,92 @@ mod tests {
                 }
                 bursts += 1;
             });
-            acc.finish_request(config, sink.as_deref_mut(), pos, req, bursts);
+            if let Some(s) = sink.as_deref_mut() {
+                acc.attribute(config, s, pos, req, bursts);
+            }
         }
         acc
+    }
+
+    /// The walk of `trace` as one segment of one iteration.
+    fn walked(
+        config: &MemoryConfig,
+        trace: &TraceBuffer,
+        sink: Option<&mut Attribution<'_>>,
+    ) -> Accum {
+        accumulate(config, &[Segment { trace, repeat: 1 }], sink).expect("test traces fit u64")
+    }
+
+    /// Untagged and tagged (requests dealt round-robin to `tenants`
+    /// tenants), the walk must accumulate exactly what the per-burst
+    /// reference does: per-unit bursts, RD/WR bursts, per-bank misses
+    /// and open rows, bytes, and every tenant count.
+    fn assert_walk_is_exact(cfg: &MemoryConfig, trace: &TraceBuffer, tags: &[u16], tenants: usize) {
+        prop_assert_eq!(
+            walked(cfg, trace, None),
+            reference_accumulate(cfg, trace, None)
+        );
+        let mut runs = Attribution::new(cfg, tags, tenants);
+        let mut bursts = Attribution::new(cfg, tags, tenants);
+        prop_assert_eq!(
+            walked(cfg, trace, Some(&mut runs)),
+            reference_accumulate(cfg, trace, Some(&mut bursts))
+        );
+        prop_assert_eq!(runs.tenants, bursts.tenants);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The run walk accumulates exactly what the per-burst walk did —
-        /// per-unit bursts, RD/WR bursts, per-bank misses and open rows,
-        /// bytes, and every tenant count — untagged and tagged. The
-        /// interval tail is shared, so every `TraceBounds` field follows.
+        /// The run walk accumulates exactly what the per-burst walk did.
+        /// The interval tail is shared, so every `TraceBounds` field
+        /// follows.
         #[test]
         fn run_walk_matches_the_per_burst_reference(
             cfg in mapping_config_strategy(),
             streams in proptest::collection::vec(tenant_strategy(), 1..=4),
         ) {
             let (merged, tags) = interleave_tenants(&streams);
+            assert_walk_is_exact(&cfg, &merged, &tags, streams.len());
+        }
+
+        /// Requests of 0–8 whole periods behind a misaligned head, on
+        /// all three mapping modes with small rows: the closed-form
+        /// period walk, and the literal fallback where the compression
+        /// rule declines, are exact.
+        #[test]
+        fn period_walk_matches_the_per_burst_reference((cfg, trace) in period_case_strategy()) {
+            let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 2) as u16).collect();
+            assert_walk_is_exact(&cfg, &trace, &tags, 2);
+        }
+
+        /// A segment repeated 1, 2, 3 or 17 times between a prefix and
+        /// a suffix accumulates exactly what its unrolled trace does.
+        #[test]
+        fn repeated_segment_matches_the_unrolled_walk(
+            (cfg, trace) in period_case_strategy(),
+            repeat in prop_oneof![Just(1u64), Just(2), Just(3), Just(17)],
+            cut in 0usize..4,
+        ) {
+            let requests: Vec<Request> = trace.iter().collect();
+            let cut = cut.min(requests.len());
+            let prefix = TraceBuffer::from(&requests[..cut / 2]);
+            let body = TraceBuffer::from(&requests[cut / 2..]);
+            let suffix = TraceBuffer::from(&requests[..cut]);
+            let mut unrolled = prefix.clone();
+            for _ in 0..repeat {
+                unrolled.extend(body.iter());
+            }
+            unrolled.extend(suffix.iter());
+            let segments = [
+                Segment { trace: &prefix, repeat: 1 },
+                Segment { trace: &body, repeat },
+                Segment { trace: &suffix, repeat: 1 },
+            ];
             prop_assert_eq!(
-                accumulate(&cfg, &merged, None),
-                reference_accumulate(&cfg, &merged, None)
+                accumulate(&cfg, &segments, None).expect("test traces fit u64"),
+                reference_accumulate(&cfg, &unrolled, None)
             );
-            let mut runs = Attribution::new(&cfg, &tags, streams.len());
-            let mut bursts = Attribution::new(&cfg, &tags, streams.len());
-            prop_assert_eq!(
-                accumulate(&cfg, &merged, Some(&mut runs)),
-                reference_accumulate(&cfg, &merged, Some(&mut bursts))
-            );
-            prop_assert_eq!(runs.tenants, bursts.tenants);
         }
     }
 
@@ -551,6 +958,55 @@ mod tests {
     }
 
     #[test]
+    fn whole_periods_of_a_large_request_are_one_stretch() {
+        // 16 MiB from 4 KiB on hmc_stack (1 MiB periods): the head runs
+        // to 1 MiB, then 15 whole periods, then a 4 KiB tail.
+        let config = MemoryConfig::hmc_stack();
+        let rule = PeriodRule::new(&config);
+        let s = rule.next_stretch(0x1000, 0x1000 + (16 << 20)).unwrap();
+        assert_eq!((s.start, s.periods, s.end()), (1 << 20, 15, 16 << 20));
+        assert!(
+            rule.next_stretch(0x1000, 1 << 20).is_none(),
+            "no whole period"
+        );
+    }
+
+    #[test]
+    fn exabyte_requests_certify_without_overflow() {
+        // Walked in closed form, a 2^62 B request costs what a 2^40 B
+        // one does, and its u128 interval tail neither wraps nor panics
+        // (this runs in debug builds, which check every u64 operation).
+        for config in [MemoryConfig::hmc_stack(), MemoryConfig::ddr_dual_channel()] {
+            let one = |bytes: u64| {
+                trace_bounds(&config, &TraceBuffer::from(&[Request::read(0x1000, bytes)])).unwrap()
+            };
+            let (huge, big) = (one(1 << 62), one(1 << 40));
+            assert_eq!(huge.bytes_read.lo, (1u64 << 62) as f64);
+            assert!(huge.cycles.hi >= big.cycles.hi, "{}", config.name);
+            assert!(huge.energy.hi >= big.energy.hi, "{}", config.name);
+        }
+    }
+
+    #[test]
+    fn bytes_past_u64_are_a_typed_error() {
+        let config = MemoryConfig::hmc_stack();
+        let half = TraceBuffer::from(&[Request::read(0, 1 << 63), Request::write(0, 1 << 63)]);
+        assert_eq!(trace_bounds(&config, &half), Err(BoundsError::Overflow));
+        let body = TraceBuffer::from(&[Request::read(0, 1 << 20)]);
+        let looped = [Segment {
+            trace: &body,
+            repeat: u64::MAX,
+        }];
+        assert_eq!(segment_bounds(&config, &looped), Err(BoundsError::Overflow));
+        let fits = [Segment {
+            trace: &body,
+            repeat: 1 << 40,
+        }];
+        let b = segment_bounds(&config, &fits).unwrap();
+        assert_eq!(b.bytes_read.lo, (1u64 << 60) as f64);
+    }
+
+    #[test]
     fn empty_trace_is_all_zero() {
         let b = trace_bounds(&MemoryConfig::hmc_stack(), &TraceBuffer::new()).unwrap();
         assert_eq!(b.cycles, Interval::ZERO);
@@ -568,7 +1024,10 @@ mod tests {
             line_bytes: 64,
         };
         let one = TraceBuffer::from(&[Request::read(0, 64)]);
-        assert!(trace_bounds(&c, &one).is_err());
+        assert!(matches!(
+            trace_bounds(&c, &one),
+            Err(BoundsError::Config(_))
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mealib_memsim::{
 };
 use mealib_types::PhysAddr;
 use proptest::prelude::*;
-use support::{mapping_config_strategy, request_strategy, tenant_strategy};
+use support::{mapping_config_strategy, period_case_strategy, request_strategy, tenant_strategy};
 
 /// Replays through the unified API in dual-check mode, so every corpus
 /// trace also proves fast-vs-cycle bit-exactness.
@@ -61,6 +61,18 @@ proptest! {
             });
             prop_assert_eq!(own.final_unit_prefix_bursts, expected_prefix);
         }
+    }
+
+    /// Requests spanning whole mapping periods, whose bounds the walk
+    /// derives in closed form, are certified soundly: the replay lands
+    /// inside every interval, and the per-unit bursts are exact.
+    #[test]
+    fn period_compressed_bounds_contain_the_engine((cfg, trace) in period_case_strategy()) {
+        let bounds = trace_bounds(&cfg, &trace).unwrap();
+        let run = simulate(&cfg, &trace, &SimOptions::cycle()).unwrap();
+        prop_assert_eq!(bounds.check_contains(&run.stats), None);
+        let per_unit: Vec<u64> = run.vaults.iter().map(|v| v.read_bursts + v.write_bursts).collect();
+        prop_assert_eq!(&bounds.unit_bursts, &per_unit);
     }
 
     /// Tagged replays are bit-exact across engines: the fast engine's

@@ -82,3 +82,72 @@ pub fn tenant_strategy() -> impl Strategy<Value = TenantStream> {
             TenantStream::new(TraceBuffer::from(trace.as_slice())).arriving_at(arrival)
         })
 }
+
+/// Row size of the mappings [`period_case_strategy`] draws: small, so
+/// a whole mapping period (units × banks × rows) stays cheap to walk
+/// burst by burst.
+const SMALL_ROW: u64 = 512;
+
+/// A small-row config on one of the three mapping modes (at most 8
+/// units, power-of-two or not) with requests of 0–8 whole periods
+/// behind a misaligned head. The burst size divides the line or does
+/// not, and the asymmetric split is burst-aligned or not, so the bounds
+/// walk meets both sides of its period-compression rule.
+pub fn period_case_strategy() -> impl Strategy<Value = (MemoryConfig, TraceBuffer)> {
+    let config = (
+        0u8..3,
+        prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        prop_oneof![Just(2usize), Just(6), Just(8)],
+        prop_oneof![Just(32u64), Just(64), Just(48)],
+        prop_oneof![Just(0u64), Just(96), Just(100)],
+    );
+    let request = (
+        0u64..12,
+        0u64..(1 << 20),
+        0u64..=8,
+        0u64..(1 << 20),
+        any::<bool>(),
+    );
+    (config, proptest::collection::vec(request, 1..6)).prop_map(
+        |((mode, units, banks_per_unit, burst, split_offset), requests)| {
+            let mut cfg = MemoryConfig::hmc_stack();
+            cfg.timing.burst_bytes = burst;
+            let (row_bytes, line_bytes) = (SMALL_ROW, 64);
+            let period = units as u64 * banks_per_unit as u64 * row_bytes;
+            cfg.mapping = match mode {
+                0 => AddressMapping::Interleaved {
+                    units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                },
+                1 => AddressMapping::XorInterleaved {
+                    units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                },
+                _ => AddressMapping::Asymmetric {
+                    low_units: units,
+                    banks_per_unit,
+                    row_bytes,
+                    line_bytes,
+                    split: PhysAddr::new(5 * period + split_offset),
+                },
+            };
+            let trace = requests
+                .into_iter()
+                .map(|(first, head, periods, tail, write)| {
+                    let addr = first * period + head % period;
+                    let bytes = periods * period + tail % period;
+                    if write {
+                        Request::write(addr, bytes)
+                    } else {
+                        Request::read(addr, bytes)
+                    }
+                })
+                .collect();
+            (cfg, trace)
+        },
+    )
+}

@@ -252,7 +252,12 @@ mod tests {
             // The composed solo bytes stand in for the elaborated trace.
             let session = parse_session(&class.body).expect("catalogue sessions parse");
             let e = mealib_verify::bounds::elaborate(&session);
-            assert_eq!(class.trace_bytes, e.trace.total_bytes(), "{}", class.name);
+            assert_eq!(
+                class.trace_bytes,
+                e.unrolled_trace().total_bytes(),
+                "{}",
+                class.name
+            );
             let (lo, hi) = class.solo_elapsed;
             assert!(0.0 < lo && lo <= hi, "{}: [{lo}, {hi}]", class.name);
         }

@@ -147,6 +147,13 @@ impl AddrRange {
         Self { start, len }
     }
 
+    /// Creates a range from a base address and a length, or `None` if
+    /// the range wraps the 64-bit address space — the total form of
+    /// [`AddrRange::new`] for ranges read from untrusted input.
+    pub fn checked(start: PhysAddr, len: Bytes) -> Option<Self> {
+        start.checked_add(len).map(|_| Self { start, len })
+    }
+
     /// The inclusive lower bound.
     #[inline]
     pub fn start(&self) -> PhysAddr {
@@ -244,6 +251,18 @@ mod tests {
         assert!(r.contains(PhysAddr::new(0x1ff)));
         assert!(!r.contains(PhysAddr::new(0x200)));
         assert!(!r.contains(PhysAddr::new(0xff)));
+    }
+
+    #[test]
+    fn checked_ranges_refuse_to_wrap() {
+        let top = AddrRange::checked(PhysAddr::new(u64::MAX - 0xff), Bytes::new(0xff)).unwrap();
+        assert_eq!(top.end().get(), u64::MAX);
+        assert!(AddrRange::checked(PhysAddr::new(u64::MAX - 0xff), Bytes::new(0x100)).is_none());
+        assert!(AddrRange::checked(PhysAddr::new(1), Bytes::new(u64::MAX)).is_none());
+        assert_eq!(
+            AddrRange::checked(PhysAddr::new(0x100), Bytes::new(0x100)),
+            Some(AddrRange::new(PhysAddr::new(0x100), Bytes::new(0x100)))
+        );
     }
 
     #[test]

@@ -12,20 +12,26 @@
 //!
 //! The analysis has three stages, one per submodule:
 //!
-//! 1. [`elaborate`] — flatten the program (loops fully unrolled, trip
-//!    counts are static) into a canonical memory-request trace plus a
-//!    liveness-exact peak-footprint figure;
-//! 2. [`summary`] — price the trace through the memory layer the
+//! 1. [`elaborate`] — lower the program into canonical memory-request
+//!    segments (each loop body kept once with its static trip count,
+//!    not unrolled) plus a liveness-exact peak-footprint figure;
+//! 2. [`summary`] — price the segments through the memory layer the
 //!    session targets (`MEM` directive) using the certified interval
 //!    kernel in [`mealib_memsim::bounds`], and attach modeled
 //!    accelerator energy from the Table-5 synthesis constants;
 //! 3. [`passes`] — compare the certified lower bounds against the
 //!    declared budgets (`BUDGET` directives) and the modeled capacity.
 //!
+//! The kernel walks a loop body at most twice and prices whole mapping
+//! periods of a request in closed form, so certification costs
+//! O(program), not O(bytes × iterations); only the accelerator-energy
+//! floor still adds one term per loop iteration.
+//!
 //! Soundness is not asserted, it is *tested*: the `bounds_soundness`
 //! integration tests run every corpus program and every workloads
-//! pipeline through this analyzer and through the cycle engine and
-//! require `lower <= measured <= upper` on every certified counter.
+//! pipeline through this analyzer and through the cycle engine (on the
+//! unrolled trace) and require `lower <= measured <= upper` on every
+//! certified counter.
 //! Because each diagnostic needs a provable violation, a program with
 //! undeclared extents or absent budgets simply certifies less — it
 //! never produces a speculative MEA2xx.
@@ -34,10 +40,11 @@ pub mod elaborate;
 pub mod passes;
 pub mod summary;
 
-pub use elaborate::{elaborate, Elaboration, PhaseTraffic};
+pub use elaborate::{elaborate, Elaboration, PhaseTraffic, ProgramSegment};
 pub use summary::{summarize, ResourceSummary};
 
 use mealib_host::Platform;
+use mealib_memsim::bounds::BoundsError;
 use mealib_memsim::MemoryConfig;
 use mealib_types::{Bytes, Report};
 
@@ -72,7 +79,7 @@ impl Default for BoundsEnv {
 
 /// The concrete memory configuration `session`'s `MEM` directive
 /// resolves to under `env`. The differential soundness harness replays
-/// the elaborated trace through the cycle engine against exactly this
+/// the unrolled elaboration through the cycle engine against exactly this
 /// configuration.
 pub fn resolved_config(session: &Session, env: &BoundsEnv) -> MemoryConfig {
     let layer = session
@@ -87,13 +94,14 @@ pub fn resolved_config(session: &Session, env: &BoundsEnv) -> MemoryConfig {
 ///
 /// # Errors
 ///
-/// Propagates a [`mealib_types::ConfigError`] if the resolved memory
-/// configuration fails validation; unreachable with [`BoundsEnv`]'s
-/// preset configurations.
+/// Propagates a [`BoundsError`]: a resolved configuration failing
+/// validation (unreachable with [`BoundsEnv`]'s preset
+/// configurations), or a program moving more bytes than a `u64`
+/// counts.
 pub fn summarize_session(
     session: &Session,
     env: &BoundsEnv,
-) -> Result<ResourceSummary, mealib_types::ConfigError> {
+) -> Result<ResourceSummary, BoundsError> {
     summary::summarize(session, &env.stack, &env.host, env.capacity)
 }
 
@@ -102,6 +110,8 @@ pub fn summarize_session(
 /// A configuration that fails validation yields an empty report: the
 /// MEA02x memconfig passes own that failure mode, and every MEA2xx
 /// diagnostic requires a provable violation against a *valid* model.
+/// So does a program moving more than `u64::MAX` bytes, whose counts
+/// cannot be certified.
 pub fn verify_session_bounds(session: &Session, env: &BoundsEnv) -> Report {
     let mut report = Report::new();
     let Ok(summary) = summarize_session(session, env) else {

@@ -5,11 +5,11 @@
 use mealib_accel::power;
 use mealib_host::Platform;
 use mealib_memsim::address::{self, AddressMapping};
-use mealib_memsim::bounds::{trace_bounds, TraceBounds};
+use mealib_memsim::bounds::{segment_bounds, BoundsError, TraceBounds};
 use mealib_memsim::MemoryConfig;
-use mealib_types::{Bytes, BytesPerSec, ConfigError, Interval, PhysAddr};
+use mealib_types::{Bytes, BytesPerSec, Interval, PhysAddr};
 
-use super::elaborate::{elaborate, PhaseTraffic};
+use super::elaborate::{elaborate, Elaboration, PhaseTraffic};
 use crate::dataflow::{Budgets, MemLayer, Session};
 
 /// Everything the analyzer can say about one program against one
@@ -27,7 +27,7 @@ pub struct ResourceSummary {
     pub layer: MemLayer,
     /// Name of the resolved [`MemoryConfig`].
     pub config_name: String,
-    /// Certified DRAM-side bounds over the elaborated trace.
+    /// Certified DRAM-side bounds over the elaborated program.
     pub dram: TraceBounds,
     /// Peak live-buffer footprint over declared extents.
     pub peak_footprint: Bytes,
@@ -41,12 +41,13 @@ pub struct ResourceSummary {
     pub accel_energy: Interval,
     /// Declared budgets carried over from the session.
     pub budgets: Budgets,
-    /// Flattened pass executions (loops unrolled).
+    /// Pass executions, loop counts multiplied in.
     pub invocations: u64,
     /// Deepest comp chain in any pass (CU occupancy).
     pub max_chain_len: usize,
-    /// Per-phase traffic, in program order.
-    pub phases: Vec<PhaseTraffic>,
+    /// Each pass's traffic once, in program order, with how many times
+    /// it executes (its loop's count, or 1).
+    pub phases: Vec<(PhaseTraffic, u64)>,
     /// Buffers whose extent is undeclared — their traffic is absent
     /// from every interval, so the certificate is partial.
     pub missing_extents: Vec<String>,
@@ -98,33 +99,35 @@ pub(crate) fn resolve_layer(
     }
 }
 
-/// Builds the resource summary for `session`: elaborates the canonical
-/// trace, prices it through the resolved layer's mapping, and attaches
-/// the modeled accelerator energy.
+/// Builds the resource summary for `session`: elaborates the program,
+/// prices its segments through the resolved layer's mapping (each loop
+/// body walked at most twice, not once per iteration), and attaches the
+/// modeled accelerator energy.
 ///
 /// # Errors
 ///
-/// Returns the underlying [`ConfigError`] if the resolved memory
-/// configuration fails validation (not reachable with the built-in
-/// environments, which only produce preset configurations).
+/// [`BoundsError::Config`] if the resolved memory configuration fails
+/// validation (not reachable with the built-in environments, which only
+/// produce preset configurations); [`BoundsError::Overflow`] if the
+/// program moves more bytes than a `u64` counts.
 pub fn summarize(
     session: &Session,
     stack: &MemoryConfig,
     host: &Platform,
     default_capacity: Bytes,
-) -> Result<ResourceSummary, ConfigError> {
+) -> Result<ResourceSummary, BoundsError> {
     let layer = session
         .mem_layer
         .map(|(_, l)| l)
         .unwrap_or(MemLayer::Interleaved);
     let cfg = resolve_layer(layer, stack, host);
     let e = elaborate(session);
-    let dram = trace_bounds(&cfg, &e.trace)?;
-    let accel_energy = accel_energy(&e.phases, dram.elapsed.hi);
+    let dram = segment_bounds(&cfg, &e.walk_segments())?;
+    let accel_energy = accel_energy(&e, dram.elapsed.hi);
     let max_chain_len = e
-        .phases
-        .iter()
-        .map(PhaseTraffic::chain_len)
+        .phases()
+        .filter(|&(_, n)| n > 0)
+        .map(|(p, _)| p.chain_len())
         .max()
         .unwrap_or(0);
 
@@ -145,7 +148,7 @@ pub fn summarize(
         budgets: session.budgets,
         invocations: e.invocations,
         max_chain_len,
-        phases: e.phases,
+        phases: e.phases().map(|(p, n)| (p.clone(), n)).collect(),
         missing_extents: e.missing_extents,
     })
 }
@@ -153,17 +156,24 @@ pub fn summarize(
 /// Modeled accelerator energy under the Table-5 synthesis constants:
 /// every comp in a chain streams its phase's bytes through its datapath
 /// (the floor), and the leakage of each accelerator kind deployed
-/// accrues for at most `elapsed_hi` seconds (the ceiling).
-pub(crate) fn accel_energy(phases: &[PhaseTraffic], elapsed_hi: f64) -> Interval {
+/// accrues for at most `elapsed_hi` seconds (the ceiling). The floor
+/// adds one term per execution in program order, loops unrolled, so its
+/// float sum does not depend on how the program is stored.
+pub(crate) fn accel_energy(e: &Elaboration, elapsed_hi: f64) -> Interval {
     let mut datapath_j = 0.0;
+    for phase in e.executions() {
+        for &accel in &phase.accels {
+            datapath_j += power::profile(accel).e_byte_datapath.get() * phase.bytes as f64;
+        }
+    }
+    // Kinds in order of first execution: a pass that runs runs in the
+    // first iteration of its loop.
     let mut leakage_w = 0.0;
     let mut seen = std::collections::BTreeSet::new();
-    for phase in phases {
+    for (phase, _) in e.phases().filter(|&(_, n)| n > 0) {
         for &accel in &phase.accels {
-            let prof = power::profile(accel);
-            datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;
             if seen.insert(accel) {
-                leakage_w += prof.p_leakage.get();
+                leakage_w += power::profile(accel).p_leakage.get();
             }
         }
     }

@@ -168,10 +168,11 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
             ["BUF", name, base, len] => {
                 let base = parse_extent_number(base, line)?;
                 let len = parse_extent_number(len, line)?;
-                extents.insert(
-                    (*name).to_string(),
-                    AddrRange::new(PhysAddr::new(base), Bytes::new(len)),
-                );
+                let extent =
+                    AddrRange::checked(PhysAddr::new(base), Bytes::new(len)).ok_or_else(|| {
+                        directive_err("an extent inside the address space", raw, line)
+                    })?;
+                extents.insert((*name).to_string(), extent);
             }
             ["BUF", ..] => return Err(directive_err("BUF <name> <base> <len>", raw, line)),
             ["BUDGET", "TIME", v] => {
@@ -282,6 +283,19 @@ mod tests {
         ] {
             assert!(parse_session(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn wrapping_buf_is_a_parse_error() {
+        // base + len past 2^64: an error naming the line, not a panic.
+        let src = "BUF a 0xffffffffffffff00 0x100\nPASS in=a out=a {\n  COMP FFT params=\"f\"\n}\n";
+        match parse_session(src) {
+            Err(ParseError::Unexpected { line, .. }) => assert_eq!(line, 1),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // Ending exactly at the top of the address space is fine.
+        let top = "BUF a 0xffffffffffffff00 0xff\n";
+        assert!(parse_session(top).is_ok());
     }
 
     #[test]

@@ -35,8 +35,12 @@
 //!   `trace_energy` is monotone in all three arguments, so mapping the
 //!   interval endpoints through it is sound.
 //!
-//! **Cost.** [`compose`] elaborates each tenant once, interleaves once,
-//! and makes one pass over the merged trace's same-row runs:
+//! **Cost.** [`compose`] elaborates each tenant once, unrolls its loops
+//! into the stream the interleaver merges (loop compression across
+//! interleaved tenants is not attempted: a co-tenant's requests can
+//! land between any two iterations), interleaves once, and makes one
+//! pass over the merged trace, whole mapping periods of each request
+//! in closed form:
 //! [`tagged_trace_bounds`] walks the merged trace with the tag column
 //! as an attribution sink and returns the set-level bounds together
 //! with every tenant's own traffic and its merged-prefix burst count
@@ -51,9 +55,9 @@
 //!
 //! [`interleave_tenants`]: mealib_memsim::interleave_tenants
 
-use mealib_memsim::bounds::{tagged_trace_bounds, TraceBounds};
+use mealib_memsim::bounds::{tagged_trace_bounds, BoundsError, TraceBounds};
 use mealib_memsim::{interleave_tenants, MemoryConfig, TenantStream};
-use mealib_types::{BytesPerSec, ConfigError, Interval, Seconds};
+use mealib_types::{BytesPerSec, Interval, Seconds};
 
 use super::manifest::SessionSet;
 use crate::bounds::elaborate;
@@ -146,7 +150,7 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
     set.tenants
         .iter()
         .map(|t| TenantStream {
-            trace: elaborate(&t.session).trace,
+            trace: elaborate(&t.session).unrolled_trace(),
             arrival: t.arrival,
         })
         .collect()
@@ -157,21 +161,22 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
 ///
 /// # Errors
 ///
-/// Propagates a [`ConfigError`] if the resolved shared configuration
-/// fails validation; unreachable with [`BoundsEnv`]'s presets.
-pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigError> {
+/// Propagates a [`BoundsError`]: the resolved shared configuration
+/// failing validation (unreachable with [`BoundsEnv`]'s presets), or
+/// the set moving more bytes than a `u64` counts.
+pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsError> {
     let cfg = resolved_set_config(set, env);
-    // Elaborate each tenant once: the trace feeds the interleaver, the
-    // phases and missing extents feed the per-tenant record.
+    // Elaborate each tenant once: the unrolled trace feeds the
+    // interleaver, the phases and missing extents the per-tenant record.
     let mut streams = Vec::with_capacity(set.tenants.len());
     let mut programs = Vec::with_capacity(set.tenants.len());
     for t in &set.tenants {
         let e = elaborate(&t.session);
         streams.push(TenantStream {
-            trace: e.trace,
+            trace: e.unrolled_trace(),
             arrival: t.arrival,
         });
-        programs.push((e.phases, e.missing_extents));
+        programs.push(e);
     }
     let (merged, tags) = interleave_tenants(&streams);
     let (set_tb, counts) = tagged_trace_bounds(&cfg, &merged, &tags, streams.len())?;
@@ -180,7 +185,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
     let cold = (cfg.timing.t_rcd + cfg.timing.t_cl) as f64;
 
     let mut tenants = Vec::with_capacity(set.tenants.len());
-    for ((decl, own), (phases, missing_extents)) in set.tenants.iter().zip(&counts).zip(programs) {
+    for ((decl, own), program) in set.tenants.iter().zip(&counts).zip(programs) {
         let own_bursts = own.read_bursts as f64 + own.write_bursts as f64;
 
         // Bus-occupancy floor from the tenant's own traffic: its last
@@ -227,9 +232,9 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
             elapsed,
             energy,
             // Leakage accrues for at most the set-level elapsed ceiling.
-            accel_energy: accel_energy(&phases, set_tb.elapsed.hi),
+            accel_energy: accel_energy(&program, set_tb.elapsed.hi),
             budgets: decl.session.budgets,
-            missing_extents,
+            missing_extents: program.missing_extents,
         });
     }
 

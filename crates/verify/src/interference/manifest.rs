@@ -137,7 +137,11 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
                 if len == 0 {
                     return Err(directive_err("a non-empty partition", raw, line));
                 }
-                t.partition = Some((line, AddrRange::new(PhysAddr::new(base), Bytes::new(len))));
+                let range =
+                    AddrRange::checked(PhysAddr::new(base), Bytes::new(len)).ok_or_else(|| {
+                        directive_err("a partition inside the address space", raw, line)
+                    })?;
+                t.partition = Some((line, range));
                 t.body.push('\n');
             }
             ["PARTITION", ..] => {
@@ -292,6 +296,19 @@ PASS in=x out=y {
         ] {
             assert!(parse_session_set(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn wrapping_partition_is_a_parse_error() {
+        let src = "TENANT t\nPARTITION 0xfffffffffffff000 0x1001\n";
+        match parse_session_set(src) {
+            Err(ParseError::Unexpected { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // A wrapping BUF inside a tenant body is the session parser's
+        // error, surfaced through the manifest.
+        let buf = "TENANT t\nBUF a 0xffffffffffffff00 0x100\n";
+        assert!(parse_session_set(buf).is_err());
     }
 
     #[test]

@@ -39,7 +39,8 @@ mod passes;
 pub use compose::{compose, resolved_set_config, tenant_streams, SetBounds, TenantBounds};
 pub use manifest::{looks_like_session_set, parse_session_set, SessionSet, TenantDecl};
 
-use mealib_types::{ConfigError, Report};
+use mealib_memsim::bounds::BoundsError;
+use mealib_types::Report;
 
 use crate::bounds::BoundsEnv;
 
@@ -112,9 +113,10 @@ impl Certification {
 ///
 /// # Errors
 ///
-/// Propagates a [`ConfigError`] if the shared memory configuration
-/// fails validation; unreachable with [`BoundsEnv`]'s presets.
-pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, ConfigError> {
+/// Propagates a [`BoundsError`]: the shared memory configuration
+/// failing validation (unreachable with [`BoundsEnv`]'s presets), or
+/// the set moving more bytes than a `u64` counts.
+pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, BoundsError> {
     let bounds = compose(set, env)?;
     let mut report = Report::new();
     passes::check_partitions(set, &mut report);

@@ -392,6 +392,36 @@ mod cli {
     }
 
     #[test]
+    fn adversarial_extents_and_loops_lint_quickly() {
+        // A 2^62 B buffer walked in closed form, a wrapping extent (a
+        // parse error, not a panic) and a 2^20-iteration loop kept, not
+        // unrolled: each lints to an exit code, not a crash or a hang.
+        let pass = "PASS in=a out=b {\n  COMP AXPY params=\"a.para\"\n}\n";
+        let huge = scratch(
+            "huge-buf.tdl",
+            format!("BUF a 0x1000 0x4000000000000000\nBUF b 0x1000 0x1000\n{pass}").as_bytes(),
+        );
+        let wrap = scratch(
+            "wrap-buf.tdl",
+            format!("BUF a 0xffffffffffffff00 0x200\nBUF b 0x1000 0x1000\n{pass}").as_bytes(),
+        );
+        let looped = scratch(
+            "long-loop.tdl",
+            format!(
+                "BUF a 0x1000 0x1000000\nBUF b 0x2000000 0x1000000\nLOOP 1048576 {{\n{pass}}}\n"
+            )
+            .as_bytes(),
+        );
+        for (file, want) in [(&huge, None), (&wrap, Some(2)), (&looped, None)] {
+            let (code, stdout, stderr) = mealint(&[file.to_str().unwrap()]);
+            assert!((0..=2).contains(&code), "exit {code}: {stdout}{stderr}");
+            if let Some(want) = want {
+                assert_eq!(code, want, "{stdout}{stderr}");
+            }
+        }
+    }
+
+    #[test]
     fn unusable_inputs_exit_two() {
         let garbage = scratch("garbage.tdl", b"PASS oops");
         let (code, _, stderr) = mealint(&[garbage.to_str().unwrap()]);

@@ -92,7 +92,7 @@ fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
         let mut datapath_j = 0.0;
         let mut leakage_w = 0.0;
         let mut seen = std::collections::BTreeSet::new();
-        for phase in &e.phases {
+        for phase in e.executions() {
             for &accel in &phase.accels {
                 let prof = power::profile(accel);
                 datapath_j += prof.e_byte_datapath.get() * phase.bytes as f64;

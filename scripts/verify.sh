@@ -110,6 +110,33 @@ for f in "$adv"/*.memcfg; do
     fi
 done
 
+echo "==> mealint: adversarial sizes must lint within 5 s and exit 0/1/2"
+# Buffers of 2^62 and 2^63 bytes, an extent whose base + length wraps,
+# and the mea201 loop at 2^20 iterations. The bounds walk prices whole
+# mapping periods in closed form and keeps loops rolled, so none of
+# these may hang, run out of memory, or panic. Written to the temporary
+# directory above, not the corpus.
+pass='PASS in=a out=b {
+  COMP AXPY params="a.para"
+}'
+for spec in "buf62 0x1000 0x4000000000000000" "buf63 0x1000 0x8000000000000000" \
+    "wrap 0xffffffffffffff00 0x200"; do
+    read -r name base len <<<"$spec"
+    printf 'BUF a %s %s\nBUF b 0x1000 0x1000\n%s\n' "$base" "$len" "$pass" >"$adv/$name.tdl"
+done
+sed 's/^LOOP 8 {$/LOOP 1048576 {/' crates/verify/corpus/bad/mea201_loop_traffic.tdl \
+    >"$adv/loop1048576.tdl"
+grep -q '^LOOP 1048576 {$' "$adv/loop1048576.tdl"
+for f in "$adv"/*.tdl; do
+    status=0
+    out=$(timeout 5 "${MEALINT[@]}" "$f" 2>&1) || status=$?
+    if (( status > 2 )); then
+        echo "mealint exited $status on $(basename "$f") (124 = timed out):" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
+
 echo "==> interference corpus coverage: every MEA3xx code needs >=2 bad manifests + clean twins"
 for code in 300 301 302 303; do
     bad=$(ls crates/verify/corpus/bad/mea${code}_*.set 2>/dev/null | wc -l)

@@ -25,9 +25,10 @@ fn every_workloads_pipeline_is_certified_soundly() {
             elab.missing_extents.is_empty(),
             "{name}: exported sessions declare every extent"
         );
-        let static_bounds = trace_bounds(&cfg, &elab.trace).expect("preset configs validate");
-        let run = simulate(&cfg, &elab.trace, &SimOptions::dual_check())
-            .expect("preset configs validate");
+        let trace = elab.unrolled_trace();
+        let static_bounds = trace_bounds(&cfg, &trace).expect("preset configs validate");
+        let run =
+            simulate(&cfg, &trace, &SimOptions::dual_check()).expect("preset configs validate");
         assert!(
             static_bounds.check_contains(&run.stats).is_none(),
             "{name}: {}",
