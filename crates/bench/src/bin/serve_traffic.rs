@@ -147,7 +147,8 @@ fn main() {
     print!("{table}");
     println!(
         "\n{} completed, {} rejected (proved), {} shed over {} epochs; \
-         modeled {:.3} ms, peak queue {}, plan cache {}/{} hits",
+         modeled {:.3} ms, peak queue {}, plan cache {}/{} hits, certify memo {}/{} hits \
+         ({:.1}%)",
         report.completed.len(),
         report.rejected.len(),
         report.shed.len(),
@@ -156,6 +157,9 @@ fn main() {
         report.peak_queue_depth,
         report.plan_cache_hits,
         report.plans_planned,
+        report.certify_memo_hits,
+        report.certify_calls,
+        100.0 * report.certify_memo_hits as f64 / report.certify_calls.max(1) as f64,
     );
 
     let soundness = report.admission_soundness();

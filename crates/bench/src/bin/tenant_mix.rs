@@ -67,7 +67,9 @@ fn manifest(mix: &Mix, catalogue: &[(String, String)]) -> String {
         if i > 0 {
             src.push_str(&format!("ARRIVAL {}\n", i as u64 * 97));
         }
-        src.push_str(&rebase_session(body, cursor));
+        src.push_str(
+            &rebase_session(body, cursor).expect("pipeline sessions rebase into their slots"),
+        );
         cursor += slot;
     }
     src

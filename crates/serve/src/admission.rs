@@ -1,23 +1,48 @@
-//! The admission gate: manifest rendering and `certify_set` as the
-//! scheduler's only door.
+//! The admission gate: typed certification as the scheduler's only
+//! door, with a per-gate certification memo.
 //!
 //! Every epoch the scheduler proposes a batch of resident candidates;
-//! the gate renders them as a PR-8 session-set manifest (one `TENANT`
-//! section per candidate: its partition, its arrival stagger, its
-//! declared `BUDGET TIME`, and its class body rebased into the slot)
-//! and asks [`certify_set`] for a verdict. The scheduler never admits
-//! on its own authority: ADMIT means the certifier *proved* isolation
-//! and every declared ceiling, REJECT comes with the MEA3xx proof
-//! attached, and UNKNOWN is handled by a configurable — but always
-//! conservative — policy: retry later or shed, never admit.
+//! the gate builds the PR-8 session set for them directly (one tenant
+//! per candidate: its partition, its arrival stagger, its declared
+//! `BUDGET TIME`, and its class session rebased into the slot) and
+//! certifies it. The scheduler never admits on its own authority:
+//! ADMIT means the certifier *proved* isolation and every declared
+//! ceiling, REJECT comes with the MEA3xx proof attached, and UNKNOWN is
+//! handled by a configurable — but always conservative — policy: retry
+//! later or shed, never admit.
+//!
+//! Certifying is [`compose`] followed by [`judge`]. Composition reads
+//! only each tenant's class body, slot base and arrival, plus the
+//! shared layer and environment, which are fixed per gate; names and
+//! budgets only pass through it. So the gate composes each distinct
+//! batch layout once and judges every request against the memoized
+//! bounds with that request's own names and budgets. The key is exact
+//! — (class body, slot base, arrival) per tenant, in order — and the
+//! memo lives as long as the gate, which the scheduler builds once per
+//! serve call.
+//!
+//! [`AdmissionGate::manifest`] renders the same set as manifest text,
+//! for repros and for oracles that re-derive each verdict through
+//! [`parse_session_set`](mealib_verify::interference::parse_session_set).
+//! Parsing that text yields the set the gate certifies: the same tenant
+//! names, `TENANT` and `PARTITION` lines, arrivals, budgets, extents and
+//! programs, so REJECT proofs render identically. Only spans inside each
+//! tenant's session differ: the gate's keep the class body's own lines.
 
-use mealib_verify::interference::{certify_set, parse_session_set, Certification, SessionSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use mealib_obs::MetricsRegistry;
+use mealib_types::AddrRange;
+use mealib_verify::dataflow::{Budgets, MemLayer};
+use mealib_verify::interference::{
+    compose, judge, Certification, SessionSet, SetBounds, TenantDecl,
+};
 use mealib_verify::BoundsEnv;
 use mealib_workloads::sessions::rebase_session;
 
-use mealib_types::AddrRange;
-
-use crate::session::SessionRequest;
+use crate::session::{ClassBody, SessionClass, SessionRequest};
 
 /// What to do with a candidate the certifier cannot decide on.
 /// Both options are conservative: UNKNOWN never admits.
@@ -33,7 +58,7 @@ pub enum UnknownPolicy {
 }
 
 /// One candidate (or already-accepted member) of an epoch batch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Resident {
     /// The session being placed.
     pub request: SessionRequest,
@@ -41,25 +66,49 @@ pub struct Resident {
     pub partition: AddrRange,
     /// Request-slot arrival offset inside the epoch's merged replay.
     pub arrival_slot: u64,
-    /// The class body rebased into the partition slot.
-    pub body: String,
+    /// The class body, canonical and parsed; the gate rebases it to
+    /// the partition's start.
+    pub body: Arc<ClassBody>,
 }
 
 impl Resident {
+    /// Places `request`, an instance of `class`, into `partition` with
+    /// the given stagger. The resident shares the class's parsed body.
+    pub fn new(
+        request: SessionRequest,
+        class: &SessionClass,
+        partition: AddrRange,
+        arrival_slot: u64,
+    ) -> Self {
+        Self {
+            request,
+            partition,
+            arrival_slot,
+            body: Arc::clone(&class.parsed),
+        }
+    }
+
     /// Places `request` into `partition` with the given stagger,
-    /// rebasing `canonical_body` to the slot base.
+    /// parsing `canonical_body` for it alone. Residents placed this way
+    /// share no body, so the gate's memo never matches them against
+    /// each other; [`Resident::new`] is the serving path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `canonical_body` does not parse as a tenant session
+    /// ([`ClassBody::parse`]).
     pub fn place(
         request: SessionRequest,
         canonical_body: &str,
         partition: AddrRange,
         arrival_slot: u64,
     ) -> Self {
-        let body = rebase_session(canonical_body, partition.start().get());
+        let body = ClassBody::parse(canonical_body).expect("resident bodies parse");
         Self {
             request,
             partition,
             arrival_slot,
-            body,
+            body: Arc::new(body),
         }
     }
 
@@ -69,15 +118,57 @@ impl Resident {
     }
 }
 
+/// One tenant's part of a memo key: everything of a tenant that
+/// [`compose`] reads. The body compares by identity, so two keys match
+/// only when their residents share one parsed class body.
+#[derive(Debug, Clone)]
+struct TenantKey {
+    body: Arc<ClassBody>,
+    base: u64,
+    arrival: u64,
+}
+
+impl TenantKey {
+    fn of(r: &Resident) -> Self {
+        Self {
+            body: Arc::clone(&r.body),
+            base: r.partition.start().get(),
+            arrival: r.arrival_slot,
+        }
+    }
+}
+
+impl PartialEq for TenantKey {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
+            && self.base == other.base
+            && self.arrival == other.arrival
+    }
+}
+
+impl Eq for TenantKey {}
+
+impl Hash for TenantKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.body).hash(state);
+        self.base.hash(state);
+        self.arrival.hash(state);
+    }
+}
+
 /// The admission gate: environment plus the optional §4.2 asymmetric
-/// boundary every manifest shares.
+/// boundary every batch shares, and the memo of composed layouts.
 #[derive(Debug, Clone)]
 pub struct AdmissionGate {
     env: BoundsEnv,
-    /// When set, every manifest opens with `MEM ASYM <split>`: the
+    /// When set, every set shares the `MEM ASYM <split>` layer: the
     /// shared layer carves a dedicated high region at `split`, so
     /// tenants placed above it own their unit outright.
     asym_split: Option<u64>,
+    /// Composed bounds per batch layout, for the gate's lifetime.
+    memo: HashMap<Vec<TenantKey>, SetBounds>,
+    certify_calls: u64,
+    memo_hits: u64,
 }
 
 impl AdmissionGate {
@@ -86,15 +177,19 @@ impl AdmissionGate {
         Self {
             env,
             asym_split: None,
+            memo: HashMap::new(),
+            certify_calls: 0,
+            memo_hits: 0,
         }
     }
 
-    /// Switches every manifest to the asymmetric layer split at
-    /// `split` (callers should pick a power of two at least as large
-    /// as the biggest partition slot, so no slot straddles the
-    /// boundary — buddy slots are self-aligned).
+    /// Switches every set to the asymmetric layer split at `split`
+    /// (callers should pick a power of two at least as large as the
+    /// biggest partition slot, so no slot straddles the boundary —
+    /// buddy slots are self-aligned).
     pub fn with_asym_split(mut self, split: u64) -> Self {
         self.asym_split = Some(split);
+        self.memo.clear();
         self
     }
 
@@ -103,8 +198,23 @@ impl AdmissionGate {
         &self.env
     }
 
+    /// Certify calls made through this gate.
+    pub fn certify_calls(&self) -> u64 {
+        self.certify_calls
+    }
+
+    /// Certify calls that reused a memoized composition.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
+    }
+
     /// Renders the session-set manifest for `batch`. Float budgets
     /// round-trip exactly (Rust float formatting is shortest-exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`AdmissionGate::certify`] does when a body cannot be
+    /// rebased into its partition.
     pub fn manifest(&self, batch: &[Resident]) -> String {
         let mut src = String::new();
         if let Some(split) = self.asym_split {
@@ -123,24 +233,93 @@ impl AdmissionGate {
             if let Some(b) = r.request.time_budget_s {
                 src.push_str(&format!("BUDGET TIME {b}\n"));
             }
-            src.push_str(&r.body);
+            let body = rebase_session(r.body.text(), r.partition.start().get())
+                .expect("resident bodies rebase into their partitions");
+            src.push_str(&body);
         }
         src
     }
 
-    /// Certifies `batch`, returning the parsed set (the replay input)
-    /// and the certification (verdict + proof + bounds).
+    /// The set [`AdmissionGate::manifest`] renders, built without text.
+    /// Line numbers follow the manifest's layout: an optional `MEM`
+    /// line, then per tenant its `TENANT` and `PARTITION` lines, an
+    /// `ARRIVAL` line when staggered, a `BUDGET TIME` line when
+    /// budgeted, and the body.
+    fn session_set(&self, batch: &[Resident]) -> SessionSet {
+        let mut line = 1 + usize::from(self.asym_split.is_some());
+        let mut tenants = Vec::with_capacity(batch.len());
+        for r in batch {
+            let budget = r.request.time_budget_s;
+            let mut session = r
+                .body
+                .session()
+                .rebase(r.partition.start().get())
+                .expect("resident bodies rebase into their partitions");
+            // A body's own `BUDGET TIME` line follows the gate's, so it
+            // is the one the manifest parse keeps.
+            session.budgets.time_s = session.budgets.time_s.or(budget);
+            tenants.push(TenantDecl {
+                name: r.tenant_name(),
+                line,
+                partition: Some((line + 1, r.partition)),
+                arrival: r.arrival_slot,
+                session,
+            });
+            line += 2
+                + usize::from(r.arrival_slot > 0)
+                + usize::from(budget.is_some())
+                + r.body.lines();
+        }
+        SessionSet {
+            tenants,
+            budgets: Budgets::default(),
+            mem_layer: self.asym_split.map(|split| (1, MemLayer::Asym(split))),
+        }
+    }
+
+    /// Certifies `batch`, returning its session set (the replay input)
+    /// and the certification (verdict + proof + bounds). The verdict,
+    /// proof and bounds are bit-identical to
+    /// `certify_set(&parse_session_set(&self.manifest(batch))?, env)`;
+    /// a batch layout this gate has certified before is judged against
+    /// its memoized composition.
     ///
     /// # Panics
     ///
-    /// Panics if the rendered manifest fails to parse or the preset
-    /// environment fails validation — both are scheduler bugs, not
-    /// input conditions.
-    pub fn certify(&self, batch: &[Resident]) -> (SessionSet, Certification) {
-        let src = self.manifest(batch);
-        let set = parse_session_set(&src).expect("rendered manifests parse");
-        let cert = certify_set(&set, &self.env).expect("preset env validates");
+    /// Panics if a member's body cannot be rebased into its partition
+    /// (an extent would pass the top of the address space), or if
+    /// composition fails: the environment failing validation, or the
+    /// set moving more bytes than a `u64` counts. Partitions come from
+    /// the partition table and environments from the presets, so each
+    /// is a scheduler bug, not an input condition.
+    pub fn certify(&mut self, batch: &[Resident]) -> (SessionSet, Certification) {
+        let set = self.session_set(batch);
+        let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
+        self.certify_calls += 1;
+        let bounds = match self.memo.get(&key) {
+            Some(bounds) => {
+                self.memo_hits += 1;
+                bounds.clone()
+            }
+            None => {
+                let bounds = compose(&set, &self.env).expect("certified batches compose");
+                self.memo.insert(key, bounds.clone());
+                bounds
+            }
+        };
+        let cert = judge(&set, bounds);
         (set, cert)
+    }
+
+    /// Exports the certify-call and memo-hit counters into `reg`.
+    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        reg.describe("serve_certify_calls_total", "Admission certify calls");
+        reg.store("serve_certify_calls_total", &[], self.certify_calls);
+        reg.describe(
+            "serve_certify_memo_hits_total",
+            "Certify calls judged against a memoized batch layout",
+        );
+        reg.store("serve_certify_memo_hits_total", &[], self.memo_hits);
     }
 }
 
@@ -149,18 +328,19 @@ mod tests {
     use super::*;
     use crate::session::Catalogue;
     use mealib_types::{Bytes, PhysAddr};
+    use mealib_verify::interference::{certify_set, parse_session_set};
     use mealib_verify::Verdict;
 
     fn place(cat: &Catalogue, id: u64, class: &str, base: u64, budget: Option<f64>) -> Resident {
         let c = cat.get(class).unwrap();
-        Resident::place(
+        Resident::new(
             SessionRequest {
                 id,
                 class: class.into(),
                 arrival_epoch: 0,
                 time_budget_s: budget,
             },
-            &c.body,
+            c,
             AddrRange::new(PhysAddr::new(base), Bytes::new(c.slot)),
             id * 64,
         )
@@ -169,7 +349,7 @@ mod tests {
     #[test]
     fn disjoint_generous_batch_admits() {
         let cat = Catalogue::standard(&BoundsEnv::default());
-        let gate = AdmissionGate::new(BoundsEnv::default());
+        let mut gate = AdmissionGate::new(BoundsEnv::default());
         let slot = cat.get("stap-tiny").unwrap().slot;
         let hi = cat.get("stap-tiny").unwrap().solo_elapsed.1;
         let batch = vec![
@@ -187,7 +367,7 @@ mod tests {
     #[test]
     fn impossible_budget_rejects_with_a_proof() {
         let cat = Catalogue::standard(&BoundsEnv::default());
-        let gate = AdmissionGate::new(BoundsEnv::default());
+        let mut gate = AdmissionGate::new(BoundsEnv::default());
         let lo = cat.get("stap-tiny").unwrap().solo_elapsed.0;
         let batch = vec![place(&cat, 0, "stap-tiny", 0, Some(lo * 0.5))];
         let (_, cert) = gate.certify(&batch);
@@ -200,26 +380,70 @@ mod tests {
     #[test]
     fn budget_text_round_trips_exactly() {
         let cat = Catalogue::standard(&BoundsEnv::default());
-        let gate = AdmissionGate::new(BoundsEnv::default());
+        let mut gate = AdmissionGate::new(BoundsEnv::default());
         // An awkward, non-terminating mantissa: exercises the full
         // float-to-text-to-float path, not a round decimal.
         let budget = std::f64::consts::FRAC_PI_3 * 1e-3;
         let batch = vec![place(&cat, 7, "sar-chain-256", 0, Some(budget))];
         let (set, _) = gate.certify(&batch);
         assert_eq!(set.tenants[0].session.budgets.time_s, Some(budget));
+        let parsed = parse_session_set(&gate.manifest(&batch)).unwrap();
+        assert_eq!(parsed.tenants[0].session.budgets.time_s, Some(budget));
     }
 
     #[test]
     fn asym_split_selects_the_shared_asymmetric_layer() {
         let cat = Catalogue::standard(&BoundsEnv::default());
         let split = 1u64 << 29;
-        let gate = AdmissionGate::new(BoundsEnv::default()).with_asym_split(split);
+        let mut gate = AdmissionGate::new(BoundsEnv::default()).with_asym_split(split);
         let batch = vec![place(&cat, 0, "stap-tiny", 0, None)];
         let src = gate.manifest(&batch);
         assert!(src.starts_with(&format!("MEM ASYM 0x{split:x}\n")));
         let (set, cert) = gate.certify(&batch);
-        assert!(set.mem_layer.is_some());
+        assert_eq!(set.mem_layer, parse_session_set(&src).unwrap().mem_layer);
         // Isolation still provable under the asymmetric layer.
         assert_ne!(cert.verdict, Verdict::Reject, "{}", cert.report.render());
+    }
+
+    #[test]
+    fn a_repeated_layout_hits_the_memo_and_is_judged_afresh() {
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        let env = BoundsEnv::default();
+        let mut gate = AdmissionGate::new(env.clone());
+        let lo = cat.get("stap-tiny").unwrap().solo_elapsed.0;
+        let generous = vec![place(&cat, 0, "stap-tiny", 0, None)];
+        let (_, first) = gate.certify(&generous);
+        assert_eq!((gate.certify_calls(), gate.memo_hits()), (1, 0));
+        // Same layout, another id and an impossible budget: a hit, and
+        // the verdict follows the new budget.
+        let mut tight = generous.clone();
+        tight[0].request.id = 9;
+        tight[0].request.time_budget_s = Some(lo * 0.5);
+        let (_, second) = gate.certify(&tight);
+        assert_eq!((gate.certify_calls(), gate.memo_hits()), (2, 1));
+        assert_eq!(first.verdict, Verdict::Admit);
+        assert_eq!(second.verdict, Verdict::Reject);
+        let oracle =
+            certify_set(&parse_session_set(&gate.manifest(&tight)).unwrap(), &env).unwrap();
+        assert_eq!(second.report.render(), oracle.report.render());
+        assert_eq!(second.bounds.tenants[0].name, "s9");
+        // Another slot base is another layout.
+        let mut moved = generous.clone();
+        moved[0].partition = AddrRange::new(
+            PhysAddr::new(1 << 30),
+            Bytes::new(cat.get("stap-tiny").unwrap().slot),
+        );
+        gate.certify(&moved);
+        assert_eq!(gate.memo_hits(), 1);
+        // A body parsed on its own is never matched against a shared one.
+        let c = cat.get("stap-tiny").unwrap();
+        let alone = Resident::place(
+            generous[0].request.clone(),
+            &c.body,
+            generous[0].partition,
+            0,
+        );
+        gate.certify(&[alone]);
+        assert_eq!((gate.certify_calls(), gate.memo_hits()), (4, 1));
     }
 }

@@ -6,16 +6,18 @@
 //! re-planning. Partition rebasing only moves `BUF` directives — the
 //! TDL text itself is canonical per class — so the plan cache hits on
 //! every repeat admission of a class, which is exactly the batching
-//! economy the serving layer claims. The scheduler reads the hit/build
-//! counters back out of here for the report.
+//! economy the serving layer claims. Each class's items are rendered
+//! to program text once, with their parameter bags, when the batcher
+//! is built. The scheduler reads the hit/build counters back out of
+//! here for the report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use mealib_runtime::{Runtime, VerifyMode};
 use mealib_sim::plausible_params;
 use mealib_tdl::{ParamBag, TdlItem, TdlProgram};
 use mealib_types::Bytes;
-use mealib_verify::dataflow::{parse_session, HostOp};
+use mealib_verify::dataflow::{HostOp, Session};
 
 use crate::session::Catalogue;
 
@@ -24,6 +26,30 @@ use crate::session::Catalogue;
 pub struct DescriptorBatcher {
     rt: Runtime,
     planned: u64,
+    /// Per canonical class body: each top-level item's program text and
+    /// parameter bag, in program order.
+    items: HashMap<String, Vec<(String, ParamBag)>>,
+}
+
+/// Each top-level item of `session` as the single-item program text and
+/// parameter bag the compiler path plans.
+fn plan_inputs(session: &Session) -> Vec<(String, ParamBag)> {
+    session
+        .program
+        .items
+        .iter()
+        .map(|item| {
+            let mut bag = ParamBag::new();
+            let comps: Vec<_> = match item {
+                TdlItem::Pass(p) => p.comps.iter().collect(),
+                TdlItem::Loop(l) => l.body.iter().flat_map(|p| &p.comps).collect(),
+            };
+            for comp in comps {
+                bag.insert(comp.params.clone(), plausible_params(comp.accel).to_bytes());
+            }
+            (TdlProgram::new(vec![item.clone()]).to_string(), bag)
+        })
+        .collect()
 }
 
 impl DescriptorBatcher {
@@ -32,16 +58,16 @@ impl DescriptorBatcher {
     ///
     /// # Panics
     ///
-    /// Panics if a catalogue session fails to parse or a buffer fails
-    /// to allocate — both in-tree invariants.
+    /// Panics if a buffer fails to allocate — an in-tree invariant.
     pub fn new(catalogue: &Catalogue) -> Self {
         let mut rt = Runtime::new();
         // Admission already certified the batch; static re-verification
         // of each descriptor would double-charge the gate.
         rt.set_verify_mode(VerifyMode::Off);
         let mut names: BTreeSet<String> = BTreeSet::new();
+        let mut items = HashMap::new();
         for class in catalogue.classes() {
-            let session = parse_session(&class.body).expect("catalogue sessions parse");
+            let session = class.parsed.session();
             for pass in session.program.passes() {
                 names.insert(pass.input.clone());
                 names.insert(pass.output.clone());
@@ -51,39 +77,41 @@ impl DescriptorBatcher {
                     names.insert(b.clone());
                 }
             }
+            items.insert(class.body.clone(), plan_inputs(session));
         }
         for name in &names {
             rt.mem_alloc(name, Bytes::from_mib(1))
                 .expect("batcher buffers fit the default stack");
         }
-        Self { rt, planned: 0 }
+        Self {
+            rt,
+            planned: 0,
+            items,
+        }
     }
 
-    /// Plans every top-level TDL item of `canonical_body` through the
-    /// cached compiler path. Returns the number of items planned.
+    /// Plans every top-level TDL item of the catalogue class whose body
+    /// is `canonical_body` through the cached compiler path, from the
+    /// program texts rendered when the batcher was built. Returns the
+    /// number of items planned.
     ///
     /// # Panics
     ///
-    /// Panics if planning a catalogue session fails — the bodies are
-    /// in-tree and the buffers pre-allocated, so that is a bug.
+    /// Panics if `canonical_body` is no catalogue class's body, or if
+    /// planning fails — the bodies are in-tree and the buffers
+    /// pre-allocated, so that is a bug.
     pub fn plan_class(&mut self, canonical_body: &str) -> usize {
-        let session = parse_session(canonical_body).expect("catalogue sessions parse");
-        for item in &session.program.items {
-            let program = TdlProgram::new(vec![item.clone()]);
-            let mut bag = ParamBag::new();
-            let comps: Vec<_> = match item {
-                TdlItem::Pass(p) => p.comps.clone(),
-                TdlItem::Loop(l) => l.body.iter().flat_map(|p| p.comps.clone()).collect(),
-            };
-            for comp in comps {
-                bag.insert(comp.params.clone(), plausible_params(comp.accel).to_bytes());
-            }
+        let items = self
+            .items
+            .get(canonical_body)
+            .expect("planned bodies are catalogue classes");
+        for (program, bag) in items {
             self.rt
-                .acc_plan_cached(&program.to_string(), &bag)
+                .acc_plan_cached(program, bag)
                 .expect("catalogue sessions plan");
-            self.planned += 1;
         }
-        session.program.items.len()
+        self.planned += items.len() as u64;
+        items.len()
     }
 
     /// Total top-level items planned (cached or not).

@@ -6,7 +6,7 @@
 //! hand-built tenant mixes, it runs a discrete-event scheduler whose
 //! *only* admission authority is [`certify_set`]'s verdict. Arriving
 //! TDL sessions ([`traffic`]) are placed into buddy-allocated vault
-//! partitions ([`partition`]), rendered as session-set manifests and
+//! partitions ([`partition`]), built into typed session sets and
 //! certified against the currently-forming batch ([`admission`]),
 //! planned through the runtime's cached compiler path ([`batch`]),
 //! and replayed through the tagged interleaved engine for exact
@@ -42,8 +42,8 @@ pub use metrics::{ClassStats, EpochStats, ServeReport};
 pub use partition::PartitionTable;
 pub use scheduler::{serve, serve_with_telemetry, ServeConfig};
 pub use session::{
-    Catalogue, CompletedSession, RejectedSession, SessionClass, SessionRequest, ShedReason,
-    ShedSession, MIN_SLOT,
+    Catalogue, ClassBody, CompletedSession, RejectedSession, SessionClass, SessionRequest,
+    ShedReason, ShedSession, MIN_SLOT,
 };
 pub use telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
 pub use traffic::{generate, ArrivalMix, ClassShare, Traffic, TrafficSpec};

@@ -81,6 +81,13 @@ pub struct ServeReport {
     pub plan_cache_hits: u64,
     /// Distinct descriptor chains resident at the end.
     pub plan_cache_len: usize,
+    /// Admission certify calls. Like the memo hits, a measure of the
+    /// certifier's work, not of the run: kept out of
+    /// [`ServeReport::fingerprint`].
+    pub certify_calls: u64,
+    /// Certify calls judged against a batch layout composed earlier in
+    /// the run.
+    pub certify_memo_hits: u64,
 }
 
 impl ServeReport {

@@ -9,7 +9,9 @@
 //!    (tail-dropping at `queue_cap`);
 //! 2. fills a batch from the queue front: each candidate gets a buddy
 //!    partition slot and the grown batch is re-certified through
-//!    [`AdmissionGate::certify`] — ADMIT joins, REJECT frees the slot
+//!    [`AdmissionGate::certify`] (one gate per call, so each distinct
+//!    batch layout is composed once per call) — ADMIT joins, REJECT
+//!    frees the slot
 //!    and retries with exponential backoff until the retry budget
 //!    terminalizes it (carrying the MEA3xx proof), UNKNOWN follows the
 //!    configured conservative policy;
@@ -342,17 +344,12 @@ fn serve_core(
                 queue.push_front(p);
                 break;
             };
-            let candidate = Resident::place(
-                p.req.clone(),
-                &class.body,
-                partition,
-                batch.len() as u64 * config.stagger_slots,
-            );
-            let mut trial = batch.clone();
-            trial.push(candidate.clone());
-            let (set, cert) = gate.certify(&trial);
+            let arrival_slot = batch.len() as u64 * config.stagger_slots;
+            batch.push(Resident::new(p.req.clone(), class, partition, arrival_slot));
+            let (set, cert) = gate.certify(&batch);
             p.attempts += 1;
             if cert.verdict != Verdict::Admit {
+                batch.pop();
                 table.free(partition);
             }
             match cert.verdict {
@@ -366,7 +363,6 @@ fn serve_core(
                         attempt: p.attempts,
                     };
                     ledger.decide(ev, &p.req.class, clock_s);
-                    batch.push(candidate);
                     batch_meta.push(p);
                     admitted_cert = Some((set, cert));
                 }
@@ -491,6 +487,7 @@ fn serve_core(
 
     if let Some(t) = ledger.tele {
         batcher.export_metrics(t.registry_mut());
+        gate.export_metrics(t.registry_mut());
     }
 
     ServeReport {
@@ -505,6 +502,8 @@ fn serve_core(
         plans_planned: batcher.planned(),
         plan_cache_hits: batcher.cache_hits(),
         plan_cache_len: batcher.cached_plans(),
+        certify_calls: gate.certify_calls(),
+        certify_memo_hits: gate.memo_hits(),
     }
 }
 

@@ -5,24 +5,81 @@
 //! ([`mealib_workloads::sessions::pipeline_sessions`]) expressed as a
 //! canonical analysis session; a *session request* is one arriving
 //! instance of a class with a tenant-visible time budget. The
-//! scheduler rebases the class's canonical body into whatever
-//! partition slot the candidate is offered
-//! ([`rebase_session`](mealib_workloads::sessions::rebase_session)),
-//! so the catalogue caches per-class geometry once: the byte span a
-//! slot must cover and the exact trace bytes the class emits (the
-//! conservation tests reconcile scheduler output against the latter).
+//! catalogue parses each class body once ([`ClassBody`]) and caches
+//! its geometry: the byte span a slot must cover and the exact trace
+//! bytes the class emits (the conservation tests reconcile scheduler
+//! output against the latter). The admission gate rebases the parsed
+//! session into whatever partition slot a candidate is offered
+//! ([`Session::rebase`]), so no class body is parsed or rendered again
+//! while serving.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use mealib_types::{AddrRange, ErrorCode};
-use mealib_verify::interference::compose;
+use mealib_tdl::ParseError;
+use mealib_types::{AddrRange, Bytes, ErrorCode, PhysAddr};
+use mealib_verify::dataflow::{parse_session, Session};
 use mealib_verify::BoundsEnv;
 use mealib_workloads::sessions::{pipeline_sessions, session_span};
+
+use crate::admission::{AdmissionGate, Resident};
 
 /// Smallest partition slot ever offered: keeps a generous guard band
 /// between tenants regardless of session size (same convention as the
 /// `tenant_mix` harness).
 pub const MIN_SLOT: u64 = 1 << 22;
+
+/// A class body parsed once. Manifests render its text, the admission
+/// gate rebases its session into each resident's slot, and every
+/// resident of a catalogue class shares one `ClassBody` — the identity
+/// the gate's certification memo keys on.
+#[derive(Debug)]
+pub struct ClassBody {
+    text: String,
+    session: Session,
+    lines: usize,
+}
+
+impl ClassBody {
+    /// Parses `text` as one tenant's section of a session-set manifest:
+    /// a session without a `MEM` directive (the layer is the set's).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ParseError`] of [`parse_session`], or one naming
+    /// the line of a `MEM` directive.
+    pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let session = parse_session(text)?;
+        if let Some((line, _)) = session.mem_layer {
+            return Err(ParseError::Unexpected {
+                expected: "MEM in the manifest header (the layer is shared)".into(),
+                found: "a tenant-level MEM directive".into(),
+                line,
+            });
+        }
+        Ok(Self {
+            text: text.to_string(),
+            session,
+            lines: text.lines().count(),
+        })
+    }
+
+    /// The canonical body text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The canonical body, parsed.
+    pub fn session(&self) -> &Session {
+        &self.session
+    }
+
+    /// Manifest lines the body takes, at any slot: rebasing rewrites
+    /// `BUF` lines in place.
+    pub(crate) fn lines(&self) -> usize {
+        self.lines
+    }
+}
 
 /// One class of the serving catalogue: a canonical session body plus
 /// the geometry the scheduler needs to place and account for it.
@@ -33,6 +90,8 @@ pub struct SessionClass {
     /// Canonical session body (buffers laid out from the exporter's
     /// small base).
     pub body: String,
+    /// `body`, parsed once and shared by every resident of the class.
+    pub parsed: Arc<ClassBody>,
     /// Power-of-two slot size a partition must provide.
     pub slot: u64,
     /// Exact trace bytes one instance moves (read + write, over
@@ -60,16 +119,26 @@ impl Catalogue {
     /// exporters and the environment presets are both in-tree, so
     /// that is a bug, not an input condition.
     pub fn standard(env: &BoundsEnv) -> Self {
+        let mut gate = AdmissionGate::new(env.clone());
         let mut classes = BTreeMap::new();
         for (name, body) in pipeline_sessions() {
+            let parsed = Arc::new(ClassBody::parse(&body).expect("catalogue sessions parse"));
             let slot = session_span(&body).next_power_of_two().max(MIN_SLOT);
             // Solo bounds: the class as a single-tenant set in a slot
             // at base 0 (the canonical layout already fits it).
-            let manifest = format!("TENANT solo\nPARTITION 0x0 0x{slot:x}\n{body}");
-            let set = mealib_verify::interference::parse_session_set(&manifest)
-                .expect("catalogue sessions parse");
-            let bounds = compose(&set, env).expect("preset env validates");
-            let t = &bounds.tenants[0];
+            let solo = Resident {
+                request: SessionRequest {
+                    id: 0,
+                    class: name.clone(),
+                    arrival_epoch: 0,
+                    time_budget_s: None,
+                },
+                partition: AddrRange::new(PhysAddr::new(0), Bytes::new(slot)),
+                arrival_slot: 0,
+                body: Arc::clone(&parsed),
+            };
+            let (_, cert) = gate.certify(&[solo]);
+            let t = &cert.bounds.tenants[0];
             // Composed traffic is exact, so the solo tenant's bytes are
             // the class's trace bytes.
             let trace_bytes = (t.bytes_read.lo + t.bytes_written.lo) as u64;
@@ -78,6 +147,7 @@ impl Catalogue {
                 SessionClass {
                     name,
                     body,
+                    parsed,
                     slot,
                     trace_bytes,
                     solo_elapsed: (t.elapsed.lo, t.elapsed.hi),
@@ -237,7 +307,18 @@ pub struct ShedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mealib_verify::dataflow::parse_session;
+
+    #[test]
+    fn class_body_rejects_a_tenant_level_mem_directive() {
+        let err = ClassBody::parse("BUF a 0x1000 0x10\nMEM XOR\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Unexpected { line: 2, .. }),
+            "{err:?}"
+        );
+        let ok = ClassBody::parse("BUF a 0x1000 0x10\nBUF b 0x2000 0x10\n").unwrap();
+        assert_eq!(ok.lines(), 2);
+        assert_eq!(ok.session().extents.len(), 2);
+    }
 
     #[test]
     fn catalogue_covers_every_pipeline_with_sane_geometry() {
@@ -249,9 +330,9 @@ mod tests {
             assert!(class.slot >= MIN_SLOT);
             assert!(class.slot >= session_span(&class.body));
             assert!(class.trace_bytes > 0, "{}", class.name);
+            assert_eq!(class.parsed.text(), class.body);
             // The composed solo bytes stand in for the elaborated trace.
-            let session = parse_session(&class.body).expect("catalogue sessions parse");
-            let e = mealib_verify::bounds::elaborate(&session);
+            let e = mealib_verify::bounds::elaborate(class.parsed.session());
             assert_eq!(
                 class.trace_bytes,
                 e.unrolled_trace().total_bytes(),
@@ -275,10 +356,7 @@ mod tests {
             service_s: 0.25,
             bytes: 1 << 20,
             energy_j: 0.1,
-            partition: AddrRange::new(
-                mealib_types::PhysAddr::new(0),
-                mealib_types::Bytes::new(MIN_SLOT),
-            ),
+            partition: AddrRange::new(PhysAddr::new(0), Bytes::new(MIN_SLOT)),
             certified_elapsed_lo: 0.1,
             certified_elapsed_hi: 0.3,
             retries: 0,

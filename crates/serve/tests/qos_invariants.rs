@@ -102,7 +102,7 @@ fn admitted_sessions_never_exceed_their_declared_budget() {
 #[test]
 fn no_request_is_simulated_outside_its_partition() {
     let cat = catalogue();
-    let gate = AdmissionGate::new(BoundsEnv::default());
+    let mut gate = AdmissionGate::new(BoundsEnv::default());
     let a = cat.get("stap-tiny").unwrap().slot;
     let b = cat.get("sar-chain-256").unwrap().slot;
     let batch = vec![
@@ -156,7 +156,7 @@ fn no_request_is_simulated_outside_its_partition() {
 #[test]
 fn noisy_neighbor_cannot_push_victim_below_certified_floor() {
     let cat = catalogue();
-    let gate = AdmissionGate::new(BoundsEnv::default());
+    let mut gate = AdmissionGate::new(BoundsEnv::default());
     let victim_slot = cat.get("stap-tiny").unwrap().slot;
     // The victim declares nothing; the noisy neighbor is the loop
     // pipeline, the most bandwidth-hungry class in the catalogue.
@@ -201,7 +201,7 @@ fn asym_split_gives_the_high_tenant_a_unit_nobody_else_touches() {
     // Slot-aligned split right after the low tenant: the high tenant's
     // whole partition lives in the dedicated region.
     let split = low_slot.max(cat.get("stap-tiny").unwrap().slot);
-    let gate = AdmissionGate::new(BoundsEnv::default()).with_asym_split(split);
+    let mut gate = AdmissionGate::new(BoundsEnv::default()).with_asym_split(split);
     let batch = vec![
         place(0, "sar-chain-256", 0, None),
         place(1, "stap-tiny", split, None),

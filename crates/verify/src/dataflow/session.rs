@@ -100,6 +100,25 @@ impl Session {
     pub fn is_explicit(&self) -> bool {
         !self.host_ops.is_empty()
     }
+
+    /// The session moved up by `offset` bytes: every declared extent
+    /// starts `offset` higher, and nothing else changes. This is the
+    /// typed form of rewriting each `BUF` base, so it equals parsing
+    /// the rewritten text except for spans, which stay those of `self`.
+    /// Returns `None` when a moved extent would pass the top of the
+    /// address space, the case in which the rewritten `BUF` line
+    /// fails to parse.
+    pub fn rebase(&self, offset: u64) -> Option<Session> {
+        let mut extents = BTreeMap::new();
+        for (name, ext) in &self.extents {
+            let start = ext.start().checked_add(Bytes::new(offset))?;
+            extents.insert(name.clone(), AddrRange::checked(start, ext.len())?);
+        }
+        Some(Session {
+            extents,
+            ..self.clone()
+        })
+    }
 }
 
 fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
@@ -296,6 +315,27 @@ mod tests {
         // Ending exactly at the top of the address space is fine.
         let top = "BUF a 0xffffffffffffff00 0xff\n";
         assert!(parse_session(top).is_ok());
+    }
+
+    #[test]
+    fn rebase_moves_extents_and_is_checked() {
+        let src = "BUF a 0x1000 0x100\nBUF b 0x2000 0x10\nPASS in=a out=b {\n  COMP FFT \
+                   params=\"f\"\n}\n";
+        let s = parse_session(src).unwrap();
+        let moved = s.rebase(0x10_0000).unwrap();
+        let shifted = parse_session(
+            &src.replace("0x1000 ", "0x101000 ")
+                .replace("0x2000 ", "0x102000 "),
+        )
+        .unwrap();
+        assert_eq!(moved.extents, shifted.extents);
+        assert_eq!(moved.program, s.program);
+        assert_eq!(s.rebase(0).unwrap().extents, s.extents);
+        // An extent pushed past the top of the address space is `None`,
+        // whether its start or its end is what overflows.
+        assert!(s.rebase(u64::MAX - 0x1000).is_none());
+        assert!(s.rebase(u64::MAX - 0x2008).is_none());
+        assert!(s.rebase(u64::MAX - 0x2010).is_some());
     }
 
     #[test]

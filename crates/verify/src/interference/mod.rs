@@ -108,8 +108,7 @@ impl Certification {
     }
 }
 
-/// Runs the MEA3xx passes over `set` and derives the admission
-/// verdict.
+/// Composes `set` and judges it: [`compose`] followed by [`judge`].
 ///
 /// # Errors
 ///
@@ -117,7 +116,33 @@ impl Certification {
 /// failing validation (unreachable with [`BoundsEnv`]'s presets), or
 /// the set moving more bytes than a `u64` counts.
 pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, BoundsError> {
-    let bounds = compose(set, env)?;
+    Ok(judge(set, compose(set, env)?))
+}
+
+/// Runs the MEA3xx passes over `set` and its composed `bounds` and
+/// derives the admission verdict.
+///
+/// Tenant names and declared budgets (set-level and per tenant) are
+/// taken from `set`: [`compose`] only copies them into its output, so
+/// bounds composed for a set of the same layout (the same tenant
+/// sessions, arrivals and shared layer) judge exactly like bounds
+/// composed for `set` itself. That is what lets an admission gate
+/// compose each layout once and judge every request against it.
+///
+/// # Panics
+///
+/// Panics if `bounds` has a different tenant count from `set`.
+pub fn judge(set: &SessionSet, mut bounds: SetBounds) -> Certification {
+    assert_eq!(
+        set.tenants.len(),
+        bounds.tenants.len(),
+        "bounds composed for another layout"
+    );
+    bounds.budgets = set.budgets;
+    for (tb, decl) in bounds.tenants.iter_mut().zip(&set.tenants) {
+        tb.name.clone_from(&decl.name);
+        tb.budgets = decl.session.budgets;
+    }
     let mut report = Report::new();
     passes::check_partitions(set, &mut report);
     passes::check_bus(&bounds, &mut report);
@@ -131,11 +156,11 @@ pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, B
     } else {
         Verdict::Unknown
     };
-    Ok(Certification {
+    Certification {
         verdict,
         report,
         bounds,
-    })
+    }
 }
 
 /// `true` when the *upper* bounds prove the set safe: every tenant has
@@ -291,6 +316,26 @@ PASS in=p out=q {
         for code in codes {
             assert!(cert.report.has_code(code));
         }
+    }
+
+    #[test]
+    fn judge_takes_names_and_budgets_from_the_set() {
+        // Bounds composed for one budgeting of a layout judge another
+        // budgeting of it exactly as its own composition would.
+        let env = BoundsEnv::default();
+        let generous = parse_session_set(CLEAN).unwrap();
+        let composed = compose(&generous, &env).unwrap();
+        let tight_src = CLEAN
+            .replace("BUDGET TIME 10.0", "BUDGET TIME 1e-9")
+            .replace("TENANT b", "TENANT renamed");
+        let tight = parse_session_set(&tight_src).unwrap();
+        let reused = judge(&tight, composed);
+        let fresh = certify_set(&tight, &env).unwrap();
+        assert_eq!(reused.verdict, Verdict::Reject);
+        assert_eq!(reused.verdict, fresh.verdict);
+        assert_eq!(reused.report.render(), fresh.report.render());
+        assert_eq!(reused.bounds.budgets, fresh.bounds.budgets);
+        assert_eq!(reused.bounds.tenants[1].name, "renamed");
     }
 
     #[test]

@@ -131,24 +131,34 @@ pub fn session_buffer_bytes(src: &str) -> u64 {
 /// session is the canonical trace with every address raised by
 /// `offset` (requests are issued at extent starts), which is what
 /// makes partition rebasing exact rather than approximate.
-pub fn rebase_session(src: &str, offset: u64) -> String {
-    let mut out = String::new();
-    for line in src.lines() {
-        if let Some(rest) = line.strip_prefix("BUF ") {
-            let toks: Vec<&str> = rest.split_whitespace().collect();
-            let base = u64::from_str_radix(toks[1].trim_start_matches("0x"), 16).unwrap();
-            out.push_str(&format!(
-                "BUF {} 0x{:x} {}\n",
-                toks[0],
-                base + offset,
-                toks[2]
-            ));
-        } else {
-            out.push_str(line);
-            out.push('\n');
+///
+/// Bases and lengths are read as the session grammar reads them
+/// (`0x`-prefixed hex or decimal). Returns `None` for a malformed
+/// `BUF` line, or when a moved extent would pass the top of the
+/// address space.
+pub fn rebase_session(src: &str, offset: u64) -> Option<String> {
+    fn number(tok: &str) -> Option<u64> {
+        match tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => tok.parse().ok(),
         }
     }
-    out
+    let mut out = String::with_capacity(src.len());
+    for line in src.lines() {
+        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+            ["BUF", name, base, len] => {
+                let base = number(base)?.checked_add(offset)?;
+                base.checked_add(number(len)?)?;
+                out.push_str(&format!("BUF {name} 0x{base:x} {len}\n"));
+            }
+            ["BUF", ..] => return None,
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    Some(out)
 }
 
 /// Every evaluation pipeline as a named session, at scales the
@@ -206,7 +216,7 @@ mod tests {
             // Rebasing moves extents without changing their sizes.
             assert_eq!(
                 ws,
-                session_buffer_bytes(&rebase_session(&src, 1 << 20)),
+                session_buffer_bytes(&rebase_session(&src, 1 << 20).unwrap()),
                 "{name}"
             );
         }
@@ -216,7 +226,7 @@ mod tests {
     fn rebase_shifts_only_buf_bases() {
         for (name, src) in pipeline_sessions() {
             let off = 1u64 << 24;
-            let shifted = rebase_session(&src, off);
+            let shifted = rebase_session(&src, off).unwrap();
             assert_eq!(session_span(&shifted), session_span(&src) + off, "{name}");
             // Everything except the BUF lines is untouched.
             let strip = |s: &str| {
@@ -227,10 +237,28 @@ mod tests {
             };
             assert_eq!(strip(&shifted), strip(&src), "{name}");
             assert_eq!(
-                rebase_session(&src, 0),
-                src,
+                rebase_session(&src, 0).as_deref(),
+                Some(src.as_str()),
                 "{name}: zero shift is identity"
             );
+        }
+    }
+
+    #[test]
+    fn rebase_is_total() {
+        let src = "BUF a 0x1000 0x100\nBUF b 4096 16\nPASS in=a out=b {\n}\n";
+        // Decimal operands are read as decimal, as the session parser
+        // reads them.
+        let moved = rebase_session(src, 0x10).unwrap();
+        assert!(moved.contains("BUF a 0x1010 0x100\n"), "{moved}");
+        assert!(moved.contains("BUF b 0x1010 16\n"), "{moved}");
+        // A base or an extent end past the top of the address space.
+        assert_eq!(rebase_session(src, u64::MAX), None);
+        assert_eq!(rebase_session(src, u64::MAX - 0x1000 - 0xff), None);
+        assert!(rebase_session(src, u64::MAX - 0x1000 - 0x100).is_some());
+        // Malformed BUF lines are `None`, not a panic.
+        for bad in ["BUF a zz 0x10\n", "BUF a 0x10\n", "BUF a 0x10 -1\n"] {
+            assert_eq!(rebase_session(bad, 1), None, "{bad:?}");
         }
     }
 
