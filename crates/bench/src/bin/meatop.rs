@@ -27,7 +27,6 @@ use mealib_serve::{
 };
 use mealib_sim::{sparkline, TextTable};
 use mealib_verify::BoundsEnv;
-use mealib_workloads::sessions::session_buffer_bytes;
 
 struct TopArgs {
     from: Option<String>,
@@ -261,7 +260,7 @@ fn main() {
         println!(
             "{:>14}: working set {:.2} MB, slot 0x{:x}",
             class.name,
-            session_buffer_bytes(&class.body) as f64 / 1e6,
+            class.parsed.working_set() as f64 / 1e6,
             class.slot,
         );
     }

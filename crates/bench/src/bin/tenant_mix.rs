@@ -23,12 +23,13 @@
 
 use mealib_bench::{banner, section, HarnessOpts, JsonSummary};
 use mealib_memsim::{simulate_tenants, SimOptions};
+use mealib_serve::ClassBody;
 use mealib_sim::TextTable;
 use mealib_verify::interference::{
     certify_set, parse_session_set, resolved_set_config, tenant_streams,
 };
 use mealib_verify::{BoundsEnv, Verdict};
-use mealib_workloads::sessions::{pipeline_sessions, rebase_session, session_span};
+use mealib_workloads::sessions::pipeline_sessions;
 
 /// Partition slots are placed on this alignment so every mix keeps a
 /// generous guard band between tenants regardless of session size.
@@ -47,8 +48,8 @@ struct Mix {
 }
 
 /// Renders the session-set manifest for `mix` from the pipeline
-/// session catalogue.
-fn manifest(mix: &Mix, catalogue: &[(String, String)]) -> String {
+/// session catalogue, each body parsed once.
+fn manifest(mix: &Mix, catalogue: &[(String, ClassBody)]) -> String {
     let mut src = String::new();
     if let Some(t) = mix.set_time_s {
         src.push_str(&format!("BUDGET TIME {t}\n"));
@@ -59,7 +60,7 @@ fn manifest(mix: &Mix, catalogue: &[(String, String)]) -> String {
             .iter()
             .find(|(n, _)| n == session_name)
             .unwrap_or_else(|| panic!("unknown pipeline session {session_name}"));
-        let slot = session_span(body).next_power_of_two().max(SLOT_ALIGN);
+        let slot = body.span().next_power_of_two().max(SLOT_ALIGN);
         src.push_str(&format!("TENANT {session_name}.{i}\n"));
         if mix.undeclared != Some(i) {
             src.push_str(&format!("PARTITION 0x{cursor:x} 0x{slot:x}\n"));
@@ -68,7 +69,9 @@ fn manifest(mix: &Mix, catalogue: &[(String, String)]) -> String {
             src.push_str(&format!("ARRIVAL {}\n", i as u64 * 97));
         }
         src.push_str(
-            &rebase_session(body, cursor).expect("pipeline sessions rebase into their slots"),
+            &body
+                .text_at(cursor)
+                .expect("pipeline sessions rebase into their slots"),
         );
         cursor += slot;
     }
@@ -150,7 +153,13 @@ fn main() {
          when the interleaved mix actually runs",
     );
 
-    let catalogue = pipeline_sessions();
+    let catalogue: Vec<(String, ClassBody)> = pipeline_sessions()
+        .into_iter()
+        .map(|(name, body)| {
+            let body = ClassBody::parse(&body).expect("pipeline sessions parse");
+            (name, body)
+        })
+        .collect();
     let env = BoundsEnv::default();
     let all = mixes(opts.small);
 

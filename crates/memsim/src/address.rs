@@ -7,7 +7,7 @@
 //! served by a single channel (§4.2). Both modes are modeled here, plus
 //! the vault interleaving used inside the stacked device.
 
-use mealib_types::PhysAddr;
+use mealib_types::{Diagnostic, ErrorCode, PhysAddr, Report};
 
 /// Where a physical address lands inside a memory device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,13 +148,6 @@ impl AddressMapping {
         }
     }
 
-    /// Unit (channel/vault) index `addr` maps to. Shorthand for
-    /// [`decode`](Self::decode)`.unit`, used when partitioning a trace
-    /// across per-unit workers.
-    pub fn unit_of(&self, addr: PhysAddr) -> usize {
-        self.decode(addr).unit
-    }
-
     /// Number of bytes starting at `addr` (inclusive) that are
     /// guaranteed to decode into one contiguous span of a single
     /// `(unit, bank, row)`: for every `d` below the returned value,
@@ -226,14 +219,11 @@ impl AddressMapping {
         }
     }
 
-    /// Validates structural parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mealib_types::ConfigError`] naming the offending field.
-    pub fn validate(&self) -> Result<(), mealib_types::ConfigError> {
-        use mealib_types::ConfigError;
-        let (units, banks, row, line) = match *self {
+    /// `(units, banks_per_unit, row_bytes, line_bytes)` of the
+    /// interleaved region. For the asymmetric mode `units` counts only
+    /// the `low_units` below the split.
+    pub fn interleave_geometry(&self) -> (usize, usize, u64, u64) {
+        match *self {
             AddressMapping::Interleaved {
                 units,
                 banks_per_unit,
@@ -253,23 +243,33 @@ impl AddressMapping {
                 line_bytes,
                 ..
             } => (low_units, banks_per_unit, row_bytes, line_bytes),
+        }
+    }
+
+    /// Pushes a `MEA022` error onto `report` for every structural
+    /// defect: no units, no banks, or a row or line size that is not a
+    /// power of two (lines no larger than rows). Decoding divides by
+    /// these parameters, so a mapping with any defect cannot decode.
+    pub fn check(&self, report: &mut Report) {
+        let (units, banks, row_bytes, line_bytes) = self.interleave_geometry();
+        let mut fail = |msg: String| {
+            report.push(Diagnostic::error(ErrorCode::MemMappingParam, msg));
         };
         if units == 0 {
-            return Err(ConfigError::new("units", "must be nonzero"));
+            fail("units is zero; at least one channel/vault is required".into());
         }
         if banks == 0 {
-            return Err(ConfigError::new("banks_per_unit", "must be nonzero"));
+            fail("banks_per_unit is zero; at least one bank is required".into());
         }
-        if !row.is_power_of_two() {
-            return Err(ConfigError::new("row_bytes", "must be a power of two"));
+        if !row_bytes.is_power_of_two() {
+            fail(format!("row_bytes ({row_bytes}) must be a power of two"));
         }
-        if !line.is_power_of_two() || line > row {
-            return Err(ConfigError::new(
-                "line_bytes",
-                "must be a power of two no larger than row_bytes",
+        if !line_bytes.is_power_of_two() || line_bytes > row_bytes {
+            fail(format!(
+                "line_bytes ({line_bytes}) must be a power of two no larger than \
+                 row_bytes ({row_bytes})"
             ));
         }
-        Ok(())
     }
 }
 
@@ -341,6 +341,12 @@ mod tests {
     use super::*;
     use mealib_types::Bytes as B;
 
+    fn check(m: &AddressMapping) -> Report {
+        let mut report = Report::new();
+        m.check(&mut report);
+        report
+    }
+
     #[test]
     fn consecutive_lines_alternate_channels() {
         let m = dual_channel_dimms();
@@ -405,21 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_of_matches_decode() {
-        let maps = [
-            dual_channel_dimms(),
-            asymmetric_dimms(PhysAddr::new(1 << 20)),
-            hmc_vaults(),
-        ];
-        for m in &maps {
-            for i in 0..4096u64 {
-                let addr = PhysAddr::new(i * 97);
-                assert_eq!(m.unit_of(addr), m.decode(addr).unit);
-            }
-        }
-    }
-
-    #[test]
     fn hmc_mapping_spreads_across_vaults() {
         let m = hmc_vaults();
         let units: std::collections::HashSet<usize> = (0..32u64)
@@ -458,7 +449,7 @@ mod tests {
             row_bytes: 4096,
             line_bytes: 64,
         };
-        assert!(hashed.validate().is_ok());
+        assert!(check(&hashed).is_clean());
         assert_eq!(hashed.units(), 4);
         // Decoding stays in range over a large span.
         for i in 0..10_000u64 {
@@ -526,15 +517,20 @@ mod tests {
             row_bytes: 4096,
             line_bytes: 64,
         };
-        assert_eq!(m.validate().unwrap_err().parameter(), "units");
+        let r = check(&m);
+        assert_eq!(r.error_count(), 1, "{r}");
+        assert!(r.to_string().contains("units is zero"), "{r}");
         let m = AddressMapping::Interleaved {
             units: 2,
             banks_per_unit: 8,
             row_bytes: 4096,
             line_bytes: 8192,
         };
-        assert_eq!(m.validate().unwrap_err().parameter(), "line_bytes");
-        assert!(dual_channel_dimms().validate().is_ok());
-        assert!(hmc_vaults().validate().is_ok());
+        let r = check(&m);
+        assert_eq!(r.error_count(), 1, "{r}");
+        assert!(r.has_code(ErrorCode::MemMappingParam), "{r}");
+        assert!(r.to_string().contains("line_bytes (8192)"), "{r}");
+        assert!(check(&dual_channel_dimms()).is_clean());
+        assert!(check(&hmc_vaults()).is_clean());
     }
 }

@@ -77,19 +77,6 @@ fn estimate_validated(config: &MemoryConfig, pattern: &AccessPattern) -> TraceSt
     }
 }
 
-/// Effective sustainable bandwidth of `pattern` on `config` — a
-/// convenience wrapper many accelerator models use directly.
-///
-/// # Errors
-///
-/// Returns the first [`mealib_types::ConfigError`] found in `config`.
-pub fn try_effective_bandwidth(
-    config: &MemoryConfig,
-    pattern: &AccessPattern,
-) -> Result<mealib_types::BytesPerSec, mealib_types::ConfigError> {
-    Ok(try_estimate(config, pattern)?.achieved_bandwidth())
-}
-
 fn startup_cycles(config: &MemoryConfig) -> u64 {
     let t = &config.timing;
     t.t_rcd + t.t_cl + t.t_burst
@@ -462,7 +449,6 @@ mod tests {
             AccessPattern::sequential_write(1 << 20),
         ]);
         assert!(try_estimate(&c, &nested).is_err());
-        assert!(try_effective_bandwidth(&c, &nested).is_err());
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //!   burst advances the unit's bus-free pointer by at most
 //!   `max(t_rc, t_faw) + t_rcd + t_cl + t_burst`, and refresh steals
 //!   `t_rfc` out of every `t_refi` — a geometric fixed point that
-//!   `DramTiming::validate`'s `t_refi > t_rfc` keeps finite.
+//!   `DramTiming::check`'s `t_refi > t_rfc` keeps finite.
 //! * **energy** — `DramEnergy::trace_energy` is monotone in
 //!   activations, bytes, and elapsed time, so the interval endpoints
 //!   map through it soundly.

@@ -1,6 +1,6 @@
 //! Complete memory-device configurations (timing + energy + mapping).
 
-use mealib_types::{BytesPerSec, ConfigError};
+use mealib_types::{BytesPerSec, ConfigError, Report, Severity};
 
 use crate::address::{self, AddressMapping};
 use crate::energy::DramEnergy;
@@ -111,15 +111,35 @@ impl MemoryConfig {
         self.timing.peak_bandwidth() * self.mapping.units() as f64
     }
 
-    /// Validates every component.
+    /// Every timing, energy and mapping defect of the configuration
+    /// (`MEA020`–`MEA023`): the one rule set that both
+    /// [`validate`](Self::validate) and `mealint` read. A clean
+    /// configuration formats nothing.
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        self.timing.check(&mut report);
+        self.energy.check(&mut report);
+        self.mapping.check(&mut report);
+        report
+    }
+
+    /// `Ok` exactly when [`check`](Self::check) finds no error;
+    /// warnings pass.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] found in the timing or mapping.
+    /// Returns the first error of [`check`](Self::check) as a
+    /// [`ConfigError`] named by its code (`MEA020`–`MEA023`).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.timing.validate()?;
-        self.mapping.validate()?;
-        Ok(())
+        match self
+            .check()
+            .diagnostics()
+            .iter()
+            .find(|d| d.severity == Severity::Error)
+        {
+            Some(d) => Err(ConfigError::new(d.code.as_str(), d.message.clone())),
+            None => Ok(()),
+        }
     }
 }
 
@@ -132,9 +152,13 @@ mod tests {
         for c in [
             MemoryConfig::hmc_stack(),
             MemoryConfig::hmc_stack_external(),
+            MemoryConfig::hmc_stack_gen1(),
+            MemoryConfig::hmc_stack_remote(),
             MemoryConfig::ddr_dual_channel(),
             MemoryConfig::msas_dram(),
         ] {
+            let report = c.check();
+            assert!(report.is_clean(), "{}: {report}", c.name);
             assert!(c.validate().is_ok(), "{} failed validation", c.name);
         }
     }

@@ -7,7 +7,7 @@
 //! reproduction cares that the stacked device moves bytes ~5-8x cheaper
 //! than a DIMM behind a processor pin interface.
 
-use mealib_types::{Joules, Seconds, Watts};
+use mealib_types::{Diagnostic, ErrorCode, Joules, Report, Seconds, Watts};
 
 /// Per-event and background energy parameters of one memory device.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +59,27 @@ impl DramEnergy {
         Self {
             e_byte_link: Joules::from_picos(30.0),
             ..Self::hmc_internal()
+        }
+    }
+
+    /// Pushes a `MEA023` error onto `report` for every parameter that
+    /// is not finite and non-negative: a negative or NaN charge would
+    /// break the monotonicity of [`trace_energy`](Self::trace_energy)
+    /// that the bounds walk maps its intervals through.
+    pub fn check(&self, report: &mut Report) {
+        for (name, v) in [
+            ("e_act", self.e_act.get()),
+            ("e_byte_core", self.e_byte_core.get()),
+            ("e_byte_transport", self.e_byte_transport.get()),
+            ("e_byte_link", self.e_byte_link.get()),
+            ("p_background", self.p_background.get()),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                report.push(Diagnostic::error(
+                    ErrorCode::MemBadEnergy,
+                    format!("{name} is {v}; energy parameters must be finite and non-negative"),
+                ));
+            }
         }
     }
 

@@ -1490,6 +1490,35 @@ mod tests {
     }
 
     #[test]
+    fn simulate_rejects_every_config_the_linter_rejects() {
+        // Each of these once passed `simulate`'s own validation while
+        // the linter reported an error on it (or, for the infinite
+        // clock, passed both).
+        let hmc = MemoryConfig::hmc_stack();
+        let mut short_row = hmc.clone();
+        short_row.timing.t_ras = hmc.timing.t_rcd + hmc.timing.t_cl - 1;
+        let mut nan_clock = hmc.clone();
+        nan_clock.timing.t_ck = mealib_types::Seconds::new(f64::NAN);
+        let mut infinite_clock = hmc.clone();
+        infinite_clock.timing.t_ck = mealib_types::Seconds::new(f64::INFINITY);
+        let mut negative_act = hmc.clone();
+        negative_act.energy.e_act = mealib_types::Joules::from_nanos(-1.0);
+        let empty = TraceBuffer::new();
+        for (c, code) in [
+            (short_row, "MEA021"),
+            (nan_clock, "MEA020"),
+            (infinite_clock, "MEA020"),
+            (negative_act, "MEA023"),
+        ] {
+            match simulate(&c, &empty, &SimOptions::default()) {
+                Err(SimError::Config(e)) => assert_eq!(e.parameter(), code, "{e}"),
+                other => panic!("{code}: expected a config error, got {other:?}"),
+            }
+            assert!(c.check().has_errors(), "{code}");
+        }
+    }
+
+    #[test]
     fn profiled_run_matches_unprofiled_and_conserves_counters() {
         let c = MemoryConfig::ddr_dual_channel();
         let mut trace = sequential_trace(0, 1 << 20, 64, Op::Read);

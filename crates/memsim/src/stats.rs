@@ -54,23 +54,6 @@ impl TraceStats {
         self.energy.over(self.elapsed)
     }
 
-    /// Merges the stats of two devices operating *in parallel*: byte and
-    /// event counts add, elapsed time is the maximum.
-    pub fn merge_parallel(&self, other: &TraceStats) -> TraceStats {
-        TraceStats {
-            elapsed: self.elapsed.max(other.elapsed),
-            cycles: self.cycles.max(other.cycles),
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            activations: self.activations + other.activations,
-            precharges: self.precharges + other.precharges,
-            row_hits: self.row_hits + other.row_hits,
-            row_misses: self.row_misses + other.row_misses,
-            refreshes: self.refreshes + other.refreshes,
-            energy: self.energy + other.energy,
-        }
-    }
-
     /// Merges the stats of two phases executed *back to back*: everything
     /// adds, including elapsed time.
     pub fn merge_sequential(&self, other: &TraceStats) -> TraceStats {
@@ -149,17 +132,6 @@ mod tests {
     #[test]
     fn empty_stats_have_no_hit_rate() {
         assert_eq!(TraceStats::default().row_hit_rate(), None);
-    }
-
-    #[test]
-    fn parallel_merge_takes_max_time_and_sums_bytes() {
-        let a = sample(1.0, 100, 1, 1);
-        let b = sample(3.0, 200, 2, 2);
-        let m = a.merge_parallel(&b);
-        assert_eq!(m.elapsed, Seconds::new(3.0));
-        assert_eq!(m.bytes_read.get(), 300);
-        assert_eq!(m.row_hits, 3);
-        assert_eq!(m.energy, Joules::new(8.0));
     }
 
     #[test]

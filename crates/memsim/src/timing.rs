@@ -5,7 +5,7 @@
 //! reproduction cares about ratios (stacked vs. planar, hit vs. miss), not
 //! about matching one specific speed bin.
 
-use mealib_types::{Hertz, Seconds};
+use mealib_types::{Diagnostic, ErrorCode, Hertz, Report, Seconds};
 
 /// Timing parameters of one DRAM device (bank timing + data bus).
 #[derive(Debug, Clone, PartialEq)]
@@ -87,16 +87,19 @@ impl DramTiming {
         )
     }
 
-    /// Validates internal consistency (all intervals nonzero, burst
-    /// delivers data).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`mealib_types::ConfigError`] naming the offending field.
-    pub fn validate(&self) -> Result<(), mealib_types::ConfigError> {
-        use mealib_types::ConfigError;
-        if self.t_ck.get() <= 0.0 {
-            return Err(ConfigError::new("t_ck", "cycle time must be positive"));
+    /// Pushes every timing defect onto `report`: a non-finite or
+    /// non-positive cycle time or a zero interval (`MEA020`), a row that
+    /// would precharge before its first read completes or a bank that
+    /// would do nothing but refresh (`MEA021` errors), and a
+    /// four-activation window longer than four row cycles (`MEA021`
+    /// warning). Sums of untrusted parameters are taken in `u128`.
+    pub fn check(&self, report: &mut Report) {
+        let t_ck = self.t_ck.get();
+        if !t_ck.is_finite() || t_ck <= 0.0 {
+            report.push(Diagnostic::error(
+                ErrorCode::MemZeroParameter,
+                format!("t_ck is {t_ck}; the command clock must have a positive period"),
+            ));
         }
         for (name, v) in [
             ("t_rcd", self.t_rcd),
@@ -111,19 +114,44 @@ impl DramTiming {
             ("t_rfc", self.t_rfc),
         ] {
             if v == 0 {
-                return Err(ConfigError::new(name, "must be nonzero"));
+                report.push(Diagnostic::error(
+                    ErrorCode::MemZeroParameter,
+                    format!("{name} is zero; every interval must be at least one cycle"),
+                ));
             }
         }
-        if self.t_ras < self.t_rcd {
-            return Err(ConfigError::new("t_ras", "must be at least t_rcd"));
-        }
-        if self.t_refi <= self.t_rfc {
-            return Err(ConfigError::new(
-                "t_refi",
-                "refresh interval must exceed the refresh cycle time",
+        if u128::from(self.t_ras) < u128::from(self.t_rcd) + u128::from(self.t_cl) {
+            report.push(Diagnostic::error(
+                ErrorCode::MemTimingInequality,
+                format!(
+                    "t_ras ({}) < t_rcd + t_cl ({} + {}); the row would precharge \
+                     before its first read completes",
+                    self.t_ras, self.t_rcd, self.t_cl
+                ),
             ));
         }
-        Ok(())
+        if self.t_refi <= self.t_rfc {
+            report.push(Diagnostic::error(
+                ErrorCode::MemTimingInequality,
+                format!(
+                    "t_refi ({}) <= t_rfc ({}); the bank would spend its whole life refreshing",
+                    self.t_refi, self.t_rfc
+                ),
+            ));
+        }
+        // tFAW gates four activations, so a window longer than four row
+        // cycles throttles even idle banks — suspicious but not fatal.
+        let four_row_cycles = 4 * (u128::from(self.t_ras) + u128::from(self.t_rp));
+        if self.t_faw != 0 && u128::from(self.t_faw) > four_row_cycles {
+            report.push(Diagnostic::warning(
+                ErrorCode::MemTimingInequality,
+                format!(
+                    "t_faw ({}) exceeds four row cycles ({four_row_cycles}); activations \
+                     would be current-limited even when banks are idle",
+                    self.t_faw,
+                ),
+            ));
+        }
     }
 }
 
@@ -131,10 +159,16 @@ impl DramTiming {
 mod tests {
     use super::*;
 
+    fn check(t: &DramTiming) -> Report {
+        let mut report = Report::new();
+        t.check(&mut report);
+        report
+    }
+
     #[test]
     fn presets_validate() {
-        assert!(DramTiming::ddr3_1600().validate().is_ok());
-        assert!(DramTiming::hmc_vault().validate().is_ok());
+        assert!(check(&DramTiming::ddr3_1600()).is_clean());
+        assert!(check(&DramTiming::hmc_vault()).is_clean());
     }
 
     #[test]
@@ -171,16 +205,22 @@ mod tests {
     fn refresh_interval_must_exceed_refresh_cycle() {
         let mut t = DramTiming::ddr3_1600();
         t.t_refi = t.t_rfc;
-        assert_eq!(t.validate().unwrap_err().parameter(), "t_refi");
+        let r = check(&t);
+        assert_eq!(r.error_count(), 1, "{r}");
+        assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
     }
 
     #[test]
     fn validation_rejects_zero_fields() {
         let mut t = DramTiming::ddr3_1600();
         t.t_rcd = 0;
-        assert_eq!(t.validate().unwrap_err().parameter(), "t_rcd");
+        let r = check(&t);
+        assert!(r.has_code(ErrorCode::MemZeroParameter), "{r}");
+        assert!(r.to_string().contains("t_rcd is zero"), "{r}");
         let mut t = DramTiming::ddr3_1600();
-        t.t_ras = 5; // < t_rcd
-        assert_eq!(t.validate().unwrap_err().parameter(), "t_ras");
+        t.t_ras = 5; // < t_rcd + t_cl
+        let r = check(&t);
+        assert_eq!(r.error_count(), 1, "{r}");
+        assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
     }
 }

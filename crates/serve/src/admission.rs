@@ -40,7 +40,6 @@ use mealib_verify::interference::{
     compose, judge, Certification, SessionSet, SetBounds, TenantDecl,
 };
 use mealib_verify::BoundsEnv;
-use mealib_workloads::sessions::rebase_session;
 
 use crate::session::{ClassBody, SessionClass, SessionRequest};
 
@@ -233,7 +232,9 @@ impl AdmissionGate {
             if let Some(b) = r.request.time_budget_s {
                 src.push_str(&format!("BUDGET TIME {b}\n"));
             }
-            let body = rebase_session(r.body.text(), r.partition.start().get())
+            let body = r
+                .body
+                .text_at(r.partition.start().get())
                 .expect("resident bodies rebase into their partitions");
             src.push_str(&body);
         }

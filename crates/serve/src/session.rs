@@ -20,7 +20,7 @@ use mealib_tdl::ParseError;
 use mealib_types::{AddrRange, Bytes, ErrorCode, PhysAddr};
 use mealib_verify::dataflow::{parse_session, Session};
 use mealib_verify::BoundsEnv;
-use mealib_workloads::sessions::{pipeline_sessions, session_span};
+use mealib_workloads::sessions::pipeline_sessions;
 
 use crate::admission::{AdmissionGate, Resident};
 
@@ -74,6 +74,44 @@ impl ClassBody {
         &self.session
     }
 
+    /// The highest extent end: the byte span a partition slot must
+    /// cover to contain the body.
+    pub fn span(&self) -> u64 {
+        let ends = self.session.extents.values().map(|e| e.end().get());
+        ends.max().unwrap_or(0)
+    }
+
+    /// The sum of extent lengths: the resident working set, as opposed
+    /// to [`span`](Self::span), which also counts alignment holes.
+    pub fn working_set(&self) -> u64 {
+        let lens = self.session.extents.values().map(|e| e.len().get());
+        lens.fold(0, u64::saturating_add)
+    }
+
+    /// The body moved up by `offset` bytes, as text. Each `BUF` line is
+    /// rendered from [`Session::rebase`]'s extent as
+    /// `BUF name 0x{start:x} 0x{len:x}`; every other line is kept as it
+    /// is, so the line count is unchanged. Returns `None` when a moved
+    /// extent would pass the top of the address space.
+    pub fn text_at(&self, offset: u64) -> Option<String> {
+        let session = self.session.rebase(offset)?;
+        let mut out = String::with_capacity(self.text.len());
+        for line in self.text.lines() {
+            let mut toks = line.split_whitespace();
+            if toks.next() == Some("BUF") {
+                // A parsed body's `BUF` lines have exactly four tokens.
+                let name = toks.next()?;
+                let ext = session.extents.get(name)?;
+                let (start, len) = (ext.start().get(), ext.len().get());
+                out.push_str(&format!("BUF {name} 0x{start:x} 0x{len:x}\n"));
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        Some(out)
+    }
+
     /// Manifest lines the body takes, at any slot: rebasing rewrites
     /// `BUF` lines in place.
     pub(crate) fn lines(&self) -> usize {
@@ -123,7 +161,7 @@ impl Catalogue {
         let mut classes = BTreeMap::new();
         for (name, body) in pipeline_sessions() {
             let parsed = Arc::new(ClassBody::parse(&body).expect("catalogue sessions parse"));
-            let slot = session_span(&body).next_power_of_two().max(MIN_SLOT);
+            let slot = parsed.span().next_power_of_two().max(MIN_SLOT);
             // Solo bounds: the class as a single-tenant set in a slot
             // at base 0 (the canonical layout already fits it).
             let solo = Resident {
@@ -328,7 +366,18 @@ mod tests {
         for class in cat.classes() {
             assert!(class.slot.is_power_of_two());
             assert!(class.slot >= MIN_SLOT);
-            assert!(class.slot >= session_span(&class.body));
+            assert!(class.slot >= class.parsed.span());
+            // The exported extents are disjoint, at least two, and
+            // their working set fits inside the span (holes only add).
+            let extents: Vec<&AddrRange> = class.parsed.session().extents.values().collect();
+            assert!(extents.len() >= 2, "{}: expected buffers", class.name);
+            for (i, a) in extents.iter().enumerate() {
+                for b in &extents[i + 1..] {
+                    assert!(!a.overlaps(b), "{}: {a:?} overlaps {b:?}", class.name);
+                }
+            }
+            let ws = class.parsed.working_set();
+            assert!(0 < ws && ws <= class.parsed.span(), "{}", class.name);
             assert!(class.trace_bytes > 0, "{}", class.name);
             assert_eq!(class.parsed.text(), class.body);
             // The composed solo bytes stand in for the elaborated trace.
@@ -344,6 +393,35 @@ mod tests {
         }
         assert!(cat.get("stap-tiny").is_some());
         assert!(cat.get("no-such-class").is_none());
+    }
+
+    #[test]
+    fn text_at_parses_to_the_rebased_session() {
+        for (name, body) in pipeline_sessions() {
+            let parsed = ClassBody::parse(&body).unwrap();
+            assert_eq!(
+                parsed.text_at(0).as_deref(),
+                Some(body.as_str()),
+                "{name}: zero shift is identity"
+            );
+            let off = 1u64 << 24;
+            let moved = parsed.text_at(off).unwrap();
+            assert_eq!(moved.lines().count(), parsed.lines(), "{name}");
+            let reparsed = ClassBody::parse(&moved).unwrap();
+            let rebased = parsed.session().rebase(off).unwrap();
+            assert_eq!(reparsed.session().extents, rebased.extents, "{name}");
+            assert_eq!(reparsed.span(), parsed.span() + off, "{name}");
+            assert_eq!(reparsed.working_set(), parsed.working_set(), "{name}");
+            assert_eq!(parsed.text_at(u64::MAX), None, "{name}");
+        }
+        // Decimal operands are read as decimal and rendered in hex.
+        let body = ClassBody::parse("BUF a 4096 16\nBUF b 0x2000 0x10\n").unwrap();
+        assert_eq!(body.span(), 0x2010);
+        assert_eq!(body.working_set(), 32);
+        assert_eq!(
+            body.text_at(0x10).as_deref(),
+            Some("BUF a 0x1010 0x10\nBUF b 0x2010 0x10\n")
+        );
     }
 
     #[test]

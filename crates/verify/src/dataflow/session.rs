@@ -121,7 +121,7 @@ impl Session {
     }
 }
 
-fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
+pub(crate) fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
     ParseError::Unexpected {
         expected: expected.to_string(),
         found: found.to_string(),
@@ -129,12 +129,15 @@ fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
     }
 }
 
-fn parse_extent_number(tok: &str, line: usize) -> Result<u64, ParseError> {
+/// Reads an address, length or count operand: `0x`-prefixed hex or
+/// decimal. The one number grammar of sessions and session-set
+/// manifests.
+pub(crate) fn parse_extent_number(tok: &str, line: usize) -> Result<u64, ParseError> {
     let parsed = match tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => tok.parse(),
     };
-    parsed.map_err(|_| directive_err("a decimal or 0x-prefixed address", tok, line))
+    parsed.map_err(|_| directive_err("a decimal or 0x-prefixed number", tok, line))
 }
 
 fn parse_budget_number(tok: &str, line: usize) -> Result<f64, ParseError> {

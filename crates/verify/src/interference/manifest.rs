@@ -33,6 +33,7 @@
 use mealib_tdl::ParseError;
 use mealib_types::{AddrRange, Bytes, PhysAddr};
 
+use crate::dataflow::session::{directive_err, parse_extent_number};
 use crate::dataflow::{Budgets, MemLayer, Session};
 
 /// One tenant's slice of the manifest.
@@ -67,22 +68,6 @@ pub struct SessionSet {
 pub fn looks_like_session_set(text: &str) -> bool {
     text.lines()
         .any(|l| l.split_whitespace().next() == Some("TENANT"))
-}
-
-fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
-    ParseError::Unexpected {
-        expected: expected.to_string(),
-        found: found.to_string(),
-        line,
-    }
-}
-
-fn parse_number(tok: &str, line: usize) -> Result<u64, ParseError> {
-    let parsed = match tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => tok.parse(),
-    };
-    parsed.map_err(|_| directive_err("a decimal or 0x-prefixed number", tok, line))
 }
 
 /// One tenant section before its body is handed to `parse_session`.
@@ -132,8 +117,8 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
                 if t.partition.is_some() {
                     return Err(directive_err("at most one PARTITION per tenant", raw, line));
                 }
-                let base = parse_number(base, line)?;
-                let len = parse_number(len, line)?;
+                let base = parse_extent_number(base, line)?;
+                let len = parse_extent_number(len, line)?;
                 if len == 0 {
                     return Err(directive_err("a non-empty partition", raw, line));
                 }
@@ -154,7 +139,7 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
                 if t.arrival.is_some() {
                     return Err(directive_err("at most one ARRIVAL per tenant", raw, line));
                 }
-                t.arrival = Some((line, parse_number(off, line)?));
+                t.arrival = Some((line, parse_extent_number(off, line)?));
                 t.body.push('\n');
             }
             ["ARRIVAL", ..] => return Err(directive_err("ARRIVAL <offset>", raw, line)),

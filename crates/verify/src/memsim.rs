@@ -1,112 +1,30 @@
 //! Memory-simulator configuration verification (`MEA020`–`MEA029`).
 //!
-//! `DramTiming::validate` and `AddressMapping::validate` stop at the
-//! first structural defect. This pass collects *every* finding, adds the
-//! timing inequalities a real device must satisfy (a row cannot close
-//! before the read it serves: `tRAS ≥ tRCD + tCL`; refresh must leave
-//! the bank available: `tREFI > tRFC`), and proves the address mapping
-//! bijective by exhaustive decode over one full interleaving rotation —
-//! every physical byte must land on exactly one `(unit, bank, row, col)`
-//! device location, including the asymmetric split mode of §4.2.
+//! The timing, energy and structural mapping rules (`MEA020`–`MEA023`)
+//! are [`MemoryConfig::check`]'s: the one rule set the simulator's own
+//! validation reads too. This pass adds what the simulator deliberately
+//! allows. It proves the address mapping bijective by exhaustive decode
+//! over one full interleaving rotation (`MEA024`): every physical byte
+//! must land on exactly one `(unit, bank, row, col)` device location,
+//! including the asymmetric split mode of §4.2. And it requires the
+//! asymmetric split to sit on the interleaving granularity (`MEA025`),
+//! which the simulator decodes either way.
 
 use mealib_memsim::address::AddressMapping;
 use mealib_memsim::config::MemoryConfig;
-use mealib_memsim::energy::DramEnergy;
-use mealib_memsim::timing::DramTiming;
 use mealib_types::{Diagnostic, ErrorCode, PhysAddr, Report};
 
 use std::collections::HashMap;
 
-/// Verifies a complete memory configuration: timing, energy, and the
-/// address mapping (structure + bijectivity).
+/// Verifies a complete memory configuration: every finding of
+/// [`MemoryConfig::check`], then the mapping proof when the mapping is
+/// structurally sound.
 pub fn verify_memconfig(config: &MemoryConfig) -> Report {
-    let mut report = Report::new();
-    verify_timing(&config.timing, &mut report);
-    verify_energy(&config.energy, &mut report);
-    report.merge(verify_mapping(&config.mapping));
+    let mut report = config.check();
+    if !report.has_code(ErrorCode::MemMappingParam) {
+        prove_mapping(&config.mapping, &mut report);
+    }
     report
-}
-
-fn verify_timing(t: &DramTiming, report: &mut Report) {
-    if t.t_ck.get().is_nan() || t.t_ck.get() <= 0.0 {
-        report.push(Diagnostic::error(
-            ErrorCode::MemZeroParameter,
-            format!(
-                "t_ck is {}; the command clock must have a positive period",
-                t.t_ck.get()
-            ),
-        ));
-    }
-    for (name, v) in [
-        ("t_rcd", t.t_rcd),
-        ("t_cl", t.t_cl),
-        ("t_rp", t.t_rp),
-        ("t_ras", t.t_ras),
-        ("t_burst", t.t_burst),
-        ("burst_bytes", t.burst_bytes),
-        ("t_wr", t.t_wr),
-        ("t_faw", t.t_faw),
-        ("t_refi", t.t_refi),
-        ("t_rfc", t.t_rfc),
-    ] {
-        if v == 0 {
-            report.push(Diagnostic::error(
-                ErrorCode::MemZeroParameter,
-                format!("{name} is zero; every interval must be at least one cycle"),
-            ));
-        }
-    }
-    // A row must stay open long enough to deliver the column read that
-    // activated it. Sums of untrusted parameters are taken in `u128`.
-    if u128::from(t.t_ras) < u128::from(t.t_rcd) + u128::from(t.t_cl) {
-        report.push(Diagnostic::error(
-            ErrorCode::MemTimingInequality,
-            format!(
-                "t_ras ({}) < t_rcd + t_cl ({} + {}); the row would precharge \
-                 before its first read completes",
-                t.t_ras, t.t_rcd, t.t_cl
-            ),
-        ));
-    }
-    if t.t_refi <= t.t_rfc {
-        report.push(Diagnostic::error(
-            ErrorCode::MemTimingInequality,
-            format!(
-                "t_refi ({}) <= t_rfc ({}); the bank would spend its whole life refreshing",
-                t.t_refi, t.t_rfc
-            ),
-        ));
-    }
-    // tFAW gates four activations, so a window shorter than one row
-    // cycle makes it vacuous — suspicious but not fatal.
-    let four_row_cycles = 4 * (u128::from(t.t_ras) + u128::from(t.t_rp));
-    if t.t_faw != 0 && u128::from(t.t_faw) > four_row_cycles {
-        report.push(Diagnostic::warning(
-            ErrorCode::MemTimingInequality,
-            format!(
-                "t_faw ({}) exceeds four row cycles ({four_row_cycles}); activations \
-                 would be current-limited even when banks are idle",
-                t.t_faw,
-            ),
-        ));
-    }
-}
-
-fn verify_energy(e: &DramEnergy, report: &mut Report) {
-    for (name, v) in [
-        ("e_act", e.e_act.get()),
-        ("e_byte_core", e.e_byte_core.get()),
-        ("e_byte_transport", e.e_byte_transport.get()),
-        ("e_byte_link", e.e_byte_link.get()),
-        ("p_background", e.p_background.get()),
-    ] {
-        if !v.is_finite() || v < 0.0 {
-            report.push(Diagnostic::error(
-                ErrorCode::MemBadEnergy,
-                format!("{name} is {v}; energy parameters must be finite and non-negative"),
-            ));
-        }
-    }
 }
 
 /// Cap on the number of lines decoded by the bijectivity proof. One
@@ -123,69 +41,17 @@ const BIJECTIVITY_LINE_CAP: u64 = 1 << 20;
 /// beyond `u64::MAX` exists to collide.
 pub fn verify_mapping(mapping: &AddressMapping) -> Report {
     let mut report = Report::new();
+    mapping.check(&mut report);
+    if report.is_clean() {
+        prove_mapping(mapping, &mut report);
+    }
+    report
+}
 
-    let (units, banks, row_bytes, line_bytes) = match *mapping {
-        AddressMapping::Interleaved {
-            units,
-            banks_per_unit,
-            row_bytes,
-            line_bytes,
-        }
-        | AddressMapping::XorInterleaved {
-            units,
-            banks_per_unit,
-            row_bytes,
-            line_bytes,
-        } => (units, banks_per_unit, row_bytes, line_bytes),
-        AddressMapping::Asymmetric {
-            low_units,
-            banks_per_unit,
-            row_bytes,
-            line_bytes,
-            ..
-        } => (low_units, banks_per_unit, row_bytes, line_bytes),
-    };
-
-    let mut structural_ok = true;
-    let fail = |report: &mut Report, msg: String| {
-        report.push(Diagnostic::error(ErrorCode::MemMappingParam, msg));
-    };
-    if units == 0 {
-        fail(
-            &mut report,
-            "units is zero; at least one channel/vault is required".into(),
-        );
-        structural_ok = false;
-    }
-    if banks == 0 {
-        fail(
-            &mut report,
-            "banks_per_unit is zero; at least one bank is required".into(),
-        );
-        structural_ok = false;
-    }
-    if !row_bytes.is_power_of_two() {
-        fail(
-            &mut report,
-            format!("row_bytes ({row_bytes}) must be a power of two"),
-        );
-        structural_ok = false;
-    }
-    if !line_bytes.is_power_of_two() || line_bytes > row_bytes {
-        fail(
-            &mut report,
-            format!(
-                "line_bytes ({line_bytes}) must be a power of two no larger than \
-                 row_bytes ({row_bytes})"
-            ),
-        );
-        structural_ok = false;
-    }
-    if !structural_ok {
-        // Decoding divides by these parameters; the proof cannot run.
-        return report;
-    }
-
+/// The split-alignment check and the bijectivity proof of a
+/// structurally sound `mapping` (decoding divides by its parameters).
+fn prove_mapping(mapping: &AddressMapping, report: &mut Report) {
+    let (units, banks, row_bytes, line_bytes) = mapping.interleave_geometry();
     match *mapping {
         AddressMapping::Asymmetric {
             low_units, split, ..
@@ -199,13 +65,13 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
                          to two units"
                     ),
                 ));
-                return report;
+                return;
             }
             // Low region: a plain interleave, but the proof window must
             // not cross the split.
             let window = rotation_window(units, banks, row_bytes, 1)
                 .map_or(split.get(), |w| w.min(split.get()));
-            check_injective(mapping, 0, Some(window), line_bytes, &mut report);
+            check_injective(mapping, 0, Some(window), line_bytes, report);
             // High region: must be contiguous within the single dedicated
             // unit `low_units` (what the accelerators require, §3.3).
             let probe = row_bytes.min(split.get().max(line_bytes));
@@ -250,11 +116,9 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
                 1
             };
             let window = rotation_window(units, banks, row_bytes, rotations);
-            check_injective(mapping, 0, window, line_bytes, &mut report);
+            check_injective(mapping, 0, window, line_bytes, report);
         }
     }
-
-    report
 }
 
 /// `units * banks * row_bytes * rotations` bytes, or `None` past

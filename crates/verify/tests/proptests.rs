@@ -7,7 +7,7 @@ use mealib_memsim::address::AddressMapping;
 use mealib_types::PhysAddr;
 use mealib_verify::memconfig::{parse_memconfig, KNOWN_KEYS};
 use mealib_verify::memsim::{verify_mapping, verify_memconfig};
-use mealib_verify::ErrorCode;
+use mealib_verify::{ErrorCode, Severity};
 use proptest::prelude::*;
 
 fn pow2(exp: u32) -> u64 {
@@ -84,6 +84,9 @@ fn memconfig_line() -> impl Strategy<Value = String> {
         .prop_map(|preset| format!("base = {preset}")),
         proptest::sample::select(vec!["interleaved", "xor", "asymmetric"])
             .prop_map(|kind| format!("mapping = {kind}")),
+        // Clocks whose period is subnormal, zero or infinite.
+        proptest::sample::select(vec!["5e-324", "1e-300", "1e300", "inf"])
+            .prop_map(|mhz| format!("t_ck_mhz = {mhz}")),
     ]
 }
 
@@ -93,12 +96,26 @@ proptest! {
     /// `mealint`'s memconfig path is total: whatever the text, parsing
     /// returns a config or an error, and verifying a parsed config
     /// returns a report — no arithmetic overflow, no division by zero.
+    /// The simulator's validation and the linter read one rule set:
+    /// `validate` fails exactly when the report carries an
+    /// `MEA020`–`MEA023` error.
     #[test]
     fn memconfig_parse_and_verify_never_panic(
         lines in proptest::collection::vec(memconfig_line(), 0..12),
     ) {
         if let Ok(config) = parse_memconfig(&lines.join("\n")) {
-            let _ = verify_memconfig(&config);
+            let report = verify_memconfig(&config);
+            let rule_error = report.diagnostics().iter().any(|d| {
+                d.severity == Severity::Error
+                    && matches!(
+                        d.code,
+                        ErrorCode::MemZeroParameter
+                            | ErrorCode::MemTimingInequality
+                            | ErrorCode::MemMappingParam
+                            | ErrorCode::MemBadEnergy
+                    )
+            });
+            prop_assert_eq!(config.validate().is_err(), rule_error, "{}", report);
         }
     }
 }

@@ -95,72 +95,6 @@ pub fn sar_loop_session(n: usize, iterations: u64) -> String {
     src
 }
 
-/// Highest address any `BUF` directive in `src` touches — the byte
-/// span a partition slot must cover to contain the session.
-pub fn session_span(src: &str) -> u64 {
-    src.lines()
-        .filter(|l| l.starts_with("BUF "))
-        .map(|l| {
-            let toks: Vec<&str> = l.split_whitespace().collect();
-            let base = u64::from_str_radix(toks[2].trim_start_matches("0x"), 16).unwrap();
-            let len = u64::from_str_radix(toks[3].trim_start_matches("0x"), 16).unwrap();
-            base + len
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// Total bytes the session's `BUF` directives declare — the resident
-/// working set, as opposed to [`session_span`]'s highest touched
-/// address (which includes alignment holes). The serving telemetry
-/// reports this per class so bandwidth and byte counters can be read
-/// against the footprint that produced them.
-pub fn session_buffer_bytes(src: &str) -> u64 {
-    src.lines()
-        .filter(|l| l.starts_with("BUF "))
-        .map(|l| {
-            let toks: Vec<&str> = l.split_whitespace().collect();
-            u64::from_str_radix(toks[3].trim_start_matches("0x"), 16).unwrap()
-        })
-        .sum()
-}
-
-/// Rewrites every `BUF` base in `src` up by `offset`, leaving the rest
-/// of the session untouched — the shift that moves a canonical session
-/// into a tenant's partition slot. The elaborated trace of the shifted
-/// session is the canonical trace with every address raised by
-/// `offset` (requests are issued at extent starts), which is what
-/// makes partition rebasing exact rather than approximate.
-///
-/// Bases and lengths are read as the session grammar reads them
-/// (`0x`-prefixed hex or decimal). Returns `None` for a malformed
-/// `BUF` line, or when a moved extent would pass the top of the
-/// address space.
-pub fn rebase_session(src: &str, offset: u64) -> Option<String> {
-    fn number(tok: &str) -> Option<u64> {
-        match tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => tok.parse().ok(),
-        }
-    }
-    let mut out = String::with_capacity(src.len());
-    for line in src.lines() {
-        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["BUF", name, base, len] => {
-                let base = number(base)?.checked_add(offset)?;
-                base.checked_add(number(len)?)?;
-                out.push_str(&format!("BUF {name} 0x{base:x} {len}\n"));
-            }
-            ["BUF", ..] => return None,
-            _ => {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-    }
-    Some(out)
-}
-
 /// Every evaluation pipeline as a named session, at scales the
 /// soundness harness can replay through both the analyzer and the
 /// cycle engine in a debug-build test run (the exporters themselves
@@ -185,60 +119,59 @@ pub fn pipeline_sessions() -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mealib_verify::dataflow::{parse_session, Session};
+
+    /// Highest extent end of a parsed session.
+    fn span(s: &Session) -> u64 {
+        s.extents.values().map(|e| e.end().get()).max().unwrap_or(0)
+    }
+
+    /// Sum of a parsed session's extent lengths.
+    fn buffer_bytes(s: &Session) -> u64 {
+        s.extents.values().map(|e| e.len().get()).sum()
+    }
 
     #[test]
     fn exported_extents_do_not_overlap() {
         for (name, src) in pipeline_sessions() {
-            let mut ranges: Vec<(u64, u64)> = Vec::new();
-            for line in src.lines().filter(|l| l.starts_with("BUF ")) {
-                let toks: Vec<&str> = line.split_whitespace().collect();
-                let base = u64::from_str_radix(toks[2].trim_start_matches("0x"), 16).unwrap();
-                let len = u64::from_str_radix(toks[3].trim_start_matches("0x"), 16).unwrap();
-                for &(b, l) in &ranges {
-                    assert!(
-                        base >= b + l || base + len <= b,
-                        "{name}: overlapping extents"
-                    );
+            let s = parse_session(&src).unwrap();
+            let extents: Vec<_> = s.extents.values().collect();
+            for (i, a) in extents.iter().enumerate() {
+                for b in &extents[i + 1..] {
+                    assert!(!a.overlaps(b), "{name}: overlapping extents");
                 }
-                ranges.push((base, len));
             }
-            assert!(ranges.len() >= 2, "{name}: expected buffers");
+            assert!(extents.len() >= 2, "{name}: expected buffers");
         }
     }
 
     #[test]
     fn buffer_bytes_fit_inside_the_span_and_survive_rebase() {
         for (name, src) in pipeline_sessions() {
-            let ws = session_buffer_bytes(&src);
+            let s = parse_session(&src).unwrap();
+            let ws = buffer_bytes(&s);
             assert!(ws > 0, "{name}: empty working set");
             // The working set never exceeds the span (holes only add).
-            assert!(ws <= session_span(&src), "{name}");
+            assert!(ws <= span(&s), "{name}");
             // Rebasing moves extents without changing their sizes.
-            assert_eq!(
-                ws,
-                session_buffer_bytes(&rebase_session(&src, 1 << 20).unwrap()),
-                "{name}"
-            );
+            assert_eq!(ws, buffer_bytes(&s.rebase(1 << 20).unwrap()), "{name}");
         }
     }
 
     #[test]
     fn rebase_shifts_only_buf_bases() {
         for (name, src) in pipeline_sessions() {
+            let s = parse_session(&src).unwrap();
             let off = 1u64 << 24;
-            let shifted = rebase_session(&src, off).unwrap();
-            assert_eq!(session_span(&shifted), session_span(&src) + off, "{name}");
-            // Everything except the BUF lines is untouched.
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("BUF "))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(strip(&shifted), strip(&src), "{name}");
+            let shifted = s.rebase(off).unwrap();
+            assert_eq!(span(&shifted), span(&s) + off, "{name}");
+            // Everything except the extents is untouched.
+            assert_eq!(shifted.program, s.program, "{name}");
+            assert_eq!(shifted.host_ops, s.host_ops, "{name}");
+            assert_eq!(shifted.budgets, s.budgets, "{name}");
             assert_eq!(
-                rebase_session(&src, 0).as_deref(),
-                Some(src.as_str()),
+                s.rebase(0).unwrap().extents,
+                s.extents,
                 "{name}: zero shift is identity"
             );
         }
@@ -246,19 +179,22 @@ mod tests {
 
     #[test]
     fn rebase_is_total() {
-        let src = "BUF a 0x1000 0x100\nBUF b 4096 16\nPASS in=a out=b {\n}\n";
-        // Decimal operands are read as decimal, as the session parser
-        // reads them.
-        let moved = rebase_session(src, 0x10).unwrap();
-        assert!(moved.contains("BUF a 0x1010 0x100\n"), "{moved}");
-        assert!(moved.contains("BUF b 0x1010 16\n"), "{moved}");
+        let src =
+            "BUF a 0x1000 0x100\nBUF b 4096 16\nPASS in=a out=b {\n  COMP FFT params=\"f\"\n}\n";
+        let s = parse_session(src).unwrap();
+        // Decimal operands are read as decimal.
+        let moved = s.rebase(0x10).unwrap();
+        assert_eq!(moved.extents["a"].start().get(), 0x1010);
+        assert_eq!(moved.extents["a"].len().get(), 0x100);
+        assert_eq!(moved.extents["b"].start().get(), 0x1010);
+        assert_eq!(moved.extents["b"].len().get(), 16);
         // A base or an extent end past the top of the address space.
-        assert_eq!(rebase_session(src, u64::MAX), None);
-        assert_eq!(rebase_session(src, u64::MAX - 0x1000 - 0xff), None);
-        assert!(rebase_session(src, u64::MAX - 0x1000 - 0x100).is_some());
-        // Malformed BUF lines are `None`, not a panic.
+        assert!(s.rebase(u64::MAX).is_none());
+        assert!(s.rebase(u64::MAX - 0x1000 - 0xff).is_none());
+        assert!(s.rebase(u64::MAX - 0x1000 - 0x100).is_some());
+        // Malformed BUF lines are parse errors, not a panic.
         for bad in ["BUF a zz 0x10\n", "BUF a 0x10\n", "BUF a 0x10 -1\n"] {
-            assert_eq!(rebase_session(bad, 1), None, "{bad:?}");
+            assert!(parse_session(bad).is_err(), "{bad:?}");
         }
     }
 
