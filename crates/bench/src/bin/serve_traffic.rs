@@ -145,10 +145,11 @@ fn main() {
         ]);
     }
     print!("{table}");
+    let replays = report.epochs.iter().filter(|e| e.admitted > 0).count();
     println!(
         "\n{} completed, {} rejected (proved), {} shed over {} epochs; \
          modeled {:.3} ms, peak queue {}, plan cache {}/{} hits, certify memo {}/{} hits \
-         ({:.1}%)",
+         ({:.1}%), replay memo {}/{} hits ({:.1}%)",
         report.completed.len(),
         report.rejected.len(),
         report.shed.len(),
@@ -160,6 +161,9 @@ fn main() {
         report.certify_memo_hits,
         report.certify_calls,
         100.0 * report.certify_memo_hits as f64 / report.certify_calls.max(1) as f64,
+        report.replay_memo_hits,
+        replays,
+        100.0 * report.replay_memo_hits as f64 / replays.max(1) as f64,
     );
 
     let soundness = report.admission_soundness();

@@ -98,7 +98,7 @@ impl DramTiming {
         if !t_ck.is_finite() || t_ck <= 0.0 {
             report.push(Diagnostic::error(
                 ErrorCode::MemZeroParameter,
-                format!("t_ck is {t_ck}; the command clock must have a positive period"),
+                format!("t_ck is {t_ck}; the command clock period must be positive and finite"),
             ));
         }
         for (name, v) in [
@@ -208,6 +208,20 @@ mod tests {
         let r = check(&t);
         assert_eq!(r.error_count(), 1, "{r}");
         assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
+    }
+
+    #[test]
+    fn a_clock_period_must_be_positive_and_finite() {
+        for t_ck in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
+            let mut t = DramTiming::hmc_vault();
+            t.t_ck = Seconds::new(t_ck);
+            let r = check(&t);
+            assert_eq!(r.error_count(), 1, "{r}");
+            assert!(r.has_code(ErrorCode::MemZeroParameter), "{r}");
+            let want =
+                format!("t_ck is {t_ck}; the command clock period must be positive and finite");
+            assert!(r.to_string().contains(&want), "{r}");
+        }
     }
 
     #[test]

@@ -614,16 +614,7 @@ impl Runtime {
         tdl: &str,
         params: &ParamBag,
     ) -> Result<AccPlan, RuntimeError> {
-        let mut key = String::with_capacity(tdl.len() + 64);
-        key.push_str(tdl);
-        for (name, blob) in params {
-            key.push('\u{1f}');
-            key.push_str(name);
-            key.push('=');
-            for b in blob {
-                key.push_str(&format!("{b:02x}"));
-            }
-        }
+        let key = plan_cache_key(tdl, params);
         if let Some(plan) = self.plan_cache.get(&key) {
             self.counters.plan_cache_hits += 1;
             return Ok(plan);
@@ -769,6 +760,26 @@ impl Default for Runtime {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The plan-cache key of a (TDL, parameters) pair: the TDL, then per
+/// parameter a unit separator, its name, `=` and its bytes as lowercase
+/// hex, in the bag's (sorted) order.
+fn plan_cache_key(tdl: &str, params: &ParamBag) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let blob_bytes: usize = params.iter().map(|(n, b)| n.len() + 2 + 2 * b.len()).sum();
+    let mut key = String::with_capacity(tdl.len() + blob_bytes);
+    key.push_str(tdl);
+    for (name, blob) in params {
+        key.push('\u{1f}');
+        key.push_str(name);
+        key.push('=');
+        for &b in blob {
+            key.push(char::from(HEX[usize::from(b >> 4)]));
+            key.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+    }
+    key
 }
 
 #[cfg(test)]
@@ -1043,6 +1054,19 @@ mod tests {
         let c = rt.acc_plan_cached(tdl, &params).unwrap();
         assert_ne!(a.id(), c.id());
         assert_eq!(rt.counters().plan_cache_hits, 1);
+    }
+
+    #[test]
+    fn plan_cache_key_pins_its_text() {
+        let mut params = ParamBag::new();
+        params.insert("b.para".into(), vec![0x00, 0x0f, 0xa0, 0xff]);
+        params.insert("a.para".into(), vec![0x12]);
+        params.insert("empty".into(), Vec::new());
+        assert_eq!(
+            plan_cache_key("PASS", &params),
+            "PASS\u{1f}a.para=12\u{1f}b.para=000fa0ff\u{1f}empty="
+        );
+        assert_eq!(plan_cache_key("T", &ParamBag::new()), "T");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The admission gate: typed certification as the scheduler's only
-//! door, with a per-gate certification memo.
+//! door, with a per-gate memo of certified and replayed layouts.
 //!
 //! Every epoch the scheduler proposes a batch of resident candidates;
 //! the gate builds the PR-8 session set for them directly (one tenant
@@ -21,6 +21,12 @@
 //! memo lives as long as the gate, which the scheduler builds once per
 //! serve call.
 //!
+//! The memo also holds each admitted layout's replay. The tagged replay
+//! reads exactly what composition reads (each tenant's rebased extents,
+//! program and arrival, and the gate's environment and shared layer),
+//! so [`AdmissionGate::replay`] simulates a layout the first time it is
+//! admitted and hands back the stored [`Replay`] every later time.
+//!
 //! [`AdmissionGate::manifest`] renders the same set as manifest text,
 //! for repros and for oracles that re-derive each verdict through
 //! [`parse_session_set`](mealib_verify::interference::parse_session_set).
@@ -33,11 +39,13 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use mealib_memsim::{simulate_tenants, SimOptions, TenantStats};
 use mealib_obs::MetricsRegistry;
-use mealib_types::AddrRange;
+use mealib_types::{AddrRange, Joules, Seconds};
 use mealib_verify::dataflow::{Budgets, MemLayer};
 use mealib_verify::interference::{
-    compose, judge, Certification, SessionSet, SetBounds, TenantDecl,
+    compose, judge, resolved_set_config, tenant_streams, Certification, SessionSet, SetBounds,
+    TenantDecl,
 };
 use mealib_verify::BoundsEnv;
 
@@ -117,9 +125,22 @@ impl Resident {
     }
 }
 
+/// An admitted batch's merged replay, kept compact: the aggregate
+/// elapsed time and energy, and each tenant's attribution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replay {
+    /// Modeled elapsed time of the merged replay.
+    pub elapsed: Seconds,
+    /// Modeled DRAM energy of the merged replay.
+    pub energy: Joules,
+    /// Per-tenant attribution, in batch order.
+    pub tenants: Vec<TenantStats>,
+}
+
 /// One tenant's part of a memo key: everything of a tenant that
-/// [`compose`] reads. The body compares by identity, so two keys match
-/// only when their residents share one parsed class body.
+/// [`compose`] and the tagged replay read. The body compares by
+/// identity, so two keys match only when their residents share one
+/// parsed class body.
 #[derive(Debug, Clone)]
 struct TenantKey {
     body: Arc<ClassBody>,
@@ -155,8 +176,16 @@ impl Hash for TenantKey {
     }
 }
 
+/// What the memo holds for one batch layout: its composed bounds and,
+/// once the layout has been admitted and replayed, its replay.
+#[derive(Debug, Clone)]
+struct Layout {
+    bounds: SetBounds,
+    replay: Option<Replay>,
+}
+
 /// The admission gate: environment plus the optional §4.2 asymmetric
-/// boundary every batch shares, and the memo of composed layouts.
+/// boundary every batch shares, and the memo of certified layouts.
 #[derive(Debug, Clone)]
 pub struct AdmissionGate {
     env: BoundsEnv,
@@ -164,10 +193,12 @@ pub struct AdmissionGate {
     /// shared layer carves a dedicated high region at `split`, so
     /// tenants placed above it own their unit outright.
     asym_split: Option<u64>,
-    /// Composed bounds per batch layout, for the gate's lifetime.
-    memo: HashMap<Vec<TenantKey>, SetBounds>,
+    /// Composed bounds and replay per batch layout, for the gate's
+    /// lifetime.
+    memo: HashMap<Vec<TenantKey>, Layout>,
     certify_calls: u64,
     memo_hits: u64,
+    replay_memo_hits: u64,
 }
 
 impl AdmissionGate {
@@ -179,6 +210,7 @@ impl AdmissionGate {
             memo: HashMap::new(),
             certify_calls: 0,
             memo_hits: 0,
+            replay_memo_hits: 0,
         }
     }
 
@@ -205,6 +237,11 @@ impl AdmissionGate {
     /// Certify calls that reused a memoized composition.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
+    }
+
+    /// Replay calls answered from the memo instead of the simulator.
+    pub fn replay_memo_hits(&self) -> u64 {
+        self.replay_memo_hits
     }
 
     /// Renders the session-set manifest for `batch`. Float budgets
@@ -298,18 +335,57 @@ impl AdmissionGate {
         let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
         self.certify_calls += 1;
         let bounds = match self.memo.get(&key) {
-            Some(bounds) => {
+            Some(layout) => {
                 self.memo_hits += 1;
-                bounds.clone()
+                layout.bounds.clone()
             }
             None => {
                 let bounds = compose(&set, &self.env).expect("certified batches compose");
-                self.memo.insert(key, bounds.clone());
+                let layout = Layout {
+                    bounds: bounds.clone(),
+                    replay: None,
+                };
+                self.memo.insert(key, layout);
                 bounds
             }
         };
         let cert = judge(&set, bounds);
         (set, cert)
+    }
+
+    /// The tagged interleaved replay of `set`, the session set
+    /// [`AdmissionGate::certify`] returned for `batch`: bit-identical to
+    /// `simulate_tenants(&resolved_set_config(set, env),
+    /// &tenant_streams(set), &SimOptions::default())`. The first replay
+    /// of a certified layout runs the simulator and stores the outcome
+    /// beside the layout's bounds; later replays of that layout return
+    /// the stored outcome. A layout this gate never certified is
+    /// simulated and not stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator rejects the set's resolved memory
+    /// configuration, which composing the same set would have rejected
+    /// first.
+    pub fn replay(&mut self, batch: &[Resident], set: &SessionSet) -> Replay {
+        let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
+        let layout = self.memo.get_mut(&key);
+        if let Some(replay) = layout.as_ref().and_then(|l| l.replay.as_ref()) {
+            self.replay_memo_hits += 1;
+            return replay.clone();
+        }
+        let cfg = resolved_set_config(set, &self.env);
+        let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::default())
+            .expect("certified batches replay");
+        let replay = Replay {
+            elapsed: run.stats.elapsed,
+            energy: run.stats.energy,
+            tenants: run.tenants,
+        };
+        if let Some(layout) = layout {
+            layout.replay = Some(replay.clone());
+        }
+        replay
     }
 
     /// Exports the certify-call and memo-hit counters into `reg`.
@@ -321,6 +397,11 @@ impl AdmissionGate {
             "Certify calls judged against a memoized batch layout",
         );
         reg.store("serve_certify_memo_hits_total", &[], self.memo_hits);
+        reg.describe(
+            "serve_replay_memo_hits_total",
+            "Batch replays answered from a memoized batch layout",
+        );
+        reg.store("serve_replay_memo_hits_total", &[], self.replay_memo_hits);
     }
 }
 
@@ -329,7 +410,7 @@ mod tests {
     use super::*;
     use crate::session::Catalogue;
     use mealib_types::{Bytes, PhysAddr};
-    use mealib_verify::interference::{certify_set, parse_session_set};
+    use mealib_verify::interference::{certify_set, parse_session_set, SessionSet};
     use mealib_verify::Verdict;
 
     fn place(cat: &Catalogue, id: u64, class: &str, base: u64, budget: Option<f64>) -> Resident {
@@ -446,5 +527,64 @@ mod tests {
         );
         gate.certify(&[alone]);
         assert_eq!((gate.certify_calls(), gate.memo_hits()), (4, 1));
+    }
+
+    #[test]
+    fn a_repeated_admitted_layout_reuses_its_replay() {
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        let env = BoundsEnv::default();
+        let mut gate = AdmissionGate::new(env.clone());
+        let slot = cat.get("stap-tiny").unwrap().slot;
+        let batch = vec![
+            place(&cat, 0, "stap-tiny", 0, None),
+            place(&cat, 1, "sar-chain-256", 4 * slot, None),
+        ];
+        let fresh = |set: &SessionSet| {
+            let run = simulate_tenants(
+                &resolved_set_config(set, &env),
+                &tenant_streams(set),
+                &SimOptions::default(),
+            )
+            .unwrap();
+            Replay {
+                elapsed: run.stats.elapsed,
+                energy: run.stats.energy,
+                tenants: run.tenants,
+            }
+        };
+        // A layout's first replay simulates.
+        let (set, _) = gate.certify(&batch);
+        let first = gate.replay(&batch, &set);
+        assert_eq!(gate.replay_memo_hits(), 0);
+        assert_eq!(first, fresh(&set));
+        assert_eq!(first.tenants.len(), 2);
+        // The same layout under other ids and budgets hits.
+        let mut again = batch.clone();
+        again[0].request.id = 5;
+        again[1].request.time_budget_s = Some(1.0);
+        let (set, _) = gate.certify(&again);
+        let second = gate.replay(&again, &set);
+        assert_eq!(gate.replay_memo_hits(), 1);
+        assert_eq!(second, first);
+        // Another slot base, then another arrival: other layouts, misses.
+        let mut moved = batch.clone();
+        moved[1].partition = AddrRange::new(PhysAddr::new(6 * slot), moved[1].partition.len());
+        let (set, _) = gate.certify(&moved);
+        assert_eq!(gate.replay(&moved, &set), fresh(&set));
+        let mut later = batch.clone();
+        later[1].arrival_slot += 1;
+        let (set, _) = gate.certify(&later);
+        assert_eq!(gate.replay(&later, &set), fresh(&set));
+        assert_eq!(gate.replay_memo_hits(), 1);
+        // Both are stored once replayed.
+        gate.replay(&moved, &gate.session_set(&moved));
+        gate.replay(&later, &gate.session_set(&later));
+        assert_eq!(gate.replay_memo_hits(), 3);
+        // A layout never certified is simulated every time.
+        let uncertified = vec![place(&cat, 0, "stap-tiny", 8 * slot, None)];
+        let set = gate.session_set(&uncertified);
+        gate.replay(&uncertified, &set);
+        assert_eq!(gate.replay(&uncertified, &set), fresh(&set));
+        assert_eq!(gate.replay_memo_hits(), 3);
     }
 }

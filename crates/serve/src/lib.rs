@@ -35,7 +35,7 @@ pub mod session;
 pub mod telemetry;
 pub mod traffic;
 
-pub use admission::{AdmissionGate, Resident, UnknownPolicy};
+pub use admission::{AdmissionGate, Replay, Resident, UnknownPolicy};
 pub use batch::DescriptorBatcher;
 pub use decision::DecisionEvent;
 pub use metrics::{ClassStats, EpochStats, ServeReport};

@@ -88,6 +88,10 @@ pub struct ServeReport {
     /// Certify calls judged against a batch layout composed earlier in
     /// the run.
     pub certify_memo_hits: u64,
+    /// Batch replays answered from the replay of the same layout
+    /// earlier in the run; like the certify counters, kept out of
+    /// [`ServeReport::fingerprint`].
+    pub replay_memo_hits: u64,
 }
 
 impl ServeReport {

@@ -17,8 +17,10 @@
 //!    configured conservative policy;
 //! 3. plans the batch's descriptors through the runtime compiler path
 //!    (repeat classes batch via the plan cache) and replays the merged
-//!    set through the tagged interleaved engine, crediting each tenant
-//!    its exact modeled service time, bytes, and energy;
+//!    set through [`AdmissionGate::replay`], crediting each tenant its
+//!    exact modeled service time, bytes, and energy — the tagged
+//!    interleaved engine runs once per distinct admitted layout per
+//!    call, and a repeated layout gets its stored, bit-identical replay;
 //! 4. advances the modeled clock by the replay's elapsed time and
 //!    frees every partition (residency is one epoch).
 //!
@@ -29,10 +31,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use mealib_memsim::{simulate_tenants, SimOptions};
 use mealib_obs::{Breakdown, Obs, Phase};
 use mealib_types::{Joules, Seconds};
-use mealib_verify::interference::{resolved_set_config, tenant_streams, TenantBounds};
+use mealib_verify::interference::TenantBounds;
 use mealib_verify::{BoundsEnv, Verdict};
 
 use crate::admission::{AdmissionGate, Resident, UnknownPolicy};
@@ -425,10 +426,7 @@ fn serve_core(
                 let class = catalogue.get(&r.request.class).expect("admitted class");
                 batcher.plan_class(&class.body);
             }
-            let cfg = resolved_set_config(&set, gate.env());
-            let streams = tenant_streams(&set);
-            let run = simulate_tenants(&cfg, &streams, &SimOptions::default())
-                .expect("certified batches replay");
+            let run = gate.replay(&batch, &set);
             obs.span(
                 Phase::Verify,
                 &format!("admit-e{epoch}"),
@@ -438,12 +436,12 @@ fn serve_core(
             obs.span(
                 Phase::Compute,
                 &format!("replay-e{epoch}"),
-                run.stats.elapsed,
-                run.stats.energy,
+                run.elapsed,
+                run.energy,
             );
-            breakdown.add_phase(Phase::Compute, run.stats.elapsed, run.stats.energy);
+            breakdown.add_phase(Phase::Compute, run.elapsed, run.energy);
             if let Some(t) = ledger.tele.as_deref_mut() {
-                t.on_replay(run.stats.elapsed.get(), run.stats.energy.get());
+                t.on_replay(run.elapsed.get(), run.energy.get());
             }
             for (i, (r, p)) in batch.iter().zip(&batch_meta).enumerate() {
                 let t = &run.tenants[i];
@@ -466,8 +464,8 @@ fn serve_core(
                 ledger.complete(done, tb, t.first_elapsed.get(), clock_s);
             }
             st.admitted = batch.len();
-            st.replay_elapsed_s = run.stats.elapsed.get();
-            clock_s += run.stats.elapsed.get();
+            st.replay_elapsed_s = run.elapsed.get();
+            clock_s += run.elapsed.get();
             // (4) Residency is one epoch: return every slot.
             for r in &batch {
                 table.free(r.partition);
@@ -504,6 +502,7 @@ fn serve_core(
         plan_cache_len: batcher.cached_plans(),
         certify_calls: gate.certify_calls(),
         certify_memo_hits: gate.memo_hits(),
+        replay_memo_hits: gate.replay_memo_hits(),
     }
 }
 

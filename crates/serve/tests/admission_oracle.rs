@@ -17,10 +17,16 @@
 //!   through the oracle the way a decision-log walk does: trial batches
 //!   rebuilt with the public partition table, the same verdicts, REJECT
 //!   codes and partitions, and the same certified elapsed bounds on
-//!   every completion.
+//!   every completion. Every admitted epoch is re-simulated from the
+//!   oracle's set, outside any memo: each completion's service time,
+//!   bytes and energy and the epoch's replay elapsed must match bit for
+//!   bit, and the loop's replay-memo hits must be exactly its admitted
+//!   epochs minus its distinct admitted layouts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
+
+use mealib_memsim::{simulate_tenants, SimOptions};
 
 use mealib_serve::{
     generate, serve, AdmissionGate, Catalogue, DecisionEvent, PartitionTable, Resident,
@@ -28,7 +34,8 @@ use mealib_serve::{
 };
 use mealib_types::{AddrRange, Bytes, Interval, PhysAddr};
 use mealib_verify::interference::{
-    certify_set, parse_session_set, Certification, SessionSet, SetBounds,
+    certify_set, parse_session_set, resolved_set_config, tenant_streams, Certification, SessionSet,
+    SetBounds,
 };
 use mealib_verify::{BoundsEnv, Verdict};
 use proptest::prelude::*;
@@ -211,9 +218,19 @@ fn logged_verdict(ev: &DecisionEvent) -> Option<Verdict> {
     }
 }
 
+/// What one walk of a serve call re-derived.
+struct Walk {
+    certify_calls: u64,
+    /// Epochs that replayed an admitted batch.
+    replays: u64,
+    /// Distinct admitted layouts: (class, slot base, arrival) per
+    /// tenant, in order.
+    layouts: BTreeSet<Vec<(String, u64, u64)>>,
+}
+
 /// Re-derives every certified decision of `report` through the text
-/// oracle. Returns the number of certify calls re-derived.
-fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
+/// oracle, and re-simulates every admitted batch outside any memo.
+fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> Walk {
     let cat = catalogue();
     let env = BoundsEnv::default();
     let mut gate = AdmissionGate::new(env.clone());
@@ -222,7 +239,11 @@ fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
     }
     let completed: BTreeMap<u64, _> = report.completed.iter().map(|c| (c.id, c)).collect();
     let mut table = PartitionTable::new(config.capacity);
-    let mut calls = 0;
+    let mut out = Walk {
+        certify_calls: 0,
+        replays: 0,
+        layouts: BTreeSet::new(),
+    };
     let log = &report.decision_log;
     let mut i = 0;
     while i < log.len() {
@@ -244,8 +265,8 @@ fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
                 partition,
                 batch.len() as u64 * config.stagger_slots,
             ));
-            let (_, cert) = oracle(&gate, &batch);
-            calls += 1;
+            let (set, cert) = oracle(&gate, &batch);
+            out.certify_calls += 1;
             assert_eq!(cert.verdict, want, "e{epoch} s{id}: the log says {ev}");
             match ev {
                 DecisionEvent::Admit {
@@ -263,14 +284,35 @@ fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
                 _ => {}
             }
             if cert.verdict == Verdict::Admit {
-                admitted = Some(cert);
+                admitted = Some((set, cert));
             } else {
                 batch.pop();
                 table.free(partition);
             }
         }
-        if let Some(cert) = admitted {
-            for (r, tb) in batch.iter().zip(&cert.bounds.tenants) {
+        if let Some((set, cert)) = admitted {
+            let run = simulate_tenants(
+                &resolved_set_config(&set, &env),
+                &tenant_streams(&set),
+                &SimOptions::default(),
+            )
+            .expect("admitted batches replay");
+            assert_eq!(
+                report.epochs[epoch as usize].replay_elapsed_s.to_bits(),
+                run.stats.elapsed.get().to_bits(),
+                "e{epoch}: replay elapsed"
+            );
+            out.replays += 1;
+            out.layouts.insert(
+                batch
+                    .iter()
+                    .map(|r| {
+                        let base = r.partition.start().get();
+                        (r.request.class.clone(), base, r.arrival_slot)
+                    })
+                    .collect(),
+            );
+            for ((r, tb), t) in batch.iter().zip(&cert.bounds.tenants).zip(&run.tenants) {
                 let c = completed[&r.request.id];
                 assert_eq!(c.admitted_epoch, epoch);
                 assert_eq!(
@@ -282,6 +324,16 @@ fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
                     "e{epoch} s{}",
                     r.request.id
                 );
+                assert_eq!(
+                    (c.service_s.to_bits(), c.bytes, c.energy_j.to_bits()),
+                    (
+                        t.elapsed.get().to_bits(),
+                        t.bytes_read.get() + t.bytes_written.get(),
+                        t.energy.get().to_bits()
+                    ),
+                    "e{epoch} s{}: replay attribution",
+                    r.request.id
+                );
             }
             for r in &batch {
                 table.free(r.partition);
@@ -289,7 +341,7 @@ fn walk(traffic: &Traffic, report: &ServeReport, config: &ServeConfig) -> u64 {
         }
         i = end;
     }
-    calls
+    out
 }
 
 #[test]
@@ -306,7 +358,7 @@ fn every_logged_decision_matches_the_text_oracle() {
             ..ServeConfig::default()
         },
     ];
-    let mut hits = 0;
+    let (mut hits, mut replay_hits) = (0, 0);
     for seed in [1, 7, 97] {
         let mut spec = TrafficSpec::poisson(cat, seed, 8, 3.0);
         spec.classes.retain(|c| CLASSES.contains(&c.class.as_str()));
@@ -315,11 +367,18 @@ fn every_logged_decision_matches_the_text_oracle() {
         let traffic = generate(cat, &spec);
         for config in &configs {
             let report = serve(cat, &traffic, config, &BoundsEnv::default());
-            let calls = walk(&traffic, &report, config);
-            assert_eq!(calls, report.certify_calls, "seed {seed}");
+            let w = walk(&traffic, &report, config);
+            assert_eq!(w.certify_calls, report.certify_calls, "seed {seed}");
             assert!(report.certify_memo_hits < report.certify_calls);
+            assert_eq!(
+                report.replay_memo_hits,
+                w.replays - w.layouts.len() as u64,
+                "seed {seed}: every admitted layout replays once"
+            );
             hits += report.certify_memo_hits;
+            replay_hits += report.replay_memo_hits;
         }
     }
     assert!(hits > 0, "no serve call reused a batch layout");
+    assert!(replay_hits > 0, "no serve call reused a replay");
 }

@@ -158,6 +158,8 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
     let mut tdl = String::with_capacity(src.len());
     let mut host_ops = Vec::new();
     let mut extents = BTreeMap::new();
+    // Line of each buffer's `BUF`, to name both lines of a duplicate.
+    let mut buf_lines: BTreeMap<&str, usize> = BTreeMap::new();
     let mut budgets = Budgets::default();
     let mut mem_layer = None;
 
@@ -188,6 +190,13 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
             ["FLUSH"] => host_ops.push((line, HostOp::Flush)),
             ["FLUSH", ..] => return Err(directive_err("FLUSH with no operands", raw, line)),
             ["BUF", name, base, len] => {
+                if let Some(first) = buf_lines.insert(name, line) {
+                    return Err(directive_err(
+                        &format!("one `BUF {name}` (the first is on line {first})"),
+                        raw,
+                        line,
+                    ));
+                }
                 let base = parse_extent_number(base, line)?;
                 let len = parse_extent_number(len, line)?;
                 let extent =
@@ -252,6 +261,20 @@ mod tests {
         assert!(s.host_ops.is_empty());
         assert!(s.extents.is_empty());
         assert_eq!(s.program.items.len(), 1);
+    }
+
+    #[test]
+    fn a_duplicate_buf_is_a_parse_error_naming_both_lines() {
+        let src = "BUF a 0x1000 0x1000\nBUF b 0x2000 0x1000\nBUF a 0x100000 0x1000\n\
+                   PASS in=a out=b {\n  COMP AXPY params=\"a\"\n}\n";
+        let err = parse_session(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "expected one `BUF a` (the first is on line 1), found BUF a 0x100000 0x1000 on line 3"
+        );
+        // Buffer names are case-sensitive: `A` is another buffer.
+        let ok = src.replace("BUF a 0x100000", "BUF A 0x100000");
+        assert_eq!(parse_session(&ok).unwrap().extents.len(), 3);
     }
 
     #[test]

@@ -297,6 +297,20 @@ PASS in=x out=y {
     }
 
     #[test]
+    fn a_duplicate_buf_in_a_tenant_names_both_manifest_lines() {
+        let src = "TENANT t\nBUF a 0x1000 0x100\nBUF b 0x2000 0x100\nBUF a 0x3000 0x100\n\
+                   PASS in=a out=b {\n  COMP FFT params=\"f\"\n}\n";
+        let err = parse_session_set(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "expected one `BUF a` (the first is on line 2), found BUF a 0x3000 0x100 on line 4"
+        );
+        // Two tenants may each declare a buffer of the same name.
+        let twins = "TENANT t\nBUF a 0x1000 0x100\nTENANT u\nBUF a 0x2000 0x100\n";
+        assert!(parse_session_set(twins).is_ok());
+    }
+
+    #[test]
     fn header_mem_layer_is_shared() {
         let src = "MEM XOR\nTENANT t\nBUF a 0x1000 0x100\nBUF b 0x2000 0x100\nPASS in=a out=b \
                    {\n  COMP FFT params=\"f\"\n}\n";

@@ -437,6 +437,23 @@ mod cli {
     }
 
     #[test]
+    fn a_duplicate_buf_exits_two_naming_both_lines() {
+        // A second `BUF a` must not replace the first extent and lint
+        // `ok`: it is unusable input.
+        let dup = scratch(
+            "dup-buf.tdl",
+            b"BUF a 0x1000 0x1000\nBUF a 0x100000 0x1000\nBUF b 0x2000 0x1000\n\
+              PASS in=a out=b {\n  COMP AXPY params=\"a.para\"\n}\n",
+        );
+        let (code, stdout, stderr) = mealint(&[dup.to_str().unwrap()]);
+        assert_eq!(code, 2, "{stdout}{stderr}");
+        assert!(
+            stderr.contains("(the first is on line 1), found BUF a 0x100000 0x1000 on line 2"),
+            "{stderr}"
+        );
+    }
+
+    #[test]
     fn json_format_round_trips_through_the_obs_parser() {
         let bad = scratch(
             "json-bad.tdl",

@@ -139,6 +139,19 @@ for f in "$adv"/*.tdl; do
     fi
 done
 
+echo "==> mealint: a duplicate BUF is a parse error (exit 2) naming both lines"
+# A second declaration of one buffer name must not replace the first
+# extent. Written to the temporary directory, not the corpus.
+printf 'BUF a 0x1000 0x1000\nBUF a 0x100000 0x1000\nBUF b 0x2000 0x1000\n%s\n' "$pass" \
+    >"$adv/dup_buf.tdl"
+status=0
+out=$("${MEALINT[@]}" "$adv/dup_buf.tdl" 2>&1) || status=$?
+if (( status != 2 )) || ! grep -q "first is on line 1), found BUF a .* on line 2" <<<"$out"; then
+    echo "mealint exited $status on a duplicate BUF, want 2 naming lines 1 and 2:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 echo "==> interference corpus coverage: every MEA3xx code needs >=2 bad manifests + clean twins"
 for code in 300 301 302 303; do
     bad=$(ls crates/verify/corpus/bad/mea${code}_*.set 2>/dev/null | wc -l)
