@@ -159,6 +159,16 @@ pub enum BoundsError {
     /// repeated, do not fit `u64`: no bound is certified rather than
     /// one computed from a wrapped count.
     Overflow,
+    /// Certifying the program would take more unrolled loop steps than
+    /// the analysis budget allows: no bound is certified rather than
+    /// the walk running for as long as the loop counts say.
+    WorkBudget {
+        /// Steps the unrolled walk would take (saturating at
+        /// `u64::MAX`).
+        steps: u64,
+        /// The budget it exceeds.
+        budget: u64,
+    },
 }
 
 impl From<ConfigError> for BoundsError {
@@ -172,6 +182,11 @@ impl fmt::Display for BoundsError {
         match self {
             Self::Config(e) => e.fmt(f),
             Self::Overflow => f.write_str("the trace moves more bytes than a u64 counts"),
+            Self::WorkBudget { steps, budget } => write!(
+                f,
+                "certifying would take {steps} unrolled loop steps, over the analysis \
+                 budget of {budget}"
+            ),
         }
     }
 }

@@ -12,6 +12,12 @@ use std::fmt::Write as _;
 /// included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    write_escaped(&mut out, s);
+    out
+}
+
+/// Appends [`escape`]'s text for `s` to `out`, without allocating.
+pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -25,21 +31,26 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats an `f64` as a JSON number. Non-finite values (which valid
 /// model output never produces) are clamped to `null`-safe zero.
 pub fn fmt_f64(x: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, x);
+    out
+}
+
+/// Appends [`fmt_f64`]'s text for `x` to `out`, without allocating.
+pub fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
-        return "0".to_string();
-    }
-    if x == x.trunc() && x.abs() < 1e15 {
+        out.push('0');
+    } else if x == x.trunc() && x.abs() < 1e15 {
         // Integral values print exactly; avoids "1e2"-style output
         // for simple counts.
-        format!("{x:.1}")
+        let _ = write!(out, "{x:.1}");
     } else {
-        format!("{x:e}")
+        let _ = write!(out, "{x:e}");
     }
 }
 

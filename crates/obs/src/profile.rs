@@ -19,9 +19,12 @@
 //! [`crate::json`] and verifies that spans nest without partial overlap
 //! on every track.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
+
 use mealib_types::Seconds;
 
-use crate::json::{array, parse, Object, Value};
+use crate::json::{parse, write_escaped, write_f64, Value};
 use crate::timeline::Timeline;
 use crate::Phase;
 
@@ -170,18 +173,22 @@ impl Profile {
     /// Track names in first-appearance order: interval tracks first,
     /// then timeline tracks.
     pub fn track_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for iv in &self.intervals {
-            if !names.contains(&iv.track) {
-                names.push(iv.track.clone());
-            }
+        self.track_ids().0.into_iter().map(str::to_string).collect()
+    }
+
+    /// Track names in first-appearance order, and each track's
+    /// Chrome-trace `tid` (its position in that order, plus one).
+    fn track_ids(&self) -> (Vec<&str>, HashMap<&str, u64>) {
+        let mut names = Vec::new();
+        let mut tids = HashMap::new();
+        let all = self.intervals.iter().map(|iv| iv.track.as_str());
+        for name in all.chain(self.timelines.iter().map(|tl| tl.name.as_str())) {
+            tids.entry(name).or_insert_with(|| {
+                names.push(name);
+                names.len() as u64
+            });
         }
-        for tl in &self.timelines {
-            if !names.contains(&tl.name) {
-                names.push(tl.name.clone());
-            }
-        }
-        names
+        (names, tids)
     }
 
     /// Renders the profile as a Chrome trace-event JSON document.
@@ -191,56 +198,65 @@ impl Profile {
     /// (`ts`/`dur` in microseconds of modeled time, category = phase);
     /// timeline windows are `"C"` counter events carrying the full
     /// [`crate::timeline::WindowCounters`] key set, summed across lanes.
+    ///
+    /// Events are written straight into one buffer, and each track's
+    /// `tid` is resolved once.
     pub fn to_chrome_trace(&self) -> String {
-        let mut events: Vec<String> = Vec::new();
-        let tracks = self.track_names();
-        let tid_of =
-            |name: &str| -> u64 { tracks.iter().position(|t| t == name).unwrap_or(0) as u64 + 1 };
+        let (tracks, tids) = self.track_ids();
+        let mut out = String::from("{\"traceEvents\":[");
+        let mut first = true;
+        let mut open = |out: &mut String, name: &str| {
+            if !std::mem::take(&mut first) {
+                out.push(',');
+            }
+            out.push_str("{\"name\":\"");
+            write_escaped(out, name);
+            out.push('"');
+        };
 
-        for name in &tracks {
-            let mut args = Object::new();
-            args.str("name", name);
-            let mut o = Object::new();
-            o.str("name", "thread_name");
-            o.str("ph", "M");
-            o.int("pid", 1);
-            o.int("tid", tid_of(name));
-            o.raw("args", args.render());
-            events.push(o.render());
+        for (i, name) in tracks.iter().enumerate() {
+            open(&mut out, "thread_name");
+            let _ = write!(
+                out,
+                ",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
+                i + 1
+            );
+            write_escaped(&mut out, name);
+            out.push_str("\"}}");
         }
 
         for iv in &self.intervals {
-            let mut o = Object::new();
-            o.str("name", &iv.label);
-            o.str("cat", iv.phase.name());
-            o.str("ph", "X");
-            o.int("pid", 1);
-            o.int("tid", tid_of(&iv.track));
-            o.num("ts", iv.start.as_micros());
-            o.num("dur", iv.duration().as_micros());
-            events.push(o.render());
+            open(&mut out, &iv.label);
+            out.push_str(",\"cat\":\"");
+            write_escaped(&mut out, iv.phase.name());
+            let _ = write!(
+                out,
+                "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":",
+                tids[iv.track.as_str()]
+            );
+            write_f64(&mut out, iv.start.as_micros());
+            out.push_str(",\"dur\":");
+            write_f64(&mut out, iv.duration().as_micros());
+            out.push('}');
         }
 
         for tl in &self.timelines {
-            let tid = tid_of(&tl.name);
+            let tid = tids[tl.name.as_str()];
             for w in 0..tl.timeline.num_windows() {
-                let total = tl.timeline.window_total(w);
-                let mut o = Object::new();
-                o.str("name", &tl.name);
-                o.str("cat", "timeline");
-                o.str("ph", "C");
-                o.int("pid", 1);
-                o.int("tid", tid);
-                o.num("ts", tl.window_start(w).as_micros());
-                o.raw("args", total.to_json());
-                events.push(o.render());
+                open(&mut out, &tl.name);
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"timeline\",\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":"
+                );
+                write_f64(&mut out, tl.window_start(w).as_micros());
+                out.push_str(",\"args\":");
+                out.push_str(&tl.timeline.window_total(w).to_json());
+                out.push('}');
             }
         }
 
-        let mut doc = Object::new();
-        doc.raw("traceEvents", array(&events));
-        doc.str("displayTimeUnit", "ns");
-        doc.render()
+        out.push_str("],\"displayTimeUnit\":\"ns\"}");
+        out
     }
 }
 
@@ -446,6 +462,79 @@ mod tests {
         });
         let err = validate_chrome_trace(&p.to_chrome_trace()).unwrap_err();
         assert!(err.contains("partially overlaps"), "{err}");
+    }
+
+    /// The Object-per-event rendering the buffer writer replaced, kept
+    /// as the byte oracle.
+    fn reference_chrome_trace(p: &Profile) -> String {
+        use crate::json::{array, Object};
+        let tracks = p.track_names();
+        let tid_of = |name: &str| tracks.iter().position(|t| t == name).unwrap() as u64 + 1;
+        let mut events = Vec::new();
+        for name in &tracks {
+            let mut args = Object::new();
+            args.str("name", name);
+            let mut o = Object::new();
+            o.str("name", "thread_name");
+            o.str("ph", "M");
+            o.int("pid", 1);
+            o.int("tid", tid_of(name));
+            o.raw("args", args.render());
+            events.push(o.render());
+        }
+        for iv in &p.intervals {
+            let mut o = Object::new();
+            o.str("name", &iv.label);
+            o.str("cat", iv.phase.name());
+            o.str("ph", "X");
+            o.int("pid", 1);
+            o.int("tid", tid_of(&iv.track));
+            o.num("ts", iv.start.as_micros());
+            o.num("dur", iv.duration().as_micros());
+            events.push(o.render());
+        }
+        for tl in &p.timelines {
+            for w in 0..tl.timeline.num_windows() {
+                let mut o = Object::new();
+                o.str("name", &tl.name);
+                o.str("cat", "timeline");
+                o.str("ph", "C");
+                o.int("pid", 1);
+                o.int("tid", tid_of(&tl.name));
+                o.num("ts", tl.window_start(w).as_micros());
+                o.raw("args", tl.timeline.window_total(w).to_json());
+                events.push(o.render());
+            }
+        }
+        let mut doc = Object::new();
+        doc.raw("traceEvents", array(&events));
+        doc.str("displayTimeUnit", "ns");
+        doc.render()
+    }
+
+    #[test]
+    fn writer_matches_the_object_rendering_byte_for_byte() {
+        let empty = Profile::new();
+        assert_eq!(empty.to_chrome_trace(), reference_chrome_trace(&empty));
+
+        let mut p = Profile::new();
+        let c = p.interval("cu \"0\"", Phase::Dma, "fetch\\n", s(0.0), s(1e-6));
+        p.interval("host", Phase::Plan, "tab\tline\nctl\u{1}", s(3e-7), s(2.5));
+        p.interval("cu \"0\"", Phase::Compute, "pass0", c, s(5e-6 / 3.0));
+        let mut tl = Timeline::new(100);
+        for (cycle, lane) in [(50, 0), (150, 1), (450, 0)] {
+            let counters = WindowCounters {
+                bytes_read: 64 * cycle,
+                row_misses: cycle / 7,
+                ..WindowCounters::default()
+            };
+            tl.record(cycle, lane, &counters);
+        }
+        p.push_timeline("host", tl.clone(), Seconds::from_nanos(1.25), s(1e-3));
+        p.push_timeline("dram", tl, Seconds::from_nanos(1.0), s(0.0));
+        let doc = p.to_chrome_trace();
+        assert_eq!(doc, reference_chrome_trace(&p));
+        validate_chrome_trace(&doc).expect("valid trace");
     }
 
     #[test]

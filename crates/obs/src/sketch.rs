@@ -44,8 +44,9 @@
 //! never conflated with "zero latency".
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::json::Object;
+use crate::json;
 
 /// A mergeable log-bucket quantile sketch with relative accuracy
 /// `alpha` (see the module docs for the bound and its proof).
@@ -179,31 +180,49 @@ impl QuantileSketch {
     /// Panics unless `0 <= q <= 1`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+        self.quantiles([q]).map(|[v]| v)
+    }
+
+    /// The (p50, p95, p99) triple, or `None` when empty. One bucket
+    /// walk finds all three ranks, and each is bit-equal to its own
+    /// [`Self::quantile`] call.
+    pub fn p50_p95_p99(&self) -> Option<(f64, f64, f64)> {
+        let [p50, p95, p99] = self.quantiles([0.50, 0.95, 0.99])?;
+        Some((p50, p95, p99))
+    }
+
+    /// Nearest-rank quantiles for `qs`, which must be non-decreasing,
+    /// found in one walk over the buckets (rank `ceil(q * n)`, clamped
+    /// to at least 1). `None` when the sketch is empty.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.count == 0 {
             return None;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        if rank <= self.zero_count {
-            return Some(0.0);
-        }
+        let ranks = qs.map(|q| ((q * self.count as f64).ceil() as u64).max(1));
+        let mut out = [0.0; N];
+        // Ranks inside the zero bucket report exactly 0.0.
+        let mut next = ranks.iter().take_while(|&&r| r <= self.zero_count).count();
         let mut seen = self.zero_count;
         for (&idx, &n) in &self.buckets {
+            if next == N {
+                break;
+            }
             seen += n;
-            if seen >= rank {
-                return Some(self.representative(idx));
+            if seen >= ranks[next] {
+                let rep = self.representative(idx);
+                while next < N && seen >= ranks[next] {
+                    out[next] = rep;
+                    next += 1;
+                }
             }
         }
-        // Unreachable: bucket counts sum to `count` and rank <= count.
-        Some(self.representative(*self.buckets.keys().last()?))
-    }
-
-    /// The (p50, p95, p99) triple, or `None` when empty.
-    pub fn p50_p95_p99(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-        ))
+        if next < N {
+            // Unreachable: bucket counts sum to `count` and every rank
+            // is at most `count`.
+            let rep = self.representative(*self.buckets.keys().last()?);
+            out[next..].fill(rep);
+        }
+        Some(out)
     }
 
     /// Folds `other` into `self`. Commutative bit-exactly: bucket
@@ -233,21 +252,37 @@ impl QuantileSketch {
     }
 
     /// Renders the sketch as one JSON object: scheme, exact moments,
-    /// and the standard quantile triple.
+    /// and the standard quantile triple. [`Self::write_json`] into a
+    /// fresh `String`.
     pub fn to_json(&self) -> String {
-        let mut o = Object::new();
-        o.num("alpha", self.alpha);
-        o.int("count", self.count);
-        o.num("sum", self.sum);
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`Self::to_json`]'s text to `out`:
+    /// `{"alpha":..,"count":..,"sum":..,"min":..,"max":..,"p50":..,
+    /// "p95":..,"p99":..,"buckets":..}`, the five order statistics
+    /// only when the sketch is non-empty.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"alpha\":");
+        json::write_f64(out, self.alpha);
+        let _ = write!(out, ",\"count\":{},\"sum\":", self.count);
+        json::write_f64(out, self.sum);
         if let Some((p50, p95, p99)) = self.p50_p95_p99() {
-            o.num("min", self.min);
-            o.num("max", self.max);
-            o.num("p50", p50);
-            o.num("p95", p95);
-            o.num("p99", p99);
+            let fields = [
+                ("min", self.min),
+                ("max", self.max),
+                ("p50", p50),
+                ("p95", p95),
+                ("p99", p99),
+            ];
+            for (key, value) in fields {
+                let _ = write!(out, ",\"{key}\":");
+                json::write_f64(out, value);
+            }
         }
-        o.int("buckets", self.buckets_used() as u64);
-        o.render()
+        let _ = write!(out, ",\"buckets\":{}}}", self.buckets_used());
     }
 }
 
@@ -315,6 +350,21 @@ mod tests {
         assert_eq!(s.quantile(0.5), Some(0.0));
         assert!(s.quantile(1.0).unwrap() > 0.9);
         assert_eq!(s.min(), Some(0.0));
+    }
+
+    #[test]
+    fn ranks_sharing_a_bucket_match_single_quantiles() {
+        let mut s = QuantileSketch::default();
+        // Ranks 50 and 95 of 100 fall in the bucket of 1.0, rank 99 in
+        // the bucket of 2.0.
+        for v in [1.0; 95].into_iter().chain([2.0; 5]) {
+            s.record(v);
+        }
+        let (p50, p95, p99) = s.p50_p95_p99().unwrap();
+        assert_eq!(p50.to_bits(), s.quantile(0.50).unwrap().to_bits());
+        assert_eq!(p95.to_bits(), p50.to_bits());
+        assert_eq!(p99.to_bits(), s.quantile(0.99).unwrap().to_bits());
+        assert!(p99 > p95);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for the telemetry quantile sketch: the documented
 //! relative-error bound holds for arbitrary streams, merge is
 //! commutative bit-exactly, sharded folds reproduce the sequential
-//! quantiles, and registry merges are order-insensitive.
+//! quantiles, registry merges are order-insensitive, and the one-walk
+//! quantile triple and the memoized JSON writer match their references.
 
+use mealib_obs::json::Object;
 use mealib_obs::quantiles::nearest_rank;
 use mealib_obs::{MetricsRegistry, QuantileSketch};
 use proptest::prelude::*;
@@ -39,8 +41,82 @@ fn within_bound(sketch: f64, exact: f64, alpha: f64) -> bool {
     (sketch - exact).abs() <= alpha * exact * (1.0 + 1e-9) + 1e-12
 }
 
+/// Values for the renderer oracle: exact zeros, values at and just
+/// below/above [`QuantileSketch::MIN_VALUE`], a few values that repeat
+/// (integral and not, so both float formats recur), and a wide dynamic
+/// range (1e-15 to 1e15).
+fn render_value_strategy() -> impl Strategy<Value = f64> {
+    (0u64..8, -15_000i64..15_000).prop_map(|(kind, millibels)| match kind {
+        0 => 0.0,
+        1 => QuantileSketch::MIN_VALUE,
+        2 => QuantileSketch::MIN_VALUE * 0.5,
+        3 => QuantileSketch::MIN_VALUE * 1.5,
+        4 => [1e-3, 2.0, 0.25][millibels.rem_euclid(3) as usize],
+        _ => 10f64.powf(millibels as f64 / 1000.0),
+    })
+}
+
+/// The `Object` rendering `QuantileSketch::to_json` used before the
+/// direct writer, kept as the byte oracle.
+fn reference_json(s: &QuantileSketch) -> String {
+    let mut o = Object::new();
+    o.num("alpha", s.alpha());
+    o.int("count", s.count());
+    o.num("sum", s.sum());
+    if let Some((p50, p95, p99)) = s.p50_p95_p99() {
+        o.num("min", s.min().unwrap());
+        o.num("max", s.max().unwrap());
+        o.num("p50", p50);
+        o.num("p95", p95);
+        o.num("p99", p99);
+    }
+    o.int("buckets", s.buckets_used() as u64);
+    o.render()
+}
+
+#[test]
+fn empty_sketch_renders_without_order_statistics() {
+    let s = QuantileSketch::default();
+    let mut out = String::from("prefix:");
+    s.write_json(&mut out);
+    assert_eq!(out, format!("prefix:{}", reference_json(&s)));
+    assert_eq!(
+        s.to_json(),
+        r#"{"alpha":1e-2,"count":0,"sum":0.0,"buckets":0}"#
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// After every `record`: the one-walk triple equals three
+    /// `quantile` calls bit for bit, and `write_json` (appending to a
+    /// non-empty buffer) equals the `Object` reference rendering byte for byte. Values
+    /// are drawn from a small pool with geometric weights, so one
+    /// bucket often holds several of the three ranks.
+    #[test]
+    fn one_walk_triple_and_writer_match_references(
+        pool in proptest::collection::vec(render_value_strategy(), 1..12),
+        picks in proptest::collection::vec(1u64..=u64::MAX, 0..300),
+        alpha_pct in 1u64..20,
+    ) {
+        let mut sketch = QuantileSketch::new(alpha_pct as f64 / 100.0);
+        let mut out = String::new();
+        let values = picks.iter().map(|p| pool[p.trailing_zeros() as usize % pool.len()]);
+        for (i, v) in values.enumerate() {
+            sketch.record(v);
+            let (p50, p95, p99) = sketch.p50_p95_p99().unwrap();
+            let bits = |q: f64| sketch.quantile(q).unwrap().to_bits();
+            prop_assert_eq!(p50.to_bits(), bits(0.50));
+            prop_assert_eq!(p95.to_bits(), bits(0.95));
+            prop_assert_eq!(p99.to_bits(), bits(0.99));
+
+            let start = out.len();
+            sketch.write_json(&mut out);
+            prop_assert_eq!(&out[start..], reference_json(&sketch).as_str(), "after record {}", i);
+            prop_assert_eq!(sketch.to_json(), reference_json(&sketch));
+        }
+    }
 
     /// |q_sketch - q_exact| <= alpha * q_exact for every quantile of
     /// every stream, against the exact nearest-rank reference.

@@ -32,13 +32,23 @@
 //! scheduler's own addition order, so [`TelemetryReport::reconcile`]
 //! compares them to [`ServeReport`] totals via `to_bits`, not
 //! epsilons.
+//!
+//! The per-epoch snapshot is incremental, so telemetry stays cheap
+//! enough to leave on. Each line is written straight into one
+//! `String`. A metric's escaped key is rendered once, the first time
+//! the metric appears. A histogram's sketch summary is re-rendered
+//! only when its `count()` moved. Every byte is what the
+//! `json::Object` rendering produced; `scheduler_determinism.rs` pins
+//! the four artifacts by digest.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 
-use mealib_obs::json::{self, Object};
+use mealib_obs::json;
 use mealib_obs::profile::{validate_chrome_trace, IntervalEvent, Profile};
 use mealib_obs::{
-    Alert, AlertKind, MetricsRegistry, Objective, ObjectiveKind, Phase, SloEngine, WindowObs,
+    Alert, AlertKind, MetricKey, MetricsRegistry, Objective, ObjectiveKind, Phase, SloEngine,
+    WindowObs,
 };
 use mealib_types::Seconds;
 use mealib_verify::interference::TenantBounds;
@@ -124,6 +134,41 @@ struct EpochAgg {
     service_s: f64,
 }
 
+/// A counter's snapshot key, escaped once, and its last flushed value.
+#[derive(Debug)]
+struct Flushed {
+    key: String,
+    value: u64,
+}
+
+impl Flushed {
+    fn new(key: &MetricKey) -> Self {
+        Self {
+            key: json::escape(&key.flat()),
+            value: 0,
+        }
+    }
+}
+
+/// A histogram's snapshot key, escaped once, its last rendered sketch
+/// summary, and the sketch `count()` it was rendered at.
+#[derive(Debug)]
+struct Rendered {
+    key: String,
+    count: Option<u64>,
+    summary: String,
+}
+
+impl Rendered {
+    fn new(key: &MetricKey) -> Self {
+        Self {
+            key: json::escape(&key.flat()),
+            count: None,
+            summary: String::new(),
+        }
+    }
+}
+
 /// The live telemetry pipeline the scheduler feeds.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -133,9 +178,11 @@ pub struct Telemetry {
     latency_thresholds: BTreeMap<String, f64>,
     profile: Profile,
     snapshots: Vec<String>,
-    /// Counter values already flushed into a snapshot, per flat key:
-    /// the next snapshot carries only the delta.
-    flushed: BTreeMap<String, u64>,
+    /// Per counter: its escaped snapshot key and the value already
+    /// flushed into a snapshot (the next snapshot carries the delta).
+    flushed: BTreeMap<MetricKey, Flushed>,
+    /// Per histogram: its last rendered sketch summary.
+    rendered: BTreeMap<MetricKey, Rendered>,
     classes_seen: BTreeSet<String>,
     pending: BTreeMap<String, EpochAgg>,
     windows: BTreeMap<String, VecDeque<EpochAgg>>,
@@ -176,6 +223,7 @@ impl Telemetry {
             profile: Profile::new(),
             snapshots: Vec::new(),
             flushed: BTreeMap::new(),
+            rendered: BTreeMap::new(),
             classes_seen: BTreeSet::new(),
             pending: BTreeMap::new(),
             windows: BTreeMap::new(),
@@ -429,36 +477,74 @@ impl Telemetry {
     /// *deltas* (snapshot sums reconcile exactly with the final
     /// cumulative counters), current gauges, and cumulative sketch
     /// summaries.
+    ///
+    /// The line is written straight into one `String`. Each metric's
+    /// escaped key is rendered once, when the metric first appears, and
+    /// each histogram's sketch summary is re-rendered only when its
+    /// `count()` moved: every sketch mutation (`record`, `merge`) raises
+    /// the count, so an unchanged count means an unchanged sketch and an
+    /// unchanged summary.
     fn flush_snapshot(&mut self, epoch: u64, clock_s: f64, replay_elapsed_s: f64) {
-        let mut deltas = Object::new();
+        let mut line = String::with_capacity(self.snapshots.last().map_or(256, String::len));
+        let _ = write!(line, "{{\"epoch\":{epoch},\"clock_s\":");
+        json::write_f64(&mut line, clock_s);
+        line.push_str(",\"replay_elapsed_s\":");
+        json::write_f64(&mut line, replay_elapsed_s);
+        let _ = write!(
+            line,
+            ",\"alerts\":{},\"counters\":{{",
+            self.slo.alerts().len()
+        );
+        let mut first = true;
         for (key, value) in self.registry.counters() {
-            let flat = key.flat();
-            let prev = self.flushed.get(&flat).copied().unwrap_or(0);
-            if value > prev {
-                deltas.int(&flat, value - prev);
-                self.flushed.insert(flat, value);
+            let flushed = match self.flushed.get_mut(key) {
+                Some(f) => f,
+                None => self
+                    .flushed
+                    .entry(key.clone())
+                    .or_insert_with(|| Flushed::new(key)),
+            };
+            if value > flushed.value {
+                if !std::mem::take(&mut first) {
+                    line.push(',');
+                }
+                let _ = write!(line, "\"{}\":{}", flushed.key, value - flushed.value);
+                flushed.value = value;
             }
         }
-        let mut gauges = Object::new();
-        let names = ["serve_queue_depth", "serve_clock_seconds"];
-        for name in names {
+        line.push_str("},\"gauges\":{");
+        let mut first = true;
+        for name in ["serve_queue_depth", "serve_clock_seconds"] {
             if let Some(v) = self.registry.gauge(name, &[]) {
-                gauges.num(name, v);
+                if !std::mem::take(&mut first) {
+                    line.push(',');
+                }
+                let _ = write!(line, "\"{name}\":");
+                json::write_f64(&mut line, v);
             }
         }
-        let mut hists = Object::new();
+        line.push_str("},\"histograms\":{");
+        let mut first = true;
         for (key, sketch) in self.registry.histograms() {
-            hists.raw(&key.flat(), sketch.to_json());
+            let cached = match self.rendered.get_mut(key) {
+                Some(c) => c,
+                None => self
+                    .rendered
+                    .entry(key.clone())
+                    .or_insert_with(|| Rendered::new(key)),
+            };
+            if cached.count != Some(sketch.count()) {
+                cached.summary.clear();
+                sketch.write_json(&mut cached.summary);
+                cached.count = Some(sketch.count());
+            }
+            if !std::mem::take(&mut first) {
+                line.push(',');
+            }
+            let _ = write!(line, "\"{}\":{}", cached.key, cached.summary);
         }
-        let mut line = Object::new();
-        line.int("epoch", epoch);
-        line.num("clock_s", clock_s);
-        line.num("replay_elapsed_s", replay_elapsed_s);
-        line.int("alerts", self.slo.alerts().len() as u64);
-        line.raw("counters", deltas.render());
-        line.raw("gauges", gauges.render());
-        line.raw("histograms", hists.render());
-        self.snapshots.push(line.render());
+        line.push_str("}}");
+        self.snapshots.push(line);
     }
 
     /// `true` when some counter moved since the last snapshot
@@ -466,7 +552,7 @@ impl Telemetry {
     fn dirty(&self) -> bool {
         self.registry
             .counters()
-            .any(|(k, v)| v > self.flushed.get(&k.flat()).copied().unwrap_or(0))
+            .any(|(k, v)| v > self.flushed.get(k).map_or(0, |f| f.value))
     }
 
     /// Closes the run: flushes any trailing counter deltas (the drain
@@ -730,8 +816,13 @@ impl TelemetryReport {
                 .collect();
             let sketch = self
                 .registry
-                .histogram("serve_service_seconds", &[("class", class)])
-                .ok_or_else(|| format!("{class}: no service sketch"))?;
+                .histogram("serve_service_seconds", &[("class", class)]);
+            // A class whose sessions were all rejected or shed never
+            // observed a service time.
+            if service.is_empty() && sketch.is_none() {
+                continue;
+            }
+            let sketch = sketch.ok_or_else(|| format!("{class}: no service sketch"))?;
             if sketch.count() != service.len() as u64 {
                 return Err(format!(
                     "{class}: sketch count {} != completions {}",

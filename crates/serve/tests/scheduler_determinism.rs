@@ -78,6 +78,94 @@ fn telemetry_artifacts_are_bit_identical_across_repeats() {
     }
 }
 
+/// 64-bit FNV-1a digest, for pinning long artifacts compactly.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden digests of the four exported telemetry artifacts
+/// (`snapshots_jsonl`, `prometheus`, `chrome_trace`, `alerts_jsonl`).
+/// Repeats only compare a run with itself; these pin the renderers'
+/// bytes, so a renderer rewrite that drifts by one character fails
+/// here. The cases cover the default config, a tight queue with a
+/// drain deadline (sheds land after the last epoch, so `finish`
+/// flushes a trailing snapshot), and a device too small for one
+/// class's slot.
+#[test]
+fn telemetry_artifacts_match_golden_digests() {
+    let cat = catalogue();
+    let env = BoundsEnv::default();
+    let mut wide = TrafficSpec::poisson(cat, 4242, 4, 2.0);
+    wide.classes.retain(|c| {
+        matches!(
+            c.class.as_str(),
+            "stap-tiny" | "sar-chain-256" | "sar-chain-1024"
+        )
+    });
+    wide.p_impossible = 0.25;
+    let cases = [
+        (
+            555u64,
+            ServeConfig::default(),
+            small_spec(555, 4, 1.5),
+            [
+                0xe820_ab0b_25ac_081a,
+                0xbdf3_43a1_107f_6ea3,
+                0xcbe9_00a2_8d06_f442,
+                0xcbf2_9ce4_8422_2325,
+            ],
+        ),
+        (
+            3,
+            ServeConfig {
+                queue_cap: 2,
+                max_epochs: 3,
+                ..ServeConfig::default()
+            },
+            small_spec(3, 4, 2.0),
+            [
+                0x5c30_95b4_b406_84a1,
+                0xedbf_32ab_1060_80f0,
+                0x01dd_9acb_f851_a4f3,
+                0xcbf2_9ce4_8422_2325,
+            ],
+        ),
+        (
+            4242,
+            ServeConfig {
+                capacity: 1 << 24,
+                ..ServeConfig::default()
+            },
+            wide,
+            [
+                0x9af9_93f2_2c68_b8cd,
+                0x7f12_9b61_cce9_f65b,
+                0x9028_6a17_8e66_54d8,
+                0x5d65_4f9c_c1c0_6be0,
+            ],
+        ),
+    ];
+    let tcfg = TelemetryConfig::standard(cat);
+    for (seed, config, spec, want) in &cases {
+        let traffic = generate(cat, spec);
+        let (report, tele) = serve_with_telemetry(cat, &traffic, config, &env, &Obs::off(), &tcfg);
+        tele.reconcile(&report)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let got = [
+            fnv64(tele.snapshots_jsonl().as_bytes()),
+            fnv64(tele.prometheus().as_bytes()),
+            fnv64(tele.chrome_trace().as_bytes()),
+            fnv64(tele.alerts_jsonl().as_bytes()),
+        ];
+        assert_eq!(
+            &got, want,
+            "seed {seed}: telemetry artifact digests drifted"
+        );
+    }
+}
+
 /// The report's terminal vectors are the in-order projection of the
 /// decision log: `rejected` is exactly the REJECT events and `shed`
 /// exactly the shed events, each carrying its event's epoch, attempt

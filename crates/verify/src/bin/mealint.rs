@@ -170,7 +170,15 @@ fn lint_file(path: &str) -> Outcome {
         }
         let cert = match interference::certify_set(&set, &BoundsEnv::default()) {
             Ok(c) => c,
-            Err(e) => return Outcome::Unusable(format!("{path}: {e}")),
+            Err(e) => {
+                return match bounds::work_budget_diagnostic(&e) {
+                    Some(d) => {
+                        report.push(d);
+                        finish(report)
+                    }
+                    None => Outcome::Unusable(format!("{path}: {e}")),
+                }
+            }
         };
         report.merge(cert.report);
         return Outcome::Certified(cert.verdict, report);

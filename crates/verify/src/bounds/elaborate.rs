@@ -22,12 +22,46 @@
 
 use std::collections::BTreeMap;
 
-use mealib_memsim::bounds::Segment;
+use mealib_memsim::bounds::{BoundsError, Segment};
 use mealib_memsim::engine::Request;
 use mealib_memsim::TraceBuffer;
 use mealib_tdl::{AcceleratorKind, TdlItem};
 
 use crate::dataflow::{HostOp, Session};
+
+/// The most unrolled steps [`crate::interference::compose`] may take:
+/// it materializes every request of every tenant for the interleaver
+/// and prices every accelerator invocation in the energy floor. It
+/// counts both before it starts and returns
+/// [`BoundsError::WorkBudget`] past this budget, so a large `LOOP`
+/// count in a tenant costs a typed error, not a hang. The serving
+/// catalogue stays below 2^8 steps; a 16 MiB request costs the
+/// interleaved walk about 9 µs, so a set at the budget certifies in a
+/// few seconds at most.
+pub const UNROLL_BUDGET: u64 = 1 << 18;
+
+/// The most accelerator invocations the energy floor of one program
+/// may price. The floor adds one term per invocation in program order
+/// (its float sum keeps that order, loops unrolled), about a
+/// nanosecond each, so a program at the budget certifies in well under
+/// a second. The budget is the scale at which the TDL pass already
+/// warns about loop counts (`TdlLimits::warn_invocations`), 16 times
+/// the paper's 16 M-call `LOOP`; past it [`super::summarize`] returns
+/// [`BoundsError::WorkBudget`] rather than run for as long as the loop
+/// counts say.
+pub const FLOOR_BUDGET: u64 = 1 << 28;
+
+/// `Ok` when `steps` fit `budget`.
+///
+/// # Errors
+///
+/// [`BoundsError::WorkBudget`] when they do not.
+pub(crate) fn check_budget(steps: u64, budget: u64) -> Result<(), BoundsError> {
+    if steps > budget {
+        return Err(BoundsError::WorkBudget { steps, budget });
+    }
+    Ok(())
+}
 
 /// Traffic of one pass execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,6 +140,23 @@ impl Elaboration {
             }
         }
         trace
+    }
+
+    /// Length of [`Self::unrolled_trace`], computed without unrolling
+    /// (saturating at `u64::MAX`).
+    pub fn unrolled_requests(&self) -> u64 {
+        self.segments.iter().fold(0u64, |n, s| {
+            n.saturating_add(s.repeat.saturating_mul(s.trace.len() as u64))
+        })
+    }
+
+    /// Accelerator invocations of the program, loop counts multiplied
+    /// in (saturating at `u64::MAX`): one energy-floor term each.
+    pub fn accel_invocations(&self) -> u64 {
+        self.segments.iter().fold(0u64, |n, s| {
+            let per_iteration: u64 = s.phases.iter().map(|p| p.accels.len() as u64).sum();
+            n.saturating_add(s.repeat.saturating_mul(per_iteration))
+        })
     }
 
     /// Each pass of the program once, in program order, with how many

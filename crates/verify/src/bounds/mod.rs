@@ -40,13 +40,15 @@ pub mod elaborate;
 pub mod passes;
 pub mod summary;
 
-pub use elaborate::{elaborate, Elaboration, PhaseTraffic, ProgramSegment};
+pub use elaborate::{
+    elaborate, Elaboration, PhaseTraffic, ProgramSegment, FLOOR_BUDGET, UNROLL_BUDGET,
+};
 pub use summary::{summarize, ResourceSummary};
 
 use mealib_host::Platform;
 use mealib_memsim::bounds::BoundsError;
 use mealib_memsim::MemoryConfig;
-use mealib_types::{Bytes, Report};
+use mealib_types::{Bytes, Diagnostic, ErrorCode, Report};
 
 use crate::dataflow::Session;
 
@@ -96,8 +98,8 @@ pub fn resolved_config(session: &Session, env: &BoundsEnv) -> MemoryConfig {
 ///
 /// Propagates a [`BoundsError`]: a resolved configuration failing
 /// validation (unreachable with [`BoundsEnv`]'s preset
-/// configurations), or a program moving more bytes than a `u64`
-/// counts.
+/// configurations), a program moving more bytes than a `u64` counts,
+/// or one invoking accelerators more often than [`FLOOR_BUDGET`].
 pub fn summarize_session(
     session: &Session,
     env: &BoundsEnv,
@@ -111,17 +113,39 @@ pub fn summarize_session(
 /// MEA02x memconfig passes own that failure mode, and every MEA2xx
 /// diagnostic requires a provable violation against a *valid* model.
 /// So does a program moving more than `u64::MAX` bytes, whose counts
-/// cannot be certified.
+/// cannot be certified. A program invoking accelerators more often
+/// than [`FLOOR_BUDGET`] is not certified either, and says so (see
+/// [`work_budget_diagnostic`]).
 pub fn verify_session_bounds(session: &Session, env: &BoundsEnv) -> Report {
     let mut report = Report::new();
-    let Ok(summary) = summarize_session(session, env) else {
-        return report;
+    let summary = match summarize_session(session, env) {
+        Ok(summary) => summary,
+        Err(e) => {
+            if let Some(d) = work_budget_diagnostic(&e) {
+                report.push(d);
+            }
+            return report;
+        }
     };
     passes::check_capacity(&summary, &mut report);
     passes::check_bandwidth(&summary, &mut report);
     passes::check_vault_skew(&summary, &mut report);
     passes::check_energy_budget(&summary, &mut report);
     report
+}
+
+/// The MEA005 error (the loop-count code) for a program or session set
+/// whose loop counts put its bounds past the analysis budget, or `None`
+/// when `e` is any other [`BoundsError`]. Such input is well-formed but
+/// uncertified, and a program whose budgets were never checked must
+/// not lint clean.
+pub fn work_budget_diagnostic(e: &BoundsError) -> Option<Diagnostic> {
+    matches!(e, BoundsError::WorkBudget { .. }).then(|| {
+        Diagnostic::error(
+            ErrorCode::TdlLoopTripCount,
+            format!("{e}; no bound is certified"),
+        )
+    })
 }
 
 /// Parses `src` as a session and runs the bounds passes; parse errors
@@ -137,10 +161,65 @@ pub fn verify_source_bounds(src: &str) -> Report {
 mod tests {
     use super::*;
     use crate::dataflow::parse_session;
-    use mealib_types::ErrorCode;
 
     fn lint(src: &str) -> Report {
         verify_session_bounds(&parse_session(src).unwrap(), &BoundsEnv::default())
+    }
+
+    /// `LOOP n` over one pass between two 1 KiB buffers: n
+    /// accelerator invocations.
+    fn looped(n: u64) -> String {
+        format!(
+            "BUF x 0x1000 0x400\nBUF y 0x2000 0x400\nLOOP {n} {{ PASS in=x out=y {{ COMP AXPY \
+             params=\"a.para\" }} }}\n"
+        )
+    }
+
+    #[test]
+    fn invocations_past_the_floor_budget_are_a_typed_error() {
+        let env = BoundsEnv::default();
+        // 2^40 invocations: the energy floor would add one term each.
+        for n in [FLOOR_BUDGET + 1, 1 << 40] {
+            let over = parse_session(&looped(n)).unwrap();
+            let err = summarize_session(&over, &env).unwrap_err();
+            assert_eq!(
+                err,
+                BoundsError::WorkBudget {
+                    steps: n,
+                    budget: FLOOR_BUDGET
+                }
+            );
+            let report = verify_session_bounds(&over, &env);
+            assert!(report.has_code(ErrorCode::TdlLoopTripCount), "{report}");
+            assert!(
+                report.has_errors(),
+                "an uncertified program must not lint clean"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_scale_loops_stay_certified() {
+        // The paper's 16 M-call loop, compacted into one descriptor.
+        let env = BoundsEnv::default();
+        let paper = parse_session(&looped(1 << 24)).unwrap();
+        assert_eq!(
+            summarize_session(&paper, &env).unwrap().invocations,
+            1 << 24
+        );
+        assert!(verify_session_bounds(&paper, &env).is_clean());
+
+        // The MEA201 corpus loop at 2^20 iterations keeps its real
+        // violation.
+        let src = include_str!("../../corpus/bad/mea201_loop_traffic.tdl");
+        let big = src.replace("LOOP 8 {", "LOOP 1048576 {");
+        assert_ne!(big, src);
+        let report = lint(&big);
+        assert!(
+            report.has_code(ErrorCode::BoundsBandwidthInfeasible),
+            "{report}"
+        );
+        assert!(!report.has_code(ErrorCode::TdlLoopTripCount), "{report}");
     }
 
     #[test]

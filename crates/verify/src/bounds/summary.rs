@@ -9,7 +9,7 @@ use mealib_memsim::bounds::{segment_bounds, BoundsError, TraceBounds};
 use mealib_memsim::MemoryConfig;
 use mealib_types::{Bytes, BytesPerSec, Interval, PhysAddr};
 
-use super::elaborate::{elaborate, Elaboration, PhaseTraffic};
+use super::elaborate::{check_budget, elaborate, Elaboration, PhaseTraffic, FLOOR_BUDGET};
 use crate::dataflow::{Budgets, MemLayer, Session};
 
 /// Everything the analyzer can say about one program against one
@@ -109,7 +109,10 @@ pub(crate) fn resolve_layer(
 /// [`BoundsError::Config`] if the resolved memory configuration fails
 /// validation (not reachable with the built-in environments, which only
 /// produce preset configurations); [`BoundsError::Overflow`] if the
-/// program moves more bytes than a `u64` counts.
+/// program moves more bytes than a `u64` counts;
+/// [`BoundsError::WorkBudget`] if it invokes accelerators more often
+/// than [`super::FLOOR_BUDGET`] (the energy floor prices each
+/// invocation).
 pub fn summarize(
     session: &Session,
     stack: &MemoryConfig,
@@ -122,6 +125,7 @@ pub fn summarize(
         .unwrap_or(MemLayer::Interleaved);
     let cfg = resolve_layer(layer, stack, host);
     let e = elaborate(session);
+    check_budget(e.accel_invocations(), FLOOR_BUDGET)?;
     let dram = segment_bounds(&cfg, &e.walk_segments())?;
     let accel_energy = accel_energy(&e, dram.elapsed.hi);
     let max_chain_len = e
@@ -160,10 +164,23 @@ pub fn summarize(
 /// adds one term per execution in program order, loops unrolled, so its
 /// float sum does not depend on how the program is stored.
 pub(crate) fn accel_energy(e: &Elaboration, elapsed_hi: f64) -> Interval {
+    // Each segment's terms are formed once; the sum still adds them
+    // one by one in execution order.
     let mut datapath_j = 0.0;
-    for phase in e.executions() {
-        for &accel in &phase.accels {
-            datapath_j += power::profile(accel).e_byte_datapath.get() * phase.bytes as f64;
+    for s in &e.segments {
+        let terms: Vec<f64> = s
+            .phases
+            .iter()
+            .flat_map(|p| {
+                p.accels
+                    .iter()
+                    .map(|&a| power::profile(a).e_byte_datapath.get() * p.bytes as f64)
+            })
+            .collect();
+        for _ in 0..s.repeat {
+            for &t in &terms {
+                datapath_j += t;
+            }
         }
     }
     // Kinds in order of first execution: a pass that runs runs in the

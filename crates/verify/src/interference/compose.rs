@@ -61,8 +61,10 @@ use mealib_types::{BytesPerSec, Interval, Seconds};
 
 use super::manifest::SessionSet;
 use crate::bounds::elaborate;
+use crate::bounds::elaborate::check_budget;
 use crate::bounds::summary::accel_energy;
 use crate::bounds::BoundsEnv;
+use crate::bounds::UNROLL_BUDGET;
 use crate::dataflow::{Budgets, MemLayer};
 
 /// Certified composed bounds for one tenant of a session set.
@@ -162,22 +164,30 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
 /// # Errors
 ///
 /// Propagates a [`BoundsError`]: the resolved shared configuration
-/// failing validation (unreachable with [`BoundsEnv`]'s presets), or
-/// the set moving more bytes than a `u64` counts.
+/// failing validation (unreachable with [`BoundsEnv`]'s presets), the
+/// set moving more bytes than a `u64` counts, or its tenants' unrolled
+/// requests and accelerator invocations together exceeding
+/// [`UNROLL_BUDGET`].
 pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsError> {
     let cfg = resolved_set_config(set, env);
     // Elaborate each tenant once: the unrolled trace feeds the
     // interleaver, the phases and missing extents the per-tenant record.
-    let mut streams = Vec::with_capacity(set.tenants.len());
-    let mut programs = Vec::with_capacity(set.tenants.len());
-    for t in &set.tenants {
-        let e = elaborate(&t.session);
-        streams.push(TenantStream {
+    // Both unroll the tenant loops, so their steps are counted first.
+    let programs: Vec<_> = set.tenants.iter().map(|t| elaborate(&t.session)).collect();
+    let steps = programs.iter().fold(0u64, |n, e| {
+        n.saturating_add(e.unrolled_requests())
+            .saturating_add(e.accel_invocations())
+    });
+    check_budget(steps, UNROLL_BUDGET)?;
+    let streams: Vec<_> = set
+        .tenants
+        .iter()
+        .zip(&programs)
+        .map(|(t, e)| TenantStream {
             trace: e.unrolled_trace(),
             arrival: t.arrival,
-        });
-        programs.push(e);
-    }
+        })
+        .collect();
     let (merged, tags) = interleave_tenants(&streams);
     let (set_tb, counts) = tagged_trace_bounds(&cfg, &merged, &tags, streams.len())?;
     let t_ck = cfg.timing.t_ck.get();
@@ -270,6 +280,32 @@ mod tests {
              LOOP 2 {\n  PASS in=p out=q {\n    COMP AXPY params=\"x\"\n  }\n}\n",
         )
         .unwrap()
+    }
+
+    /// One tenant looping `n` times over one pass between two 16 MiB
+    /// buffers: 2n requests and n executions to unroll.
+    fn looped_set(n: u64) -> SessionSet {
+        parse_session_set(&format!(
+            "TENANT solo\nBUF s 0x1000 0x1000000\nBUF t 0x2000000 0x1000000\n\
+             LOOP {n} {{\n  PASS in=s out=t {{\n    COMP AXPY params=\"a.para\"\n  }}\n}}\n"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn unrolled_steps_past_the_budget_are_a_typed_error() {
+        let env = BoundsEnv::default();
+        assert!(compose(&looped_set(2), &env).is_ok());
+        for n in [UNROLL_BUDGET / 3 + 1, 1 << 20] {
+            let err = compose(&looped_set(n), &env).unwrap_err();
+            assert_eq!(
+                err,
+                BoundsError::WorkBudget {
+                    steps: 3 * n,
+                    budget: UNROLL_BUDGET
+                }
+            );
+        }
     }
 
     #[test]

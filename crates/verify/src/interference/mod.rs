@@ -113,8 +113,9 @@ impl Certification {
 /// # Errors
 ///
 /// Propagates a [`BoundsError`]: the shared memory configuration
-/// failing validation (unreachable with [`BoundsEnv`]'s presets), or
-/// the set moving more bytes than a `u64` counts.
+/// failing validation (unreachable with [`BoundsEnv`]'s presets), the
+/// set moving more bytes than a `u64` counts, or its loops unrolling
+/// past [`crate::bounds::UNROLL_BUDGET`].
 pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, BoundsError> {
     Ok(judge(set, compose(set, env)?))
 }

@@ -137,6 +137,33 @@ for f in "$adv"/*.tdl; do
         echo "$out" >&2
         exit 1
     fi
+    if [[ $f == */loop1048576.tdl ]] && ! grep -q '\[MEA201\]' <<<"$out"; then
+        echo "mealint missed MEA201 in the mea201 loop at 2^20 iterations:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
+
+echo "==> mealint: loops past the analysis budget are an MEA005 error within 5 s, not a hang"
+# LOOP 2^40 over 1 KiB buffers: the accelerator energy floor prices
+# each invocation (budget 2^28). A one-tenant set looping 2^20 times
+# over 16 MiB buffers: compose unrolls tenant loops for the interleaver
+# (budget 2^18). Both must stop at their budget with an MEA005 error
+# naming it (exit 1). Written to the temporary directory, not the
+# corpus.
+printf 'BUF x 0x1000 0x400\nBUF y 0x2000 0x400\nLOOP 1099511627776 { %s }\n' \
+    'PASS in=x out=y { COMP AXPY params="a.para" }' >"$adv/budget_loop40.tdl"
+printf 'TENANT solo\nBUF a 0x1000 0x1000000\nBUF b 0x2000000 0x1000000\nLOOP 1048576 {\n%s\n}\n' \
+    "$pass" >"$adv/budget_loop20.set"
+for f in "$adv"/budget_*; do
+    status=0
+    out=$(timeout 5 "${MEALINT[@]}" "$f" 2>&1) || status=$?
+    if (( status != 1 )) || ! grep -q "\[MEA005\].*analysis budget" <<<"$out"; then
+        echo "mealint exited $status on $(basename "$f"), want 1 with an MEA005 error" \
+            "naming the analysis budget (124 = timed out):" >&2
+        echo "$out" >&2
+        exit 1
+    fi
 done
 
 echo "==> mealint: a duplicate BUF is a parse error (exit 2) naming both lines"
