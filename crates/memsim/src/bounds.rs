@@ -221,18 +221,21 @@ pub struct TenantCounts {
     /// Bursts per unit, indexed like [`TraceBounds::unit_bursts`].
     pub unit_bursts: Vec<u64>,
     /// Bursts of the merged prefix ending at the tenant's last request
-    /// (co-tenants included) on the unit holding that request's final
-    /// byte — `trace_bounds(prefix).unit_bursts[u_final]`, snapshotted
-    /// as the walk passes the request. `None` for a tenant without
-    /// requests.
+    /// that moves at least one byte (co-tenants included) on the unit
+    /// holding that request's final byte —
+    /// `trace_bounds(prefix).unit_bursts[u_final]`, snapshotted as the
+    /// walk passes the request. A zero-byte request issues no burst, so
+    /// a prefix ending there would charge the tenant for co-tenant
+    /// bursts its own traffic never waits behind. `None` for a tenant
+    /// without such a request.
     pub final_unit_prefix_bursts: Option<u64>,
 }
 
 /// The attribution sink of a tagged walk.
 struct Attribution<'a> {
     tags: &'a [u16],
-    /// Merged index of each tenant's last request (`usize::MAX` when
-    /// the tenant has none).
+    /// Merged index of each tenant's last request that moves at least
+    /// one byte (`usize::MAX` when the tenant has none).
     last: Vec<usize>,
     tenants: Vec<TenantCounts>,
 }
@@ -301,24 +304,27 @@ pub fn tagged_trace_bounds(
     tenants: usize,
 ) -> Result<(TraceBounds, Vec<TenantCounts>), BoundsError> {
     assert_eq!(tags.len(), trace.len(), "one tag per merged request");
-    let mut sink = Attribution::new(config, tags, tenants);
+    let mut sink = Attribution::new(config, trace, tags, tenants);
     let bounds = walk(config, &[Segment { trace, repeat: 1 }], Some(&mut sink))?;
     Ok((bounds, sink.tenants))
 }
 
 impl<'a> Attribution<'a> {
-    /// An all-zero sink for `tenants` tenants tagged by `tags`.
+    /// An all-zero sink for `tenants` tenants owning the requests of
+    /// `trace` as tagged by `tags`.
     ///
     /// # Panics
     ///
     /// Panics when a tag is not below `tenants`.
-    fn new(config: &MemoryConfig, tags: &'a [u16], tenants: usize) -> Self {
+    fn new(config: &MemoryConfig, trace: &TraceBuffer, tags: &'a [u16], tenants: usize) -> Self {
         let mut last = vec![usize::MAX; tenants];
-        for (pos, &tag) in tags.iter().enumerate() {
+        for (pos, (&tag, &bytes)) in tags.iter().zip(trace.bytes()).enumerate() {
             let slot = last
                 .get_mut(tag as usize)
                 .unwrap_or_else(|| panic!("tag {tag} out of range for {tenants} tenants"));
-            *slot = pos;
+            if bytes > 0 {
+                *slot = pos;
+            }
         }
         let zero = TenantCounts {
             unit_bursts: vec![0; config.mapping.units()],
@@ -626,7 +632,7 @@ impl Accum {
     /// Attributes the request at merged position `pos`, whose `bursts`
     /// bursts are already counted per unit, to its tenant: its bytes
     /// and RD/WR bursts, and the tenant's prefix count when this is its
-    /// last request.
+    /// last request that moves a byte.
     fn attribute(
         &self,
         config: &MemoryConfig,
@@ -858,8 +864,8 @@ mod tests {
             walked(cfg, trace, None),
             reference_accumulate(cfg, trace, None)
         );
-        let mut runs = Attribution::new(cfg, tags, tenants);
-        let mut bursts = Attribution::new(cfg, tags, tenants);
+        let mut runs = Attribution::new(cfg, trace, tags, tenants);
+        let mut bursts = Attribution::new(cfg, trace, tags, tenants);
         prop_assert_eq!(
             walked(cfg, trace, Some(&mut runs)),
             reference_accumulate(cfg, trace, Some(&mut bursts))

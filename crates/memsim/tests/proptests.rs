@@ -35,7 +35,8 @@ proptest! {
     /// set bounds equal the untagged walk of the merge, every tenant's
     /// counts equal the untagged walk of its own trace, and its prefix
     /// count equals the untagged walk of the merged prefix ending at
-    /// its last request, read on the unit of that request's final byte.
+    /// its last request that moves a byte, read on the unit of that
+    /// request's final byte.
     #[test]
     fn tagged_walk_matches_untagged_walks(
         cfg in mapping_config_strategy(),
@@ -52,7 +53,11 @@ proptest! {
             prop_assert_eq!(own.read_bursts as f64, solo.read_bursts.lo);
             prop_assert_eq!(own.write_bursts as f64, solo.write_bursts.lo);
             prop_assert_eq!(&own.unit_bursts, &solo.unit_bursts);
-            let expected_prefix = tags.iter().rposition(|&t| t as usize == i).map(|pos| {
+            let expected_prefix = tags
+                .iter()
+                .zip(merged.bytes())
+                .rposition(|(&t, &bytes)| t as usize == i && bytes > 0)
+                .map(|pos| {
                 let last = merged.get(pos).unwrap();
                 let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
                 let u_final = cfg.mapping.decode(PhysAddr::new(final_byte)).unit;

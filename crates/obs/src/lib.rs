@@ -49,7 +49,10 @@ pub mod timeline;
 
 pub use attribution::{Attribution, Bound, BoundWindow, Roofline};
 pub use bench_schema::{BenchRecord, BenchSummary, BENCH_SCHEMA_VERSION};
-pub use metrics::{validate_exposition, ExpositionSummary, MetricKey, MetricsRegistry};
+pub use metrics::{
+    validate_exposition, CounterHandle, ExpositionSummary, GaugeHandle, HistogramHandle, MetricKey,
+    MetricsRegistry,
+};
 pub use profile::{validate_chrome_trace, IntervalEvent, Profile, TimelineTrack};
 pub use sketch::QuantileSketch;
 pub use slo::{Alert, AlertKind, Objective, ObjectiveKind, SloEngine, WindowObs};

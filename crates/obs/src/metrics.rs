@@ -11,9 +11,24 @@
 //!   counts; see [`crate::sketch`] for the bit-exact commutativity
 //!   argument).
 //!
-//! Everything is `BTreeMap`-ordered, so both exporters emit
-//! byte-identical text for equal registries — the property the
-//! serving telemetry's determinism harness pins down. The exporters:
+//! **One storage, two ways in.** Values live in one dense `Vec` per
+//! kind; a single `BTreeMap<MetricKey, (kind, index)>` maps each key to
+//! its slot and gives the export order. A caller on a hot path resolves
+//! a metric once — [`MetricsRegistry::counter_handle`],
+//! [`MetricsRegistry::gauge_handle`],
+//! [`MetricsRegistry::histogram_handle`] — and then writes through the
+//! `Copy` handle by index ([`MetricsRegistry::add_at`],
+//! [`MetricsRegistry::set_at`], [`MetricsRegistry::record_at`]): no
+//! key is built, no string compared. The string-keyed calls (`add`,
+//! `inc`, `store`, `set_gauge`, `observe`) are resolve-then-apply over
+//! the same slots, so both ways in produce identical registries.
+//! Resolving creates the metric, exactly as its first string-keyed
+//! write would; a name keeps one kind on either path.
+//!
+//! Export walks the key map, so both exporters emit byte-identical
+//! text for equal contents whatever order the metrics were created in —
+//! the property the serving telemetry's determinism harness pins down.
+//! The exporters:
 //!
 //! * [`MetricsRegistry::to_prometheus`] — the text exposition format
 //!   (`# HELP` / `# TYPE` comments, then `name{labels} value`
@@ -128,16 +143,50 @@ impl Kind {
     }
 }
 
+/// A resolved counter of one [`MetricsRegistry`]: write it with
+/// [`MetricsRegistry::add_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterHandle(usize);
+
+/// A resolved gauge of one [`MetricsRegistry`]: write it with
+/// [`MetricsRegistry::set_at`], read it with
+/// [`MetricsRegistry::gauge_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeHandle(usize);
+
+/// A resolved histogram of one [`MetricsRegistry`]: write it with
+/// [`MetricsRegistry::record_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramHandle(usize);
+
+impl CounterHandle {
+    /// The counter's dense index (handles of one registry number its
+    /// counters `0..` in creation order), for caller-side side tables.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+impl HistogramHandle {
+    /// The histogram's dense index, as [`CounterHandle::index`].
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// The labeled metrics registry (see the module docs).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     /// `# HELP` text per metric name.
     help: BTreeMap<String, String>,
     /// Metric kind per name — one name, one kind.
     kinds: BTreeMap<String, Kind>,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, QuantileSketch>,
+    /// Every metric's key, with its kind and index into that kind's
+    /// storage. Key order is export order.
+    index: BTreeMap<MetricKey, (Kind, usize)>,
+    counters: Vec<u64>,
+    gauges: Vec<f64>,
+    histograms: Vec<QuantileSketch>,
     /// Relative accuracy for histograms created through [`Self::observe`].
     alpha: f64,
 }
@@ -167,8 +216,16 @@ impl MetricsRegistry {
         self.help.insert(name.to_string(), help.to_string());
     }
 
+    /// Records `name` as a metric of `kind`; allocates only the first
+    /// time it sees the name.
     fn claim(&mut self, name: &str, kind: Kind) {
-        let prev = *self.kinds.entry(name.to_string()).or_insert(kind);
+        let prev = match self.kinds.get(name) {
+            Some(&prev) => prev,
+            None => {
+                self.kinds.insert(name.to_string(), kind);
+                kind
+            }
+        };
         assert!(
             prev == kind,
             "metric {name} already registered as {} (now used as {})",
@@ -177,13 +234,99 @@ impl MetricsRegistry {
         );
     }
 
+    /// Claims `name` as `kind` and returns the storage index of
+    /// `(name, labels)`, creating the metric on first use.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: Kind) -> usize {
+        self.claim(name, kind);
+        self.slot(MetricKey::new(name, labels), kind, self.alpha)
+    }
+
+    /// The storage index of `key`, which must be of `kind`: a new
+    /// counter starts at zero, a new gauge at zero, a new histogram as
+    /// an empty sketch of accuracy `alpha`.
+    fn slot(&mut self, key: MetricKey, kind: Kind, alpha: f64) -> usize {
+        if let Some(&(_, i)) = self.index.get(&key) {
+            return i;
+        }
+        let i = match kind {
+            Kind::Counter => push(&mut self.counters, 0),
+            Kind::Gauge => push(&mut self.gauges, 0.0),
+            Kind::Summary => push(&mut self.histograms, QuantileSketch::new(alpha)),
+        };
+        self.index.insert(key, (kind, i));
+        i
+    }
+
+    /// The entries of `kind` in key order, with their storage indices.
+    fn entries(&self, kind: Kind) -> impl Iterator<Item = (&MetricKey, usize)> {
+        self.index
+            .iter()
+            .filter(move |(_, &(k, _))| k == kind)
+            .map(|(key, &(_, i))| (key, i))
+    }
+
+    /// The storage index of an existing `(name, labels)` of `kind`.
+    fn find(&self, name: &str, labels: &[(&str, &str)], kind: Kind) -> Option<usize> {
+        match self.index.get(&MetricKey::new(name, labels)) {
+            Some(&(k, i)) if k == kind => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Resolves a counter, creating it at zero on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is already another kind of metric, or on an
+    /// invalid name or label key.
+    pub fn counter_handle(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        CounterHandle(self.resolve(name, labels, Kind::Counter))
+    }
+
+    /// Resolves a gauge, creating it at zero on first use (it exports
+    /// from then on).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::counter_handle`].
+    pub fn gauge_handle(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
+        GaugeHandle(self.resolve(name, labels, Kind::Gauge))
+    }
+
+    /// Resolves a histogram, creating an empty sketch with the
+    /// registry's `alpha` on first use.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::counter_handle`].
+    pub fn histogram_handle(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        HistogramHandle(self.resolve(name, labels, Kind::Summary))
+    }
+
+    /// Adds `delta` to a resolved counter.
+    pub fn add_at(&mut self, h: CounterHandle, delta: u64) {
+        self.counters[h.0] += delta;
+    }
+
+    /// Sets a resolved gauge.
+    pub fn set_at(&mut self, h: GaugeHandle, value: f64) {
+        self.gauges[h.0] = value;
+    }
+
+    /// Records one observation into a resolved histogram.
+    pub fn record_at(&mut self, h: HistogramHandle, value: f64) {
+        self.histograms[h.0].record(value);
+    }
+
+    /// Reads a resolved gauge.
+    pub fn gauge_at(&self, h: GaugeHandle) -> f64 {
+        self.gauges[h.0]
+    }
+
     /// Adds `delta` to a counter (creating it at zero).
     pub fn add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        self.claim(name, Kind::Counter);
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += delta;
+        let h = self.counter_handle(name, labels);
+        self.add_at(h, delta);
     }
 
     /// Adds 1 to a counter.
@@ -195,53 +338,62 @@ impl MetricsRegistry {
     /// exporting externally-maintained counters, e.g. runtime plan
     /// statistics).
     pub fn store(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.claim(name, Kind::Counter);
-        self.counters.insert(MetricKey::new(name, labels), value);
+        let h = self.counter_handle(name, labels);
+        self.counters[h.0] = value;
     }
 
     /// Reads a counter (zero if never touched).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .get(&MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0)
+        self.find(name, labels, Kind::Counter)
+            .map_or(0, |i| self.counters[i])
     }
 
     /// Sets a gauge.
     pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.claim(name, Kind::Gauge);
-        self.gauges.insert(MetricKey::new(name, labels), value);
+        let h = self.gauge_handle(name, labels);
+        self.set_at(h, value);
     }
 
     /// Reads a gauge, `None` if never set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauges.get(&MetricKey::new(name, labels)).copied()
+        self.find(name, labels, Kind::Gauge).map(|i| self.gauges[i])
     }
 
     /// Records one observation into a histogram (creating its sketch
     /// with the registry's `alpha` on first use).
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.claim(name, Kind::Summary);
-        let alpha = self.alpha;
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| QuantileSketch::new(alpha))
-            .record(value);
+        let h = self.histogram_handle(name, labels);
+        self.record_at(h, value);
     }
 
     /// The sketch behind a histogram, if populated.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&QuantileSketch> {
-        self.histograms.get(&MetricKey::new(name, labels))
+        self.find(name, labels, Kind::Summary)
+            .map(|i| &self.histograms[i])
     }
 
-    /// Iterates all histogram entries.
+    /// Iterates all histogram entries in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &QuantileSketch)> {
-        self.histograms.iter()
+        self.indexed_histograms().map(|(_, k, s)| (k, s))
     }
 
-    /// Iterates all counter entries.
+    /// Iterates all counter entries in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, v)| (k, *v))
+        self.indexed_counters().map(|(_, k, v)| (k, v))
+    }
+
+    /// Iterates all counters in key order, with their handles.
+    pub fn indexed_counters(&self) -> impl Iterator<Item = (CounterHandle, &MetricKey, u64)> {
+        self.entries(Kind::Counter)
+            .map(|(k, i)| (CounterHandle(i), k, self.counters[i]))
+    }
+
+    /// Iterates all histograms in key order, with their handles.
+    pub fn indexed_histograms(
+        &self,
+    ) -> impl Iterator<Item = (HistogramHandle, &MetricKey, &QuantileSketch)> {
+        self.entries(Kind::Summary)
+            .map(|(k, i)| (HistogramHandle(i), k, &self.histograms[i]))
     }
 
     /// Total occupied sketch buckets across every histogram: the
@@ -249,14 +401,14 @@ impl MetricsRegistry {
     /// bounds by O(classes × buckets).
     pub fn total_buckets(&self) -> usize {
         self.histograms
-            .values()
+            .iter()
             .map(QuantileSketch::buckets_used)
             .sum()
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.index.is_empty()
     }
 
     /// Folds `other` into `self`: counters add, gauges take `other`'s
@@ -270,17 +422,22 @@ impl MetricsRegistry {
         for (name, kind) in &other.kinds {
             self.claim(name, *kind);
         }
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, s) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_insert_with(|| QuantileSketch::new(s.alpha()))
-                .merge(s);
+        for (k, &(kind, i)) in &other.index {
+            match kind {
+                Kind::Counter => {
+                    let j = self.slot(k.clone(), kind, self.alpha);
+                    self.counters[j] += other.counters[i];
+                }
+                Kind::Gauge => {
+                    let j = self.slot(k.clone(), kind, self.alpha);
+                    self.gauges[j] = other.gauges[i];
+                }
+                Kind::Summary => {
+                    let s = &other.histograms[i];
+                    let j = self.slot(k.clone(), kind, s.alpha());
+                    self.histograms[j].merge(s);
+                }
+            }
         }
     }
 
@@ -290,25 +447,31 @@ impl MetricsRegistry {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, kind) in &self.kinds {
+            let first = MetricKey {
+                name: name.clone(),
+                labels: Vec::new(),
+            };
             let mut family = String::new();
-            match kind {
-                Kind::Counter => {
-                    for (k, v) in self.counters.iter().filter(|(k, _)| &k.name == name) {
+            for (k, &(_, i)) in self
+                .index
+                .range(first..)
+                .take_while(|(k, _)| &k.name == name)
+            {
+                match kind {
+                    Kind::Counter => {
+                        let v = self.counters[i];
                         family.push_str(&format!("{}{} {v}\n", k.name, k.label_block(None)));
                     }
-                }
-                Kind::Gauge => {
-                    for (k, v) in self.gauges.iter().filter(|(k, _)| &k.name == name) {
+                    Kind::Gauge => {
                         family.push_str(&format!(
                             "{}{} {}\n",
                             k.name,
                             k.label_block(None),
-                            fmt_value(*v)
+                            fmt_value(self.gauges[i])
                         ));
                     }
-                }
-                Kind::Summary => {
-                    for (k, s) in self.histograms.iter().filter(|(k, _)| &k.name == name) {
+                    Kind::Summary => {
+                        let s = &self.histograms[i];
                         if let Some((p50, p95, p99)) = s.p50_p95_p99() {
                             for (q, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
                                 family.push_str(&format!(
@@ -352,16 +515,16 @@ impl MetricsRegistry {
     /// objects from [`QuantileSketch::to_json`].
     pub fn snapshot_json(&self) -> String {
         let mut counters = Object::new();
-        for (k, v) in &self.counters {
-            counters.int(&k.flat(), *v);
+        for (k, i) in self.entries(Kind::Counter) {
+            counters.int(&k.flat(), self.counters[i]);
         }
         let mut gauges = Object::new();
-        for (k, v) in &self.gauges {
-            gauges.num(&k.flat(), *v);
+        for (k, i) in self.entries(Kind::Gauge) {
+            gauges.num(&k.flat(), self.gauges[i]);
         }
         let mut hists = Object::new();
-        for (k, s) in &self.histograms {
-            hists.raw(&k.flat(), s.to_json());
+        for (k, i) in self.entries(Kind::Summary) {
+            hists.raw(&k.flat(), self.histograms[i].to_json());
         }
         let mut root = Object::new();
         root.raw("counters", counters.render());
@@ -369,6 +532,12 @@ impl MetricsRegistry {
         root.raw("histograms", hists.render());
         root.render()
     }
+}
+
+/// Appends `value` and returns its index.
+fn push<T>(storage: &mut Vec<T>, value: T) -> usize {
+    storage.push(value);
+    storage.len() - 1
 }
 
 /// Summary returned by a successful [`validate_exposition`] pass.

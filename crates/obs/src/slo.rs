@@ -215,49 +215,46 @@ impl SloEngine {
         };
         let mut fired: Vec<Alert> = Vec::new();
         for o in objectives {
-            let (observed, shortfall, detail) = match o.kind {
+            let (observed, shortfall) = match o.kind {
                 ObjectiveKind::LatencyP99 => {
                     if w.completions == 0 {
                         continue;
                     }
                     let vf = w.latency_violations as f64 / w.completions as f64;
-                    let obs = vf;
-                    (
-                        obs,
-                        vf,
-                        format!(
-                            "{}/{} completions over {:.3e}s",
-                            w.latency_violations, w.completions, o.threshold
-                        ),
-                    )
+                    (vf, vf)
                 }
                 ObjectiveKind::AdmissionRate => {
                     if w.arrivals == 0 {
                         continue;
                     }
                     let rate = 1.0 - w.shed as f64 / w.arrivals as f64;
-                    (
-                        rate,
-                        (o.threshold - rate).max(0.0),
-                        format!("{} of {} arrivals shed", w.shed, w.arrivals),
-                    )
+                    (rate, (o.threshold - rate).max(0.0))
                 }
                 ObjectiveKind::BandwidthFloor => {
                     if w.service_s <= 0.0 {
                         continue;
                     }
                     let bw = w.bytes as f64 / w.service_s;
-                    (
-                        bw,
-                        ((o.threshold - bw) / o.threshold).max(0.0),
-                        format!("{} bytes over {:.3e}s busy", w.bytes, w.service_s),
-                    )
+                    (bw, ((o.threshold - bw) / o.threshold).max(0.0))
                 }
             };
             self.evaluated += 1;
             let burn_rate = shortfall / o.error_budget;
             if burn_rate > 1.0 {
                 self.burning += 1;
+                // The detail is rendered only for a window that fires.
+                let detail = match o.kind {
+                    ObjectiveKind::LatencyP99 => format!(
+                        "{}/{} completions over {:.3e}s",
+                        w.latency_violations, w.completions, o.threshold
+                    ),
+                    ObjectiveKind::AdmissionRate => {
+                        format!("{} of {} arrivals shed", w.shed, w.arrivals)
+                    }
+                    ObjectiveKind::BandwidthFloor => {
+                        format!("{} bytes over {:.3e}s busy", w.bytes, w.service_s)
+                    }
+                };
                 fired.push(Alert {
                     kind: AlertKind::SloBurn,
                     subject: subject.to_string(),

@@ -2,7 +2,7 @@
 //! relative-error bound holds for arbitrary streams, merge is
 //! commutative bit-exactly, sharded folds reproduce the sequential
 //! quantiles, registry merges are order-insensitive, and the one-walk
-//! quantile triple and the memoized JSON writer match their references.
+//! quantile triple and the appending JSON writer match their references.
 
 use mealib_obs::json::Object;
 use mealib_obs::quantiles::nearest_rank;

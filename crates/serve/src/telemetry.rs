@@ -33,29 +33,42 @@
 //! compares them to [`ServeReport`] totals via `to_bits`, not
 //! epsilons.
 //!
-//! The per-epoch snapshot is incremental, so telemetry stays cheap
-//! enough to leave on. Each line is written straight into one
-//! `String`. A metric's escaped key is rendered once, the first time
-//! the metric appears. A histogram's sketch summary is re-rendered
-//! only when its `count()` moved. Every byte is what the
+//! Telemetry stays cheap enough to leave on because no hook redoes
+//! work. Each class has one record, found by `&str` without
+//! allocating: its metric handles (one counter per decision kind and
+//! per [`ShedReason`], one histogram per sketch), its interned
+//! `{class}/lifecycle` track name, its latency threshold, this epoch's
+//! aggregate and its window. A handle is resolved the first time its
+//! metric is written — the event that created the metric before
+//! handles existed — and from then on a counter bump is one indexed
+//! add and a sketch observation one indexed `record`. What an event
+//! still costs is its own output: the lifecycle marker's label and a
+//! copy of the interned track name.
+//!
+//! The per-epoch snapshot is incremental. Each line is written
+//! straight into one `String` by walking the registry in key order.
+//! Flushed counter values and rendered sketch summaries sit in `Vec`s
+//! indexed by handle. A metric's escaped key is rendered once, the
+//! first time the metric appears; a histogram's sketch summary is
+//! re-rendered only when its `count()` moved. Every byte is what the
 //! `json::Object` rendering produced; `scheduler_determinism.rs` pins
 //! the four artifacts by digest.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use mealib_obs::json;
 use mealib_obs::profile::{validate_chrome_trace, IntervalEvent, Profile};
 use mealib_obs::{
-    Alert, AlertKind, MetricKey, MetricsRegistry, Objective, ObjectiveKind, Phase, SloEngine,
-    WindowObs,
+    Alert, AlertKind, CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, Objective,
+    ObjectiveKind, Phase, SloEngine, WindowObs,
 };
 use mealib_types::Seconds;
 use mealib_verify::interference::TenantBounds;
 
 use crate::decision::DecisionEvent;
 use crate::metrics::{EpochStats, ServeReport};
-use crate::session::{Catalogue, CompletedSession, SessionRequest};
+use crate::session::{Catalogue, CompletedSession, SessionRequest, ShedReason};
 
 /// Telemetry knobs. [`TelemetryConfig::standard`] derives safe
 /// default objectives from the catalogue's certified solo bounds.
@@ -134,39 +147,197 @@ struct EpochAgg {
     service_s: f64,
 }
 
-/// A counter's snapshot key, escaped once, and its last flushed value.
+/// A per-class counter.
+#[derive(Debug, Clone, Copy)]
+enum ClassCounter {
+    Arrivals,
+    Admitted,
+    Rejected,
+    Backoff,
+    UnknownRetry,
+    Bytes,
+    Shed(ShedReason),
+}
+
+impl ClassCounter {
+    /// Slots in [`ClassState::counters`]: one per variant, four for
+    /// `Shed`.
+    const SLOTS: usize = 10;
+
+    fn slot(self) -> usize {
+        match self {
+            ClassCounter::Arrivals => 0,
+            ClassCounter::Admitted => 1,
+            ClassCounter::Rejected => 2,
+            ClassCounter::Backoff => 3,
+            ClassCounter::UnknownRetry => 4,
+            ClassCounter::Bytes => 5,
+            ClassCounter::Shed(ShedReason::QueueFull) => 6,
+            ClassCounter::Shed(ShedReason::RetriesExhausted) => 7,
+            ClassCounter::Shed(ShedReason::Undecidable) => 8,
+            ClassCounter::Shed(ShedReason::DrainDeadline) => 9,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            ClassCounter::Arrivals => "serve_arrivals_total",
+            ClassCounter::Admitted => "serve_admitted_total",
+            ClassCounter::Rejected => "serve_rejected_total",
+            ClassCounter::Backoff => "serve_backoff_total",
+            ClassCounter::UnknownRetry => "serve_unknown_retry_total",
+            ClassCounter::Bytes => "serve_bytes_total",
+            ClassCounter::Shed(_) => "serve_shed_total",
+        }
+    }
+}
+
+/// A per-class histogram.
+#[derive(Debug, Clone, Copy)]
+enum ClassHistogram {
+    Service = 0,
+    QueueDelay = 1,
+    FirstBurst = 2,
+}
+
+impl ClassHistogram {
+    fn name(self) -> &'static str {
+        match self {
+            ClassHistogram::Service => "serve_service_seconds",
+            ClassHistogram::QueueDelay => "serve_queue_delay_seconds",
+            ClassHistogram::FirstBurst => "serve_first_burst_seconds",
+        }
+    }
+}
+
+/// Everything telemetry keeps about one class. Its metric handles are
+/// resolved on first write, so each metric is created at the same
+/// event as by a string-keyed write.
 #[derive(Debug)]
+struct ClassState {
+    name: String,
+    /// `{class}/lifecycle`, the track of the class's markers.
+    lifecycle: String,
+    /// The declared p99 latency threshold, if any.
+    latency_threshold: Option<f64>,
+    /// Indexed by [`ClassCounter::slot`].
+    counters: [Option<CounterHandle>; ClassCounter::SLOTS],
+    /// Indexed by [`ClassHistogram`].
+    histograms: [Option<HistogramHandle>; 3],
+    /// This epoch's aggregate, pushed onto `window` at epoch end.
+    pending: EpochAgg,
+    /// The last `window_epochs` aggregates.
+    window: VecDeque<EpochAgg>,
+}
+
+impl ClassState {
+    fn new(class: &str, latency_threshold: Option<f64>) -> Self {
+        Self {
+            name: class.to_string(),
+            lifecycle: format!("{class}/lifecycle"),
+            latency_threshold,
+            counters: [None; ClassCounter::SLOTS],
+            histograms: [None; 3],
+            pending: EpochAgg::default(),
+            window: VecDeque::new(),
+        }
+    }
+
+    /// Adds `delta` to one of the class's counters.
+    fn add(&mut self, reg: &mut MetricsRegistry, counter: ClassCounter, delta: u64) {
+        let class = self.name.as_str();
+        let h = *self.counters[counter.slot()].get_or_insert_with(|| match counter {
+            ClassCounter::Shed(reason) => reg.counter_handle(
+                counter.name(),
+                &[("class", class), ("reason", reason.label())],
+            ),
+            _ => reg.counter_handle(counter.name(), &[("class", class)]),
+        });
+        reg.add_at(h, delta);
+    }
+
+    /// Records `value` into one of the class's histograms.
+    fn record(&mut self, reg: &mut MetricsRegistry, histogram: ClassHistogram, value: f64) {
+        let class = self.name.as_str();
+        let h = *self.histograms[histogram as usize]
+            .get_or_insert_with(|| reg.histogram_handle(histogram.name(), &[("class", class)]));
+        reg.record_at(h, value);
+    }
+
+    /// Pushes one lifecycle marker. `Profile::interval` drops
+    /// zero-duration spans; markers are *meant* to be instants, so they
+    /// are pushed directly.
+    fn marker(&self, profile: &mut Profile, phase: Phase, label: String, clock_s: f64) {
+        profile.intervals.push(IntervalEvent {
+            track: self.lifecycle.clone(),
+            phase,
+            label,
+            start: Seconds::new(clock_s),
+            end: Seconds::new(clock_s),
+        });
+    }
+}
+
+/// The record of `class`, created on the class's first event.
+fn class_state<'a>(
+    classes: &'a mut BTreeMap<String, ClassState>,
+    slo: &SloEngine,
+    class: &str,
+) -> &'a mut ClassState {
+    if !classes.contains_key(class) {
+        let state = ClassState::new(class, slo.latency_threshold(class));
+        classes.insert(class.to_string(), state);
+    }
+    classes.get_mut(class).expect("inserted above")
+}
+
+/// The run-level metrics written once per epoch, resolved together at
+/// the first epoch end.
+#[derive(Debug, Clone, Copy)]
+struct EpochHandles {
+    epochs: CounterHandle,
+    queue_depth: GaugeHandle,
+    clock: GaugeHandle,
+    replay: GaugeHandle,
+    energy: GaugeHandle,
+}
+
+impl EpochHandles {
+    fn resolve(reg: &mut MetricsRegistry) -> Self {
+        Self {
+            epochs: reg.counter_handle("serve_epochs_total", &[]),
+            queue_depth: reg.gauge_handle("serve_queue_depth", &[]),
+            clock: reg.gauge_handle("serve_clock_seconds", &[]),
+            replay: reg.gauge_handle("serve_replay_seconds_total", &[]),
+            energy: reg.gauge_handle("serve_energy_joules_total", &[]),
+        }
+    }
+}
+
+/// A counter's snapshot key, escaped once (empty until first
+/// written), and its last flushed value.
+#[derive(Debug, Default)]
 struct Flushed {
     key: String,
     value: u64,
 }
 
-impl Flushed {
-    fn new(key: &MetricKey) -> Self {
-        Self {
-            key: json::escape(&key.flat()),
-            value: 0,
-        }
-    }
-}
-
-/// A histogram's snapshot key, escaped once, its last rendered sketch
-/// summary, and the sketch `count()` it was rendered at.
-#[derive(Debug)]
+/// A histogram's snapshot key, escaped once (empty until first
+/// rendered), its last rendered sketch summary, and the sketch
+/// `count()` it was rendered at.
+#[derive(Debug, Default)]
 struct Rendered {
     key: String,
     count: Option<u64>,
     summary: String,
 }
 
-impl Rendered {
-    fn new(key: &MetricKey) -> Self {
-        Self {
-            key: json::escape(&key.flat()),
-            count: None,
-            summary: String::new(),
-        }
+/// The entry of `table` at `index`, growing the table as needed.
+fn entry<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if table.len() <= index {
+        table.resize_with(index + 1, T::default);
     }
+    &mut table[index]
 }
 
 /// The live telemetry pipeline the scheduler feeds.
@@ -175,17 +346,17 @@ pub struct Telemetry {
     window_epochs: usize,
     registry: MetricsRegistry,
     slo: SloEngine,
-    latency_thresholds: BTreeMap<String, f64>,
     profile: Profile,
     snapshots: Vec<String>,
-    /// Per counter: its escaped snapshot key and the value already
-    /// flushed into a snapshot (the next snapshot carries the delta).
-    flushed: BTreeMap<MetricKey, Flushed>,
-    /// Per histogram: its last rendered sketch summary.
-    rendered: BTreeMap<MetricKey, Rendered>,
-    classes_seen: BTreeSet<String>,
-    pending: BTreeMap<String, EpochAgg>,
-    windows: BTreeMap<String, VecDeque<EpochAgg>>,
+    /// Per counter handle: its escaped snapshot key and the value
+    /// already flushed into a snapshot (the next snapshot carries the
+    /// delta).
+    flushed: Vec<Flushed>,
+    /// Per histogram handle: its last rendered sketch summary.
+    rendered: Vec<Rendered>,
+    /// Every class seen so far, in name order.
+    classes: BTreeMap<String, ClassState>,
+    epoch_handles: Option<EpochHandles>,
     /// Modeled clock at the end of the last `window_epochs + 1`
     /// epochs (front = just before the current window opened).
     clock_marks: VecDeque<f64>,
@@ -206,27 +377,18 @@ impl Telemetry {
         for (class, objective) in &config.slos {
             slo.declare(class, *objective);
         }
-        let latency_thresholds = slo
-            .subjects()
-            .map(str::to_string)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter_map(|s| slo.latency_threshold(&s).map(|t| (s, t)))
-            .collect();
         let mut registry = MetricsRegistry::with_alpha(config.sketch_alpha);
         describe_metrics(&mut registry);
         Self {
             window_epochs: config.window_epochs.max(1),
             registry,
             slo,
-            latency_thresholds,
             profile: Profile::new(),
             snapshots: Vec::new(),
-            flushed: BTreeMap::new(),
-            rendered: BTreeMap::new(),
-            classes_seen: BTreeSet::new(),
-            pending: BTreeMap::new(),
-            windows: BTreeMap::new(),
+            flushed: Vec::new(),
+            rendered: Vec::new(),
+            classes: BTreeMap::new(),
+            epoch_handles: None,
             clock_marks: VecDeque::new(),
             replay_total_s: 0.0,
             energy_total_j: 0.0,
@@ -242,57 +404,39 @@ impl Telemetry {
         &mut self.registry
     }
 
-    fn marker(&mut self, class: &str, phase: Phase, label: String, clock_s: f64) {
-        // `Profile::interval` drops zero-duration spans; lifecycle
-        // markers are *meant* to be instants, so push directly.
-        self.profile.intervals.push(IntervalEvent {
-            track: format!("{class}/lifecycle"),
-            phase,
-            label,
-            start: Seconds::new(clock_s),
-            end: Seconds::new(clock_s),
-        });
-    }
-
     /// A fresh session arrived (before any shed/queue decision).
     pub fn on_arrival(&mut self, req: &SessionRequest, clock_s: f64) {
-        self.classes_seen.insert(req.class.clone());
-        self.registry
-            .inc("serve_arrivals_total", &[("class", &req.class)]);
-        self.pending.entry(req.class.clone()).or_default().arrivals += 1;
-        self.marker(
-            &req.class,
-            Phase::Plan,
-            format!("arrive s{}", req.id),
-            clock_s,
-        );
+        let c = class_state(&mut self.classes, &self.slo, &req.class);
+        c.add(&mut self.registry, ClassCounter::Arrivals, 1);
+        c.pending.arrivals += 1;
+        let label = format!("arrive s{}", req.id);
+        c.marker(&mut self.profile, Phase::Plan, label, clock_s);
     }
 
     /// One scheduler decision (admit / reject / backoff / shed ...).
     pub fn on_decision(&mut self, ev: &DecisionEvent, class: &str, clock_s: f64) {
-        self.classes_seen.insert(class.to_string());
         self.last_epoch = self.last_epoch.max(ev.epoch());
+        let c = class_state(&mut self.classes, &self.slo, class);
         if let Some(reason) = ev.shed_reason() {
-            self.registry.inc(
-                "serve_shed_total",
-                &[("class", class), ("reason", reason.label())],
-            );
-            self.pending.entry(class.to_string()).or_default().shed += 1;
+            c.add(&mut self.registry, ClassCounter::Shed(reason), 1);
+            c.pending.shed += 1;
         } else {
             let counter = match ev {
-                DecisionEvent::Admit { .. } => "serve_admitted_total",
+                DecisionEvent::Admit { .. } => ClassCounter::Admitted,
                 // Proved rejections are client errors — they count
                 // nowhere in the availability window (4xx exclusion).
-                DecisionEvent::Reject { .. } => "serve_rejected_total",
-                DecisionEvent::Backoff { .. } => "serve_backoff_total",
-                DecisionEvent::UnknownRetry { .. } => "serve_unknown_retry_total",
+                DecisionEvent::Reject { .. } => ClassCounter::Rejected,
+                DecisionEvent::Backoff { .. } => ClassCounter::Backoff,
+                DecisionEvent::UnknownRetry { .. } => ClassCounter::UnknownRetry,
                 _ => unreachable!("every shed event has a shed_reason"),
             };
-            self.registry.inc(counter, &[("class", class)]);
+            c.add(&mut self.registry, counter, 1);
         }
         // The marker label *is* the legacy decision line, so a REJECT
         // span carries the proved MEA3xx codes verbatim.
-        self.marker(class, Phase::Verify, ev.to_string(), clock_s);
+        let mut label = String::with_capacity(64);
+        let _ = write!(label, "{ev}");
+        c.marker(&mut self.profile, Phase::Verify, label, clock_s);
     }
 
     /// The epoch's merged replay finished: re-accumulate the modeled
@@ -315,63 +459,42 @@ impl Telemetry {
         certified: &TenantBounds,
         first_burst_s: f64,
     ) {
-        let class = done.class.clone();
-        self.classes_seen.insert(class.clone());
-        self.registry
-            .add("serve_bytes_total", &[("class", &class)], done.bytes);
-        self.registry.observe(
-            "serve_service_seconds",
-            &[("class", &class)],
-            done.service_s,
-        );
-        self.registry.observe(
-            "serve_queue_delay_seconds",
-            &[("class", &class)],
-            done.queue_delay_s,
-        );
+        self.check_certified(done, certified);
+
+        let c = class_state(&mut self.classes, &self.slo, &done.class);
+        let reg = &mut self.registry;
+        c.add(reg, ClassCounter::Bytes, done.bytes);
+        c.record(reg, ClassHistogram::Service, done.service_s);
+        c.record(reg, ClassHistogram::QueueDelay, done.queue_delay_s);
         if first_burst_s > 0.0 {
-            self.registry.observe(
-                "serve_first_burst_seconds",
-                &[("class", &class)],
-                first_burst_s,
-            );
+            c.record(reg, ClassHistogram::FirstBurst, first_burst_s);
         }
 
-        let agg = self.pending.entry(class.clone()).or_default();
+        let agg = &mut c.pending;
         agg.completions += 1;
         agg.bytes += done.bytes;
         agg.service_s += done.service_s;
         // Violations are counted exactly, per completion, against the
         // declared threshold — never derived from the sketch.
-        if let Some(&threshold) = self.latency_thresholds.get(&class) {
-            if done.service_s > threshold {
-                agg.latency_violations += 1;
-            }
+        if c.latency_threshold.is_some_and(|t| done.service_s > t) {
+            agg.latency_violations += 1;
         }
 
-        self.check_certified(done, certified);
-
         self.profile.intervals.push(IntervalEvent {
-            track: class.clone(),
+            track: c.name.clone(),
             phase: Phase::Compute,
             label: format!("serve s{}", done.id),
             start: Seconds::new(epoch_clock_s),
             end: Seconds::new(epoch_clock_s + done.service_s),
         });
         if first_burst_s > 0.0 {
-            self.marker(
-                &class,
-                Phase::Dma,
-                format!("first-burst s{}", done.id),
-                epoch_clock_s + first_burst_s,
-            );
+            let label = format!("first-burst s{}", done.id);
+            let at = epoch_clock_s + first_burst_s;
+            c.marker(&mut self.profile, Phase::Dma, label, at);
         }
-        self.marker(
-            &class,
-            Phase::Drain,
-            format!("complete s{}", done.id),
-            epoch_clock_s + done.service_s,
-        );
+        let label = format!("complete s{}", done.id);
+        let at = epoch_clock_s + done.service_s;
+        c.marker(&mut self.profile, Phase::Drain, label, at);
     }
 
     /// The conformance monitor: measured attribution must stay inside
@@ -420,30 +543,18 @@ impl Telemetry {
     /// delta, slide the SLO window, and evaluate every class.
     pub fn on_epoch_end(&mut self, st: &EpochStats) {
         self.last_epoch = self.last_epoch.max(st.epoch);
-        self.registry.inc("serve_epochs_total", &[]);
-        self.registry
-            .set_gauge("serve_queue_depth", &[], st.queue_depth_end as f64);
-        self.registry
-            .set_gauge("serve_clock_seconds", &[], st.clock_s);
-        self.registry
-            .set_gauge("serve_replay_seconds_total", &[], self.replay_total_s);
-        self.registry
-            .set_gauge("serve_energy_joules_total", &[], self.energy_total_j);
+        let reg = &mut self.registry;
+        let h = *self
+            .epoch_handles
+            .get_or_insert_with(|| EpochHandles::resolve(reg));
+        reg.add_at(h.epochs, 1);
+        reg.set_at(h.queue_depth, st.queue_depth_end as f64);
+        reg.set_at(h.clock, st.clock_s);
+        reg.set_at(h.replay, self.replay_total_s);
+        reg.set_at(h.energy, self.energy_total_j);
 
         self.flush_snapshot(st.epoch, st.clock_s, st.replay_elapsed_s);
 
-        // Slide the window: every class seen so far advances one
-        // epoch (absent classes advance with an empty aggregate, so
-        // stale epochs age out on schedule).
-        for class in &self.classes_seen {
-            let agg = self.pending.remove(class).unwrap_or_default();
-            let deque = self.windows.entry(class.clone()).or_default();
-            deque.push_back(agg);
-            while deque.len() > self.window_epochs {
-                deque.pop_front();
-            }
-        }
-        self.pending.clear();
         self.clock_marks.push_back(st.clock_s);
         while self.clock_marks.len() > self.window_epochs + 1 {
             self.clock_marks.pop_front();
@@ -453,15 +564,21 @@ impl Telemetry {
         } else {
             0.0
         };
-        let classes: Vec<String> = self.windows.keys().cloned().collect();
-        for class in classes {
-            let deque = &self.windows[&class];
+        // Slide the window and evaluate, class by class in name order:
+        // every class seen so far advances one epoch (absent classes
+        // advance with an empty aggregate, so stale epochs age out on
+        // schedule).
+        for (class, c) in &mut self.classes {
+            c.window.push_back(std::mem::take(&mut c.pending));
+            while c.window.len() > self.window_epochs {
+                c.window.pop_front();
+            }
             let mut w = WindowObs {
                 window_index: st.epoch,
                 duration_s: st.clock_s - window_start,
                 ..WindowObs::default()
             };
-            for agg in deque {
+            for agg in &c.window {
                 w.arrivals += agg.arrivals;
                 w.shed += agg.shed;
                 w.completions += agg.completions;
@@ -469,7 +586,7 @@ impl Telemetry {
                 w.bytes += agg.bytes;
                 w.service_s += agg.service_s;
             }
-            self.slo.evaluate(&class, &w);
+            self.slo.evaluate(class, &w);
         }
     }
 
@@ -478,12 +595,14 @@ impl Telemetry {
     /// cumulative counters), current gauges, and cumulative sketch
     /// summaries.
     ///
-    /// The line is written straight into one `String`. Each metric's
-    /// escaped key is rendered once, when the metric first appears, and
-    /// each histogram's sketch summary is re-rendered only when its
-    /// `count()` moved: every sketch mutation (`record`, `merge`) raises
-    /// the count, so an unchanged count means an unchanged sketch and an
-    /// unchanged summary.
+    /// The line is written straight into one `String`, walking the
+    /// registry in key order; the flushed values and rendered
+    /// summaries are looked up by handle index. Each metric's escaped
+    /// key is rendered once, when the metric first appears, and each
+    /// histogram's sketch summary is re-rendered only when its
+    /// `count()` moved: every sketch mutation (`record`, `merge`)
+    /// raises the count, so an unchanged count means an unchanged
+    /// sketch and an unchanged summary.
     fn flush_snapshot(&mut self, epoch: u64, clock_s: f64, replay_elapsed_s: f64) {
         let mut line = String::with_capacity(self.snapshots.last().map_or(256, String::len));
         let _ = write!(line, "{{\"epoch\":{epoch},\"clock_s\":");
@@ -496,43 +615,50 @@ impl Telemetry {
             self.slo.alerts().len()
         );
         let mut first = true;
-        for (key, value) in self.registry.counters() {
-            let flushed = match self.flushed.get_mut(key) {
-                Some(f) => f,
-                None => self
-                    .flushed
-                    .entry(key.clone())
-                    .or_insert_with(|| Flushed::new(key)),
-            };
+        for (h, key, value) in self.registry.indexed_counters() {
+            let flushed = entry(&mut self.flushed, h.index());
             if value > flushed.value {
+                if flushed.key.is_empty() {
+                    flushed.key = json::escape(&key.flat());
+                }
                 if !std::mem::take(&mut first) {
                     line.push(',');
                 }
-                let _ = write!(line, "\"{}\":{}", flushed.key, value - flushed.value);
+                line.push('"');
+                line.push_str(&flushed.key);
+                let _ = write!(line, "\":{}", value - flushed.value);
                 flushed.value = value;
             }
         }
         line.push_str("},\"gauges\":{");
         let mut first = true;
-        for name in ["serve_queue_depth", "serve_clock_seconds"] {
-            if let Some(v) = self.registry.gauge(name, &[]) {
+        let handles = self.epoch_handles;
+        let gauges = [
+            ("serve_queue_depth", handles.map(|h| h.queue_depth)),
+            ("serve_clock_seconds", handles.map(|h| h.clock)),
+        ];
+        for (name, h) in gauges {
+            let v = match h {
+                Some(h) => Some(self.registry.gauge_at(h)),
+                None => self.registry.gauge(name, &[]),
+            };
+            if let Some(v) = v {
                 if !std::mem::take(&mut first) {
                     line.push(',');
                 }
-                let _ = write!(line, "\"{name}\":");
+                line.push('"');
+                line.push_str(name);
+                line.push_str("\":");
                 json::write_f64(&mut line, v);
             }
         }
         line.push_str("},\"histograms\":{");
         let mut first = true;
-        for (key, sketch) in self.registry.histograms() {
-            let cached = match self.rendered.get_mut(key) {
-                Some(c) => c,
-                None => self
-                    .rendered
-                    .entry(key.clone())
-                    .or_insert_with(|| Rendered::new(key)),
-            };
+        for (h, key, sketch) in self.registry.indexed_histograms() {
+            let cached = entry(&mut self.rendered, h.index());
+            if cached.key.is_empty() {
+                cached.key = json::escape(&key.flat());
+            }
             if cached.count != Some(sketch.count()) {
                 cached.summary.clear();
                 sketch.write_json(&mut cached.summary);
@@ -541,7 +667,10 @@ impl Telemetry {
             if !std::mem::take(&mut first) {
                 line.push(',');
             }
-            let _ = write!(line, "\"{}\":{}", cached.key, cached.summary);
+            line.push('"');
+            line.push_str(&cached.key);
+            line.push_str("\":");
+            line.push_str(&cached.summary);
         }
         line.push_str("}}");
         self.snapshots.push(line);
@@ -551,8 +680,8 @@ impl Telemetry {
     /// (drain-deadline sheds land after the final epoch line).
     fn dirty(&self) -> bool {
         self.registry
-            .counters()
-            .any(|(k, v)| v > self.flushed.get(k).map_or(0, |f| f.value))
+            .indexed_counters()
+            .any(|(h, _, v)| v > self.flushed.get(h.index()).map_or(0, |f| f.value))
     }
 
     /// Closes the run: flushes any trailing counter deltas (the drain
@@ -867,12 +996,15 @@ mod tests {
         let cat = Catalogue::standard(&BoundsEnv::default());
         let cfg = TelemetryConfig::standard(&cat);
         assert_eq!(cfg.slos.len(), 3 * cat.len());
-        let tele = Telemetry::new(&cfg);
-        assert_eq!(
-            tele.latency_thresholds.len(),
-            cat.len(),
-            "every class carries a latency threshold"
-        );
+        let mut tele = Telemetry::new(&cfg);
+        for class in cat.classes() {
+            let c = class_state(&mut tele.classes, &tele.slo, &class.name);
+            assert!(
+                c.latency_threshold.is_some(),
+                "{}: every class carries a latency threshold",
+                class.name
+            );
+        }
     }
 
     #[test]

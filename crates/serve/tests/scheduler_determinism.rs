@@ -91,8 +91,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// bytes, so a renderer rewrite that drifts by one character fails
 /// here. The cases cover the default config, a tight queue with a
 /// drain deadline (sheds land after the last epoch, so `finish`
-/// flushes a trailing snapshot), and a device too small for one
-/// class's slot.
+/// flushes a trailing snapshot), a device too small for one class's
+/// slot, and a run that draws every lazily created per-class metric
+/// (UNKNOWN retries, the `undecidable` and `retries_exhausted` shed
+/// reasons, classes that never complete), which pins the event at
+/// which each metric appears.
 #[test]
 fn telemetry_artifacts_match_golden_digests() {
     let cat = catalogue();
@@ -105,6 +108,21 @@ fn telemetry_artifacts_match_golden_digests() {
         )
     });
     wide.p_impossible = 0.25;
+    // Tight budgets leave some certificates UNKNOWN: with one retry
+    // they park once (`serve_unknown_retry_total`) and are then shed
+    // as `retries_exhausted`, while `sar-chain-1024` never fits the
+    // 16 MiB device and is shed `undecidable` on arrival. Only
+    // `stap-tiny` completes, so the other two classes have counters
+    // but no histograms.
+    let mut unknown = TrafficSpec::poisson(cat, 7, 4, 2.0);
+    unknown.classes.retain(|c| {
+        matches!(
+            c.class.as_str(),
+            "stap-tiny" | "sar-chain-256" | "sar-chain-1024"
+        )
+    });
+    unknown.p_impossible = 0.25;
+    unknown.slack = 1.5;
     let cases = [
         (
             555u64,
@@ -144,6 +162,21 @@ fn telemetry_artifacts_match_golden_digests() {
                 0x7f12_9b61_cce9_f65b,
                 0x9028_6a17_8e66_54d8,
                 0x5d65_4f9c_c1c0_6be0,
+            ],
+        ),
+        (
+            7,
+            ServeConfig {
+                capacity: 1 << 24,
+                max_retries: 1,
+                ..ServeConfig::default()
+            },
+            unknown,
+            [
+                0xc1d9_cadc_c96b_132e,
+                0xc5c3_b9af_5a02_0c0e,
+                0x6d06_535c_0b1c_8034,
+                0xccf9_7349_3fd5_450f,
             ],
         ),
     ];

@@ -23,8 +23,9 @@
 //!   burst advances its unit's bus-free pointer by at least `t_burst`,
 //!   so the tenant's last burst on unit `u` completes no earlier than
 //!   `own_bursts[u] * t_burst`. The *interference-aware* refinement:
-//!   the final burst of the tenant's last merged request is issued
-//!   after every other burst of the merged prefix ending there, so on
+//!   the final burst of the tenant's last merged request that moves a
+//!   byte is issued after every other burst of the merged prefix
+//!   ending there (a zero-byte request issues no burst), so on
 //!   its unit it also waits for **all prefix bursts on that unit**,
 //!   co-tenants included, plus the cold-start activation
 //!   (`t_rcd + t_cl`) the prefix's first burst on that unit must pay.
@@ -203,8 +204,9 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
         let own_occ = own.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
 
         // Interference-aware refinement: the final burst of the
-        // tenant's last merged request is issued after every burst of
-        // the merged prefix ending at that request, so it serializes
+        // tenant's last merged request that moves a byte is issued
+        // after every burst of the merged prefix ending at that
+        // request, so it serializes
         // behind every prefix burst on its own unit — and the first
         // burst on that unit pays the cold activation.
         let prefix_occ = own

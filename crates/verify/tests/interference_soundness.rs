@@ -45,7 +45,7 @@ use proptest::prelude::*;
 /// Test-only reference for [`compose`]: the straightforward multi-pass
 /// derivation, one `trace_bounds` walk of the merged trace, one per
 /// tenant over its own trace, and one per tenant over a copy of the
-/// merged prefix ending at its last request.
+/// merged prefix ending at its last request that moves a byte.
 fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
     let cfg = resolved_set_config(set, env);
     let streams = tenant_streams(set);
@@ -62,7 +62,13 @@ fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
         let own_bursts = own_tb.read_bursts.lo + own_tb.write_bursts.lo;
         let own_occ = own_tb.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
         let mut prefix_occ = 0.0f64;
-        if let Some(pos) = tags.iter().rposition(|&t| t as usize == i) {
+        // The prefix ends at the tenant's last request that moves a
+        // byte: a zero-byte request issues no burst to wait behind.
+        let last_moving = tags
+            .iter()
+            .zip(merged.bytes())
+            .rposition(|(&t, &bytes)| t as usize == i && bytes > 0);
+        if let Some(pos) = last_moving {
             let last = merged.get(pos).expect("tag position in bounds");
             let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
             let u_final = cfg.mapping.decode(PhysAddr::new(final_byte)).unit;
@@ -257,6 +263,50 @@ fn every_corpus_set_is_certified_soundly() {
         }
     }
     assert!(n >= 16, "expected >= 16 corpus manifests, found {n}");
+}
+
+/// A tenant whose last request moves no byte (an empty output
+/// buffer, issued after its co-tenant's traffic) must not be charged
+/// for the co-tenant bursts in front of that request. The clean
+/// partition twin with `dsp`'s output buffer emptied and a latency
+/// budget between its measured and its old certified floor: the floor
+/// used to sit above the measurement and prove a false MEA302.
+#[test]
+fn empty_last_request_proves_no_false_latency_reject() {
+    let env = BoundsEnv::default();
+    let clean = set_sources("corpus/clean")
+        .into_iter()
+        .find(|(name, _)| name == "mea300_partition_overlap")
+        .expect("clean partition twin")
+        .1;
+    let mut src = String::new();
+    for line in clean.lines() {
+        let line = if line == "BUF b 0x80000 0x40000" {
+            "BUF b 0x80000 0"
+        } else {
+            line
+        };
+        src.push_str(line);
+        src.push('\n');
+        if line == "TENANT dsp" {
+            src.push_str("BUDGET TIME 0.0000008\n");
+        }
+    }
+    assert!(src.contains("BUF b 0x80000 0\n"), "mutant applied");
+    let set = parse_session_set(&src).expect("mutant parses");
+    let cert = certify_set(&set, &env).expect("preset env validates");
+    assert!(
+        !cert.report.has_code(ErrorCode::InterfereLatencyBudget),
+        "false MEA302:\n{}",
+        cert.report
+    );
+    assert_matches_reference("empty_last_request", &set, &env);
+    assert_contained("empty_last_request", &set, &env);
+    // The budget really is met, so a REJECT would have been false.
+    let cfg = resolved_set_config(&set, &env);
+    let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::dual_check())
+        .expect("merged replay succeeds");
+    assert!(run.tenants[0].elapsed.get() <= 8e-7, "dsp meets its budget");
 }
 
 /// Confirms a REJECT against the measured interleaved run: the

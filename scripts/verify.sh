@@ -179,6 +179,25 @@ if (( status != 2 )) || ! grep -q "first is on line 1), found BUF a .* on line 2
     exit 1
 fi
 
+echo "==> mealint: a tenant whose last request moves no byte proves no false MEA302"
+# The clean partition twin with dsp's output buffer emptied and a dsp
+# latency budget of 8e-7 s, which the measured replay (5.6e-7 s) meets.
+# The empty buffer's request comes after the co-tenant's traffic, so a
+# latency floor that counted it charged dsp for bursts it never waits
+# behind. Written to the temporary directory, not the corpus.
+sed -e 's/^BUF b 0x80000 0x40000$/BUF b 0x80000 0/' \
+    -e 's/^TENANT dsp$/&\nBUDGET TIME 0.0000008/' \
+    crates/verify/corpus/clean/mea300_partition_overlap.set >"$adv/empty_last_request.set"
+grep -q '^BUF b 0x80000 0$' "$adv/empty_last_request.set"
+grep -q '^BUDGET TIME 0.0000008$' "$adv/empty_last_request.set"
+status=0
+out=$("${MEALINT[@]}" "$adv/empty_last_request.set" 2>&1) || status=$?
+if (( status > 1 )) || grep -q '\[MEA302\]' <<<"$out"; then
+    echo "mealint exited $status on the empty-last-request set, want 0 or 1 without MEA302:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 echo "==> interference corpus coverage: every MEA3xx code needs >=2 bad manifests + clean twins"
 for code in 300 301 302 303; do
     bad=$(ls crates/verify/corpus/bad/mea${code}_*.set 2>/dev/null | wc -l)
