@@ -554,7 +554,7 @@ impl Accum {
             bytes,
             #[inline(always)]
             |run| {
-                let n = u64::from(run.n);
+                let n = run.n;
                 let u = &mut self.per_unit[run.unit];
                 u.bursts += n;
                 match op {

@@ -59,13 +59,18 @@
 //! The replay is a per-unit streak state fed run by run. Each unit
 //! keeps its engine plus the open streak's cap, count, byte/write
 //! tallies and per-bank first-touch/last-completion marks, and takes
-//! its same-row runs in trace order straight from the shared
-//! [`RunDecoder`]. The serial path buffers no run or burst, so its
-//! working state is O(units × banks). Feeding runs one at a time is
-//! exact: growing a streak only reads the unit state frozen at streak
-//! start plus the running count, and each unit receives its runs in
-//! program order. An open streak absorbs consecutive runs itself,
-//! across request and tenant boundaries alike.
+//! its same-row runs straight from the shared [`RunDecoder`], which
+//! emits each unit's runs in program order (the runs of different
+//! units of one request may come in any order, as units are
+//! independent). A whole-buffer request on a vault mapping decodes to
+//! one run per unit per row window, up to `row_bytes / burst_bytes`
+//! bursts, which the streak takes in one step unless the refresh cap
+//! clips it. The serial path buffers no run or burst, so its working
+//! state is O(units × banks). Feeding runs one at a time is exact:
+//! growing a streak only reads the unit state frozen at streak start
+//! plus the running count, and each unit receives its runs in program
+//! order. An open streak absorbs consecutive runs itself, across
+//! request and tenant boundaries alike.
 
 use crate::config::MemoryConfig;
 use crate::engine::{Burst, LatencyHistogram, Op, UnitEngine};
@@ -117,9 +122,9 @@ pub(crate) fn run_fast(
     }
 }
 
-/// Emits every run of `trace` ([`RunDecoder`]) to `f` in trace order,
-/// with its request's direction (`true` = write) and tenant (`0` when
-/// `tags` is `None`).
+/// Emits every run of `trace` ([`RunDecoder`]) to `f`, request by
+/// request and each unit's runs in program order, with its request's
+/// direction (`true` = write) and tenant (`0` when `tags` is `None`).
 // Forced inline like `RunDecoder::request`, so the serial path's
 // `Streak::feed` inlines into the decode loop.
 #[inline(always)]
@@ -209,7 +214,7 @@ impl Streak {
     fn feed(&mut self, t: &DramTiming, run: &Run, write: bool, tenant: u16) {
         let t_burst = t.t_burst;
         let bank = run.bank as usize;
-        let mut j = 0u32;
+        let mut j = 0u64;
         while j < run.n {
             let state = &self.u.banks[bank];
             let hit = state.open_row == Some(run.row);
@@ -244,13 +249,13 @@ impl Streak {
             self.last_limited = true;
             // Accept the run's remaining bursts, clipped at the refresh
             // cap; a clipped run resumes on the next streak.
-            let avail = u64::from(run.n - j);
+            let avail = run.n - j;
             let take = avail.min(self.k_max - self.count);
             let b = if j == 0 && take == avail {
                 run.total
             } else {
                 let burst = t.burst_bytes;
-                run.offset(burst, j + take as u32) - run.offset(burst, j)
+                run.offset(burst, j + take) - run.offset(burst, j)
             };
             if write {
                 self.bytes_written += b;
@@ -265,7 +270,7 @@ impl Streak {
             if let Some(tenants) = self.u.tenants.as_mut() {
                 tenants[tenant as usize].charge(write, b, take, 0, first, last);
             }
-            j += take as u32;
+            j += take;
         }
     }
 
@@ -310,7 +315,7 @@ impl Streak {
 /// produced it.
 ///
 /// [`for_each_burst_tagged`]: crate::engine::for_each_burst_tagged
-fn burst_of(t: &DramTiming, run: &Run, j: u32, write: bool, tenant: u16) -> Burst {
+fn burst_of(t: &DramTiming, run: &Run, j: u64, write: bool, tenant: u16) -> Burst {
     let start = run.offset(t.burst_bytes, j);
     Burst {
         loc: crate::address::Location {
@@ -332,6 +337,7 @@ mod tests {
         dispatch, finish_run, sequential_trace, simulate, strided_trace, EngineKind, Request,
         SimOptions,
     };
+    use crate::tenancy::{interleave_tenants, TenantStream};
 
     /// Fast and DualCheck replays equal the cycle oracle's through both
     /// worker paths (`jobs` 1 and 2), untagged and under a tag column
@@ -531,6 +537,56 @@ mod tests {
         let c = MemoryConfig::ddr_dual_channel();
         let trace = sequential_trace(0, 32 << 20, 64, Op::Read);
         assert_engines_agree(&c, &trace, "32 MiB stream");
+    }
+
+    #[test]
+    fn fast_engine_matches_cycle_on_serve_shaped_traces() {
+        // Three tenants each read one whole 1-4 MiB buffer and write
+        // another, both 0x1000 past an 8 MiB edge, merged request by
+        // request: every buffer starts mid-super-line, then decodes
+        // into block runs of whole row windows, and refresh epochs clip
+        // streaks inside them.
+        let mut xor_stack = MemoryConfig::hmc_stack();
+        xor_stack.mapping = crate::address::AddressMapping::XorInterleaved {
+            units: 32,
+            banks_per_unit: 8,
+            row_bytes: 4096,
+            line_bytes: 256,
+        };
+        let streams: Vec<TenantStream> = [1u64 << 20, 4 << 20, 2 << 20]
+            .into_iter()
+            .enumerate()
+            .map(|(i, len)| {
+                let slot = (2 * i as u64 + 1) << 24;
+                let (input, output) = (slot + 0x1000, slot + (8 << 20) + 0x1000);
+                let trace =
+                    TraceBuffer::from(&[Request::read(input, len), Request::write(output, len)]);
+                TenantStream::new(trace).arriving_at(i as u64)
+            })
+            .collect();
+        let (trace, tags) = interleave_tenants(&streams);
+        for config in [
+            MemoryConfig::hmc_stack(),
+            xor_stack,
+            MemoryConfig::ddr_dual_channel(),
+        ] {
+            let cycle = simulate(&config, &trace, &SimOptions::cycle()).unwrap();
+            let units = config.mapping.units() as u64;
+            assert!(cycle.stats.refreshes > units, "{}", config.name);
+            assert_engines_agree(&config, &trace, &config.name);
+            let tagged = Some((tags.as_slice(), streams.len()));
+            for tenants in [None, tagged] {
+                let profiled =
+                    |opts: SimOptions| dispatch(&config, &trace, tenants, &opts.profile(4096));
+                assert_eq!(
+                    profiled(SimOptions::fast()).unwrap(),
+                    profiled(SimOptions::cycle()).unwrap(),
+                    "{} (profiled, tagged: {})",
+                    config.name,
+                    tenants.is_some()
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,33 @@
 //!
 //! Address decoding is a per-burst cost in a naive replay, and it
 //! dominates once replay is batched. [`RunDecoder`] therefore splits
-//! each request into **runs** — maximal groups of consecutive bursts
-//! whose start addresses fall inside one contiguous `(unit, bank, row)`
-//! span, as advertised by [`AddressMapping::contiguous_run_bytes`] —
-//! and decodes once per run (or once per aligned stretch of whole lines
-//! on the bulk path). Burst boundaries within a run are pure arithmetic
-//! (`burst_bytes`-aligned, like [`for_each_burst_tagged`]), so the
-//! concatenated runs reproduce the cycle engine's per-unit burst
-//! sequence exactly: same bursts, same locations, same order.
+//! each request into **runs** — groups of one unit's consecutive
+//! bursts on one `(unit, bank, row)` at consecutive columns — and
+//! decodes once per run:
+//!
+//! * in general, a run is a contiguous address span as advertised by
+//!   [`AddressMapping::contiguous_run_bytes`] (a line, or a row on a
+//!   one-unit region);
+//! * on the bulk path (`Interleaved` mappings whose line holds whole
+//!   bursts, and `XorInterleaved` ones with power-of-two unit counts
+//!   too), an aligned stretch of whole lines inside one super-line
+//!   (`units × line_bytes`) shares one decode, a run per line;
+//! * the **block rule**: from a super-line edge, `k ≥ 2` whole
+//!   super-lines inside one row window (`row_bytes / line_bytes`
+//!   super-lines) share one decode and become one run per unit of `k`
+//!   lines. Every unit's line of such a super-line has the same
+//!   in-unit offset, so each unit's lines of consecutive super-lines
+//!   sit at consecutive columns of one row; the XOR unit fold only
+//!   permutes the units of a super-line, and the XOR bank fold keys on
+//!   the row.
+//!
+//! Burst boundaries within a run are pure arithmetic (`burst_bytes`-
+//! aligned, like [`for_each_burst_tagged`]), so each unit's runs,
+//! concatenated in the order they are emitted, reproduce the cycle
+//! engine's per-unit burst sequence exactly: same bursts, same
+//! locations, same order. Runs of different units are not ordered
+//! against each other: units are independent, which vault sharding
+//! rests on too, and no consumer reads across them.
 //!
 //! A scalar gather is a whole run, so on row-miss streams the decode
 //! itself is the per-burst cost. The decoder therefore compiles the
@@ -55,7 +74,7 @@ pub(crate) struct Run {
     /// Total bytes across the run's bursts.
     pub(crate) total: u64,
     /// Number of bursts in the run.
-    pub(crate) n: u32,
+    pub(crate) n: u64,
 }
 
 impl Run {
@@ -63,10 +82,10 @@ impl Run {
     /// `DramTiming::burst_bytes`); `j == n` yields the run's total
     /// length. Bursts after the head are `burst` bytes, the last
     /// clipped at `total`.
-    pub(crate) fn offset(&self, burst: u64, j: u32) -> u64 {
+    pub(crate) fn offset(&self, burst: u64, j: u64) -> u64 {
         match j {
             0 => 0,
-            j => self.total.min(self.head + (u64::from(j) - 1) * burst),
+            j => self.total.min(self.head + (j - 1) * burst),
         }
     }
 }
@@ -214,7 +233,7 @@ pub(crate) struct RunDecoder {
     /// `DramTiming::burst_bytes`.
     burst: Divisor,
     /// Bursts per line, when the mapping admits the bulk path.
-    bulk: Option<u32>,
+    bulk: Option<u64>,
 }
 
 impl RunDecoder {
@@ -244,12 +263,16 @@ impl RunDecoder {
         Self {
             map,
             burst: Divisor::new(burst),
-            bulk: bulk.map(|n| n as u32),
+            bulk,
         }
     }
 
-    /// Emits the runs of the request `[addr, addr + bytes)` to `f`, in
-    /// address order.
+    /// Emits the runs of the request `[addr, addr + bytes)` to `f`:
+    /// each unit's runs in address order, runs of different units in
+    /// no fixed order. On the bulk path, `k >= 2` whole super-lines from
+    /// a super-line edge inside one row window become one run per unit
+    /// of `k` lines (the block rule in the module docs); other aligned
+    /// lines, one run per line; the rest, one run per span.
     // Forced inline, and each consumer forces its `f` inline too: with
     // a call per request and `f` out of line at its two call sites, the
     // fast engine's decode measured 15–40% slower on sequential and
@@ -263,9 +286,21 @@ impl RunDecoder {
                 let line_bytes = map.line_mask + 1;
                 if remaining >= line_bytes && addr & map.line_mask == 0 {
                     let units = map.units.d;
+                    let lines = remaining >> map.line_shift;
                     let (hash, j0) = map.units.div_rem(addr >> map.line_shift);
-                    let m = (remaining >> map.line_shift).min(units - j0);
+                    // Lines per run: one, or from a super-line edge the
+                    // whole super-lines left in the request, clipped at
+                    // the edge of the row window `hash` lies in (the
+                    // block rule).
+                    let window_mask = map.row_mask >> map.line_shift;
+                    let k = if j0 == 0 {
+                        let whole = map.units.div_rem(lines).0;
+                        whole.min(window_mask + 1 - (hash & window_mask)).max(1)
+                    } else {
+                        1
+                    };
                     let loc = map.decode(addr);
+                    let m = lines.min(units - j0);
                     for j in 0..m {
                         // The unit fold from `decode`, applied to line
                         // `j0 + j` (same hash, same super-line).
@@ -280,12 +315,12 @@ impl RunDecoder {
                             row: loc.row,
                             col0: loc.col_byte,
                             head: burst,
-                            total: line_bytes,
-                            n,
+                            total: k << map.line_shift,
+                            n: k * n,
                         });
                     }
-                    addr += m * line_bytes;
-                    remaining -= m * line_bytes;
+                    addr += (m * k) << map.line_shift;
+                    remaining -= (m * k) << map.line_shift;
                     continue;
                 }
             }
@@ -317,7 +352,7 @@ impl RunDecoder {
                 col0: loc.col_byte,
                 head,
                 total,
-                n: 1 + extra as u32,
+                n: 1 + extra,
             });
             addr += total;
             remaining -= total;
@@ -328,17 +363,20 @@ impl RunDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::trace_bounds;
     use crate::engine::{
-        for_each_burst_tagged, sequential_trace, strided_trace, Burst, Op, Request,
+        for_each_burst_tagged, sequential_trace, simulate, strided_trace, Burst, Op, Request,
+        SimOptions,
     };
     use crate::strategies::mapping_config_strategy;
-    use mealib_types::PhysAddr;
+    use crate::trace::TraceBuffer;
+    use mealib_types::{Interval, PhysAddr};
     use proptest::prelude::*;
 
     /// Expands `run` into its bursts with the burst arithmetic every
     /// consumer relies on ([`Run::offset`]).
     fn bursts_of(run: &Run, burst: u64, op: Op) -> Vec<Burst> {
-        let cum = |j: u32| run.offset(burst, j);
+        let cum = |j: u64| run.offset(burst, j);
         (0..run.n)
             .map(|j| Burst {
                 loc: crate::address::Location {
@@ -352,6 +390,42 @@ mod tests {
                 tenant: 0,
             })
             .collect()
+    }
+
+    /// Each unit's burst sequence for `trace`, twice: from the cycle
+    /// engine's per-burst decode, and from the decoder's runs expanded.
+    /// Also returns the longest run's byte length.
+    fn per_unit_bursts(
+        config: &MemoryConfig,
+        trace: &TraceBuffer,
+    ) -> (Vec<Vec<Burst>>, Vec<Vec<Burst>>, u64) {
+        let units = config.mapping.units();
+        let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); units];
+        for_each_burst_tagged(&config.timing, &config.mapping, trace, None, |b| {
+            expected[b.loc.unit].push(b)
+        });
+        let decoder = RunDecoder::new(config);
+        let burst = config.timing.burst_bytes;
+        let mut got: Vec<Vec<Burst>> = vec![Vec::new(); units];
+        let mut longest = 0;
+        for req in trace.iter() {
+            decoder.request(req.addr.get(), req.bytes, |run| {
+                longest = longest.max(run.total);
+                got[run.unit].extend(bursts_of(&run, burst, req.op))
+            });
+        }
+        (expected, got, longest)
+    }
+
+    /// Super-line and row-window sizes of `config`'s interleaved region.
+    fn block_geometry(config: &MemoryConfig) -> (u64, u64, u64) {
+        let (units, _, row_bytes, line_bytes) = config.mapping.interleave_geometry();
+        let super_line = units as u64 * line_bytes;
+        (
+            line_bytes,
+            super_line,
+            super_line * (row_bytes / line_bytes),
+        )
     }
 
     #[test]
@@ -390,11 +464,7 @@ mod tests {
             asymmetric,
             single_unit,
         ] {
-            let line_bytes = match config.mapping {
-                AddressMapping::Interleaved { line_bytes, .. }
-                | AddressMapping::XorInterleaved { line_bytes, .. }
-                | AddressMapping::Asymmetric { line_bytes, .. } => line_bytes,
-            };
+            let (line_bytes, super_line, window) = block_geometry(&config);
             let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
             trace.extend(strided_trace(1 << 22, 8192, 64, 512, Op::Write).iter());
             trace.push(Request::read(30, 100));
@@ -408,19 +478,122 @@ mod tests {
                 (1 << 21) + 5 * line_bytes,
                 70 * line_bytes + 17,
             ));
-            let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
-            for_each_burst_tagged(&config.timing, &config.mapping, &trace, None, |b| {
-                expected[b.loc.unit].push(b)
-            });
-            let decoder = RunDecoder::new(&config);
-            let burst = config.timing.burst_bytes;
-            let mut got: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
-            for req in trace.iter() {
-                decoder.request(req.addr.get(), req.bytes, |run| {
-                    got[run.unit].extend(bursts_of(&run, burst, req.op))
-                });
-            }
+            // Three super-lines into a row window, through two more
+            // windows, with a partial tail: block runs clipped at the
+            // window edge on every bulk-path mapping, and a whole window
+            // as one run per unit.
+            trace.push(Request::write(
+                (1 << 23) + 3 * super_line,
+                2 * window + 5 * super_line + 77,
+            ));
+            let (expected, got, longest) = per_unit_bursts(&config, &trace);
             assert_eq!(got, expected, "{}", config.name);
+            if RunDecoder::new(&config).bulk.is_some() {
+                assert_eq!(longest, config.mapping.row_bytes(), "{}", config.name);
+            }
+        }
+    }
+
+    #[test]
+    fn burst_counts_past_u32_do_not_wrap() {
+        // One 2^37 B line of 32 B bursts is 2^32 bursts, one past
+        // `u32::MAX`. Refresh is out of reach, so the fast replay takes
+        // the line as one streak after its first burst.
+        let mut config = MemoryConfig::hmc_stack();
+        config.mapping = AddressMapping::Interleaved {
+            units: 2,
+            banks_per_unit: 8,
+            row_bytes: 1 << 40,
+            line_bytes: 1 << 37,
+        };
+        config.timing.t_refi = u64::MAX / 2;
+        let bursts = 1u64 << 32;
+        let trace = TraceBuffer::from(&[Request::read(0, 1 << 37)]);
+        let run = simulate(&config, &trace, &SimOptions::fast()).unwrap();
+        assert_eq!(run.stats.bytes_read.get(), 1 << 37);
+        assert_eq!(run.stats.refreshes, 0);
+        assert_eq!(run.vaults[0].read_bursts, bursts);
+        assert_eq!(run.vaults[1].read_bursts, 0);
+        let bounds = trace_bounds(&config, &trace).unwrap();
+        assert_eq!(bounds.bytes_read, Interval::exact((1u64 << 37) as f64));
+        assert_eq!(bounds.read_bursts, Interval::exact(bursts as f64));
+        assert_eq!(bounds.unit_bursts, [bursts, 0]);
+    }
+
+    /// Raw draws of one block request: start kind (line, super-line or
+    /// row-window offset), start index, whole super-lines (0–40), head
+    /// and tail bytes, and direction. [`block_trace`] scales them to the
+    /// drawn mapping.
+    type BlockDraw = (u8, u64, u64, u64, u64, bool);
+
+    fn block_draws() -> impl Strategy<Value = Vec<BlockDraw>> {
+        let partial = || prop_oneof![Just(0u64), any::<u64>()];
+        proptest::collection::vec(
+            (
+                0u8..3,
+                0u64..512,
+                0u64..=40,
+                partial(),
+                partial(),
+                any::<bool>(),
+            ),
+            1..6,
+        )
+    }
+
+    /// Requests of whole super-lines from a line, super-line or
+    /// row-window edge, behind a partial head (up to a super-line before
+    /// the edge) and before a partial tail.
+    fn block_trace(config: &MemoryConfig, draws: &[BlockDraw]) -> TraceBuffer {
+        let (line_bytes, super_line, window) = block_geometry(config);
+        draws
+            .iter()
+            .map(|&(kind, index, super_lines, head, tail, write)| {
+                let edge = window + index * [line_bytes, super_line, window][kind as usize];
+                let head = head % super_line;
+                let bytes = head + super_lines * super_line + tail % super_line;
+                if write {
+                    Request::write(edge - head, bytes)
+                } else {
+                    Request::read(edge - head, bytes)
+                }
+            })
+            .collect()
+    }
+
+    fn assert_block_runs_expand_to_bursts(config: &MemoryConfig, draws: &[BlockDraw]) {
+        let trace = block_trace(config, draws);
+        let (expected, got, _) = per_unit_bursts(config, &trace);
+        assert_eq!(got, expected, "{:?} on {:?}", config.mapping, draws);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Block requests decode to runs whose per-unit expansion is the
+        /// per-burst decode's per-unit burst sequence, on every mapping
+        /// the strategy draws.
+        #[test]
+        fn block_runs_expand_to_the_per_burst_decode(
+            cfg in mapping_config_strategy(),
+            draws in block_draws(),
+        ) {
+            assert_block_runs_expand_to_bursts(&cfg, &draws);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// [`block_runs_expand_to_the_per_burst_decode`] on 4,096 cases;
+        /// `scripts/verify.sh` runs it in release.
+        #[test]
+        #[ignore = "4,096 cases; run in release with --ignored"]
+        fn block_runs_expand_to_the_per_burst_decode_wide(
+            cfg in mapping_config_strategy(),
+            draws in block_draws(),
+        ) {
+            assert_block_runs_expand_to_bursts(&cfg, &draws);
         }
     }
 

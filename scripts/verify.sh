@@ -13,6 +13,12 @@ cargo build --release
 echo "==> cargo test (default-members: root, crates/*, vendor/* = the workspace)"
 cargo test -q
 
+echo "==> run decoder: the block-rule proptest on 4,096 cases (release)"
+# The default suite draws 64 cases; `with_cases` pins that count, so the
+# wide run is a second, ignored proptest over the same property.
+cargo test -q --release -p mealib-memsim --lib -- --ignored --exact \
+    runs::tests::block_runs_expand_to_the_per_burst_decode_wide
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
