@@ -1,31 +1,35 @@
 //! The admission gate: typed certification as the scheduler's only
 //! door, with a per-gate memo of certified and replayed layouts.
 //!
-//! Every epoch the scheduler proposes a batch of resident candidates;
-//! the gate builds the PR-8 session set for them directly (one tenant
-//! per candidate: its partition, its arrival stagger, its declared
-//! `BUDGET TIME`, and its class session rebased into the slot) and
-//! certifies it. The scheduler never admits on its own authority:
-//! ADMIT means the certifier *proved* isolation and every declared
-//! ceiling, REJECT comes with the MEA3xx proof attached, and UNKNOWN is
-//! handled by a configurable — but always conservative — policy: retry
-//! later or shed, never admit.
+//! Every epoch the scheduler proposes a batch of resident candidates
+//! and the gate certifies it as a session set with one tenant per
+//! candidate: its partition, its arrival stagger, its declared
+//! `BUDGET TIME`, and its class session rebased into the slot. The
+//! scheduler never admits on its own authority: ADMIT means the
+//! certifier *proved* isolation and every declared ceiling, REJECT
+//! comes with the MEA3xx proof attached, and UNKNOWN is handled by a
+//! configurable — but always conservative — policy: retry later or
+//! shed, never admit.
 //!
 //! Certifying is [`compose`] followed by [`judge`]. Composition reads
 //! only each tenant's class body, slot base and arrival, plus the
 //! shared layer and environment, which are fixed per gate; names and
-//! budgets only pass through it. So the gate composes each distinct
-//! batch layout once and judges every request against the memoized
-//! bounds with that request's own names and budgets. The key is exact
-//! — (class body, slot base, arrival) per tenant, in order — and the
-//! memo lives as long as the gate, which the scheduler builds once per
-//! serve call.
+//! budgets only pass through it. So the gate builds each distinct batch
+//! layout's session set and composes it once, on the layout's first
+//! certify, and memoizes both. Every later request of that layout is
+//! judged in place: the gate overwrites the memoized set's names,
+//! `TENANT` and `PARTITION` lines, partitions and time budgets with the
+//! request's own and judges it against the memoized bounds, rebasing
+//! and cloning no session. The key is exact — (class body, slot base,
+//! arrival) per tenant, in order — and the memo lives as long as the
+//! gate, which the scheduler builds once per serve call.
 //!
 //! The memo also holds each admitted layout's replay. The tagged replay
 //! reads exactly what composition reads (each tenant's rebased extents,
 //! program and arrival, and the gate's environment and shared layer),
-//! so [`AdmissionGate::replay`] simulates a layout the first time it is
-//! admitted and hands back the stored [`Replay`] every later time.
+//! so [`AdmissionGate::replay`] simulates a layout's memoized set the
+//! first time it is admitted and hands back the stored [`Replay`] every
+//! later time.
 //!
 //! [`AdmissionGate::manifest`] renders the same set as manifest text,
 //! for repros and for oracles that re-derive each verdict through
@@ -35,7 +39,9 @@
 //! programs, so REJECT proofs render identically. Only spans inside each
 //! tenant's session differ: the gate's keep the class body's own lines.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -176,12 +182,48 @@ impl Hash for TenantKey {
     }
 }
 
-/// What the memo holds for one batch layout: its composed bounds and,
-/// once the layout has been admitted and replayed, its replay.
+/// What the memo holds for one batch layout: its composed bounds, the
+/// session set they were composed from (declared for the layout's
+/// latest request) and, once the layout has been replayed, its replay.
 #[derive(Debug, Clone)]
 struct Layout {
     bounds: SetBounds,
+    set: SessionSet,
     replay: Option<Replay>,
+}
+
+/// Writes what each member's request, not its layout, contributes to
+/// its tenant of `set`: the name, the `TENANT` and `PARTITION` lines,
+/// the partition and the session's time budget. Line numbers follow
+/// the manifest's layout: an optional `MEM` line, then per tenant its
+/// `TENANT` and `PARTITION` lines, an `ARRIVAL` line when staggered, a
+/// `BUDGET TIME` line when budgeted, and the body.
+fn declare(set: &mut SessionSet, batch: &[Resident]) {
+    let mut line = 1 + usize::from(set.mem_layer.is_some());
+    for (decl, r) in set.tenants.iter_mut().zip(batch) {
+        let budget = r.request.time_budget_s;
+        decl.name.clear();
+        write!(decl.name, "s{}", r.request.id).expect("writing to a String cannot fail");
+        decl.line = line;
+        decl.partition = Some((line + 1, r.partition));
+        // A body's own `BUDGET TIME` line follows the gate's, so it is
+        // the one the manifest parse keeps.
+        decl.session.budgets.time_s = r.body.session().budgets.time_s.or(budget);
+        line +=
+            2 + usize::from(r.arrival_slot > 0) + usize::from(budget.is_some()) + r.body.lines();
+    }
+}
+
+/// The tagged interleaved replay of `set` under `env`.
+fn simulate(set: &SessionSet, env: &BoundsEnv) -> Replay {
+    let cfg = resolved_set_config(set, env);
+    let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::default())
+        .expect("certified batches replay");
+    Replay {
+        elapsed: run.stats.elapsed,
+        energy: run.stats.energy,
+        tenants: run.tenants,
+    }
 }
 
 /// The admission gate: environment plus the optional §4.2 asymmetric
@@ -193,12 +235,14 @@ pub struct AdmissionGate {
     /// shared layer carves a dedicated high region at `split`, so
     /// tenants placed above it own their unit outright.
     asym_split: Option<u64>,
-    /// Composed bounds and replay per batch layout, for the gate's
-    /// lifetime.
+    /// Composed bounds, session set and replay per batch layout, for
+    /// the gate's lifetime.
     memo: HashMap<Vec<TenantKey>, Layout>,
     certify_calls: u64,
     memo_hits: u64,
     replay_memo_hits: u64,
+    compositions: u64,
+    sessions_built: u64,
 }
 
 impl AdmissionGate {
@@ -211,6 +255,8 @@ impl AdmissionGate {
             certify_calls: 0,
             memo_hits: 0,
             replay_memo_hits: 0,
+            compositions: 0,
+            sessions_built: 0,
         }
     }
 
@@ -242,6 +288,18 @@ impl AdmissionGate {
     /// Replay calls answered from the memo instead of the simulator.
     pub fn replay_memo_hits(&self) -> u64 {
         self.replay_memo_hits
+    }
+
+    /// Sets this gate has composed: one per certify miss.
+    pub fn compositions(&self) -> u64 {
+        self.compositions
+    }
+
+    /// Tenant sessions this gate has rebased into a partition: one per
+    /// member of each batch it built a set for (a certify miss, or a
+    /// replay of a layout it never certified).
+    pub fn sessions_built(&self) -> u64 {
+        self.sessions_built
     }
 
     /// Renders the session-set manifest for `batch`. Float budgets
@@ -278,49 +336,44 @@ impl AdmissionGate {
         src
     }
 
-    /// The set [`AdmissionGate::manifest`] renders, built without text.
-    /// Line numbers follow the manifest's layout: an optional `MEM`
-    /// line, then per tenant its `TENANT` and `PARTITION` lines, an
-    /// `ARRIVAL` line when staggered, a `BUDGET TIME` line when
-    /// budgeted, and the body.
-    fn session_set(&self, batch: &[Resident]) -> SessionSet {
-        let mut line = 1 + usize::from(self.asym_split.is_some());
-        let mut tenants = Vec::with_capacity(batch.len());
-        for r in batch {
-            let budget = r.request.time_budget_s;
-            let mut session = r
-                .body
-                .session()
-                .rebase(r.partition.start().get())
-                .expect("resident bodies rebase into their partitions");
-            // A body's own `BUDGET TIME` line follows the gate's, so it
-            // is the one the manifest parse keeps.
-            session.budgets.time_s = session.budgets.time_s.or(budget);
-            tenants.push(TenantDecl {
-                name: r.tenant_name(),
-                line,
-                partition: Some((line + 1, r.partition)),
+    /// The set [`AdmissionGate::manifest`] renders, built without text:
+    /// each member's class session rebased into its partition, then
+    /// [`declare`]d.
+    fn session_set(asym_split: Option<u64>, batch: &[Resident]) -> SessionSet {
+        let tenants = batch
+            .iter()
+            .map(|r| TenantDecl {
+                name: String::new(),
+                line: 0,
+                partition: None,
                 arrival: r.arrival_slot,
-                session,
-            });
-            line += 2
-                + usize::from(r.arrival_slot > 0)
-                + usize::from(budget.is_some())
-                + r.body.lines();
-        }
-        SessionSet {
+                session: r
+                    .body
+                    .session()
+                    .rebase(r.partition.start().get())
+                    .expect("resident bodies rebase into their partitions"),
+            })
+            .collect();
+        let mut set = SessionSet {
             tenants,
             budgets: Budgets::default(),
-            mem_layer: self.asym_split.map(|split| (1, MemLayer::Asym(split))),
-        }
+            mem_layer: asym_split.map(|split| (1, MemLayer::Asym(split))),
+        };
+        declare(&mut set, batch);
+        set
     }
 
-    /// Certifies `batch`, returning its session set (the replay input)
-    /// and the certification (verdict + proof + bounds). The verdict,
-    /// proof and bounds are bit-identical to
-    /// `certify_set(&parse_session_set(&self.manifest(batch))?, env)`;
-    /// a batch layout this gate has certified before is judged against
-    /// its memoized composition.
+    /// Certifies `batch`, returning the set it was judged as and the
+    /// certification (verdict + proof + bounds). They are bit-identical
+    /// to the set `parse_session_set` reads from
+    /// [`AdmissionGate::manifest`] and to `certify_set` over it, but for
+    /// spans inside each tenant's session (see the module doc).
+    ///
+    /// A layout's first certify builds its set and composes it; both
+    /// are memoized. Every later certify of that layout [`declare`]s
+    /// the request's names, lines, partitions and budgets into the
+    /// memoized set in place and judges it against the memoized bounds:
+    /// no session is rebased or cloned and nothing is composed.
     ///
     /// # Panics
     ///
@@ -330,62 +383,68 @@ impl AdmissionGate {
     /// set moving more bytes than a `u64` counts. Partitions come from
     /// the partition table and environments from the presets, so each
     /// is a scheduler bug, not an input condition.
-    pub fn certify(&mut self, batch: &[Resident]) -> (SessionSet, Certification) {
-        let set = self.session_set(batch);
+    pub fn certify(&mut self, batch: &[Resident]) -> (&SessionSet, Certification) {
         let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
         self.certify_calls += 1;
-        let bounds = match self.memo.get(&key) {
-            Some(layout) => {
+        let layout = match self.memo.entry(key) {
+            Entry::Occupied(hit) => {
                 self.memo_hits += 1;
-                layout.bounds.clone()
+                let layout = hit.into_mut();
+                declare(&mut layout.set, batch);
+                layout
             }
-            None => {
+            Entry::Vacant(miss) => {
+                let set = Self::session_set(self.asym_split, batch);
+                self.sessions_built += batch.len() as u64;
                 let bounds = compose(&set, &self.env).expect("certified batches compose");
-                let layout = Layout {
-                    bounds: bounds.clone(),
+                self.compositions += 1;
+                miss.insert(Layout {
+                    bounds,
+                    set,
                     replay: None,
-                };
-                self.memo.insert(key, layout);
-                bounds
+                })
             }
         };
-        let cert = judge(&set, bounds);
-        (set, cert)
+        let cert = judge(&layout.set, layout.bounds.clone());
+        (&layout.set, cert)
     }
 
-    /// The tagged interleaved replay of `set`, the session set
-    /// [`AdmissionGate::certify`] returned for `batch`: bit-identical to
+    /// The tagged interleaved replay of `batch`: bit-identical to
     /// `simulate_tenants(&resolved_set_config(set, env),
-    /// &tenant_streams(set), &SimOptions::default())`. The first replay
-    /// of a certified layout runs the simulator and stores the outcome
-    /// beside the layout's bounds; later replays of that layout return
-    /// the stored outcome. A layout this gate never certified is
-    /// simulated and not stored.
+    /// &tenant_streams(set), &SimOptions::default())` over the batch's
+    /// session set. The first replay of a certified layout simulates
+    /// the memoized set and stores the outcome beside the layout's
+    /// bounds; later replays of that layout return the stored outcome.
+    /// A layout this gate never certified gets its set built and
+    /// simulated, and nothing is stored.
     ///
     /// # Panics
     ///
     /// Panics if the simulator rejects the set's resolved memory
     /// configuration, which composing the same set would have rejected
-    /// first.
-    pub fn replay(&mut self, batch: &[Resident], set: &SessionSet) -> Replay {
+    /// first, or, for a layout never certified, as
+    /// [`AdmissionGate::certify`] does when a body cannot be rebased.
+    pub fn replay(&mut self, batch: &[Resident]) -> Replay {
         let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
-        let layout = self.memo.get_mut(&key);
-        if let Some(replay) = layout.as_ref().and_then(|l| l.replay.as_ref()) {
-            self.replay_memo_hits += 1;
-            return replay.clone();
+        match self.memo.get_mut(&key) {
+            Some(Layout {
+                replay: Some(replay),
+                ..
+            }) => {
+                self.replay_memo_hits += 1;
+                replay.clone()
+            }
+            Some(layout) => {
+                let replay = simulate(&layout.set, &self.env);
+                layout.replay = Some(replay.clone());
+                replay
+            }
+            None => {
+                let set = Self::session_set(self.asym_split, batch);
+                self.sessions_built += batch.len() as u64;
+                simulate(&set, &self.env)
+            }
         }
-        let cfg = resolved_set_config(set, &self.env);
-        let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::default())
-            .expect("certified batches replay");
-        let replay = Replay {
-            elapsed: run.stats.elapsed,
-            energy: run.stats.energy,
-            tenants: run.tenants,
-        };
-        if let Some(layout) = layout {
-            layout.replay = Some(replay.clone());
-        }
-        replay
     }
 
     /// Exports the certify-call and memo-hit counters into `reg`.
@@ -529,6 +588,20 @@ mod tests {
         assert_eq!((gate.certify_calls(), gate.memo_hits()), (4, 1));
     }
 
+    fn fresh(env: &BoundsEnv, set: &SessionSet) -> Replay {
+        let run = simulate_tenants(
+            &resolved_set_config(set, env),
+            &tenant_streams(set),
+            &SimOptions::default(),
+        )
+        .unwrap();
+        Replay {
+            elapsed: run.stats.elapsed,
+            energy: run.stats.energy,
+            tenants: run.tenants,
+        }
+    }
+
     #[test]
     fn a_repeated_admitted_layout_reuses_its_replay() {
         let cat = Catalogue::standard(&BoundsEnv::default());
@@ -539,52 +612,60 @@ mod tests {
             place(&cat, 0, "stap-tiny", 0, None),
             place(&cat, 1, "sar-chain-256", 4 * slot, None),
         ];
-        let fresh = |set: &SessionSet| {
-            let run = simulate_tenants(
-                &resolved_set_config(set, &env),
-                &tenant_streams(set),
-                &SimOptions::default(),
-            )
-            .unwrap();
-            Replay {
-                elapsed: run.stats.elapsed,
-                energy: run.stats.energy,
-                tenants: run.tenants,
-            }
+        let oracle = |gate: &AdmissionGate, batch: &[Resident]| {
+            fresh(&env, &parse_session_set(&gate.manifest(batch)).unwrap())
         };
-        // A layout's first replay simulates.
-        let (set, _) = gate.certify(&batch);
-        let first = gate.replay(&batch, &set);
-        assert_eq!(gate.replay_memo_hits(), 0);
-        assert_eq!(first, fresh(&set));
+        // A layout's first replay simulates its memoized set.
+        gate.certify(&batch);
+        let first = gate.replay(&batch);
+        assert_eq!((gate.replay_memo_hits(), gate.sessions_built()), (0, 2));
+        assert_eq!(first, oracle(&gate, &batch));
         assert_eq!(first.tenants.len(), 2);
         // The same layout under other ids and budgets hits.
         let mut again = batch.clone();
         again[0].request.id = 5;
         again[1].request.time_budget_s = Some(1.0);
-        let (set, _) = gate.certify(&again);
-        let second = gate.replay(&again, &set);
+        gate.certify(&again);
+        let second = gate.replay(&again);
         assert_eq!(gate.replay_memo_hits(), 1);
         assert_eq!(second, first);
         // Another slot base, then another arrival: other layouts, misses.
         let mut moved = batch.clone();
         moved[1].partition = AddrRange::new(PhysAddr::new(6 * slot), moved[1].partition.len());
-        let (set, _) = gate.certify(&moved);
-        assert_eq!(gate.replay(&moved, &set), fresh(&set));
+        gate.certify(&moved);
+        assert_eq!(gate.replay(&moved), oracle(&gate, &moved));
         let mut later = batch.clone();
         later[1].arrival_slot += 1;
-        let (set, _) = gate.certify(&later);
-        assert_eq!(gate.replay(&later, &set), fresh(&set));
+        gate.certify(&later);
+        assert_eq!(gate.replay(&later), oracle(&gate, &later));
         assert_eq!(gate.replay_memo_hits(), 1);
-        // Both are stored once replayed.
-        gate.replay(&moved, &gate.session_set(&moved));
-        gate.replay(&later, &gate.session_set(&later));
+        // Both are stored once replayed, and no replay of a certified
+        // layout built a set.
+        gate.replay(&moved);
+        gate.replay(&later);
         assert_eq!(gate.replay_memo_hits(), 3);
-        // A layout never certified is simulated every time.
-        let uncertified = vec![place(&cat, 0, "stap-tiny", 8 * slot, None)];
-        let set = gate.session_set(&uncertified);
-        gate.replay(&uncertified, &set);
-        assert_eq!(gate.replay(&uncertified, &set), fresh(&set));
-        assert_eq!(gate.replay_memo_hits(), 3);
+        assert_eq!((gate.compositions(), gate.sessions_built()), (3, 6));
+    }
+
+    #[test]
+    fn an_uncertified_layout_replays_its_own_set_and_stores_nothing() {
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        let env = BoundsEnv::default();
+        let mut gate = AdmissionGate::new(env.clone()).with_asym_split(1 << 29);
+        let slot = cat.get("stap-tiny").unwrap().slot;
+        // A certified layout beside it must not be mistaken for it.
+        let certified = vec![place(&cat, 0, "stap-tiny", 0, None)];
+        gate.certify(&certified);
+        let batch = vec![
+            place(&cat, 0, "stap-tiny", 8 * slot, Some(1.0)),
+            place(&cat, 1, "sar-loop-256", 16 * slot, None),
+        ];
+        let own = parse_session_set(&gate.manifest(&batch)).unwrap();
+        let first = gate.replay(&batch);
+        assert_eq!(first, fresh(&env, &own));
+        assert_eq!(first.tenants.len(), 2);
+        assert_eq!(gate.replay(&batch), first);
+        assert_eq!(gate.replay_memo_hits(), 0);
+        assert_eq!((gate.certify_calls(), gate.compositions()), (1, 1));
     }
 }

@@ -10,11 +10,11 @@
 //! 2. fills a batch from the queue front: each candidate gets a buddy
 //!    partition slot and the grown batch is re-certified through
 //!    [`AdmissionGate::certify`] (one gate per call, so each distinct
-//!    batch layout is composed once per call) — ADMIT joins, REJECT
-//!    frees the slot
-//!    and retries with exponential backoff until the retry budget
-//!    terminalizes it (carrying the MEA3xx proof), UNKNOWN follows the
-//!    configured conservative policy;
+//!    batch layout's session set is built and composed once per call,
+//!    and every repeat is judged in place against them) — ADMIT joins,
+//!    REJECT frees the slot and retries with exponential backoff until
+//!    the retry budget terminalizes it (carrying the MEA3xx proof),
+//!    UNKNOWN follows the configured conservative policy;
 //! 3. plans the batch's descriptors through the runtime compiler path
 //!    (repeat classes batch via the plan cache) and replays the merged
 //!    set through [`AdmissionGate::replay`], crediting each tenant its
@@ -347,7 +347,7 @@ fn serve_core(
             };
             let arrival_slot = batch.len() as u64 * config.stagger_slots;
             batch.push(Resident::new(p.req.clone(), class, partition, arrival_slot));
-            let (set, cert) = gate.certify(&batch);
+            let (_, cert) = gate.certify(&batch);
             p.attempts += 1;
             if cert.verdict != Verdict::Admit {
                 batch.pop();
@@ -365,7 +365,7 @@ fn serve_core(
                     };
                     ledger.decide(ev, &p.req.class, clock_s);
                     batch_meta.push(p);
-                    admitted_cert = Some((set, cert));
+                    admitted_cert = Some(cert);
                 }
                 Verdict::Reject if p.attempts > config.max_retries => {
                     let codes = cert.codes();
@@ -421,12 +421,12 @@ fn serve_core(
         }
 
         // (3) Plan descriptors and replay the admitted batch.
-        if let Some((set, cert)) = admitted_cert {
+        if let Some(cert) = admitted_cert {
             for r in &batch {
                 let class = catalogue.get(&r.request.class).expect("admitted class");
                 batcher.plan_class(&class.body);
             }
-            let run = gate.replay(&batch, &set);
+            let run = gate.replay(&batch);
             obs.span(
                 Phase::Verify,
                 &format!("admit-e{epoch}"),

@@ -1,8 +1,10 @@
 //! The typed admission path against its text oracle.
 //!
 //! [`AdmissionGate::certify`] builds each batch's session set without
-//! text and judges repeated layouts against memoized compositions. The
-//! oracle is the manifest route: render the batch with
+//! text, once per layout, and judges repeated layouts in place: it
+//! overwrites the memoized set's names, lines, partitions and budgets
+//! and judges it against the memoized composition. The oracle is the
+//! manifest route: render the batch with
 //! [`AdmissionGate::manifest`], parse it with [`parse_session_set`] and
 //! certify it with [`certify_set`]. The two must agree on the verdict,
 //! the proof codes, the rendered report and every bound, bit for bit.
@@ -10,8 +12,13 @@
 //! * **Gate level** — random batches of 1–4 small classes at
 //!   buddy-aligned (possibly overlapping) bases, staggered arrivals,
 //!   absent, generous or impossible budgets, with and without an
-//!   asymmetric split. Each layout is certified twice with different
-//!   budgets, so the second call is a memo hit; then with other
+//!   asymmetric split. Each layout is certified again under other ids
+//!   and budgets, with every tenant's budget presence flipped (which
+//!   shifts every later tenant's lines), with a partition grown in
+//!   place, and turned to a REJECT by one impossible budget and back
+//!   under fresh ids, so a stale name, line, partition or budget in
+//!   the memoized set shows as a mismatch; each of these is a memo hit
+//!   that rebases no session and composes nothing. Then with other
 //!   arrivals and other bases, which must miss.
 //! * **Loop level** — every decision a serve call logged, re-derived
 //!   through the oracle the way a decision-log walk does: trial batches
@@ -92,7 +99,7 @@ fn float_bits(b: &SetBounds) -> Vec<u64> {
 }
 
 /// Asserts that the typed certification equals the oracle's.
-fn assert_same(typed: &(SessionSet, Certification), oracle: &(SessionSet, Certification)) {
+fn assert_same(typed: (&SessionSet, &Certification), oracle: &(SessionSet, Certification)) {
     let ((tset, tcert), (oset, ocert)) = (typed, oracle);
     assert_eq!(tcert.verdict, ocert.verdict, "{}", ocert.report.render());
     assert_eq!(tcert.codes(), ocert.codes());
@@ -130,6 +137,15 @@ fn oracle(gate: &AdmissionGate, batch: &[Resident]) -> (SessionSet, Certificatio
     (set, cert)
 }
 
+/// Certifies `batch` through `gate` and asserts the result equals the
+/// oracle's; returns the verdict.
+fn certify_like_the_oracle(gate: &mut AdmissionGate, batch: &[Resident]) -> Verdict {
+    let want = oracle(gate, batch);
+    let (set, cert) = gate.certify(batch);
+    assert_same((set, &cert), &want);
+    cert.verdict
+}
+
 /// Budget tiers: absent, generous, impossible.
 fn budget(class: &str, tier: u8) -> Option<f64> {
     let (lo, hi) = catalogue().get(class).unwrap().solo_elapsed;
@@ -140,8 +156,17 @@ fn budget(class: &str, tier: u8) -> Option<f64> {
     }
 }
 
+/// Gate-level cases: 48, or `PROPTEST_CASES` when set (the release
+/// verification run widens the draw this way).
+fn gate_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(gate_cases()))]
 
     #[test]
     fn typed_memoized_certify_matches_the_text_oracle(
@@ -173,8 +198,7 @@ proptest! {
                 )
             })
             .collect();
-        let first = gate.certify(&batch);
-        assert_same(&first, &oracle(&gate, &batch));
+        certify_like_the_oracle(&mut gate, &batch);
         prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (1, 0));
 
         // The same layout under other ids and budgets: judged against
@@ -183,25 +207,70 @@ proptest! {
             r.request.id += 100;
             r.request.time_budget_s = budget(&r.request.class, tier);
         }
-        let second = gate.certify(&batch);
-        assert_same(&second, &oracle(&gate, &batch));
+        certify_like_the_oracle(&mut gate, &batch);
         prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (2, 1));
+
+        // Every budget's presence flipped: each `BUDGET TIME` line
+        // that appears or vanishes shifts every later tenant's lines.
+        for r in &mut batch {
+            r.request.id += 100;
+            r.request.time_budget_s = match r.request.time_budget_s {
+                Some(_) => None,
+                None => budget(&r.request.class, 1),
+            };
+        }
+        certify_like_the_oracle(&mut gate, &batch);
+
+        // The first partition grown in place over its neighbours: the
+        // base, hence the layout, is unchanged.
+        let first = &mut batch[0];
+        first.partition = AddrRange::new(
+            first.partition.start(),
+            Bytes::new(first.partition.len().get() * 4),
+        );
+        certify_like_the_oracle(&mut gate, &batch);
+        prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (4, 3));
+
+        // ADMIT, then the last resident's budget made impossible, then
+        // ADMIT again, under fresh ids each time: each MEA302 proof must
+        // name the current resident at its current line.
+        batch[0].partition = AddrRange::new(
+            batch[0].partition.start(),
+            Bytes::new(batch[0].partition.len().get() / 4),
+        );
+        let last = batch.len() - 1;
+        for impossible in [false, true, false] {
+            for r in &mut batch {
+                r.request.id += 100;
+                r.request.time_budget_s = None;
+            }
+            if impossible {
+                batch[last].request.time_budget_s = budget(&batch[last].request.class, 2);
+            }
+            let verdict = certify_like_the_oracle(&mut gate, &batch);
+            if impossible {
+                prop_assert_eq!(verdict, Verdict::Reject);
+            }
+        }
+        prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (7, 6));
+        // No hit rebased a session or composed.
+        let n = batch.len() as u64;
+        prop_assert_eq!((gate.compositions(), gate.sessions_built()), (1, n));
 
         // Other arrivals, then other bases: other layouts, so misses.
         for (i, r) in batch.iter_mut().enumerate() {
             r.arrival_slot = i as u64 * (stagger + 1) + 1;
         }
-        let third = gate.certify(&batch);
-        assert_same(&third, &oracle(&gate, &batch));
+        certify_like_the_oracle(&mut gate, &batch);
         for r in &mut batch {
             r.partition = AddrRange::new(
                 PhysAddr::new(r.partition.start().get() + 8 * r.partition.len().get()),
                 r.partition.len(),
             );
         }
-        let fourth = gate.certify(&batch);
-        assert_same(&fourth, &oracle(&gate, &batch));
-        prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (4, 1));
+        certify_like_the_oracle(&mut gate, &batch);
+        prop_assert_eq!((gate.certify_calls(), gate.memo_hits()), (9, 6));
+        prop_assert_eq!((gate.compositions(), gate.sessions_built()), (3, 3 * n));
     }
 }
 

@@ -112,7 +112,7 @@ fn no_request_is_simulated_outside_its_partition() {
     ];
     let (set, cert) = gate.certify(&batch);
     assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
-    for (resident, stream) in batch.iter().zip(tenant_streams(&set)) {
+    for (resident, stream) in batch.iter().zip(tenant_streams(set)) {
         assert!(!stream.trace.is_empty());
         for req in stream.trace.iter() {
             let start = req.addr.get();
@@ -156,7 +156,8 @@ fn no_request_is_simulated_outside_its_partition() {
 #[test]
 fn noisy_neighbor_cannot_push_victim_below_certified_floor() {
     let cat = catalogue();
-    let mut gate = AdmissionGate::new(BoundsEnv::default());
+    let env = BoundsEnv::default();
+    let mut gate = AdmissionGate::new(env.clone());
     let victim_slot = cat.get("stap-tiny").unwrap().slot;
     // The victim declares nothing; the noisy neighbor is the loop
     // pipeline, the most bandwidth-hungry class in the catalogue.
@@ -167,8 +168,8 @@ fn noisy_neighbor_cannot_push_victim_below_certified_floor() {
     let (set, cert) = gate.certify(&batch);
     assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
 
-    let cfg = resolved_set_config(&set, gate.env());
-    let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::cycle())
+    let cfg = resolved_set_config(set, &env);
+    let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::cycle())
         .expect("admitted batch replays");
 
     let victim = &run.tenants[0];
@@ -201,7 +202,8 @@ fn asym_split_gives_the_high_tenant_a_unit_nobody_else_touches() {
     // Slot-aligned split right after the low tenant: the high tenant's
     // whole partition lives in the dedicated region.
     let split = low_slot.max(cat.get("stap-tiny").unwrap().slot);
-    let mut gate = AdmissionGate::new(BoundsEnv::default()).with_asym_split(split);
+    let env = BoundsEnv::default();
+    let mut gate = AdmissionGate::new(env.clone()).with_asym_split(split);
     let batch = vec![
         place(0, "sar-chain-256", 0, None),
         place(1, "stap-tiny", split, None),
@@ -209,9 +211,9 @@ fn asym_split_gives_the_high_tenant_a_unit_nobody_else_touches() {
     let (set, cert) = gate.certify(&batch);
     assert_ne!(cert.verdict, Verdict::Reject, "{}", cert.report.render());
 
-    let cfg = resolved_set_config(&set, gate.env());
+    let cfg = resolved_set_config(set, &env);
     let dedicated = cfg.mapping.units() - 1;
-    let streams = tenant_streams(&set);
+    let streams = tenant_streams(set);
     for req in streams[1].trace.iter() {
         assert_eq!(
             cfg.mapping.decode(req.addr).unit,

@@ -1,10 +1,13 @@
 //! Property tests: the bijectivity proof must accept *every* valid
 //! interleaving configuration — a prover that cries wolf on healthy
 //! hardware would be disabled within a week — and the structural
-//! validator must reject every degenerate one.
+//! validator must reject every degenerate one. The TDL, session and
+//! session-set parsers are total over arbitrary keyword soup.
 
 use mealib_memsim::address::AddressMapping;
 use mealib_types::PhysAddr;
+use mealib_verify::dataflow::parse_session;
+use mealib_verify::interference::parse_session_set;
 use mealib_verify::memconfig::{parse_memconfig, KNOWN_KEYS};
 use mealib_verify::memsim::{verify_mapping, verify_memconfig};
 use mealib_verify::{ErrorCode, Severity};
@@ -186,5 +189,49 @@ proptest! {
         };
         let report = verify_mapping(&mapping);
         prop_assert!(report.has_code(ErrorCode::MemBadAsymmetricSplit), "{report}");
+    }
+}
+
+/// The parsers' grammar keywords and operators, and a few operands.
+const KEYWORDS: &str = "PASS LOOP COMP BUF HOST FLUSH BUDGET MEM TENANT PARTITION ARRIVAL TIME \
+                        ENERGY CAPACITY ASYM XOR INTERLEAVED READ WRITE AXPY FFT in out params \
+                        a b { } = \" \"a.para\"";
+
+/// The adversarial probe's numbers: the edges of `u64` and `f64`.
+const NUMBERS: &str = "0 1 0x8000000000000000 0xffffffffffffffff 18446744073709551615 1e308 NaN -1";
+
+/// Up to 48 keywords and numbers, each followed by a space, a newline
+/// or nothing.
+fn keyword_soup() -> impl Strategy<Value = String> {
+    let words: Vec<&str> = KEYWORDS.split(' ').chain(NUMBERS.split(' ')).collect();
+    proptest::collection::vec(
+        (
+            proptest::sample::select(words),
+            proptest::sample::select(vec![" ", "\n", ""]),
+        ),
+        0..48,
+    )
+    .prop_map(|words| words.into_iter().flat_map(|(w, sep)| [w, sep]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// TDL parsing returns a program or an error, never a panic.
+    #[test]
+    fn tdl_parse_never_panics(src in keyword_soup()) {
+        let _ = mealib_tdl::parse(&src);
+    }
+
+    /// Session parsing returns a session or an error, never a panic.
+    #[test]
+    fn session_parse_never_panics(src in keyword_soup()) {
+        let _ = parse_session(&src);
+    }
+
+    /// Session-set parsing returns a set or an error, never a panic.
+    #[test]
+    fn session_set_parse_never_panics(src in keyword_soup()) {
+        let _ = parse_session_set(&src);
     }
 }

@@ -19,6 +19,11 @@ echo "==> run decoder: the block-rule proptest on 4,096 cases (release)"
 cargo test -q --release -p mealib-memsim --lib -- --ignored --exact \
     runs::tests::block_runs_expand_to_the_per_burst_decode_wide
 
+echo "==> admission oracle: memoized certify against the text oracle on 512 cases (release)"
+# The default suite draws 48 gate-level cases; the environment
+# override widens the proptest without a second copy of it.
+PROPTEST_CASES=512 cargo test -q --release -p mealib-serve --test admission_oracle
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
