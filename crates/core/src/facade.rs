@@ -575,11 +575,11 @@ mod tests {
     fn builder_knobs_reach_the_runtime() {
         let rec = mealib_obs::TraceRecorder::shared();
         let mut ml = Mealib::builder()
-            .verify(VerifyMode::Warn)
+            .verify(VerifyMode::Off)
             .recorder(rec.clone())
             .plan_cache_capacity(4)
             .build();
-        assert_eq!(ml.runtime().verify_mode(), VerifyMode::Warn);
+        assert_eq!(ml.runtime().verify_mode(), VerifyMode::Off);
         assert_eq!(ml.runtime().plan_cache_capacity(), 4);
         assert!(ml.runtime().obs().enabled());
 

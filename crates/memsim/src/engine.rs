@@ -6,7 +6,7 @@
 //! data bus — the same abstraction level as the "in-house cycle-accurate
 //! 3D-stacked DRAM simulator" of §4.2: FCFS per unit, bank-level
 //! parallelism, one command clock. The **fast engine**
-//! ([`crate::fast`]) is an event-driven replay of the same model that
+//! (the `fast` module) is an event-driven replay of the same model that
 //! batches contiguous row-hit streaks analytically and skips straight to
 //! the next bank/bus/refresh event; it is bit-exact against the cycle
 //! engine by construction and by proptest, and
@@ -16,7 +16,7 @@
 //! engine, worker count, and optional cycle-windowed profiling.
 //!
 //! Per-tenant attribution and the cycle-window timeline are per-unit
-//! **sinks** on [`UnitEngine`] that both engines fill, not engine
+//! **sinks** on the `UnitEngine` that both engines fill, not engine
 //! switches.
 //!
 //! Writes share the read datapath model; write-recovery (`tWR`) is
@@ -316,8 +316,8 @@ pub enum EngineKind {
     Cycle,
     /// The event-driven epoch-skipping engine: contiguous row-hit burst
     /// streaks are batched analytically and dead time is skipped to the
-    /// next bank/bus/refresh event. Bit-exact against [`Cycle`]
-    /// (`EngineKind::Cycle`) for every statistic, and the default.
+    /// next bank/bus/refresh event. Bit-exact against
+    /// [`Cycle`](EngineKind::Cycle) for every statistic, and the default.
     #[default]
     Fast,
     /// Runs both engines and diffs the results; returns

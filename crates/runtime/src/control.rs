@@ -37,8 +37,6 @@ pub enum VerifyMode {
     /// Run the passes; coded errors fail the plan (the default).
     #[default]
     Enforce,
-    /// Run the passes and record the report, but never fail the plan.
-    Warn,
     /// Skip verification entirely (escape hatch for deliberately
     /// malformed inputs, e.g. fault-injection studies).
     Off,
@@ -550,7 +548,8 @@ impl Runtime {
     pub fn acc_plan(&mut self, tdl: &str, params: &ParamBag) -> Result<AccPlan, RuntimeError> {
         let (program, lines) = parse_with_lines(tdl)?;
         let mut report = Report::new();
-        if self.verify_mode != VerifyMode::Off {
+        let verify = self.verify_mode == VerifyMode::Enforce;
+        if verify {
             report = mealib_verify::tdl::verify_program(
                 &program,
                 Some(&lines),
@@ -569,19 +568,19 @@ impl Runtime {
                 Some(&lines),
                 &env,
             ));
-            if self.verify_mode == VerifyMode::Enforce && report.has_errors() {
+            if report.has_errors() {
                 self.last_verify = Some(report.clone());
                 return Err(RuntimeError::Verify(report));
             }
         }
         let buffers = self.driver.buffer_table();
         let descriptor = Descriptor::encode(&program, params, &buffers)?;
-        if self.verify_mode != VerifyMode::Off {
+        if verify {
             report.merge(mealib_verify::descriptor::verify_image(
                 descriptor.as_bytes(),
             ));
             self.last_verify = Some(report.clone());
-            if self.verify_mode == VerifyMode::Enforce && report.has_errors() {
+            if report.has_errors() {
                 return Err(RuntimeError::Verify(report));
             }
         }
@@ -901,19 +900,6 @@ mod tests {
         let tdl = "PASS in=x out=x { COMP RESHP params=\"r.para\" COMP FFT params=\"f.para\" }";
         assert!(rt.acc_plan(tdl, &params).is_ok());
         assert!(rt.last_verify_report().is_none());
-    }
-
-    #[test]
-    fn verify_warn_records_but_does_not_fail() {
-        let mut rt = Runtime::new();
-        rt.mem_alloc("x", Bytes::from_mib(1)).unwrap();
-        rt.set_verify_mode(VerifyMode::Warn);
-        let mut params = ParamBag::new();
-        params.insert("r.para".into(), vec![0; 8]);
-        params.insert("f.para".into(), vec![0; 8]);
-        let tdl = "PASS in=x out=x { COMP RESHP params=\"r.para\" COMP FFT params=\"f.para\" }";
-        assert!(rt.acc_plan(tdl, &params).is_ok());
-        assert!(rt.last_verify_report().unwrap().has_errors());
     }
 
     #[test]

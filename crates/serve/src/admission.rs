@@ -11,25 +11,26 @@
 //! configurable — but always conservative — policy: retry later or
 //! shed, never admit.
 //!
-//! Certifying is [`compose`] followed by [`judge`]. Composition reads
+//! Certifying is [`compose()`] followed by [`judge`]. Composition reads
 //! only each tenant's class body, slot base and arrival, plus the
 //! shared layer and environment, which are fixed per gate; names and
-//! budgets only pass through it. So the gate builds each distinct batch
-//! layout's session set and composes it once, on the layout's first
-//! certify, and memoizes both. Every later request of that layout is
-//! judged in place: the gate overwrites the memoized set's names,
-//! `TENANT` and `PARTITION` lines, partitions and time budgets with the
-//! request's own and judges it against the memoized bounds, rebasing
-//! and cloning no session. The key is exact — (class body, slot base,
-//! arrival) per tenant, in order — and the memo lives as long as the
-//! gate, which the scheduler builds once per serve call.
+//! budgets live on the session set alone, and `judge` reads them from
+//! there. So the gate builds each distinct batch layout's session set
+//! and composes it once, on the layout's first certify, and memoizes
+//! both. Every later request of that layout is judged in place: the
+//! gate overwrites the memoized set's names, `TENANT` and `PARTITION`
+//! lines, partitions and time budgets with the request's own and judges
+//! it against the memoized bounds, rebasing, composing and cloning
+//! nothing. The key is exact — (class body, slot base, arrival) per
+//! tenant, in order — and the memo lives as long as the gate, which the
+//! scheduler builds once per serve call.
 //!
 //! The memo also holds each admitted layout's replay. The tagged replay
 //! reads exactly what composition reads (each tenant's rebased extents,
 //! program and arrival, and the gate's environment and shared layer),
 //! so [`AdmissionGate::replay`] simulates a layout's memoized set the
-//! first time it is admitted and hands back the stored [`Replay`] every
-//! later time.
+//! first time it is admitted and lends the stored [`Replay`], beside
+//! the layout's bounds, every time.
 //!
 //! [`AdmissionGate::manifest`] renders the same set as manifest text,
 //! for repros and for oracles that re-derive each verdict through
@@ -47,13 +48,12 @@ use std::sync::Arc;
 
 use mealib_memsim::{simulate_tenants, SimOptions, TenantStats};
 use mealib_obs::MetricsRegistry;
-use mealib_types::{AddrRange, Joules, Seconds};
+use mealib_types::{AddrRange, Joules, Report, Seconds};
 use mealib_verify::dataflow::{Budgets, MemLayer};
 use mealib_verify::interference::{
-    compose, judge, resolved_set_config, tenant_streams, Certification, SessionSet, SetBounds,
-    TenantDecl,
+    compose, judge, resolved_set_config, tenant_streams, SessionSet, SetBounds, TenantDecl,
 };
-use mealib_verify::BoundsEnv;
+use mealib_verify::{BoundsEnv, Verdict};
 
 use crate::session::{ClassBody, SessionClass, SessionRequest};
 
@@ -125,9 +125,11 @@ impl Resident {
         }
     }
 
-    /// The manifest tenant name: stable, unique per session id.
-    pub fn tenant_name(&self) -> String {
-        format!("s{}", self.request.id)
+    /// Appends the manifest tenant name to `out`: stable, unique per
+    /// session id. The manifest and the gate's in-place declaration
+    /// both name tenants through it.
+    pub fn push_tenant_name(&self, out: &mut String) {
+        write!(out, "s{}", self.request.id).expect("writing to a String cannot fail");
     }
 }
 
@@ -203,7 +205,7 @@ fn declare(set: &mut SessionSet, batch: &[Resident]) {
     for (decl, r) in set.tenants.iter_mut().zip(batch) {
         let budget = r.request.time_budget_s;
         decl.name.clear();
-        write!(decl.name, "s{}", r.request.id).expect("writing to a String cannot fail");
+        r.push_tenant_name(&mut decl.name);
         decl.line = line;
         decl.partition = Some((line + 1, r.partition));
         // A body's own `BUDGET TIME` line follows the gate's, so it is
@@ -296,8 +298,7 @@ impl AdmissionGate {
     }
 
     /// Tenant sessions this gate has rebased into a partition: one per
-    /// member of each batch it built a set for (a certify miss, or a
-    /// replay of a layout it never certified).
+    /// member of each batch whose certify missed the memo.
     pub fn sessions_built(&self) -> u64 {
         self.sessions_built
     }
@@ -315,7 +316,9 @@ impl AdmissionGate {
             src.push_str(&format!("MEM ASYM 0x{split:x}\n"));
         }
         for r in batch {
-            src.push_str(&format!("TENANT {}\n", r.tenant_name()));
+            src.push_str("TENANT ");
+            r.push_tenant_name(&mut src);
+            src.push('\n');
             src.push_str(&format!(
                 "PARTITION 0x{:x} 0x{:x}\n",
                 r.partition.start().get(),
@@ -363,17 +366,18 @@ impl AdmissionGate {
         set
     }
 
-    /// Certifies `batch`, returning the set it was judged as and the
-    /// certification (verdict + proof + bounds). They are bit-identical
-    /// to the set `parse_session_set` reads from
+    /// Certifies `batch`: returns the set it was judged as and the bounds
+    /// it was judged against, both borrowed from the memo, with the
+    /// verdict and the MEA3xx findings behind it. They are
+    /// bit-identical to the set `parse_session_set` reads from
     /// [`AdmissionGate::manifest`] and to `certify_set` over it, but for
     /// spans inside each tenant's session (see the module doc).
     ///
     /// A layout's first certify builds its set and composes it; both
-    /// are memoized. Every later certify of that layout [`declare`]s
+    /// are memoized. Every later certify of that layout `declare`s
     /// the request's names, lines, partitions and budgets into the
     /// memoized set in place and judges it against the memoized bounds:
-    /// no session is rebased or cloned and nothing is composed.
+    /// no session is rebased, nothing is composed and nothing is cloned.
     ///
     /// # Panics
     ///
@@ -383,7 +387,7 @@ impl AdmissionGate {
     /// set moving more bytes than a `u64` counts. Partitions come from
     /// the partition table and environments from the presets, so each
     /// is a scheduler bug, not an input condition.
-    pub fn certify(&mut self, batch: &[Resident]) -> (&SessionSet, Certification) {
+    pub fn certify(&mut self, batch: &[Resident]) -> (&SessionSet, &SetBounds, Verdict, Report) {
         let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
         self.certify_calls += 1;
         let layout = match self.memo.entry(key) {
@@ -405,46 +409,40 @@ impl AdmissionGate {
                 })
             }
         };
-        let cert = judge(&layout.set, layout.bounds.clone());
-        (&layout.set, cert)
+        let (verdict, report) = judge(&layout.set, &layout.bounds);
+        (&layout.set, &layout.bounds, verdict, report)
     }
 
-    /// The tagged interleaved replay of `batch`: bit-identical to
-    /// `simulate_tenants(&resolved_set_config(set, env),
-    /// &tenant_streams(set), &SimOptions::default())` over the batch's
-    /// session set. The first replay of a certified layout simulates
-    /// the memoized set and stores the outcome beside the layout's
-    /// bounds; later replays of that layout return the stored outcome.
-    /// A layout this gate never certified gets its set built and
-    /// simulated, and nothing is stored.
+    /// The tagged interleaved replay of `batch` and the bounds its
+    /// layout was certified with, both borrowed from the memo. The
+    /// replay is bit-identical to `simulate_tenants(&resolved_set_config(set,
+    /// env), &tenant_streams(set), &SimOptions::default())` over the
+    /// batch's session set. A layout's first replay simulates its
+    /// memoized set and stores the outcome beside its bounds; every
+    /// later replay of that layout lends the stored outcome.
     ///
     /// # Panics
     ///
-    /// Panics if the simulator rejects the set's resolved memory
-    /// configuration, which composing the same set would have rejected
-    /// first, or, for a layout never certified, as
-    /// [`AdmissionGate::certify`] does when a body cannot be rebased.
-    pub fn replay(&mut self, batch: &[Resident]) -> Replay {
+    /// Panics if this gate never certified `batch`'s layout (the
+    /// scheduler certifies every batch before it replays it), or if the
+    /// simulator rejects the set's resolved memory configuration, which
+    /// composing the same set would have rejected first.
+    pub fn replay(&mut self, batch: &[Resident]) -> (&Replay, &SetBounds) {
         let key: Vec<TenantKey> = batch.iter().map(TenantKey::of).collect();
-        match self.memo.get_mut(&key) {
-            Some(Layout {
-                replay: Some(replay),
-                ..
-            }) => {
-                self.replay_memo_hits += 1;
-                replay.clone()
-            }
-            Some(layout) => {
-                let replay = simulate(&layout.set, &self.env);
-                layout.replay = Some(replay.clone());
-                replay
-            }
-            None => {
-                let set = Self::session_set(self.asym_split, batch);
-                self.sessions_built += batch.len() as u64;
-                simulate(&set, &self.env)
-            }
+        let layout = self
+            .memo
+            .get_mut(&key)
+            .expect("batches are certified before they replay");
+        if layout.replay.is_some() {
+            self.replay_memo_hits += 1;
         }
+        let Layout {
+            bounds,
+            set,
+            replay,
+        } = layout;
+        let replay = replay.get_or_insert_with(|| simulate(set, &self.env));
+        (replay, bounds)
     }
 
     /// Exports the certify-call and memo-hit counters into `reg`.
@@ -497,12 +495,12 @@ mod tests {
             place(&cat, 0, "stap-tiny", 0, Some(hi * 100.0)),
             place(&cat, 1, "stap-tiny", slot, None),
         ];
-        let (set, cert) = gate.certify(&batch);
-        assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
+        let (set, _, verdict, report) = gate.certify(&batch);
+        assert_eq!(verdict, Verdict::Admit, "{}", report.render());
         assert_eq!(set.tenants.len(), 2);
         assert_eq!(set.tenants[0].name, "s0");
         assert_eq!(set.tenants[1].arrival, 64);
-        assert!(cert.codes().is_empty());
+        assert!(report.codes().is_empty());
     }
 
     #[test]
@@ -511,9 +509,9 @@ mod tests {
         let mut gate = AdmissionGate::new(BoundsEnv::default());
         let lo = cat.get("stap-tiny").unwrap().solo_elapsed.0;
         let batch = vec![place(&cat, 0, "stap-tiny", 0, Some(lo * 0.5))];
-        let (_, cert) = gate.certify(&batch);
-        assert_eq!(cert.verdict, Verdict::Reject);
-        let codes = cert.codes();
+        let (_, _, verdict, report) = gate.certify(&batch);
+        assert_eq!(verdict, Verdict::Reject);
+        let codes = report.codes();
         assert!(!codes.is_empty(), "a REJECT always carries its proof");
         assert!(codes.contains(&mealib_types::ErrorCode::InterfereLatencyBudget));
     }
@@ -526,7 +524,7 @@ mod tests {
         // float-to-text-to-float path, not a round decimal.
         let budget = std::f64::consts::FRAC_PI_3 * 1e-3;
         let batch = vec![place(&cat, 7, "sar-chain-256", 0, Some(budget))];
-        let (set, _) = gate.certify(&batch);
+        let (set, ..) = gate.certify(&batch);
         assert_eq!(set.tenants[0].session.budgets.time_s, Some(budget));
         let parsed = parse_session_set(&gate.manifest(&batch)).unwrap();
         assert_eq!(parsed.tenants[0].session.budgets.time_s, Some(budget));
@@ -540,10 +538,10 @@ mod tests {
         let batch = vec![place(&cat, 0, "stap-tiny", 0, None)];
         let src = gate.manifest(&batch);
         assert!(src.starts_with(&format!("MEM ASYM 0x{split:x}\n")));
-        let (set, cert) = gate.certify(&batch);
+        let (set, _, verdict, report) = gate.certify(&batch);
         assert_eq!(set.mem_layer, parse_session_set(&src).unwrap().mem_layer);
         // Isolation still provable under the asymmetric layer.
-        assert_ne!(cert.verdict, Verdict::Reject, "{}", cert.report.render());
+        assert_ne!(verdict, Verdict::Reject, "{}", report.render());
     }
 
     #[test]
@@ -553,21 +551,22 @@ mod tests {
         let mut gate = AdmissionGate::new(env.clone());
         let lo = cat.get("stap-tiny").unwrap().solo_elapsed.0;
         let generous = vec![place(&cat, 0, "stap-tiny", 0, None)];
-        let (_, first) = gate.certify(&generous);
+        let first = gate.certify(&generous).2;
         assert_eq!((gate.certify_calls(), gate.memo_hits()), (1, 0));
         // Same layout, another id and an impossible budget: a hit, and
         // the verdict follows the new budget.
         let mut tight = generous.clone();
         tight[0].request.id = 9;
         tight[0].request.time_budget_s = Some(lo * 0.5);
-        let (_, second) = gate.certify(&tight);
+        let (set, _, second, report) = gate.certify(&tight);
+        assert_eq!(set.tenants[0].name, "s9");
+        let report = report.render();
         assert_eq!((gate.certify_calls(), gate.memo_hits()), (2, 1));
-        assert_eq!(first.verdict, Verdict::Admit);
-        assert_eq!(second.verdict, Verdict::Reject);
+        assert_eq!(first, Verdict::Admit);
+        assert_eq!(second, Verdict::Reject);
         let oracle =
             certify_set(&parse_session_set(&gate.manifest(&tight)).unwrap(), &env).unwrap();
-        assert_eq!(second.report.render(), oracle.report.render());
-        assert_eq!(second.bounds.tenants[0].name, "s9");
+        assert_eq!(report, oracle.report.render());
         // Another slot base is another layout.
         let mut moved = generous.clone();
         moved[0].partition = AddrRange::new(
@@ -617,55 +616,36 @@ mod tests {
         };
         // A layout's first replay simulates its memoized set.
         gate.certify(&batch);
-        let first = gate.replay(&batch);
+        let first = oracle(&gate, &batch);
+        assert_eq!(*gate.replay(&batch).0, first);
         assert_eq!((gate.replay_memo_hits(), gate.sessions_built()), (0, 2));
-        assert_eq!(first, oracle(&gate, &batch));
         assert_eq!(first.tenants.len(), 2);
-        // The same layout under other ids and budgets hits.
+        // The same layout under other ids and budgets hits, and lends
+        // the bounds it was certified with.
         let mut again = batch.clone();
         again[0].request.id = 5;
         again[1].request.time_budget_s = Some(1.0);
-        gate.certify(&again);
-        let second = gate.replay(&again);
+        let certified = gate.certify(&again).1.tenants[1].elapsed;
+        let (second, bounds) = gate.replay(&again);
+        assert_eq!(*second, first);
+        assert_eq!(bounds.tenants[1].elapsed, certified);
         assert_eq!(gate.replay_memo_hits(), 1);
-        assert_eq!(second, first);
         // Another slot base, then another arrival: other layouts, misses.
         let mut moved = batch.clone();
         moved[1].partition = AddrRange::new(PhysAddr::new(6 * slot), moved[1].partition.len());
         gate.certify(&moved);
-        assert_eq!(gate.replay(&moved), oracle(&gate, &moved));
+        let want = oracle(&gate, &moved);
+        assert_eq!(*gate.replay(&moved).0, want);
         let mut later = batch.clone();
         later[1].arrival_slot += 1;
         gate.certify(&later);
-        assert_eq!(gate.replay(&later), oracle(&gate, &later));
+        let want = oracle(&gate, &later);
+        assert_eq!(*gate.replay(&later).0, want);
         assert_eq!(gate.replay_memo_hits(), 1);
-        // Both are stored once replayed, and no replay of a certified
-        // layout built a set.
+        // Both are stored once replayed, and no replay built a set.
         gate.replay(&moved);
         gate.replay(&later);
         assert_eq!(gate.replay_memo_hits(), 3);
         assert_eq!((gate.compositions(), gate.sessions_built()), (3, 6));
-    }
-
-    #[test]
-    fn an_uncertified_layout_replays_its_own_set_and_stores_nothing() {
-        let cat = Catalogue::standard(&BoundsEnv::default());
-        let env = BoundsEnv::default();
-        let mut gate = AdmissionGate::new(env.clone()).with_asym_split(1 << 29);
-        let slot = cat.get("stap-tiny").unwrap().slot;
-        // A certified layout beside it must not be mistaken for it.
-        let certified = vec![place(&cat, 0, "stap-tiny", 0, None)];
-        gate.certify(&certified);
-        let batch = vec![
-            place(&cat, 0, "stap-tiny", 8 * slot, Some(1.0)),
-            place(&cat, 1, "sar-loop-256", 16 * slot, None),
-        ];
-        let own = parse_session_set(&gate.manifest(&batch)).unwrap();
-        let first = gate.replay(&batch);
-        assert_eq!(first, fresh(&env, &own));
-        assert_eq!(first.tenants.len(), 2);
-        assert_eq!(gate.replay(&batch), first);
-        assert_eq!(gate.replay_memo_hits(), 0);
-        assert_eq!((gate.certify_calls(), gate.compositions()), (1, 1));
     }
 }

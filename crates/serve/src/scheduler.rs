@@ -335,7 +335,6 @@ fn serve_core(
         // growth step.
         let mut batch: Vec<Resident> = Vec::new();
         let mut batch_meta: Vec<Pending> = Vec::new();
-        let mut admitted_cert = None;
         while batch.len() < config.max_resident && !queue.is_empty() {
             let mut p = queue.pop_front().expect("non-empty queue");
             let class = catalogue.get(&p.req.class).expect("checked on arrival");
@@ -347,13 +346,13 @@ fn serve_core(
             };
             let arrival_slot = batch.len() as u64 * config.stagger_slots;
             batch.push(Resident::new(p.req.clone(), class, partition, arrival_slot));
-            let (_, cert) = gate.certify(&batch);
+            let (_, _, verdict, report) = gate.certify(&batch);
             p.attempts += 1;
-            if cert.verdict != Verdict::Admit {
+            if verdict != Verdict::Admit {
                 batch.pop();
                 table.free(partition);
             }
-            match cert.verdict {
+            match verdict {
                 Verdict::Admit => {
                     let ev = DecisionEvent::Admit {
                         epoch,
@@ -365,10 +364,9 @@ fn serve_core(
                     };
                     ledger.decide(ev, &p.req.class, clock_s);
                     batch_meta.push(p);
-                    admitted_cert = Some(cert);
                 }
                 Verdict::Reject if p.attempts > config.max_retries => {
-                    let codes = cert.codes();
+                    let codes = report.codes();
                     debug_assert!(!codes.is_empty(), "REJECT always carries its proof");
                     let ev = DecisionEvent::Reject {
                         epoch,
@@ -421,31 +419,33 @@ fn serve_core(
         }
 
         // (3) Plan descriptors and replay the admitted batch.
-        if let Some(cert) = admitted_cert {
+        if !batch.is_empty() {
             for r in &batch {
                 let class = catalogue.get(&r.request.class).expect("admitted class");
                 batcher.plan_class(&class.body);
             }
-            let run = gate.replay(&batch);
-            obs.span(
-                Phase::Verify,
-                &format!("admit-e{epoch}"),
-                Seconds::ZERO,
-                Joules::ZERO,
-            );
-            obs.span(
-                Phase::Compute,
-                &format!("replay-e{epoch}"),
-                run.elapsed,
-                run.energy,
-            );
+            let (run, bounds) = gate.replay(&batch);
+            if obs.enabled() {
+                obs.span(
+                    Phase::Verify,
+                    &format!("admit-e{epoch}"),
+                    Seconds::ZERO,
+                    Joules::ZERO,
+                );
+                obs.span(
+                    Phase::Compute,
+                    &format!("replay-e{epoch}"),
+                    run.elapsed,
+                    run.energy,
+                );
+            }
             breakdown.add_phase(Phase::Compute, run.elapsed, run.energy);
             if let Some(t) = ledger.tele.as_deref_mut() {
                 t.on_replay(run.elapsed.get(), run.energy.get());
             }
             for (i, (r, p)) in batch.iter().zip(&batch_meta).enumerate() {
                 let t = &run.tenants[i];
-                let tb = &cert.bounds.tenants[i];
+                let tb = &bounds.tenants[i];
                 let done = CompletedSession {
                     id: r.request.id,
                     class: r.request.class.clone(),

@@ -175,8 +175,7 @@ impl Catalogue {
                 arrival_slot: 0,
                 body: Arc::clone(&parsed),
             };
-            let (_, cert) = gate.certify(&[solo]);
-            let t = &cert.bounds.tenants[0];
+            let t = &gate.certify(&[solo]).1.tenants[0];
             // Composed traffic is exact, so the solo tenant's bytes are
             // the class's trace bytes.
             let trace_bytes = (t.bytes_read.lo + t.bytes_written.lo) as u64;

@@ -39,7 +39,7 @@ use mealib_serve::{
     generate, serve, AdmissionGate, Catalogue, DecisionEvent, PartitionTable, Resident,
     ServeConfig, ServeReport, SessionRequest, Traffic, TrafficSpec, MIN_SLOT,
 };
-use mealib_types::{AddrRange, Bytes, Interval, PhysAddr};
+use mealib_types::{AddrRange, Bytes, Interval, PhysAddr, Report};
 use mealib_verify::interference::{
     certify_set, parse_session_set, resolved_set_config, tenant_streams, Certification, SessionSet,
     SetBounds,
@@ -75,10 +75,6 @@ fn float_bits(b: &SetBounds) -> Vec<u64> {
     ] {
         interval_bits(&mut out, iv);
     }
-    let budgets = |out: &mut Vec<u64>, t: Option<f64>, e: Option<f64>| {
-        out.extend([t, e].map(|v| v.map_or(u64::MAX, f64::to_bits)));
-    };
-    budgets(&mut out, b.budgets.time_s, b.budgets.energy_j);
     for t in &b.tenants {
         for iv in [
             t.bytes_read,
@@ -93,20 +89,23 @@ fn float_bits(b: &SetBounds) -> Vec<u64> {
         ] {
             interval_bits(&mut out, iv);
         }
-        budgets(&mut out, t.budgets.time_s, t.budgets.energy_j);
     }
     out
 }
 
-/// Asserts that the typed certification equals the oracle's.
-fn assert_same(typed: (&SessionSet, &Certification), oracle: &(SessionSet, Certification)) {
-    let ((tset, tcert), (oset, ocert)) = (typed, oracle);
-    assert_eq!(tcert.verdict, ocert.verdict, "{}", ocert.report.render());
-    assert_eq!(tcert.codes(), ocert.codes());
-    assert_eq!(tcert.report.render(), ocert.report.render());
-    assert_eq!(float_bits(&tcert.bounds), float_bits(&ocert.bounds));
-    assert_eq!(tcert.bounds.config_name, ocert.bounds.config_name);
-    assert_eq!(tcert.bounds.set.unit_bursts, ocert.bounds.set.unit_bursts);
+/// Asserts that the typed certification (the set and bounds the gate
+/// lends, the verdict and the findings) equals the oracle's.
+fn assert_same(
+    typed: (&SessionSet, &SetBounds, Verdict, Report),
+    oracle: &(SessionSet, Certification),
+) {
+    let ((tset, tbounds, tverdict, treport), (oset, ocert)) = (typed, oracle);
+    assert_eq!(tverdict, ocert.verdict, "{}", ocert.report.render());
+    assert_eq!(treport.codes(), ocert.codes());
+    assert_eq!(treport.render(), ocert.report.render());
+    assert_eq!(float_bits(tbounds), float_bits(&ocert.bounds));
+    assert_eq!(tbounds.config_name, ocert.bounds.config_name);
+    assert_eq!(tbounds.set.unit_bursts, ocert.bounds.set.unit_bursts);
     assert_eq!(tset.mem_layer, oset.mem_layer);
     assert_eq!(tset.budgets, oset.budgets);
     assert_eq!(tset.tenants.len(), oset.tenants.len());
@@ -114,7 +113,7 @@ fn assert_same(typed: (&SessionSet, &Certification), oracle: &(SessionSet, Certi
         .tenants
         .iter()
         .zip(&oset.tenants)
-        .zip(tcert.bounds.tenants.iter().zip(&ocert.bounds.tenants))
+        .zip(tbounds.tenants.iter().zip(&ocert.bounds.tenants))
     {
         assert_eq!(
             (&t.name, t.line, t.partition, t.arrival),
@@ -123,10 +122,7 @@ fn assert_same(typed: (&SessionSet, &Certification), oracle: &(SessionSet, Certi
         assert_eq!(t.session.extents, o.session.extents, "{}", t.name);
         assert_eq!(t.session.budgets, o.session.budgets, "{}", t.name);
         assert_eq!(t.session.program, o.session.program, "{}", t.name);
-        assert_eq!(
-            (&tb.name, &tb.missing_extents),
-            (&ob.name, &ob.missing_extents)
-        );
+        assert_eq!(tb.missing_extents, ob.missing_extents, "{}", t.name);
     }
 }
 
@@ -141,9 +137,10 @@ fn oracle(gate: &AdmissionGate, batch: &[Resident]) -> (SessionSet, Certificatio
 /// oracle's; returns the verdict.
 fn certify_like_the_oracle(gate: &mut AdmissionGate, batch: &[Resident]) -> Verdict {
     let want = oracle(gate, batch);
-    let (set, cert) = gate.certify(batch);
-    assert_same((set, &cert), &want);
-    cert.verdict
+    let typed = gate.certify(batch);
+    let verdict = typed.2;
+    assert_same(typed, &want);
+    verdict
 }
 
 /// Budget tiers: absent, generous, impossible.

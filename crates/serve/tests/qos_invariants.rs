@@ -110,8 +110,8 @@ fn no_request_is_simulated_outside_its_partition() {
         place(1, "sar-chain-256", a, None),
         place(2, "stap-tiny", a + b, None),
     ];
-    let (set, cert) = gate.certify(&batch);
-    assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
+    let (set, _, verdict, report) = gate.certify(&batch);
+    assert_eq!(verdict, Verdict::Admit, "{}", report.render());
     for (resident, stream) in batch.iter().zip(tenant_streams(set)) {
         assert!(!stream.trace.is_empty());
         for req in stream.trace.iter() {
@@ -165,15 +165,15 @@ fn noisy_neighbor_cannot_push_victim_below_certified_floor() {
         place(0, "stap-tiny", 0, None),
         place(1, "sar-loop-256", victim_slot, None),
     ];
-    let (set, cert) = gate.certify(&batch);
-    assert_eq!(cert.verdict, Verdict::Admit, "{}", cert.report.render());
+    let (set, bounds, verdict, report) = gate.certify(&batch);
+    assert_eq!(verdict, Verdict::Admit, "{}", report.render());
 
     let cfg = resolved_set_config(set, &env);
     let run = simulate_tenants(&cfg, &tenant_streams(set), &SimOptions::cycle())
         .expect("admitted batch replays");
 
     let victim = &run.tenants[0];
-    let vb = &cert.bounds.tenants[0];
+    let vb = &bounds.tenants[0];
     // Exact own-bytes attribution...
     let own_bytes = victim.bytes_read.get() + victim.bytes_written.get();
     assert_eq!(own_bytes as f64, vb.bytes_read.lo + vb.bytes_written.lo);
@@ -208,8 +208,8 @@ fn asym_split_gives_the_high_tenant_a_unit_nobody_else_touches() {
         place(0, "sar-chain-256", 0, None),
         place(1, "stap-tiny", split, None),
     ];
-    let (set, cert) = gate.certify(&batch);
-    assert_ne!(cert.verdict, Verdict::Reject, "{}", cert.report.render());
+    let (set, _, verdict, report) = gate.certify(&batch);
+    assert_ne!(verdict, Verdict::Reject, "{}", report.render());
 
     let cfg = resolved_set_config(set, &env);
     let dedicated = cfg.mapping.units() - 1;

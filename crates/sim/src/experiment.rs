@@ -117,10 +117,8 @@ impl OpComparison {
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentOptions {
     /// Static-verification policy for the process-wide preflight
-    /// ([`crate::preflight`]). `Enforce` (the default) fails the
-    /// experiment on coded errors; `Warn` records the report in
-    /// [`ExperimentReport::verify`] and continues; `Off` skips the
-    /// preflight entirely.
+    /// ([`preflight`](mod@crate::preflight)). `Enforce` (the default) fails the
+    /// experiment on coded errors; `Off` skips the preflight entirely.
     pub verify: VerifyMode,
     /// Instrumentation sink. [`Obs::off`] (the default) costs one
     /// branch; an enabled recorder sees the per-platform breakdowns
@@ -133,10 +131,8 @@ pub struct ExperimentOptions {
     pub sanitizer: Sanitizer,
     /// Modeled energy envelope for the MEALib row. When set (and
     /// verification is not [`VerifyMode::Off`]), a run whose modeled
-    /// MEALib energy exceeds the budget draws an MEA203
-    /// ([`mealib_types::ErrorCode::BoundsEnergyBudget`]) diagnostic:
-    /// `Enforce` fails the experiment, `Warn` records it in
-    /// [`ExperimentReport::verify`].
+    /// MEALib energy exceeds the budget fails with an MEA203
+    /// ([`mealib_types::ErrorCode::BoundsEnergyBudget`]) diagnostic.
     pub energy_budget: Option<mealib_types::Joules>,
 }
 
@@ -172,8 +168,7 @@ impl ExperimentOptions {
 }
 
 /// The result of [`run_experiment`]: the five-platform comparison plus
-/// the MEALib phase/counter breakdown and, under
-/// [`VerifyMode::Warn`], the preflight report.
+/// the MEALib phase/counter breakdown.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Results in platform order: Haswell, Xeon Phi, PSAS, MSAS, MEALib.
@@ -182,9 +177,6 @@ pub struct ExperimentReport {
     /// DRAM command counters). Its time and energy totals equal the
     /// MEALib row's `time`/`energy` exactly.
     pub breakdown: Breakdown,
-    /// The preflight report when `verify` was [`VerifyMode::Warn`];
-    /// `None` under `Enforce` (errors become `Err`) and `Off`.
-    pub verify: Option<mealib_types::Report>,
     /// The sanitizer's final MEA1xx report when an active
     /// [`Sanitizer`] was installed; `None` otherwise.
     pub sanitizer: Option<mealib_types::Report>,
@@ -194,27 +186,24 @@ pub struct ExperimentReport {
 /// PSAS, MSAS, MEALib — per the policy in `opts`.
 ///
 /// Under [`VerifyMode::Enforce`] the first call in a process runs the
-/// static-verification preflight ([`crate::preflight`]): TDL semantics,
+/// static-verification preflight ([`preflight`](mod@crate::preflight)): TDL semantics,
 /// descriptor image, memory-config validation (with the interleaving
 /// bijectivity proof), physical-memory consistency, and the dataflow &
 /// coherence analysis. Subsequent calls reuse the cached verdict.
 ///
 /// # Errors
 ///
-/// Returns the diagnostic report if the preflight finds coded errors
-/// under `Enforce`. `Warn` and `Off` never fail.
+/// Under `Enforce`, returns the diagnostic report if the preflight
+/// finds coded errors or the modeled MEALib energy exceeds
+/// [`ExperimentOptions::energy_budget`]. `Off` never fails.
 pub fn run_experiment(
     op: &AccelParams,
     opts: &ExperimentOptions,
 ) -> Result<ExperimentReport, mealib_types::Report> {
-    let verify = match opts.verify {
-        VerifyMode::Enforce => {
-            crate::preflight::preflight_checked()?;
-            None
-        }
-        VerifyMode::Warn => Some(crate::preflight::preflight()),
-        VerifyMode::Off => None,
-    };
+    let enforce = opts.verify == VerifyMode::Enforce;
+    if enforce {
+        crate::preflight::preflight_checked()?;
+    }
 
     let mut rows = Vec::with_capacity(5);
     for platform in [Platform::haswell(), Platform::xeon_phi()] {
@@ -251,12 +240,10 @@ pub fn run_experiment(
             bytes: r.mem.bytes_moved().get(),
         });
     }
-    // MEA203-style energy-envelope check over the modeled MEALib row,
-    // honoring the verification policy.
-    let mut verify = verify;
+    // MEA203-style energy-envelope check over the modeled MEALib row.
     if let Some(budget) = opts.energy_budget {
         let modeled = rows.last().expect("five rows").energy;
-        if modeled.get() > budget.get() && !matches!(opts.verify, VerifyMode::Off) {
+        if enforce && modeled.get() > budget.get() {
             let mut r = mealib_types::Report::new();
             r.push(mealib_types::Diagnostic::error(
                 mealib_types::ErrorCode::BoundsEnergyBudget,
@@ -266,13 +253,7 @@ pub fn run_experiment(
                     budget.get()
                 ),
             ));
-            match opts.verify {
-                VerifyMode::Enforce => return Err(r),
-                _ => match verify.as_mut() {
-                    Some(v) => v.merge(r),
-                    None => verify = Some(r),
-                },
-            }
+            return Err(r);
         }
     }
     let sanitizer = if opts.sanitizer.is_active() {
@@ -284,7 +265,6 @@ pub fn run_experiment(
     Ok(ExperimentReport {
         comparison: OpComparison { op: *op, rows },
         breakdown,
-        verify,
         sanitizer,
     })
 }
@@ -395,17 +375,14 @@ mod tests {
             err.has_code(mealib_types::ErrorCode::BoundsEnergyBudget),
             "{err}"
         );
-        // ...is only recorded under Warn...
-        let warned = run_experiment(
+        // ...is not checked under Off...
+        let unchecked = run_experiment(
             &op,
             &ExperimentOptions::default()
-                .verify(VerifyMode::Warn)
+                .verify(VerifyMode::Off)
                 .energy_budget(mealib_types::Joules::from_picos(1.0)),
-        )
-        .expect("Warn never fails");
-        assert!(warned
-            .verify
-            .is_some_and(|r| r.has_code(mealib_types::ErrorCode::BoundsEnergyBudget)));
+        );
+        assert!(unchecked.is_ok());
         // ...and a generous envelope passes untouched.
         let ok = run_experiment(
             &op,
@@ -542,21 +519,6 @@ mod tests {
             report.breakdown.counter(mealib_obs::Counter::DramAct) > 0,
             "DRAM activates recorded"
         );
-        assert!(report.verify.is_none(), "Enforce yields no warn report");
-    }
-
-    #[test]
-    fn warn_mode_surfaces_preflight_report() {
-        let op = AccelParams::Axpy {
-            n: 1 << 16,
-            alpha: 1.0,
-            incx: 1,
-            incy: 1,
-        };
-        let opts = ExperimentOptions::default().verify(VerifyMode::Warn);
-        let report = run_experiment(&op, &opts).expect("warn never fails");
-        let preflight = report.verify.expect("warn records the report");
-        assert!(!preflight.has_errors(), "shipping config is clean");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Parallel experiment sweeps.
 //!
-//! The Figure 9/10 harnesses run [`run_experiment`](crate::run_experiment)
+//! The Figure 9/10 harnesses run [`run_experiment`]
 //! once per Table 2 workload; the design-space and ablation studies run
 //! hundreds of independent configurations. Each call is self-contained —
 //! it builds its accelerated platforms and its breakdown locally, and the
 //! shared pieces ([`TraceRecorder::shared`](mealib_obs::TraceRecorder)
-//! sinks, the [`preflight`](crate::preflight) verdict cache, the
+//! sinks, the [`preflight`](mod@crate::preflight) verdict cache, the
 //! sanitizer state) are behind `Arc`/`Mutex`/`OnceLock` — so fanning the
 //! calls across a bounded worker pool preserves every per-run result
 //! bit-for-bit.

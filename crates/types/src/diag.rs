@@ -531,6 +531,17 @@ impl Report {
         self.diags.iter().any(|d| d.code == code)
     }
 
+    /// The distinct codes found, in first-seen order.
+    pub fn codes(&self) -> Vec<ErrorCode> {
+        let mut out = Vec::new();
+        for d in &self.diags {
+            if !out.contains(&d.code) {
+                out.push(d.code);
+            }
+        }
+        out
+    }
+
     /// Number of error-severity findings.
     pub fn error_count(&self) -> usize {
         self.diags

@@ -29,7 +29,7 @@ use mealib_tdl::{AcceleratorKind, TdlItem};
 
 use crate::dataflow::{HostOp, Session};
 
-/// The most unrolled steps [`crate::interference::compose`] may take:
+/// The most unrolled steps [`crate::interference::compose()`] may take:
 /// it materializes every request of every tenant for the interleaver
 /// and prices every accelerator invocation in the energy floor. It
 /// counts both before it starts and returns

@@ -12,7 +12,7 @@
 //!
 //! The analysis has three stages, one per submodule:
 //!
-//! 1. [`elaborate`] — lower the program into canonical memory-request
+//! 1. [`elaborate`](mod@elaborate) — lower the program into canonical memory-request
 //!    segments (each loop body kept once with its static trip count,
 //!    not unrolled) plus a liveness-exact peak-footprint figure;
 //! 2. [`summary`] — price the segments through the memory layer the

@@ -66,13 +66,11 @@ use crate::bounds::elaborate::check_budget;
 use crate::bounds::summary::accel_energy;
 use crate::bounds::BoundsEnv;
 use crate::bounds::UNROLL_BUDGET;
-use crate::dataflow::{Budgets, MemLayer};
+use crate::dataflow::MemLayer;
 
 /// Certified composed bounds for one tenant of a session set.
 #[derive(Debug, Clone)]
 pub struct TenantBounds {
-    /// Tenant name from the manifest.
-    pub name: String,
     /// Bytes read by the tenant's own requests (exact).
     pub bytes_read: Interval,
     /// Bytes written by the tenant's own requests (exact).
@@ -92,8 +90,6 @@ pub struct TenantBounds {
     /// Modeled accelerator energy (Table-5 datapath floor to
     /// datapath + leakage over the set-level elapsed ceiling).
     pub accel_energy: Interval,
-    /// The tenant session's own declared budgets.
-    pub budgets: Budgets,
     /// Buffers in the tenant's session without a declared extent —
     /// their traffic is absent from every interval above.
     pub missing_extents: Vec<String>,
@@ -117,8 +113,6 @@ pub struct SetBounds {
     pub set: TraceBounds,
     /// Per-tenant composed bounds, in manifest order.
     pub tenants: Vec<TenantBounds>,
-    /// Set-level envelope from the manifest header.
-    pub budgets: Budgets,
 }
 
 impl SetBounds {
@@ -196,7 +190,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
     let cold = (cfg.timing.t_rcd + cfg.timing.t_cl) as f64;
 
     let mut tenants = Vec::with_capacity(set.tenants.len());
-    for ((decl, own), program) in set.tenants.iter().zip(&counts).zip(programs) {
+    for (own, program) in counts.iter().zip(programs) {
         let own_bursts = own.read_bursts as f64 + own.write_bursts as f64;
 
         // Bus-occupancy floor from the tenant's own traffic: its last
@@ -234,7 +228,6 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
         };
 
         tenants.push(TenantBounds {
-            name: decl.name.clone(),
             bytes_read: Interval::exact(own.bytes_read as f64),
             bytes_written: Interval::exact(own.bytes_written as f64),
             read_bursts: Interval::exact(own.read_bursts as f64),
@@ -245,7 +238,6 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
             energy,
             // Leakage accrues for at most the set-level elapsed ceiling.
             accel_energy: accel_energy(&program, set_tb.elapsed.hi),
-            budgets: decl.session.budgets,
             missing_extents: program.missing_extents,
         });
     }
@@ -255,7 +247,6 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
         peak_bandwidth: cfg.peak_bandwidth(),
         set: set_tb,
         tenants,
-        budgets: set.budgets,
     })
 }
 
@@ -318,32 +309,40 @@ mod tests {
         let cfg = resolved_set_config(&set, &env);
         let run = simulate_tenants(&cfg, &tenant_streams(&set), &SimOptions::dual_check()).unwrap();
         assert!(bounds.set.check_contains(&run.stats).is_none());
-        for (tb, m) in bounds.tenants.iter().zip(&run.tenants) {
+        for ((decl, tb), m) in set.tenants.iter().zip(&bounds.tenants).zip(&run.tenants) {
             assert!(
                 tb.bytes_read.is_exact() && tb.read_bursts.is_exact(),
                 "{}",
-                tb.name
+                decl.name
             );
             assert!(
                 tb.bytes_read.contains(m.bytes_read.get() as f64),
                 "{}",
-                tb.name
+                decl.name
             );
             assert!(
                 tb.bytes_written.contains(m.bytes_written.get() as f64),
                 "{}",
-                tb.name
+                decl.name
             );
-            assert!(tb.read_bursts.contains(m.read_bursts as f64), "{}", tb.name);
+            assert!(
+                tb.read_bursts.contains(m.read_bursts as f64),
+                "{}",
+                decl.name
+            );
             assert!(
                 tb.write_bursts.contains(m.write_bursts as f64),
                 "{}",
-                tb.name
+                decl.name
             );
-            assert!(tb.activations.contains(m.activations as f64), "{}", tb.name);
-            assert!(tb.cycles.contains(m.cycles.get() as f64), "{}", tb.name);
-            assert!(tb.elapsed.contains(m.elapsed.get()), "{}", tb.name);
-            assert!(tb.energy.contains(m.energy.get()), "{}", tb.name);
+            assert!(
+                tb.activations.contains(m.activations as f64),
+                "{}",
+                decl.name
+            );
+            assert!(tb.cycles.contains(m.cycles.get() as f64), "{}", decl.name);
+            assert!(tb.elapsed.contains(m.elapsed.get()), "{}", decl.name);
+            assert!(tb.energy.contains(m.energy.get()), "{}", decl.name);
         }
     }
 

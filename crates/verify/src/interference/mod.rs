@@ -4,9 +4,9 @@
 //! sharing one memory layer, each with a vault partition, an arrival
 //! phase, and optional per-tenant budgets, under an optional set-level
 //! time/energy envelope. This module composes the per-program PR-6
-//! interval summaries into **multi-tenant bounds** ([`compose`]) and
-//! judges them ([`passes`]), ending in a three-valued admission
-//! verdict:
+//! interval summaries into **multi-tenant bounds** ([`compose()`]) and
+//! judges them against the set ([`judge`], the MEA3xx passes), ending
+//! in a three-valued admission verdict:
 //!
 //! * [`Verdict::Reject`] — at least one MEA3xx violation is *proved*:
 //!   partitions overlap or leak (MEA300), the summed demand
@@ -98,17 +98,11 @@ impl Certification {
     /// controllers attach these to every rejection so a shed session
     /// always names the violation the certificate established.
     pub fn codes(&self) -> Vec<mealib_types::ErrorCode> {
-        let mut out = Vec::new();
-        for d in self.report.diagnostics() {
-            if !out.contains(&d.code) {
-                out.push(d.code);
-            }
-        }
-        out
+        self.report.codes()
     }
 }
 
-/// Composes `set` and judges it: [`compose`] followed by [`judge`].
+/// Composes `set` and judges it: [`compose()`] followed by [`judge`].
 ///
 /// # Errors
 ///
@@ -117,51 +111,48 @@ impl Certification {
 /// set moving more bytes than a `u64` counts, or its loops unrolling
 /// past [`crate::bounds::UNROLL_BUDGET`].
 pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, BoundsError> {
-    Ok(judge(set, compose(set, env)?))
+    let bounds = compose(set, env)?;
+    let (verdict, report) = judge(set, &bounds);
+    Ok(Certification {
+        verdict,
+        report,
+        bounds,
+    })
 }
 
 /// Runs the MEA3xx passes over `set` and its composed `bounds` and
-/// derives the admission verdict.
+/// returns the admission verdict with the findings behind it.
 ///
 /// Tenant names and declared budgets (set-level and per tenant) are
-/// taken from `set`: [`compose`] only copies them into its output, so
-/// bounds composed for a set of the same layout (the same tenant
-/// sessions, arrivals and shared layer) judge exactly like bounds
-/// composed for `set` itself. That is what lets an admission gate
-/// compose each layout once and judge every request against it.
+/// read from `set` alone; `bounds` carries only what [`compose()`]
+/// derived. So bounds composed for a set of the same layout (the same
+/// tenant sessions, arrivals and shared layer) judge exactly like
+/// bounds composed for `set` itself. That is what lets an admission
+/// gate compose each layout once and judge every request against it.
 ///
 /// # Panics
 ///
 /// Panics if `bounds` has a different tenant count from `set`.
-pub fn judge(set: &SessionSet, mut bounds: SetBounds) -> Certification {
+pub fn judge(set: &SessionSet, bounds: &SetBounds) -> (Verdict, Report) {
     assert_eq!(
         set.tenants.len(),
         bounds.tenants.len(),
         "bounds composed for another layout"
     );
-    bounds.budgets = set.budgets;
-    for (tb, decl) in bounds.tenants.iter_mut().zip(&set.tenants) {
-        tb.name.clone_from(&decl.name);
-        tb.budgets = decl.session.budgets;
-    }
     let mut report = Report::new();
     passes::check_partitions(set, &mut report);
-    passes::check_bus(&bounds, &mut report);
-    passes::check_latency(set, &bounds, &mut report);
-    passes::check_energy_envelope(set, &bounds, &mut report);
+    passes::check_bus(set, bounds, &mut report);
+    passes::check_latency(set, bounds, &mut report);
+    passes::check_energy_envelope(set, bounds, &mut report);
 
     let verdict = if !report.is_clean() {
         Verdict::Reject
-    } else if proves_admissible(set, &bounds) {
+    } else if proves_admissible(set, bounds) {
         Verdict::Admit
     } else {
         Verdict::Unknown
     };
-    Certification {
-        verdict,
-        report,
-        bounds,
-    }
+    (verdict, report)
 }
 
 /// `true` when the *upper* bounds prove the set safe: every tenant has
@@ -174,19 +165,20 @@ fn proves_admissible(set: &SessionSet, bounds: &SetBounds) -> bool {
     if !isolated || !complete {
         return false;
     }
-    if let Some(time_s) = bounds.budgets.time_s {
+    if let Some(time_s) = set.budgets.time_s {
         if bounds.set.elapsed.hi > time_s {
             return false;
         }
     }
-    if let Some(envelope_j) = bounds.budgets.energy_j {
+    if let Some(envelope_j) = set.budgets.energy_j {
         if bounds.energy_ceiling() > envelope_j {
             return false;
         }
     }
-    bounds.tenants.iter().all(|t| {
-        t.budgets.time_s.is_none_or(|b| t.elapsed.hi <= b)
-            && t.budgets
+    set.tenants.iter().zip(&bounds.tenants).all(|(decl, t)| {
+        let budgets = decl.session.budgets;
+        budgets.time_s.is_none_or(|b| t.elapsed.hi <= b)
+            && budgets
                 .energy_j
                 .is_none_or(|b| t.energy.hi + t.accel_energy.hi <= b)
     })
@@ -321,22 +313,38 @@ PASS in=p out=q {
 
     #[test]
     fn judge_takes_names_and_budgets_from_the_set() {
-        // Bounds composed for one budgeting of a layout judge another
-        // budgeting of it exactly as its own composition would.
+        // Bounds composed for the unbudgeted layout judge every other
+        // budgeting and naming of it exactly as its own composition
+        // would: the set envelope in time and in energy, and a tenant's
+        // own energy budget.
         let env = BoundsEnv::default();
-        let generous = parse_session_set(CLEAN).unwrap();
-        let composed = compose(&generous, &env).unwrap();
-        let tight_src = CLEAN
-            .replace("BUDGET TIME 10.0", "BUDGET TIME 1e-9")
-            .replace("TENANT b", "TENANT renamed");
-        let tight = parse_session_set(&tight_src).unwrap();
-        let reused = judge(&tight, composed);
-        let fresh = certify_set(&tight, &env).unwrap();
-        assert_eq!(reused.verdict, Verdict::Reject);
-        assert_eq!(reused.verdict, fresh.verdict);
-        assert_eq!(reused.report.render(), fresh.report.render());
-        assert_eq!(reused.bounds.budgets, fresh.bounds.budgets);
-        assert_eq!(reused.bounds.tenants[1].name, "renamed");
+        let unbudgeted = CLEAN
+            .replace("BUDGET TIME 10.0\n", "")
+            .replace("BUDGET ENERGY 100.0\n", "");
+        let composed = compose(&parse_session_set(&unbudgeted).unwrap(), &env).unwrap();
+        let tenant_energy = "PARTITION 0x1000000 0x1000000\nBUDGET ENERGY 1e-9\n";
+        for (src, code) in [
+            (
+                CLEAN.replace("BUDGET TIME 10.0", "BUDGET TIME 1e-9"),
+                ErrorCode::InterfereBusOversubscribed,
+            ),
+            (
+                CLEAN.replace("BUDGET ENERGY 100.0", "BUDGET ENERGY 1e-9"),
+                ErrorCode::InterfereEnergyEnvelope,
+            ),
+            (
+                CLEAN.replace("PARTITION 0x1000000 0x1000000\n", tenant_energy),
+                ErrorCode::InterfereEnergyEnvelope,
+            ),
+        ] {
+            let tight = parse_session_set(&src.replace("TENANT b", "TENANT renamed")).unwrap();
+            let (verdict, report) = judge(&tight, &composed);
+            let fresh = certify_set(&tight, &env).unwrap();
+            assert_eq!(verdict, Verdict::Reject, "{code}");
+            assert!(report.has_code(code), "{}", report.render());
+            assert_eq!(verdict, fresh.verdict, "{code}");
+            assert_eq!(report.render(), fresh.report.render());
+        }
     }
 
     #[test]

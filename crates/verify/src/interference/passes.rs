@@ -66,8 +66,8 @@ pub(super) fn check_partitions(set: &SessionSet, report: &mut Report) {
 /// bus occupancy of the interleaved trace, or aggregate bytes over the
 /// layer roofline, whichever is larger — already exceeds the envelope,
 /// so no schedule of these tenants on this layer can meet it.
-pub(super) fn check_bus(bounds: &SetBounds, report: &mut Report) {
-    let Some(time_s) = bounds.budgets.time_s else {
+pub(super) fn check_bus(set: &SessionSet, bounds: &SetBounds, report: &mut Report) {
+    let Some(time_s) = set.budgets.time_s else {
         return;
     };
     let bytes_lo = bounds.set.bytes_read.lo + bounds.set.bytes_written.lo;
@@ -97,7 +97,7 @@ pub(super) fn check_bus(bounds: &SetBounds, report: &mut Report) {
 /// tenant's own `BUDGET TIME`.
 pub(super) fn check_latency(set: &SessionSet, bounds: &SetBounds, report: &mut Report) {
     for (decl, tb) in set.tenants.iter().zip(&bounds.tenants) {
-        let Some(time_s) = tb.budgets.time_s else {
+        let Some(time_s) = decl.session.budgets.time_s else {
             continue;
         };
         if tb.elapsed.lo > time_s {
@@ -107,7 +107,7 @@ pub(super) fn check_latency(set: &SessionSet, bounds: &SetBounds, report: &mut R
                     format!(
                         "tenant {}'s last request cannot complete before {:.3e} s under this mix \
                          (co-tenant interference included) but its latency budget is {time_s:.3e} s",
-                        tb.name, tb.elapsed.lo,
+                        decl.name, tb.elapsed.lo,
                     ),
                 )
                 .at_line(decl.line),
@@ -121,7 +121,7 @@ pub(super) fn check_latency(set: &SessionSet, bounds: &SetBounds, report: &mut R
 /// the aggregate envelope; or one tenant's attributed floor exceeds
 /// its own `BUDGET ENERGY`.
 pub(super) fn check_energy_envelope(set: &SessionSet, bounds: &SetBounds, report: &mut Report) {
-    if let Some(envelope_j) = bounds.budgets.energy_j {
+    if let Some(envelope_j) = set.budgets.energy_j {
         let floor_j = bounds.energy_floor();
         if floor_j > envelope_j {
             report.push(Diagnostic::error(
@@ -137,7 +137,7 @@ pub(super) fn check_energy_envelope(set: &SessionSet, bounds: &SetBounds, report
         }
     }
     for (decl, tb) in set.tenants.iter().zip(&bounds.tenants) {
-        let Some(budget_j) = tb.budgets.energy_j else {
+        let Some(budget_j) = decl.session.budgets.energy_j else {
             continue;
         };
         let floor_j = tb.energy.lo + tb.accel_energy.lo;
@@ -148,7 +148,7 @@ pub(super) fn check_energy_envelope(set: &SessionSet, bounds: &SetBounds, report
                     format!(
                         "tenant {}'s attributed energy floor {floor_j:.3e} J exceeds its declared \
                          budget {budget_j:.3e} J",
-                        tb.name,
+                        decl.name,
                     ),
                 )
                 .at_line(decl.line),

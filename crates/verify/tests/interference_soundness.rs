@@ -108,7 +108,6 @@ fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
             }
         }
         tenants.push(TenantBounds {
-            name: decl.name.clone(),
             bytes_read: own_tb.bytes_read,
             bytes_written: own_tb.bytes_written,
             read_bursts: own_tb.read_bursts,
@@ -118,7 +117,6 @@ fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
             elapsed,
             energy,
             accel_energy: Interval::new(datapath_j, datapath_j + leakage_w * set_tb.elapsed.hi),
-            budgets: decl.session.budgets,
             missing_extents: e.missing_extents,
         });
     }
@@ -127,7 +125,6 @@ fn reference_compose(set: &SessionSet, env: &BoundsEnv) -> SetBounds {
         peak_bandwidth: cfg.peak_bandwidth(),
         set: set_tb,
         tenants,
-        budgets: set.budgets,
     }
 }
 
@@ -167,12 +164,10 @@ fn assert_matches_reference(name: &str, set: &SessionSet, env: &BoundsEnv) {
         want.peak_bandwidth.get().to_bits(),
         "{name}"
     );
-    assert_eq!(got.budgets, want.budgets, "{name}");
     assert_same_trace_bounds(&format!("{name}/set"), &got.set, &want.set);
     assert_eq!(got.tenants.len(), want.tenants.len(), "{name}");
-    for (g, w) in got.tenants.iter().zip(&want.tenants) {
-        let t = format!("{name}/{}", w.name);
-        assert_eq!(g.name, w.name, "{t}");
+    for ((decl, g), w) in set.tenants.iter().zip(&got.tenants).zip(&want.tenants) {
+        let t = format!("{name}/{}", decl.name);
         let fields = [
             ("bytes_read", g.bytes_read, w.bytes_read),
             ("bytes_written", g.bytes_written, w.bytes_written),
@@ -187,7 +182,6 @@ fn assert_matches_reference(name: &str, set: &SessionSet, env: &BoundsEnv) {
         for (field, gi, wi) in fields {
             assert_same_bits(&format!("{t}.{field}"), gi, wi);
         }
-        assert_eq!(g.budgets, w.budgets, "{t}");
         assert_eq!(g.missing_extents, w.missing_extents, "{t}");
     }
 }
@@ -222,8 +216,8 @@ fn assert_contained(name: &str, set: &SessionSet, env: &BoundsEnv) {
         panic!("{name}: set-level bounds violated: {violated}");
     }
     assert_eq!(bounds.tenants.len(), run.tenants.len(), "{name}");
-    for (tb, m) in bounds.tenants.iter().zip(&run.tenants) {
-        let t = &tb.name;
+    for ((decl, tb), m) in set.tenants.iter().zip(&bounds.tenants).zip(&run.tenants) {
+        let t = &decl.name;
         // Affine programs with static trip counts: traffic is exact.
         assert!(tb.bytes_read.is_exact(), "{name}/{t}: bytes_read not exact");
         assert!(tb.read_bursts.is_exact(), "{name}/{t}: bursts not exact");

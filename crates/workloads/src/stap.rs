@@ -395,7 +395,7 @@ pub struct StapProfile {
 /// The dominant accelerator traffic of a named offloaded phase
 /// (`"fftw (chain)"`, `"cdotc"`, or `"saxpy"`), used to drive the
 /// profiled DRAM replay. Must stay in sync with the descriptors
-/// [`run_mealib_pipeline`] builds.
+/// `run_mealib_pipeline` builds.
 ///
 /// # Panics
 ///

@@ -30,6 +30,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc: rustdoc warnings are errors"
+# The root package and every crate under crates/*. The vendored
+# rand/proptest/criterion stand-ins implement API subsets for tests
+# and are not documented crates, so they are left out.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
+    --exclude proptest --exclude rand --exclude criterion
+
 MEALINT=(cargo run -q --release -p mealib-verify --bin mealint --)
 
 echo "==> mealint: examples and clean corpus must be clean"
