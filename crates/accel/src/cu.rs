@@ -549,13 +549,9 @@ mod tests {
     fn corrupt_param_blob_is_an_error() {
         let desc = make_descriptor(1);
         let mut bytes = desc.as_bytes().to_vec();
-        // Clobber the last byte (inside the PR blob).
-        let last = bytes.len() - 1;
-        // Make FFT n not a power of two by trashing the tag instead:
-        // locate PR offset from CR.
+        // Trash the parameter blob's tag: locate the PR offset from the CR.
         let pr_off = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         bytes[pr_off] = 0x7f; // invalid tag
-        let _ = last;
         let corrupted = Descriptor::decode_bytes(&bytes).map(|_| ());
         assert!(corrupted.is_ok(), "IR still decodes");
         // Re-wrap: Descriptor has no public from-bytes constructor, so

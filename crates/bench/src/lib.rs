@@ -12,8 +12,7 @@ pub mod perf;
 
 use std::path::PathBuf;
 
-use mealib_obs::json::Object;
-use mealib_obs::Profile;
+use mealib_obs::{BenchRecord, Profile};
 
 /// Command-line options shared by every harness binary.
 ///
@@ -102,34 +101,28 @@ impl HarnessOpts {
 /// harness run, `{"bench": <name>, "metrics": {<key>: <number>, ...}}`.
 #[derive(Debug, Clone)]
 pub struct JsonSummary {
-    name: String,
-    metrics: Vec<(String, f64)>,
+    record: BenchRecord,
 }
 
 impl JsonSummary {
     /// Starts a summary for the named experiment.
     pub fn new(name: &str) -> Self {
         Self {
-            name: name.to_string(),
-            metrics: Vec::new(),
+            record: BenchRecord {
+                bench: name.to_string(),
+                metrics: Vec::new(),
+            },
         }
     }
 
     /// Records one scalar metric.
     pub fn metric(&mut self, key: &str, value: f64) {
-        self.metrics.push((key.to_string(), value));
+        self.record.metrics.push((key.to_string(), value));
     }
 
     /// Renders the record as a single JSON line.
     pub fn render(&self) -> String {
-        let mut metrics = Object::new();
-        for (k, v) in &self.metrics {
-            metrics.num(k, *v);
-        }
-        let mut obj = Object::new();
-        obj.str("bench", &self.name);
-        obj.raw("metrics", metrics.render());
-        obj.render()
+        self.record.render()
     }
 
     /// Prints the record as the final stdout line when `opts.json` is

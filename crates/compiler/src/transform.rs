@@ -235,7 +235,7 @@ mod tests {
         let end = text[start..].find("\";").expect("closing quote") + start;
         let tdl_text = text[start..end].replace("\\\"", "\"");
         let program = mealib_tdl::parse(&tdl_text).expect("embedded TDL must parse");
-        assert_eq!(program.total_invocations(), 2);
+        assert_eq!(program.total_invocations(), Some(2));
     }
 
     #[test]

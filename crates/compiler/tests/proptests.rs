@@ -52,7 +52,7 @@ proptest! {
             let mut total = 0u64;
             for gen in &out.tdl {
                 let program = mealib_tdl::parse(&gen.text).expect("generated TDL parses");
-                prop_assert_eq!(program.total_invocations(), gen.calls_compacted);
+                prop_assert_eq!(program.total_invocations(), Some(gen.calls_compacted));
                 total += gen.calls_compacted;
             }
             prop_assert_eq!(total, out.stats.dynamic_calls);

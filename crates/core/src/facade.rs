@@ -134,7 +134,6 @@ pub struct MealibBuilder {
     stacks: Option<usize>,
     verify: Option<VerifyMode>,
     obs: Option<Obs>,
-    plan_cache_capacity: Option<usize>,
     sanitizer: Option<Sanitizer>,
 }
 
@@ -169,12 +168,6 @@ impl MealibBuilder {
         self.obs(Obs::new(recorder))
     }
 
-    /// Capacity of the `plan_cached` FIFO (0 disables caching).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = Some(capacity);
-        self
-    }
-
     /// Installs a shadow-memory sanitizer ([`Sanitizer::active`]) that
     /// records every host access, flush, and descriptor execution and
     /// raises the MEA1xx dataflow diagnostics dynamically. Keep a clone
@@ -196,9 +189,6 @@ impl MealibBuilder {
         }
         if let Some(obs) = self.obs {
             rt.set_obs(obs);
-        }
-        if let Some(capacity) = self.plan_cache_capacity {
-            rt.set_plan_cache_capacity(capacity);
         }
         if let Some(san) = self.sanitizer {
             rt.set_sanitizer(san);
@@ -577,10 +567,8 @@ mod tests {
         let mut ml = Mealib::builder()
             .verify(VerifyMode::Off)
             .recorder(rec.clone())
-            .plan_cache_capacity(4)
             .build();
         assert_eq!(ml.runtime().verify_mode(), VerifyMode::Off);
-        assert_eq!(ml.runtime().plan_cache_capacity(), 4);
         assert!(ml.runtime().obs().enabled());
 
         ml.alloc_f32("x", 1 << 12).unwrap();

@@ -31,7 +31,8 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 pub struct BenchRecord {
     /// Harness name, e.g. `"fig09_performance"`.
     pub bench: String,
-    /// Scalar metrics in deterministic (sorted) key order.
+    /// Scalar metrics, rendered in this order (sorted by key when
+    /// parsed).
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -39,6 +40,19 @@ impl BenchRecord {
     /// Looks up one metric by key.
     pub fn metric(&self, key: &str) -> Option<f64> {
         self.metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// Renders the record as one JSON object on a single line,
+    /// `{"bench": <name>, "metrics": {<key>: <number>, ...}}`.
+    pub fn render(&self) -> String {
+        let mut metrics = Object::new();
+        for (k, v) in &self.metrics {
+            metrics.num(k, *v);
+        }
+        let mut o = Object::new();
+        o.str("bench", &self.bench);
+        o.raw("metrics", metrics.render());
+        o.render()
     }
 }
 
@@ -131,20 +145,7 @@ impl BenchSummary {
 
     /// Renders the summary as a schema-v1 document.
     pub fn render(&self) -> String {
-        let records: Vec<String> = self
-            .benches
-            .iter()
-            .map(|b| {
-                let mut metrics = Object::new();
-                for (k, v) in &b.metrics {
-                    metrics.num(k, *v);
-                }
-                let mut o = Object::new();
-                o.str("bench", &b.bench);
-                o.raw("metrics", metrics.render());
-                o.render()
-            })
-            .collect();
+        let records: Vec<String> = self.benches.iter().map(BenchRecord::render).collect();
         let mut doc = Object::new();
         doc.int("schema_version", BENCH_SCHEMA_VERSION);
         doc.str("generated_by", &self.generated_by);

@@ -241,95 +241,39 @@ impl RuntimeCounters {
     }
 }
 
-/// Default capacity of the plan cache (entries).
+/// Capacity of the plan cache (entries).
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
-/// FIFO plan cache behind a `Mutex`, so a `Runtime` can be shared across
-/// sweep worker threads (`Runtime` itself stays `&mut self`, but the
-/// cache must not be the field that makes the type `!Sync`).
-#[derive(Debug)]
+/// FIFO plan cache of at most [`DEFAULT_PLAN_CACHE_CAPACITY`] entries.
+#[derive(Debug, Clone, Default)]
 struct PlanCache {
-    inner: std::sync::Mutex<PlanCacheInner>,
-}
-
-#[derive(Debug, Clone)]
-struct PlanCacheInner {
     plans: std::collections::BTreeMap<String, AccPlan>,
     /// Insertion order of `plans` keys (FIFO eviction).
     order: std::collections::VecDeque<String>,
-    capacity: usize,
 }
 
 impl PlanCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            inner: std::sync::Mutex::new(PlanCacheInner {
-                plans: std::collections::BTreeMap::new(),
-                order: std::collections::VecDeque::new(),
-                capacity,
-            }),
-        }
-    }
-
-    /// A poisoned lock only means another thread panicked mid-insert;
-    /// the cache holds plain data, so recover rather than propagate.
-    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn get(&self, key: &str) -> Option<AccPlan> {
-        self.lock().plans.get(key).cloned()
+        self.plans.get(key).cloned()
     }
 
-    fn insert(&self, key: String, plan: AccPlan) {
-        let mut inner = self.lock();
-        if inner.capacity == 0 {
-            return;
-        }
-        while inner.plans.len() >= inner.capacity {
-            match inner.order.pop_front() {
-                Some(oldest) => {
-                    inner.plans.remove(&oldest);
-                }
-                None => break,
+    fn insert(&mut self, key: String, plan: AccPlan) {
+        if self.plans.len() >= DEFAULT_PLAN_CACHE_CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.plans.remove(&oldest);
             }
         }
-        inner.plans.insert(key.clone(), plan);
-        inner.order.push_back(key);
+        self.plans.insert(key.clone(), plan);
+        self.order.push_back(key);
     }
 
-    fn clear(&self) {
-        let mut inner = self.lock();
-        inner.plans.clear();
-        inner.order.clear();
-    }
-
-    fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity;
-        while inner.plans.len() > capacity {
-            if let Some(oldest) = inner.order.pop_front() {
-                inner.plans.remove(&oldest);
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.lock().capacity
+    fn clear(&mut self) {
+        self.plans.clear();
+        self.order.clear();
     }
 
     fn len(&self) -> usize {
-        self.lock().plans.len()
-    }
-}
-
-impl Clone for PlanCache {
-    fn clone(&self) -> Self {
-        Self {
-            inner: std::sync::Mutex::new(self.lock().clone()),
-        }
+        self.plans.len()
     }
 }
 
@@ -399,7 +343,7 @@ impl Runtime {
             layer,
             counters: RuntimeCounters::default(),
             next_plan_id: 1,
-            plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
+            plan_cache: PlanCache::default(),
             verify_mode: VerifyMode::default(),
             verify_limits: TdlLimits::default(),
             last_verify: None,
@@ -432,18 +376,6 @@ impl Runtime {
     /// The current observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Caps [`Runtime::acc_plan_cached`]'s cache at `capacity` entries
-    /// (FIFO eviction; `0` disables caching). Default:
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`].
-    pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plan_cache.set_capacity(capacity);
-    }
-
-    /// The plan cache's capacity in entries.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache.capacity()
     }
 
     /// Live entries in the plan cache — together with
@@ -576,9 +508,7 @@ impl Runtime {
         let buffers = self.driver.buffer_table();
         let descriptor = Descriptor::encode(&program, params, &buffers)?;
         if verify {
-            report.merge(mealib_verify::descriptor::verify_image(
-                descriptor.as_bytes(),
-            ));
+            report.merge(mealib_tdl::descriptor::check(descriptor.as_bytes()));
             self.last_verify = Some(report.clone());
             if report.has_errors() {
                 return Err(RuntimeError::Verify(report));
@@ -1180,9 +1110,8 @@ mod tests {
     #[test]
     fn plan_cache_capacity_evicts_fifo() {
         let (mut rt, _) = fft_runtime_and_plan(1);
-        rt.set_plan_cache_capacity(2);
         let mut params = ParamBag::new();
-        let tdls: Vec<String> = (0..3)
+        let tdls: Vec<String> = (0..=DEFAULT_PLAN_CACHE_CAPACITY)
             .map(|i| {
                 format!(
                     "LOOP {} {{ PASS in=x out=y {{ COMP FFT params=\"fft.para\" }} }}",
@@ -1194,21 +1123,25 @@ mod tests {
             "fft.para".into(),
             AccelParams::Fft { n: 256, batch: 256 }.to_bytes(),
         );
-        let a = rt.acc_plan_cached(&tdls[0], &params).unwrap();
-        let _b = rt.acc_plan_cached(&tdls[1], &params).unwrap();
-        let _c = rt.acc_plan_cached(&tdls[2], &params).unwrap(); // evicts a
-        let a2 = rt.acc_plan_cached(&tdls[0], &params).unwrap();
-        assert_ne!(a.id(), a2.id(), "oldest entry must have been evicted");
+        let plans: Vec<AccPlan> = tdls
+            .iter()
+            .map(|tdl| rt.acc_plan_cached(tdl, &params).unwrap())
+            .collect(); // the last insert evicts the first
+        assert_eq!(rt.plan_cache_len(), DEFAULT_PLAN_CACHE_CAPACITY);
+        let first = rt.acc_plan_cached(&tdls[0], &params).unwrap();
+        assert_ne!(
+            plans[0].id(),
+            first.id(),
+            "oldest entry must have been evicted"
+        );
         assert_eq!(rt.counters().plan_cache_hits, 0);
-        // The two youngest are still cached.
-        let c2 = rt.acc_plan_cached(&tdls[2], &params).unwrap();
+        // The youngest is still cached.
+        let last = rt
+            .acc_plan_cached(&tdls[DEFAULT_PLAN_CACHE_CAPACITY], &params)
+            .unwrap();
+        assert_eq!(plans[DEFAULT_PLAN_CACHE_CAPACITY].id(), last.id());
         assert_eq!(rt.counters().plan_cache_hits, 1);
-        let _ = c2;
-        // Capacity 0 disables caching entirely.
-        rt.set_plan_cache_capacity(0);
-        let d = rt.acc_plan_cached(&tdls[1], &params).unwrap();
-        let d2 = rt.acc_plan_cached(&tdls[1], &params).unwrap();
-        assert_ne!(d.id(), d2.id());
+        assert_eq!(rt.plan_cache_len(), DEFAULT_PLAN_CACHE_CAPACITY);
     }
 
     #[test]

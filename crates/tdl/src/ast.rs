@@ -221,17 +221,18 @@ impl TdlProgram {
 
     /// Total accelerator invocations, counting loop multipliers — this is
     /// the number of library calls the descriptor compacts (the paper's
-    /// "16 M calls → one descriptor").
-    pub fn total_invocations(&self) -> u64 {
-        self.items
-            .iter()
-            .map(|item| match item {
+    /// "16 M calls → one descriptor"). `None` when the count does not
+    /// fit in a `u64`.
+    pub fn total_invocations(&self) -> Option<u64> {
+        self.items.iter().try_fold(0u64, |total, item| {
+            let n = match item {
                 TdlItem::Pass(p) => p.invocations(),
-                TdlItem::Loop(l) => {
-                    l.count * l.body.iter().map(PassBlock::invocations).sum::<u64>()
-                }
-            })
-            .sum()
+                TdlItem::Loop(l) => l
+                    .count
+                    .checked_mul(l.body.iter().map(PassBlock::invocations).sum())?,
+            };
+            total.checked_add(n)
+        })
     }
 
     /// Number of *static* instructions (pass/loop structure flattened,
@@ -353,8 +354,17 @@ mod tests {
     #[test]
     fn invocation_counting() {
         let p = sample();
-        assert_eq!(p.total_invocations(), 2 + 128);
+        assert_eq!(p.total_invocations(), Some(2 + 128));
         assert_eq!(p.static_invocations(), 3);
+    }
+
+    #[test]
+    fn invocation_count_past_u64_is_none() {
+        let p = crate::parse(
+            "LOOP 9223372036854775808 { PASS in=a out=b { COMP DOT params=\"d\" COMP DOT params=\"d\" } }",
+        )
+        .unwrap();
+        assert_eq!(p.total_invocations(), None);
     }
 
     #[test]

@@ -16,9 +16,19 @@
 //! encoding, so the binary image carries addresses (what the hardware
 //! DMA needs), while the TDL text carries names (what the compiler
 //! emits).
+//!
+//! One walker reads the image back. [`check`] returns its full report
+//! (`MEA010`–`MEA018`: control-region decode, region tiling and
+//! alignment, opcode and nesting legality, parameter-region bounds),
+//! which `mealint` and the runtime's plan verification print.
+//! [`Descriptor::decode_bytes`], the Configuration Unit's decoder,
+//! returns the walker's instructions and refuses exactly the images that
+//! report has an error on.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use mealib_types::{Diagnostic, ErrorCode, Report};
 
 use crate::ast::{AcceleratorKind, TdlItem, TdlProgram};
 
@@ -58,17 +68,9 @@ pub enum DescriptorError {
         /// The unresolved buffer name.
         name: String,
     },
-    /// The binary image is shorter than its headers claim.
-    Truncated,
-    /// The control region magic is wrong.
-    BadMagic,
-    /// An instruction has an opcode outside the ISA.
-    UnknownOpcode {
-        /// The unknown opcode byte.
-        opcode: u8,
-    },
-    /// `PASS`/`LOOP` begin/end markers are not properly nested.
-    UnbalancedBlocks,
+    /// The image fails [`check`]: the report holds every `MEA010`–`MEA018`
+    /// finding, each anchored to its byte span.
+    Malformed(Report),
 }
 
 impl fmt::Display for DescriptorError {
@@ -80,12 +82,9 @@ impl fmt::Display for DescriptorError {
             DescriptorError::UnresolvedBuffer { name } => {
                 write!(f, "buffer `{name}` has no physical address")
             }
-            DescriptorError::Truncated => f.write_str("descriptor image is truncated"),
-            DescriptorError::BadMagic => f.write_str("descriptor magic mismatch"),
-            DescriptorError::UnknownOpcode { opcode } => {
-                write!(f, "unknown instruction opcode {opcode:#04x}")
+            DescriptorError::Malformed(report) => {
+                write!(f, "malformed descriptor image:\n{report}")
             }
-            DescriptorError::UnbalancedBlocks => f.write_str("pass/loop markers are unbalanced"),
         }
     }
 }
@@ -234,98 +233,34 @@ impl Descriptor {
 
     /// Number of IR instructions.
     pub fn instr_count(&self) -> u32 {
-        u32::from_le_bytes(self.bytes[8..12].try_into().expect("CR is 16 bytes"))
+        le32(&self.bytes, 8)
     }
 
-    /// Decodes the instruction region, validating structure.
+    /// Decodes the instruction region, validating the whole image.
     ///
     /// # Errors
     ///
-    /// Returns a [`DescriptorError`] if the image is malformed.
+    /// Returns [`DescriptorError::Malformed`] if [`check`] finds an error.
     pub fn decode(&self) -> Result<Vec<DecodedInstr>, DescriptorError> {
         Self::decode_bytes(&self.bytes)
     }
 
     /// Decodes a raw descriptor image (e.g. read back from the command
-    /// space by the Configuration Unit's fetch unit).
+    /// space by the Configuration Unit's fetch unit). It refuses exactly
+    /// the images [`check`] reports an error on, so every `Accel`
+    /// parameter reference of a decoded image lies inside the PR.
     ///
     /// # Errors
     ///
-    /// Returns a [`DescriptorError`] if the image is malformed.
+    /// Returns [`DescriptorError::Malformed`] with [`check`]'s report if
+    /// the image is malformed.
     pub fn decode_bytes(bytes: &[u8]) -> Result<Vec<DecodedInstr>, DescriptorError> {
-        if bytes.len() < CR_BYTES {
-            return Err(DescriptorError::Truncated);
+        let (instrs, report) = walk(bytes);
+        if report.has_errors() {
+            Err(DescriptorError::Malformed(report))
+        } else {
+            Ok(instrs)
         }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("len checked"));
-        if magic != MAGIC {
-            return Err(DescriptorError::BadMagic);
-        }
-        let instr_count =
-            u32::from_le_bytes(bytes[8..12].try_into().expect("len checked")) as usize;
-        let pr_offset = u32::from_le_bytes(bytes[12..16].try_into().expect("len checked")) as usize;
-        if bytes.len() < CR_BYTES + instr_count * INSTR_BYTES || bytes.len() < pr_offset {
-            return Err(DescriptorError::Truncated);
-        }
-
-        let mut out = Vec::with_capacity(instr_count);
-        let mut pass_depth = 0i32;
-        let mut loop_depth = 0i32;
-        for i in 0..instr_count {
-            let base = CR_BYTES + i * INSTR_BYTES;
-            let opcode = bytes[base];
-            let a = u32::from_le_bytes(bytes[base + 4..base + 8].try_into().expect("len ok"));
-            let b = u64::from_le_bytes(bytes[base + 8..base + 16].try_into().expect("len ok"));
-            let instr = match opcode {
-                OP_PASS_BEGIN => {
-                    pass_depth += 1;
-                    if pass_depth > 1 {
-                        return Err(DescriptorError::UnbalancedBlocks);
-                    }
-                    DecodedInstr::PassBegin {
-                        comps: a,
-                        input_addr: b,
-                    }
-                }
-                OP_PASS_END => {
-                    pass_depth -= 1;
-                    if pass_depth < 0 {
-                        return Err(DescriptorError::UnbalancedBlocks);
-                    }
-                    DecodedInstr::PassEnd { output_addr: b }
-                }
-                OP_LOOP_BEGIN => {
-                    loop_depth += 1;
-                    if loop_depth > 1 || pass_depth != 0 {
-                        return Err(DescriptorError::UnbalancedBlocks);
-                    }
-                    DecodedInstr::LoopBegin { count: b }
-                }
-                OP_LOOP_END => {
-                    loop_depth -= 1;
-                    if loop_depth < 0 || pass_depth != 0 {
-                        return Err(DescriptorError::UnbalancedBlocks);
-                    }
-                    DecodedInstr::LoopEnd
-                }
-                op => {
-                    let kind = AcceleratorKind::from_opcode(op)
-                        .ok_or(DescriptorError::UnknownOpcode { opcode: op })?;
-                    if pass_depth != 1 {
-                        return Err(DescriptorError::UnbalancedBlocks);
-                    }
-                    DecodedInstr::Accel {
-                        kind,
-                        param_size: a,
-                        param_addr: b,
-                    }
-                }
-            };
-            out.push(instr);
-        }
-        if pass_depth != 0 || loop_depth != 0 {
-            return Err(DescriptorError::UnbalancedBlocks);
-        }
-        Ok(out)
     }
 
     /// Reads a parameter blob back out of the PR.
@@ -334,34 +269,275 @@ impl Descriptor {
     ///
     /// Panics if the `(addr, size)` pair points outside the PR.
     pub fn param_blob(&self, param_addr: u64, param_size: u32) -> &[u8] {
-        let pr_offset =
-            u32::from_le_bytes(self.bytes[12..16].try_into().expect("CR is 16 bytes")) as usize;
-        let start = pr_offset + param_addr as usize;
-        let end = start + param_size as usize;
-        assert!(end <= self.bytes.len(), "parameter reference outside PR");
-        &self.bytes[start..end]
+        let pr_offset = le32(&self.bytes, 12) as usize;
+        let start = usize::try_from(param_addr)
+            .ok()
+            .and_then(|addr| pr_offset.checked_add(addr));
+        let end = start.and_then(|start| start.checked_add(param_size as usize));
+        match (start, end) {
+            (Some(start), Some(end)) if end <= self.bytes.len() => &self.bytes[start..end],
+            _ => panic!("parameter reference outside PR"),
+        }
+    }
+}
+
+/// Checks a raw descriptor image as the Configuration Unit would see it
+/// in the command space (`MEA010`–`MEA018`). [`Descriptor::decode_bytes`]
+/// fails exactly when this report has an error.
+pub fn check(bytes: &[u8]) -> Report {
+    walk(bytes).1
+}
+
+fn le32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("caller checked bounds"))
+}
+
+fn le64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("caller checked bounds"))
+}
+
+/// The one reader of the image: walks the whole Control/Instruction/
+/// Parameter layout, keeps going after each finding, and anchors every
+/// diagnostic to a byte span so a corrupted image can be repaired in one
+/// round trip. The instructions are meaningful only when the report has
+/// no error.
+fn walk(bytes: &[u8]) -> (Vec<DecodedInstr>, Report) {
+    let mut report = Report::new();
+    let mut instrs = Vec::new();
+
+    if bytes.len() < CR_BYTES {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescTruncated,
+                format!(
+                    "image is {} bytes, shorter than the {CR_BYTES}-byte control region",
+                    bytes.len()
+                ),
+            )
+            .at_bytes(0, bytes.len()),
+        );
+        return (instrs, report);
     }
 
-    /// Total dynamic accelerator invocations this descriptor encodes
-    /// (loop bodies multiplied by their counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DescriptorError`] if the image is malformed.
-    pub fn total_invocations(&self) -> Result<u64, DescriptorError> {
-        let instrs = self.decode()?;
-        let mut total = 0u64;
-        let mut multiplier = 1u64;
-        for i in &instrs {
-            match i {
-                DecodedInstr::LoopBegin { count } => multiplier = *count,
-                DecodedInstr::LoopEnd => multiplier = 1,
-                DecodedInstr::Accel { .. } => total += multiplier,
-                _ => {}
-            }
-        }
-        Ok(total)
+    let magic = le32(bytes, 0);
+    if magic != MAGIC {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescBadMagic,
+                format!("control-region magic is {magic:#010x}, expected {MAGIC:#010x} (\"MEAL\")"),
+            )
+            .at_bytes(0, 4),
+        );
     }
+    let cmd = le32(bytes, 4);
+    if cmd != CMD_START {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescBadCommand,
+                format!(
+                    "control command is {cmd}, the only defined command is START ({CMD_START})"
+                ),
+            )
+            .at_bytes(4, 4),
+        );
+    }
+
+    let instr_count = le32(bytes, 8) as usize;
+    let pr_offset = le32(bytes, 12) as usize;
+    let ir_end = CR_BYTES + instr_count * INSTR_BYTES;
+
+    if bytes.len() < ir_end {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescTruncated,
+                format!(
+                    "control region claims {instr_count} instructions ({ir_end} bytes) \
+                     but the image is only {} bytes",
+                    bytes.len()
+                ),
+            )
+            .at_bytes(8, 4),
+        );
+        // Nothing past the CR can be trusted.
+        return (instrs, report);
+    }
+    if bytes.len() < pr_offset {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescTruncated,
+                format!(
+                    "parameter region starts at byte {pr_offset} but the image ends at {}",
+                    bytes.len()
+                ),
+            )
+            .at_bytes(12, 4),
+        );
+        return (instrs, report);
+    }
+
+    // The three regions must tile the image: PR begins exactly where the
+    // IR ends, otherwise instructions and parameters overlap (the fetch
+    // unit would execute parameter bytes) or leave an unaddressable gap.
+    let pr_trustworthy = pr_offset == ir_end;
+    if !pr_trustworthy {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescRegionOverlap,
+                format!(
+                    "parameter region offset {pr_offset} does not match the end of the \
+                     instruction region ({ir_end}); regions {}",
+                    if pr_offset < ir_end {
+                        "overlap"
+                    } else {
+                        "leave a gap"
+                    }
+                ),
+            )
+            .at_bytes(12, 4),
+        );
+    }
+    if !pr_offset.is_multiple_of(INSTR_BYTES) {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescMisalignedPr,
+                format!("parameter region offset {pr_offset} is not {INSTR_BYTES}-byte aligned"),
+            )
+            .at_bytes(12, 4),
+        );
+    }
+
+    let pr_size = bytes.len() - pr_offset.min(bytes.len());
+    let mut pass_depth = 0i32;
+    let mut loop_depth = 0i32;
+    instrs.reserve(instr_count);
+    for i in 0..instr_count {
+        let base = CR_BYTES + i * INSTR_BYTES;
+        let opcode = bytes[base];
+        let a = le32(bytes, base + 4);
+        let b = le64(bytes, base + 8);
+        let at = |d: Diagnostic| d.at_bytes(base, INSTR_BYTES);
+        match opcode {
+            OP_PASS_BEGIN => {
+                pass_depth += 1;
+                if pass_depth > 1 {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescUnbalancedBlocks,
+                        format!("instruction {i}: PASS_BEGIN inside an open pass"),
+                    )));
+                    pass_depth = 1;
+                }
+                instrs.push(DecodedInstr::PassBegin {
+                    comps: a,
+                    input_addr: b,
+                });
+            }
+            OP_PASS_END => {
+                pass_depth -= 1;
+                if pass_depth < 0 {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescUnbalancedBlocks,
+                        format!("instruction {i}: PASS_END without a matching PASS_BEGIN"),
+                    )));
+                    pass_depth = 0;
+                }
+                instrs.push(DecodedInstr::PassEnd { output_addr: b });
+            }
+            OP_LOOP_BEGIN => {
+                loop_depth += 1;
+                if loop_depth > 1 || pass_depth != 0 {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescUnbalancedBlocks,
+                        format!(
+                            "instruction {i}: LOOP_BEGIN {}",
+                            if pass_depth != 0 {
+                                "inside a pass"
+                            } else {
+                                "inside another loop"
+                            }
+                        ),
+                    )));
+                    loop_depth = loop_depth.min(1);
+                }
+                instrs.push(DecodedInstr::LoopBegin { count: b });
+            }
+            OP_LOOP_END => {
+                loop_depth -= 1;
+                if loop_depth < 0 || pass_depth != 0 {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescUnbalancedBlocks,
+                        format!(
+                            "instruction {i}: LOOP_END {}",
+                            if pass_depth != 0 {
+                                "inside a pass"
+                            } else {
+                                "without a matching LOOP_BEGIN"
+                            }
+                        ),
+                    )));
+                    loop_depth = loop_depth.max(0);
+                }
+                instrs.push(DecodedInstr::LoopEnd);
+            }
+            op => match AcceleratorKind::from_opcode(op) {
+                None => {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescUnknownOpcode,
+                        format!("instruction {i}: opcode {op:#04x} is outside the ISA"),
+                    )));
+                }
+                Some(kind) => {
+                    if pass_depth != 1 {
+                        report.push(at(Diagnostic::error(
+                            ErrorCode::DescUnbalancedBlocks,
+                            format!("instruction {i}: {kind} invocation outside any pass"),
+                        )));
+                    }
+                    // Param references only make sense against a PR whose
+                    // placement decoded consistently.
+                    if pr_trustworthy {
+                        let end = b.saturating_add(a as u64);
+                        if end > pr_size as u64 {
+                            report.push(at(Diagnostic::error(
+                                ErrorCode::DescParamOutOfRange,
+                                format!(
+                                    "instruction {i}: {kind} parameters at PR offset {b} \
+                                     span {a} bytes, beyond the {pr_size}-byte region"
+                                ),
+                            )));
+                        }
+                        if !b.is_multiple_of(PARAM_ALIGN as u64) {
+                            report.push(at(Diagnostic::error(
+                                ErrorCode::DescParamMisaligned,
+                                format!(
+                                    "instruction {i}: {kind} parameter offset {b} is not \
+                                     {PARAM_ALIGN}-byte aligned"
+                                ),
+                            )));
+                        }
+                    }
+                    instrs.push(DecodedInstr::Accel {
+                        kind,
+                        param_size: a,
+                        param_addr: b,
+                    });
+                }
+            },
+        }
+    }
+    if pass_depth != 0 || loop_depth != 0 {
+        report.push(
+            Diagnostic::error(
+                ErrorCode::DescUnbalancedBlocks,
+                format!(
+                    "image ends with {pass_depth} unclosed pass(es) and \
+                     {loop_depth} unclosed loop(s)"
+                ),
+            )
+            .at_bytes(CR_BYTES, instr_count * INSTR_BYTES),
+        );
+    }
+
+    (instrs, report)
 }
 
 #[cfg(test)]
@@ -452,10 +628,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "parameter reference outside PR")]
+    fn param_blob_address_past_usize_panics() {
+        let (program, params, buffers) = fixtures();
+        let d = Descriptor::encode(&program, &params, &buffers).unwrap();
+        let pr_offset = u64::from(u32::from_le_bytes(d.as_bytes()[12..16].try_into().unwrap()));
+        // `pr_offset + addr` is exactly 2^64: wrapping would read the CR.
+        let _ = d.param_blob(u64::MAX - pr_offset + 1, 4);
+    }
+
+    #[test]
     fn invocation_count_multiplies_loops() {
         let (program, params, buffers) = fixtures();
         let d = Descriptor::encode(&program, &params, &buffers).unwrap();
-        assert_eq!(d.total_invocations().unwrap(), 2 + 128);
+        assert_eq!(program.total_invocations(), Some(2 + 128));
         assert_eq!(d.instr_count(), 9);
     }
 
@@ -485,57 +671,54 @@ mod tests {
         );
     }
 
+    /// The encoded fixture image: 9 instructions, then a 40-byte PR.
+    fn good_image() -> Vec<u8> {
+        let (program, params, buffers) = fixtures();
+        Descriptor::encode(&program, &params, &buffers)
+            .unwrap()
+            .as_bytes()
+            .to_vec()
+    }
+
+    /// Asserts the decoder refuses `bytes` with exactly [`check`]'s
+    /// report, and returns that report.
+    fn malformed(bytes: &[u8]) -> Report {
+        let report = check(bytes);
+        assert_eq!(
+            Descriptor::decode_bytes(bytes),
+            Err(DescriptorError::Malformed(report.clone()))
+        );
+        report
+    }
+
     #[test]
     fn decode_rejects_bad_magic() {
-        let (program, params, buffers) = fixtures();
-        let d = Descriptor::encode(&program, &params, &buffers).unwrap();
-        let mut bytes = d.as_bytes().to_vec();
+        let mut bytes = good_image();
         bytes[0] ^= 0xff;
-        assert_eq!(
-            Descriptor::decode_bytes(&bytes),
-            Err(DescriptorError::BadMagic)
-        );
+        assert!(malformed(&bytes).has_code(ErrorCode::DescBadMagic));
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let (program, params, buffers) = fixtures();
-        let d = Descriptor::encode(&program, &params, &buffers).unwrap();
-        let bytes = &d.as_bytes()[..CR_BYTES + 3];
-        assert_eq!(
-            Descriptor::decode_bytes(bytes),
-            Err(DescriptorError::Truncated)
-        );
-        assert_eq!(
-            Descriptor::decode_bytes(&[1, 2]),
-            Err(DescriptorError::Truncated)
-        );
+        let bytes = &good_image()[..CR_BYTES + 3];
+        assert!(malformed(bytes).has_code(ErrorCode::DescTruncated));
+        assert!(malformed(&[1, 2]).has_code(ErrorCode::DescTruncated));
     }
 
     #[test]
     fn decode_rejects_unknown_opcode() {
-        let (program, params, buffers) = fixtures();
-        let d = Descriptor::encode(&program, &params, &buffers).unwrap();
-        let mut bytes = d.as_bytes().to_vec();
+        let mut bytes = good_image();
         bytes[CR_BYTES] = 0x7f; // clobber first instruction's opcode
-        assert_eq!(
-            Descriptor::decode_bytes(&bytes),
-            Err(DescriptorError::UnknownOpcode { opcode: 0x7f })
-        );
+        assert!(malformed(&bytes).has_code(ErrorCode::DescUnknownOpcode));
     }
 
     #[test]
     fn decode_rejects_unbalanced_blocks() {
-        let (program, params, buffers) = fixtures();
-        let d = Descriptor::encode(&program, &params, &buffers).unwrap();
-        let mut bytes = d.as_bytes().to_vec();
+        let mut bytes = good_image();
         // Turn the final LOOP_END into a PASS_END: now blocks are unbalanced.
-        let last = CR_BYTES + (d.instr_count() as usize - 1) * INSTR_BYTES;
+        let last = CR_BYTES + 8 * INSTR_BYTES;
         bytes[last] = OP_PASS_END;
-        assert_eq!(
-            Descriptor::decode_bytes(&bytes),
-            Err(DescriptorError::UnbalancedBlocks)
-        );
+        assert!(malformed(&bytes).has_code(ErrorCode::DescUnbalancedBlocks));
     }
 
     #[test]
@@ -544,6 +727,102 @@ mod tests {
             Descriptor::encode(&TdlProgram::default(), &ParamBag::new(), &BTreeMap::new()).unwrap();
         assert_eq!(d.size_bytes(), CR_BYTES);
         assert_eq!(d.decode().unwrap(), vec![]);
-        assert_eq!(d.total_invocations().unwrap(), 0);
+        assert!(check(d.as_bytes()).is_clean());
+    }
+
+    #[test]
+    fn pristine_image_is_clean() {
+        let r = check(&good_image());
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn short_image_reports_truncation_only() {
+        let r = malformed(&[0x4C, 0x41]);
+        assert!(r.has_code(ErrorCode::DescTruncated));
+        assert_eq!(r.error_count(), 1);
+    }
+
+    #[test]
+    fn bad_magic_does_not_stop_the_walk() {
+        let mut img = good_image();
+        img[0] ^= 0xff;
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescBadMagic));
+        // The rest of the image is still intact — no other findings.
+        assert_eq!(r.error_count(), 1, "{r}");
+        assert!(r.render().contains("bytes 0..4"), "{r}");
+    }
+
+    #[test]
+    fn bad_command_flagged() {
+        let mut img = good_image();
+        img[4] = 9;
+        assert!(malformed(&img).has_code(ErrorCode::DescBadCommand));
+    }
+
+    #[test]
+    fn inflated_count_is_truncation() {
+        let mut img = good_image();
+        img[8..12].copy_from_slice(&1000u32.to_le_bytes());
+        assert!(malformed(&img).has_code(ErrorCode::DescTruncated));
+    }
+
+    #[test]
+    fn shifted_pr_offset_is_region_overlap() {
+        let mut img = good_image();
+        let pr = u32::from_le_bytes(img[12..16].try_into().unwrap());
+        img[12..16].copy_from_slice(&(pr - 16).to_le_bytes());
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescRegionOverlap), "{r}");
+    }
+
+    #[test]
+    fn misaligned_pr_offset_flagged() {
+        let mut img = good_image();
+        let pr = u32::from_le_bytes(img[12..16].try_into().unwrap());
+        img[12..16].copy_from_slice(&(pr + 4).to_le_bytes());
+        img.extend_from_slice(&[0; 4]); // keep the image long enough
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescMisalignedPr));
+        assert!(r.has_code(ErrorCode::DescRegionOverlap));
+    }
+
+    #[test]
+    fn unknown_opcode_and_walk_continues() {
+        let mut img = good_image();
+        img[CR_BYTES] = 0x7f; // clobber PASS_BEGIN
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescUnknownOpcode));
+        // Losing PASS_BEGIN also orphans the accels and the PASS_END.
+        assert!(r.has_code(ErrorCode::DescUnbalancedBlocks));
+    }
+
+    #[test]
+    fn param_bounds_and_alignment_checked() {
+        let mut img = good_image();
+        // First accel instruction is index 1; its param_addr is at +8.
+        let base = CR_BYTES + INSTR_BYTES;
+        img[base + 8..base + 16].copy_from_slice(&0xffff_u64.to_le_bytes());
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescParamOutOfRange), "{r}");
+
+        let mut img2 = good_image();
+        img2[base + 8..base + 16].copy_from_slice(&3u64.to_le_bytes());
+        let r2 = malformed(&img2);
+        assert!(r2.has_code(ErrorCode::DescParamMisaligned), "{r2}");
+    }
+
+    #[test]
+    fn unclosed_pass_at_end_flagged() {
+        let mut img = good_image();
+        // Drop the trailing LOOP_END by shrinking the count and the image.
+        let count = u32::from_le_bytes(img[8..12].try_into().unwrap());
+        img[8..12].copy_from_slice(&(count - 1).to_le_bytes());
+        let ir_end = CR_BYTES + (count as usize - 1) * INSTR_BYTES;
+        img.truncate(ir_end); // also drops the PR
+        img[12..16].copy_from_slice(&(ir_end as u32).to_le_bytes());
+        let r = malformed(&img);
+        assert!(r.has_code(ErrorCode::DescUnbalancedBlocks), "{r}");
     }
 }

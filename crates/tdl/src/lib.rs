@@ -33,7 +33,7 @@
 //!     }
 //! "#;
 //! let program: TdlProgram = parse(src)?;
-//! assert_eq!(program.total_invocations(), 2 + 16_777_216);
+//! assert_eq!(program.total_invocations(), Some(2 + 16_777_216));
 //! # Ok::<(), mealib_tdl::ParseError>(())
 //! ```
 

@@ -354,7 +354,7 @@ mod tests {
     fn parses_sample() {
         let p = parse(SAMPLE).unwrap();
         assert_eq!(p.items.len(), 2);
-        assert_eq!(p.total_invocations(), 2 + 16_777_216);
+        assert_eq!(p.total_invocations(), Some(2 + 16_777_216));
         match &p.items[0] {
             TdlItem::Pass(pass) => {
                 assert_eq!(pass.input, "datacube");

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Each file is sniffed and routed to the right pass: binary images
-//! starting with the `"MEAL"` magic run the descriptor pass, text in
-//! the `key = value` memconfig format runs the simulator-config pass,
+//! starting with the `"MEAL"` magic run the descriptor check
+//! ([`mealib_tdl::descriptor::check`]), text in the `key = value`
+//! memconfig format runs the simulator-config pass,
 //! text containing a `TENANT` directive runs in **session-set mode**
 //! (per-tenant TDL + dataflow passes plus the MEA3xx multi-tenant
 //! interference certification, printing the ADMIT/REJECT/UNKNOWN
@@ -38,10 +39,10 @@
 use std::process::ExitCode;
 
 use mealib_obs::json::Object;
-use mealib_tdl::descriptor::MAGIC;
+use mealib_tdl::descriptor::{self, MAGIC};
 use mealib_verify::{
-    bounds, dataflow, descriptor, interference, memconfig, memsim, tdl, BoundsEnv, DataflowEnv,
-    Report, Severity, Span, TdlLimits, Verdict,
+    bounds, dataflow, interference, memconfig, memsim, tdl, BoundsEnv, DataflowEnv, Report,
+    Severity, Span, TdlLimits, Verdict,
 };
 
 enum Outcome {
@@ -130,7 +131,7 @@ fn lint_file(path: &str) -> Outcome {
     };
 
     if bytes.len() >= 4 && bytes[0..4] == MAGIC.to_le_bytes() {
-        return finish(descriptor::verify_image(&bytes));
+        return finish(descriptor::check(&bytes));
     }
 
     let Ok(text) = std::str::from_utf8(&bytes) else {

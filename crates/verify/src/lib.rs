@@ -10,14 +10,15 @@
 //! it crosses its boundary, reporting findings through the shared
 //! [`mealib_types::diag`] vocabulary with stable `MEA0xx` codes.
 //!
-//! Four passes:
+//! Its passes:
 //!
 //! * [`tdl`] — TDL semantic checks beyond parsing (`MEA001`–`MEA009`):
 //!   chain legality per §2.3, aliasing hazards, dangling `params=`
 //!   references, trip-count sanity;
-//! * [`descriptor`] — binary descriptor image checks
-//!   (`MEA010`–`MEA019`): control-region decode, region layout and
-//!   alignment, opcode and nesting legality, parameter-region bounds;
+//! * binary descriptor image checks (`MEA010`–`MEA018`) live with the
+//!   format in [`mealib_tdl::descriptor::check`], the same walker the
+//!   Configuration Unit decodes with, so `mealint` refuses exactly the
+//!   images the CU refuses;
 //! * [`memsim`] — simulator configuration checks (`MEA020`–`MEA029`):
 //!   DRAM timing inequalities and an exhaustive bijectivity proof of the
 //!   address-interleaving map (every physical byte lands on exactly one
@@ -53,7 +54,6 @@
 
 pub mod bounds;
 pub mod dataflow;
-pub mod descriptor;
 pub mod interference;
 pub mod memconfig;
 pub mod memsim;

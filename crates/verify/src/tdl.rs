@@ -226,8 +226,8 @@ fn track_hazards<'p>(
 }
 
 fn check_invocation_range(program: &TdlProgram, limits: &TdlLimits, report: &mut Report) {
-    // Widened arithmetic: TdlProgram::total_invocations would itself
-    // overflow on adversarial counts.
+    // Widened arithmetic, so the message can name the count that
+    // TdlProgram::total_invocations refuses (`None`) on adversarial loops.
     let mut total: u128 = 0;
     for item in &program.items {
         total += match item {

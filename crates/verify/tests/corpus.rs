@@ -5,9 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use mealib_tdl::descriptor::{CR_BYTES, INSTR_BYTES, OP_PASS_END};
-use mealib_tdl::{parse, Descriptor, ParamBag};
-use mealib_verify::{descriptor, tdl, ErrorCode, TdlLimits};
+use mealib_tdl::descriptor::{self, CR_BYTES, INSTR_BYTES, MAGIC, OP_PASS_END};
+use mealib_tdl::{parse, Descriptor, DescriptorError, ParamBag};
+use mealib_verify::{tdl, ErrorCode, TdlLimits};
 
 fn tdl_report(src: &str) -> mealib_verify::Report {
     tdl::verify_source(src, None, &TdlLimits::default()).expect("corpus entries must parse")
@@ -103,81 +103,145 @@ fn patch_pr_offset(img: &mut [u8], delta: i64) {
     img[12..16].copy_from_slice(&((pr as i64 + delta) as u32).to_le_bytes());
 }
 
+type Corruption = fn(&mut Vec<u8>);
+
+/// Ten realistic corruptions of [`good_image`], each with the one code it
+/// must draw.
+const DESCRIPTOR_CORPUS: &[(&str, Corruption, ErrorCode)] = &[
+    (
+        "truncated below the control region",
+        |img| img.truncate(8),
+        ErrorCode::DescTruncated,
+    ),
+    (
+        "flipped magic",
+        |img| img[0] ^= 0xff,
+        ErrorCode::DescBadMagic,
+    ),
+    (
+        "undefined command word",
+        |img| img[4] = 9,
+        ErrorCode::DescBadCommand,
+    ),
+    (
+        "instruction count past the end of the image",
+        |img| img[8..12].copy_from_slice(&10_000u32.to_le_bytes()),
+        ErrorCode::DescTruncated,
+    ),
+    (
+        "parameter region overlapping the instruction region",
+        |img| patch_pr_offset(img, -(INSTR_BYTES as i64)),
+        ErrorCode::DescRegionOverlap,
+    ),
+    (
+        "misaligned parameter region",
+        |img| {
+            patch_pr_offset(img, 4);
+            img.extend_from_slice(&[0; 4]);
+        },
+        ErrorCode::DescMisalignedPr,
+    ),
+    (
+        "opcode outside the ISA",
+        |img| img[CR_BYTES + INSTR_BYTES] = 0xee,
+        ErrorCode::DescUnknownOpcode,
+    ),
+    (
+        "PASS_END with no open pass",
+        |img| img[CR_BYTES] = OP_PASS_END,
+        ErrorCode::DescUnbalancedBlocks,
+    ),
+    (
+        "parameter pointer past the parameter region",
+        |img| {
+            let base = CR_BYTES + INSTR_BYTES;
+            img[base + 8..base + 16].copy_from_slice(&0xffff_u64.to_le_bytes());
+        },
+        ErrorCode::DescParamOutOfRange,
+    ),
+    (
+        "parameter pointer off the 8-byte grid",
+        |img| {
+            let base = CR_BYTES + INSTR_BYTES;
+            img[base + 8..base + 16].copy_from_slice(&3u64.to_le_bytes());
+        },
+        ErrorCode::DescParamMisaligned,
+    ),
+];
+
 #[test]
 fn descriptor_corpus_draws_exact_codes() {
-    type Corruption = fn(&mut Vec<u8>);
-    let corpus: &[(&str, Corruption, ErrorCode)] = &[
-        (
-            "truncated below the control region",
-            |img| img.truncate(8),
-            ErrorCode::DescTruncated,
-        ),
-        (
-            "flipped magic",
-            |img| img[0] ^= 0xff,
-            ErrorCode::DescBadMagic,
-        ),
-        (
-            "undefined command word",
-            |img| img[4] = 9,
-            ErrorCode::DescBadCommand,
-        ),
-        (
-            "instruction count past the end of the image",
-            |img| img[8..12].copy_from_slice(&10_000u32.to_le_bytes()),
-            ErrorCode::DescTruncated,
-        ),
-        (
-            "parameter region overlapping the instruction region",
-            |img| patch_pr_offset(img, -(INSTR_BYTES as i64)),
-            ErrorCode::DescRegionOverlap,
-        ),
-        (
-            "misaligned parameter region",
-            |img| {
-                patch_pr_offset(img, 4);
-                img.extend_from_slice(&[0; 4]);
-            },
-            ErrorCode::DescMisalignedPr,
-        ),
-        (
-            "opcode outside the ISA",
-            |img| img[CR_BYTES + INSTR_BYTES] = 0xee,
-            ErrorCode::DescUnknownOpcode,
-        ),
-        (
-            "PASS_END with no open pass",
-            |img| img[CR_BYTES] = OP_PASS_END,
-            ErrorCode::DescUnbalancedBlocks,
-        ),
-        (
-            "parameter pointer past the parameter region",
-            |img| {
-                let base = CR_BYTES + INSTR_BYTES;
-                img[base + 8..base + 16].copy_from_slice(&0xffff_u64.to_le_bytes());
-            },
-            ErrorCode::DescParamOutOfRange,
-        ),
-        (
-            "parameter pointer off the 8-byte grid",
-            |img| {
-                let base = CR_BYTES + INSTR_BYTES;
-                img[base + 8..base + 16].copy_from_slice(&3u64.to_le_bytes());
-            },
-            ErrorCode::DescParamMisaligned,
-        ),
-    ];
-
-    assert!(descriptor::verify_image(&good_image()).is_clean());
-    for (what, corrupt, code) in corpus {
+    assert!(descriptor::check(&good_image()).is_clean());
+    assert!(Descriptor::decode_bytes(&good_image()).is_ok());
+    for (what, corrupt, code) in DESCRIPTOR_CORPUS {
         let mut img = good_image();
         corrupt(&mut img);
-        let report = descriptor::verify_image(&img);
+        let report = descriptor::check(&img);
         assert!(
             report.has_code(*code),
             "{what}: expected {code}, got:\n{report}"
         );
         assert!(report.has_errors(), "{what}");
+        // The Configuration Unit's decoder refuses the same image.
+        assert_eq!(
+            Descriptor::decode_bytes(&img),
+            Err(DescriptorError::Malformed(report)),
+            "{what}"
+        );
+    }
+}
+
+/// Writes the descriptor corpus and every non-empty truncation of the
+/// clean image as binary files into `$MEALINT_IMAGE_DIR`, for the
+/// release-`mealint` step of `scripts/verify.sh`. Each file is named
+/// `<stem>.<expect>.bin`, where `<expect>` is `clean` (exit 0),
+/// `unsniffed` (no `MEAL` magic, so not linted as a descriptor: exit 2)
+/// or the `MEA01x` code the image must draw (exit 1). The empty prefix
+/// is left out: an empty file is the empty TDL program, not an image.
+#[test]
+#[ignore = "writes files for scripts/verify.sh; set MEALINT_IMAGE_DIR"]
+fn write_descriptor_images() {
+    let dir = std::path::PathBuf::from(
+        std::env::var_os("MEALINT_IMAGE_DIR")
+            .expect("MEALINT_IMAGE_DIR names the output directory"),
+    );
+    std::fs::create_dir_all(&dir).unwrap();
+    let sniffed = |img: &[u8]| img.len() >= 4 && img[0..4] == MAGIC.to_le_bytes();
+    let write = |stem: String, expect: &str, img: &[u8]| {
+        std::fs::write(dir.join(format!("{stem}.{expect}.bin")), img).unwrap();
+    };
+
+    let good = good_image();
+    write("good".into(), "clean", &good);
+    for (i, (_, corrupt, code)) in DESCRIPTOR_CORPUS.iter().enumerate() {
+        let mut img = good.clone();
+        corrupt(&mut img);
+        let expect = if sniffed(&img) {
+            code.as_str()
+        } else {
+            "unsniffed"
+        };
+        write(format!("corrupt{i:02}"), expect, &img);
+    }
+
+    // A prefix short of the instruction region is truncated (MEA010); one
+    // that cuts into a parameter blob leaves its pointer past the PR
+    // (MEA017); cutting only the zero padding after the last blob, whose
+    // bytes are nonzero, leaves a valid image.
+    let ir_end = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize; // = PR offset
+    let blobs_end = good.iter().rposition(|&b| b != 0).unwrap() + 1;
+    for len in 1..good.len() {
+        let img = &good[..len];
+        let expect = if !sniffed(img) {
+            "unsniffed"
+        } else if len < ir_end {
+            ErrorCode::DescTruncated.as_str()
+        } else if len < blobs_end {
+            ErrorCode::DescParamOutOfRange.as_str()
+        } else {
+            "clean"
+        };
+        write(format!("trunc{len:03}"), expect, img);
     }
 }
 

@@ -197,6 +197,39 @@ if (( status != 2 )) || ! grep -q "first is on line 1), found BUF a .* on line 2
     exit 1
 fi
 
+echo "==> mealint: descriptor images exit 0/1/2 as their names promise, within 5 s"
+# The descriptor corpus of crates/verify/tests/corpus.rs and every
+# non-empty truncation of its clean image, written by an ignored test as
+# <stem>.<expect>.bin into the temporary directory: `clean` must exit 0,
+# `unsniffed` (no MEAL magic, so not a descriptor) must exit 2, and an
+# MEA01x code must exit 1 naming it. 101 is a panic, 124 a timeout.
+MEALINT_IMAGE_DIR="$adv/images" cargo test -q -p mealib-verify --test corpus -- \
+    --ignored --exact write_descriptor_images
+mealint_bin="${CARGO_TARGET_DIR:-target}/release/mealint"
+images=0
+for f in "$adv"/images/*.bin; do
+    expect=$(basename "$f" .bin)
+    expect=${expect##*.}
+    case $expect in
+        clean) want=0 ;;
+        unsniffed) want=2 ;;
+        *) want=1 ;;
+    esac
+    status=0
+    out=$(timeout 5 "$mealint_bin" "$f" 2>&1) || status=$?
+    if (( status != want )) || { (( want == 1 )) && ! grep -q "\[$expect\]" <<<"$out"; }; then
+        echo "mealint exited $status on $(basename "$f"), want $want" \
+            "(101 = panicked, 124 = timed out):" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    images=$((images + 1))
+done
+if (( images < 11 )); then
+    echo "only $images descriptor images were written to $adv/images" >&2
+    exit 1
+fi
+
 echo "==> mealint: a tenant whose last request moves no byte proves no false MEA302"
 # The clean partition twin with dsp's output buffer emptied and a dsp
 # latency budget of 8e-7 s, which the measured replay (5.6e-7 s) meets.

@@ -117,7 +117,7 @@ fn compiler_tdl_flows_through_descriptor_encoding() {
         .into_iter()
         .collect();
     let desc = Descriptor::encode(&program, &bag, &buffers).unwrap();
-    assert_eq!(desc.total_invocations().unwrap(), 100);
+    assert_eq!(program.total_invocations(), Some(100));
     let layer = AcceleratorLayer::mealib_default();
     let run = run_descriptor(&desc, &layer, &CuCostModel::default()).unwrap();
     assert_eq!(run.invocations(), 100);
