@@ -55,6 +55,9 @@ pub enum CuError {
     /// An accelerator instruction's opcode disagreed with its parameter
     /// blob's tag.
     KindMismatch,
+    /// The loop-expanded invocation or hardware-loop iteration total
+    /// does not fit in `u64`.
+    InvocationOverflow,
 }
 
 impl fmt::Display for CuError {
@@ -63,6 +66,9 @@ impl fmt::Display for CuError {
             CuError::Descriptor(e) => write!(f, "descriptor error: {e}"),
             CuError::Params(e) => write!(f, "parameter error: {e}"),
             CuError::KindMismatch => f.write_str("instruction opcode disagrees with parameters"),
+            CuError::InvocationOverflow => {
+                f.write_str("loop-expanded invocation count overflows u64")
+            }
         }
     }
 }
@@ -186,6 +192,8 @@ impl DescriptorRun {
     }
 
     /// Dynamic accelerator invocations this run performed.
+    /// [`run_descriptor`] refuses a descriptor whose total overflows
+    /// `u64`, so for its runs this sum cannot wrap.
     pub fn invocations(&self) -> u64 {
         self.passes
             .iter()
@@ -268,23 +276,23 @@ impl DescriptorRun {
         profile.intervals
     }
 
-    /// Records this run's CU, NoC and DRAM event counters into an
-    /// observability handle. A no-op when recording is off.
-    pub fn record_into(&self, obs: &mealib_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        use mealib_obs::Counter;
+    /// Adds this run's CU, NoC and DRAM event counters to `bd`.
+    pub fn add_counters(&self, bd: &mut mealib_obs::Breakdown) {
+        use mealib_obs::{Counter, CounterKey};
         let fe = &self.front_end;
-        obs.count(Counter::CuFetchBytes, fe.fetch_bytes);
-        obs.count(Counter::CuDecodedInstrs, fe.decoded_instrs);
-        obs.count(Counter::CuPasses, self.invocations());
-        obs.count(Counter::CuLoopIters, fe.loop_iterations);
-        obs.count(Counter::NocFlits, fe.noc_flits);
-        obs.count(Counter::NocFlitHops, fe.noc_flit_hops);
-        obs.count(Counter::NocCredits, fe.noc_flit_hops);
+        for (counter, value) in [
+            (Counter::CuFetchBytes, fe.fetch_bytes),
+            (Counter::CuDecodedInstrs, fe.decoded_instrs),
+            (Counter::CuPasses, self.invocations()),
+            (Counter::CuLoopIters, fe.loop_iterations),
+            (Counter::NocFlits, fe.noc_flits),
+            (Counter::NocFlitHops, fe.noc_flit_hops),
+            (Counter::NocCredits, fe.noc_flit_hops),
+        ] {
+            bd.add_count(CounterKey::total(counter), value);
+        }
         if let Some(exec) = self.execution() {
-            exec.mem.record_into(obs);
+            exec.mem.add_counters(bd);
         }
     }
 }
@@ -294,7 +302,7 @@ impl DescriptorRun {
 /// # Errors
 ///
 /// Returns a [`CuError`] if the descriptor or its parameter blobs are
-/// malformed.
+/// malformed, or if its loop-expanded invocation count overflows `u64`.
 pub fn run_descriptor(
     desc: &Descriptor,
     layer: &AcceleratorLayer,
@@ -325,6 +333,7 @@ pub fn run_descriptor(
     let mut passes: Vec<PassRun> = Vec::new();
     let mut pending: Vec<AccelParams> = Vec::new();
     let mut multiplier = 1u64;
+    let mut invocations = 0u64;
     for instr in &instrs {
         match instr {
             DecodedInstr::LoopBegin { count } => multiplier = *count,
@@ -344,6 +353,10 @@ pub fn run_descriptor(
             }
             DecodedInstr::PassEnd { .. } => {
                 let stages = std::mem::take(&mut pending);
+                invocations = (stages.len() as u64)
+                    .checked_mul(multiplier)
+                    .and_then(|n| invocations.checked_add(n))
+                    .ok_or(CuError::InvocationOverflow)?;
                 // Per-pass switch configuration broadcast (paid once even
                 // for looped passes — that is the hardware-loop win), plus
                 // the Decode Unit's completion gather at pass end.
@@ -359,7 +372,10 @@ pub fn run_descriptor(
                 front_end.noc_flit_hops += bcast.flit_hops + gather.flit_hops;
                 let mut report = execute_chained(&stages, layer.hw(), layer.mem());
                 if multiplier > 1 {
-                    front_end.loop_iterations += multiplier;
+                    front_end.loop_iterations = front_end
+                        .loop_iterations
+                        .checked_add(multiplier)
+                        .ok_or(CuError::InvocationOverflow)?;
                     // Looped passes pay CONFIG_LATENCY once (in setup).
                     // Iterations then *pipeline*: the Decode Unit keeps
                     // the next iteration's fetch in flight while the
@@ -623,12 +639,11 @@ mod tests {
 
     #[test]
     fn descriptor_run_records_counters() {
-        use mealib_obs::{Counter, Obs, TraceRecorder};
+        use mealib_obs::{Breakdown, Counter};
         let layer = AcceleratorLayer::mealib_default();
         let run = run_descriptor(&make_descriptor(4), &layer, &CuCostModel::default()).unwrap();
-        let rec = TraceRecorder::shared();
-        run.record_into(&Obs::new(rec.clone()));
-        let bd = rec.breakdown();
+        let mut bd = Breakdown::new();
+        run.add_counters(&mut bd);
         assert_eq!(bd.counter(Counter::CuPasses), 4);
         assert_eq!(bd.counter(Counter::CuLoopIters), 4);
         assert_eq!(
@@ -636,6 +651,34 @@ mod tests {
             run.front_end.decoded_instrs
         );
         assert!(bd.counter(Counter::DramAct) > 0);
+    }
+
+    #[test]
+    fn invocation_count_that_wraps_is_refused() {
+        let axpy = AccelParams::Axpy {
+            n: 1024,
+            alpha: 2.0,
+            incx: 1,
+            incy: 1,
+        };
+        let mut params = ParamBag::new();
+        params.insert("a.para".into(), axpy.to_bytes());
+        let buffers: BTreeMap<String, u64> =
+            [("x".to_string(), 0x1000u64), ("y".to_string(), 0x100000)]
+                .into_iter()
+                .collect();
+        let layer = AcceleratorLayer::mealib_default();
+        let run = |count: u64| {
+            let src = format!(
+                "LOOP {count} {{ PASS in=x out=y {{ COMP AXPY params=\"a.para\" \
+                 COMP AXPY params=\"a.para\" }} }}"
+            );
+            let desc = Descriptor::encode(&parse(&src).unwrap(), &params, &buffers).unwrap();
+            run_descriptor(&desc, &layer, &CuCostModel::default())
+        };
+        // 2^63 iterations of a two-stage pass are 2^64 invocations.
+        assert!(matches!(run(1 << 63), Err(CuError::InvocationOverflow)));
+        assert_eq!(run((1 << 63) - 1).unwrap().invocations(), u64::MAX - 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! split.
 
 use mealib_bench::{banner, section, write_profile, HarnessOpts, JsonSummary};
-use mealib_obs::{Obs, Profile, TraceRecorder};
+use mealib_obs::{Obs, Profile};
 use mealib_sim::TextTable;
 use mealib_tdl::AcceleratorKind;
 use mealib_types::{Joules, Seconds};
@@ -21,22 +21,7 @@ fn main() {
     } else {
         StapConfig::large()
     };
-    let rec = TraceRecorder::shared();
-    let (run, breakdown) = stap::run_on_mealib_traced(&cfg, &Obs::new(rec.clone()));
-
-    if let Some(path) = &opts.trace {
-        let jsonl = rec.to_jsonl();
-        std::fs::write(path, &jsonl).expect("trace file writable");
-        let drift =
-            (breakdown.total_time().get() - run.total_time().get()).abs() / run.total_time().get();
-        section("trace");
-        println!(
-            "wrote {} JSONL events to {} (breakdown/run time drift {:.2e})",
-            jsonl.lines().count(),
-            path.display(),
-            drift
-        );
-    }
+    let (run, breakdown) = stap::run_on_mealib_traced(&cfg, &Obs::off());
 
     section(&format!("per-phase costs ({} dataset)", cfg.name));
     let mut t = TextTable::new(vec!["phase", "executor", "time", "energy"]);

@@ -19,8 +19,6 @@ use mealib_obs::{BenchRecord, Profile};
 /// * `--json`  — append a one-line machine-readable summary (the
 ///   `BENCH_*.json` record format) as the final stdout line;
 /// * `--small` — run at reduced problem sizes (smoke-test mode);
-/// * `--trace <path>` — write the instrumentation trace as JSONL to
-///   `path` (binaries that support tracing document it in their help);
 /// * `--profile <path>` — write a time-resolved profile of the run as
 ///   Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`);
 /// * `--jobs <N>` — worker threads for the parallel sweep paths
@@ -36,8 +34,6 @@ pub struct HarnessOpts {
     pub json: bool,
     /// Reduced problem sizes.
     pub small: bool,
-    /// JSONL trace destination, when requested.
-    pub trace: Option<PathBuf>,
     /// Chrome trace-event profile destination, when requested.
     pub profile: Option<PathBuf>,
     /// Worker threads for parallel sweeps (1 = serial, 0 = auto:
@@ -52,7 +48,6 @@ impl Default for HarnessOpts {
         Self {
             json: false,
             small: false,
-            trace: None,
             profile: None,
             jobs: 1,
             prune: false,
@@ -76,9 +71,6 @@ impl HarnessOpts {
                 "--json" => opts.json = true,
                 "--small" => opts.small = true,
                 "--prune" => opts.prune = true,
-                "--trace" => {
-                    opts.trace = args.next().map(PathBuf::from);
-                }
                 "--profile" => {
                     opts.profile = args.next().map(PathBuf::from);
                 }
@@ -191,8 +183,6 @@ mod tests {
         let opts = HarnessOpts::parse(
             [
                 "--small",
-                "--trace",
-                "/tmp/t.jsonl",
                 "--profile",
                 "/tmp/p.trace.json",
                 "--jobs",
@@ -204,10 +194,6 @@ mod tests {
         );
         assert!(opts.json && opts.small && opts.prune);
         assert!(!HarnessOpts::parse(Vec::new()).prune);
-        assert_eq!(
-            opts.trace.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
-        );
         assert_eq!(
             opts.profile.as_deref(),
             Some(std::path::Path::new("/tmp/p.trace.json"))

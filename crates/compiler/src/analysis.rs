@@ -202,6 +202,12 @@ pub enum AnalysisError {
         /// The call this happened in.
         callee: String,
     },
+    /// The dynamic call count of a loop nest (or of the whole unit)
+    /// does not fit in `u64`.
+    TripCountOverflow {
+        /// The call whose count overflowed.
+        callee: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -212,6 +218,9 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::OpaqueBuffer { callee } => {
                 write!(f, "cannot resolve a buffer argument of `{callee}`")
+            }
+            AnalysisError::TripCountOverflow { callee } => {
+                write!(f, "the dynamic call count of `{callee}` overflows u64")
             }
         }
     }
@@ -260,6 +269,8 @@ fn placement_pragma(text: &str) -> Option<usize> {
 /// One accelerable invocation discovered in source order.
 #[derive(Debug, Clone)]
 struct Event {
+    /// The library call this event replaces.
+    callee: String,
     accel: AcceleratorKind,
     input: String,
     output: String,
@@ -297,7 +308,8 @@ struct PlanInfo {
 ///
 /// # Errors
 ///
-/// Returns an [`AnalysisError`] for unresolvable plans or buffers.
+/// Returns an [`AnalysisError`] for unresolvable plans or buffers, or
+/// when a dynamic call count overflows `u64`.
 pub fn analyze(unit: &TranslationUnit) -> Result<TransformPlan, AnalysisError> {
     let mut consts: BTreeMap<String, i64> = BTreeMap::new();
     let mut plans: BTreeMap<String, PlanInfo> = BTreeMap::new();
@@ -353,7 +365,7 @@ pub fn analyze(unit: &TranslationUnit) -> Result<TransformPlan, AnalysisError> {
                 }
             }
             Stmt::For { .. } => {
-                if let Some((count, Expr::Call { callee, args })) = single_call_loop(stmt, &consts)
+                if let Some((count, Expr::Call { callee, args })) = single_call_loop(stmt, &consts)?
                 {
                     scan_call(callee, args, idx, count, &plans, &mut events)?;
                 }
@@ -418,7 +430,11 @@ pub fn analyze(unit: &TranslationUnit) -> Result<TransformPlan, AnalysisError> {
         };
         let calls = group.len() as u64 * loop_count;
         stats.accelerable_calls += group.len() as u64;
-        stats.dynamic_calls += calls;
+        stats.dynamic_calls = stats.dynamic_calls.checked_add(calls).ok_or_else(|| {
+            AnalysisError::TripCountOverflow {
+                callee: group[0].callee.clone(),
+            }
+        })?;
         stats.descriptors += 1;
         if group.len() > 1 {
             stats.chained_calls += group.len() as u64;
@@ -522,6 +538,7 @@ fn scan_call(
         let mut consumed = BTreeSet::from([idx, info.creation_stmt]);
         consumed.insert(idx);
         events.push(Event {
+            callee: callee.to_string(),
             accel: info.kind,
             input: info.input.clone(),
             output: info.output.clone(),
@@ -555,6 +572,7 @@ fn scan_call(
         .map(|(_, a)| a.to_string())
         .collect();
     events.push(Event {
+        callee: callee.to_string(),
         accel: kind,
         input,
         output,
@@ -577,31 +595,52 @@ fn buffer_arg(args: &[Expr], pos: usize, callee: &str) -> Result<String, Analysi
 
 /// If `stmt` is a perfect loop nest whose innermost body is exactly one
 /// accelerable-looking call, returns the trip-count product and the call.
-fn single_call_loop<'a>(stmt: &'a Stmt, consts: &BTreeMap<String, i64>) -> Option<(u64, &'a Expr)> {
-    match stmt {
-        Stmt::For {
-            init,
-            cond,
-            step: _,
-            body,
-            ..
-        } => {
-            let trip = trip_count(init, cond, consts)?;
-            let inner = single_stmt(body)?;
-            match inner {
-                Stmt::For { .. } => {
-                    let (rest, call) = single_call_loop(inner, consts)?;
-                    Some((trip * rest, call))
-                }
-                Stmt::Expr(e @ Expr::Call { callee, .. })
-                    if LibApi::classify(callee)
-                        .and_then(LibApi::accelerator)
-                        .is_some() =>
-                {
-                    Some((trip, e))
-                }
-                _ => None,
-            }
+///
+/// # Errors
+///
+/// [`AnalysisError::TripCountOverflow`] when the product does not fit in
+/// `u64`.
+fn single_call_loop<'a>(
+    stmt: &'a Stmt,
+    consts: &BTreeMap<String, i64>,
+) -> Result<Option<(u64, &'a Expr)>, AnalysisError> {
+    match loop_nest(stmt, consts) {
+        None => Ok(None),
+        Some((Some(product), call)) => Ok(Some((product, call))),
+        Some((None, call)) => Err(AnalysisError::TripCountOverflow {
+            callee: match call {
+                Expr::Call { callee, .. } => callee.clone(),
+                other => other.to_string(),
+            },
+        }),
+    }
+}
+
+/// [`single_call_loop`]'s walk: the nest's call and its trip-count
+/// product, `None` where the product overflows `u64`. The whole nest
+/// must be compactable before an overflow counts.
+fn loop_nest<'a>(
+    stmt: &'a Stmt,
+    consts: &BTreeMap<String, i64>,
+) -> Option<(Option<u64>, &'a Expr)> {
+    let Stmt::For {
+        init, cond, body, ..
+    } = stmt
+    else {
+        return None;
+    };
+    let trip = trip_count(init, cond, consts)?;
+    match single_stmt(body)? {
+        inner @ Stmt::For { .. } => {
+            let (rest, call) = loop_nest(inner, consts)?;
+            Some((rest.and_then(|r| trip.checked_mul(r)), call))
+        }
+        Stmt::Expr(e @ Expr::Call { callee, .. })
+            if LibApi::classify(callee)
+                .and_then(LibApi::accelerator)
+                .is_some() =>
+        {
+            Some((Some(trip), e))
         }
         _ => None,
     }
@@ -617,7 +656,8 @@ fn single_stmt(stmt: &Stmt) -> Option<&Stmt> {
 }
 
 /// Trip count of `for (i = lo; i < hi; ++i)` with constant or
-/// symbol-table-resolved bounds.
+/// symbol-table-resolved bounds. `None` when a bound is not constant or
+/// the count is not positive.
 fn trip_count(init: &ForInit, cond: &Expr, consts: &BTreeMap<String, i64>) -> Option<u64> {
     let lo = match init {
         ForInit::Expr(Expr::Assign { rhs, .. }) => const_eval(rhs, consts)?,
@@ -637,10 +677,13 @@ fn trip_count(init: &ForInit, cond: &Expr, consts: &BTreeMap<String, i64>) -> Op
         } => (true, const_eval(rhs, consts)?),
         _ => return None,
     };
-    let count = hi - lo + i64::from(op_le);
-    (count > 0).then_some(count as u64)
+    // Exact in i128; a count beyond u64 is not a representable trip.
+    let count = i128::from(hi) - i128::from(lo) + i128::from(op_le);
+    (count > 0).then(|| u64::try_from(count).ok()).flatten()
 }
 
+/// Folds a constant integer expression. An operation that overflows
+/// `i64` (or divides by zero) makes the expression not constant.
 fn const_eval(e: &Expr, consts: &BTreeMap<String, i64>) -> Option<i64> {
     match e {
         Expr::Int(v) => Some(*v),
@@ -649,10 +692,10 @@ fn const_eval(e: &Expr, consts: &BTreeMap<String, i64>) -> Option<i64> {
             let l = const_eval(lhs, consts)?;
             let r = const_eval(rhs, consts)?;
             match op {
-                crate::ast::BinOp::Add => Some(l + r),
-                crate::ast::BinOp::Sub => Some(l - r),
-                crate::ast::BinOp::Mul => Some(l * r),
-                crate::ast::BinOp::Div => (r != 0).then(|| l / r),
+                crate::ast::BinOp::Add => l.checked_add(r),
+                crate::ast::BinOp::Sub => l.checked_sub(r),
+                crate::ast::BinOp::Mul => l.checked_mul(r),
+                crate::ast::BinOp::Div => l.checked_div(r),
                 _ => None,
             }
         }

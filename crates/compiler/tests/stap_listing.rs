@@ -2,7 +2,10 @@
 //! data allocation, FFTW guru data copy + batched FFT, and the OpenMP
 //! loop nest of 16M `cblas_cdotc_sub` calls.
 
-use mealib_compiler::compile;
+use mealib_compiler::analysis::AnalysisError;
+use mealib_compiler::{compile, CompileError};
+use mealib_tdl::TdlItem;
+use proptest::prelude::*;
 
 const STAP_SOURCE: &str = r#"
     // dataset geometry (PERFECT STAP "small"-like constants)
@@ -136,4 +139,120 @@ fn output_is_stable_under_recompilation() {
     let a = compile(STAP_SOURCE).unwrap();
     let b = compile(STAP_SOURCE).unwrap();
     assert_eq!(a, b);
+}
+
+/// Listing 1's loop-bound constants and their values in `STAP_SOURCE`,
+/// outermost first. The cdotc nest runs over all four, the saxpy loop
+/// over `N_DOP`.
+const LOOP_BOUNDS: [(&str, i64); 4] = [
+    ("N_DOP", 256),
+    ("N_BLOCKS", 64),
+    ("N_STEERING", 16),
+    ("TBS", 64),
+];
+
+/// `STAP_SOURCE` with `bounds` (name, value) substituted.
+fn listing1_with(bounds: &[(&str, i64)]) -> String {
+    let mut src = STAP_SOURCE.to_string();
+    for (name, value) in bounds {
+        let default = LOOP_BOUNDS.iter().find(|(n, _)| n == name).unwrap().1;
+        let from = format!("int {name} = {default};");
+        assert!(src.contains(&from), "{from}");
+        src = src.replace(&from, &format!("int {name} = {value};"));
+    }
+    src
+}
+
+fn trip_overflow_callee(src: &str) -> Option<String> {
+    match compile(src) {
+        Err(CompileError::Analysis(AnalysisError::TripCountOverflow { callee })) => Some(callee),
+        _ => None,
+    }
+}
+
+#[test]
+fn listing1_trip_product_past_u64_is_a_typed_error() {
+    for bounds in [
+        vec![("N_DOP", i64::MAX)],
+        vec![("N_DOP", 1 << 32), ("N_BLOCKS", 1 << 32)],
+    ] {
+        assert_eq!(
+            trip_overflow_callee(&listing1_with(&bounds)).as_deref(),
+            Some("cblas_cdotc_sub"),
+            "{bounds:?}"
+        );
+    }
+}
+
+/// Cases: 64, or `PROPTEST_CASES` when set (the release verification
+/// run widens the draw this way).
+fn edge_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(edge_cases()))]
+
+    #[test]
+    fn listing1_loop_counts_are_exact_trip_products_at_the_edges(
+        first in 0usize..4,
+        offset in 1usize..4,
+        values in (
+            proptest::sample::select(vec![0i64, 1, 1 << 32, i64::MAX, -1, i64::MIN]),
+            proptest::sample::select(vec![0i64, 1, 1 << 32, i64::MAX, -1, i64::MIN]),
+        ),
+    ) {
+        let second = (first + offset) % 4;
+        let bounds = [
+            (LOOP_BOUNDS[first].0, values.0),
+            (LOOP_BOUNDS[second].0, values.1),
+        ];
+        let src = listing1_with(&bounds);
+        let bound = |name: &str| {
+            bounds
+                .iter()
+                .chain(&LOOP_BOUNDS)
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| *v)
+                .unwrap()
+        };
+        // A non-positive bound leaves its loop uncompacted (a negative
+        // literal is not a constant to the compiler, and zero trips
+        // make no descriptor), so only all-positive nests have a trip
+        // product. It is exact in u128 up to saturation, far past u64.
+        let cdotc: Option<u128> = LOOP_BOUNDS.iter().try_fold(1u128, |acc, (name, _)| {
+            let v = bound(name);
+            (v > 0).then(|| acc.saturating_mul(v as u128))
+        });
+        let saxpy = bound("N_DOP");
+        if cdotc.is_some_and(|c| c > u128::from(u64::MAX)) {
+            prop_assert_eq!(trip_overflow_callee(&src).as_deref(), Some("cblas_cdotc_sub"));
+        } else {
+            let out = compile(&src)
+                .unwrap_or_else(|e| panic!("{bounds:?} must compile: {e}"));
+            let mut loops = Vec::new();
+            let mut total = 0u64;
+            for gen in &out.tdl {
+                let program = mealib_tdl::parse(&gen.text).expect("generated TDL parses");
+                prop_assert_eq!(program.total_invocations(), Some(gen.calls_compacted));
+                total += gen.calls_compacted;
+                for item in &program.items {
+                    if let TdlItem::Loop(l) = item {
+                        loops.push(u128::from(l.count));
+                    }
+                }
+            }
+            prop_assert_eq!(total, out.stats.dynamic_calls);
+            let mut want: Vec<u128> = cdotc.into_iter().filter(|&c| c > 1).collect();
+            if saxpy > 1 {
+                want.push(saxpy as u128);
+            }
+            loops.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(loops, want);
+        }
+    }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use mealib_accel::AccelParams;
-use mealib_obs::{Breakdown, Obs, Recorder};
+use mealib_obs::{Breakdown, Obs, TraceRecorder};
 use mealib_runtime::{AccPlan, RunReport, Runtime, RuntimeError, Sanitizer, StackId, VerifyMode};
 use mealib_tdl::ParamBag;
 use mealib_types::{Bytes, Complex32, Gflops, Joules, Seconds, Watts};
@@ -164,7 +164,7 @@ impl MealibBuilder {
     }
 
     /// Installs a recorder (shorthand for `obs(Obs::new(recorder))`).
-    pub fn recorder(self, recorder: Arc<dyn Recorder + Send + Sync>) -> Self {
+    pub fn recorder(self, recorder: Arc<TraceRecorder>) -> Self {
         self.obs(Obs::new(recorder))
     }
 

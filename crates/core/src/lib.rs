@@ -42,7 +42,7 @@ mod ops;
 
 pub use facade::{Mealib, MealibBuilder, MealibError, OpReport};
 pub use mealib_accel::AccelParams;
-pub use mealib_obs::{Breakdown, Counter, Obs, Phase, Recorder, TraceRecorder};
+pub use mealib_obs::{Breakdown, Counter, Obs, Phase, TraceRecorder};
 pub use mealib_runtime::{AccPlan, RunReport, Sanitizer, StackId, VerifyMode};
 pub use mealib_types::Complex32;
 

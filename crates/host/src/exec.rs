@@ -95,15 +95,11 @@ impl HostReport {
         bd
     }
 
-    /// Records this run's roofline phase costs and host counters into
-    /// an observability handle. A no-op when recording is off.
-    pub fn record_into(&self, obs: &mealib_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        obs.record_breakdown(&self.breakdown(), &self.platform);
-        obs.count(mealib_obs::Counter::HostFlops, self.flops);
-        obs.count(mealib_obs::Counter::HostBytes, self.bytes);
+    /// Adds this run's host FLOP and byte counters to `bd`.
+    pub fn add_counters(&self, bd: &mut mealib_obs::Breakdown) {
+        use mealib_obs::{Counter, CounterKey};
+        bd.add_count(CounterKey::total(Counter::HostFlops), self.flops);
+        bd.add_count(CounterKey::total(Counter::HostBytes), self.bytes);
     }
 }
 
@@ -240,7 +236,7 @@ mod tests {
 
     #[test]
     fn breakdown_partitions_the_roofline_interval() {
-        use mealib_obs::{Counter, Obs, Phase, TraceRecorder};
+        use mealib_obs::{Counter, Phase};
         let r = run_op(&Platform::haswell(), &axpy(1 << 24), CodeFlavor::Library);
         let bd = r.breakdown();
         let t = bd.phase(Phase::Compute).time + bd.phase(Phase::Dma).time;
@@ -250,9 +246,8 @@ mod tests {
         // AXPY is bandwidth-bound on the host: dma dominates.
         assert!(bd.phase(Phase::Dma).time > bd.phase(Phase::Compute).time);
 
-        let rec = TraceRecorder::shared();
-        r.record_into(&Obs::new(rec.clone()));
-        let got = rec.breakdown();
+        let mut got = mealib_obs::Breakdown::new();
+        r.add_counters(&mut got);
         assert_eq!(got.counter(Counter::HostFlops), r.flops);
         assert_eq!(got.counter(Counter::HostBytes), r.bytes);
     }

@@ -24,7 +24,7 @@
 //! bandwidth/energy questions this reproduction asks.
 
 use mealib_obs::timeline::{Timeline, WindowCounters};
-use mealib_obs::{Counter, Obs};
+use mealib_obs::{Breakdown, Counter, CounterKey};
 use mealib_types::{Bytes, ConfigError, Cycles, PhysAddr};
 
 use crate::address::{AddressMapping, Location};
@@ -289,20 +289,21 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    /// Records the aggregate DRAM counters plus one lane per vault into
-    /// an observability handle. A no-op when recording is off.
-    pub fn record_into(&self, obs: &Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        self.stats.record_into(obs);
+    /// Adds the aggregate DRAM counters plus one lane per vault to
+    /// `bd`.
+    pub fn add_counters(&self, bd: &mut Breakdown) {
+        self.stats.add_counters(bd);
         for (unit, v) in self.vaults.iter().enumerate() {
             let lane = unit as u16;
-            obs.count_lane(Counter::DramAct, lane, v.activations);
-            obs.count_lane(Counter::DramPre, lane, v.precharges);
-            obs.count_lane(Counter::DramRowHit, lane, v.row_hits);
-            obs.count_lane(Counter::DramRowMiss, lane, v.row_misses);
-            obs.count_lane(Counter::DramRefresh, lane, v.refreshes);
+            for (counter, value) in [
+                (Counter::DramAct, v.activations),
+                (Counter::DramPre, v.precharges),
+                (Counter::DramRowHit, v.row_hits),
+                (Counter::DramRowMiss, v.row_misses),
+                (Counter::DramRefresh, v.refreshes),
+            ] {
+                bd.add_count(CounterKey::lane(counter, lane), value);
+            }
         }
     }
 }
@@ -1335,12 +1336,10 @@ mod tests {
 
     #[test]
     fn engine_run_records_per_lane_counters() {
-        use mealib_obs::TraceRecorder;
         let c = MemoryConfig::ddr_dual_channel();
         let run = run(&c, &sequential_trace(0, 1 << 20, 64, Op::Read));
-        let rec = TraceRecorder::shared();
-        run.record_into(&Obs::new(rec.clone()));
-        let bd = rec.breakdown();
+        let mut bd = Breakdown::new();
+        run.add_counters(&mut bd);
         // Aggregate + per-lane sums: counter() folds both, so the total
         // is twice the aggregate count.
         assert_eq!(bd.counter(Counter::DramAct), 2 * run.stats.activations);

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use mealib_obs::{Counter, Obs};
+use mealib_obs::{Breakdown, Counter, CounterKey};
 use mealib_types::{Bytes, BytesPerSec, Cycles, Joules, Seconds};
 
 /// Outcome of replaying (or estimating) a memory trace on one device.
@@ -71,19 +71,19 @@ impl TraceStats {
         }
     }
 
-    /// Records this trace's aggregate DRAM event counts into an
-    /// observability handle. A no-op when recording is off.
-    pub fn record_into(&self, obs: &Obs) {
-        if !obs.enabled() {
-            return;
+    /// Adds this trace's aggregate DRAM event counts to `bd`.
+    pub fn add_counters(&self, bd: &mut Breakdown) {
+        for (counter, value) in [
+            (Counter::DramAct, self.activations),
+            (Counter::DramPre, self.precharges),
+            (Counter::DramRdBytes, self.bytes_read.get()),
+            (Counter::DramWrBytes, self.bytes_written.get()),
+            (Counter::DramRowHit, self.row_hits),
+            (Counter::DramRowMiss, self.row_misses),
+            (Counter::DramRefresh, self.refreshes),
+        ] {
+            bd.add_count(CounterKey::total(counter), value);
         }
-        obs.count(Counter::DramAct, self.activations);
-        obs.count(Counter::DramPre, self.precharges);
-        obs.count(Counter::DramRdBytes, self.bytes_read.get());
-        obs.count(Counter::DramWrBytes, self.bytes_written.get());
-        obs.count(Counter::DramRowHit, self.row_hits);
-        obs.count(Counter::DramRowMiss, self.row_misses);
-        obs.count(Counter::DramRefresh, self.refreshes);
     }
 }
 

@@ -94,17 +94,18 @@ pub struct NocStats {
 }
 
 impl NocStats {
-    /// Records this transfer's flit counters into an observability
-    /// handle. Credits are one per flit per link in this wormhole
-    /// model, i.e. equal to the flit-hop count. A no-op when recording
-    /// is off.
-    pub fn record_into(&self, obs: &mealib_obs::Obs) {
-        if !obs.enabled() {
-            return;
+    /// Adds this transfer's flit counters to `bd`. Credits are one per
+    /// flit per link in this wormhole model, i.e. equal to the flit-hop
+    /// count.
+    pub fn add_counters(&self, bd: &mut mealib_obs::Breakdown) {
+        use mealib_obs::{Counter, CounterKey};
+        for (counter, value) in [
+            (Counter::NocFlits, self.flits),
+            (Counter::NocFlitHops, self.flit_hops),
+            (Counter::NocCredits, self.flit_hops),
+        ] {
+            bd.add_count(CounterKey::total(counter), value);
         }
-        obs.count(mealib_obs::Counter::NocFlits, self.flits);
-        obs.count(mealib_obs::Counter::NocFlitHops, self.flit_hops);
-        obs.count(mealib_obs::Counter::NocCredits, self.flit_hops);
     }
 }
 
@@ -434,13 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn noc_counters_record_into_obs() {
-        use mealib_obs::{Counter, Obs, TraceRecorder};
+    fn noc_counters_add_to_breakdown() {
+        use mealib_obs::{Breakdown, Counter};
         let m = Mesh::mealib_layer();
         let s = m.broadcast(TileId::new(0, 0), 64);
-        let rec = TraceRecorder::shared();
-        s.record_into(&Obs::new(rec.clone()));
-        let bd = rec.breakdown();
+        let mut bd = Breakdown::new();
+        s.add_counters(&mut bd);
         assert_eq!(bd.counter(Counter::NocFlits), s.flits);
         assert_eq!(bd.counter(Counter::NocFlitHops), s.flit_hops);
         assert_eq!(bd.counter(Counter::NocCredits), s.flit_hops);

@@ -4,29 +4,29 @@
 //! end-of-run aggregates; this crate adds the *attribution* layer the
 //! paper's Figure 14 is built on. Two primitives:
 //!
-//! * **Spans** — phase-labeled `(modeled time, modeled energy)`
-//!   events. The phase taxonomy follows the software stack's life of a
-//!   call: `plan` (CU descriptor decode, session arrivals), `verify`
+//! * **Spans** — phase-attributed `(modeled time, modeled energy)`
+//!   contributions. The phase taxonomy follows the software stack's
+//!   life of a call: `plan` (CU descriptor decode, session arrivals), `verify`
 //!   (admission decisions), `flush`/`dma`/`compute`/`drain` (modeled
 //!   device-side cost). Every recorded quantity is modeled or counted,
-//!   never host wall time, so two identical runs record byte-identical
-//!   traces.
+//!   never host wall time, so two identical runs record bit-identical
+//!   breakdowns.
 //! * **Counters** — a typed registry of micro-architectural event
 //!   counts (DRAM ACT/PRE/RD/WR, NoC flits, CU fetch/decode/loop
 //!   statistics, allocator traffic), optionally per-lane (e.g. per
 //!   DRAM vault).
 //!
-//! The [`Obs`] handle is a nullable `Arc<dyn Recorder>`: when no
-//! recorder is installed every call short-circuits on a single
-//! `Option` check and allocates nothing, so instrumented code paths
-//! cost (essentially) nothing in the default configuration.
-//!
-//! [`TraceRecorder`] is the batteries-included sink: it accumulates a
-//! [`Breakdown`] (per-phase totals + counter registry) and an ordered
-//! event log that serializes to JSONL via
-//! [`TraceRecorder::to_jsonl`]. The [`json`] module carries the
-//! hand-rolled emitter plus a small parser used by tests and the
-//! bench harnesses to validate traces without external dependencies.
+//! Both fold into one [`Breakdown`] (per-phase totals + counter
+//! registry). Counter sources add their counts to a `&mut Breakdown`
+//! directly; a caller that wants the totals of a whole run installs a
+//! [`TraceRecorder`] behind the [`Obs`] handle, which is a nullable
+//! `Arc<TraceRecorder>`: when no recorder is installed every call
+//! short-circuits on a single `Option` check and allocates nothing, so
+//! instrumented code paths cost (essentially) nothing in the default
+//! configuration. A recorded breakdown is exported as a Chrome trace
+//! through [`Profile::from_breakdown`]. The [`json`] module carries the
+//! hand-rolled emitter plus a small parser used by tests and the bench
+//! harnesses to validate exports without external dependencies.
 //!
 //! The time-resolved layer (PR 5) builds on these primitives:
 //! [`timeline`] carries cycle-windowed counter timelines, [`profile`]
@@ -65,9 +65,10 @@ use std::sync::{Arc, Mutex};
 
 /// The phase taxonomy for span events.
 ///
-/// `Plan` carries the CU's modeled descriptor decode and the serving
-/// loop's zero-cost session-arrival markers; `Verify` carries its
-/// zero-cost admission-decision markers. The remaining
+/// `Plan` carries the CU's modeled descriptor decode and, in the
+/// serving loop's telemetry lifecycle trace, the zero-length
+/// session-arrival markers; `Verify` carries that trace's
+/// admission-decision markers. The remaining
 /// phases partition the modeled device time: `Flush` (cache flush +
 /// driver invocation), `Dma` (descriptor fetch, configuration broadcast
 /// and memory streaming), `Compute` (PE arithmetic) and `Drain` (result
@@ -76,7 +77,7 @@ use std::sync::{Arc, Mutex};
 pub enum Phase {
     /// CU descriptor decode ahead of the passes; session arrivals.
     Plan,
-    /// Admission decisions of the serving loop.
+    /// Admission decisions of the serving loop (lifecycle markers).
     Verify,
     /// Cache flush + driver round trip before an invocation.
     Flush,
@@ -99,7 +100,7 @@ impl Phase {
         Phase::Drain,
     ];
 
-    /// Stable lowercase name used in JSONL traces.
+    /// Stable lowercase name used in breakdown JSON and trace exports.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Plan => "plan",
@@ -173,7 +174,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// Stable snake_case name used in JSONL traces.
+    /// Stable snake_case name used in breakdown JSON.
     pub fn name(self) -> &'static str {
         match self {
             Counter::DramAct => "dram_act",
@@ -234,46 +235,12 @@ impl CounterKey {
     }
 }
 
-/// One phase-labeled span event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    /// Phase label.
-    pub phase: Phase,
-    /// Free-form site label ("stap.cdotc", "acc_execute", ...).
-    pub label: String,
-    /// Modeled time attributed to this span.
-    pub time: Seconds,
-    /// Modeled energy attributed to this span.
-    pub energy: Joules,
-}
-
-/// A sink for instrumentation events. Methods take `&self`;
-/// implementations use interior mutability so one recorder can be
-/// shared across the whole stack behind an `Arc`.
-pub trait Recorder {
-    /// Records one span event.
-    fn record_span(&self, event: &SpanEvent);
-    /// Adds `value` to the given counter.
-    fn record_count(&self, key: CounterKey, value: u64);
-    /// Records a batch of events in order. The default forwards one by
-    /// one; lock-based sinks override this to take their lock once per
-    /// batch instead of once per event.
-    fn record_batch(&self, events: &[TraceEvent]) {
-        for event in events {
-            match event {
-                TraceEvent::Span(s) => self.record_span(s),
-                TraceEvent::Count { key, value } => self.record_count(*key, *value),
-            }
-        }
-    }
-}
-
-/// A cheap, cloneable handle to an optional recorder.
+/// A cheap, cloneable handle to an optional [`TraceRecorder`].
 ///
 /// `Obs::off()` is the default everywhere: every recording call then
 /// reduces to one `Option` discriminant check.
 #[derive(Clone, Default)]
-pub struct Obs(Option<Arc<dyn Recorder + Send + Sync>>);
+pub struct Obs(Option<Arc<TraceRecorder>>);
 
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -290,7 +257,7 @@ impl Obs {
     }
 
     /// Wraps a recorder.
-    pub fn new(recorder: Arc<dyn Recorder + Send + Sync>) -> Self {
+    pub fn new(recorder: Arc<TraceRecorder>) -> Self {
         Obs(Some(recorder))
     }
 
@@ -299,60 +266,25 @@ impl Obs {
         self.0.is_some()
     }
 
-    /// The installed recorder, if any. Lets infrastructure (e.g. the
-    /// sweep, which records each run on its own and feeds the sink in
-    /// input order) interpose another recorder in front of the user's
-    /// sink.
-    pub fn recorder(&self) -> Option<Arc<dyn Recorder + Send + Sync>> {
-        self.0.clone()
-    }
-
-    /// Records a modeled span.
-    pub fn span(&self, phase: Phase, label: &str, time: Seconds, energy: Joules) {
+    /// Adds a modeled (time, energy) contribution to `phase`.
+    pub fn span(&self, phase: Phase, time: Seconds, energy: Joules) {
         if let Some(rec) = &self.0 {
-            rec.record_span(&SpanEvent {
-                phase,
-                label: label.to_string(),
-                time,
-                energy,
-            });
+            rec.lock().add_phase(phase, time, energy);
         }
     }
 
     /// Adds `value` to an aggregate counter. Zero increments are
-    /// dropped to keep traces lean.
+    /// dropped.
     pub fn count(&self, counter: Counter, value: u64) {
-        if value != 0 {
-            if let Some(rec) = &self.0 {
-                rec.record_count(CounterKey::total(counter), value);
-            }
-        }
-    }
-
-    /// Adds `value` to a per-lane counter.
-    pub fn count_lane(&self, counter: Counter, lane: u16, value: u64) {
-        if value != 0 {
-            if let Some(rec) = &self.0 {
-                rec.record_count(CounterKey::lane(counter, lane), value);
-            }
-        }
-    }
-
-    /// Replays a prebuilt breakdown into the recorder: one span per
-    /// phase (labeled `label`) and one increment per counter key.
-    pub fn record_breakdown(&self, breakdown: &Breakdown, label: &str) {
-        if !self.enabled() {
-            return;
-        }
-        for (phase, totals) in breakdown.phases() {
-            self.span(phase, label, totals.time, totals.energy);
-        }
         if let Some(rec) = &self.0 {
-            for (key, value) in breakdown.counters() {
-                if value != 0 {
-                    rec.record_count(key, value);
-                }
-            }
+            rec.lock().add_count(CounterKey::total(counter), value);
+        }
+    }
+
+    /// Folds a prebuilt breakdown into the recorder under one lock.
+    pub fn record_breakdown(&self, breakdown: &Breakdown) {
+        if let Some(rec) = &self.0 {
+            rec.lock().merge(breakdown);
         }
     }
 }
@@ -478,146 +410,26 @@ impl Breakdown {
     }
 }
 
-/// One entry of a [`TraceRecorder`]'s ordered event log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A span event.
-    Span(SpanEvent),
-    /// A counter increment.
-    Count {
-        /// Counter key.
-        key: CounterKey,
-        /// Increment value.
-        value: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
-            TraceEvent::Span(s) => {
-                let mut o = json::Object::new();
-                o.str("type", "span");
-                o.str("phase", s.phase.name());
-                o.str("label", &s.label);
-                o.num("time_s", s.time.get());
-                o.num("energy_j", s.energy.get());
-                o.render()
-            }
-            TraceEvent::Count { key, value } => {
-                let mut o = json::Object::new();
-                o.str("type", "count");
-                o.str("counter", key.counter.name());
-                if let Some(lane) = key.lane {
-                    o.int("lane", u64::from(lane));
-                }
-                o.int("value", *value);
-                o.render()
-            }
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct TraceInner {
-    events: Vec<TraceEvent>,
-    breakdown: Breakdown,
-}
-
-/// The standard in-memory recorder: keeps the ordered event log for
-/// JSONL export and folds every event into a running [`Breakdown`].
+/// The in-memory sink behind an enabled [`Obs`]: one [`Breakdown`]
+/// that every span, count and folded breakdown accumulates into.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
-    inner: Mutex<TraceInner>,
+    breakdown: Mutex<Breakdown>,
 }
 
 impl TraceRecorder {
-    /// A fresh, empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh recorder already wrapped for sharing.
+    /// A fresh, empty recorder already wrapped for sharing.
     pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
+        Arc::new(Self::default())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Breakdown> {
+        self.breakdown.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Snapshot of the accumulated breakdown.
     pub fn breakdown(&self) -> Breakdown {
-        self.lock().breakdown.clone()
-    }
-
-    /// Snapshot of the ordered event log.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.clone()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.lock().events.len()
-    }
-
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().events.is_empty()
-    }
-
-    /// Drops all recorded state.
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.events.clear();
-        inner.breakdown = Breakdown::default();
-    }
-
-    /// Serializes the event log as JSONL (one JSON object per line).
-    pub fn to_jsonl(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        for event in &inner.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn record_span(&self, event: &SpanEvent) {
-        let mut inner = self.lock();
-        inner
-            .breakdown
-            .add_phase(event.phase, event.time, event.energy);
-        inner.events.push(TraceEvent::Span(event.clone()));
-    }
-
-    fn record_count(&self, key: CounterKey, value: u64) {
-        if value == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.breakdown.add_count(key, value);
-        inner.events.push(TraceEvent::Count { key, value });
-    }
-
-    /// One lock acquisition for the whole batch, which is how a sweep
-    /// hands each run's events to a shared sink.
-    fn record_batch(&self, events: &[TraceEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let mut inner = self.lock();
-        for event in events {
-            match event {
-                TraceEvent::Span(s) => inner.breakdown.add_phase(s.phase, s.time, s.energy),
-                TraceEvent::Count { key, value } => inner.breakdown.add_count(*key, *value),
-            }
-            inner.events.push(event.clone());
-        }
+        self.lock().clone()
     }
 }
 
@@ -637,7 +449,7 @@ mod tests {
     fn off_handle_records_nothing_and_is_cheap() {
         let obs = Obs::off();
         assert!(!obs.enabled());
-        obs.span(Phase::Compute, "x", s(1.0), j(1.0));
+        obs.span(Phase::Compute, s(1.0), j(1.0));
         obs.count(Counter::DramAct, 5);
         // Nothing to observe: the handle has no sink at all.
     }
@@ -647,11 +459,10 @@ mod tests {
         let rec = TraceRecorder::shared();
         let obs = Obs::new(rec.clone());
         assert!(obs.enabled());
-        obs.span(Phase::Dma, "a", s(2.0), j(4.0));
-        obs.span(Phase::Dma, "b", s(1.0), j(1.0));
-        obs.span(Phase::Compute, "c", s(3.0), j(2.0));
+        obs.span(Phase::Dma, s(2.0), j(4.0));
+        obs.span(Phase::Dma, s(1.0), j(1.0));
+        obs.span(Phase::Compute, s(3.0), j(2.0));
         obs.count(Counter::DramAct, 10);
-        obs.count_lane(Counter::DramRowHit, 3, 7);
         obs.count(Counter::DramAct, 0); // dropped
 
         let bd = rec.breakdown();
@@ -660,8 +471,7 @@ mod tests {
         assert_eq!(bd.total_time(), s(6.0));
         assert_eq!(bd.total_energy(), j(7.0));
         assert_eq!(bd.counter(Counter::DramAct), 10);
-        assert_eq!(bd.counter(Counter::DramRowHit), 7);
-        assert_eq!(rec.len(), 5);
+        assert_eq!(bd.counters().count(), 1);
     }
 
     #[test]
@@ -681,40 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_through_the_parser() {
-        let rec = TraceRecorder::shared();
-        let obs = Obs::new(rec.clone());
-        obs.span(Phase::Plan, "decode \"tdl\"", s(1.5e-6), Joules::ZERO);
-        obs.span(Phase::Compute, "pass0", s(1.25e-3), j(3.5e-2));
-        obs.count_lane(Counter::DramAct, 12, 345);
-        let jsonl = rec.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 3);
-        for line in jsonl.lines() {
-            let v = json::parse(line).expect("valid JSON line");
-            let ty = v.get("type").and_then(json::Value::as_str).expect("type");
-            assert!(ty == "span" || ty == "count");
-        }
-        // Spot-check one value survives the round trip.
-        let first = json::parse(jsonl.lines().next().unwrap()).unwrap();
-        assert_eq!(
-            first.get("phase").and_then(json::Value::as_str),
-            Some("plan")
-        );
-        let time = first.get("time_s").and_then(json::Value::as_f64).unwrap();
-        assert!((time - 1.5e-6).abs() < 1e-18);
-        assert!(first.get("wall_s").is_none());
-    }
-
-    #[test]
     fn record_breakdown_replays_phases_and_counters() {
         let mut bd = Breakdown::new();
         bd.add_phase(Phase::Dma, s(1.0), j(2.0));
         bd.add_count(CounterKey::lane(Counter::DramRowMiss, 2), 9);
         let rec = TraceRecorder::shared();
-        Obs::new(rec.clone()).record_breakdown(&bd, "replay");
-        let got = rec.breakdown();
-        assert_eq!(got.phase(Phase::Dma).time, s(1.0));
-        assert_eq!(got.counter(Counter::DramRowMiss), 9);
+        Obs::new(rec.clone()).record_breakdown(&bd);
+        assert_eq!(rec.breakdown(), bd);
     }
 
     #[test]
@@ -734,19 +517,6 @@ mod tests {
             counters.get("dram_act[1]").and_then(json::Value::as_f64),
             Some(4.0)
         );
-    }
-
-    #[test]
-    fn batched_recording_equals_per_event_recording() {
-        let a = TraceRecorder::shared();
-        let oa = Obs::new(a.clone());
-        oa.span(Phase::Dma, "x", s(1.0), j(1.0));
-        oa.count(Counter::NocFlits, 5);
-
-        let b = TraceRecorder::shared();
-        b.record_batch(&a.events());
-        assert_eq!(b.events(), a.events());
-        assert_eq!(b.breakdown(), a.breakdown());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt;
 
 use mealib_accel::cu::{run_descriptor, CuCostModel, CuError, DescriptorRun};
 use mealib_accel::AcceleratorLayer;
-use mealib_obs::{Attribution, Breakdown, Counter, Obs, Phase, Profile};
+use mealib_obs::{Attribution, Breakdown, Counter, CounterKey, Obs, Phase, Profile};
 use mealib_tdl::{parse_with_lines, Descriptor, DescriptorError, ParamBag, ParseError, TdlProgram};
 use mealib_types::{Bytes, Joules, Report, Seconds};
 use mealib_verify::TdlLimits;
@@ -58,6 +58,9 @@ pub enum RuntimeError {
     Cu(CuError),
     /// The plan was already destroyed.
     PlanDestroyed,
+    /// The running total of dynamic invocations
+    /// ([`RuntimeCounters::invocations`]) would overflow `u64`.
+    InvocationOverflow,
 }
 
 impl fmt::Display for RuntimeError {
@@ -69,6 +72,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Driver(e) => write!(f, "driver error: {e}"),
             RuntimeError::Cu(e) => write!(f, "configuration unit error: {e}"),
             RuntimeError::PlanDestroyed => f.write_str("accelerator plan already destroyed"),
+            RuntimeError::InvocationOverflow => {
+                f.write_str("running invocation count would overflow u64")
+            }
         }
     }
 }
@@ -558,7 +564,9 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::PlanDestroyed`], driver, or CU errors.
+    /// Returns [`RuntimeError::PlanDestroyed`], driver, or CU errors, or
+    /// [`RuntimeError::InvocationOverflow`] (with no counter changed)
+    /// when the run would wrap the running invocation count.
     pub fn acc_execute(&mut self, plan: &AccPlan) -> Result<RunReport, RuntimeError> {
         self.execute_impl(plan, true)
     }
@@ -572,7 +580,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::PlanDestroyed`], driver, or CU errors.
+    /// Returns the same errors as [`Runtime::acc_execute`].
     pub fn acc_execute_unsynced(&mut self, plan: &AccPlan) -> Result<RunReport, RuntimeError> {
         self.execute_impl(plan, false)
     }
@@ -584,12 +592,8 @@ impl Runtime {
         self.sanitizer.flush();
         let flush = self.cache.flush_time_for(self.driver.allocated_bytes());
         if self.obs.enabled() {
-            self.obs.span(
-                Phase::Flush,
-                "cache_sync",
-                flush,
-                self.cache.flush_energy(flush),
-            );
+            self.obs
+                .span(Phase::Flush, flush, self.cache.flush_energy(flush));
             self.obs.count(Counter::CacheFlushes, 1);
         }
         flush
@@ -638,8 +642,12 @@ impl Runtime {
             self.layer.with_mem(MemoryConfig::hmc_stack_remote())
         };
         let run = run_descriptor(&plan.descriptor, &layer, &self.cu_cost)?;
+        self.counters.invocations = self
+            .counters
+            .invocations
+            .checked_add(run.invocations())
+            .ok_or(RuntimeError::InvocationOverflow)?;
         self.counters.executions += 1;
-        self.counters.invocations += run.invocations();
 
         // Per-phase attribution: the host-side flush + descriptor copy
         // is its own phase, everything else comes from the CU run's
@@ -654,18 +662,13 @@ impl Runtime {
         let window = Seconds::new(profile.end_time().get() / ATTRIBUTION_WINDOWS);
         let attribution = Attribution::classify(&profile, &layer.roofline(), window);
         if self.obs.enabled() {
-            self.obs.span(
-                Phase::Flush,
-                "acc_execute",
-                invocation_time,
-                invocation_energy,
-            );
-            self.obs.record_breakdown(&run.breakdown(), "acc_execute");
-            run.record_into(&self.obs);
+            let mut recorded = breakdown.clone();
+            run.add_counters(&mut recorded);
             if sync {
-                self.obs.count(Counter::CacheFlushes, 1);
+                recorded.add_count(CounterKey::total(Counter::CacheFlushes), 1);
             }
-            self.obs.count(Counter::DriverCalls, 1);
+            recorded.add_count(CounterKey::total(Counter::DriverCalls), 1);
+            self.obs.record_breakdown(&recorded);
         }
         Ok(RunReport {
             invocation_time,
@@ -830,6 +833,52 @@ mod tests {
         let tdl = "PASS in=x out=x { COMP RESHP params=\"r.para\" COMP FFT params=\"f.para\" }";
         assert!(rt.acc_plan(tdl, &params).is_ok());
         assert!(rt.last_verify_report().is_none());
+    }
+
+    /// An unverified runtime holding `x`/`y` and a two-`COMP` AXPY pass
+    /// looped `count` times.
+    fn looped_axpy_plan(count: u64) -> (Runtime, AccPlan) {
+        let mut rt = Runtime::new();
+        rt.set_verify_mode(VerifyMode::Off);
+        rt.mem_alloc("x", Bytes::from_mib(1)).unwrap();
+        rt.mem_alloc("y", Bytes::from_mib(1)).unwrap();
+        let mut params = ParamBag::new();
+        let axpy = AccelParams::Axpy {
+            n: 1024,
+            alpha: 2.0,
+            incx: 1,
+            incy: 1,
+        };
+        params.insert("a.para".into(), axpy.to_bytes());
+        let tdl = format!(
+            "LOOP {count} {{ PASS in=x out=y {{ COMP AXPY params=\"a.para\" \
+             COMP AXPY params=\"a.para\" }} }}"
+        );
+        let plan = rt.acc_plan(&tdl, &params).unwrap();
+        (rt, plan)
+    }
+
+    #[test]
+    fn invocation_count_that_wraps_is_refused() {
+        // 2^63 iterations of a two-stage pass: the CU refuses the run.
+        let (mut rt, plan) = looped_axpy_plan(1 << 63);
+        let err = rt.acc_execute(&plan).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Cu(CuError::InvocationOverflow)),
+            "{err}"
+        );
+        assert_eq!(rt.counters().executions, 0);
+        assert_eq!(rt.counters().invocations, 0);
+    }
+
+    #[test]
+    fn running_invocation_sum_that_wraps_is_refused() {
+        let (mut rt, plan) = looped_axpy_plan(1);
+        rt.counters.invocations = u64::MAX - 1;
+        let before = rt.counters().clone();
+        let err = rt.acc_execute(&plan).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvocationOverflow), "{err}");
+        assert_eq!(rt.counters(), &before);
     }
 
     #[test]

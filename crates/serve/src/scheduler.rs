@@ -32,7 +32,6 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mealib_obs::{Breakdown, Obs, Phase};
-use mealib_types::{Joules, Seconds};
 use mealib_verify::interference::TenantBounds;
 use mealib_verify::{BoundsEnv, Verdict};
 
@@ -194,7 +193,8 @@ pub fn serve(
 /// Runs the serving loop with live telemetry: streaming metric
 /// sketches, the per-session lifecycle trace, and the SLO /
 /// certified-bounds engines, all driven by the modeled clock. `obs`
-/// receives the admission (`Verify`) and replay (`Compute`) spans.
+/// receives the run's breakdown (the replays' `Compute` time and
+/// energy); admission decisions are markers in the lifecycle trace.
 ///
 /// # Panics
 ///
@@ -425,20 +425,6 @@ fn serve_core(
                 batcher.plan_class(&class.body);
             }
             let (run, bounds) = gate.replay(&batch);
-            if obs.enabled() {
-                obs.span(
-                    Phase::Verify,
-                    &format!("admit-e{epoch}"),
-                    Seconds::ZERO,
-                    Joules::ZERO,
-                );
-                obs.span(
-                    Phase::Compute,
-                    &format!("replay-e{epoch}"),
-                    run.elapsed,
-                    run.energy,
-                );
-            }
             breakdown.add_phase(Phase::Compute, run.elapsed, run.energy);
             if let Some(t) = ledger.tele.as_deref_mut() {
                 t.on_replay(run.elapsed.get(), run.energy.get());
@@ -487,6 +473,7 @@ fn serve_core(
         batcher.export_metrics(t.registry_mut());
         gate.export_metrics(t.registry_mut());
     }
+    obs.record_breakdown(&breakdown);
 
     ServeReport {
         completed: ledger.completed,

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use mealib_accel::AccelParams;
 use mealib_host::{run_op, CodeFlavor, Platform};
-use mealib_obs::{Breakdown, Obs, Phase, Recorder, TraceRecorder};
+use mealib_obs::{Breakdown, Obs, Phase, TraceRecorder};
 use mealib_runtime::{Runtime, Sanitizer, VerifyMode};
 use mealib_tdl::ParamBag;
 use mealib_types::{Bytes, Joules, Seconds, Watts};
@@ -150,7 +150,7 @@ impl ExperimentOptions {
     }
 
     /// Installs a recorder (shorthand for `obs(Obs::new(recorder))`).
-    pub fn recorder(self, recorder: Arc<dyn Recorder + Send + Sync>) -> Self {
+    pub fn recorder(self, recorder: Arc<TraceRecorder>) -> Self {
         self.obs(Obs::new(recorder))
     }
 
@@ -206,9 +206,14 @@ pub fn run_experiment(
     }
 
     let mut rows = Vec::with_capacity(5);
+    // What the recorder sees: both hosts' rooflines, then the MEALib row.
+    let mut recorded = Breakdown::new();
     for platform in [Platform::haswell(), Platform::xeon_phi()] {
         let r = run_op(&platform, op, CodeFlavor::Library);
-        r.record_into(&opts.obs);
+        if opts.obs.enabled() {
+            recorded.merge(&r.breakdown());
+            r.add_counters(&mut recorded);
+        }
         rows.push(PlatformResult {
             name: platform.name.clone(),
             time: r.time,
@@ -227,10 +232,7 @@ pub fn run_experiment(
         if accel.name == "MEALib" {
             breakdown.add_phase(Phase::Compute, r.compute_time, r.energy - r.mem_energy);
             breakdown.add_phase(Phase::Dma, r.time - r.compute_time, r.mem_energy);
-            let rec = TraceRecorder::shared();
-            r.mem.record_into(&Obs::new(rec.clone()));
-            breakdown.merge(&rec.breakdown());
-            opts.obs.record_breakdown(&breakdown, &accel.name);
+            r.mem.add_counters(&mut breakdown);
         }
         rows.push(PlatformResult {
             name: accel.name.clone(),
@@ -239,6 +241,10 @@ pub fn run_experiment(
             flops: r.flops,
             bytes: r.mem.bytes_moved().get(),
         });
+    }
+    if opts.obs.enabled() {
+        recorded.merge(&breakdown);
+        opts.obs.record_breakdown(&recorded);
     }
     // MEA203-style energy-envelope check over the modeled MEALib row.
     if let Some(budget) = opts.energy_budget {

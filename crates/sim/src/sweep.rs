@@ -4,19 +4,17 @@
 //! once per Table 2 workload; the design-space and ablation studies run
 //! hundreds of independent configurations. Each call is self-contained —
 //! it builds its accelerated platforms and its breakdown locally, and the
-//! shared pieces ([`TraceRecorder::shared`](mealib_obs::TraceRecorder)
-//! sinks, the [`preflight`](mod@crate::preflight) verdict cache, the
-//! sanitizer state) are behind `Arc`/`Mutex`/`OnceLock` — so fanning the
-//! calls across a bounded worker pool preserves every per-run result
+//! shared pieces ([`TraceRecorder::shared`] sinks, the
+//! [`preflight`](mod@crate::preflight) verdict cache, the sanitizer
+//! state) are behind `Arc`/`Mutex`/`OnceLock` — so fanning the calls
+//! across a bounded worker pool preserves every per-run result
 //! bit-for-bit.
 //!
 //! When a recorder is installed, each run records into its own
-//! [`TraceRecorder`], and the sweep feeds those event logs to the shared
-//! sink in input order, one
-//! [`Recorder::record_batch`](mealib_obs::Recorder::record_batch) per
-//! run. The sink therefore sees the same events in the same order at
-//! every `jobs` value, and its floating-point phase totals are summed in
-//! that order too, so a traced sweep is byte-identical to the serial one.
+//! [`TraceRecorder`], and the sweep folds those per-run breakdowns into
+//! the caller's sink in input order. The sink's floating-point phase
+//! totals are therefore summed in the same order at every `jobs` value,
+//! so a traced sweep is byte-identical to the serial one.
 
 use mealib_accel::AccelParams;
 use mealib_obs::TraceRecorder;
@@ -31,9 +29,9 @@ use crate::experiment::{run_experiment, ExperimentOptions, ExperimentReport};
 /// runs serially on the calling thread. Results are
 /// positionally identical to the serial loop regardless of `jobs`: the
 /// scheduling is handled by [`mealib_types::par_map`], which reassembles
-/// results by index. Recorder events are collected per run and
-/// delivered to the shared sink in input order, one batch per run, so
-/// the sink's contents do not depend on `jobs` either.
+/// results by index. Each run records into its own recorder, whose
+/// breakdown is folded into `opts.obs` in input order, so the sink's
+/// contents do not depend on `jobs` either.
 ///
 /// When an active [`Sanitizer`](mealib_runtime::Sanitizer) is installed
 /// in `opts`, the sweep degrades to serial execution: all runs share the
@@ -49,17 +47,17 @@ pub fn run_sweep(
     } else {
         mealib_types::auto_jobs(jobs)
     };
-    let Some(sink) = opts.obs.recorder() else {
+    if !opts.obs.enabled() {
         return mealib_types::par_map(ops, jobs, |op| run_experiment(op, opts));
-    };
+    }
     let runs = mealib_types::par_map(ops, jobs, |op| {
         let local = TraceRecorder::shared();
         let result = run_experiment(op, &opts.clone().recorder(local.clone()));
-        (result, local.events())
+        (result, local.breakdown())
     });
     runs.into_iter()
-        .map(|(result, events)| {
-            sink.record_batch(&events);
+        .map(|(result, breakdown)| {
+            opts.obs.record_breakdown(&breakdown);
             result
         })
         .collect()
@@ -79,7 +77,7 @@ const fn assert_options_shareable() {
 mod tests {
     use super::*;
     use crate::experiment::table2_workloads;
-    use mealib_obs::{Phase, TraceRecorder};
+    use mealib_obs::Phase;
     use mealib_runtime::Sanitizer;
 
     fn small_ops() -> Vec<AccelParams> {
@@ -155,8 +153,8 @@ mod tests {
     #[test]
     fn parallel_recording_equals_serial_recording_exactly() {
         // Every run records on its own and the sink is fed in input
-        // order, so the event log and the float phase totals are
-        // identical under any worker count, not merely close.
+        // order, so the float phase totals are identical under any
+        // worker count, not merely close.
         let ops = small_ops();
         let serial_rec = TraceRecorder::shared();
         let serial = run_sweep(
@@ -175,10 +173,8 @@ mod tests {
             let p = p.as_ref().expect("preflight clean");
             assert_eq!(s.comparison, p.comparison, "results must not change");
         }
-        assert!(!serial_rec.is_empty());
-        assert_eq!(serial_rec.events(), par_rec.events());
+        assert!(!serial_rec.breakdown().is_empty());
         assert_eq!(serial_rec.breakdown(), par_rec.breakdown());
-        assert_eq!(serial_rec.to_jsonl(), par_rec.to_jsonl());
         assert_eq!(
             serial_rec.breakdown().to_json(),
             par_rec.breakdown().to_json()

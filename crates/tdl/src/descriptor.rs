@@ -18,7 +18,7 @@
 //! emits).
 //!
 //! One walker reads the image back. [`check`] returns its full report
-//! (`MEA010`–`MEA018`: control-region decode, region tiling and
+//! (`MEA010`–`MEA019`: control-region decode, region tiling and
 //! alignment, opcode and nesting legality, parameter-region bounds),
 //! which `mealint` and the runtime's plan verification print.
 //! [`Descriptor::decode_bytes`], the Configuration Unit's decoder,
@@ -68,7 +68,7 @@ pub enum DescriptorError {
         /// The unresolved buffer name.
         name: String,
     },
-    /// The image fails [`check`]: the report holds every `MEA010`–`MEA018`
+    /// The image fails [`check`]: the report holds every `MEA010`–`MEA019`
     /// finding, each anchored to its byte span.
     Malformed(Report),
 }
@@ -282,7 +282,7 @@ impl Descriptor {
 }
 
 /// Checks a raw descriptor image as the Configuration Unit would see it
-/// in the command space (`MEA010`–`MEA018`). [`Descriptor::decode_bytes`]
+/// in the command space (`MEA010`–`MEA019`). [`Descriptor::decode_bytes`]
 /// fails exactly when this report has an error.
 pub fn check(bytes: &[u8]) -> Report {
     walk(bytes).1
@@ -457,6 +457,12 @@ fn walk(bytes: &[u8]) -> (Vec<DecodedInstr>, Report) {
                         ),
                     )));
                     loop_depth = loop_depth.min(1);
+                }
+                if b == 0 {
+                    report.push(at(Diagnostic::error(
+                        ErrorCode::DescZeroLoopCount,
+                        format!("instruction {i}: LOOP_BEGIN with a zero iteration count"),
+                    )));
                 }
                 instrs.push(DecodedInstr::LoopBegin { count: b });
             }

@@ -77,6 +77,8 @@ pub enum ErrorCode {
     /// A parameter blob does not start on the 8-byte alignment the
     /// fetch hardware requires.
     DescParamMisaligned,
+    /// A `LOOP_BEGIN` instruction carries a zero iteration count.
+    DescZeroLoopCount,
 
     // ----- Memory-simulator configuration checks (MEA020–MEA029) -----
     /// A timing parameter is zero or non-positive.
@@ -174,7 +176,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Every code, in numeric order (drives the rendered error table).
-    pub const ALL: [ErrorCode; 41] = [
+    pub const ALL: [ErrorCode; 42] = [
         ErrorCode::TdlInPlaceChain,
         ErrorCode::TdlChainTooLong,
         ErrorCode::TdlIllegalChain,
@@ -190,6 +192,7 @@ impl ErrorCode {
         ErrorCode::DescUnbalancedBlocks,
         ErrorCode::DescParamOutOfRange,
         ErrorCode::DescParamMisaligned,
+        ErrorCode::DescZeroLoopCount,
         ErrorCode::MemZeroParameter,
         ErrorCode::MemTimingInequality,
         ErrorCode::MemMappingParam,
@@ -236,6 +239,7 @@ impl ErrorCode {
             ErrorCode::DescUnbalancedBlocks => 16,
             ErrorCode::DescParamOutOfRange => 17,
             ErrorCode::DescParamMisaligned => 18,
+            ErrorCode::DescZeroLoopCount => 19,
             ErrorCode::MemZeroParameter => 20,
             ErrorCode::MemTimingInequality => 21,
             ErrorCode::MemMappingParam => 22,
@@ -283,6 +287,7 @@ impl ErrorCode {
             ErrorCode::DescUnbalancedBlocks => "MEA016",
             ErrorCode::DescParamOutOfRange => "MEA017",
             ErrorCode::DescParamMisaligned => "MEA018",
+            ErrorCode::DescZeroLoopCount => "MEA019",
             ErrorCode::MemZeroParameter => "MEA020",
             ErrorCode::MemTimingInequality => "MEA021",
             ErrorCode::MemMappingParam => "MEA022",
@@ -330,6 +335,7 @@ impl ErrorCode {
             ErrorCode::DescUnbalancedBlocks => "unbalanced PASS/LOOP markers",
             ErrorCode::DescParamOutOfRange => "parameter reference outside parameter region",
             ErrorCode::DescParamMisaligned => "parameter blob misaligned",
+            ErrorCode::DescZeroLoopCount => "zero loop count",
             ErrorCode::MemZeroParameter => "timing parameter is zero",
             ErrorCode::MemTimingInequality => "DRAM timing inequality violated",
             ErrorCode::MemMappingParam => "invalid address-mapping parameter",

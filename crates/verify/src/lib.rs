@@ -15,7 +15,7 @@
 //! * [`tdl`] — TDL semantic checks beyond parsing (`MEA001`–`MEA009`):
 //!   chain legality per §2.3, aliasing hazards, dangling `params=`
 //!   references, trip-count sanity;
-//! * binary descriptor image checks (`MEA010`–`MEA018`) live with the
+//! * binary descriptor image checks (`MEA010`–`MEA019`) live with the
 //!   format in [`mealib_tdl::descriptor::check`], the same walker the
 //!   Configuration Unit decodes with, so `mealint` refuses exactly the
 //!   images the CU refuses;

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use mealib_tdl::descriptor::{self, CR_BYTES, INSTR_BYTES, MAGIC, OP_PASS_END};
+use mealib_tdl::descriptor::{self, CR_BYTES, INSTR_BYTES, MAGIC, OP_LOOP_BEGIN, OP_PASS_END};
 use mealib_tdl::{parse, Descriptor, DescriptorError, ParamBag};
 use mealib_verify::{tdl, ErrorCode, TdlLimits};
 
@@ -105,8 +105,8 @@ fn patch_pr_offset(img: &mut [u8], delta: i64) {
 
 type Corruption = fn(&mut Vec<u8>);
 
-/// Ten realistic corruptions of [`good_image`], each with the one code it
-/// must draw.
+/// Eleven realistic corruptions of [`good_image`], each with the one
+/// code it must draw.
 const DESCRIPTOR_CORPUS: &[(&str, Corruption, ErrorCode)] = &[
     (
         "truncated below the control region",
@@ -166,6 +166,16 @@ const DESCRIPTOR_CORPUS: &[(&str, Corruption, ErrorCode)] = &[
             img[base + 8..base + 16].copy_from_slice(&3u64.to_le_bytes());
         },
         ErrorCode::DescParamMisaligned,
+    ),
+    (
+        "LOOP_BEGIN with a zero count",
+        |img| {
+            // Instruction 4 opens the `LOOP 16`.
+            let base = CR_BYTES + 4 * INSTR_BYTES;
+            assert_eq!(img[base], OP_LOOP_BEGIN);
+            img[base + 8..base + 16].copy_from_slice(&0u64.to_le_bytes());
+        },
+        ErrorCode::DescZeroLoopCount,
     ),
 ];
 

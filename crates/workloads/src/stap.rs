@@ -25,7 +25,7 @@ use mealib_host::{run_custom, run_op, CodeFlavor, Platform};
 use mealib_kernels::blas3::{self, Side, Triangle};
 use mealib_kernels::fft::Direction;
 use mealib_memsim::engine::{simulate, SimOptions};
-use mealib_obs::{Attribution, Breakdown, Obs, Phase, Profile, TraceRecorder};
+use mealib_obs::{Attribution, Breakdown, Obs, Phase, Profile};
 use mealib_runtime::CacheModel;
 use mealib_tdl::{AcceleratorKind, Descriptor, ParamBag};
 use mealib_types::{Joules, Seconds};
@@ -363,7 +363,7 @@ fn run_tdl(layer: &AcceleratorLayer, tdl: &str, stages: &[(&str, AccelParams)]) 
 /// (three descriptors, as the compiler produces), compute-bounded phases
 /// on the host, invocation overheads charged per descriptor (Fig. 14).
 pub fn run_on_mealib(cfg: &StapConfig) -> StapRun {
-    run_mealib_pipeline(cfg, None).0
+    run_mealib_pipeline(cfg, false).0
 }
 
 /// Engine-cycle width of the DRAM timeline windows in
@@ -437,10 +437,8 @@ pub fn accel_phase_params(cfg: &StapConfig, name: &str) -> AccelParams {
 /// The profile's end time equals the run's total time, and the
 /// attribution's windows cover 100% of it.
 pub fn profile_on_mealib(cfg: &StapConfig) -> StapProfile {
-    let rec = TraceRecorder::shared();
-    let obs = Obs::new(rec);
-    let (run, breakdown, runs) = run_mealib_pipeline(cfg, Some(&obs));
-    let breakdown = breakdown.expect("breakdown collected when tracing");
+    let (run, breakdown, runs) = run_mealib_pipeline(cfg, true);
+    let breakdown = breakdown.expect("breakdown collected when itemizing");
 
     let layer = AcceleratorLayer::mealib_default();
     let t_ck = layer.mem().timing.t_ck;
@@ -486,8 +484,8 @@ pub fn profile_on_mealib(cfg: &StapConfig) -> StapProfile {
 }
 
 /// Like [`run_on_mealib`], but additionally itemizes the run into a
-/// [`Breakdown`] (phase taxonomy + DRAM/NoC/CU counters) and streams
-/// every phase and counter into `obs`.
+/// [`Breakdown`] (phase taxonomy + DRAM/NoC/CU counters) and folds it
+/// into `obs`.
 ///
 /// The breakdown's time and energy totals equal the returned
 /// [`StapRun`]'s `total_time`/`total_energy` exactly: host phases map to
@@ -495,23 +493,25 @@ pub fn profile_on_mealib(cfg: &StapConfig) -> StapProfile {
 /// descriptor contributes its own plan/DMA/compute/drain split, with the
 /// host's idle-while-accelerated energy folded into [`Phase::Dma`].
 pub fn run_on_mealib_traced(cfg: &StapConfig, obs: &Obs) -> (StapRun, Breakdown) {
-    let (run, breakdown, _) = run_mealib_pipeline(cfg, Some(obs));
-    (run, breakdown.expect("breakdown collected when tracing"))
+    let (run, breakdown, _) = run_mealib_pipeline(cfg, true);
+    let breakdown = breakdown.expect("breakdown collected when itemizing");
+    obs.record_breakdown(&breakdown);
+    (run, breakdown)
 }
 
-/// The shared pipeline model. With `obs == None` (the [`run_on_mealib`]
-/// fast path) no [`Breakdown`] is assembled, no counters are replayed,
-/// and no [`DescriptorRun`]s are retained, so the untraced run stays as
-/// cheap as before instrumentation existed.
+/// The shared pipeline model. With `itemize == false` (the
+/// [`run_on_mealib`] fast path) no [`Breakdown`] is assembled, no
+/// counters are collected, and no [`DescriptorRun`]s are retained, so
+/// the plain run stays as cheap as before instrumentation existed.
 fn run_mealib_pipeline(
     cfg: &StapConfig,
-    obs: Option<&Obs>,
+    itemize: bool,
 ) -> (StapRun, Option<Breakdown>, Vec<DescriptorRun>) {
     let platform = Platform::haswell();
     let layer = AcceleratorLayer::mealib_default();
     let cache = CacheModel::haswell();
     let mut phases = Vec::new();
-    let mut breakdown = obs.map(|_| Breakdown::new());
+    let mut breakdown = itemize.then(Breakdown::new);
     let mut runs: Vec<DescriptorRun> = Vec::new();
 
     // Descriptor 1: chained RESHP + FFT.
@@ -622,7 +622,7 @@ fn run_mealib_pipeline(
             }
         }
     }
-    if let (Some(bd), Some(obs)) = (breakdown.as_mut(), obs) {
+    if let Some(bd) = breakdown.as_mut() {
         for p in &phases {
             match p.executor {
                 Executor::Host => bd.add_phase(Phase::Compute, p.time, p.energy),
@@ -632,13 +632,9 @@ fn run_mealib_pipeline(
         }
 
         // DRAM/NoC/CU counters from the three descriptor runs.
-        let rec = TraceRecorder::shared();
-        let counter_obs = Obs::new(rec.clone());
         for run in &runs {
-            run.record_into(&counter_obs);
+            run.add_counters(bd);
         }
-        bd.merge(&rec.breakdown());
-        obs.record_breakdown(bd, cfg.name);
     }
 
     (
@@ -847,7 +843,7 @@ mod tests {
 
     #[test]
     fn traced_breakdown_reconciles_with_run_totals() {
-        let obs_rec = TraceRecorder::shared();
+        let obs_rec = mealib_obs::TraceRecorder::shared();
         let (run, bd) = run_on_mealib_traced(&StapConfig::small(), &Obs::new(obs_rec.clone()));
         let dt = (bd.total_time().get() - run.total_time().get()).abs();
         let de = (bd.total_energy().get() - run.total_energy().get()).abs();

@@ -9,16 +9,16 @@
 # BENCH_pr<N>.json.
 #
 # Also exercises:
-#   * the fig14 --trace path (every JSONL trace line parses);
-#   * the fig13 --profile path (the Chrome trace-event profile passes
-#     `meaperf --check-trace`'s round-trip validation);
+#   * the fig14 and fig13 --profile paths (each Chrome trace-event
+#     profile passes `meaperf --check-trace`'s round-trip validation);
 #   * the fig11 --jobs path: the design-space sweep runs at full size
 #     with --jobs 1 and --jobs 4, and the two JSON summaries must be
 #     byte-identical (parallelism may change wall time, never modeled
 #     outputs);
 #   * the traced --jobs path: fig09 --small --profile at --jobs 1 and
-#     --jobs 4 must write byte-identical profiles (the sweep feeds the
-#     recorder in input order at any worker count);
+#     --jobs 4 must write byte-identical profiles (the sweep folds each
+#     run's breakdown into the recorder in input order at any worker
+#     count);
 #   * the fig11 --prune path: the MEA2xx static-bounds pruner must skip
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
@@ -102,15 +102,12 @@ for bin in "${BINS[@]}"; do
   echo "$line" >> "$records"
 done
 
-echo "==> fig14_breakdown --small --trace (JSONL validation)"
-trace="$tmpdir/fig14_trace.jsonl"
-./target/release/fig14_breakdown --small --trace "$trace" > /dev/null
-[[ -s "$trace" ]] || { echo "error: trace file is empty" >&2; exit 1; }
-if [[ -n "$JQ" ]]; then
-  "$JQ" -e '.type == "span" or .type == "count"' "$trace" > /dev/null \
-    || { echo "error: trace contains a malformed line" >&2; exit 1; }
-fi
-echo "trace OK: $(wc -l < "$trace") events"
+echo "==> fig14_breakdown --small --profile (Perfetto trace validation)"
+profile="$tmpdir/fig14_breakdown.trace.json"
+./target/release/fig14_breakdown --small --profile "$profile" > /dev/null
+[[ -s "$profile" ]] || { echo "error: profile file is empty" >&2; exit 1; }
+./target/release/meaperf --check-trace "$profile" \
+  || { echo "error: fig14 profile failed trace validation" >&2; exit 1; }
 
 echo "==> meatop --check (telemetry artifact validation + exact reconciliation)"
 for f in "$tel_prefix.prom" "$tel_prefix.snapshots.jsonl" "$tel_prefix.trace.json" "$tel_prefix.alerts.jsonl"; do
@@ -141,8 +138,9 @@ if [[ "$jobs1" != "$jobs4" ]]; then
 fi
 echo "fig11 jobs OK: identical summaries under --jobs 1 and --jobs 4"
 
-# A traced sweep records the same events at any worker count, so the
-# profile it writes must not change with --jobs either.
+# A traced sweep folds the same per-run breakdowns in the same order at
+# any worker count, so the profile it writes must not change with
+# --jobs either.
 echo "==> fig09_performance --small --profile --jobs 1 vs --jobs 4 (traced determinism)"
 for j in 1 4; do
   ./target/release/fig09_performance --small --profile "$tmpdir/fig09.j$j.trace.json" \

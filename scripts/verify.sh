@@ -24,6 +24,12 @@ echo "==> admission oracle: memoized certify against the text oracle on 512 case
 # override widens the proptest without a second copy of it.
 PROPTEST_CASES=512 cargo test -q --release -p mealib-serve --test admission_oracle
 
+echo "==> compiler: Listing 1 loop counts at the i64/u64 edges on 1,024 cases (release)"
+# The default suite draws 64 cases; the environment override widens the
+# two-constant proptest the same way.
+PROPTEST_CASES=1024 cargo test -q --release -p mealib-compiler --test stap_listing -- \
+    listing1_loop_counts_are_exact_trip_products_at_the_edges
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -225,7 +231,7 @@ for f in "$adv"/images/*.bin; do
     fi
     images=$((images + 1))
 done
-if (( images < 11 )); then
+if (( images < 12 )); then
     echo "only $images descriptor images were written to $adv/images" >&2
     exit 1
 fi

@@ -1,10 +1,10 @@
-//! Cross-layer checks of the `mealib-obs` instrumentation: JSONL traces
-//! parse, and every `Breakdown` reconciles with the aggregate report it
-//! itemizes — for the STAP application and the SAR imaging chain.
+//! Cross-layer checks of the `mealib-obs` instrumentation: recorded
+//! breakdowns export as valid Chrome traces, and every `Breakdown`
+//! reconciles with the aggregate report it itemizes — for the STAP
+//! application and the SAR imaging chain.
 
 use mealib::prelude::*;
-use mealib_obs::json;
-use mealib_obs::{Counter, Obs, Phase, TraceRecorder};
+use mealib_obs::{validate_chrome_trace, Counter, Obs, Phase, Profile, TraceRecorder};
 use mealib_sim::{run_sweep, ExperimentOptions};
 use mealib_workloads::sar;
 use mealib_workloads::stap::{self, StapConfig};
@@ -22,30 +22,12 @@ fn stap_trace_jsonl_parses_and_reconciles() {
     let rec = TraceRecorder::shared();
     let (run, breakdown) = stap::run_on_mealib_traced(&StapConfig::small(), &Obs::new(rec.clone()));
 
-    // Every JSONL line is a well-formed object of a known event type.
-    let jsonl = rec.to_jsonl();
-    assert!(!jsonl.is_empty(), "trace captured events");
-    let mut spans = 0;
-    let mut counts = 0;
-    for line in jsonl.lines() {
-        let v = json::parse(line).expect("trace line parses as JSON");
-        let obj = v.as_object().expect("trace line is an object");
-        match obj["type"].as_str() {
-            Some("span") => {
-                spans += 1;
-                assert!(obj["phase"].as_str().is_some(), "span has a phase");
-                assert!(obj["time_s"].as_f64().is_some(), "span has modeled time");
-            }
-            Some("count") => {
-                counts += 1;
-                assert!(obj["counter"].as_str().is_some(), "count names a counter");
-                assert!(obj["value"].as_f64().is_some(), "count has a value");
-            }
-            other => panic!("unknown trace event type {other:?}"),
-        }
-    }
-    assert!(spans > 0, "spans recorded");
-    assert!(counts > 0, "counters recorded");
+    // The recorded breakdown exports as a valid Chrome trace with one
+    // span per phase that took modeled time.
+    let trace = Profile::from_breakdown(&rec.breakdown(), "stap").to_chrome_trace();
+    let summary = validate_chrome_trace(&trace).expect("recorded breakdown exports");
+    let timed = breakdown.phases().filter(|(_, t)| t.time.get() > 0.0);
+    assert_eq!(summary.spans, timed.count(), "one span per timed phase");
 
     // The breakdown reconciles with the StapRun aggregate totals.
     assert_within_1pct(
@@ -166,12 +148,17 @@ fn traced_sar_pipeline_records_identical_traces_on_every_run() {
             .map(|i| Complex32::new((i % 13) as f32 - 6.0, (i % 7) as f32 - 3.0))
             .collect();
         sar::form_image(&mut ml, &raw, n).expect("SAR image forms");
-        (rec.to_jsonl(), rec.breakdown().to_json())
+        let bd = rec.breakdown();
+        (
+            bd.to_json(),
+            Profile::from_breakdown(&bd, "sar").to_chrome_trace(),
+        )
     };
-    let (jsonl, breakdown) = traced();
-    assert!(jsonl.contains("\"type\":\"span\""), "spans recorded");
-    assert!(!jsonl.contains("wall_s") && !breakdown.contains("wall_s"));
-    let (again_jsonl, again_breakdown) = traced();
-    assert_eq!(jsonl, again_jsonl, "JSONL trace differs between runs");
+    let (breakdown, trace) = traced();
+    validate_chrome_trace(&trace).expect("recorded breakdown exports");
+    assert!(trace.contains("\"cat\":\"compute\""), "spans recorded");
+    assert!(!trace.contains("wall_s") && !breakdown.contains("wall_s"));
+    let (again_breakdown, again_trace) = traced();
     assert_eq!(breakdown, again_breakdown, "breakdown differs between runs");
+    assert_eq!(trace, again_trace, "Chrome trace differs between runs");
 }

@@ -1,7 +1,8 @@
 //! Cross-layer checks of the serving loop: `serve_with_telemetry` feeds the
-//! `mealib-obs` pipeline (JSONL traces parse, phases are the known
-//! ones), the recorder's view reconciles bit-for-bit with the report's
-//! own breakdown, and the umbrella re-export path works end to end.
+//! `mealib-obs` pipeline (the lifecycle trace pairs every admission with
+//! a completion), the recorder's view reconciles bit-for-bit with the
+//! report's own breakdown, and the umbrella re-export path works end to
+//! end.
 
 use mealib_obs::json;
 use mealib_obs::{Obs, Phase, TraceRecorder};
@@ -26,7 +27,7 @@ fn serve_trace_jsonl_parses_and_breakdown_reconciles() {
     assert!(!traffic.sessions.is_empty());
 
     let rec = TraceRecorder::shared();
-    let (report, _) = serve_with_telemetry(
+    let (report, tele) = serve_with_telemetry(
         &cat,
         &traffic,
         &ServeConfig::default(),
@@ -36,36 +37,35 @@ fn serve_trace_jsonl_parses_and_breakdown_reconciles() {
     );
     assert!(!report.completed.is_empty(), "some sessions complete");
 
-    // Every JSONL line is a well-formed object of a known event type,
-    // and the serving loop emits only admission (verify) and replay
-    // (compute) spans.
-    let jsonl = rec.to_jsonl();
-    assert!(!jsonl.is_empty(), "trace captured events");
-    let mut verify_spans = 0;
-    let mut compute_spans = 0;
-    for line in jsonl.lines() {
-        let v = json::parse(line).expect("trace line parses as JSON");
-        let obj = v.as_object().expect("trace line is an object");
-        if obj["type"].as_str() == Some("span") {
-            match obj["phase"].as_str() {
-                Some("verify") => verify_spans += 1,
-                Some("compute") => {
-                    compute_spans += 1;
-                    assert!(
-                        obj["time_s"].as_f64().expect("span has modeled time") > 0.0,
-                        "replay spans carry the epoch's modeled time"
-                    );
-                }
-                other => panic!("serving loop emitted an unexpected phase {other:?}"),
+    // The lifecycle trace carries the admission decisions as `verify`
+    // markers and the completions as `drain` markers: every admitted
+    // session completes exactly once.
+    let doc = json::parse(&tele.chrome_trace()).expect("lifecycle trace parses as JSON");
+    let events = doc.get("traceEvents").and_then(json::Value::as_array);
+    let mut admitted = Vec::new();
+    let mut completed = Vec::new();
+    for ev in events.expect("trace has events") {
+        let name = ev.get("name").and_then(json::Value::as_str).unwrap_or("");
+        let words: Vec<&str> = name.split_whitespace().collect();
+        match ev.get("cat").and_then(json::Value::as_str) {
+            Some("verify") if words.get(1) == Some(&"admit") => admitted.push(words[2].to_string()),
+            Some("drain") if words.first() == Some(&"complete") => {
+                completed.push(words[1].to_string());
             }
+            Some(cat) => assert!(Phase::from_name(cat).is_some(), "unknown phase {cat:?}"),
+            None => {}
         }
     }
-    assert!(verify_spans > 0, "admission spans recorded");
-    assert!(compute_spans > 0, "replay spans recorded");
-    assert_eq!(
-        verify_spans, compute_spans,
-        "each admitted epoch pairs one admission span with one replay"
-    );
+    admitted.sort();
+    completed.sort();
+    let mut want: Vec<String> = report
+        .completed
+        .iter()
+        .map(|c| format!("s{}", c.id))
+        .collect();
+    want.sort();
+    assert_eq!(admitted, want, "admission markers vs completed sessions");
+    assert_eq!(completed, want, "completion markers vs completed sessions");
 
     // The recorder's accumulated view IS the report's breakdown: the
     // compute phase carries the whole modeled clock, bit for bit.
