@@ -58,6 +58,9 @@ pub enum CuError {
     /// The loop-expanded invocation or hardware-loop iteration total
     /// does not fit in `u64`.
     InvocationOverflow,
+    /// A loop-expanded cycle, byte, command or FLOP count of the run
+    /// does not fit in `u64`.
+    ExecutionOverflow,
 }
 
 impl fmt::Display for CuError {
@@ -68,6 +71,9 @@ impl fmt::Display for CuError {
             CuError::KindMismatch => f.write_str("instruction opcode disagrees with parameters"),
             CuError::InvocationOverflow => {
                 f.write_str("loop-expanded invocation count overflows u64")
+            }
+            CuError::ExecutionOverflow => {
+                f.write_str("loop-expanded traffic, cycle or FLOP count overflows u64")
             }
         }
     }
@@ -96,6 +102,9 @@ pub struct PassRun {
     pub report: ExecReport,
     /// Loop multiplier applied to this pass (1 outside loops).
     pub iterations: u64,
+    /// `report` repeated `iterations` times: the whole pass, loop
+    /// expanded.
+    pub expanded: ExecReport,
 }
 
 /// Itemized CU front-end work: the same total as
@@ -165,20 +174,15 @@ pub struct DescriptorRun {
     pub front_end: CuFrontEnd,
     /// Static passes with their per-iteration reports and multipliers.
     pub passes: Vec<PassRun>,
+    invocations: u64,
+    execution: Option<ExecReport>,
 }
 
 impl DescriptorRun {
-    /// Aggregate accelerator execution (loops expanded), excluding setup.
-    pub fn execution(&self) -> Option<ExecReport> {
-        let mut total: Option<ExecReport> = None;
-        for p in &self.passes {
-            let scaled = p.report.repeat(p.iterations);
-            total = Some(match total {
-                None => scaled,
-                Some(acc) => acc.then(&scaled),
-            });
-        }
-        total
+    /// Aggregate accelerator execution (loops expanded), excluding setup;
+    /// `None` when the descriptor has no passes.
+    pub fn execution(&self) -> Option<&ExecReport> {
+        self.execution.as_ref()
     }
 
     /// Total time including the front-end.
@@ -192,13 +196,8 @@ impl DescriptorRun {
     }
 
     /// Dynamic accelerator invocations this run performed.
-    /// [`run_descriptor`] refuses a descriptor whose total overflows
-    /// `u64`, so for its runs this sum cannot wrap.
     pub fn invocations(&self) -> u64 {
-        self.passes
-            .iter()
-            .map(|p| p.iterations * p.stages.len() as u64)
-            .sum()
+        self.invocations
     }
 
     /// Partitions this run's total time and energy by phase: the CU
@@ -221,7 +220,7 @@ impl DescriptorRun {
         );
         bd.add_phase(Phase::Drain, fe.drain_time, fe.drain_energy);
         for p in &self.passes {
-            let r = p.report.repeat(p.iterations);
+            let r = &p.expanded;
             bd.add_phase(Phase::Compute, r.compute_time, r.energy - r.mem_energy);
             bd.add_phase(Phase::Dma, r.time - r.compute_time, r.mem_energy);
         }
@@ -255,7 +254,7 @@ impl DescriptorRun {
             fe.config_time,
         );
         for (i, p) in self.passes.iter().enumerate() {
-            let r = p.report.repeat(p.iterations);
+            let r = &p.expanded;
             let label = format!("pass{i} {}", p.report.kind.keyword());
             cursor = profile.interval(
                 track,
@@ -291,7 +290,7 @@ impl DescriptorRun {
         ] {
             bd.add_count(CounterKey::total(counter), value);
         }
-        if let Some(exec) = self.execution() {
+        if let Some(exec) = &self.execution {
             exec.mem.add_counters(bd);
         }
     }
@@ -302,7 +301,8 @@ impl DescriptorRun {
 /// # Errors
 ///
 /// Returns a [`CuError`] if the descriptor or its parameter blobs are
-/// malformed, or if its loop-expanded invocation count overflows `u64`.
+/// malformed, or if a loop-expanded count (invocations, or the traffic,
+/// cycles and FLOPs of a pass or of the whole run) overflows `u64`.
 pub fn run_descriptor(
     desc: &Descriptor,
     layer: &AcceleratorLayer,
@@ -334,6 +334,7 @@ pub fn run_descriptor(
     let mut pending: Vec<AccelParams> = Vec::new();
     let mut multiplier = 1u64;
     let mut invocations = 0u64;
+    let mut execution: Option<ExecReport> = None;
     for instr in &instrs {
         match instr {
             DecodedInstr::LoopBegin { count } => multiplier = *count,
@@ -421,10 +422,20 @@ pub fn run_descriptor(
                     report.mem_energy = mem_energy;
                     report.energy = mem_energy + core;
                 }
+                let expanded = report
+                    .checked_repeat(multiplier)
+                    .ok_or(CuError::ExecutionOverflow)?;
+                execution = Some(match execution {
+                    None => expanded.clone(),
+                    Some(acc) => acc
+                        .checked_then(&expanded)
+                        .ok_or(CuError::ExecutionOverflow)?,
+                });
                 passes.push(PassRun {
                     stages,
                     report,
                     iterations: multiplier,
+                    expanded,
                 });
             }
         }
@@ -435,6 +446,8 @@ pub fn run_descriptor(
         setup_energy,
         front_end,
         passes,
+        invocations,
+        execution,
     })
 }
 
@@ -678,7 +691,20 @@ mod tests {
         };
         // 2^63 iterations of a two-stage pass are 2^64 invocations.
         assert!(matches!(run(1 << 63), Err(CuError::InvocationOverflow)));
-        assert_eq!(run((1 << 63) - 1).unwrap().invocations(), u64::MAX - 1);
+        // 2^62 iterations fit the invocation count (2^63), but their
+        // bytes, cycles and FLOPs do not.
+        for count in [1 << 62, (1 << 63) - 1] {
+            assert!(
+                matches!(run(count), Err(CuError::ExecutionOverflow)),
+                "{count}"
+            );
+        }
+        let fits = run(1 << 20).unwrap();
+        assert_eq!(fits.invocations(), 1 << 21);
+        assert_eq!(
+            fits.execution().unwrap().flops,
+            fits.passes[0].report.flops << 20
+        );
     }
 
     #[test]

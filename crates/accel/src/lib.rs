@@ -30,7 +30,6 @@ pub mod cu;
 pub mod design_space;
 pub mod hw;
 pub mod layer;
-pub mod logic_layer;
 pub mod model;
 pub mod params;
 pub mod power;

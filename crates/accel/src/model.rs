@@ -9,7 +9,7 @@
 
 use mealib_memsim::{analytic, AccessPattern, MemoryConfig, TraceStats};
 use mealib_tdl::AcceleratorKind;
-use mealib_types::{Gflops, Joules, Seconds, Watts};
+use mealib_types::{Bytes, Cycles, Gflops, Joules, Seconds, Watts};
 
 use crate::hw::AccelHwConfig;
 use crate::params::AccelParams;
@@ -63,43 +63,59 @@ impl ExecReport {
     }
 
     /// Scales the report by `count` back-to-back repetitions (hardware
-    /// `LOOP` execution: configuration already paid, the body re-runs).
-    pub fn repeat(&self, count: u64) -> ExecReport {
+    /// `LOOP` execution: configuration already paid, the body re-runs),
+    /// or `None` if a cycle, byte, command or FLOP count passes `u64`.
+    pub fn checked_repeat(&self, count: u64) -> Option<ExecReport> {
         let n = count as f64;
-        let mut mem = self.mem.clone();
-        mem.elapsed = mem.elapsed * n;
-        mem.cycles = mem.cycles * count;
-        mem.bytes_read = mem.bytes_read * count;
-        mem.bytes_written = mem.bytes_written * count;
-        mem.activations *= count;
-        mem.precharges *= count;
-        mem.row_hits *= count;
-        mem.row_misses *= count;
-        mem.energy = mem.energy * n;
-        ExecReport {
+        let m = &self.mem;
+        let mem = TraceStats {
+            elapsed: m.elapsed * n,
+            cycles: Cycles::new(m.cycles.get().checked_mul(count)?),
+            bytes_read: Bytes::new(m.bytes_read.get().checked_mul(count)?),
+            bytes_written: Bytes::new(m.bytes_written.get().checked_mul(count)?),
+            activations: m.activations.checked_mul(count)?,
+            precharges: m.precharges.checked_mul(count)?,
+            row_hits: m.row_hits.checked_mul(count)?,
+            row_misses: m.row_misses.checked_mul(count)?,
+            refreshes: m.refreshes,
+            energy: m.energy * n,
+        };
+        Some(ExecReport {
             kind: self.kind,
             time: self.time * n,
             mem_time: self.mem_time * n,
             compute_time: self.compute_time * n,
             energy: self.energy * n,
             mem_energy: self.mem_energy * n,
-            flops: self.flops * count,
+            flops: self.flops.checked_mul(count)?,
             mem,
-        }
+        })
     }
 
-    /// Sequential composition of two reports (e.g. software chaining).
-    pub fn then(&self, other: &ExecReport) -> ExecReport {
-        ExecReport {
+    /// Sequential composition of two reports (e.g. software chaining),
+    /// or `None` if a cycle, byte, command or FLOP count passes `u64`.
+    pub fn checked_then(&self, other: &ExecReport) -> Option<ExecReport> {
+        Some(ExecReport {
             kind: other.kind,
             time: self.time + other.time,
             mem_time: self.mem_time + other.mem_time,
             compute_time: self.compute_time + other.compute_time,
             energy: self.energy + other.energy,
             mem_energy: self.mem_energy + other.mem_energy,
-            flops: self.flops + other.flops,
-            mem: self.mem.merge_sequential(&other.mem),
-        }
+            flops: self.flops.checked_add(other.flops)?,
+            mem: self.mem.checked_merge_sequential(&other.mem)?,
+        })
+    }
+
+    /// [`ExecReport::checked_then`] for reports whose sums are known to
+    /// fit, such as the stages of one pass iteration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a count passes `u64`.
+    pub fn then(&self, other: &ExecReport) -> ExecReport {
+        self.checked_then(other)
+            .expect("sequential counts fit in u64")
     }
 }
 

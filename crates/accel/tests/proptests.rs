@@ -92,8 +92,12 @@ proptest! {
         let hw = AccelHwConfig::mealib_default();
         let mem = MemoryConfig::hmc_stack();
         let r = AccelModel::new(p.kind()).execute(&p, &hw, &mem);
-        let whole = r.repeat(a + b);
-        let split = r.repeat(a).then(&r.repeat(b));
+        let whole = r.checked_repeat(a + b).unwrap();
+        let split = r
+            .checked_repeat(a)
+            .unwrap()
+            .checked_then(&r.checked_repeat(b).unwrap())
+            .unwrap();
         prop_assert!((whole.time.get() - split.time.get()).abs() <= whole.time.get() * 1e-9);
         prop_assert!((whole.energy.get() - split.energy.get()).abs() <= whole.energy.get() * 1e-9);
         prop_assert_eq!(whole.flops, split.flops);

@@ -121,6 +121,13 @@ pub enum LexError {
         /// Line it started on.
         line: usize,
     },
+    /// An integer literal too large for `i64`.
+    IntOutOfRange {
+        /// The literal as written.
+        literal: String,
+        /// Its line.
+        line: usize,
+    },
 }
 
 impl fmt::Display for LexError {
@@ -131,6 +138,12 @@ impl fmt::Display for LexError {
             }
             LexError::Unterminated { what, line } => {
                 write!(f, "unterminated {what} starting on line {line}")
+            }
+            LexError::IntOutOfRange { literal, line } => {
+                write!(
+                    f,
+                    "integer literal {literal} on line {line} does not fit in i64"
+                )
             }
         }
     }
@@ -143,7 +156,9 @@ impl std::error::Error for LexError {}
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] for characters outside the subset.
+/// Returns a [`LexError`] for characters outside the subset, an
+/// unterminated string or comment, or an integer literal too large for
+/// `i64`.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0;
@@ -267,7 +282,15 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                 let kind = if text.contains(['.', 'e', 'E']) {
                     Tok::Float(text.parse().unwrap_or(0.0))
                 } else {
-                    Tok::Int(text.parse().unwrap_or(0))
+                    match text.parse() {
+                        Ok(v) => Tok::Int(v),
+                        Err(_) => {
+                            return Err(LexError::IntOutOfRange {
+                                literal: text,
+                                line,
+                            })
+                        }
+                    }
                 };
                 out.push(Token { kind, line });
             }

@@ -3,6 +3,7 @@
 //! loop nest of 16M `cblas_cdotc_sub` calls.
 
 use mealib_compiler::analysis::AnalysisError;
+use mealib_compiler::lexer::LexError;
 use mealib_compiler::{compile, CompileError};
 use mealib_tdl::TdlItem;
 use proptest::prelude::*;
@@ -184,6 +185,21 @@ fn listing1_trip_product_past_u64_is_a_typed_error() {
     }
 }
 
+#[test]
+fn loop_bound_past_i64_is_a_lex_error() {
+    let src = "int N = 9223372036854775808;\n\
+               for (i = 0; i < N; ++i)\n  cblas_saxpy(64, 1.0, x, 1, y, 1);";
+    let err = compile(src).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            CompileError::Lex(LexError::IntOutOfRange { literal, line: 1 })
+                if literal == "9223372036854775808"
+        ),
+        "{err}"
+    );
+}
+
 /// Cases: 64, or `PROPTEST_CASES` when set (the release verification
 /// run widens the draw this way).
 fn edge_cases() -> u32 {
@@ -228,7 +244,19 @@ proptest! {
             (v > 0).then(|| acc.saturating_mul(v as u128))
         });
         let saxpy = bound("N_DOP");
-        if cdotc.is_some_and(|c| c > u128::from(u64::MAX)) {
+        if values.0 == i64::MIN || values.1 == i64::MIN {
+            // `-9223372036854775808` negates a literal past `i64::MAX`,
+            // which the lexer refuses.
+            let err = compile(&src).unwrap_err();
+            prop_assert!(
+                matches!(
+                    &err,
+                    CompileError::Lex(LexError::IntOutOfRange { literal, .. })
+                        if literal == "9223372036854775808"
+                ),
+                "{bounds:?}: {err}"
+            );
+        } else if cdotc.is_some_and(|c| c > u128::from(u64::MAX)) {
             prop_assert_eq!(trip_overflow_callee(&src).as_deref(), Some("cblas_cdotc_sub"));
         } else {
             let out = compile(&src)

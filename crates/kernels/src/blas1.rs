@@ -147,24 +147,6 @@ pub fn sdot_naive(x: &[f32], y: &[f32]) -> f32 {
     acc
 }
 
-/// FLOP count of an `n`-element AXPY (one multiply and one add per
-/// element).
-pub fn axpy_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
-/// FLOP count of an `n`-element real dot product.
-pub fn dot_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
-/// FLOP count of an `n`-element conjugated complex dot product: each
-/// element is one complex multiply (6 real FLOPs) plus one complex add
-/// (2 real FLOPs).
-pub fn cdotc_flops(n: usize) -> u64 {
-    8 * n as u64
-}
-
 fn check_strided(n: usize, len: usize, inc: usize, name: &str) {
     assert!(inc > 0, "stride of `{name}` must be nonzero");
     if n > 0 {
@@ -246,13 +228,6 @@ mod tests {
         let mut x = [2.0, -4.0];
         sscal(0.5, &mut x);
         assert_eq!(x, [1.0, -2.0]);
-    }
-
-    #[test]
-    fn flop_counts() {
-        assert_eq!(axpy_flops(10), 20);
-        assert_eq!(dot_flops(10), 20);
-        assert_eq!(cdotc_flops(10), 80);
     }
 
     #[test]

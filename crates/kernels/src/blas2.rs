@@ -144,12 +144,6 @@ pub fn sgemv_naive(alpha: f32, a: MatrixRef<'_, f32>, x: &[f32], beta: f32, y: &
     }
 }
 
-/// FLOP count of an `m × n` GEMV: one multiply-add per element plus the
-/// `α`/`β` scaling.
-pub fn gemv_flops(m: usize, n: usize) -> u64 {
-    (2 * m * n + 3 * m) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,10 +217,5 @@ mod tests {
     #[should_panic(expected = "slice too short")]
     fn short_slice_panics() {
         let _ = MatrixRef::new(&[0.0; 5], 2, 3, 3);
-    }
-
-    #[test]
-    fn flops() {
-        assert_eq!(gemv_flops(2, 3), 18);
     }
 }

@@ -205,11 +205,6 @@ pub fn sgemm(
     }
 }
 
-/// FLOP count of an `m × n × k` GEMM.
-pub fn sgemm_flops(m: usize, n: usize, k: usize) -> u64 {
-    2 * m as u64 * n as u64 * k as u64
-}
-
 /// Cholesky factorization of a Hermitian positive-definite matrix into
 /// `L·Lᴴ`, returning the lower-triangular `L` (row-major, other entries
 /// zeroed). STAP uses this between `cherk` and the two `ctrsm` solves.
@@ -503,6 +498,5 @@ mod tests {
     fn flops_counts() {
         assert_eq!(cherk_flops(2, 3), 4 * 3 * 3);
         assert_eq!(ctrsm_flops(2, 5), 80);
-        assert_eq!(sgemm_flops(2, 3, 4), 48);
     }
 }

@@ -242,15 +242,6 @@ pub fn dft_naive(input: &[Complex32], dir: Direction) -> Vec<Complex32> {
     out
 }
 
-/// Canonical FLOP count of a length-`n` complex FFT: `5·n·log2(n)`.
-pub fn fft_flops(n: usize) -> u64 {
-    assert!(
-        n.is_power_of_two() && n > 0,
-        "FFT size must be a power of two"
-    );
-    5 * n as u64 * n.trailing_zeros() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,11 +425,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rfft_rejects_odd_lengths() {
         let _ = rfft(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn flops_formula() {
-        assert_eq!(fft_flops(8), 5 * 8 * 3);
-        assert_eq!(fft_flops(1), 0);
     }
 }

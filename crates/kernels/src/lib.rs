@@ -19,8 +19,9 @@
 //! the *performance* of each flavour on each platform is modeled by
 //! `mealib-host`.
 //!
-//! Each module also exposes `*_flops` helpers giving the canonical
-//! floating-point operation counts used by the roofline models.
+//! Operation counts live with the models that price them: `mealib-accel`'s
+//! `AccelModel` for the accelerated kernels, and `blas3`'s `cherk_flops` /
+//! `ctrsm_flops` for the host-side STAP phases.
 //!
 //! # Examples
 //!

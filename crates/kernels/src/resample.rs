@@ -83,12 +83,6 @@ pub fn resample_blocks(input: &[f32], blocks: usize, out_per_block: usize) -> Ve
     out
 }
 
-/// FLOP count of interpolating `out_len` samples (one lerp = 2 multiplies
-/// + 2 adds per output).
-pub fn resample_flops(out_len: usize) -> u64 {
-    4 * out_len as u64
-}
-
 fn sample_linear(input: &[f32], p: f32) -> f32 {
     let p = p.clamp(0.0, (input.len() - 1) as f32);
     let i0 = p.floor() as usize;
@@ -172,10 +166,5 @@ mod tests {
     #[should_panic(expected = "positive multiple")]
     fn block_mismatch_rejected() {
         let _ = resample_blocks(&[1.0, 2.0, 3.0], 2, 2);
-    }
-
-    #[test]
-    fn flops() {
-        assert_eq!(resample_flops(100), 400);
     }
 }

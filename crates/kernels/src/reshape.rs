@@ -134,12 +134,6 @@ pub fn blocked_to_linear<T: Copy + Default>(
     out
 }
 
-/// Bytes moved by a transpose of an `rows × cols` matrix of `elem_bytes`
-/// elements (each element read once and written once).
-pub fn reshape_bytes(rows: usize, cols: usize, elem_bytes: usize) -> u64 {
-    2 * (rows * cols * elem_bytes) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,10 +208,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn transpose_rejects_bad_length() {
         let _ = transpose(&iota(5), 2, 3);
-    }
-
-    #[test]
-    fn bytes_moved() {
-        assert_eq!(reshape_bytes(4, 4, 4), 128);
     }
 }

@@ -214,18 +214,6 @@ impl CsrMatrix {
         }
         out
     }
-
-    /// Bytes touched by one SPMV in CSR format, assuming 4-byte values and
-    /// 4-byte indices: the standard traffic model the paper's SPMV
-    /// accelerator analysis uses (values + column indices + row pointers +
-    /// input gather + output write).
-    pub fn spmv_bytes(&self) -> u64 {
-        let nnz = self.nnz() as u64;
-        let rows = self.rows as u64;
-        // values (4B) + col indices (4B) per nnz; x gather 4B per nnz;
-        // row_ptr 4B per row; y write 4B per row.
-        nnz * 12 + rows * 8
-    }
 }
 
 impl fmt::Display for CsrMatrix {
@@ -239,11 +227,6 @@ impl fmt::Display for CsrMatrix {
             self.avg_degree()
         )
     }
-}
-
-/// FLOP count of one CSR SPMV (a multiply and an add per stored entry).
-pub fn spmv_flops(nnz: usize) -> u64 {
-    2 * nnz as u64
 }
 
 #[cfg(test)]
@@ -336,13 +319,6 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.avg_degree(), 0.0);
         assert!(m.spmv(&[]).is_empty());
-    }
-
-    #[test]
-    fn traffic_and_flops() {
-        let m = small();
-        assert_eq!(m.spmv_bytes(), 3 * 12 + 2 * 8);
-        assert_eq!(spmv_flops(m.nnz()), 6);
     }
 
     #[test]

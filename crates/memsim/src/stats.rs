@@ -56,19 +56,30 @@ impl TraceStats {
 
     /// Merges the stats of two phases executed *back to back*: everything
     /// adds, including elapsed time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cycle, byte or command count passes `u64`.
     pub fn merge_sequential(&self, other: &TraceStats) -> TraceStats {
-        TraceStats {
+        self.checked_merge_sequential(other)
+            .expect("sequential counts fit in u64")
+    }
+
+    /// [`TraceStats::merge_sequential`], or `None` if a cycle, byte or
+    /// command count passes `u64`.
+    pub fn checked_merge_sequential(&self, other: &TraceStats) -> Option<TraceStats> {
+        Some(TraceStats {
             elapsed: self.elapsed + other.elapsed,
-            cycles: self.cycles + other.cycles,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            activations: self.activations + other.activations,
-            precharges: self.precharges + other.precharges,
-            row_hits: self.row_hits + other.row_hits,
-            row_misses: self.row_misses + other.row_misses,
-            refreshes: self.refreshes + other.refreshes,
+            cycles: Cycles::new(self.cycles.get().checked_add(other.cycles.get())?),
+            bytes_read: self.bytes_read.checked_add(other.bytes_read)?,
+            bytes_written: self.bytes_written.checked_add(other.bytes_written)?,
+            activations: self.activations.checked_add(other.activations)?,
+            precharges: self.precharges.checked_add(other.precharges)?,
+            row_hits: self.row_hits.checked_add(other.row_hits)?,
+            row_misses: self.row_misses.checked_add(other.row_misses)?,
+            refreshes: self.refreshes.checked_add(other.refreshes)?,
             energy: self.energy + other.energy,
-        }
+        })
     }
 
     /// Adds this trace's aggregate DRAM event counts to `bd`.

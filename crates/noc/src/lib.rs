@@ -23,7 +23,6 @@
 
 use core::fmt;
 
-use mealib_obs::timeline::{Timeline, WindowCounters};
 use mealib_types::{ConfigError, Cycles, Hertz, Joules, Seconds, Watts};
 
 /// Coordinates of a tile in the mesh (row-major).
@@ -234,33 +233,6 @@ impl Mesh {
     ///
     /// Panics if any packet endpoint is outside the mesh.
     pub fn simulate(&self, packets: &[Packet]) -> NocStats {
-        self.simulate_impl(packets, None)
-    }
-
-    /// Like [`Mesh::simulate`], additionally accumulating a
-    /// cycle-windowed [`Timeline`]: per window, the flits whose tail
-    /// traversed a link (`noc_flits`, lane = destination-router tile
-    /// index) and the cycles flit heads stalled waiting for link credit
-    /// (`noc_credit_stalls`). Windows cover `[w·W, (w+1)·W)` mesh-clock
-    /// cycles over each hop's tail-arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any packet endpoint is outside the mesh or
-    /// `window_cycles` is zero.
-    pub fn simulate_profiled(
-        &self,
-        packets: &[Packet],
-        window_cycles: u64,
-    ) -> (NocStats, Timeline) {
-        let mut timeline = Timeline::new(window_cycles);
-        let stats = self.simulate_impl(packets, Some(&mut timeline));
-        (stats, timeline)
-    }
-
-    /// Shared simulation core. The disabled profiling path costs one
-    /// `Option` discriminant check per hop.
-    fn simulate_impl(&self, packets: &[Packet], mut timeline: Option<&mut Timeline>) -> NocStats {
         use std::collections::HashMap;
         let mut link_free: HashMap<LinkId, u64> = HashMap::new();
         let mut stats = NocStats::default();
@@ -286,23 +258,10 @@ impl Mesh {
                     to: *hop,
                 };
                 let free = link_free.get(&link).copied().unwrap_or(0);
-                let stalled = free.saturating_sub(head_time);
                 head_time = head_time.max(free) + self.router_latency;
                 // The link is busy until every flit of this packet passed.
                 tail_time = head_time + flits - 1;
                 link_free.insert(link, tail_time + 1);
-                if let Some(tl) = timeline.as_deref_mut() {
-                    let lane = (hop.row * self.cols + hop.col) as u16;
-                    tl.record(
-                        tail_time,
-                        lane,
-                        &WindowCounters {
-                            noc_flits: flits,
-                            noc_credit_stalls: stalled,
-                            ..WindowCounters::default()
-                        },
-                    );
-                }
                 prev = *hop;
             }
             last_arrival = last_arrival.max(tail_time);
@@ -337,11 +296,6 @@ impl Mesh {
             .map(|t| Packet::new(t, dst, bytes))
             .collect();
         self.simulate(&packets)
-    }
-
-    /// The mesh clock (anchors profiled timelines to modeled time).
-    pub fn clock(&self) -> Hertz {
-        self.clock
     }
 
     /// Average power of the mesh while executing `stats`'s traffic.
@@ -444,36 +398,6 @@ mod tests {
         assert_eq!(bd.counter(Counter::NocFlits), s.flits);
         assert_eq!(bd.counter(Counter::NocFlitHops), s.flit_hops);
         assert_eq!(bd.counter(Counter::NocCredits), s.flit_hops);
-    }
-
-    #[test]
-    fn profiled_simulation_matches_plain_and_conserves_flits() {
-        let m = Mesh::mealib_layer();
-        let packets: Vec<Packet> = (0..16)
-            .map(|i| Packet::new(TileId::new(0, 0), TileId::new(3, i % 8), 256))
-            .collect();
-        let plain = m.simulate(&packets);
-        let (stats, timeline) = m.simulate_profiled(&packets, 8);
-        assert_eq!(stats, plain, "profiling must not perturb the model");
-        // Conservation: windowed flit counts sum to flit-hops (one cell
-        // contribution per link traversal).
-        let agg = timeline.aggregate();
-        assert_eq!(agg.noc_flits, plain.flit_hops);
-        assert!(agg.noc_credit_stalls > 0, "contended fan-out must stall");
-        // Lanes are router tile indices.
-        let tiles = m.tiles() as u16;
-        assert!(timeline.lanes().iter().all(|&l| l < tiles));
-        // No window lies beyond the last arrival.
-        assert!(timeline.num_windows() * 8 <= plain.cycles.get() + 8);
-    }
-
-    #[test]
-    fn uncontended_profile_has_no_stalls() {
-        let m = Mesh::mealib_layer();
-        let (_, timeline) =
-            m.simulate_profiled(&[Packet::new(TileId::new(0, 0), TileId::new(0, 3), 64)], 4);
-        assert_eq!(timeline.aggregate().noc_credit_stalls, 0);
-        assert!(timeline.aggregate().noc_flits > 0);
     }
 
     #[test]

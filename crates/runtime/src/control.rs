@@ -860,15 +860,18 @@ mod tests {
 
     #[test]
     fn invocation_count_that_wraps_is_refused() {
-        // 2^63 iterations of a two-stage pass: the CU refuses the run.
-        let (mut rt, plan) = looped_axpy_plan(1 << 63);
-        let err = rt.acc_execute(&plan).unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Cu(CuError::InvocationOverflow)),
-            "{err}"
-        );
-        assert_eq!(rt.counters().executions, 0);
-        assert_eq!(rt.counters().invocations, 0);
+        // 2^63 iterations of a two-stage pass wrap the invocation count;
+        // 2^62 fit it, but their bytes do not. The CU refuses both runs.
+        for (count, want) in [
+            (1 << 63, CuError::InvocationOverflow),
+            (1 << 62, CuError::ExecutionOverflow),
+        ] {
+            let (mut rt, plan) = looped_axpy_plan(count);
+            let err = rt.acc_execute(&plan).unwrap_err();
+            assert!(matches!(&err, RuntimeError::Cu(e) if *e == want), "{err}");
+            assert_eq!(rt.counters().executions, 0);
+            assert_eq!(rt.counters().invocations, 0);
+        }
     }
 
     #[test]

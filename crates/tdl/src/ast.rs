@@ -274,34 +274,6 @@ impl TdlProgram {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Semantic validation beyond what construction enforces: chain
-    /// depth must fit the per-tile switch fan-in, and the dynamic
-    /// invocation count must stay within the descriptor's sequencing
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violation.
-    pub fn validate(&self, max_chain: usize) -> Result<(), String> {
-        for p in self.passes() {
-            if p.comps.len() > max_chain {
-                return Err(format!(
-                    "pass `{} -> {}` chains {} accelerators but the tile switch fans in {max_chain}",
-                    p.input,
-                    p.output,
-                    p.comps.len()
-                ));
-            }
-            if p.input == p.output && p.is_chained() {
-                return Err(format!(
-                    "chained pass cannot stream in place (buffer `{}` is both input and output)",
-                    p.input
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for TdlProgram {
@@ -402,41 +374,6 @@ mod tests {
                 vec![CompBlock::new(AcceleratorKind::Fft, "f")],
             )],
         );
-    }
-
-    #[test]
-    fn validate_accepts_reasonable_programs() {
-        assert!(sample().validate(4).is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_overlong_chains() {
-        let p = TdlProgram::new(vec![TdlItem::Pass(PassBlock::new(
-            "a",
-            "b",
-            vec![
-                CompBlock::new(AcceleratorKind::Resmp, "r"),
-                CompBlock::new(AcceleratorKind::Fft, "f"),
-                CompBlock::new(AcceleratorKind::Reshp, "t"),
-            ],
-        ))]);
-        let err = p.validate(2).unwrap_err();
-        assert!(err.contains("chains 3"), "{err}");
-        assert!(p.validate(3).is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_in_place_chains() {
-        let p = TdlProgram::new(vec![TdlItem::Pass(PassBlock::new(
-            "buf",
-            "buf",
-            vec![
-                CompBlock::new(AcceleratorKind::Resmp, "r"),
-                CompBlock::new(AcceleratorKind::Fft, "f"),
-            ],
-        ))]);
-        let err = p.validate(4).unwrap_err();
-        assert!(err.contains("in place"), "{err}");
     }
 
     #[test]

@@ -110,9 +110,6 @@ pub struct Elaboration {
     /// Buffers referenced by the program but lacking a `BUF` extent —
     /// their traffic is absent from every segment's requests and bytes.
     pub missing_extents: Vec<String>,
-    /// Total statically-known pass executions, loop counts multiplied
-    /// in (saturating at `u64::MAX`).
-    pub invocations: u64,
 }
 
 impl Elaboration {
@@ -147,15 +144,6 @@ impl Elaboration {
     pub fn unrolled_requests(&self) -> u64 {
         self.segments.iter().fold(0u64, |n, s| {
             n.saturating_add(s.repeat.saturating_mul(s.trace.len() as u64))
-        })
-    }
-
-    /// Accelerator invocations of the program, loop counts multiplied
-    /// in (saturating at `u64::MAX`): one energy-floor term each.
-    pub fn accel_invocations(&self) -> u64 {
-        self.segments.iter().fold(0u64, |n, s| {
-            let per_iteration: u64 = s.phases.iter().map(|p| p.accels.len() as u64).sum();
-            n.saturating_add(s.repeat.saturating_mul(per_iteration))
         })
     }
 
@@ -235,9 +223,6 @@ pub fn elaborate(session: &Session) -> Elaboration {
                 accels: pass.comps.iter().map(|c| c.accel).collect(),
             });
         }
-        out.invocations = out
-            .invocations
-            .saturating_add(count.saturating_mul(body.len() as u64));
         // Liveness needs two iterations, not all of them: every body
         // buffer is live at the end of the first (its last touch is in
         // the second), which is the live set of every middle iteration
@@ -308,7 +293,7 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.addrs()[0], 0x1000);
         assert_eq!(trace.addrs()[1], 0x2000);
-        assert_eq!(e.invocations, 1);
+        assert_eq!(e.executions().count(), 1);
         assert_eq!(e.segments[0].phases[0].bytes, 512);
         assert!(e.missing_extents.is_empty());
         // Both buffers are live across the single pass.
@@ -320,7 +305,7 @@ mod tests {
         let src = "BUF x 0x1000 128\nBUF y 0x2000 128\nLOOP 5 {\n  PASS in=x out=y {\n    COMP \
                    AXPY params=\"a\"\n  }\n}\n";
         let e = elaborate(&parse_session(src).unwrap());
-        assert_eq!(e.invocations, 5);
+        assert_eq!(e.executions().count(), 5);
         assert_eq!(e.segments.len(), 1);
         assert_eq!((e.segments[0].trace.len(), e.segments[0].repeat), (2, 5));
         assert_eq!(
@@ -348,7 +333,6 @@ mod tests {
             .map(|s| (s.phases.len(), s.repeat))
             .collect();
         assert_eq!(shape, [(2, 1), (1, 3), (1, 1)]);
-        assert_eq!(e.invocations, 6);
         let lines: Vec<Option<usize>> = e.executions().map(|p| p.line).collect();
         assert_eq!(lines.len(), 6);
         assert_eq!(lines[2], lines[4], "iterations share their header line");

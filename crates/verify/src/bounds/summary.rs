@@ -41,8 +41,6 @@ pub struct ResourceSummary {
     pub accel_energy: Interval,
     /// Declared budgets carried over from the session.
     pub budgets: Budgets,
-    /// Pass executions, loop counts multiplied in.
-    pub invocations: u64,
     /// Deepest comp chain in any pass (CU occupancy).
     pub max_chain_len: usize,
     /// Each pass's traffic once, in program order, with how many times
@@ -125,7 +123,10 @@ pub fn summarize(
         .unwrap_or(MemLayer::Interleaved);
     let cfg = resolve_layer(layer, stack, host);
     let e = elaborate(session);
-    check_budget(e.accel_invocations(), FLOOR_BUDGET)?;
+    check_budget(
+        session.program.total_invocations().unwrap_or(u64::MAX),
+        FLOOR_BUDGET,
+    )?;
     let dram = segment_bounds(&cfg, &e.walk_segments())?;
     let accel_energy = accel_energy(&e, dram.elapsed.hi);
     let max_chain_len = e
@@ -150,7 +151,6 @@ pub fn summarize(
         capacity,
         accel_energy,
         budgets: session.budgets,
-        invocations: e.invocations,
         max_chain_len,
         phases: e.phases().map(|(p, n)| (p.clone(), n)).collect(),
         missing_extents: e.missing_extents,

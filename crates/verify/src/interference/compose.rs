@@ -169,9 +169,9 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, BoundsErr
     // interleaver, the phases and missing extents the per-tenant record.
     // Both unroll the tenant loops, so their steps are counted first.
     let programs: Vec<_> = set.tenants.iter().map(|t| elaborate(&t.session)).collect();
-    let steps = programs.iter().fold(0u64, |n, e| {
+    let steps = set.tenants.iter().zip(&programs).fold(0u64, |n, (t, e)| {
         n.saturating_add(e.unrolled_requests())
-            .saturating_add(e.accel_invocations())
+            .saturating_add(t.session.program.total_invocations().unwrap_or(u64::MAX))
     });
     check_budget(steps, UNROLL_BUDGET)?;
     let streams: Vec<_> = set

@@ -226,33 +226,23 @@ fn track_hazards<'p>(
 }
 
 fn check_invocation_range(program: &TdlProgram, limits: &TdlLimits, report: &mut Report) {
-    // Widened arithmetic, so the message can name the count that
-    // TdlProgram::total_invocations refuses (`None`) on adversarial loops.
-    let mut total: u128 = 0;
-    for item in &program.items {
-        total += match item {
-            TdlItem::Pass(p) => p.invocations() as u128,
-            TdlItem::Loop(l) => {
-                l.count as u128 * l.body.iter().map(|p| p.invocations() as u128).sum::<u128>()
-            }
-        };
-    }
-    if total > u64::MAX as u128 {
-        report.push(Diagnostic::error(
+    match program.total_invocations() {
+        None => report.push(Diagnostic::error(
             ErrorCode::TdlLoopTripCount,
             format!(
-                "program performs {total} dynamic invocations, beyond the descriptor's \
-                 64-bit sequencing range"
+                "program performs more than {} dynamic invocations, beyond the descriptor's \
+                 64-bit sequencing range",
+                u64::MAX
             ),
-        ));
-    } else if total > limits.warn_invocations as u128 {
-        report.push(Diagnostic::warning(
+        )),
+        Some(total) if total > limits.warn_invocations => report.push(Diagnostic::warning(
             ErrorCode::TdlLoopTripCount,
             format!(
                 "program performs {total} dynamic invocations (> {}); check the loop counts",
                 limits.warn_invocations
             ),
-        ));
+        )),
+        Some(_) => {}
     }
 }
 
@@ -336,6 +326,18 @@ mod tests {
         let r = verify("LOOP 9999999999 { PASS in=a out=b { COMP FFT params=\"f\" } }");
         assert!(r.has_code(ErrorCode::TdlLoopTripCount));
         assert!(!r.has_errors());
+    }
+
+    #[test]
+    fn invocation_count_past_u64_is_an_error() {
+        // 2^63 iterations of a two-stage pass are 2^64 invocations.
+        let r = verify(
+            "LOOP 9223372036854775808 { PASS in=a out=b { COMP FFT params=\"f\" \
+             COMP FFT params=\"f\" } }",
+        );
+        assert!(r.has_code(ErrorCode::TdlLoopTripCount));
+        assert!(r.has_errors());
+        assert!(r.render().contains("more than 18446744073709551615"), "{r}");
     }
 
     #[test]

@@ -363,7 +363,7 @@ fn run_tdl(layer: &AcceleratorLayer, tdl: &str, stages: &[(&str, AccelParams)]) 
 /// (three descriptors, as the compiler produces), compute-bounded phases
 /// on the host, invocation overheads charged per descriptor (Fig. 14).
 pub fn run_on_mealib(cfg: &StapConfig) -> StapRun {
-    run_mealib_pipeline(cfg, false).0
+    run_mealib_pipeline(cfg).0
 }
 
 /// Engine-cycle width of the DRAM timeline windows in
@@ -393,9 +393,9 @@ pub struct StapProfile {
 }
 
 /// The dominant accelerator traffic of a named offloaded phase
-/// (`"fftw (chain)"`, `"cdotc"`, or `"saxpy"`), used to drive the
-/// profiled DRAM replay. Must stay in sync with the descriptors
-/// `run_mealib_pipeline` builds.
+/// (`"fftw (chain)"`, `"cdotc"`, or `"saxpy"`): the parameters the
+/// phase's descriptor is built from, and what drives the profiled DRAM
+/// replay.
 ///
 /// # Panics
 ///
@@ -437,8 +437,7 @@ pub fn accel_phase_params(cfg: &StapConfig, name: &str) -> AccelParams {
 /// The profile's end time equals the run's total time, and the
 /// attribution's windows cover 100% of it.
 pub fn profile_on_mealib(cfg: &StapConfig) -> StapProfile {
-    let (run, breakdown, runs) = run_mealib_pipeline(cfg, true);
-    let breakdown = breakdown.expect("breakdown collected when itemizing");
+    let (run, breakdown, runs) = run_mealib_pipeline(cfg);
 
     let layer = AcceleratorLayer::mealib_default();
     let t_ck = layer.mem().timing.t_ck;
@@ -493,109 +492,72 @@ pub fn profile_on_mealib(cfg: &StapConfig) -> StapProfile {
 /// descriptor contributes its own plan/DMA/compute/drain split, with the
 /// host's idle-while-accelerated energy folded into [`Phase::Dma`].
 pub fn run_on_mealib_traced(cfg: &StapConfig, obs: &Obs) -> (StapRun, Breakdown) {
-    let (run, breakdown, _) = run_mealib_pipeline(cfg, true);
-    let breakdown = breakdown.expect("breakdown collected when itemizing");
+    let (run, breakdown, _) = run_mealib_pipeline(cfg);
     obs.record_breakdown(&breakdown);
     (run, breakdown)
 }
 
-/// The shared pipeline model. With `itemize == false` (the
-/// [`run_on_mealib`] fast path) no [`Breakdown`] is assembled, no
-/// counters are collected, and no [`DescriptorRun`]s are retained, so
-/// the plain run stays as cheap as before instrumentation existed.
-fn run_mealib_pipeline(
-    cfg: &StapConfig,
-    itemize: bool,
-) -> (StapRun, Option<Breakdown>, Vec<DescriptorRun>) {
+/// The shared pipeline model: the run's phase costs, their itemization
+/// and the three descriptor runs, in program order.
+fn run_mealib_pipeline(cfg: &StapConfig) -> (StapRun, Breakdown, Vec<DescriptorRun>) {
     let platform = Platform::haswell();
     let layer = AcceleratorLayer::mealib_default();
     let cache = CacheModel::haswell();
-    let mut phases = Vec::new();
-    let mut breakdown = itemize.then(Breakdown::new);
-    let mut runs: Vec<DescriptorRun> = Vec::new();
 
-    // Descriptor 1: chained RESHP + FFT.
+    // Descriptor 1 chains RESHP into the FFT; descriptors 2 and 3 are
+    // the compacted cdotc and saxpy loops.
     let reshp = AccelParams::Reshp {
         rows: cfg.n_dop as u64,
         cols: (cfg.n_chan * cfg.ranges()) as u64,
         elem_bytes: 8,
     };
-    let fft = AccelParams::Fft {
-        n: cfg.n_dop as u64,
-        batch: (cfg.n_chan * cfg.ranges()) as u64,
-    };
-    let run = run_tdl(
-        &layer,
-        "PASS in=a out=b { COMP RESHP params=\"r.para\" COMP FFT params=\"f.para\" }",
-        &[("r.para", reshp), ("f.para", fft)],
-    );
-    let (t, e) = (run.total_time(), run.total_energy());
-    if let Some(bd) = breakdown.as_mut() {
-        bd.merge(&run.breakdown());
-        runs.push(run);
+    let descriptors = [
+        (
+            "fftw (chain)",
+            AcceleratorKind::Fft,
+            "PASS in=a out=b { COMP RESHP params=\"r.para\" COMP FFT params=\"f.para\" }"
+                .to_string(),
+            vec![
+                ("r.para", reshp),
+                ("f.para", accel_phase_params(cfg, "fftw (chain)")),
+            ],
+        ),
+        (
+            "cdotc",
+            AcceleratorKind::Dot,
+            format!(
+                "LOOP {} {{ PASS in=w out=p {{ COMP DOT params=\"d.para\" }} }}",
+                cfg.cdotc_calls()
+            ),
+            vec![("d.para", accel_phase_params(cfg, "cdotc"))],
+        ),
+        (
+            "saxpy",
+            AcceleratorKind::Axpy,
+            format!(
+                "LOOP {} {{ PASS in=c out=d {{ COMP AXPY params=\"x.para\" }} }}",
+                cfg.saxpy_calls()
+            ),
+            vec![("x.para", accel_phase_params(cfg, "saxpy"))],
+        ),
+    ];
+    let runs: Vec<DescriptorRun> = descriptors
+        .iter()
+        .map(|(_, _, tdl, stages)| run_tdl(&layer, tdl, stages))
+        .collect();
+    let mut breakdown = Breakdown::new();
+    for run in &runs {
+        breakdown.merge(&run.breakdown());
     }
-    phases.push(PhaseCost {
-        name: "fftw (chain)",
-        executor: Executor::Accelerator(AcceleratorKind::Fft),
-        time: t,
-        energy: e,
-    });
-
+    let accel_phase = |i: usize| PhaseCost {
+        name: descriptors[i].0,
+        executor: Executor::Accelerator(descriptors[i].1),
+        time: runs[i].total_time(),
+        energy: runs[i].total_energy(),
+    };
+    let mut phases = vec![accel_phase(0)];
     phases.extend(host_compute_phases(cfg, &platform));
-
-    // Descriptor 2: the compacted cdotc loop.
-    let dot = AccelParams::Dot {
-        n: cfg.dof() as u64,
-        incx: 1,
-        incy: 1,
-        complex: true,
-    };
-    let run = run_tdl(
-        &layer,
-        &format!(
-            "LOOP {} {{ PASS in=w out=p {{ COMP DOT params=\"d.para\" }} }}",
-            cfg.cdotc_calls()
-        ),
-        &[("d.para", dot)],
-    );
-    let (t, e) = (run.total_time(), run.total_energy());
-    if let Some(bd) = breakdown.as_mut() {
-        bd.merge(&run.breakdown());
-        runs.push(run);
-    }
-    phases.push(PhaseCost {
-        name: "cdotc",
-        executor: Executor::Accelerator(AcceleratorKind::Dot),
-        time: t,
-        energy: e,
-    });
-
-    // Descriptor 3: the compacted saxpy loop.
-    let axpy = AccelParams::Axpy {
-        n: 2 * cfg.ranges() as u64,
-        alpha: 1.0,
-        incx: 1,
-        incy: 1,
-    };
-    let run = run_tdl(
-        &layer,
-        &format!(
-            "LOOP {} {{ PASS in=c out=d {{ COMP AXPY params=\"x.para\" }} }}",
-            cfg.saxpy_calls()
-        ),
-        &[("x.para", axpy)],
-    );
-    let (t, e) = (run.total_time(), run.total_energy());
-    if let Some(bd) = breakdown.as_mut() {
-        bd.merge(&run.breakdown());
-        runs.push(run);
-    }
-    phases.push(PhaseCost {
-        name: "saxpy",
-        executor: Executor::Accelerator(AcceleratorKind::Axpy),
-        time: t,
-        energy: e,
-    });
+    phases.extend([accel_phase(1), accel_phase(2)]);
 
     // Host-side invocation overhead: one wbinvd + driver round trip +
     // descriptor copy per descriptor (three descriptors total, §5.5).
@@ -617,24 +579,19 @@ fn run_mealib_pipeline(
         if matches!(p.executor, Executor::Accelerator(_)) {
             let idle = platform.package.idle.for_duration(p.time);
             p.energy += idle;
-            if let Some(bd) = breakdown.as_mut() {
-                bd.add_phase(Phase::Dma, Seconds::ZERO, idle);
-            }
+            breakdown.add_phase(Phase::Dma, Seconds::ZERO, idle);
         }
     }
-    if let Some(bd) = breakdown.as_mut() {
-        for p in &phases {
-            match p.executor {
-                Executor::Host => bd.add_phase(Phase::Compute, p.time, p.energy),
-                Executor::Invocation => bd.add_phase(Phase::Flush, p.time, p.energy),
-                Executor::Accelerator(_) => {}
-            }
+    for p in &phases {
+        match p.executor {
+            Executor::Host => breakdown.add_phase(Phase::Compute, p.time, p.energy),
+            Executor::Invocation => breakdown.add_phase(Phase::Flush, p.time, p.energy),
+            Executor::Accelerator(_) => {}
         }
-
-        // DRAM/NoC/CU counters from the three descriptor runs.
-        for run in &runs {
-            run.add_counters(bd);
-        }
+    }
+    // DRAM/NoC/CU counters from the three descriptor runs.
+    for run in &runs {
+        run.add_counters(&mut breakdown);
     }
 
     (

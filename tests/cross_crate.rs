@@ -46,7 +46,7 @@ fn cu_run_matches_direct_model_execution() {
 
     let exec = run.execution().unwrap();
     assert_eq!(
-        exec, direct,
+        exec, &direct,
         "single un-looped pass equals direct execution"
     );
     assert!(run.total_time() > direct.time, "plus nonzero setup");
