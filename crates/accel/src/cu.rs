@@ -708,6 +708,95 @@ mod tests {
     }
 
     #[test]
+    fn sizes_at_the_overflow_edge_run_or_are_refused() {
+        // One growing size per kind (plus strided AXPY/DOT): find the
+        // largest value `validate` accepts, then run it and the next
+        // value through the CU. Neither may panic; past the edge the CU
+        // refuses the blob before running anything.
+        type Family = (&'static str, fn(u64) -> AccelParams);
+        let families: [Family; 10] = [
+            ("axpy", |n| AccelParams::Axpy {
+                n,
+                alpha: 2.0,
+                incx: 1,
+                incy: 1,
+            }),
+            ("strided axpy", |n| AccelParams::Axpy {
+                n,
+                alpha: 2.0,
+                incx: 3,
+                incy: 1 << 20,
+            }),
+            ("dot", |n| AccelParams::Dot {
+                n,
+                incx: 1,
+                incy: 1,
+                complex: true,
+            }),
+            ("strided dot", |n| AccelParams::Dot {
+                n,
+                incx: 2,
+                incy: 7,
+                complex: false,
+            }),
+            ("gemv", |m| AccelParams::Gemv { m, n: 1 << 20 }),
+            ("spmv", |nnz| AccelParams::Spmv {
+                rows: 1 << 32,
+                cols: 1 << 32,
+                nnz,
+            }),
+            ("wide spmv", |nnz| AccelParams::Spmv {
+                rows: 4,
+                cols: 1 << 61,
+                nnz,
+            }),
+            ("resmp", |blocks| AccelParams::Resmp {
+                blocks,
+                in_per_block: 1024,
+                out_per_block: 4096,
+            }),
+            ("fft", |batch| AccelParams::Fft { n: 1 << 20, batch }),
+            ("reshp", |rows| AccelParams::Reshp {
+                rows,
+                cols: 1 << 16,
+                elem_bytes: 8,
+            }),
+        ];
+        let layer = AcceleratorLayer::mealib_default();
+        let buffers: BTreeMap<String, u64> = [("x".to_string(), 0u64), ("y".to_string(), 1 << 20)]
+            .into_iter()
+            .collect();
+        for (name, family) in families {
+            let (mut ok, mut refused) = (1u64, u64::MAX);
+            assert!(family(ok).validate().is_ok() && family(refused).validate().is_err());
+            while refused - ok > 1 {
+                let mid = ok + (refused - ok) / 2;
+                if family(mid).validate().is_ok() {
+                    ok = mid;
+                } else {
+                    refused = mid;
+                }
+            }
+            for size in [ok, refused] {
+                let params = family(size);
+                let blob = params.to_bytes();
+                assert_eq!(AccelParams::from_bytes(&blob).is_ok(), size == ok, "{name}");
+                let src = format!(
+                    "PASS in=x out=y {{ COMP {} params=\"p.para\" }}",
+                    params.kind().keyword()
+                );
+                let mut bag = ParamBag::new();
+                bag.insert("p.para".into(), blob);
+                let desc = Descriptor::encode(&parse(&src).unwrap(), &bag, &buffers).unwrap();
+                let run = run_descriptor(&desc, &layer, &CuCostModel::default());
+                if size == refused {
+                    assert!(matches!(run, Err(CuError::Params(_))), "{name} {size}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_descriptor_runs_with_no_passes() {
         let program = parse("").unwrap();
         let desc = Descriptor::encode(&program, &ParamBag::new(), &BTreeMap::new()).unwrap();

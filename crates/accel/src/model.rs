@@ -140,14 +140,30 @@ impl AccelModel {
     ///
     /// # Panics
     ///
-    /// Panics if `params` is for a different accelerator.
+    /// Panics if `params` is for a different accelerator or a byte
+    /// count passes `u64` (which [`AccelParams::validate`] refuses).
     pub fn access_pattern(&self, params: &AccelParams, hw: &AccelHwConfig) -> AccessPattern {
+        self.checked_access_pattern(params, hw)
+            .expect("validated parameters: byte counts fit in u64")
+    }
+
+    /// [`AccelModel::access_pattern`], or `None` if a byte count passes
+    /// `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is for a different accelerator.
+    pub(crate) fn checked_access_pattern(
+        &self,
+        params: &AccelParams,
+        hw: &AccelHwConfig,
+    ) -> Option<AccessPattern> {
         assert_eq!(params.kind(), self.kind, "parameter/accelerator mismatch");
-        match *params {
+        Some(match *params {
             AccelParams::Axpy { n, incx, incy, .. } => {
                 if incx == 1 && incy == 1 {
                     // Read x and y, write y.
-                    AccessPattern::sequential_rw(8 * n, 4 * n)
+                    AccessPattern::sequential_rw(n.checked_mul(8)?, n.checked_mul(4)?)
                 } else {
                     AccessPattern::Then(vec![
                         AccessPattern::Strided {
@@ -159,7 +175,7 @@ impl AccelModel {
                         AccessPattern::Strided {
                             stride: 4 * incy as u64,
                             elem_bytes: 4,
-                            count: 2 * n, // y read + write
+                            count: n.checked_mul(2)?, // y read + write
                             write: false,
                         },
                     ])
@@ -173,7 +189,7 @@ impl AccelModel {
             } => {
                 let elem = if complex { 8 } else { 4 };
                 if incx == 1 && incy == 1 {
-                    AccessPattern::sequential_read(2 * elem * n)
+                    AccessPattern::sequential_read(n.checked_mul(2 * elem)?)
                 } else {
                     AccessPattern::Then(vec![
                         AccessPattern::Strided {
@@ -193,30 +209,35 @@ impl AccelModel {
             }
             AccelParams::Gemv { m, n } => {
                 // Matrix streamed once; x held in LM; y written once.
-                AccessPattern::sequential_rw(4 * (m * n + n), 4 * m)
+                let read = m.checked_mul(n)?.checked_add(n)?.checked_mul(4)?;
+                AccessPattern::sequential_rw(read, m.checked_mul(4)?)
             }
             AccelParams::Spmv { rows, cols, nnz } => AccessPattern::Then(vec![
                 // CSR arrays stream sequentially...
-                AccessPattern::sequential_read(8 * nnz + 4 * (rows + 1)),
+                AccessPattern::sequential_read(
+                    nnz.checked_mul(8)?
+                        .checked_add(rows.checked_add(1)?.checked_mul(4)?)?,
+                ),
                 // ...while x is gathered randomly...
                 AccessPattern::Random {
                     elem_bytes: 4,
                     count: nnz,
-                    region_bytes: 4 * cols,
+                    region_bytes: cols.checked_mul(4)?,
                 },
                 // ...and y streams out.
-                AccessPattern::sequential_write(4 * rows),
+                AccessPattern::sequential_write(rows.checked_mul(4)?),
             ]),
             AccelParams::Resmp {
                 blocks,
                 in_per_block,
                 out_per_block,
-            } => {
-                AccessPattern::sequential_rw(4 * blocks * in_per_block, 4 * blocks * out_per_block)
-            }
+            } => AccessPattern::sequential_rw(
+                blocks.checked_mul(in_per_block)?.checked_mul(4)?,
+                blocks.checked_mul(out_per_block)?.checked_mul(4)?,
+            ),
             AccelParams::Fft { n, batch } => {
-                let bytes = 8 * n * batch;
-                if 8 * n <= hw.local_mem_bytes {
+                let bytes = n.checked_mul(batch)?.checked_mul(8)?;
+                if n.checked_mul(8)? <= hw.local_mem_bytes {
                     // Whole transform fits in a tile's LM: one pass.
                     AccessPattern::sequential_rw(bytes, bytes)
                 } else {
@@ -234,37 +255,45 @@ impl AccelModel {
             } => {
                 // The data-reshape infrastructure buffers row-buffer-sized
                 // tiles, so both the read and the write stream.
-                let bytes = rows * cols * elem_bytes as u64;
+                let bytes = rows.checked_mul(cols)?.checked_mul(elem_bytes as u64)?;
                 AccessPattern::sequential_rw(bytes, bytes)
             }
-        }
+        })
     }
 
     /// FLOPs of one invocation.
     ///
     /// # Panics
     ///
-    /// Panics if `params` is for a different accelerator.
+    /// Panics if `params` is for a different accelerator or the count
+    /// passes `u64` (which [`AccelParams::validate`] refuses).
     pub fn flops(&self, params: &AccelParams) -> u64 {
+        self.checked_flops(params)
+            .expect("validated parameters: FLOPs fit in u64")
+    }
+
+    /// [`AccelModel::flops`], or `None` if the count passes `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is for a different accelerator.
+    pub(crate) fn checked_flops(&self, params: &AccelParams) -> Option<u64> {
         assert_eq!(params.kind(), self.kind, "parameter/accelerator mismatch");
         match *params {
-            AccelParams::Axpy { n, .. } => 2 * n,
-            AccelParams::Dot { n, complex, .. } => {
-                if complex {
-                    8 * n
-                } else {
-                    2 * n
-                }
-            }
-            AccelParams::Gemv { m, n } => 2 * m * n,
-            AccelParams::Spmv { nnz, .. } => 2 * nnz,
+            AccelParams::Axpy { n, .. } => n.checked_mul(2),
+            AccelParams::Dot { n, complex, .. } => n.checked_mul(if complex { 8 } else { 2 }),
+            AccelParams::Gemv { m, n } => m.checked_mul(n)?.checked_mul(2),
+            AccelParams::Spmv { nnz, .. } => nnz.checked_mul(2),
             AccelParams::Resmp {
                 blocks,
                 out_per_block,
                 ..
-            } => 4 * blocks * out_per_block,
-            AccelParams::Fft { n, batch } => 5 * n * (63 - n.leading_zeros() as u64) * batch,
-            AccelParams::Reshp { .. } => 0,
+            } => blocks.checked_mul(out_per_block)?.checked_mul(4),
+            AccelParams::Fft { n, batch } => n
+                .checked_mul(63 - n.leading_zeros() as u64)?
+                .checked_mul(batch)?
+                .checked_mul(5),
+            AccelParams::Reshp { .. } => Some(0),
         }
     }
 

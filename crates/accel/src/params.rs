@@ -12,6 +12,9 @@ use core::fmt;
 
 use mealib_tdl::AcceleratorKind;
 
+use crate::hw::AccelHwConfig;
+use crate::model::AccelModel;
+
 /// Parameters of one accelerator invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccelParams {
@@ -293,6 +296,22 @@ impl AccelParams {
                     return Err(ParamsError::Invalid("reshp dimensions must be nonzero"));
                 }
             }
+        }
+        // Every count the model derives must fit in u64: the FLOPs, and
+        // the traffic of the costliest shape (with no Local Memory every
+        // FFT takes two passes) at its address span.
+        let model = AccelModel::new(self.kind());
+        let no_lm = AccelHwConfig {
+            local_mem_bytes: 0,
+            ..AccelHwConfig::mealib_default()
+        };
+        let span = model
+            .checked_access_pattern(self, &no_lm)
+            .and_then(|p| p.checked_span());
+        if span.is_none() || model.checked_flops(self).is_none() {
+            return Err(ParamsError::Invalid(
+                "sizes describe more bytes or FLOPs than u64 holds",
+            ));
         }
         Ok(())
     }

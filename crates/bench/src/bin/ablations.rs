@@ -27,19 +27,17 @@ fn main() {
         n: 8192,
         batch: 8192,
     };
-    for row in mealib_types::par_map(&[16u64, 64, 256, 1024], opts.jobs, |&lm_kib| {
+    for lm_kib in [16u64, 64, 256, 1024] {
         let hw_lm = AccelHwConfig {
             local_mem_bytes: lm_kib * 1024,
             ..hw.clone()
         };
         let r = AccelModel::new(AcceleratorKind::Fft).execute(&fft, &hw_lm, &mem);
-        vec![
+        t.push_row(vec![
             format!("{lm_kib} KiB"),
             format!("{:.2} GiB", r.mem.bytes_moved().as_gib()),
             format!("{:.2} ms", r.time.as_millis()),
-        ]
-    }) {
-        t.push_row(row);
+        ]);
     }
     print!("{t}");
     println!("(a transform that no longer fits the LM pays a second DRAM pass)");
@@ -52,7 +50,7 @@ fn main() {
         cols: 1 << 20,
         nnz: 13 << 20,
     };
-    for row in mealib_types::par_map(&[1024u64, 2048, 4096, 8192], opts.jobs, |&row| {
+    for row in [1024u64, 2048, 4096, 8192] {
         let mut m = mem.clone();
         if let AddressMapping::Interleaved {
             ref mut row_bytes, ..
@@ -62,13 +60,11 @@ fn main() {
         }
         let g = AccelModel::new(AcceleratorKind::Gemv).execute(&gemv, &hw, &m);
         let s = AccelModel::new(AcceleratorKind::Spmv).execute(&spmv, &hw, &m);
-        vec![
+        t.push_row(vec![
             row.to_string(),
             format!("{:.2} ms", g.time.as_millis()),
             format!("{:.2} ms", s.time.as_millis()),
-        ]
-    }) {
-        t.push_row(row);
+        ]);
     }
     print!("{t}");
     println!("(bigger rows help gathers hit open rows; streams barely notice)");
@@ -122,21 +118,19 @@ fn main() {
         MemoryConfig::hmc_stack_gen1(),
         MemoryConfig::hmc_stack(),
     ];
-    for row in mealib_types::par_map(&stacks, opts.jobs, |m| {
+    for m in &stacks {
         let g = AccelModel::new(AcceleratorKind::Gemv).execute(
             &AccelParams::Gemv { m: 16384, n: 16384 },
             &hw,
             m,
         );
         let f = AccelModel::new(AcceleratorKind::Fft).execute(&fft_wl, &hw, m);
-        vec![
+        t.push_row(vec![
             m.name.clone(),
             format!("{:.0} GB/s", m.peak_bandwidth().as_gb_per_sec()),
             format!("{:.2} ms", g.time.as_millis()),
             format!("{:.2} ms", f.time.as_millis()),
-        ]
-    }) {
-        t.push_row(row);
+        ]);
     }
     print!("{t}");
 

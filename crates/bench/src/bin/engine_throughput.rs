@@ -2,8 +2,8 @@
 //!
 //! Replays the Figure 9 (Table 1/2 operations) and Figure 13 (STAP
 //! phase) DRAM request streams at a reduced footprint through both
-//! memsim engines and prints burst throughput per worker core for the
-//! cycle-accurate oracle and the event-driven epoch-skipping engine.
+//! memsim engines and prints burst throughput for the cycle-accurate
+//! oracle and the event-driven epoch-skipping engine.
 //!
 //! The bin enforces its own floor: the **geometric mean** of the
 //! per-stream cycle/fast wall ratios must stay at or above
@@ -32,7 +32,6 @@ use mealib_bench::{banner, section, HarnessOpts, JsonSummary};
 use mealib_memsim::engine::{simulate, SimOptions};
 use mealib_memsim::TraceBuffer;
 use mealib_sim::TextTable;
-use mealib_types::auto_jobs;
 use mealib_workloads::stap::{self, StapConfig};
 use mealib_workloads::{datasets, sar};
 
@@ -135,20 +134,19 @@ fn main() -> ExitCode {
     );
     let max_bytes: u64 = if opts.small { 2 << 20 } else { 8 << 20 };
     let reps: u32 = if opts.small { 2 } else { 3 };
-    let jobs = auto_jobs(opts.jobs);
     let layer = AcceleratorLayer::mealib_default();
     let mem = layer.mem();
 
     let mut summary = JsonSummary::new("engine_throughput");
     section(&format!(
-        "replays at {} MiB/stream, best of {reps}, jobs={jobs}",
+        "replays at {} MiB/stream, best of {reps}",
         max_bytes >> 20
     ));
     let mut t = TextTable::new(vec![
         "stream",
         "bursts",
-        "cycle Mb/s/core",
-        "fast Mb/s/core",
+        "cycle Mbursts/s",
+        "fast Mbursts/s",
         "fast/cycle",
     ]);
     let mut cycle_wall = 0.0f64;
@@ -160,11 +158,11 @@ fn main() -> ExitCode {
         n_streams += 1;
         // Bit-exactness first: the throughput numbers are meaningless
         // if the engines disagree on the very traces being timed.
-        simulate(mem, &s.trace, &SimOptions::dual_check().jobs(jobs))
+        simulate(mem, &s.trace, &SimOptions::dual_check())
             .expect("fast engine must stay bit-exact with the cycle oracle");
 
-        let (cw, n) = time_engine(mem, &s.trace, &SimOptions::cycle().jobs(jobs), reps);
-        let (fw, fn_) = time_engine(mem, &s.trace, &SimOptions::fast().jobs(jobs), reps);
+        let (cw, n) = time_engine(mem, &s.trace, &SimOptions::cycle(), reps);
+        let (fw, fn_) = time_engine(mem, &s.trace, &SimOptions::fast(), reps);
         assert_eq!(
             n, fn_,
             "{}: engines replayed different burst counts",
@@ -174,27 +172,25 @@ fn main() -> ExitCode {
         fast_wall += fw;
         ln_ratio_sum += (cw / fw).ln();
         total_bursts += n;
-        let per_core = jobs as f64;
         t.push_row(vec![
             s.name.clone(),
             n.to_string(),
-            format!("{:.2}", n as f64 / cw / per_core / 1e6),
-            format!("{:.2}", n as f64 / fw / per_core / 1e6),
+            format!("{:.2}", n as f64 / cw / 1e6),
+            format!("{:.2}", n as f64 / fw / 1e6),
             format!("{:.1}x", cw / fw),
         ]);
     }
     print!("{t}");
 
-    let per_core = jobs as f64;
-    let cycle_rate = total_bursts as f64 / cycle_wall / per_core;
-    let fast_rate = total_bursts as f64 / fast_wall / per_core;
+    let cycle_rate = total_bursts as f64 / cycle_wall;
+    let fast_rate = total_bursts as f64 / fast_wall;
     // Geomean, not wall-sum: each stream votes equally, so spmv's
     // unbatchable scalar gathers (about 2x) cannot mask the win on the
     // streaming workloads.
     let ratio = (ln_ratio_sum / n_streams as f64).exp();
     println!();
     println!(
-        "aggregate: {total_bursts} bursts; cycle {:.2} Mbursts/s/core, fast {:.2} Mbursts/s/core; geomean speedup {ratio:.1}x",
+        "aggregate: {total_bursts} bursts; cycle {:.2} Mbursts/s, fast {:.2} Mbursts/s; geomean speedup {ratio:.1}x",
         cycle_rate / 1e6,
         fast_rate / 1e6
     );

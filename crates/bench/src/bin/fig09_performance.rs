@@ -50,7 +50,7 @@ fn main() {
     }
     let rows = datasets::table2();
     let ops: Vec<_> = rows.iter().map(|row| row.params).collect();
-    let reports = run_sweep(&ops, &xopts, opts.jobs);
+    let reports = run_sweep(&ops, &xopts);
     for (row, report) in rows.iter().zip(reports) {
         let cmp = report.expect("preflight clean").comparison;
         let speedups = cmp.speedups();

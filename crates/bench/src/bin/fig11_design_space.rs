@@ -2,23 +2,13 @@
 //! performance vs power across frequency, core count, block size, and
 //! DRAM row-buffer size, at 510 GB/s of memory bandwidth.
 //!
-//! Every design point additionally replays a sequential stream through
-//! the cycle engine (the `engine` column) to cross-check the analytic
-//! bandwidth model; `--jobs N` fans the points across worker threads
-//! with bit-identical output.
-//!
-//! With `--prune`, the static-bounds certifier prices every grid point
-//! in closed form first and the cycle-engine replay runs only for
-//! points no certified point dominates. The Pareto frontier (printed
-//! and summarized in both modes) is bit-identical either way — the
-//! smoke script asserts it — while the number of engine simulations
-//! drops, which the prune-mode summary records.
+//! Each row-buffer size additionally replays a sequential stream
+//! through the fast engine (the `engine` column) to cross-check the
+//! analytic bandwidth model.
 
 use mealib_accel::design_space::{
-    fft_reference_workload, pareto_frontier, spmv_reference_workload, sweep, sweep_pruned,
-    DesignPoint, SweepGrid, SweepOptions,
+    fft_reference_workload, pareto_frontier, spmv_reference_workload, sweep, DesignPoint, SweepGrid,
 };
-use mealib_accel::AccelParams;
 use mealib_bench::{banner, section, write_profile, HarnessOpts, JsonSummary};
 use mealib_memsim::engine::{sequential_trace, simulate, Op, SimOptions};
 use mealib_memsim::MemoryConfig;
@@ -67,8 +57,7 @@ fn print_space(kind: AcceleratorKind, points: &[DesignPoint], paper_range: &str)
 }
 
 /// Prints the Pareto frontier and records it in the summary with full
-/// f64 precision: identical frontiers produce identical metric values,
-/// which is how the smoke script asserts that `--prune` changed nothing.
+/// f64 precision.
 fn report_frontier(kind: AcceleratorKind, points: &[DesignPoint], summary: &mut JsonSummary) {
     let frontier = pareto_frontier(points);
     section(&format!("{kind} Pareto frontier"));
@@ -89,26 +78,6 @@ fn report_frontier(kind: AcceleratorKind, points: &[DesignPoint], summary: &mut 
     );
 }
 
-/// Explores one accelerator's design space, pruned or full, and returns
-/// the evaluated points plus `(simulated, pruned)` accounting.
-fn explore(
-    kind: AcceleratorKind,
-    workload: &AccelParams,
-    grid: &SweepGrid,
-    mem: &MemoryConfig,
-    sweep_opts: &SweepOptions,
-    prune: bool,
-) -> (Vec<DesignPoint>, usize, usize) {
-    if prune {
-        let s = sweep_pruned(kind, workload, grid, mem, sweep_opts);
-        (s.points, s.simulated, s.pruned)
-    } else {
-        let points = sweep(kind, workload, grid, mem, sweep_opts);
-        let n = points.len();
-        (points, n, 0)
-    }
-}
-
 fn main() {
     let opts = HarnessOpts::from_env();
     banner(
@@ -117,25 +86,11 @@ fn main() {
     );
     let grid = SweepGrid::default();
     let mem = MemoryConfig::hmc_stack();
-    let sweep_opts = SweepOptions {
-        jobs: opts.jobs,
-        // The engine replay is what makes each point worth
-        // parallelizing; keep it light in smoke-test mode.
-        engine_check_bytes: if opts.small { 1 << 20 } else { 64 << 20 },
-    };
+    let engine_check_bytes: u64 = if opts.small { 1 << 20 } else { 64 << 20 };
 
-    // Deterministic modeled outputs only — no wall times, so summaries
-    // from different --jobs values must be byte-identical (the smoke
-    // script asserts this). Prune mode uses its own record name: its
-    // point set is a subset, so only the frontier metrics are
-    // comparable against the full sweep.
-    let mut summary = JsonSummary::new(if opts.prune {
-        "fig11_design_space_prune"
-    } else {
-        "fig11_design_space"
-    });
+    // Deterministic modeled outputs only — no wall times.
+    let mut summary = JsonSummary::new("fig11_design_space");
 
-    let mut grid_points = 0usize;
     let mut engine_max = 0.0_f64;
     for (kind, workload, paper_range) in [
         (
@@ -149,40 +104,24 @@ fn main() {
             "0.18-1.76 GFLOPS/W",
         ),
     ] {
-        let (points, simulated, pruned) =
-            explore(kind, &workload, &grid, &mem, &sweep_opts, opts.prune);
-        grid_points = simulated + pruned;
+        let points = sweep(kind, &workload, &grid, &mem, engine_check_bytes);
         print_space(kind, &points, paper_range);
         report_frontier(kind, &points, &mut summary);
         let k = format!("{kind}").to_lowercase();
-        if opts.prune {
-            println!();
-            println!(
-                "{kind} bounds pruning: {simulated}/{grid_points} points simulated, {pruned} \
-                 provably dominated"
-            );
-            summary.metric(&format!("{k}_simulated"), simulated as f64);
-            summary.metric(&format!("{k}_pruned"), pruned as f64);
-        } else {
-            let (min, max) = eff_range(&points);
-            summary.metric(&format!("{k}_eff_min"), min);
-            summary.metric(&format!("{k}_eff_max"), max);
-            engine_max = points
-                .iter()
-                .map(|p| p.engine_gbps)
-                .fold(engine_max, f64::max);
-        }
+        let (min, max) = eff_range(&points);
+        summary.metric(&format!("{k}_eff_min"), min);
+        summary.metric(&format!("{k}_eff_max"), max);
+        engine_max = points
+            .iter()
+            .map(|p| p.engine_gbps)
+            .fold(engine_max, f64::max);
     }
-    if opts.prune {
-        summary.metric("grid_points", grid_points as f64);
-    } else {
-        summary.metric("engine_check_max_gbps", engine_max);
-    }
+    summary.metric("engine_check_max_gbps", engine_max);
 
     if opts.profile.is_some() {
         // Cycle-windowed replay of the engine cross-check stream: one
         // counter timeline per vault at 4096-cycle windows.
-        let trace = sequential_trace(0, sweep_opts.engine_check_bytes, 256, Op::Read);
+        let trace = sequential_trace(0, engine_check_bytes, 256, Op::Read);
         let timeline = simulate(&mem, &trace, &SimOptions::fast().profile(4096))
             .expect("preset config validates")
             .timeline

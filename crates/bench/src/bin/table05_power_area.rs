@@ -44,21 +44,17 @@ fn main() {
         "area (paper)",
     ]);
     let mut max_power: f64 = 0.0;
-    let rows = datasets::table2();
-    let runs = mealib_types::par_map(&rows, opts.jobs, |row| {
-        let r = layer.execute(&row.params);
-        (r.power(), r.time)
-    });
     let mut gantt = Profile::new();
     let mut cursor = Seconds::ZERO;
-    for (i, (row, (power, time))) in rows.iter().zip(runs).enumerate() {
-        let power = power.get();
+    for (i, row) in datasets::table2().iter().enumerate() {
+        let r = layer.execute(&row.params);
+        let power = r.power().get();
         cursor = gantt.interval(
             "layer",
             Phase::Compute,
             &row.params.kind().to_string(),
             cursor,
-            time,
+            r.time,
         );
         max_power = max_power.max(power);
         let area = profile(row.params.kind()).area_mm2;

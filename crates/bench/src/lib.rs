@@ -20,15 +20,8 @@ use mealib_obs::{BenchRecord, Profile};
 ///   `BENCH_*.json` record format) as the final stdout line;
 /// * `--small` — run at reduced problem sizes (smoke-test mode);
 /// * `--profile <path>` — write a time-resolved profile of the run as
-///   Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`);
-/// * `--jobs <N>` — worker threads for the parallel sweep paths
-///   (default 1 = serial; `0` = one per available core, the
-///   workspace-wide [`mealib_types::auto_jobs`] convention). Modeled
-///   results are identical for any `N`; only wall-clock time changes.
-/// * `--prune` — let the static-bounds certifier skip provably-dominated
-///   design points before the cycle-engine replay (harnesses that sweep
-///   a design space honor it; the Pareto frontier is unchanged).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///   Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HarnessOpts {
     /// Emit the JSON summary line.
     pub json: bool,
@@ -36,23 +29,6 @@ pub struct HarnessOpts {
     pub small: bool,
     /// Chrome trace-event profile destination, when requested.
     pub profile: Option<PathBuf>,
-    /// Worker threads for parallel sweeps (1 = serial, 0 = auto:
-    /// resolved to the available cores at parse time).
-    pub jobs: usize,
-    /// Prune dominated design points via the static-bounds certifier.
-    pub prune: bool,
-}
-
-impl Default for HarnessOpts {
-    fn default() -> Self {
-        Self {
-            json: false,
-            small: false,
-            profile: None,
-            jobs: 1,
-            prune: false,
-        }
-    }
 }
 
 impl HarnessOpts {
@@ -70,17 +46,8 @@ impl HarnessOpts {
             match arg.as_str() {
                 "--json" => opts.json = true,
                 "--small" => opts.small = true,
-                "--prune" => opts.prune = true,
                 "--profile" => {
                     opts.profile = args.next().map(PathBuf::from);
-                }
-                "--jobs" => {
-                    // An unparseable or missing count falls back to
-                    // serial rather than aborting the harness; an
-                    // explicit 0 resolves to the machine's cores.
-                    opts.jobs = mealib_types::auto_jobs(
-                        args.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-                    );
                 }
                 _ => {}
             }
@@ -185,37 +152,17 @@ mod tests {
                 "--small",
                 "--profile",
                 "/tmp/p.trace.json",
-                "--jobs",
-                "4",
+                "--verbose",
                 "--json",
-                "--prune",
             ]
             .map(String::from),
         );
-        assert!(opts.json && opts.small && opts.prune);
-        assert!(!HarnessOpts::parse(Vec::new()).prune);
+        assert!(opts.json && opts.small);
         assert_eq!(
             opts.profile.as_deref(),
             Some(std::path::Path::new("/tmp/p.trace.json"))
         );
-        assert_eq!(opts.jobs, 4);
         assert_eq!(HarnessOpts::parse(Vec::new()), HarnessOpts::default());
-    }
-
-    #[test]
-    fn jobs_flag_defaults_to_serial_on_bad_input() {
-        assert_eq!(HarnessOpts::parse(Vec::new()).jobs, 1);
-        assert_eq!(
-            HarnessOpts::parse(["--jobs", "zero"].map(String::from)).jobs,
-            1
-        );
-        // An explicit 0 is the auto convention: one worker per core.
-        assert_eq!(
-            HarnessOpts::parse(["--jobs", "0"].map(String::from)).jobs,
-            mealib_types::auto_jobs(0)
-        );
-        assert!(HarnessOpts::parse(["--jobs", "0"].map(String::from)).jobs >= 1);
-        assert_eq!(HarnessOpts::parse(["--jobs"].map(String::from)).jobs, 1);
     }
 
     #[test]

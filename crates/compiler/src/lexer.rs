@@ -128,6 +128,13 @@ pub enum LexError {
         /// Its line.
         line: usize,
     },
+    /// A floating-point literal that is not a number (`1.2.3`, `1e`).
+    MalformedFloat {
+        /// The literal as written.
+        literal: String,
+        /// Its line.
+        line: usize,
+    },
 }
 
 impl fmt::Display for LexError {
@@ -144,6 +151,9 @@ impl fmt::Display for LexError {
                     f,
                     "integer literal {literal} on line {line} does not fit in i64"
                 )
+            }
+            LexError::MalformedFloat { literal, line } => {
+                write!(f, "malformed float literal {literal} on line {line}")
             }
         }
     }
@@ -280,7 +290,15 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
                 let kind = if text.contains(['.', 'e', 'E']) {
-                    Tok::Float(text.parse().unwrap_or(0.0))
+                    match text.parse() {
+                        Ok(v) => Tok::Float(v),
+                        Err(_) => {
+                            return Err(LexError::MalformedFloat {
+                                literal: text,
+                                line,
+                            })
+                        }
+                    }
                 } else {
                     match text.parse() {
                         Ok(v) => Tok::Int(v),
@@ -422,6 +440,19 @@ mod tests {
         assert_eq!(kinds("2.0f"), vec![Tok::Float(2.0)]);
         assert_eq!(kinds("1e3"), vec![Tok::Float(1000.0)]);
         assert_eq!(kinds("42"), vec![Tok::Int(42)]);
+    }
+
+    #[test]
+    fn rejects_malformed_float_literals() {
+        for literal in ["1.2.3", "1e"] {
+            assert_eq!(
+                tokenize(literal),
+                Err(LexError::MalformedFloat {
+                    literal: literal.to_string(),
+                    line: 1,
+                })
+            );
+        }
     }
 
     #[test]

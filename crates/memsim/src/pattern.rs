@@ -81,6 +81,28 @@ impl AccessPattern {
         }
     }
 
+    /// Bytes of address space the pattern walks, summed over its parts
+    /// (a strided walk spans `max(stride, elem_bytes) * count`), or
+    /// `None` if that passes `u64`. The analytic estimator's byte, burst
+    /// and row counts for the pattern stay within it.
+    pub fn checked_span(&self) -> Option<u64> {
+        match self {
+            AccessPattern::Sequential { read, written } => read.checked_add(*written),
+            AccessPattern::Strided {
+                stride,
+                elem_bytes,
+                count,
+                ..
+            } => (*stride).max(*elem_bytes).checked_mul(*count),
+            AccessPattern::Random {
+                elem_bytes, count, ..
+            } => elem_bytes.checked_mul(*count),
+            AccessPattern::Then(parts) => parts
+                .iter()
+                .try_fold(0u64, |sum, p| sum.checked_add(p.checked_span()?)),
+        }
+    }
+
     /// Useful bytes read (as opposed to written).
     pub fn useful_read_bytes(&self) -> u64 {
         match self {
@@ -121,6 +143,7 @@ mod tests {
         };
         assert_eq!(strided.useful_bytes(), 40);
         assert_eq!(strided.useful_read_bytes(), 40);
+        assert_eq!(strided.checked_span(), Some(40960));
         let w = AccessPattern::Strided {
             stride: 64,
             elem_bytes: 8,
@@ -134,5 +157,10 @@ mod tests {
         ]);
         assert_eq!(then.useful_bytes(), 30);
         assert_eq!(then.useful_read_bytes(), 10);
+        assert_eq!(then.checked_span(), Some(30));
+        assert_eq!(
+            AccessPattern::sequential_rw(u64::MAX, 1).checked_span(),
+            None
+        );
     }
 }

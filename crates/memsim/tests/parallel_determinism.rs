@@ -15,7 +15,7 @@
 //!    adversarial traces: row-conflict storms, single-vault hotspots,
 //!    zero-length and max-burst requests.
 //!
-//! These properties are what make `--jobs N` and `EngineKind::Fast`
+//! These properties are what make `SimOptions::jobs` and `EngineKind::Fast`
 //! shippable: the parallel run and the fast run are not "close", they
 //! are the same run.
 

@@ -1,83 +1,29 @@
-//! Parallel experiment sweeps.
+//! Experiment sweeps.
 //!
-//! The Figure 9/10 harnesses run [`run_experiment`]
-//! once per Table 2 workload; the design-space and ablation studies run
-//! hundreds of independent configurations. Each call is self-contained —
-//! it builds its accelerated platforms and its breakdown locally, and the
-//! shared pieces ([`TraceRecorder::shared`] sinks, the
-//! [`preflight`](mod@crate::preflight) verdict cache, the sanitizer
-//! state) are behind `Arc`/`Mutex`/`OnceLock` — so fanning the calls
-//! across a bounded worker pool preserves every per-run result
-//! bit-for-bit.
-//!
-//! When a recorder is installed, each run records into its own
-//! [`TraceRecorder`], and the sweep folds those per-run breakdowns into
-//! the caller's sink in input order. The sink's floating-point phase
-//! totals are therefore summed in the same order at every `jobs` value,
-//! so a traced sweep is byte-identical to the serial one.
+//! The Figure 9/10 harnesses run [`run_experiment`] once per Table 2
+//! workload. Each run builds its whole breakdown locally and folds it
+//! into the recorder under one lock, so a sweep run in input order
+//! sums the sink's floating-point phase totals with one fixed
+//! association.
 
 use mealib_accel::AccelParams;
-use mealib_obs::TraceRecorder;
 
 use crate::experiment::{run_experiment, ExperimentOptions, ExperimentReport};
 
-/// Runs `run_experiment` for every op in `ops` across up to `jobs`
-/// worker threads, returning per-op results in input order.
-///
-/// `jobs == 0` resolves to the machine's available parallelism (the
-/// workspace-wide [`mealib_types::auto_jobs`] convention); `jobs == 1`
-/// runs serially on the calling thread. Results are
-/// positionally identical to the serial loop regardless of `jobs`: the
-/// scheduling is handled by [`mealib_types::par_map`], which reassembles
-/// results by index. Each run records into its own recorder, whose
-/// breakdown is folded into `opts.obs` in input order, so the sink's
-/// contents do not depend on `jobs` either.
-///
-/// When an active [`Sanitizer`](mealib_runtime::Sanitizer) is installed
-/// in `opts`, the sweep degrades to serial execution: all runs share the
-/// sanitizer's shadow-memory state, and interleaving coherence protocols
-/// from concurrent runs would report phantom violations.
+/// Runs `run_experiment` for every op in `ops`, in order, returning
+/// per-op results in input order.
 pub fn run_sweep(
     ops: &[AccelParams],
     opts: &ExperimentOptions,
-    jobs: usize,
 ) -> Vec<Result<ExperimentReport, mealib_types::Report>> {
-    let jobs = if opts.sanitizer.is_active() {
-        1
-    } else {
-        mealib_types::auto_jobs(jobs)
-    };
-    if !opts.obs.enabled() {
-        return mealib_types::par_map(ops, jobs, |op| run_experiment(op, opts));
-    }
-    let runs = mealib_types::par_map(ops, jobs, |op| {
-        let local = TraceRecorder::shared();
-        let result = run_experiment(op, &opts.clone().recorder(local.clone()));
-        (result, local.breakdown())
-    });
-    runs.into_iter()
-        .map(|(result, breakdown)| {
-            opts.obs.record_breakdown(&breakdown);
-            result
-        })
-        .collect()
-}
-
-/// The sweep fans one `ExperimentOptions` out to all workers by shared
-/// reference, so the type must stay shareable across threads. These
-/// bindings fail to compile if a non-`Send`/`Sync` field sneaks in.
-#[allow(dead_code)]
-const fn assert_options_shareable() {
-    const fn sendable<T: Send + Sync>() {}
-    sendable::<ExperimentOptions>();
-    sendable::<ExperimentReport>();
+    ops.iter().map(|op| run_experiment(op, opts)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::table2_workloads;
-    use mealib_obs::Phase;
+    use mealib_obs::{Breakdown, Phase, TraceRecorder};
     use mealib_runtime::Sanitizer;
 
     fn small_ops() -> Vec<AccelParams> {
@@ -98,24 +44,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_per_run() {
+    fn sweep_matches_run_experiment_per_run() {
         let ops = small_ops();
         let opts = ExperimentOptions::default();
-        let serial = run_sweep(&ops, &opts, 1);
-        let parallel = run_sweep(&ops, &opts, 4);
-        assert_eq!(serial.len(), ops.len());
-        assert_eq!(parallel.len(), ops.len());
-        for (s, p) in serial.iter().zip(&parallel) {
+        let swept = run_sweep(&ops, &opts);
+        assert_eq!(swept.len(), ops.len());
+        for (op, s) in ops.iter().zip(&swept) {
             let s = s.as_ref().expect("preflight clean");
-            let p = p.as_ref().expect("preflight clean");
-            assert_eq!(s.comparison, p.comparison);
+            let d = run_experiment(op, &opts).expect("preflight clean");
+            assert_eq!(s.comparison, d.comparison);
             assert_eq!(
                 s.breakdown.total_time().get().to_bits(),
-                p.breakdown.total_time().get().to_bits()
+                d.breakdown.total_time().get().to_bits()
             );
             assert_eq!(
                 s.breakdown.total_energy().get().to_bits(),
-                p.breakdown.total_energy().get().to_bits()
+                d.breakdown.total_energy().get().to_bits()
             );
         }
     }
@@ -123,7 +67,7 @@ mod tests {
     #[test]
     fn sweep_preserves_input_order() {
         let ops = table2_workloads();
-        let results = run_sweep(&ops, &ExperimentOptions::default(), 8);
+        let results = run_sweep(&ops, &ExperimentOptions::default());
         assert_eq!(results.len(), ops.len());
         for (op, result) in ops.iter().zip(&results) {
             let report = result.as_ref().expect("preflight clean");
@@ -133,13 +77,13 @@ mod tests {
 
     #[test]
     fn shared_recorder_merges_every_run() {
-        // One recorder across a parallel sweep: per-run breakdowns land
-        // in the shared sink, and the merged totals equal the sum of the
-        // per-run MEALib phases (Breakdown merging is commutative).
+        // One recorder across a sweep: per-run breakdowns land in the
+        // shared sink, and the merged totals equal the sum of the
+        // per-run MEALib phases.
         let rec = TraceRecorder::shared();
         let opts = ExperimentOptions::default().recorder(rec.clone());
         let ops = small_ops();
-        let results = run_sweep(&ops, &opts, 4);
+        let results = run_sweep(&ops, &opts);
         let mut want_dma = 0.0;
         for r in &results {
             let report = r.as_ref().expect("preflight clean");
@@ -151,41 +95,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recording_equals_serial_recording_exactly() {
-        // Every run records on its own and the sink is fed in input
-        // order, so the float phase totals are identical under any
-        // worker count, not merely close.
+    fn shared_recording_equals_per_run_fold_exactly() {
+        // The sink is fed each run's own breakdown in input order, so
+        // its float phase totals equal that fold bit for bit, not
+        // merely closely.
         let ops = small_ops();
-        let serial_rec = TraceRecorder::shared();
-        let serial = run_sweep(
-            &ops,
-            &ExperimentOptions::default().recorder(serial_rec.clone()),
-            1,
-        );
-        let par_rec = TraceRecorder::shared();
-        let parallel = run_sweep(
-            &ops,
-            &ExperimentOptions::default().recorder(par_rec.clone()),
-            4,
-        );
-        for (s, p) in serial.iter().zip(&parallel) {
-            let s = s.as_ref().expect("preflight clean");
-            let p = p.as_ref().expect("preflight clean");
-            assert_eq!(s.comparison, p.comparison, "results must not change");
+        let rec = TraceRecorder::shared();
+        run_sweep(&ops, &ExperimentOptions::default().recorder(rec.clone()));
+        let mut want = Breakdown::new();
+        for op in &ops {
+            let own = TraceRecorder::shared();
+            run_experiment(op, &ExperimentOptions::default().recorder(own.clone()))
+                .expect("preflight clean");
+            want.merge(&own.breakdown());
         }
-        assert!(!serial_rec.breakdown().is_empty());
-        assert_eq!(serial_rec.breakdown(), par_rec.breakdown());
-        assert_eq!(
-            serial_rec.breakdown().to_json(),
-            par_rec.breakdown().to_json()
-        );
+        let got = rec.breakdown();
+        assert!(!got.is_empty());
+        assert_eq!(got, want);
+        assert_eq!(got.to_json(), want.to_json());
     }
 
     #[test]
-    fn active_sanitizer_forces_serial_and_stays_clean() {
+    fn active_sanitizer_stays_clean() {
         let opts = ExperimentOptions::default().sanitizer(Sanitizer::active());
         let ops = small_ops();
-        let results = run_sweep(&ops, &opts, 8);
+        let results = run_sweep(&ops, &opts);
         for r in results {
             let report = r.expect("preflight clean");
             let san = report.sanitizer.expect("active sanitizer records");

@@ -1,9 +1,7 @@
 //! Deterministic bounded-worker parallel map.
 //!
-//! The simulators shard embarrassingly parallel work — per-vault trace
-//! replay in `mealib-memsim`, independent design points and experiment
-//! configurations in `mealib-accel`/`mealib-sim` — across OS threads.
-//! [`par_map`] is the one primitive they all share: a scoped worker pool
+//! `mealib-memsim` shards its per-vault trace replay across OS threads.
+//! [`par_map`] is the primitive it runs on: a scoped worker pool
 //! that preserves input order in its output, so a parallel run is
 //! *positionally* indistinguishable from the serial `items.iter().map(f)`
 //! it replaces. Determinism beyond ordering is the closure's business:
@@ -13,9 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a user-facing `jobs` knob to a concrete worker count.
 ///
-/// The convention, shared by every `jobs` parameter in the workspace
-/// (`SimOptions::jobs`, `run_sweep`, `SweepOptions::jobs`, the bench
-/// bins' `--jobs`):
+/// The convention behind `SimOptions::jobs`, the workspace's one
+/// `jobs` parameter:
 ///
 /// * `0` ⇒ **auto**: one worker per available hardware thread
 ///   ([`std::thread::available_parallelism`], falling back to 1 when

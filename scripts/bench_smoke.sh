@@ -11,17 +11,10 @@
 # Also exercises:
 #   * the fig14 and fig13 --profile paths (each Chrome trace-event
 #     profile passes `meaperf --check-trace`'s round-trip validation);
-#   * the fig11 --jobs path: the design-space sweep runs at full size
-#     with --jobs 1 and --jobs 4, and the two JSON summaries must be
-#     byte-identical (parallelism may change wall time, never modeled
-#     outputs);
-#   * the traced --jobs path: fig09 --small --profile at --jobs 1 and
-#     --jobs 4 must write byte-identical profiles (the sweep folds each
-#     run's breakdown into the recorder in input order at any worker
-#     count);
-#   * the fig11 --prune path: the MEA2xx static-bounds pruner must skip
-#     at least 30% of the grid simulations while every Pareto-frontier
-#     metric stays exactly equal to the full sweep's;
+#   * the traced sweep: two identical fig09 --small --profile runs
+#     must write byte-identical profiles (each run's breakdown is
+#     folded into the recorder in input order), and each passes
+#     `meaperf --check-trace`;
 #   * the perf gate: when a baseline BENCH file exists (BASE env var,
 #     default: the highest-numbered BENCH_pr<N>.json tracked by git,
 #     other than OUT), `meaperf BASE OUT` must pass — every metric
@@ -125,64 +118,18 @@ profile="$tmpdir/fig13_stap.trace.json"
 ./target/release/meaperf --check-trace "$profile" \
   || { echo "error: fig13 profile failed trace validation" >&2; exit 1; }
 
-# Full-size fig11 at --jobs 1 vs --jobs 4: modeled outputs must not
-# depend on the worker count.
-echo "==> fig11_design_space --json --jobs 1 vs --jobs 4 (determinism)"
-jobs1="$(./target/release/fig11_design_space --json --jobs 1 | tail -n 1)"
-jobs4="$(./target/release/fig11_design_space --json --jobs 4 | tail -n 1)"
-if [[ "$jobs1" != "$jobs4" ]]; then
-  echo "error: fig11 summary differs between --jobs 1 and --jobs 4" >&2
-  echo "  jobs1: $jobs1" >&2
-  echo "  jobs4: $jobs4" >&2
-  exit 1
-fi
-echo "fig11 jobs OK: identical summaries under --jobs 1 and --jobs 4"
-
-# A traced sweep folds the same per-run breakdowns in the same order at
-# any worker count, so the profile it writes must not change with
-# --jobs either.
-echo "==> fig09_performance --small --profile --jobs 1 vs --jobs 4 (traced determinism)"
-for j in 1 4; do
-  ./target/release/fig09_performance --small --profile "$tmpdir/fig09.j$j.trace.json" \
-    --jobs "$j" > /dev/null
+# A traced sweep folds the same per-run breakdowns in the same order
+# every time, so two identical runs must write the same profile bytes.
+echo "==> fig09_performance --small --profile, twice (traced determinism)"
+for run in 1 2; do
+  profile="$tmpdir/fig09.$run.trace.json"
+  ./target/release/fig09_performance --small --profile "$profile" > /dev/null
+  ./target/release/meaperf --check-trace "$profile" \
+    || { echo "error: fig09 profile failed trace validation" >&2; exit 1; }
 done
-cmp -s "$tmpdir/fig09.j1.trace.json" "$tmpdir/fig09.j4.trace.json" \
-  || { echo "error: fig09 profile differs between --jobs 1 and --jobs 4" >&2; exit 1; }
-echo "fig09 profile OK: byte-identical under --jobs 1 and --jobs 4"
-
-# Full-size fig11 with the MEA2xx static-bounds pruner: the frontier
-# metrics must match the full sweep's exactly, and at least 30% of the
-# grid must be provably dominated (skipped without simulation).
-echo "==> fig11_design_space --json --prune (frontier identity + prune floor)"
-pruned="$(./target/release/fig11_design_space --json --prune | tail -n 1)"
-
-# Pull "key":value out of a one-line JSON summary without requiring jq.
-metric() { grep -o "\"$2\":[^,}]*" <<<"$1" | head -n 1 | cut -d: -f2; }
-
-for key in fft_frontier_points fft_frontier_gflops_sum fft_frontier_power_sum \
-           fft_frontier_engine_sum spmv_frontier_points spmv_frontier_gflops_sum \
-           spmv_frontier_power_sum spmv_frontier_engine_sum; do
-  full_v="$(metric "$jobs1" "$key")"
-  prune_v="$(metric "$pruned" "$key")"
-  if [[ -z "$full_v" || -z "$prune_v" || "$full_v" != "$prune_v" ]]; then
-    echo "error: fig11 frontier metric $key differs under --prune" >&2
-    echo "  full:  ${full_v:-missing}" >&2
-    echo "  prune: ${prune_v:-missing}" >&2
-    exit 1
-  fi
-done
-
-# Counts are serialized as floats ("46.0"); truncate for bash arithmetic.
-grid="$(metric "$pruned" "grid_points")"; grid="${grid%%.*}"
-fft_pruned="$(metric "$pruned" "fft_pruned")"
-spmv_pruned="$(metric "$pruned" "spmv_pruned")"
-pruned_total=$(( ${fft_pruned%%.*} + ${spmv_pruned%%.*} ))
-if (( pruned_total * 10 < 3 * grid * 2 )); then
-  echo "error: pruner skipped only $pruned_total of $((grid * 2)) simulations (<30%)" >&2
-  exit 1
-fi
-echo "fig11 prune OK: frontier identical; $pruned_total/$((grid * 2)) simulations pruned"
-echo "$pruned" >> "$records"
+cmp -s "$tmpdir/fig09.1.trace.json" "$tmpdir/fig09.2.trace.json" \
+  || { echo "error: two identical fig09 runs wrote different profiles" >&2; exit 1; }
+echo "fig09 profile OK: byte-identical across two runs"
 
 if [[ -n "$JQ" ]]; then
   "$JQ" -s '{schema_version: 1, generated_by: "scripts/bench_smoke.sh", benches: .}' "$records" > "$OUT"

@@ -53,11 +53,11 @@ fn stap_trace_jsonl_parses_and_reconciles() {
 }
 
 #[test]
-fn parallel_sweep_breakdowns_reconcile_per_run() {
-    // One shared recorder across a 4-worker sweep: every run's own
-    // breakdown must still reconcile with its MEALib row (the per-run
-    // merge is local to the experiment), and the modeled results must be
-    // identical to the serial sweep.
+fn sweep_breakdowns_reconcile_per_run() {
+    // One shared recorder across a sweep: every run's own breakdown
+    // must still reconcile with its MEALib row (the per-run merge is
+    // local to the experiment), and recording must not change the
+    // modeled results.
     let ops = [
         mealib_accel::AccelParams::Axpy {
             n: 1 << 18,
@@ -75,9 +75,9 @@ fn parallel_sweep_breakdowns_reconcile_per_run() {
     ];
     let rec = TraceRecorder::shared();
     let opts = ExperimentOptions::default().recorder(rec.clone());
-    let parallel = run_sweep(&ops, &opts, 4);
-    let serial = run_sweep(&ops, &ExperimentOptions::default(), 1);
-    for (p, s) in parallel.iter().zip(&serial) {
+    let recorded = run_sweep(&ops, &opts);
+    let plain = run_sweep(&ops, &ExperimentOptions::default());
+    for (p, s) in recorded.iter().zip(&plain) {
         let p = p.as_ref().expect("preflight clean");
         let s = s.as_ref().expect("preflight clean");
         let mealib_row = p.comparison.rows.last().expect("five rows");
@@ -91,7 +91,7 @@ fn parallel_sweep_breakdowns_reconcile_per_run() {
             p.breakdown.total_energy().get(),
             mealib_row.energy.get(),
         );
-        assert_eq!(p.comparison, s.comparison, "parallel ≡ serial results");
+        assert_eq!(p.comparison, s.comparison, "recorded ≡ plain results");
     }
     // The shared recorder accumulated every run's phases.
     let seen = rec.breakdown();
