@@ -15,7 +15,9 @@ use crate::params::AccelParams;
 use crate::power::profile_at;
 
 /// Prices a chained pass: the stages pipeline, only the first stage's
-/// input and the last stage's output touch DRAM.
+/// input and the last stage's output touch DRAM. Returns `None` when a
+/// chained sum (the boundary bytes, or the stages' FLOPs) passes `u64`,
+/// which stages that each pass [`AccelParams::validate`] can still do.
 ///
 /// # Panics
 ///
@@ -24,10 +26,10 @@ pub fn execute_chained(
     comps: &[AccelParams],
     hw: &AccelHwConfig,
     mem: &MemoryConfig,
-) -> ExecReport {
+) -> Option<ExecReport> {
     assert!(!comps.is_empty(), "a chained pass needs at least one stage");
     if comps.len() == 1 {
-        return AccelModel::new(comps[0].kind()).execute(&comps[0], hw, mem);
+        return Some(AccelModel::new(comps[0].kind()).execute(&comps[0], hw, mem));
     }
     let stages: Vec<ExecReport> = comps
         .iter()
@@ -38,8 +40,9 @@ pub fn execute_chained(
     // stage's writes.
     let first = &stages[0];
     let last = stages.last().expect("nonempty");
-    let boundary =
-        AccessPattern::sequential_rw(first.mem.bytes_read.get(), last.mem.bytes_written.get());
+    let (read, written) = (first.mem.bytes_read.get(), last.mem.bytes_written.get());
+    read.checked_add(written)?;
+    let boundary = AccessPattern::sequential_rw(read, written);
     let mut mem_stats = analytic::try_estimate(mem, &boundary).expect("validated memory config");
     let eff = comps
         .iter()
@@ -71,10 +74,10 @@ pub fn execute_chained(
         core_energy += prof.e_byte_datapath * s.mem.bytes_moved().get() as f64
             + prof.e_flop * s.flops as f64
             + prof.p_leakage.for_duration(time);
-        flops += s.flops;
+        flops = flops.checked_add(s.flops)?;
     }
 
-    ExecReport {
+    Some(ExecReport {
         kind: last.kind,
         time,
         mem_time: mem_stats.elapsed,
@@ -83,7 +86,7 @@ pub fn execute_chained(
         mem_energy,
         flops,
         mem: mem_stats,
-    }
+    })
 }
 
 /// Prices the same comps as *separate* passes (software chaining): each
@@ -141,7 +144,7 @@ mod tests {
     fn chaining_beats_software_chaining() {
         let (hw, mem) = ctx();
         let stages = sar_stages(256 * 256);
-        let hw_chain = execute_chained(&stages, &hw, &mem);
+        let hw_chain = execute_chained(&stages, &hw, &mem).unwrap();
         let sw_chain = execute_unchained(&stages, &hw, &mem, Seconds::from_micros(20.0));
         assert!(
             sw_chain.time.get() > 1.5 * hw_chain.time.get(),
@@ -156,7 +159,7 @@ mod tests {
         let (hw, mem) = ctx();
         let gain = |pixels: u64| {
             let stages = sar_stages(pixels);
-            let h = execute_chained(&stages, &hw, &mem);
+            let h = execute_chained(&stages, &hw, &mem).unwrap();
             let s = execute_unchained(&stages, &hw, &mem, Seconds::from_micros(20.0));
             s.time / h.time
         };
@@ -173,7 +176,7 @@ mod tests {
     fn chained_moves_less_dram_traffic() {
         let (hw, mem) = ctx();
         let stages = sar_stages(1024 * 1024);
-        let h = execute_chained(&stages, &hw, &mem);
+        let h = execute_chained(&stages, &hw, &mem).unwrap();
         let s = execute_unchained(&stages, &hw, &mem, Seconds::ZERO);
         assert!(h.mem.bytes_moved() < s.mem.bytes_moved());
     }
@@ -182,7 +185,7 @@ mod tests {
     fn chained_keeps_all_flops() {
         let (hw, mem) = ctx();
         let stages = sar_stages(512 * 512);
-        let h = execute_chained(&stages, &hw, &mem);
+        let h = execute_chained(&stages, &hw, &mem).unwrap();
         let s = execute_unchained(&stages, &hw, &mem, Seconds::ZERO);
         assert_eq!(h.flops, s.flops, "chaining must not drop work");
     }
@@ -191,7 +194,7 @@ mod tests {
     fn single_stage_chain_is_plain_execution() {
         let (hw, mem) = ctx();
         let p = AccelParams::Fft { n: 4096, batch: 64 };
-        let chained = execute_chained(std::slice::from_ref(&p), &hw, &mem);
+        let chained = execute_chained(std::slice::from_ref(&p), &hw, &mem).unwrap();
         let plain = AccelModel::new(p.kind()).execute(&p, &hw, &mem);
         assert_eq!(chained, plain);
     }

@@ -58,8 +58,8 @@ pub enum CuError {
     /// The loop-expanded invocation or hardware-loop iteration total
     /// does not fit in `u64`.
     InvocationOverflow,
-    /// A loop-expanded cycle, byte, command or FLOP count of the run
-    /// does not fit in `u64`.
+    /// A chained or loop-expanded cycle, byte, command or FLOP count of
+    /// the run does not fit in `u64`.
     ExecutionOverflow,
 }
 
@@ -73,7 +73,7 @@ impl fmt::Display for CuError {
                 f.write_str("loop-expanded invocation count overflows u64")
             }
             CuError::ExecutionOverflow => {
-                f.write_str("loop-expanded traffic, cycle or FLOP count overflows u64")
+                f.write_str("chained or loop-expanded traffic, cycle or FLOP count overflows u64")
             }
         }
     }
@@ -301,8 +301,9 @@ impl DescriptorRun {
 /// # Errors
 ///
 /// Returns a [`CuError`] if the descriptor or its parameter blobs are
-/// malformed, or if a loop-expanded count (invocations, or the traffic,
-/// cycles and FLOPs of a pass or of the whole run) overflows `u64`.
+/// malformed, or if a chained or loop-expanded count (invocations, or
+/// the traffic, cycles and FLOPs of a pass or of the whole run)
+/// overflows `u64`.
 pub fn run_descriptor(
     desc: &Descriptor,
     layer: &AcceleratorLayer,
@@ -371,7 +372,8 @@ pub fn run_descriptor(
                 front_end.drain_energy += gather.energy;
                 front_end.noc_flits += bcast.flits + gather.flits;
                 front_end.noc_flit_hops += bcast.flit_hops + gather.flit_hops;
-                let mut report = execute_chained(&stages, layer.hw(), layer.mem());
+                let mut report = execute_chained(&stages, layer.hw(), layer.mem())
+                    .ok_or(CuError::ExecutionOverflow)?;
                 if multiplier > 1 {
                     front_end.loop_iterations = front_end
                         .loop_iterations
@@ -570,7 +572,7 @@ mod tests {
         let run = run_descriptor(&desc, &layer, &CuCostModel::default()).unwrap();
         assert_eq!(run.passes.len(), 1);
         assert_eq!(run.passes[0].stages, vec![resmp, fft]);
-        let direct = execute_chained(&[resmp, fft], layer.hw(), layer.mem());
+        let direct = execute_chained(&[resmp, fft], layer.hw(), layer.mem()).unwrap();
         assert_eq!(run.passes[0].report, direct);
     }
 
@@ -711,8 +713,9 @@ mod tests {
     fn sizes_at_the_overflow_edge_run_or_are_refused() {
         // One growing size per kind (plus strided AXPY/DOT): find the
         // largest value `validate` accepts, then run it and the next
-        // value through the CU. Neither may panic; past the edge the CU
-        // refuses the blob before running anything.
+        // value through the CU, and the largest as a two-stage chain.
+        // None may panic; past the edge the CU refuses the blob before
+        // running anything.
         type Family = (&'static str, fn(u64) -> AccelParams);
         let families: [Family; 10] = [
             ("axpy", |n| AccelParams::Axpy {
@@ -766,6 +769,15 @@ mod tests {
         let buffers: BTreeMap<String, u64> = [("x".to_string(), 0u64), ("y".to_string(), 1 << 20)]
             .into_iter()
             .collect();
+        // One pass of `stages` copies of `params`.
+        let run = |params: &AccelParams, stages: usize| {
+            let comp = format!("COMP {} params=\"p.para\" ", params.kind().keyword());
+            let src = format!("PASS in=x out=y {{ {}}}", comp.repeat(stages));
+            let mut bag = ParamBag::new();
+            bag.insert("p.para".into(), params.to_bytes());
+            let desc = Descriptor::encode(&parse(&src).unwrap(), &bag, &buffers).unwrap();
+            run_descriptor(&desc, &layer, &CuCostModel::default())
+        };
         for (name, family) in families {
             let (mut ok, mut refused) = (1u64, u64::MAX);
             assert!(family(ok).validate().is_ok() && family(refused).validate().is_err());
@@ -779,19 +791,26 @@ mod tests {
             }
             for size in [ok, refused] {
                 let params = family(size);
-                let blob = params.to_bytes();
-                assert_eq!(AccelParams::from_bytes(&blob).is_ok(), size == ok, "{name}");
-                let src = format!(
-                    "PASS in=x out=y {{ COMP {} params=\"p.para\" }}",
-                    params.kind().keyword()
+                assert_eq!(
+                    AccelParams::from_bytes(&params.to_bytes()).is_ok(),
+                    size == ok,
+                    "{name}"
                 );
-                let mut bag = ParamBag::new();
-                bag.insert("p.para".into(), blob);
-                let desc = Descriptor::encode(&parse(&src).unwrap(), &bag, &buffers).unwrap();
-                let run = run_descriptor(&desc, &layer, &CuCostModel::default());
+                let single = run(&params, 1);
                 if size == refused {
-                    assert!(matches!(run, Err(CuError::Params(_))), "{name} {size}");
+                    assert!(matches!(single, Err(CuError::Params(_))), "{name} {size}");
                 }
+            }
+            // Two accepted stages chained: their summed FLOPs or boundary
+            // bytes may pass u64, which the CU refuses without panicking.
+            // Two FFTs at the edge do.
+            let chained = run(&family(ok), 2);
+            assert!(
+                chained.is_ok() || matches!(chained, Err(CuError::ExecutionOverflow)),
+                "{name} chained"
+            );
+            if name == "fft" {
+                assert!(matches!(chained, Err(CuError::ExecutionOverflow)));
             }
         }
     }

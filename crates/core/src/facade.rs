@@ -119,8 +119,7 @@ impl OpReport {
 ///
 /// Obtained from [`Mealib::builder`]; every knob is optional and
 /// defaults match the paper's shipping configuration (one 32-vault
-/// stack, [`VerifyMode::Enforce`], instrumentation off, plan cache of
-/// [`mealib_runtime::DEFAULT_PLAN_CACHE_CAPACITY`] entries).
+/// stack, [`VerifyMode::Enforce`], instrumentation off).
 ///
 /// ```
 /// use mealib::Mealib;
@@ -347,17 +346,6 @@ impl Mealib {
     /// Returns runtime errors for malformed TDL or unresolved buffers.
     pub fn plan(&mut self, tdl: &str, params: &ParamBag) -> Result<AccPlan, MealibError> {
         Ok(self.rt.acc_plan(tdl, params)?)
-    }
-
-    /// Like [`Mealib::plan`] but reuses a cached plan for identical
-    /// (TDL, parameters) pairs — the descriptor-reuse pattern of
-    /// Listing 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors for malformed TDL or unresolved buffers.
-    pub fn plan_cached(&mut self, tdl: &str, params: &ParamBag) -> Result<AccPlan, MealibError> {
-        Ok(self.rt.acc_plan_cached(tdl, params)?)
     }
 
     /// Writes back and invalidates the host cache (`wbinvd`), making

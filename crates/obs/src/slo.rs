@@ -199,11 +199,6 @@ impl SloEngine {
             .find_map(|o| (o.kind == ObjectiveKind::LatencyP99).then_some(o.threshold))
     }
 
-    /// Subjects with declared objectives.
-    pub fn subjects(&self) -> impl Iterator<Item = &str> {
-        self.specs.keys().map(String::as_str)
-    }
-
     /// Evaluates one subject's window against its declared
     /// objectives, raising a [`AlertKind::SloBurn`] alert per
     /// objective whose burn rate exceeds 1. Objectives with no data

@@ -204,8 +204,6 @@ pub struct RuntimeCounters {
     pub executions: u64,
     /// Dynamic accelerator invocations performed.
     pub invocations: u64,
-    /// Plan-cache hits ([`Runtime::acc_plan_cached`]).
-    pub plan_cache_hits: u64,
 }
 
 impl RuntimeCounters {
@@ -213,7 +211,7 @@ impl RuntimeCounters {
     /// `runtime_` prefix (absolute values — these are cumulative
     /// already).
     pub fn export_into(&self, reg: &mut mealib_obs::MetricsRegistry) {
-        let pairs: [(&str, &str, u64); 5] = [
+        let pairs: [(&str, &str, u64); 4] = [
             (
                 "runtime_plans_created_total",
                 "Plans created",
@@ -234,52 +232,11 @@ impl RuntimeCounters {
                 "Dynamic accelerator invocations",
                 self.invocations,
             ),
-            (
-                "runtime_plan_cache_hits_total",
-                "Plan-cache hits",
-                self.plan_cache_hits,
-            ),
         ];
         for (name, help, value) in pairs {
             reg.describe(name, help);
             reg.store(name, &[], value);
         }
-    }
-}
-
-/// Capacity of the plan cache (entries).
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
-
-/// FIFO plan cache of at most [`DEFAULT_PLAN_CACHE_CAPACITY`] entries.
-#[derive(Debug, Clone, Default)]
-struct PlanCache {
-    plans: std::collections::BTreeMap<String, AccPlan>,
-    /// Insertion order of `plans` keys (FIFO eviction).
-    order: std::collections::VecDeque<String>,
-}
-
-impl PlanCache {
-    fn get(&self, key: &str) -> Option<AccPlan> {
-        self.plans.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: String, plan: AccPlan) {
-        if self.plans.len() >= DEFAULT_PLAN_CACHE_CAPACITY {
-            if let Some(oldest) = self.order.pop_front() {
-                self.plans.remove(&oldest);
-            }
-        }
-        self.plans.insert(key.clone(), plan);
-        self.order.push_back(key);
-    }
-
-    fn clear(&mut self) {
-        self.plans.clear();
-        self.order.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.plans.len()
     }
 }
 
@@ -292,7 +249,6 @@ pub struct Runtime {
     layer: AcceleratorLayer,
     counters: RuntimeCounters,
     next_plan_id: u64,
-    plan_cache: PlanCache,
     verify_mode: VerifyMode,
     verify_limits: TdlLimits,
     last_verify: Option<Report>,
@@ -349,7 +305,6 @@ impl Runtime {
             layer,
             counters: RuntimeCounters::default(),
             next_plan_id: 1,
-            plan_cache: PlanCache::default(),
             verify_mode: VerifyMode::default(),
             verify_limits: TdlLimits::default(),
             last_verify: None,
@@ -382,13 +337,6 @@ impl Runtime {
     /// The current observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Live entries in the plan cache — together with
-    /// [`RuntimeCounters::plan_cache_hits`] this is the descriptor-reuse
-    /// telemetry the serving layer reports per run.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.len()
     }
 
     /// Sets how strictly plans are statically verified (default:
@@ -469,8 +417,6 @@ impl Runtime {
     /// Returns a [`RuntimeError::Driver`] if the buffer is unknown.
     pub fn mem_free(&mut self, name: &str) -> Result<(), RuntimeError> {
         self.driver.release(name)?;
-        // Cached plans may hold stale physical addresses for this name.
-        self.plan_cache.clear();
         self.obs.count(Counter::BufferFrees, 1);
         self.obs.count(Counter::DriverCalls, 1);
         Ok(())
@@ -529,34 +475,6 @@ impl Runtime {
             descriptor,
             destroyed: false,
         })
-    }
-
-    /// Like [`Runtime::acc_plan`], but reuses a previously built plan
-    /// for the identical (TDL, parameters) pair — the paper's
-    /// "the accelerator descriptor can be reused to invoke the same
-    /// accelerator(s) with the same configuration multiple times".
-    ///
-    /// The cache key includes the parameter bytes, so changed parameters
-    /// build a fresh plan. Buffers are resolved at first build; freeing
-    /// and reallocating a referenced buffer invalidates the cache (the
-    /// whole cache is cleared on any `mem_free`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Runtime::acc_plan`].
-    pub fn acc_plan_cached(
-        &mut self,
-        tdl: &str,
-        params: &ParamBag,
-    ) -> Result<AccPlan, RuntimeError> {
-        let key = plan_cache_key(tdl, params);
-        if let Some(plan) = self.plan_cache.get(&key) {
-            self.counters.plan_cache_hits += 1;
-            return Ok(plan);
-        }
-        let plan = self.acc_plan(tdl, params)?;
-        self.plan_cache.insert(key, plan.clone());
-        Ok(plan)
     }
 
     /// `mealib_acc_execute`: flushes the cache, copies the descriptor to
@@ -692,26 +610,6 @@ impl Default for Runtime {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The plan-cache key of a (TDL, parameters) pair: the TDL, then per
-/// parameter a unit separator, its name, `=` and its bytes as lowercase
-/// hex, in the bag's (sorted) order.
-fn plan_cache_key(tdl: &str, params: &ParamBag) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let blob_bytes: usize = params.iter().map(|(n, b)| n.len() + 2 + 2 * b.len()).sum();
-    let mut key = String::with_capacity(tdl.len() + blob_bytes);
-    key.push_str(tdl);
-    for (name, blob) in params {
-        key.push('\u{1f}');
-        key.push_str(name);
-        key.push('=');
-        for &b in blob {
-            key.push(char::from(HEX[usize::from(b >> 4)]));
-            key.push(char::from(HEX[usize::from(b & 0xf)]));
-        }
-    }
-    key
 }
 
 #[cfg(test)]
@@ -1000,60 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_identical_requests() {
-        let (mut rt, _) = fft_runtime_and_plan(1);
-        let mut params = ParamBag::new();
-        params.insert(
-            "fft.para".into(),
-            AccelParams::Fft { n: 256, batch: 256 }.to_bytes(),
-        );
-        let tdl = "PASS in=x out=y { COMP FFT params=\"fft.para\" }";
-        assert_eq!(rt.plan_cache_len(), 0);
-        let a = rt.acc_plan_cached(tdl, &params).unwrap();
-        let b = rt.acc_plan_cached(tdl, &params).unwrap();
-        assert_eq!(a.id(), b.id(), "second request served from the cache");
-        assert_eq!(rt.counters().plan_cache_hits, 1);
-        assert_eq!(rt.plan_cache_len(), 1);
-        // Different parameters build a fresh plan.
-        params.insert(
-            "fft.para".into(),
-            AccelParams::Fft { n: 512, batch: 256 }.to_bytes(),
-        );
-        let c = rt.acc_plan_cached(tdl, &params).unwrap();
-        assert_ne!(a.id(), c.id());
-        assert_eq!(rt.counters().plan_cache_hits, 1);
-    }
-
-    #[test]
-    fn plan_cache_key_pins_its_text() {
-        let mut params = ParamBag::new();
-        params.insert("b.para".into(), vec![0x00, 0x0f, 0xa0, 0xff]);
-        params.insert("a.para".into(), vec![0x12]);
-        params.insert("empty".into(), Vec::new());
-        assert_eq!(
-            plan_cache_key("PASS", &params),
-            "PASS\u{1f}a.para=12\u{1f}b.para=000fa0ff\u{1f}empty="
-        );
-        assert_eq!(plan_cache_key("T", &ParamBag::new()), "T");
-    }
-
-    #[test]
-    fn plan_cache_invalidates_on_free() {
-        let (mut rt, _) = fft_runtime_and_plan(1);
-        let mut params = ParamBag::new();
-        params.insert(
-            "fft.para".into(),
-            AccelParams::Fft { n: 256, batch: 256 }.to_bytes(),
-        );
-        let tdl = "PASS in=x out=y { COMP FFT params=\"fft.para\" }";
-        let a = rt.acc_plan_cached(tdl, &params).unwrap();
-        rt.mem_free("x").unwrap();
-        rt.mem_alloc("x", Bytes::from_mib(4)).unwrap();
-        let b = rt.acc_plan_cached(tdl, &params).unwrap();
-        assert_ne!(a.id(), b.id(), "free must invalidate cached plans");
-    }
-
-    #[test]
     fn run_report_breakdown_reconciles_with_totals() {
         for loops in [1, 128] {
             let (mut rt, plan) = fft_runtime_and_plan(loops);
@@ -1160,43 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_capacity_evicts_fifo() {
-        let (mut rt, _) = fft_runtime_and_plan(1);
-        let mut params = ParamBag::new();
-        let tdls: Vec<String> = (0..=DEFAULT_PLAN_CACHE_CAPACITY)
-            .map(|i| {
-                format!(
-                    "LOOP {} {{ PASS in=x out=y {{ COMP FFT params=\"fft.para\" }} }}",
-                    i + 2
-                )
-            })
-            .collect();
-        params.insert(
-            "fft.para".into(),
-            AccelParams::Fft { n: 256, batch: 256 }.to_bytes(),
-        );
-        let plans: Vec<AccPlan> = tdls
-            .iter()
-            .map(|tdl| rt.acc_plan_cached(tdl, &params).unwrap())
-            .collect(); // the last insert evicts the first
-        assert_eq!(rt.plan_cache_len(), DEFAULT_PLAN_CACHE_CAPACITY);
-        let first = rt.acc_plan_cached(&tdls[0], &params).unwrap();
-        assert_ne!(
-            plans[0].id(),
-            first.id(),
-            "oldest entry must have been evicted"
-        );
-        assert_eq!(rt.counters().plan_cache_hits, 0);
-        // The youngest is still cached.
-        let last = rt
-            .acc_plan_cached(&tdls[DEFAULT_PLAN_CACHE_CAPACITY], &params)
-            .unwrap();
-        assert_eq!(plans[DEFAULT_PLAN_CACHE_CAPACITY].id(), last.id());
-        assert_eq!(rt.counters().plan_cache_hits, 1);
-        assert_eq!(rt.plan_cache_len(), DEFAULT_PLAN_CACHE_CAPACITY);
-    }
-
-    #[test]
     fn mem_alloc_free_round_trip() {
         let mut rt = Runtime::new();
         rt.mem_alloc("a", Bytes::from_mib(1)).unwrap();
@@ -1206,36 +1013,12 @@ mod tests {
         assert!(matches!(rt.mem_free("a"), Err(RuntimeError::Driver(_))));
     }
 
-    /// The parallel sweep moves `Runtime`s (inside experiment closures)
-    /// across worker threads; a field that is not `Send + Sync` would
-    /// silently serialize the whole sim layer.
+    /// A serve call builds its batcher's `Runtime` on whichever thread
+    /// calls it (perfbench spreads repetitions over fresh threads); a
+    /// field that is not `Send + Sync` would pin the library to one.
     #[test]
     fn runtime_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Runtime>();
-        assert_send_sync::<PlanCache>();
-    }
-
-    #[test]
-    fn plan_cache_clone_is_independent() {
-        let (mut rt, _) = fft_runtime_and_plan(1);
-        let mut params = ParamBag::new();
-        params.insert(
-            "fft.para".into(),
-            AccelParams::Fft { n: 256, batch: 256 }.to_bytes(),
-        );
-        let tdl = "PASS in=x out=y { COMP FFT params=\"fft.para\" }";
-        let a = rt.acc_plan_cached(tdl, &params).unwrap();
-        // The clone carries the cached plan...
-        let mut clone = rt.clone();
-        let b = clone.acc_plan_cached(tdl, &params).unwrap();
-        assert_eq!(a.id(), b.id());
-        assert_eq!(clone.counters().plan_cache_hits, 1);
-        // ...but its cache is an independent copy: clearing the
-        // original does not evict the clone's entry.
-        rt.mem_free("x").unwrap();
-        let c = clone.acc_plan_cached(tdl, &params).unwrap();
-        assert_eq!(a.id(), c.id());
-        assert_eq!(clone.counters().plan_cache_hits, 2);
     }
 }

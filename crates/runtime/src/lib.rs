@@ -35,9 +35,7 @@ pub mod sanitizer;
 pub mod vmap;
 
 pub use cache::CacheModel;
-pub use control::{
-    AccPlan, RunReport, Runtime, RuntimeError, VerifyMode, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use control::{AccPlan, RunReport, Runtime, RuntimeError, VerifyMode};
 pub use driver::{BufferHandle, MealibDriver, StackId};
 pub use physmem::PhysicalSpace;
 pub use sanitizer::Sanitizer;

@@ -77,9 +77,10 @@ pub struct ServeReport {
     pub peak_queue_depth: usize,
     /// Top-level TDL items planned through the compiler path.
     pub plans_planned: u64,
-    /// Plans served from the descriptor cache (batching economy).
+    /// Items served by a chain plan the batcher already held (batching
+    /// economy).
     pub plan_cache_hits: u64,
-    /// Distinct descriptor chains resident at the end.
+    /// Distinct descriptor chains the batcher built.
     pub plan_cache_len: usize,
     /// Admission certify calls. Like the memo hits, a measure of the
     /// certifier's work, not of the run: kept out of

@@ -16,8 +16,9 @@
 //!    the retry budget terminalizes it (carrying the MEA3xx proof),
 //!    UNKNOWN follows the configured conservative policy;
 //! 3. plans the batch's descriptors through the runtime compiler path
-//!    (repeat classes batch via the plan cache) and replays the merged
-//!    set through [`AdmissionGate::replay`], crediting each tenant its
+//!    (the batcher holds each distinct chain's plan, so repeat classes
+//!    reuse it) and replays the merged set through
+//!    [`AdmissionGate::replay`], crediting each tenant its
 //!    exact modeled service time, bytes, and energy — the tagged
 //!    interleaved engine runs once per distinct admitted layout per
 //!    call, and a repeated layout gets its stored, bit-identical replay;

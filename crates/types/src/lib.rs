@@ -4,8 +4,8 @@
 //! physical units ([`Cycles`], [`Seconds`], [`Joules`], [`Watts`],
 //! [`Bytes`], [`Hertz`], [`BytesPerSec`], [`Gflops`]), address newtypes
 //! ([`PhysAddr`], [`VirtAddr`], [`AddrRange`]), single-precision complex
-//! arithmetic ([`Complex32`]) used by the FFT/STAP kernels, and small
-//! statistics helpers used by the experiment harnesses.
+//! arithmetic ([`Complex32`]) used by the FFT/STAP kernels, and the
+//! [`geometric_mean`] the experiment harnesses aggregate with.
 //!
 //! # Examples
 //!
@@ -36,5 +36,5 @@ pub use diag::{Diagnostic, ErrorCode, Report, Severity, Span};
 pub use error::ConfigError;
 pub use interval::Interval;
 pub use par::{auto_jobs, par_map};
-pub use stats::{geometric_mean, Counter, RunningStats};
+pub use stats::geometric_mean;
 pub use units::{Bytes, BytesPerSec, Cycles, Gflops, Hertz, Joules, Seconds, Watts};

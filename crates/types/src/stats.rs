@@ -1,99 +1,4 @@
-//! Small statistics helpers used by the experiment harnesses.
-
-use core::fmt;
-
-/// Streaming min/max/mean/variance over a sequence of `f64` samples
-/// (Welford's online algorithm).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Folds one sample into the accumulator.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (sample - self.mean);
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or `None` if no samples were observed.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` if no samples were observed.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Population standard deviation, or `None` if no samples.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample, or `None` if no samples were observed.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if no samples were observed.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-impl Extend<f64> for RunningStats {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for RunningStats {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Self::new();
-        s.extend(iter);
-        s
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            Some(mean) => write!(
-                f,
-                "n={} mean={:.4} min={:.4} max={:.4}",
-                self.count, mean, self.min, self.max
-            ),
-            None => write!(f, "n=0"),
-        }
-    }
-}
+//! The geometric mean the experiment harnesses aggregate with.
 
 /// Geometric mean of a slice of strictly positive values.
 ///
@@ -110,69 +15,9 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// A labelled monotonically increasing event counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats_report_none() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.std_dev(), None);
-        assert_eq!(s.to_string(), "n=0");
-    }
-
-    #[test]
-    fn stats_match_closed_form() {
-        let s: RunningStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
 
     #[test]
     fn geometric_mean_basic() {
@@ -182,14 +27,5 @@ mod tests {
         assert_eq!(geometric_mean(&[1.0, 0.0]), None);
         assert_eq!(geometric_mean(&[1.0, -2.0]), None);
         assert_eq!(geometric_mean(&[1.0, f64::INFINITY]), None);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        assert_eq!(c.to_string(), "42");
     }
 }

@@ -70,7 +70,7 @@ pub fn chaining_sweep() -> Vec<ConfigPoint> {
         .iter()
         .map(|&size| {
             let stages = sar_stages(size);
-            let hw = execute_chained(&stages, layer.hw(), layer.mem());
+            let hw = execute_chained(&stages, layer.hw(), layer.mem()).expect("SAR stages fit u64");
             let sw = execute_unchained(&stages, layer.hw(), layer.mem(), invocation_overhead());
             ConfigPoint {
                 size,

@@ -310,5 +310,16 @@ for w in serve_light serve_heavy trace_replay lint_corpus; do
         exit 1
     fi
 done
+# Only the traced serve walk re-plans the decision log through a fresh
+# DescriptorBatcher and checks its planned/hit counts against the report.
+for w in serve_light serve_heavy; do
+    status=0
+    out=$("${PERFBENCH[@]}" --workload "$w" --seed 1 --seconds 1 --trace 1 2>&1) || status=$?
+    if (( status != 0 )); then
+        echo "perfbench $w --trace 1 exited $status:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
 
 echo "verify: OK"
