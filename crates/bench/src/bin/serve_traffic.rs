@@ -194,8 +194,8 @@ fn main() {
              certified_bounds_conformance {:.3}",
             summary.families,
             summary.samples,
-            tele.snapshots.len(),
-            tele.profile.intervals.len(),
+            tele.snapshot_count(),
+            tele.mark_count(),
             tele.alerts.len(),
             tele.alert_count(AlertKind::BoundsEscape),
             tele.slo_conformance,
@@ -250,7 +250,7 @@ fn main() {
             "bounds_escape_alerts",
             tele.alert_count(AlertKind::BoundsEscape) as f64,
         );
-        summary.metric("telemetry_snapshots", tele.snapshots.len() as f64);
+        summary.metric("telemetry_snapshots", tele.snapshot_count() as f64);
         summary.metric(
             "telemetry_sketch_buckets",
             tele.registry.total_buckets() as f64,

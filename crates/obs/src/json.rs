@@ -18,6 +18,11 @@ pub fn escape(s: &str) -> String {
 
 /// Appends [`escape`]'s text for `s` to `out`, without allocating.
 pub fn write_escaped(out: &mut String, s: &str) {
+    // Text with nothing to escape, the common case, is copied whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -46,7 +46,7 @@ pub struct IntervalEvent {
 impl IntervalEvent {
     /// Interval duration.
     pub fn duration(&self) -> Seconds {
-        Seconds::new((self.end.get() - self.start.get()).max(0.0))
+        span_duration(self.start, self.end)
     }
 }
 
@@ -199,65 +199,112 @@ impl Profile {
     /// timeline windows are `"C"` counter events carrying the full
     /// [`crate::timeline::WindowCounters`] key set, summed across lanes.
     ///
-    /// Events are written straight into one buffer, and each track's
-    /// `tid` is resolved once.
+    /// Events are written straight into one buffer by a
+    /// [`ChromeTraceWriter`], and each track's `tid` is resolved once.
     pub fn to_chrome_trace(&self) -> String {
         let (tracks, tids) = self.track_ids();
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut open = |out: &mut String, name: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            write_escaped(out, name);
-            out.push('"');
-        };
-
+        let mut w = ChromeTraceWriter::new();
         for (i, name) in tracks.iter().enumerate() {
-            open(&mut out, "thread_name");
-            let _ = write!(
-                out,
-                ",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
-                i + 1
-            );
-            write_escaped(&mut out, name);
-            out.push_str("\"}}");
+            w.thread_name(i as u64 + 1, name);
         }
-
         for iv in &self.intervals {
-            open(&mut out, &iv.label);
-            out.push_str(",\"cat\":\"");
-            write_escaped(&mut out, iv.phase.name());
-            let _ = write!(
-                out,
-                "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":",
-                tids[iv.track.as_str()]
-            );
-            write_f64(&mut out, iv.start.as_micros());
-            out.push_str(",\"dur\":");
-            write_f64(&mut out, iv.duration().as_micros());
-            out.push('}');
+            let tid = tids[iv.track.as_str()];
+            w.span(tid, iv.phase, &iv.label, iv.start, iv.end);
         }
-
         for tl in &self.timelines {
             let tid = tids[tl.name.as_str()];
-            for w in 0..tl.timeline.num_windows() {
-                open(&mut out, &tl.name);
-                let _ = write!(
-                    out,
-                    ",\"cat\":\"timeline\",\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":"
-                );
-                write_f64(&mut out, tl.window_start(w).as_micros());
-                out.push_str(",\"args\":");
-                out.push_str(&tl.timeline.window_total(w).to_json());
-                out.push('}');
+            for win in 0..tl.timeline.num_windows() {
+                let args = tl.timeline.window_total(win).to_json();
+                w.counter(tid, &tl.name, tl.window_start(win), &args);
             }
         }
-
-        out.push_str("],\"displayTimeUnit\":\"ns\"}");
-        out
+        w.finish()
     }
+}
+
+/// The Chrome trace-event writer behind [`Profile::to_chrome_trace`],
+/// for callers that keep their events in a form of their own: name the
+/// tracks with [`Self::thread_name`] (`tid`s from 1, in track order),
+/// then write the spans with [`Self::span`], and [`Self::finish`].
+#[derive(Debug)]
+pub struct ChromeTraceWriter {
+    out: String,
+    first: bool,
+}
+
+impl Default for ChromeTraceWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ChromeTraceWriter {
+    /// An empty document (one process, `pid` 1).
+    pub fn new() -> Self {
+        Self {
+            out: String::from("{\"traceEvents\":["),
+            first: true,
+        }
+    }
+
+    /// Opens one event object with its `name`.
+    fn open(&mut self, name: &str) {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        self.out.push_str("{\"name\":\"");
+        write_escaped(&mut self.out, name);
+        self.out.push('"');
+    }
+
+    /// The `thread_name` metadata event naming track `tid`.
+    pub fn thread_name(&mut self, tid: u64, name: &str) {
+        self.open("thread_name");
+        let _ = write!(
+            self.out,
+            ",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
+        );
+        write_escaped(&mut self.out, name);
+        self.out.push_str("\"}}");
+    }
+
+    /// One `"X"` complete event on track `tid`: `ts`/`dur` in
+    /// microseconds of modeled time, category = phase, duration
+    /// [`IntervalEvent::duration`]'s.
+    pub fn span(&mut self, tid: u64, phase: Phase, label: &str, start: Seconds, end: Seconds) {
+        self.open(label);
+        self.out.push_str(",\"cat\":\"");
+        write_escaped(&mut self.out, phase.name());
+        let _ = write!(self.out, "\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":");
+        write_f64(&mut self.out, start.as_micros());
+        self.out.push_str(",\"dur\":");
+        write_f64(&mut self.out, span_duration(start, end).as_micros());
+        self.out.push('}');
+    }
+
+    /// One `"C"` counter event on track `tid`; `args` is rendered JSON.
+    fn counter(&mut self, tid: u64, name: &str, ts: Seconds, args: &str) {
+        self.open(name);
+        let _ = write!(
+            self.out,
+            ",\"cat\":\"timeline\",\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":"
+        );
+        write_f64(&mut self.out, ts.as_micros());
+        self.out.push_str(",\"args\":");
+        self.out.push_str(args);
+        self.out.push('}');
+    }
+
+    /// Closes the document.
+    pub fn finish(mut self) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ns\"}");
+        self.out
+    }
+}
+
+/// `end - start`, floored at zero.
+fn span_duration(start: Seconds, end: Seconds) -> Seconds {
+    Seconds::new((end.get() - start.get()).max(0.0))
 }
 
 /// Summary returned by a successful [`validate_chrome_trace`] pass.

@@ -251,38 +251,69 @@ impl QuantileSketch {
         self.max = self.max.max(other.max);
     }
 
-    /// Renders the sketch as one JSON object: scheme, exact moments,
-    /// and the standard quantile triple. [`Self::write_json`] into a
-    /// fresh `String`.
+    /// The sketch's rendered facts, captured by value: scheme, exact
+    /// moments, the standard quantile triple and the bucket count. A
+    /// summary taken now renders later exactly as the sketch renders
+    /// now, however many values the sketch records in between.
+    pub fn summary(&self) -> SketchSummary {
+        SketchSummary {
+            alpha: self.alpha,
+            count: self.count,
+            sum: self.sum,
+            order: self
+                .p50_p95_p99()
+                .map(|(p50, p95, p99)| [self.min, self.max, p50, p95, p99]),
+            buckets: self.buckets_used(),
+        }
+    }
+
+    /// Renders the sketch as one JSON object: [`SketchSummary::write_json`]
+    /// of [`Self::summary`] into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write_json(&mut out);
         out
     }
 
-    /// Appends [`Self::to_json`]'s text to `out`:
+    /// Appends [`Self::to_json`]'s text to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        self.summary().write_json(out);
+    }
+}
+
+/// What a [`QuantileSketch`] renders, as numbers: see
+/// [`QuantileSketch::summary`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SketchSummary {
+    /// The sketch's relative accuracy.
+    alpha: f64,
+    /// Recorded values.
+    count: u64,
+    /// Exact sum of the recorded values.
+    sum: f64,
+    /// `[min, max, p50, p95, p99]`, or `None` when the sketch is empty.
+    order: Option<[f64; 5]>,
+    /// Occupied buckets, the zero bucket included.
+    buckets: usize,
+}
+
+impl SketchSummary {
+    /// Appends the one JSON rendering of a sketch to `out`:
     /// `{"alpha":..,"count":..,"sum":..,"min":..,"max":..,"p50":..,
-    /// "p95":..,"p99":..,"buckets":..}`, the five order statistics
-    /// only when the sketch is non-empty.
+    /// "p95":..,"p99":..,"buckets":..}`, the five order statistics only
+    /// when the sketch is non-empty.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"alpha\":");
         json::write_f64(out, self.alpha);
         let _ = write!(out, ",\"count\":{},\"sum\":", self.count);
         json::write_f64(out, self.sum);
-        if let Some((p50, p95, p99)) = self.p50_p95_p99() {
-            let fields = [
-                ("min", self.min),
-                ("max", self.max),
-                ("p50", p50),
-                ("p95", p95),
-                ("p99", p99),
-            ];
-            for (key, value) in fields {
+        if let Some(order) = self.order {
+            for (key, value) in ["min", "max", "p50", "p95", "p99"].into_iter().zip(order) {
                 let _ = write!(out, ",\"{key}\":");
                 json::write_f64(out, value);
             }
         }
-        let _ = write!(out, ",\"buckets\":{}}}", self.buckets_used());
+        let _ = write!(out, ",\"buckets\":{}}}", self.buckets);
     }
 }
 

@@ -2,7 +2,8 @@
 //! relative-error bound holds for arbitrary streams, merge is
 //! commutative bit-exactly, sharded folds reproduce the sequential
 //! quantiles, registry merges are order-insensitive, and the one-walk
-//! quantile triple and the appending JSON writer match their references.
+//! quantile triple and the appending JSON writer match their references,
+//! and a captured summary renders the sketch as it was when captured.
 
 use mealib_obs::json::Object;
 use mealib_obs::quantiles::nearest_rank;
@@ -72,6 +73,15 @@ fn reference_json(s: &QuantileSketch) -> String {
     }
     o.int("buckets", s.buckets_used() as u64);
     o.render()
+}
+
+/// Summary cases: 128, or `PROPTEST_CASES` when set (the release
+/// verification run widens the draw this way).
+fn summary_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(128)
 }
 
 #[test]
@@ -221,5 +231,39 @@ proptest! {
         ba.merge(&ra);
         prop_assert_eq!(ab.to_prometheus(), ba.to_prometheus());
         prop_assert_eq!(ab.counter("test_total", &[("class", "a")]), 1000);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(summary_cases()))]
+
+    /// A summary is a value: captured after record k (or before the
+    /// first) and rendered after the last record, it is `to_json()` at
+    /// record k, and the `Object` reference rendering of the sketch at
+    /// record k, byte for byte. Values come from a small pool with
+    /// geometric weights, so ranks fall in the zero bucket and share
+    /// buckets, and the pool's order moves min and max along the
+    /// stream.
+    #[test]
+    fn a_summary_renders_the_sketch_as_captured(
+        pool in proptest::collection::vec(render_value_strategy(), 1..12),
+        picks in proptest::collection::vec(1u64..=u64::MAX, 1..300),
+        alpha_pct in 1u64..20,
+    ) {
+        let mut sketch = QuantileSketch::new(alpha_pct as f64 / 100.0);
+        let capture = |s: &QuantileSketch| (s.summary(), s.to_json(), reference_json(s));
+        let mut captured = vec![capture(&sketch)];
+        let values = picks.iter().map(|p| pool[p.trailing_zeros() as usize % pool.len()]);
+        for v in values {
+            sketch.record(v);
+            captured.push(capture(&sketch));
+        }
+        for (k, (summary, json, reference)) in captured.iter().enumerate() {
+            let mut out = String::from("prefix:");
+            summary.write_json(&mut out);
+            let rendered = &out["prefix:".len()..];
+            prop_assert_eq!(rendered, json.as_str(), "captured after {} records", k);
+            prop_assert_eq!(rendered, reference.as_str(), "captured after {} records", k);
+        }
     }
 }

@@ -34,34 +34,35 @@
 //! epsilons.
 //!
 //! Telemetry stays cheap enough to leave on because no hook redoes
-//! work. Each class has one record, found by `&str` without
-//! allocating: its metric handles (one counter per decision kind and
-//! per [`ShedReason`], one histogram per sketch), its interned
-//! `{class}/lifecycle` track name, its latency threshold, this epoch's
-//! aggregate and its window. A handle is resolved the first time its
-//! metric is written — the event that created the metric before
-//! handles existed — and from then on a counter bump is one indexed
-//! add and a sketch observation one indexed `record`. What an event
-//! still costs is its own output: the lifecycle marker's label and a
-//! copy of the interned track name.
+//! work and none writes text. Each class has one record, found by
+//! `&str` without allocating: its metric handles (one counter per
+//! decision kind and per [`ShedReason`], one histogram per sketch), its
+//! latency threshold, this epoch's aggregate and its window. A handle
+//! is resolved the first time its metric is written — the event that
+//! created the metric before handles existed — and from then on a
+//! counter bump is one indexed add and a sketch observation one
+//! indexed `record`. What an event still costs is one typed lifecycle
+//! mark: class index, kind, session id and modeled start/end (a
+//! decision mark keeps the event's fields, its class an index).
 //!
-//! The per-epoch snapshot is incremental. Each line is written
-//! straight into one `String` by walking the registry in key order.
-//! Flushed counter values and rendered sketch summaries sit in `Vec`s
-//! indexed by handle. A metric's escaped key is rendered once, the
-//! first time the metric appears; a histogram's sketch summary is
-//! re-rendered only when its `count()` moved. Every byte is what the
-//! `json::Object` rendering produced; `scheduler_determinism.rs` pins
-//! the four artifacts by digest.
+//! The per-epoch snapshot is a typed row too: epoch, clocks, alert
+//! count, the counter deltas by handle, the two gauges, and a
+//! [`SketchSummary`] of each histogram whose `count()` moved (every
+//! sketch mutation raises the count, so an unchanged count means an
+//! unchanged summary). [`TelemetryReport`] renders text only when
+//! asked — [`TelemetryReport::snapshots_jsonl`],
+//! [`TelemetryReport::chrome_trace`], [`TelemetryReport::profile`] —
+//! and every byte is what rendering during the run produced;
+//! `scheduler_determinism.rs` pins the four artifacts by digest.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use mealib_obs::json;
-use mealib_obs::profile::{validate_chrome_trace, IntervalEvent, Profile};
+use mealib_obs::profile::{validate_chrome_trace, ChromeTraceWriter, IntervalEvent, Profile};
 use mealib_obs::{
     Alert, AlertKind, CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, Objective,
-    ObjectiveKind, Phase, SloEngine, WindowObs,
+    ObjectiveKind, Phase, SketchSummary, SloEngine, WindowObs,
 };
 use mealib_types::Seconds;
 use mealib_verify::interference::TenantBounds;
@@ -216,8 +217,6 @@ impl ClassHistogram {
 #[derive(Debug)]
 struct ClassState {
     name: String,
-    /// `{class}/lifecycle`, the track of the class's markers.
-    lifecycle: String,
     /// The declared p99 latency threshold, if any.
     latency_threshold: Option<f64>,
     /// Indexed by [`ClassCounter::slot`].
@@ -234,7 +233,6 @@ impl ClassState {
     fn new(class: &str, latency_threshold: Option<f64>) -> Self {
         Self {
             name: class.to_string(),
-            lifecycle: format!("{class}/lifecycle"),
             latency_threshold,
             counters: [None; ClassCounter::SLOTS],
             histograms: [None; 3],
@@ -263,32 +261,6 @@ impl ClassState {
             .get_or_insert_with(|| reg.histogram_handle(histogram.name(), &[("class", class)]));
         reg.record_at(h, value);
     }
-
-    /// Pushes one lifecycle marker. `Profile::interval` drops
-    /// zero-duration spans; markers are *meant* to be instants, so they
-    /// are pushed directly.
-    fn marker(&self, profile: &mut Profile, phase: Phase, label: String, clock_s: f64) {
-        profile.intervals.push(IntervalEvent {
-            track: self.lifecycle.clone(),
-            phase,
-            label,
-            start: Seconds::new(clock_s),
-            end: Seconds::new(clock_s),
-        });
-    }
-}
-
-/// The record of `class`, created on the class's first event.
-fn class_state<'a>(
-    classes: &'a mut BTreeMap<String, ClassState>,
-    slo: &SloEngine,
-    class: &str,
-) -> &'a mut ClassState {
-    if !classes.contains_key(class) {
-        let state = ClassState::new(class, slo.latency_threshold(class));
-        classes.insert(class.to_string(), state);
-    }
-    classes.get_mut(class).expect("inserted above")
 }
 
 /// The run-level metrics written once per epoch, resolved together at
@@ -314,30 +286,123 @@ impl EpochHandles {
     }
 }
 
-/// A counter's snapshot key, escaped once (empty until first
-/// written), and its last flushed value.
-#[derive(Debug, Default)]
-struct Flushed {
-    key: String,
-    value: u64,
+/// What a lifecycle mark records.
+#[derive(Debug, Clone, PartialEq)]
+enum MarkKind {
+    Arrive,
+    /// An admission: the event's fields but its class, which is the
+    /// mark's.
+    Admit {
+        epoch: u64,
+        part_start: u64,
+        part_len: u64,
+        attempt: u32,
+    },
+    /// Any other decision; none of them names a class.
+    Decision(DecisionEvent),
+    /// The service span, on the `{class}` track.
+    Serve,
+    FirstBurst,
+    Complete,
 }
 
-/// A histogram's snapshot key, escaped once (empty until first
-/// rendered), its last rendered sketch summary, and the sketch
-/// `count()` it was rendered at.
-#[derive(Debug, Default)]
-struct Rendered {
-    key: String,
-    count: Option<u64>,
-    summary: String,
+/// One lifecycle trace event, kept as numbers until the report renders
+/// it. Every mark but the service span is an instant (`start == end`)
+/// on the `{class}/lifecycle` track.
+#[derive(Debug, Clone, PartialEq)]
+struct Mark {
+    /// Index into the report's class names.
+    class: usize,
+    /// The session.
+    id: u64,
+    start: f64,
+    end: f64,
+    kind: MarkKind,
 }
 
-/// The entry of `table` at `index`, growing the table as needed.
-fn entry<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
-    if table.len() <= index {
-        table.resize_with(index + 1, T::default);
+impl Mark {
+    fn phase(&self) -> Phase {
+        match self.kind {
+            MarkKind::Arrive => Phase::Plan,
+            MarkKind::Admit { .. } | MarkKind::Decision(_) => Phase::Verify,
+            MarkKind::Serve => Phase::Compute,
+            MarkKind::FirstBurst => Phase::Dma,
+            MarkKind::Complete => Phase::Drain,
+        }
     }
-    &mut table[index]
+
+    /// The `DecisionEvent::kind` of a decision mark.
+    fn decision_kind(&self) -> Option<&'static str> {
+        match &self.kind {
+            MarkKind::Admit { .. } => Some("admit"),
+            MarkKind::Decision(ev) => Some(ev.kind()),
+            _ => None,
+        }
+    }
+
+    /// `0` for the `{class}/lifecycle` track, `1` for `{class}`.
+    fn track_slot(&self) -> usize {
+        usize::from(self.kind == MarkKind::Serve)
+    }
+
+    fn track(&self, class: &str) -> String {
+        match self.track_slot() {
+            0 => format!("{class}/lifecycle"),
+            _ => class.to_string(),
+        }
+    }
+
+    /// Appends the span label. A decision's label *is* its
+    /// `DecisionEvent` display line, so a REJECT carries the proved
+    /// MEA3xx codes verbatim.
+    fn write_label(&self, class: &str, out: &mut String) {
+        let id = self.id;
+        let _ = match &self.kind {
+            MarkKind::Arrive => write!(out, "arrive s{id}"),
+            &MarkKind::Admit {
+                epoch,
+                part_start,
+                part_len,
+                attempt,
+            } => {
+                let ev = DecisionEvent::Admit {
+                    epoch,
+                    id,
+                    class: class.to_string(),
+                    part_start,
+                    part_len,
+                    attempt,
+                };
+                write!(out, "{ev}")
+            }
+            MarkKind::Decision(ev) => write!(out, "{ev}"),
+            MarkKind::Serve => write!(out, "serve s{id}"),
+            MarkKind::FirstBurst => write!(out, "first-burst s{id}"),
+            MarkKind::Complete => write!(out, "complete s{id}"),
+        };
+    }
+}
+
+/// The gauges every snapshot carries, once set.
+const SNAPSHOT_GAUGES: [&str; 2] = ["serve_queue_depth", "serve_clock_seconds"];
+
+/// One epoch's snapshot, kept as numbers until the report renders it.
+#[derive(Debug, Clone, PartialEq)]
+struct SnapshotRow {
+    epoch: u64,
+    clock_s: f64,
+    replay_elapsed_s: f64,
+    /// Alerts raised so far.
+    alerts: usize,
+    /// The counters that moved since the last row, in key order, with
+    /// their deltas.
+    counters: Vec<(CounterHandle, u64)>,
+    /// The [`SNAPSHOT_GAUGES`], where set.
+    gauges: [Option<f64>; 2],
+    /// The histograms whose count moved since their last summary, or
+    /// that have none yet, with their summaries. A line carries every
+    /// histogram summarized so far, at its latest summary.
+    histograms: Vec<(HistogramHandle, SketchSummary)>,
 }
 
 /// The live telemetry pipeline the scheduler feeds.
@@ -346,16 +411,18 @@ pub struct Telemetry {
     window_epochs: usize,
     registry: MetricsRegistry,
     slo: SloEngine,
-    profile: Profile,
-    snapshots: Vec<String>,
-    /// Per counter handle: its escaped snapshot key and the value
-    /// already flushed into a snapshot (the next snapshot carries the
-    /// delta).
-    flushed: Vec<Flushed>,
-    /// Per histogram handle: its last rendered sketch summary.
-    rendered: Vec<Rendered>,
-    /// Every class seen so far, in name order.
-    classes: BTreeMap<String, ClassState>,
+    /// Every class seen so far, in first-seen order: a mark's class is
+    /// an index here.
+    classes: Vec<ClassState>,
+    /// Index into `classes` by name, in name order.
+    by_name: BTreeMap<String, usize>,
+    marks: Vec<Mark>,
+    snapshots: Vec<SnapshotRow>,
+    /// Per counter handle: the value the snapshot rows already carry
+    /// (the next row carries the delta).
+    flushed: Vec<u64>,
+    /// Per histogram handle: the sketch `count()` of its last summary.
+    summarized: Vec<Option<u64>>,
     epoch_handles: Option<EpochHandles>,
     /// Modeled clock at the end of the last `window_epochs + 1`
     /// epochs (front = just before the current window opened).
@@ -383,11 +450,12 @@ impl Telemetry {
             window_epochs: config.window_epochs.max(1),
             registry,
             slo,
-            profile: Profile::new(),
+            classes: Vec::new(),
+            by_name: BTreeMap::new(),
+            marks: Vec::new(),
             snapshots: Vec::new(),
             flushed: Vec::new(),
-            rendered: Vec::new(),
-            classes: BTreeMap::new(),
+            summarized: Vec::new(),
             epoch_handles: None,
             clock_marks: VecDeque::new(),
             replay_total_s: 0.0,
@@ -404,19 +472,44 @@ impl Telemetry {
         &mut self.registry
     }
 
+    /// The index of `class`'s record, created on the class's first
+    /// event.
+    fn class_index(&mut self, class: &str) -> usize {
+        if let Some(&i) = self.by_name.get(class) {
+            return i;
+        }
+        let i = self.classes.len();
+        let threshold = self.slo.latency_threshold(class);
+        self.classes.push(ClassState::new(class, threshold));
+        self.by_name.insert(class.to_string(), i);
+        i
+    }
+
+    /// Appends one lifecycle mark.
+    fn mark(&mut self, class: usize, id: u64, kind: MarkKind, start: f64, end: f64) {
+        self.marks.push(Mark {
+            class,
+            id,
+            start,
+            end,
+            kind,
+        });
+    }
+
     /// A fresh session arrived (before any shed/queue decision).
     pub fn on_arrival(&mut self, req: &SessionRequest, clock_s: f64) {
-        let c = class_state(&mut self.classes, &self.slo, &req.class);
+        let class = self.class_index(&req.class);
+        let c = &mut self.classes[class];
         c.add(&mut self.registry, ClassCounter::Arrivals, 1);
         c.pending.arrivals += 1;
-        let label = format!("arrive s{}", req.id);
-        c.marker(&mut self.profile, Phase::Plan, label, clock_s);
+        self.mark(class, req.id, MarkKind::Arrive, clock_s, clock_s);
     }
 
     /// One scheduler decision (admit / reject / backoff / shed ...).
     pub fn on_decision(&mut self, ev: &DecisionEvent, class: &str, clock_s: f64) {
         self.last_epoch = self.last_epoch.max(ev.epoch());
-        let c = class_state(&mut self.classes, &self.slo, class);
+        let class = self.class_index(class);
+        let c = &mut self.classes[class];
         if let Some(reason) = ev.shed_reason() {
             c.add(&mut self.registry, ClassCounter::Shed(reason), 1);
             c.pending.shed += 1;
@@ -432,11 +525,22 @@ impl Telemetry {
             };
             c.add(&mut self.registry, counter, 1);
         }
-        // The marker label *is* the legacy decision line, so a REJECT
-        // span carries the proved MEA3xx codes verbatim.
-        let mut label = String::with_capacity(64);
-        let _ = write!(label, "{ev}");
-        c.marker(&mut self.profile, Phase::Verify, label, clock_s);
+        let kind = match *ev {
+            DecisionEvent::Admit {
+                epoch,
+                part_start,
+                part_len,
+                attempt,
+                ..
+            } => MarkKind::Admit {
+                epoch,
+                part_start,
+                part_len,
+                attempt,
+            },
+            _ => MarkKind::Decision(ev.clone()),
+        };
+        self.mark(class, ev.id(), kind, clock_s, clock_s);
     }
 
     /// The epoch's merged replay finished: re-accumulate the modeled
@@ -461,7 +565,8 @@ impl Telemetry {
     ) {
         self.check_certified(done, certified);
 
-        let c = class_state(&mut self.classes, &self.slo, &done.class);
+        let class = self.class_index(&done.class);
+        let c = &mut self.classes[class];
         let reg = &mut self.registry;
         c.add(reg, ClassCounter::Bytes, done.bytes);
         c.record(reg, ClassHistogram::Service, done.service_s);
@@ -480,21 +585,13 @@ impl Telemetry {
             agg.latency_violations += 1;
         }
 
-        self.profile.intervals.push(IntervalEvent {
-            track: c.name.clone(),
-            phase: Phase::Compute,
-            label: format!("serve s{}", done.id),
-            start: Seconds::new(epoch_clock_s),
-            end: Seconds::new(epoch_clock_s + done.service_s),
-        });
+        let end = epoch_clock_s + done.service_s;
+        self.mark(class, done.id, MarkKind::Serve, epoch_clock_s, end);
         if first_burst_s > 0.0 {
-            let label = format!("first-burst s{}", done.id);
             let at = epoch_clock_s + first_burst_s;
-            c.marker(&mut self.profile, Phase::Dma, label, at);
+            self.mark(class, done.id, MarkKind::FirstBurst, at, at);
         }
-        let label = format!("complete s{}", done.id);
-        let at = epoch_clock_s + done.service_s;
-        c.marker(&mut self.profile, Phase::Drain, label, at);
+        self.mark(class, done.id, MarkKind::Complete, end, end);
     }
 
     /// The conformance monitor: measured attribution must stay inside
@@ -568,7 +665,8 @@ impl Telemetry {
         // every class seen so far advances one epoch (absent classes
         // advance with an empty aggregate, so stale epochs age out on
         // schedule).
-        for (class, c) in &mut self.classes {
+        for (class, &i) in &self.by_name {
+            let c = &mut self.classes[i];
             c.window.push_back(std::mem::take(&mut c.pending));
             while c.window.len() > self.window_epochs {
                 c.window.pop_front();
@@ -590,90 +688,47 @@ impl Telemetry {
         }
     }
 
-    /// Flushes one JSONL snapshot line carrying this epoch's counter
-    /// *deltas* (snapshot sums reconcile exactly with the final
-    /// cumulative counters), current gauges, and cumulative sketch
-    /// summaries.
-    ///
-    /// The line is written straight into one `String`, walking the
-    /// registry in key order; the flushed values and rendered
-    /// summaries are looked up by handle index. Each metric's escaped
-    /// key is rendered once, when the metric first appears, and each
-    /// histogram's sketch summary is re-rendered only when its
-    /// `count()` moved: every sketch mutation (`record`, `merge`)
-    /// raises the count, so an unchanged count means an unchanged
-    /// sketch and an unchanged summary.
+    /// Appends one snapshot row carrying this epoch's counter *deltas*
+    /// (snapshot sums reconcile exactly with the final cumulative
+    /// counters), current gauges, and the summaries of the sketches
+    /// that moved.
     fn flush_snapshot(&mut self, epoch: u64, clock_s: f64, replay_elapsed_s: f64) {
-        let mut line = String::with_capacity(self.snapshots.last().map_or(256, String::len));
-        let _ = write!(line, "{{\"epoch\":{epoch},\"clock_s\":");
-        json::write_f64(&mut line, clock_s);
-        line.push_str(",\"replay_elapsed_s\":");
-        json::write_f64(&mut line, replay_elapsed_s);
-        let _ = write!(
-            line,
-            ",\"alerts\":{},\"counters\":{{",
-            self.slo.alerts().len()
-        );
-        let mut first = true;
-        for (h, key, value) in self.registry.indexed_counters() {
-            let flushed = entry(&mut self.flushed, h.index());
-            if value > flushed.value {
-                if flushed.key.is_empty() {
-                    flushed.key = json::escape(&key.flat());
-                }
-                if !std::mem::take(&mut first) {
-                    line.push(',');
-                }
-                line.push('"');
-                line.push_str(&flushed.key);
-                let _ = write!(line, "\":{}", value - flushed.value);
-                flushed.value = value;
+        let mut counters = Vec::new();
+        for (h, _, value) in self.registry.indexed_counters() {
+            if self.flushed.len() <= h.index() {
+                self.flushed.resize(h.index() + 1, 0);
+            }
+            let flushed = &mut self.flushed[h.index()];
+            if value > *flushed {
+                counters.push((h, value - *flushed));
+                *flushed = value;
             }
         }
-        line.push_str("},\"gauges\":{");
-        let mut first = true;
-        let handles = self.epoch_handles;
-        let gauges = [
-            ("serve_queue_depth", handles.map(|h| h.queue_depth)),
-            ("serve_clock_seconds", handles.map(|h| h.clock)),
-        ];
-        for (name, h) in gauges {
-            let v = match h {
-                Some(h) => Some(self.registry.gauge_at(h)),
-                None => self.registry.gauge(name, &[]),
-            };
-            if let Some(v) = v {
-                if !std::mem::take(&mut first) {
-                    line.push(',');
-                }
-                line.push('"');
-                line.push_str(name);
-                line.push_str("\":");
-                json::write_f64(&mut line, v);
+        let handles = self.epoch_handles.map(|h| [h.queue_depth, h.clock]);
+        let gauges = std::array::from_fn(|i| match handles {
+            Some(h) => Some(self.registry.gauge_at(h[i])),
+            None => self.registry.gauge(SNAPSHOT_GAUGES[i], &[]),
+        });
+        let mut histograms = Vec::new();
+        for (h, _, sketch) in self.registry.indexed_histograms() {
+            if self.summarized.len() <= h.index() {
+                self.summarized.resize(h.index() + 1, None);
+            }
+            let summarized = &mut self.summarized[h.index()];
+            if *summarized != Some(sketch.count()) {
+                histograms.push((h, sketch.summary()));
+                *summarized = Some(sketch.count());
             }
         }
-        line.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (h, key, sketch) in self.registry.indexed_histograms() {
-            let cached = entry(&mut self.rendered, h.index());
-            if cached.key.is_empty() {
-                cached.key = json::escape(&key.flat());
-            }
-            if cached.count != Some(sketch.count()) {
-                cached.summary.clear();
-                sketch.write_json(&mut cached.summary);
-                cached.count = Some(sketch.count());
-            }
-            if !std::mem::take(&mut first) {
-                line.push(',');
-            }
-            line.push('"');
-            line.push_str(&cached.key);
-            line.push_str("\":");
-            line.push_str(&cached.summary);
-        }
-        line.push_str("}}");
-        self.snapshots.push(line);
+        self.snapshots.push(SnapshotRow {
+            epoch,
+            clock_s,
+            replay_elapsed_s,
+            alerts: self.slo.alerts().len(),
+            counters,
+            gauges,
+            histograms,
+        });
     }
 
     /// `true` when some counter moved since the last snapshot
@@ -681,7 +736,7 @@ impl Telemetry {
     fn dirty(&self) -> bool {
         self.registry
             .indexed_counters()
-            .any(|(h, _, v)| v > self.flushed.get(h.index()).map_or(0, |f| f.value))
+            .any(|(h, _, v)| v > self.flushed.get(h.index()).copied().unwrap_or(0))
     }
 
     /// Closes the run: flushes any trailing counter deltas (the drain
@@ -703,12 +758,13 @@ impl Telemetry {
         TelemetryReport {
             registry: self.registry,
             snapshots: self.snapshots,
+            marks: self.marks,
+            class_names: self.classes.into_iter().map(|c| c.name).collect(),
             alerts: self.slo.alerts().to_vec(),
             slo_evaluations: self.slo.evaluations(),
             slo_conformance: self.slo.conformance(),
             bounds_checks: self.bounds_checked,
             bounds_failures: self.bounds_failed,
-            profile: self.profile,
             replay_total_s: self.replay_total_s,
             energy_total_j: self.energy_total_j,
         }
@@ -763,8 +819,12 @@ fn describe_metrics(reg: &mut MetricsRegistry) {
 pub struct TelemetryReport {
     /// Final cumulative registry.
     pub registry: MetricsRegistry,
-    /// Per-epoch JSONL snapshot lines, in epoch order.
-    pub snapshots: Vec<String>,
+    /// Per-epoch snapshot rows, in epoch order.
+    snapshots: Vec<SnapshotRow>,
+    /// The lifecycle trace, in event order.
+    marks: Vec<Mark>,
+    /// Class names, indexed by [`Mark::class`].
+    class_names: Vec<String>,
     /// Every alert raised, in raise order.
     pub alerts: Vec<Alert>,
     /// Objective-window evaluations performed.
@@ -775,8 +835,6 @@ pub struct TelemetryReport {
     pub bounds_checks: u64,
     /// Checks where measurement escaped proof.
     pub bounds_failures: u64,
-    /// The lifecycle trace (one track per class plus markers).
-    pub profile: Profile,
     /// Replay time re-accumulated in scheduler order (bit-equal to
     /// `ServeReport::modeled_s`).
     pub replay_total_s: f64,
@@ -800,11 +858,26 @@ impl TelemetryReport {
         self.registry.to_prometheus()
     }
 
+    /// Per-epoch snapshots taken.
+    pub fn snapshot_count(&self) -> usize {
+        self.snapshots.len()
+    }
+
+    /// The per-epoch JSONL snapshot lines, in epoch order, each
+    /// rendered when the iterator reaches it.
+    pub fn snapshot_lines(&self) -> impl Iterator<Item = String> + '_ {
+        let mut lines = SnapshotLines::new(self);
+        std::iter::from_fn(move || {
+            let mut line = String::new();
+            lines.write_next(&mut line).then_some(line)
+        })
+    }
+
     /// All per-epoch snapshots as one JSONL document.
     pub fn snapshots_jsonl(&self) -> String {
         let mut out = String::new();
-        for line in &self.snapshots {
-            out.push_str(line);
+        let mut lines = SnapshotLines::new(self);
+        while lines.write_next(&mut out) {
             out.push('\n');
         }
         out
@@ -820,9 +893,63 @@ impl TelemetryReport {
         out
     }
 
-    /// The lifecycle trace as a Chrome trace-event document.
+    /// Lifecycle marks recorded: arrivals, decisions, service spans,
+    /// first bursts and completions, one trace event each.
+    pub fn mark_count(&self) -> usize {
+        self.marks.len()
+    }
+
+    /// The lifecycle trace as a [`Profile`]: a `{class}/lifecycle`
+    /// track of instant markers per class, and the service spans on a
+    /// `{class}` track.
+    pub fn profile(&self) -> Profile {
+        let mut profile = Profile::new();
+        for m in &self.marks {
+            let class = &self.class_names[m.class];
+            let mut label = String::new();
+            m.write_label(class, &mut label);
+            profile.intervals.push(IntervalEvent {
+                track: m.track(class),
+                phase: m.phase(),
+                label,
+                start: Seconds::new(m.start),
+                end: Seconds::new(m.end),
+            });
+        }
+        profile
+    }
+
+    /// The lifecycle trace as a Chrome trace-event document: the bytes
+    /// of `self.profile().to_chrome_trace()`, written from the marks
+    /// without building the profile.
     pub fn chrome_trace(&self) -> String {
-        self.profile.to_chrome_trace()
+        // Tracks are numbered by first appearance, as `Profile` numbers
+        // them; a class has at most two.
+        let mut tracks: Vec<String> = Vec::new();
+        let mut tids = vec![[0u64; 2]; self.class_names.len()];
+        for m in &self.marks {
+            let tid = &mut tids[m.class][m.track_slot()];
+            if *tid == 0 {
+                let track = m.track(&self.class_names[m.class]);
+                let i = tracks.iter().position(|t| *t == track).unwrap_or_else(|| {
+                    tracks.push(track);
+                    tracks.len() - 1
+                });
+                *tid = i as u64 + 1;
+            }
+        }
+        let mut w = ChromeTraceWriter::new();
+        for (i, track) in tracks.iter().enumerate() {
+            w.thread_name(i as u64 + 1, track);
+        }
+        let mut label = String::new();
+        for m in &self.marks {
+            label.clear();
+            m.write_label(&self.class_names[m.class], &mut label);
+            let (start, end) = (Seconds::new(m.start), Seconds::new(m.end));
+            w.span(tids[m.class][m.track_slot()], m.phase(), &label, start, end);
+        }
+        w.finish()
     }
 
     /// Count of alerts of `kind`.
@@ -841,15 +968,21 @@ impl TelemetryReport {
     /// Cross-checks the streaming telemetry against the report's
     /// exact per-session ledger:
     ///
-    /// * every snapshot parses, and per-key snapshot deltas sum to
-    ///   the final cumulative counter exactly;
+    /// * every snapshot line parses, and per-key snapshot deltas sum
+    ///   to the final cumulative counter exactly;
     /// * disposition counters equal the report's vector lengths, per
     ///   class and overall;
     /// * per-class sketch counts/sums equal the exact completions;
     /// * the re-accumulated replay clock is bit-equal to
     ///   `modeled_s` and the `Compute` breakdown;
+    /// * the lifecycle is the ledger: one arrival mark per arrival,
+    ///   the decision marks are the decision log (in order, same
+    ///   session and kind), and the service and completion marks are
+    ///   the completions (in order, same session);
     /// * the lifecycle trace round-trips through
     ///   [`validate_chrome_trace`].
+    ///
+    /// Snapshot lines are rendered and parsed one at a time.
     ///
     /// # Errors
     ///
@@ -857,8 +990,8 @@ impl TelemetryReport {
     pub fn reconcile(&self, report: &ServeReport) -> Result<(), String> {
         // (1) Snapshot deltas sum exactly to the cumulative counters.
         let mut summed: BTreeMap<String, u64> = BTreeMap::new();
-        for (i, line) in self.snapshots.iter().enumerate() {
-            let v = json::parse(line).map_err(|e| format!("snapshot {i}: {e}"))?;
+        for (i, line) in self.snapshot_lines().enumerate() {
+            let v = json::parse(&line).map_err(|e| format!("snapshot {i}: {e}"))?;
             let counters = v
                 .get("counters")
                 .and_then(|c| c.as_object())
@@ -870,9 +1003,12 @@ impl TelemetryReport {
                 *summed.entry(key.clone()).or_default() += n as u64;
             }
         }
+        // A counter still at zero never reached a snapshot: the final
+        // registry's counters are the ones that moved.
         let counters: BTreeMap<String, u64> = self
             .registry
             .counters()
+            .filter(|&(_, value)| value > 0)
             .map(|(key, value)| (key.flat(), value))
             .collect();
         for (flat, &value) in &counters {
@@ -977,19 +1113,188 @@ impl TelemetryReport {
         if self.replay_total_s.to_bits() != report.breakdown_compute_s().to_bits() {
             return Err("replay total != Compute breakdown".into());
         }
-        // (5) The lifecycle trace round-trips.
-        if !self.profile.intervals.is_empty() {
+        // (5) The lifecycle is the ledger.
+        self.reconcile_lifecycle(report)?;
+        // (6) The lifecycle trace round-trips.
+        if !self.marks.is_empty() {
             validate_chrome_trace(&self.chrome_trace())
                 .map_err(|e| format!("lifecycle trace: {e}"))?;
         }
         Ok(())
+    }
+
+    /// Clause (5) of [`Self::reconcile`].
+    fn reconcile_lifecycle(&self, report: &ServeReport) -> Result<(), String> {
+        let arrive_marks = self.marks_of(&MarkKind::Arrive).count();
+        let arrivals: usize = report.epochs.iter().map(|e| e.arrivals).sum();
+        if arrive_marks != arrivals {
+            return Err(format!(
+                "lifecycle: {arrive_marks} arrival marks != {arrivals} arrivals"
+            ));
+        }
+
+        let decisions: Vec<(u64, &str)> = self
+            .marks
+            .iter()
+            .filter_map(|m| Some((m.id, m.decision_kind()?)))
+            .collect();
+        let log = &report.decision_log;
+        if decisions.len() != log.len() {
+            return Err(format!(
+                "lifecycle: {} decision marks != {} logged decisions",
+                decisions.len(),
+                log.len()
+            ));
+        }
+        for (i, (&(id, kind), ev)) in decisions.iter().zip(log).enumerate() {
+            if id != ev.id() || kind != ev.kind() {
+                return Err(format!(
+                    "lifecycle: decision mark {i} is {kind} s{id}, logged decision {i} is {} s{}",
+                    ev.kind(),
+                    ev.id()
+                ));
+            }
+        }
+
+        for (name, kind) in [("serve", MarkKind::Serve), ("complete", MarkKind::Complete)] {
+            let marks = self.marks_of(&kind).count();
+            if marks != report.completed.len() {
+                return Err(format!(
+                    "lifecycle: {marks} {name} marks != {} completions",
+                    report.completed.len()
+                ));
+            }
+            for (i, (m, done)) in self.marks_of(&kind).zip(&report.completed).enumerate() {
+                if m.id != done.id {
+                    return Err(format!(
+                        "lifecycle: {name} mark {i} is s{}, completion {i} is s{}",
+                        m.id, done.id
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The marks of one kind, in order.
+    fn marks_of<'a>(&'a self, kind: &'a MarkKind) -> impl Iterator<Item = &'a Mark> + 'a {
+        self.marks.iter().filter(move |m| m.kind == *kind)
+    }
+}
+
+/// Renders [`SnapshotRow`]s, in order, as JSONL lines.
+struct SnapshotLines<'a> {
+    rows: std::slice::Iter<'a, SnapshotRow>,
+    /// Per counter handle: its escaped flat key.
+    counter_keys: Vec<String>,
+    /// Histogram handles in key order, with their escaped flat keys.
+    histogram_keys: Vec<(HistogramHandle, String)>,
+    /// Per histogram handle: its latest summary, rendered (empty until
+    /// its first).
+    summaries: Vec<String>,
+}
+
+impl<'a> SnapshotLines<'a> {
+    fn new(report: &'a TelemetryReport) -> Self {
+        let registry = &report.registry;
+        let mut counter_keys = vec![String::new(); registry.indexed_counters().count()];
+        for (h, key, _) in registry.indexed_counters() {
+            counter_keys[h.index()] = json::escape(&key.flat());
+        }
+        let histogram_keys: Vec<_> = registry
+            .indexed_histograms()
+            .map(|(h, key, _)| (h, json::escape(&key.flat())))
+            .collect();
+        Self {
+            rows: report.snapshots.iter(),
+            counter_keys,
+            summaries: vec![String::new(); histogram_keys.len()],
+            histogram_keys,
+        }
+    }
+
+    /// Appends the next row's line to `out`; `false` after the last.
+    fn write_next(&mut self, out: &mut String) -> bool {
+        let Some(row) = self.rows.next() else {
+            return false;
+        };
+        for (h, summary) in &row.histograms {
+            let text = &mut self.summaries[h.index()];
+            text.clear();
+            summary.write_json(text);
+        }
+        let _ = write!(out, "{{\"epoch\":{},\"clock_s\":", row.epoch);
+        json::write_f64(out, row.clock_s);
+        out.push_str(",\"replay_elapsed_s\":");
+        json::write_f64(out, row.replay_elapsed_s);
+        let _ = write!(out, ",\"alerts\":{},\"counters\":{{", row.alerts);
+        for (i, (h, delta)) in row.counters.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{delta}", self.counter_keys[h.index()]);
+        }
+        out.push_str("},\"gauges\":{");
+        let gauges = SNAPSHOT_GAUGES.iter().zip(row.gauges);
+        for (i, (name, value)) in gauges.filter_map(|(n, v)| Some((n, v?))).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":");
+            json::write_f64(out, value);
+        }
+        out.push_str("},\"histograms\":{");
+        let summarized = self
+            .histogram_keys
+            .iter()
+            .map(|(h, key)| (key, &self.summaries[h.index()]))
+            .filter(|(_, summary)| !summary.is_empty());
+        for (i, (key, summary)) in summarized.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{key}\":{summary}");
+        }
+        out.push_str("}}");
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{serve_with_telemetry, ServeConfig};
+    use crate::traffic::{generate, TrafficSpec};
+    use mealib_obs::Obs;
     use mealib_verify::BoundsEnv;
+
+    /// A small mix with a fat impossible tier, so the run proves
+    /// REJECTs as well as admitting and completing.
+    fn run(seed: u64) -> (ServeReport, TelemetryReport) {
+        let env = BoundsEnv::default();
+        let cat = Catalogue::standard(&env);
+        let mut spec = TrafficSpec::poisson(&cat, seed, 6, 2.0);
+        spec.classes
+            .retain(|c| matches!(c.class.as_str(), "stap-tiny" | "sar-chain-256"));
+        spec.p_impossible = 0.25;
+        let traffic = generate(&cat, &spec);
+        let config = ServeConfig::default();
+        let tcfg = TelemetryConfig::default();
+        serve_with_telemetry(&cat, &traffic, &config, &env, &Obs::off(), &tcfg)
+    }
+
+    /// A snapshot row that carries only `counters`.
+    fn counter_row(counters: Vec<(CounterHandle, u64)>) -> SnapshotRow {
+        SnapshotRow {
+            epoch: 0,
+            clock_s: 0.0,
+            replay_elapsed_s: 0.0,
+            alerts: 0,
+            counters,
+            gauges: [None; 2],
+            histograms: Vec::new(),
+        }
+    }
 
     #[test]
     fn standard_config_declares_three_objectives_per_class() {
@@ -998,9 +1303,9 @@ mod tests {
         assert_eq!(cfg.slos.len(), 3 * cat.len());
         let mut tele = Telemetry::new(&cfg);
         for class in cat.classes() {
-            let c = class_state(&mut tele.classes, &tele.slo, &class.name);
+            let i = tele.class_index(&class.name);
             assert!(
-                c.latency_threshold.is_some(),
+                tele.classes[i].latency_threshold.is_some(),
                 "{}: every class carries a latency threshold",
                 class.name
             );
@@ -1014,6 +1319,118 @@ mod tests {
         assert!((report.slo_conformance - 1.0).abs() < f64::EPSILON);
         assert!((report.certified_bounds_conformance() - 1.0).abs() < f64::EPSILON);
         assert!(report.alerts.is_empty());
-        assert_eq!(report.snapshots.len(), 0, "nothing moved, nothing flushed");
+        assert_eq!(report.snapshot_count(), 0, "nothing moved, nothing flushed");
+    }
+
+    #[test]
+    fn reconcile_names_a_snapshot_key_absent_from_the_registry() {
+        let (report, mut tele) = run(4242);
+        let phantom = tele.registry.counter_handle("serve_phantom_total", &[]);
+        tele.snapshots.push(counter_row(vec![(phantom, 1)]));
+        assert_eq!(
+            tele.reconcile(&report),
+            Err("snapshot key serve_phantom_total missing from final registry".to_string())
+        );
+    }
+
+    #[test]
+    fn reconcile_names_a_delta_sum_off_by_one() {
+        let (report, mut tele) = run(4242);
+        let (h, key, value) = tele
+            .registry
+            .indexed_counters()
+            .find(|&(_, _, value)| value > 0)
+            .map(|(h, k, v)| (h, k.flat(), v))
+            .expect("the run moved a counter");
+        tele.snapshots.push(counter_row(vec![(h, 1)]));
+        assert_eq!(
+            tele.reconcile(&report),
+            Err(format!(
+                "{key}: snapshot deltas sum {} != counter {value}",
+                value + 1
+            ))
+        );
+    }
+
+    /// Dropping the first mark of one kind breaks the clause that
+    /// counts that kind, and the error names it.
+    #[test]
+    fn reconcile_names_each_dropped_lifecycle_mark() {
+        let (report, tele) = run(99);
+        assert!(!report.rejected.is_empty() && !report.completed.is_empty());
+        tele.reconcile(&report)
+            .expect("the untampered run reconciles");
+        let without_first = |is_kind: fn(&Mark) -> bool| {
+            let (_, mut tampered) = run(99);
+            let first = tampered.marks.iter().position(is_kind).expect("a mark");
+            tampered.marks.remove(first);
+            tampered.reconcile(&report)
+        };
+        let arrivals = tele.marks_of(&MarkKind::Arrive).count();
+        assert_eq!(
+            without_first(|m| m.kind == MarkKind::Arrive),
+            Err(format!(
+                "lifecycle: {} arrival marks != {arrivals} arrivals",
+                arrivals - 1
+            ))
+        );
+        let decisions = report.decision_log.len();
+        assert_eq!(
+            without_first(|m| m.decision_kind().is_some()),
+            Err(format!(
+                "lifecycle: {} decision marks != {decisions} logged decisions",
+                decisions - 1
+            ))
+        );
+        let completions = report.completed.len();
+        let want = |name: &str| {
+            Err(format!(
+                "lifecycle: {} {name} marks != {completions} completions",
+                completions - 1
+            ))
+        };
+        assert_eq!(without_first(|m| m.kind == MarkKind::Serve), want("serve"));
+        assert_eq!(
+            without_first(|m| m.kind == MarkKind::Complete),
+            want("complete")
+        );
+    }
+
+    /// Two decision marks of different sessions swapped: the counts
+    /// hold, and the order clause names the first mismatch.
+    #[test]
+    fn reconcile_names_a_decision_mark_out_of_order() {
+        let (report, mut tele) = run(99);
+        let n = report
+            .decision_log
+            .windows(2)
+            .position(|w| w[0].id() != w[1].id())
+            .expect("two sessions were decided");
+        let decisions: Vec<usize> = (0..tele.marks.len())
+            .filter(|&i| tele.marks[i].decision_kind().is_some())
+            .collect();
+        tele.marks.swap(decisions[n], decisions[n + 1]);
+        let (a, b) = (&report.decision_log[n], &report.decision_log[n + 1]);
+        assert_eq!(
+            tele.reconcile(&report),
+            Err(format!(
+                "lifecycle: decision mark {n} is {} s{}, logged decision {n} is {} s{}",
+                b.kind(),
+                b.id(),
+                a.kind(),
+                a.id()
+            ))
+        );
+    }
+
+    /// The trace written from the marks is the profile's trace, byte
+    /// for byte.
+    #[test]
+    fn chrome_trace_is_the_profiles_trace() {
+        let (report, tele) = run(99);
+        assert!(!report.rejected.is_empty());
+        let profile = tele.profile();
+        assert_eq!(profile.intervals.len(), tele.mark_count());
+        assert_eq!(tele.chrome_trace(), profile.to_chrome_trace());
     }
 }

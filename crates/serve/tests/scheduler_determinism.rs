@@ -13,8 +13,8 @@ use std::sync::OnceLock;
 
 use mealib_obs::Obs;
 use mealib_serve::{
-    generate, serve, serve_with_telemetry, Catalogue, DecisionEvent, ServeConfig, TelemetryConfig,
-    TrafficSpec, UnknownPolicy,
+    generate, serve, serve_with_telemetry, ArrivalMix, Catalogue, DecisionEvent, ServeConfig,
+    TelemetryConfig, TrafficSpec, UnknownPolicy,
 };
 use mealib_verify::BoundsEnv;
 use proptest::prelude::*;
@@ -95,7 +95,9 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// slot, and a run that draws every lazily created per-class metric
 /// (UNKNOWN retries, the `undecidable` and `retries_exhausted` shed
 /// reasons, classes that never complete), which pins the event at
-/// which each metric appears.
+/// which each metric appears. The fifth case is perfbench
+/// `serve_light`'s scale: about 1,200 diurnal sessions with REJECTs
+/// and best effort, some 400 snapshot lines and 6,000 trace events.
 #[test]
 fn telemetry_artifacts_match_golden_digests() {
     let cat = catalogue();
@@ -123,6 +125,17 @@ fn telemetry_artifacts_match_golden_digests() {
     });
     unknown.p_impossible = 0.25;
     unknown.slack = 1.5;
+    let mut light = TrafficSpec::poisson(cat, 1, 400, 1.0);
+    light
+        .classes
+        .retain(|c| matches!(c.class.as_str(), "stap-tiny" | "sar-chain-256"));
+    light.mix = ArrivalMix::Diurnal {
+        base: 1.0,
+        peak: 5.0,
+        period_epochs: 48,
+    };
+    light.p_impossible = 0.1;
+    light.p_best_effort = 0.2;
     let cases = [
         (
             555u64,
@@ -177,6 +190,17 @@ fn telemetry_artifacts_match_golden_digests() {
                 0xc5c3_b9af_5a02_0c0e,
                 0x6d06_535c_0b1c_8034,
                 0xccf9_7349_3fd5_450f,
+            ],
+        ),
+        (
+            1,
+            ServeConfig::default(),
+            light,
+            [
+                0xa581_22be_06c1_db11,
+                0xf163_13f8_f862_20db,
+                0x5dc7_3c78_6b4e_af84,
+                0xcbf2_9ce4_8422_2325,
             ],
         ),
     ];

@@ -24,6 +24,12 @@ echo "==> admission oracle: memoized certify against the text oracle on 512 case
 # override widens the proptest without a second copy of it.
 PROPTEST_CASES=512 cargo test -q --release -p mealib-serve --test admission_oracle
 
+echo "==> obs: a sketch summary renders as captured, on 2,048 cases (release)"
+# The default suite draws 128 cases; the environment override widens
+# the summary proptest the same way.
+PROPTEST_CASES=2048 cargo test -q --release -p mealib-obs --test sketch_props -- \
+    a_summary_renders_the_sketch_as_captured
+
 echo "==> compiler: Listing 1 loop counts at the i64/u64 edges on 1,024 cases (release)"
 # The default suite draws 64 cases; the environment override widens the
 # two-constant proptest the same way.
