@@ -130,7 +130,7 @@ fn main() -> ExitCode {
     let opts = HarnessOpts::from_env();
     banner(
         "engine throughput — event-driven fast engine vs cycle oracle",
-        "epoch skipping batches row-hit streaks; bit-exactness is re-checked before timing",
+        "epoch skipping batches bus-limited streaks; bit-exactness is re-checked before timing",
     );
     let max_bytes: u64 = if opts.small { 2 << 20 } else { 8 << 20 };
     let reps: u32 = if opts.small { 2 } else { 3 };

@@ -7,8 +7,9 @@
 //! 3D-stacked DRAM simulator" of §4.2: FCFS per unit, bank-level
 //! parallelism, one command clock. The **fast engine**
 //! (the `fast` module) is an event-driven replay of the same model that
-//! batches contiguous row-hit streaks analytically and skips straight to
-//! the next bank/bus/refresh event; it is bit-exact against the cycle
+//! batches streaks of bus-limited bursts (row hits, and row misses whose
+//! activation the bus hides) analytically and skips straight to the
+//! next bank/bus/refresh event; it is bit-exact against the cycle
 //! engine by construction and by proptest, and
 //! [`EngineKind::DualCheck`] runs both and diffs every statistic.
 //!
@@ -93,11 +94,11 @@ pub(crate) struct ActWindow {
 
 impl ActWindow {
     /// Earliest cycle a new ACT may issue given the window constraint.
-    fn earliest(&self, t_faw: u64) -> u64 {
+    pub(crate) fn earliest(&self, t_faw: u64) -> u64 {
         self.recent[self.next] + t_faw
     }
 
-    fn record(&mut self, at: u64) {
+    pub(crate) fn record(&mut self, at: u64) {
         self.recent[self.next] = at;
         self.next = (self.next + 1) % 4;
     }

@@ -1,49 +1,64 @@
 //! Event-driven epoch-skipping replay (`EngineKind::Fast`).
 //!
 //! The fast engine exploits an invariant of the cycle engine's steady
-//! state: once a unit's data bus is the binding constraint, every
-//! row-hit burst completes exactly `t_burst` cycles after the previous
-//! one, and the per-bank state machines advance in lockstep with the
-//! bus. Formally, a burst is **bus-limited** when, at its turn,
+//! state: once a unit's data bus is the binding constraint, every burst
+//! completes exactly `t_burst` cycles after the previous one, and the
+//! per-bank state machines advance in lockstep with the bus. Call `p`
+//! the **bus pointer**, the cycle the unit's bus frees up at the
+//! burst's turn. Formally, a burst is **bus-limited** when, at its turn,
 //!
-//! 1. no refresh is owed (`bus_free < (refreshes_done + 1)·t_refi`),
-//! 2. its bank's open row matches (`open_row == Some(row)`), and
-//! 3. the bank's column command is not the bottleneck
-//!    (`cmd_ready + t_cl <= bus_free`).
+//! 1. no refresh is owed (`p < (refreshes_done + 1)·t_refi`), and
+//! 2. its data can start at `p`:
+//!    - a **row hit** (`open_row == Some(row)`) whose bank's column
+//!      command is not the bottleneck (`cmd_ready + t_cl <= p`), or
+//!    - a **row miss** whose activation, computed exactly as
+//!      [`UnitEngine::burst_core`]'s conflict or idle-bank arm computes
+//!      it (tRAS, tRP, tRC and the tFAW window included), satisfies
+//!      `act + t_rcd + t_cl <= p`.
 //!
-//! Under those conditions [`UnitEngine::burst_core`] computes
-//! `done = bus_free + t_burst`, latency exactly `t_burst`, and touches
-//! nothing but `bus_free`, `cmd_ready`, `issued_at`, the hit counter,
-//! and the byte/burst tallies — all of which a streak of `k` such
-//! bursts updates in closed form. The engine therefore grows the longest
-//! streak of bus-limited bursts (capped at the next refresh epoch, the
-//! next **event** that could perturb the state), applies the batch
-//! update, and *skips* the `k·t_burst` dead cycles in one step.
-//! Condition 3 stays decidable while the streak grows, without
-//! simulating: the
-//! bus pointer at streak offset `j` is exactly `bus_free + j·t_burst`,
-//! and a bank serviced earlier in the streak has
+//! Under those conditions `burst_core` computes `done = p + t_burst`,
+//! latency exactly `t_burst`, and touches `bus_free`, `cmd_ready`,
+//! `issued_at`, the command counters and the byte/burst tallies, all of
+//! which a streak of `k` such bursts updates in closed form. A miss also
+//! writes its bank's `act_at`, `has_activated` and `open_row` and the
+//! unit's tFAW window; only later bursts' hit test and misses read
+//! those, so a streak writes them in place as it accepts the miss. The
+//! engine therefore grows the longest streak of bus-limited bursts
+//! (capped at the next refresh epoch, the next **event** that could
+//! perturb the state), applies the batch update, and *skips* the
+//! `k·t_burst` dead cycles in one step. Condition 2 stays decidable
+//! while the streak grows, without simulating: the bus pointer at
+//! streak offset `j` is exactly `bus_free + j·t_burst`, and a bank
+//! serviced earlier in the streak has
 //! `cmd_ready + t_cl == its last done cycle <= the current bus pointer`
-//! by construction.
+//! by construction, which is also the `cmd_ready` a miss on it reads.
 //!
-//! Any burst that fails the conditions — a conflict, an idle bank, a
-//! refresh boundary, a cold column path — is replayed through the
-//! *shared* [`UnitEngine::burst`], so the slow path is the cycle
-//! engine's code, not a reimplementation. That, plus the closed-form
-//! algebra above, is why `EngineKind::DualCheck` and the determinism
-//! proptests hold the two engines bit-for-bit equal on every statistic
-//! (stats, vault counts, histogram buckets, energy, tenant slices).
+//! Any burst that fails the conditions — a bank still busy, a tFAW or
+//! tRC stall, a refresh boundary, a cold column path — is replayed
+//! through the *shared* [`UnitEngine::burst`], so the slow path is the
+//! cycle engine's code, not a reimplementation. That, plus the
+//! closed-form algebra above, is why `EngineKind::DualCheck` and the
+//! determinism proptests hold the two engines bit-for-bit equal on
+//! every statistic (stats, vault counts, histogram buckets, energy,
+//! tenant slices).
 //!
 //! **When a streak opens.** A bus-limited burst leaves the same state
-//! whether `burst_core` services it or a one-burst streak does, so which
-//! path takes it is a cost choice only. A streak opens on a bus-limited
-//! burst that has a successor in its run, or whose unit's previous
-//! burst was bus-limited too; a lone bus-limited burst after a miss —
-//! the occasional row hit of a scalar gather stream — takes the slow
-//! path, since a one-burst streak would cost a flush and a re-open
-//! when the next miss arrives. One-burst runs that follow each other on
-//! a row (64-byte lines on DDR) still batch: from the row's second hit
-//! on, each has a bus-limited predecessor. The streak's refresh cap is
+//! whether `burst_core` services it or a streak does, so which path
+//! takes it is a cost choice only. A row miss joins or opens a streak
+//! only when its run has a successor burst: the miss test is the
+//! activation arithmetic, which a lone one-burst miss (each scalar
+//! gather of a sparse stream) would pay on top of the slow path it
+//! almost always takes. So a row-window run (up to
+//! `row_bytes / burst_bytes` bursts, opening on a miss) joins the
+//! streak its predecessor left open, and back-to-back row windows on
+//! rotating banks cost no slow-path burst and no flush. A row hit opens
+//! a streak when it has a successor in its run, or when its unit's
+//! previous burst was bus-limited too; a lone bus-limited hit after a
+//! miss — the occasional row hit of a scalar gather stream — takes the
+//! slow path, since a one-burst streak would cost a flush when the next
+//! miss arrives. One-burst runs that follow each other on a row
+//! (64-byte lines on DDR) still batch: from the row's second hit on,
+//! each has a bus-limited predecessor. The streak's refresh cap is
 //! computed when it accepts its first burst, not on every re-open, and
 //! the refresh test itself is a compare; the division runs only when a
 //! refresh is owed.
@@ -51,10 +66,12 @@
 //! The unit's sinks ride along. On tagged replays every run carries
 //! its tenant (a run never spans two requests), and each streak chunk
 //! of `k` bursts at streak offset `c` charges it in closed form: bytes,
-//! bursts, zero activations (all row hits), completions from
-//! `bus_free + (c + 1)·t_burst` to `bus_free + (c + k)·t_burst`. A
-//! timeline sink charges every burst to its window, so while one is
-//! present batching is off and every burst takes the slow path.
+//! bursts, one activation when the chunk opens with a miss (a chunk is
+//! one run's bursts, and the rest hit the row the miss opened), and
+//! completions from `bus_free + (c + 1)·t_burst` to
+//! `bus_free + (c + k)·t_burst`. A timeline sink charges every burst to
+//! its window, so while one is present batching is off and every burst
+//! takes the slow path.
 //!
 //! The replay is a per-unit streak state fed run by run. Each unit
 //! keeps its engine plus the open streak's cap, count, byte/write
@@ -67,9 +84,9 @@
 //! bursts, which the streak takes in one step unless the refresh cap
 //! clips it. The serial path buffers no run or burst, so its working
 //! state is O(units × banks). Feeding runs one at a time is exact:
-//! growing a streak only reads the unit state frozen at streak start
-//! plus the running count, and each unit receives its runs in program
-//! order. An open streak absorbs consecutive runs itself, across
+//! growing a streak only reads the unit state frozen at streak start,
+//! the running count and the activation state admitted misses wrote in
+//! place, and each unit receives its runs in program order. An open streak absorbs consecutive runs itself, across
 //! request and tenant boundaries alike.
 
 use crate::config::MemoryConfig;
@@ -149,10 +166,12 @@ fn for_each_run(
 }
 
 /// One unit's replay state: its engine plus the open streak of
-/// bus-limited row hits, which [`Streak::flush`] applies in closed
-/// form. A streak is always open, possibly empty; its cap is fixed when
-/// it accepts its first burst, from the unit state at streak start,
-/// which no accepted burst changes until the flush.
+/// bus-limited bursts, which [`Streak::flush`] applies in closed form.
+/// A streak is always open, possibly empty; its cap is fixed when it
+/// accepts its first burst, from the unit state at streak start. An
+/// accepted miss writes its bank's activation state and the tFAW window
+/// in place; the bus, the column timing and the counters wait for the
+/// flush.
 struct Streak {
     u: UnitEngine,
     /// Longest streak before the refresh epoch: the burst at streak
@@ -162,11 +181,15 @@ struct Streak {
     k_max: u64,
     /// Bursts accepted into the open streak.
     count: u64,
+    /// Of those, the row misses, and the misses that closed another row
+    /// first (the conflict arm's precharges).
+    misses: u64,
+    precharges: u64,
     bytes_read: u64,
     bytes_written: u64,
     write_bursts: u64,
-    /// Whether the unit's last burst was bus-limited, whichever path
-    /// serviced it.
+    /// Whether the unit's last burst was bus-limited: it rode a streak,
+    /// or it was a bus-limited row hit on the slow path.
     last_limited: bool,
     /// `seen[bank] == generation` marks a bank touched by the open
     /// streak; the counter reuses `seen` across streaks without
@@ -185,6 +208,8 @@ impl Streak {
             u: proto.clone(),
             k_max: 0,
             count: 0,
+            misses: 0,
+            precharges: 0,
             bytes_read: 0,
             bytes_written: 0,
             write_bursts: 0,
@@ -195,26 +220,34 @@ impl Streak {
         }
     }
 
-    /// Replays one run, the unit's next in program order. The greedy
-    /// rule: extend the open streak while the run's bursts are
-    /// bus-limited (clipped at the refresh cap), and when the next burst
-    /// is not, flush the streak and retry that burst on an empty one. An
-    /// empty streak steps a burst through the shared slow path instead
-    /// of opening when the burst is not bus-limited (refresh owed,
-    /// conflict, idle bank, cold column path), when batching is off, or
-    /// when the streak would hold that one burst alone: it is its run's
-    /// last and the unit's previous burst was not bus-limited either.
-    /// A bus-limited burst costs the same state either way, so the last
+    /// Replays one run, the unit's next in program order. A run with a
+    /// successor burst that opens on a row miss first offers the miss to
+    /// the streak ([`Streak::admit_miss`]). Then the greedy rule: extend
+    /// the open streak while the run's bursts are bus-limited row hits
+    /// (clipped at the refresh cap), and when the next burst is not,
+    /// flush the streak and retry that burst on an empty one. An empty
+    /// streak steps a burst through the shared slow path instead of
+    /// opening when the burst is not a bus-limited hit (refresh owed,
+    /// miss, cold column path), when batching is off, or when the
+    /// streak would hold that one burst alone: it is its run's last and
+    /// the unit's previous burst was not bus-limited either. A
+    /// bus-limited burst costs the same state either way, so the last
     /// rule only spares a scalar gather's lone row hit the round trip
     /// through a one-burst streak, while back-to-back one-burst runs
     /// (64-byte lines on DDR) still batch from their second burst on.
     // Inlined at both of `RunDecoder::request`'s emission sites on the
-    // serial path (see the note there).
+    // serial path (see the note there). The miss offer stays ahead of
+    // the hit loop, not inside it: inside, it slowed the scalar gathers
+    // of the spmv stream, which never reach it, by about 6% (2-core
+    // x86-64 host).
     #[inline(always)]
     fn feed(&mut self, t: &DramTiming, run: &Run, write: bool, tenant: u16) {
         let t_burst = t.t_burst;
         let bank = run.bank as usize;
         let mut j = 0u64;
+        if run.n > 1 && self.u.banks[bank].open_row != Some(run.row) {
+            j = self.admit_miss(t, run, write, tenant);
+        }
         while j < run.n {
             let state = &self.u.banks[bank];
             let hit = state.open_row == Some(run.row);
@@ -245,39 +278,117 @@ impl Streak {
                 self.flush(t);
                 continue;
             }
-            self.seen[bank] = self.generation;
-            self.last_limited = true;
-            // Accept the run's remaining bursts, clipped at the refresh
-            // cap; a clipped run resumes on the next streak.
-            let avail = run.n - j;
-            let take = avail.min(self.k_max - self.count);
-            let b = if j == 0 && take == avail {
-                run.total
-            } else {
-                let burst = t.burst_bytes;
-                run.offset(burst, j + take) - run.offset(burst, j)
-            };
-            if write {
-                self.bytes_written += b;
-                self.write_bursts += take;
-            } else {
-                self.bytes_read += b;
-            }
-            let first = self.u.bus_free + (self.count + 1) * t_burst;
-            self.count += take;
-            let last = self.u.bus_free + self.count * t_burst;
-            self.last_done[bank] = last;
-            if let Some(tenants) = self.u.tenants.as_mut() {
-                tenants[tenant as usize].charge(write, b, take, 0, first, last);
-            }
-            j += take;
+            j = self.accept(t, run, j, write, tenant, 0);
         }
     }
 
+    /// Offers a run's first burst, a row miss, to the streak, and takes
+    /// the whole run (clipped at the refresh cap) when the miss is
+    /// bus-limited: batching is on, the streak has room below its cap
+    /// (or, empty, owes no refresh), and the activation, computed as
+    /// [`UnitEngine::burst_core`]'s conflict or idle-bank arm computes
+    /// it, lets the data start at the bus pointer `p`. The admitted miss
+    /// activates the row in place (tFAW window, `act_at`,
+    /// `has_activated`, `open_row`), so the run's other bursts are hits
+    /// on a bank the streak has touched. Returns how many bursts the
+    /// streak took: zero when it turned the miss away, changing nothing,
+    /// and the feed loop then steps the miss through the slow path.
+    #[inline(always)]
+    fn admit_miss(&mut self, t: &DramTiming, run: &Run, write: bool, tenant: u16) -> u64 {
+        let p = self.u.bus_free + self.count * t.t_burst;
+        let room = if self.count == 0 {
+            self.u.timeline.is_none() && self.u.next_refresh(t).is_none_or(|next| p < next)
+        } else {
+            self.count < self.k_max
+        };
+        if !room {
+            return 0;
+        }
+        let bank = run.bank as usize;
+        let window = &mut self.u.window;
+        let state = &mut self.u.banks[bank];
+        let cmd_ready = if self.seen[bank] == self.generation {
+            self.last_done[bank] - t.t_cl
+        } else {
+            state.cmd_ready
+        };
+        let conflict = state.open_row.is_some();
+        let act = if conflict {
+            let pre = cmd_ready.max(state.act_at + t.t_ras);
+            (pre + t.t_rp).max(state.act_at + t.t_rc())
+        } else if state.has_activated {
+            cmd_ready.max(state.act_at + t.t_rc())
+        } else {
+            cmd_ready
+        }
+        .max(window.earliest(t.t_faw));
+        if act + t.t_rcd + t.t_cl > p {
+            return 0;
+        }
+        window.record(act);
+        state.act_at = act;
+        state.has_activated = true;
+        state.open_row = Some(run.row);
+        self.misses += 1;
+        self.precharges += u64::from(conflict);
+        if self.count == 0 {
+            self.k_max = self
+                .u
+                .next_refresh(t)
+                .map_or(u64::MAX, |next| (next - p).div_ceil(t.t_burst));
+        }
+        self.accept(t, run, 0, write, tenant, 1)
+    }
+
+    /// Accepts bursts `j..` of `run` into the open streak, clipped at
+    /// the refresh cap (a clipped run resumes on the next streak), and
+    /// charges them, with `activations` (one when burst `j` is an
+    /// admitted miss), to the run's tenant. Returns the index of the
+    /// first burst not taken.
+    #[inline(always)]
+    fn accept(
+        &mut self,
+        t: &DramTiming,
+        run: &Run,
+        j: u64,
+        write: bool,
+        tenant: u16,
+        activations: u64,
+    ) -> u64 {
+        let t_burst = t.t_burst;
+        let bank = run.bank as usize;
+        self.seen[bank] = self.generation;
+        self.last_limited = true;
+        let avail = run.n - j;
+        let take = avail.min(self.k_max - self.count);
+        let b = if j == 0 && take == avail {
+            run.total
+        } else {
+            let burst = t.burst_bytes;
+            run.offset(burst, j + take) - run.offset(burst, j)
+        };
+        if write {
+            self.bytes_written += b;
+            self.write_bursts += take;
+        } else {
+            self.bytes_read += b;
+        }
+        let first = self.u.bus_free + (self.count + 1) * t_burst;
+        self.count += take;
+        let last = self.u.bus_free + self.count * t_burst;
+        self.last_done[bank] = last;
+        if let Some(tenants) = self.u.tenants.as_mut() {
+            tenants[tenant as usize].charge(write, b, take, activations, first, last);
+        }
+        j + take
+    }
+
     /// Closed-form update for the open streak's `count` bus-limited
-    /// bursts — each line mirrors what `burst_core`'s hit arm would have
-    /// done `count` times over. Leaves the streak empty, under a fresh
-    /// generation.
+    /// bursts — each line mirrors what `burst_core`'s arms would have
+    /// done burst by burst: `misses` of them missed (the activation
+    /// state they wrote is already in place), the rest hit, and all
+    /// completed `t_burst` after their predecessor. Leaves the streak
+    /// empty, under a fresh generation.
     fn flush(&mut self, t: &DramTiming) {
         let u = &mut self.u;
         let count = self.count;
@@ -285,7 +396,10 @@ impl Streak {
         u.bytes_written += self.bytes_written;
         u.vault.read_bursts += count - self.write_bursts;
         u.vault.write_bursts += self.write_bursts;
-        u.vault.row_hits += count;
+        u.vault.row_hits += count - self.misses;
+        u.vault.row_misses += self.misses;
+        u.vault.activations += self.misses;
+        u.vault.precharges += self.precharges;
         u.latencies
             .record_n(LatencyHistogram::bucket_of(t.t_burst), count);
         u.bus_free += count * t.t_burst;
@@ -297,6 +411,8 @@ impl Streak {
         }
         self.generation += 1;
         self.count = 0;
+        self.misses = 0;
+        self.precharges = 0;
         self.bytes_read = 0;
         self.bytes_written = 0;
         self.write_bursts = 0;
@@ -335,7 +451,7 @@ mod tests {
     use super::*;
     use crate::engine::{
         dispatch, finish_run, sequential_trace, simulate, strided_trace, EngineKind, Request,
-        SimOptions,
+        SimOptions, VaultStats,
     };
     use crate::tenancy::{interleave_tenants, TenantStream};
 
@@ -450,6 +566,105 @@ mod tests {
         let fast = finish_run(&c, vec![streak.finish(t)]);
         assert_eq!(fast, finish_run(&c, vec![oracle]));
         assert_eq!(fast.stats.row_hits, 15);
+    }
+
+    /// A hmc_stack unit with banks 0..4 primed as if activated long
+    /// ago: banks 0..3 hold row 9 open and bank 3 is idle (precharged
+    /// after an earlier activation), the bus is busy until cycle 1,000,
+    /// and the first refresh epoch is far off. Each row-window run of
+    /// `n` bursts to row 1 of a primed bank then opens with a
+    /// bus-limited miss: conflict arms on banks 0..3, the idle arm on
+    /// bank 3.
+    fn primed_unit(t: &DramTiming, tenants: Option<usize>) -> UnitEngine {
+        let mut proto = UnitEngine::new(8, None, tenants);
+        for (bank, state) in proto.banks.iter_mut().take(4).enumerate() {
+            state.open_row = (bank < 3).then_some(9);
+            state.has_activated = true;
+        }
+        proto.bus_free = 1000;
+        proto.issued_at = proto.bus_free;
+        assert!(proto.bus_free + 1024 * t.t_burst < t.t_refi);
+        proto
+    }
+
+    fn row_window(t: &DramTiming, bank: u32, n: u64) -> Run {
+        Run {
+            unit: 0,
+            bank,
+            row: 1,
+            col0: 0,
+            head: t.burst_bytes,
+            total: n * t.burst_bytes,
+            n,
+        }
+    }
+
+    #[test]
+    fn row_window_runs_on_rotating_banks_ride_one_streak() {
+        let c = MemoryConfig::hmc_stack();
+        let t = &c.timing;
+        let n = 16;
+        let proto = primed_unit(t, Some(4));
+        let mut streak = Streak::new(&proto);
+        let mut oracle = proto.clone();
+        for bank in 0..4u32 {
+            let run = row_window(t, bank, n);
+            streak.feed(t, &run, bank % 2 == 1, bank as u16);
+            for j in 0..n {
+                oracle.burst(t, &burst_of(t, &run, j, bank % 2 == 1, bank as u16));
+            }
+        }
+        // Every miss opened or joined the streak: no slow-path burst,
+        // no flush, and the activations already sit in the banks.
+        assert_eq!(streak.count, 4 * n);
+        assert_eq!((streak.misses, streak.precharges), (4, 3));
+        assert_eq!(streak.u.vault, VaultStats::default());
+        assert_eq!(streak.u.bus_free, proto.bus_free);
+        assert!(streak.u.banks[..4].iter().all(|b| b.open_row == Some(1)));
+        let unit = streak.finish(t);
+        let acts: Vec<u64> = unit
+            .tenants
+            .iter()
+            .flatten()
+            .map(|a| a.activations)
+            .collect();
+        assert_eq!(acts, [1, 1, 1, 1], "each run's tenant pays its activation");
+        assert_eq!(unit.vault.activations, 4);
+        assert_eq!(unit.vault.precharges, 3);
+        assert_eq!(unit.vault.row_hits, 4 * (n - 1));
+        assert_eq!(unit.tenants, oracle.tenants);
+        assert_eq!(finish_run(&c, vec![unit]), finish_run(&c, vec![oracle]));
+    }
+
+    #[test]
+    fn a_lone_one_burst_miss_takes_the_slow_path() {
+        let c = MemoryConfig::hmc_stack();
+        let t = &c.timing;
+        let proto = primed_unit(t, None);
+        let mut streak = Streak::new(&proto);
+        let mut oracle = proto.clone();
+        // A lone miss on an empty streak: stepped, not opened.
+        let lone = row_window(t, 0, 1);
+        streak.feed(t, &lone, false, 0);
+        oracle.burst(t, &burst_of(t, &lone, 0, false, 0));
+        assert_eq!(streak.count, 0);
+        assert_eq!(streak.u.vault.row_misses, 1);
+        // A streak of row hits is open; a lone miss flushes it and is
+        // stepped in turn.
+        let hits = row_window(t, 0, 8);
+        let lone = row_window(t, 1, 1);
+        streak.feed(t, &hits, false, 0);
+        assert_eq!(streak.count, 8);
+        streak.feed(t, &lone, false, 0);
+        for j in 0..hits.n {
+            oracle.burst(t, &burst_of(t, &hits, j, false, 0));
+        }
+        oracle.burst(t, &burst_of(t, &lone, 0, false, 0));
+        assert_eq!(streak.count, 0);
+        assert_eq!(streak.u.vault.row_misses, 2);
+        assert_eq!(streak.u.vault.row_hits, 8);
+        let fast = finish_run(&c, vec![streak.finish(t)]);
+        assert_eq!(fast, finish_run(&c, vec![oracle]));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`simulate_tenants`] replays the merged trace with the tag column as a
 //! per-unit attribution sink, which charges bytes, bursts, activations,
 //! completion time, and energy back to each tenant. Both engines honour
-//! the sink — the fast engine charges batched row-hit streaks in closed
+//! the sink — the fast engine charges batched bus-limited streaks in closed
 //! form — so [`crate::engine::EngineKind::DualCheck`] compares the two
 //! on tagged replays like on any other. That per-tenant measurement is
 //! the ground truth the `mealib-verify` interference certifier (MEA3xx)

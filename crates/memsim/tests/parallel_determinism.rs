@@ -13,18 +13,27 @@
 //!    (stats, vault counts, histogram buckets, energy), across engine
 //!    kinds × jobs ∈ {1, 2, 4, 8} × mapping geometries, including
 //!    adversarial traces: row-conflict storms, single-vault hotspots,
-//!    zero-length and max-burst requests.
+//!    zero-length and max-burst requests. One property also draws the
+//!    device timing itself, so the activation constraints the fast
+//!    engine's bus-limited miss test reads (tRAS, tRC, tFAW) bind on
+//!    some draws and not on others.
 //!
 //! These properties are what make `SimOptions::jobs` and `EngineKind::Fast`
 //! shippable: the parallel run and the fast run are not "close", they
 //! are the same run.
 
 use mealib_memsim::address::AddressMapping;
-use mealib_memsim::engine::{simulate, EngineKind, EngineRun, Request, SimError, SimOptions};
+use mealib_memsim::engine::{
+    sequential_trace, simulate, strided_trace, EngineKind, EngineRun, Op, Request, SimError,
+    SimOptions,
+};
+use mealib_memsim::tenancy::{interleave_tenants, simulate_tenants, TenantStream};
+use mealib_memsim::timing::DramTiming;
 use mealib_memsim::trace::TraceBuffer;
 use mealib_memsim::MemoryConfig;
 use mealib_obs::timeline::WindowCounters;
 use mealib_types::PhysAddr;
+use mealib_types::Report;
 use proptest::prelude::*;
 
 /// Addresses stay below 2^24 so the asymmetric split (drawn from the same
@@ -129,6 +138,89 @@ fn config_strategy() -> impl Strategy<Value = MemoryConfig> {
         cfg.mapping = mapping;
         cfg
     })
+}
+
+/// Device timings that pass [`DramTiming::check`] without an error,
+/// drawn so the activation constraints bind on some draws: tRAS runs up
+/// to 192 cycles past `t_rcd + t_cl` (so tRC can outlast several row
+/// windows of a 1–8 cycle burst) and tFAW up to 256 cycles (past four
+/// row cycles, a warning only, on some draws). tREFI stays under 4,200
+/// cycles, so refresh epochs fall inside the longer streams' streaks.
+fn timing_strategy() -> impl Strategy<Value = DramTiming> {
+    (
+        (1u64..=16, 1u64..=16, 1u64..=16),
+        (0u64..=192, 1u64..=256),
+        (1u64..=8, prop_oneof![Just(16u64), Just(32), Just(64)]),
+        (1u64..=128, 1u64..=4000),
+    )
+        .prop_map(
+            |(
+                (t_rcd, t_cl, t_rp),
+                (ras_slack, t_faw),
+                (t_burst, burst_bytes),
+                (t_rfc, refi_slack),
+            )| {
+                DramTiming {
+                    t_rcd,
+                    t_cl,
+                    t_rp,
+                    t_ras: t_rcd + t_cl + ras_slack,
+                    t_burst,
+                    burst_bytes,
+                    t_faw,
+                    t_rfc,
+                    t_refi: t_rfc + refi_slack,
+                    ..DramTiming::hmc_vault()
+                }
+            },
+        )
+}
+
+/// One tenant's stream: one to three multi-row shapes back to back,
+/// each a sequential sweep (whole, or in 64 B to 4 KiB requests) or a
+/// strided walk, so row-window runs on rotating banks meet conflicts on
+/// banks activated a few windows earlier.
+fn multi_row_stream_strategy() -> impl Strategy<Value = TenantStream> {
+    let shape = prop_oneof![
+        (
+            0u64..(1 << 22),
+            1u64..=(64 << 10),
+            prop_oneof![Just(64u64), Just(256), Just(4096), Just(u64::MAX)],
+            any::<bool>(),
+        )
+            .prop_map(|(base, bytes, chunk, write)| {
+                let op = if write { Op::Write } else { Op::Read };
+                sequential_trace(base, bytes, chunk.min(bytes), op)
+            }),
+        (
+            0u64..(1 << 22),
+            prop_oneof![(8u32..=16).prop_map(|s| 1u64 << s), 1u64..=(1 << 16)],
+            4u64..=1024,
+            1u64..=128,
+            any::<bool>(),
+        )
+            .prop_map(|(base, stride, elem, count, write)| {
+                let op = if write { Op::Write } else { Op::Read };
+                strided_trace(base, stride, elem, count, op)
+            }),
+    ];
+    (proptest::collection::vec(shape, 1..=3), 0u64..16).prop_map(|(shapes, arrival)| {
+        let mut trace = TraceBuffer::new();
+        for shape in &shapes {
+            trace.extend(shape.iter());
+        }
+        TenantStream::new(trace).arriving_at(arrival)
+    })
+}
+
+/// Cases of the timing-randomized fast ≡ cycle property: 64, or
+/// `PROPTEST_CASES` when set (the release verification run widens the
+/// draw this way).
+fn timing_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(64)
 }
 
 /// Asserts bit-exact equality on every field, including the `f64`s by
@@ -422,5 +514,44 @@ fn parallel_vault_counts_sum_to_aggregates() {
         assert_eq!(run.stats.activations, acts);
         assert_eq!(run.stats.row_hits, hits);
         assert_eq!(run.latencies.count(), reads + writes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(timing_cases()))]
+
+    /// Fast ≡ cycle under random device timing: random valid timings ×
+    /// random mappings × 1–4 tenants of multi-row streams, untagged (the
+    /// merged trace) and tagged (per-tenant slices), through the serial
+    /// and the sharded replay. The preset-timing tests let some wrong
+    /// miss tests through (one that drops tRC from the idle-bank arm
+    /// fails none of them); these draws make tRC and tFAW bind often.
+    #[test]
+    fn fast_engine_matches_cycle_under_random_timing(
+        timing in timing_strategy(),
+        mapping in mapping_strategy(),
+        ddr in any::<bool>(),
+        streams in proptest::collection::vec(multi_row_stream_strategy(), 1..=4),
+    ) {
+        let mut cfg = if ddr { MemoryConfig::ddr_dual_channel() } else { MemoryConfig::hmc_stack() };
+        let mut report = Report::new();
+        timing.check(&mut report);
+        prop_assert_eq!(report.error_count(), 0, "{}", report);
+        cfg.timing = timing;
+        cfg.mapping = mapping;
+        prop_assert!(cfg.validate().is_ok());
+        let (merged, _) = interleave_tenants(&streams);
+        let oracle = cycle_serial(&cfg, &merged);
+        let tagged_oracle =
+            simulate_tenants(&cfg, &streams, &SimOptions::cycle()).expect("valid config");
+        for jobs in [1usize, 2] {
+            let ctx = format!("{:?} {:?} jobs={jobs}", cfg.timing, cfg.mapping);
+            let fast = simulate(&cfg, &merged, &SimOptions::fast().jobs(jobs))
+                .expect("valid config");
+            assert_bit_exact(&fast, &oracle, &format!("{ctx} untagged"));
+            let tagged = simulate_tenants(&cfg, &streams, &SimOptions::fast().jobs(jobs))
+                .expect("valid config");
+            assert_bit_exact(&tagged, &tagged_oracle, &format!("{ctx} tagged"));
+        }
     }
 }

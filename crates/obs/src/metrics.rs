@@ -25,25 +25,19 @@
 //! Resolving creates the metric, exactly as its first string-keyed
 //! write would; a name keeps one kind on either path.
 //!
-//! Export walks the key map, so both exporters emit byte-identical
-//! text for equal contents whatever order the metrics were created in —
-//! the property the serving telemetry's determinism harness pins down.
-//! The exporters:
-//!
-//! * [`MetricsRegistry::to_prometheus`] — the text exposition format
-//!   (`# HELP` / `# TYPE` comments, then `name{labels} value`
-//!   samples; histograms render as Prometheus *summaries* with
-//!   `quantile`-labeled samples plus `_sum`/`_count`);
-//! * [`MetricsRegistry::snapshot_json`] — one JSON object through the
-//!   dependency-free [`crate::json`] builder, for per-epoch JSONL
-//!   snapshot streams.
+//! Export walks the key map, so the exporter emits byte-identical text
+//! for equal contents whatever order the metrics were created in — the
+//! property the serving telemetry's determinism harness pins down.
+//! [`MetricsRegistry::to_prometheus`] writes the text exposition format
+//! (`# HELP` / `# TYPE` comments, then `name{labels} value` samples;
+//! histograms render as Prometheus *summaries* with `quantile`-labeled
+//! samples plus `_sum`/`_count`).
 //!
 //! [`validate_exposition`] is the round-trip checker the bench
 //! harness runs over emitted exposition text.
 
 use std::collections::BTreeMap;
 
-use crate::json::Object;
 use crate::sketch::QuantileSketch;
 
 /// A metric identity: name plus sorted label pairs.
@@ -508,30 +502,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as one JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`
-    /// with flat `name{k="v"}` keys. Histogram values are the sketch
-    /// objects from [`QuantileSketch::to_json`].
-    pub fn snapshot_json(&self) -> String {
-        let mut counters = Object::new();
-        for (k, i) in self.entries(Kind::Counter) {
-            counters.int(&k.flat(), self.counters[i]);
-        }
-        let mut gauges = Object::new();
-        for (k, i) in self.entries(Kind::Gauge) {
-            gauges.num(&k.flat(), self.gauges[i]);
-        }
-        let mut hists = Object::new();
-        for (k, i) in self.entries(Kind::Summary) {
-            hists.raw(&k.flat(), self.histograms[i].to_json());
-        }
-        let mut root = Object::new();
-        root.raw("counters", counters.render());
-        root.raw("gauges", gauges.render());
-        root.raw("histograms", hists.render());
-        root.render()
-    }
 }
 
 /// Appends `value` and returns its index.
@@ -660,24 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_parses_and_reads_back() {
-        let reg = sample_registry();
-        let v = crate::json::parse(&reg.snapshot_json()).expect("snapshot parses");
-        let counters = v.get("counters").expect("counters");
-        assert_eq!(
-            counters
-                .get("serve_admitted_total{class=\"stap-tiny\"}")
-                .and_then(|x| x.as_f64()),
-            Some(3.0)
-        );
-        let hists = v.get("histograms").expect("histograms");
-        let sketch = hists
-            .get("serve_service_seconds{class=\"stap-tiny\"}")
-            .expect("sketch");
-        assert_eq!(sketch.get("count").and_then(|x| x.as_f64()), Some(100.0));
-    }
-
-    #[test]
     fn merge_adds_counters_and_folds_sketches() {
         let mut a = sample_registry();
         let b = sample_registry();
@@ -700,7 +652,6 @@ mod tests {
         let a = sample_registry();
         let b = sample_registry();
         assert_eq!(a.to_prometheus(), b.to_prometheus());
-        assert_eq!(a.snapshot_json(), b.snapshot_json());
     }
 
     #[test]

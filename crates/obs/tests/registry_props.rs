@@ -129,11 +129,8 @@ proptest! {
             }
         }
         let prom = by_name.to_prometheus();
-        let snap = by_name.snapshot_json();
         prop_assert_eq!(&by_handle.to_prometheus(), &prom);
-        prop_assert_eq!(&by_handle.snapshot_json(), &snap);
         prop_assert_eq!(&mixed.to_prometheus(), &prom);
-        prop_assert_eq!(&mixed.snapshot_json(), &snap);
         for (&(name, labels), &h) in &handles.gauges {
             prop_assert_eq!(
                 Some(by_handle.gauge_at(h)),

@@ -36,6 +36,12 @@ echo "==> compiler: Listing 1 loop counts at the i64/u64 edges on 1,024 cases (r
 PROPTEST_CASES=1024 cargo test -q --release -p mealib-compiler --test stap_listing -- \
     listing1_loop_counts_are_exact_trip_products_at_the_edges
 
+echo "==> memsim: fast ≡ cycle under random device timing on 1,024 cases (release)"
+# The default suite draws 64 cases; the environment override widens the
+# timing-randomized proptest the same way.
+PROPTEST_CASES=1024 cargo test -q --release -p mealib-memsim --test parallel_determinism -- \
+    fast_engine_matches_cycle_under_random_timing
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
