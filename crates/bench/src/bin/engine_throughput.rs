@@ -11,8 +11,9 @@
 //! every stream equally: a wall-time sum would let spmv's random scalar
 //! gathers mask the win on every other stream. No analytic batching
 //! skips a gather's row miss; the fast engine replays them only about
-//! 2x faster than the oracle, through a cheaper decode and slow path,
-//! against 10-30x on the streaming workloads.
+//! 2.5x faster than the oracle, through a one-step decode and a
+//! straight lane past the streak to the shared slow path, against
+//! 10-30x on the streaming workloads.
 //! The rates are host wall time, so they are printed, never written to
 //! the JSON summary, which carries only the stream count.
 //!

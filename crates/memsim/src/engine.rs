@@ -755,6 +755,11 @@ pub(crate) struct UnitEngine {
     pub(crate) bus_free: u64,
     pub(crate) window: ActWindow,
     pub(crate) refreshes_done: u64,
+    /// The bus cycle from which the unit owes its next refresh: 0 on a
+    /// fresh unit, whose first burst computes it, and otherwise exactly
+    /// [`UnitEngine::next_refresh`], saturated at `u64::MAX`. Cached so
+    /// that [`UnitEngine::burst_core`]'s refresh test is one compare.
+    pub(crate) refresh_at: u64,
     /// Program-order issue pointer: a burst's latency is measured from
     /// the completion of the previous burst on the same unit (FCFS).
     pub(crate) issued_at: u64,
@@ -764,7 +769,11 @@ pub(crate) struct UnitEngine {
     pub(crate) bytes_written: u64,
     /// Windowed counter accumulation; `None` on the default (unprofiled)
     /// path, where [`UnitEngine::burst`] costs one discriminant check.
-    pub(crate) timeline: Option<UnitTimeline>,
+    // Boxed: only profiled runs use it, and each replay copies every
+    // unit's inline state. Inline, its 32 bytes plus the cached refresh
+    // epoch slowed perfbench `serve_light` (small tagged replays) by
+    // 5–8% (2-core x86-64 host).
+    pub(crate) timeline: Option<Box<UnitTimeline>>,
     /// Per-tenant accumulators; `Some` exactly on tagged replays.
     pub(crate) tenants: Option<Vec<TenantAccum>>,
 }
@@ -779,12 +788,13 @@ impl UnitEngine {
             bus_free: 0,
             window: ActWindow::default(),
             refreshes_done: 0,
+            refresh_at: 0,
             issued_at: 0,
             vault: VaultStats::default(),
             latencies: LatencyHistogram::default(),
             bytes_read: 0,
             bytes_written: 0,
-            timeline: profile.map(UnitTimeline::new),
+            timeline: profile.map(|w| Box::new(UnitTimeline::new(w))),
             tenants: tenants.map(|n| vec![TenantAccum::default(); n]),
         }
     }
@@ -851,27 +861,17 @@ impl UnitEngine {
         self.refreshes_done.checked_add(1)?.checked_mul(t.t_refi)
     }
 
-    /// Services one burst in FCFS order: refresh accounting, row-buffer
-    /// logic, then a slot on the unit's data bus.
-    ///
-    /// This is the shared slow path: the fast engine reaches it through
-    /// [`UnitEngine::burst`] for every burst its analytic streak
-    /// batching cannot cover, which is what keeps the two engines
-    /// bit-exact on conflicts, refreshes, and activations.
-    // Forced inline: left to the compiler it stayed a call from the
-    // fast engine's slow path, and inlining it sped scalar gather
-    // replay by about 1.4x (spmv stream, 2-core x86-64 host).
-    #[inline(always)]
-    pub(crate) fn burst_core(&mut self, t: &DramTiming, b: &Burst) {
-        // Periodic all-bank refresh (REFab): once per tREFI the whole
-        // unit spends tRFC refreshing, closing every row buffer. The
-        // compare is the hot-path test; the division runs only when a
-        // refresh is owed.
-        if self
-            .next_refresh(t)
-            .is_some_and(|next| self.bus_free >= next)
-        {
-            let due = self.bus_free / t.t_refi;
+    /// Pays the refresh debt `burst_core`'s compare found, if any, and
+    /// recomputes [`UnitEngine::refresh_at`]. Once per tREFI the whole
+    /// unit spends tRFC refreshing, closing every row buffer. Nothing is
+    /// owed on a fresh unit's first burst, or when the bus reaches a
+    /// saturated epoch that lies past `u64::MAX`; then only the epoch is
+    /// computed.
+    #[cold]
+    #[inline(never)]
+    fn refresh(&mut self, t: &DramTiming) {
+        let due = self.bus_free / t.t_refi;
+        if due > self.refreshes_done {
             let owed = due - self.refreshes_done;
             self.refreshes_done = due;
             self.vault.refreshes += owed;
@@ -885,6 +885,26 @@ impl UnitEngine {
                 bank.cmd_ready = bank.cmd_ready.max(self.bus_free);
             }
         }
+        self.refresh_at = self.next_refresh(t).unwrap_or(u64::MAX);
+    }
+
+    /// Services one burst in FCFS order: refresh accounting, row-buffer
+    /// logic, then a slot on the unit's data bus.
+    ///
+    /// This is the shared slow path: the fast engine reaches it through
+    /// [`UnitEngine::burst`] for every burst its analytic streak
+    /// batching cannot cover, which is what keeps the two engines
+    /// bit-exact on conflicts, refreshes, and activations.
+    // Forced inline: left to the compiler it stayed a call from the
+    // fast engine's slow path, and inlining it sped scalar gather
+    // replay by about 1.4x (spmv stream, 2-core x86-64 host).
+    #[inline(always)]
+    pub(crate) fn burst_core(&mut self, t: &DramTiming, b: &Burst) {
+        // Periodic all-bank refresh (REFab): the hot-path test is one
+        // compare against the cached epoch; paying runs out of line.
+        if self.bus_free >= self.refresh_at {
+            self.refresh(t);
+        }
 
         let bank = &mut self.banks[b.loc.bank];
         let data_start = match bank.open_row {
@@ -897,10 +917,10 @@ impl UnitEngine {
                 self.vault.row_misses += 1;
                 self.vault.activations += 1;
                 self.vault.precharges += 1;
+                // `t_rc = t_ras + t_rp`, so `pre + t_rp` already covers
+                // `act_at + t_rc`.
                 let pre = bank.cmd_ready.max(bank.act_at + t.t_ras);
-                let act = (pre + t.t_rp)
-                    .max(bank.act_at + t.t_rc())
-                    .max(self.window.earliest(t.t_faw));
+                let act = (pre + t.t_rp).max(self.window.earliest(t.t_faw));
                 self.window.record(act);
                 bank.act_at = act;
                 act + t.t_rcd + t.t_cl

@@ -44,24 +44,26 @@
 //!
 //! **When a streak opens.** A bus-limited burst leaves the same state
 //! whether `burst_core` services it or a streak does, so which path
-//! takes it is a cost choice only. A row miss joins or opens a streak
-//! only when its run has a successor burst: the miss test is the
-//! activation arithmetic, which a lone one-burst miss (each scalar
-//! gather of a sparse stream) would pay on top of the slow path it
-//! almost always takes. So a row-window run (up to
-//! `row_bytes / burst_bytes` bursts, opening on a miss) joins the
-//! streak its predecessor left open, and back-to-back row windows on
-//! rotating banks cost no slow-path burst and no flush. A row hit opens
-//! a streak when it has a successor in its run, or when its unit's
-//! previous burst was bus-limited too; a lone bus-limited hit after a
-//! miss — the occasional row hit of a scalar gather stream — takes the
-//! slow path, since a one-burst streak would cost a flush when the next
-//! miss arrives. One-burst runs that follow each other on a row
-//! (64-byte lines on DDR) still batch: from the row's second hit on,
-//! each has a bus-limited predecessor. The streak's refresh cap is
-//! computed when it accepts its first burst, not on every re-open, and
-//! the refresh test itself is a compare; the division runs only when a
-//! refresh is owed.
+//! takes it is a cost choice only. A one-burst run on an empty streak
+//! (each scalar gather of a sparse stream) takes a **straight lane** to
+//! the slow path: no bus-limited test, no refresh cap, no streak
+//! bookkeeping. The one exception is a run that continues the unit's
+//! previous burst, a row hit on the bank that served it
+//! (`cmd_ready + t_cl == issued_at`); only that run is tested, and it
+//! opens a streak when the unit's previous burst was bus-limited too.
+//! So one-burst runs that follow each other on a row (64-byte lines on
+//! DDR) still batch from the row's second hit on, while a gather's
+//! occasional row hit on another bank opens no one-burst streak, which
+//! would cost a refresh cap and, at the next miss, a flush. A row miss joins or opens a streak only when its run has a
+//! successor burst: the miss test is the activation arithmetic. So a
+//! row-window run (up to `row_bytes / burst_bytes` bursts, opening on
+//! a miss) joins the streak its predecessor left open, and back-to-back
+//! row windows on rotating banks cost no slow-path burst and no flush.
+//! A run with a successor that opens on a hit opens a streak when the
+//! hit is bus-limited. The streak's refresh cap is computed when it
+//! accepts its first burst, not on every re-open, and the slow path's
+//! refresh test is one compare against the unit's cached refresh epoch
+//! ([`UnitEngine::refresh_at`]).
 //!
 //! The unit's sinks ride along. On tagged replays every run carries
 //! its tenant (a run never spans two requests), and each streak chunk
@@ -188,8 +190,9 @@ struct Streak {
     bytes_read: u64,
     bytes_written: u64,
     write_bursts: u64,
-    /// Whether the unit's last burst was bus-limited: it rode a streak,
-    /// or it was a bus-limited row hit on the slow path.
+    /// Whether the unit's last burst is known to be bus-limited: it
+    /// rode a streak, or it was a bus-limited row hit tested on the slow
+    /// path. The straight lane of a lone run clears it untested.
     last_limited: bool,
     /// `seen[bank] == generation` marks a bank touched by the open
     /// streak; the counter reuses `seen` across streaks without
@@ -220,7 +223,11 @@ impl Streak {
         }
     }
 
-    /// Replays one run, the unit's next in program order. A run with a
+    /// Replays one run, the unit's next in program order. A one-burst
+    /// run on an empty streak takes the straight lane, the shared slow
+    /// path with no bus-limited test and no refresh cap, unless it
+    /// continues the unit's previous burst: a row hit on the bank that
+    /// served it (`cmd_ready + t_cl == issued_at`). A run with a
     /// successor burst that opens on a row miss first offers the miss to
     /// the streak ([`Streak::admit_miss`]). Then the greedy rule: extend
     /// the open streak while the run's bursts are bus-limited row hits
@@ -231,10 +238,11 @@ impl Streak {
     /// miss, cold column path), when batching is off, or when the
     /// streak would hold that one burst alone: it is its run's last and
     /// the unit's previous burst was not bus-limited either. A
-    /// bus-limited burst costs the same state either way, so the last
-    /// rule only spares a scalar gather's lone row hit the round trip
-    /// through a one-burst streak, while back-to-back one-burst runs
-    /// (64-byte lines on DDR) still batch from their second burst on.
+    /// bus-limited burst leaves the same state on either path, so both
+    /// rules for lone bursts only spare a scalar gather the tests and a
+    /// one-burst streak's cap and flush, while back-to-back one-burst
+    /// runs on one row (64-byte lines on DDR) still batch from the
+    /// row's second hit on.
     // Inlined at both of `RunDecoder::request`'s emission sites on the
     // serial path (see the note there). The miss offer stays ahead of
     // the hit loop, not inside it: inside, it slowed the scalar gathers
@@ -245,7 +253,16 @@ impl Streak {
         let t_burst = t.t_burst;
         let bank = run.bank as usize;
         let mut j = 0u64;
-        if run.n > 1 && self.u.banks[bank].open_row != Some(run.row) {
+        if run.n == 1 {
+            let state = &self.u.banks[bank];
+            if self.count == 0
+                && (state.open_row != Some(run.row) || state.cmd_ready + t.t_cl != self.u.issued_at)
+            {
+                self.u.burst(t, &burst_of(t, run, 0, write, tenant));
+                self.last_limited = false;
+                return;
+            }
+        } else if self.u.banks[bank].open_row != Some(run.row) {
             j = self.admit_miss(t, run, write, tenant);
         }
         while j < run.n {
@@ -314,8 +331,9 @@ impl Streak {
         };
         let conflict = state.open_row.is_some();
         let act = if conflict {
-            let pre = cmd_ready.max(state.act_at + t.t_ras);
-            (pre + t.t_rp).max(state.act_at + t.t_rc())
+            // `t_rc = t_ras + t_rp`, so `pre + t_rp` already covers
+            // `act_at + t_rc`.
+            cmd_ready.max(state.act_at + t.t_ras) + t.t_rp
         } else if state.has_activated {
             cmd_ready.max(state.act_at + t.t_rc())
         } else {
@@ -665,6 +683,110 @@ mod tests {
         assert_eq!(streak.u.vault.row_hits, 8);
         let fast = finish_run(&c, vec![streak.finish(t)]);
         assert_eq!(fast, finish_run(&c, vec![oracle]));
+    }
+
+    /// A primed unit whose last burst closed a streak of eight
+    /// bus-limited hits on bank 0, row 9, since flushed: the streak is
+    /// empty and the unit's last burst was bus-limited.
+    fn after_a_flushed_hit_streak(t: &DramTiming) -> (Streak, UnitEngine) {
+        let proto = primed_unit(t, None);
+        let mut streak = Streak::new(&proto);
+        let mut oracle = proto.clone();
+        let hits = Run {
+            row: 9,
+            ..row_window(t, 0, 8)
+        };
+        streak.feed(t, &hits, false, 0);
+        streak.flush(t);
+        for j in 0..hits.n {
+            oracle.burst(t, &burst_of(t, &hits, j, false, 0));
+        }
+        assert!(streak.last_limited);
+        (streak, oracle)
+    }
+
+    #[test]
+    fn a_lone_hit_on_another_bank_takes_the_straight_lane() {
+        // Bank 1 holds row 9 open with an idle column path, so the hit
+        // is bus-limited; but bank 1 did not serve the unit's last
+        // burst, so no one-burst streak opens.
+        let c = MemoryConfig::hmc_stack();
+        let t = &c.timing;
+        let (mut streak, mut oracle) = after_a_flushed_hit_streak(t);
+        let lone = Run {
+            row: 9,
+            ..row_window(t, 1, 1)
+        };
+        streak.feed(t, &lone, false, 0);
+        oracle.burst(t, &burst_of(t, &lone, 0, false, 0));
+        assert_eq!(streak.count, 0);
+        assert!(!streak.last_limited);
+        assert_eq!(streak.u.vault.row_hits, 9);
+        let fast = finish_run(&c, vec![streak.finish(t)]);
+        assert_eq!(fast, finish_run(&c, vec![oracle]));
+    }
+
+    #[test]
+    fn a_lone_hit_continuing_the_last_burst_still_batches() {
+        // Bank 0 served the unit's last burst (`cmd_ready + t_cl ==
+        // issued_at`), so a lone hit there is tested, and it opens a
+        // streak that the next lone hit on the row joins.
+        let c = MemoryConfig::hmc_stack();
+        let t = &c.timing;
+        let (mut streak, mut oracle) = after_a_flushed_hit_streak(t);
+        for k in 8..10 {
+            let lone = Run {
+                row: 9,
+                col0: k * t.burst_bytes,
+                ..row_window(t, 0, 1)
+            };
+            streak.feed(t, &lone, false, 0);
+            oracle.burst(t, &burst_of(t, &lone, 0, false, 0));
+        }
+        assert_eq!(streak.count, 2);
+        let fast = finish_run(&c, vec![streak.finish(t)]);
+        assert_eq!(fast, finish_run(&c, vec![oracle]));
+        assert_eq!(fast.stats.row_hits, 10);
+    }
+
+    #[test]
+    fn a_refresh_epoch_past_u64_max_never_falls_due() {
+        // One refresh done at tREFI = 2^63: the next epoch, 2^64, lies
+        // past `u64::MAX`. The cached epoch saturates there, and no
+        // burst on either path pays a refresh.
+        let mut c = MemoryConfig::hmc_stack();
+        c.timing.t_refi = 1 << 63;
+        let t = &c.timing;
+        let mut proto = primed_unit(t, None);
+        proto.refreshes_done = 1;
+        proto.bus_free = u64::MAX - (1 << 20);
+        proto.issued_at = proto.bus_free;
+        let mut streak = Streak::new(&proto);
+        let mut oracle = proto.clone();
+        let runs = [
+            row_window(t, 0, 16),
+            row_window(t, 4, 1),
+            Run {
+                row: 9,
+                ..row_window(t, 1, 1)
+            },
+            row_window(t, 5, 8),
+        ];
+        for run in &runs {
+            streak.feed(t, run, false, 0);
+            for j in 0..run.n {
+                oracle.burst(t, &burst_of(t, run, j, false, 0));
+            }
+        }
+        let unit = streak.finish(t);
+        for u in [&unit, &oracle] {
+            assert_eq!(u.vault.refreshes, 0);
+            assert_eq!(u.refreshes_done, 1);
+            assert_eq!(u.refresh_at, u64::MAX);
+        }
+        assert_eq!(unit.vault, oracle.vault);
+        assert_eq!(unit.latencies, oracle.latencies);
+        assert_eq!(unit.bus_free, oracle.bus_free);
     }
 
     #[test]

@@ -32,11 +32,15 @@
 //! rests on too, and no consumer reads across them.
 //!
 //! A scalar gather is a whole run, so on row-miss streams the decode
-//! itself is the per-burst cost. The decoder therefore compiles the
-//! mapping once, at construction, into shifts and masks: `line_bytes`
-//! and `row_bytes` are validated powers of two, unit and bank counts
-//! that are powers of two become masks too, and only other counts keep
-//! a division. The compiled decode computes exactly
+//! itself is the per-burst cost. A request that ends inside its first
+//! burst (`0 < bytes <= burst_bytes - addr % burst_bytes`, each scalar
+//! gather) therefore takes one step: one compiled decode, one
+//! one-burst run, and neither the bulk path nor the span arithmetic. A
+//! request that crosses a burst edge never takes it. The decoder also
+//! compiles the mapping once, at construction, into shifts and masks:
+//! `line_bytes` and `row_bytes` are validated powers of two, unit and
+//! bank counts that are powers of two become masks too, and only other
+//! counts keep a division. The compiled decode computes exactly
 //! [`AddressMapping::decode`] and [`AddressMapping::contiguous_run_bytes`]
 //! for all three mapping modes (a proptest below holds them equal on
 //! any address). The cycle oracle keeps calling
@@ -281,6 +285,21 @@ impl RunDecoder {
     pub(crate) fn request(&self, mut addr: u64, mut remaining: u64, mut f: impl FnMut(Run)) {
         let map = &self.map;
         let burst = self.burst.d;
+        // A request that ends inside its first burst (each scalar
+        // gather) is one one-burst run: one decode, no span.
+        if remaining > 0 && remaining <= burst - self.burst.rem(addr) {
+            let loc = map.decode(addr);
+            f(Run {
+                unit: loc.unit,
+                bank: loc.bank as u32,
+                row: loc.row,
+                col0: loc.col_byte,
+                head: remaining,
+                total: remaining,
+                n: 1,
+            });
+            return;
+        }
         while remaining > 0 {
             if let Some(n) = self.bulk {
                 let line_bytes = map.line_mask + 1;
@@ -332,8 +351,7 @@ impl RunDecoder {
             let head = (burst - self.burst.rem(addr)).min(remaining);
             // Further bursts join the run while their start addresses
             // stay inside the span (and inside the request). A request
-            // that ends inside its first burst needs no span at all —
-            // the common case for scalar gathers.
+            // tail that ends inside its first burst needs no span.
             let extra = if remaining > head {
                 let reach = map.span(addr).min(remaining);
                 if reach > head {
@@ -599,6 +617,41 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Requests of 0 to `burst_bytes + 1` bytes at any offset expand
+        /// to the per-burst decode's bursts, on every mapping the
+        /// strategy draws: the one-step decode of a request that ends
+        /// inside its first burst, and the general path one byte past
+        /// that edge.
+        #[test]
+        fn short_requests_expand_to_the_per_burst_decode(
+            cfg in mapping_config_strategy(),
+            draws in proptest::collection::vec(
+                (
+                    prop_oneof![0u64..(1 << 24), any::<u64>()],
+                    any::<u64>(),
+                    any::<bool>(),
+                ),
+                1..64,
+            ),
+        ) {
+            let burst = cfg.timing.burst_bytes;
+            let trace: TraceBuffer = draws
+                .iter()
+                .map(|&(addr, bytes, write)| {
+                    // Room for the request below `u64::MAX`.
+                    let addr = addr.min(u64::MAX - 2 * burst);
+                    let bytes = bytes % (burst + 2);
+                    if write {
+                        Request::write(addr, bytes)
+                    } else {
+                        Request::read(addr, bytes)
+                    }
+                })
+                .collect();
+            let (expected, got, _) = per_unit_bursts(&cfg, &trace);
+            prop_assert_eq!(got, expected, "{:?}", cfg.mapping);
+        }
 
         /// The compiled decode is the reference decode: same location
         /// and same contiguous span, on every mapping the strategy

@@ -13,10 +13,13 @@
 //!    (stats, vault counts, histogram buckets, energy), across engine
 //!    kinds × jobs ∈ {1, 2, 4, 8} × mapping geometries, including
 //!    adversarial traces: row-conflict storms, single-vault hotspots,
-//!    zero-length and max-burst requests. One property also draws the
+//!    zero-length and max-burst requests. Two properties also draw the
 //!    device timing itself, so the activation constraints the fast
 //!    engine's bus-limited miss test reads (tRAS, tRC, tFAW) bind on
-//!    some draws and not on others.
+//!    some draws and not on others: one over multi-row streams, one
+//!    over scalar gathers, which also checks each burst's refresh
+//!    against the refresh rule (a wrong refresh epoch in the shared
+//!    slow path would pass fast ≡ cycle).
 //!
 //! These properties are what make `SimOptions::jobs` and `EngineKind::Fast`
 //! shippable: the parallel run and the fast run are not "close", they
@@ -213,6 +216,47 @@ fn multi_row_stream_strategy() -> impl Strategy<Value = TenantStream> {
     })
 }
 
+/// One tenant's draws for [`gather_stream`]: per request a kind (0–2 a
+/// scalar gather, 3 a one-row sweep), two sizing draws and a direction.
+type GatherDraw = (u8, u64, u64, bool);
+
+/// One to three tenants of 1–47 gather draws each.
+fn gather_draws_strategy() -> impl Strategy<Value = Vec<Vec<GatherDraw>>> {
+    let draw = (0u8..4, any::<u64>(), any::<u64>(), any::<bool>());
+    proptest::collection::vec(proptest::collection::vec(draw, 1..48), 1..=3)
+}
+
+/// One tenant's scalar-gather stream on `cfg`: gathers of 1 to
+/// `2·burst_bytes` bytes at any offset of a region four rows per bank
+/// wide, so about a quarter of them hit an open row and many cross a
+/// burst edge, among sweeps of 2–32 one-burst requests from a
+/// burst-aligned offset, which reach each unit as back-to-back
+/// one-burst runs on one row.
+fn gather_stream(cfg: &MemoryConfig, draws: &[GatherDraw]) -> TenantStream {
+    let burst = cfg.timing.burst_bytes;
+    let (units, banks, row_bytes, _) = cfg.mapping.interleave_geometry();
+    let region = (units * banks) as u64 * row_bytes * 4;
+    let mut trace = TraceBuffer::new();
+    let mut push = |addr, bytes, write| {
+        trace.push(if write {
+            Request::write(addr, bytes)
+        } else {
+            Request::read(addr, bytes)
+        })
+    };
+    for &(kind, a, b, write) in draws {
+        if kind < 3 {
+            push(a % region, 1 + b % (2 * burst), write);
+        } else {
+            let start = a % region / burst * burst;
+            for k in 0..2 + b % 31 {
+                push(start + k * burst, burst, write);
+            }
+        }
+    }
+    TenantStream::new(trace)
+}
+
 /// Cases of the timing-randomized fast ≡ cycle property: 64, or
 /// `PROPTEST_CASES` when set (the release verification run widens the
 /// draw this way).
@@ -249,6 +293,57 @@ fn assert_bit_exact(got: &EngineRun, want: &EngineRun, ctx: &str) {
 
 fn cycle_serial(cfg: &MemoryConfig, trace: &TraceBuffer) -> EngineRun {
     simulate(cfg, trace, &SimOptions::cycle()).expect("valid config")
+}
+
+/// Fast ≡ cycle on `streams` under `cfg`: untagged (the merged trace)
+/// and tagged (per-tenant slices), through the serial and the sharded
+/// replay.
+fn assert_fast_matches_cycle(cfg: &MemoryConfig, streams: &[TenantStream]) {
+    let (merged, _) = interleave_tenants(streams);
+    let oracle = cycle_serial(cfg, &merged);
+    let tagged_oracle = simulate_tenants(cfg, streams, &SimOptions::cycle()).expect("valid config");
+    for jobs in [1usize, 2] {
+        let ctx = format!("{:?} {:?} jobs={jobs}", cfg.timing, cfg.mapping);
+        let fast = simulate(cfg, &merged, &SimOptions::fast().jobs(jobs)).expect("valid config");
+        assert_bit_exact(&fast, &oracle, &format!("{ctx} untagged"));
+        let tagged =
+            simulate_tenants(cfg, streams, &SimOptions::fast().jobs(jobs)).expect("valid config");
+        assert_bit_exact(&tagged, &tagged_oracle, &format!("{ctx} tagged"));
+    }
+}
+
+/// Checks the refresh rule burst by burst on each unit of a profiled
+/// replay with one-cycle windows, where each burst has a cell of its
+/// own at window `done - 1` and carries the refreshes it paid. A burst
+/// whose unit stood at cycle `c` (its predecessor's completion) with
+/// `r` refreshes done owes `c / t_refi - r` of them when
+/// `c >= (r + 1)·t_refi`, and none otherwise. Both engines pay
+/// refresh in the shared slow path, so fast ≡ cycle cannot see a wrong
+/// refresh epoch; this recurrence can.
+fn assert_refreshes_fall_due_on_time(cfg: &MemoryConfig, trace: &TraceBuffer) {
+    let run = simulate(cfg, trace, &SimOptions::fast().profile(1)).expect("valid config");
+    let timeline = run.timeline.expect("profile requested");
+    let t_refi = cfg.timing.t_refi;
+    for (unit, vault) in run.vaults.iter().enumerate() {
+        let (mut at, mut paid) = (0u64, 0u64);
+        for (window, _, cell) in timeline.iter().filter(|&(_, l, _)| l == unit as u16) {
+            let owed = if at >= (paid + 1) * t_refi {
+                at / t_refi - paid
+            } else {
+                0
+            };
+            assert_eq!(
+                cell.refreshes,
+                owed,
+                "unit {unit}, burst done at {}: {:?}",
+                window + 1,
+                cfg.timing
+            );
+            paid += owed;
+            at = window + 1;
+        }
+        assert_eq!(vault.refreshes, paid, "unit {unit}");
+    }
 }
 
 proptest! {
@@ -540,18 +635,29 @@ proptest! {
         cfg.timing = timing;
         cfg.mapping = mapping;
         prop_assert!(cfg.validate().is_ok());
-        let (merged, _) = interleave_tenants(&streams);
-        let oracle = cycle_serial(&cfg, &merged);
-        let tagged_oracle =
-            simulate_tenants(&cfg, &streams, &SimOptions::cycle()).expect("valid config");
-        for jobs in [1usize, 2] {
-            let ctx = format!("{:?} {:?} jobs={jobs}", cfg.timing, cfg.mapping);
-            let fast = simulate(&cfg, &merged, &SimOptions::fast().jobs(jobs))
-                .expect("valid config");
-            assert_bit_exact(&fast, &oracle, &format!("{ctx} untagged"));
-            let tagged = simulate_tenants(&cfg, &streams, &SimOptions::fast().jobs(jobs))
-                .expect("valid config");
-            assert_bit_exact(&tagged, &tagged_oracle, &format!("{ctx} tagged"));
-        }
+        assert_fast_matches_cycle(&cfg, &streams);
+    }
+
+    /// Fast ≡ cycle on scalar gathers under random device timing: the
+    /// one-step decode of a request that ends inside its first burst
+    /// (and not of one that crosses a burst edge), the straight lane of
+    /// a lone one-burst run, and the batching of one-burst runs that
+    /// continue each other on a row, untagged and tagged, at jobs 1
+    /// and 2. The refresh recurrence checks the cached refresh epoch
+    /// on the merged trace.
+    #[test]
+    fn fast_engine_matches_cycle_on_scalar_gathers(
+        timing in timing_strategy(),
+        mapping in mapping_strategy(),
+        ddr in any::<bool>(),
+        draws in gather_draws_strategy(),
+    ) {
+        let mut cfg = if ddr { MemoryConfig::ddr_dual_channel() } else { MemoryConfig::hmc_stack() };
+        cfg.timing = timing;
+        cfg.mapping = mapping;
+        prop_assert!(cfg.validate().is_ok());
+        let streams: Vec<TenantStream> = draws.iter().map(|d| gather_stream(&cfg, d)).collect();
+        assert_fast_matches_cycle(&cfg, &streams);
+        assert_refreshes_fall_due_on_time(&cfg, &interleave_tenants(&streams).0);
     }
 }

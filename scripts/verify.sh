@@ -42,6 +42,10 @@ echo "==> memsim: fast ≡ cycle under random device timing on 1,024 cases (rele
 PROPTEST_CASES=1024 cargo test -q --release -p mealib-memsim --test parallel_determinism -- \
     fast_engine_matches_cycle_under_random_timing
 
+echo "==> memsim: fast ≡ cycle on scalar gathers under random device timing on 1,024 cases (release)"
+PROPTEST_CASES=1024 cargo test -q --release -p mealib-memsim --test parallel_determinism -- \
+    fast_engine_matches_cycle_on_scalar_gathers
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
