@@ -3,8 +3,8 @@
 //! Haswell.
 
 use mealib_bench::{banner, fmt_gain, section, write_profile, HarnessOpts, JsonSummary};
-use mealib_obs::{Profile, TraceRecorder};
-use mealib_sim::{run_sweep, ExperimentOptions, TextTable};
+use mealib_obs::{Obs, Profile, TraceRecorder};
+use mealib_sim::{run_experiment, TextTable};
 use mealib_types::stats::geometric_mean;
 use mealib_workloads::datasets;
 
@@ -44,15 +44,11 @@ fn main() {
     let mut mealib_gains = Vec::new();
     let mut summary = JsonSummary::new("fig09_performance");
     let rec = opts.profile.as_ref().map(|_| TraceRecorder::shared());
-    let mut xopts = ExperimentOptions::default();
-    if let Some(rec) = &rec {
-        xopts = xopts.recorder(rec.clone());
-    }
-    let rows = datasets::table2();
-    let ops: Vec<_> = rows.iter().map(|row| row.params).collect();
-    let reports = run_sweep(&ops, &xopts);
-    for (row, report) in rows.iter().zip(reports) {
-        let cmp = report.expect("preflight clean").comparison;
+    let obs = rec.clone().map_or_else(Obs::off, Obs::new);
+    for row in datasets::table2() {
+        let cmp = run_experiment(&row.params, &obs)
+            .expect("preflight clean")
+            .comparison;
         let speedups = cmp.speedups();
         mealib_gains.push(cmp.mealib_speedup());
         summary.metric(

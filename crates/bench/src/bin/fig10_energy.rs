@@ -2,8 +2,8 @@
 //! five platforms, normalized to MKL on Haswell.
 
 use mealib_bench::{banner, fmt_gain, section, write_profile, HarnessOpts, JsonSummary};
-use mealib_obs::{Profile, TraceRecorder};
-use mealib_sim::{run_experiment, run_sweep, ExperimentOptions, TextTable};
+use mealib_obs::{Obs, Profile, TraceRecorder};
+use mealib_sim::{run_experiment, TextTable};
 use mealib_types::stats::geometric_mean;
 use mealib_workloads::datasets;
 
@@ -19,15 +19,11 @@ fn main() {
     let mut mealib_gains = Vec::new();
     let mut summary = JsonSummary::new("fig10_energy");
     let rec = opts.profile.as_ref().map(|_| TraceRecorder::shared());
-    let mut xopts = ExperimentOptions::default();
-    if let Some(rec) = &rec {
-        xopts = xopts.recorder(rec.clone());
-    }
-    let rows = datasets::table2();
-    let ops: Vec<_> = rows.iter().map(|row| row.params).collect();
-    let reports = run_sweep(&ops, &xopts);
-    for (row, report) in rows.iter().zip(reports) {
-        let cmp = report.expect("preflight clean").comparison;
+    let obs = rec.clone().map_or_else(Obs::off, Obs::new);
+    for row in datasets::table2() {
+        let cmp = run_experiment(&row.params, &obs)
+            .expect("preflight clean")
+            .comparison;
         let gains = cmp.efficiency_gains();
         mealib_gains.push(cmp.mealib_efficiency_gain());
         summary.metric(
@@ -47,7 +43,7 @@ fn main() {
 
     section("absolute power during the FFT operation (the paper's example)");
     let fft = datasets::for_kind(mealib_tdl::AcceleratorKind::Fft);
-    let cmp = run_experiment(&fft.params, &xopts)
+    let cmp = run_experiment(&fft.params, &obs)
         .expect("preflight clean")
         .comparison;
     let mut t = TextTable::new(vec!["platform", "power", "paper"]);

@@ -345,14 +345,18 @@ pub enum EngineKind {
 ///   allocation, no worker pool);
 /// * `n > 1` ⇒ the vault-sharded replay on up to `n` workers.
 ///
-/// Modeled results are bit-identical for every value; only wall-clock
-/// time changes.
+/// Only the fast engine shards: the cycle oracle always replays
+/// serially, so [`EngineKind::Cycle`] ignores `jobs` and
+/// [`EngineKind::DualCheck`] applies it to its fast half. Modeled
+/// results are bit-identical for every value; only wall-clock time
+/// changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
     /// Replay engine ([`EngineKind::Fast`] by default).
     pub engine: EngineKind,
-    /// Worker threads: `0` = auto, `1` = exact serial path, `n` = up to
-    /// `n` workers (vault-sharded).
+    /// Worker threads for the fast engine: `0` = auto, `1` = exact
+    /// serial path, `n` = up to `n` workers (vault-sharded). The cycle
+    /// oracle always replays serially.
     pub jobs: usize,
     /// `Some(window_cycles)` additionally accumulates the cycle-windowed
     /// per-vault [`Timeline`] into [`EngineRun::timeline`]. Profiling
@@ -505,7 +509,7 @@ pub(crate) fn dispatch(
         opts.profile,
         tenants.map(|(_, n)| n),
     );
-    let cycle = || finish_run(config, run_cycle(config, trace, tags, jobs, &proto));
+    let cycle = || finish_run(config, run_cycle(config, trace, tags, &proto));
     let fast = || finish_run(config, run_fast(config, trace, tags, jobs, &proto));
     match opts.engine {
         EngineKind::Cycle => Ok(cycle()),
@@ -569,49 +573,23 @@ fn divergence_report(cycle: &EngineRun, fast: &EngineRun) -> String {
     parts.join("; ")
 }
 
-/// The cycle-accurate oracle replay: serial when `jobs <= 1`, otherwise
-/// vault-sharded across up to `jobs` workers. Returns one [`UnitEngine`]
-/// per unit, each a copy of `proto` that replayed the unit's bursts.
+/// The cycle-accurate oracle replay, always serial on the calling
+/// thread. Returns one [`UnitEngine`] per unit, each a copy of `proto`
+/// that replayed the unit's bursts in program order.
 ///
-/// The trace is partitioned at *burst* granularity — consecutive bursts
-/// of one request land on different units under interleaving, so whole
-/// requests cannot be assigned to a shard — via the mapping's decode,
-/// preserving per-unit program order. Each unit's FCFS stream then
-/// replays on its own [`UnitEngine`], which is sound because the serial
-/// engine's state is already partitioned per unit: a burst decoded to
-/// unit `u` reads and writes the banks, bus, activation window, refresh
-/// counter, and issue pointer of `u` and nothing else. The merge is a
-/// deterministic order-independent reduction (total cycles = max over
-/// units; command counts, byte counts, and histogram buckets are
-/// commutative `u64` sums), so the result is **bit-for-bit identical**
-/// to the serial run for every statistic, including the derived `f64`
-/// time and energy.
-///
-/// Expects a pre-validated `config` and a pre-normalized `jobs`.
+/// Expects a pre-validated `config`.
 fn run_cycle(
     config: &MemoryConfig,
     trace: &TraceBuffer,
     tags: Option<&[u16]>,
-    jobs: usize,
     proto: &UnitEngine,
 ) -> Vec<UnitEngine> {
     let t = &config.timing;
-    let mapping = &config.mapping;
-    if jobs <= 1 {
-        let mut units = vec![proto.clone(); mapping.units()];
-        for_each_burst_tagged(t, mapping, trace, tags, |b| units[b.loc.unit].burst(t, &b));
-        units
-    } else {
-        let mut shards: Vec<Vec<Burst>> = vec![Vec::new(); mapping.units()];
-        for_each_burst_tagged(t, mapping, trace, tags, |b| shards[b.loc.unit].push(b));
-        mealib_types::par_map(&shards, jobs, |shard| {
-            let mut unit = proto.clone();
-            for b in shard {
-                unit.burst(t, b);
-            }
-            unit
-        })
-    }
+    let mut units = vec![proto.clone(); config.mapping.units()];
+    for_each_burst_tagged(t, &config.mapping, trace, tags, |b| {
+        units[b.loc.unit].burst(t, &b)
+    });
+    units
 }
 
 /// One decoded burst-sized access, in program order.
@@ -1471,7 +1449,7 @@ mod tests {
         ] {
             let serial = run(&config, &trace);
             for jobs in [0usize, 1, 2, 4, 8] {
-                let parallel = simulate(&config, &trace, &SimOptions::cycle().jobs(jobs)).unwrap();
+                let parallel = simulate(&config, &trace, &SimOptions::fast().jobs(jobs)).unwrap();
                 assert_eq!(parallel, serial, "{} jobs={jobs}", config.name);
                 assert_eq!(
                     parallel.stats.elapsed.get().to_bits(),
@@ -1577,7 +1555,7 @@ mod tests {
         let serial = simulate(&c, &trace, &SimOptions::cycle().profile(1024)).unwrap();
         for jobs in [1usize, 2, 4, 8] {
             let parallel =
-                simulate(&c, &trace, &SimOptions::cycle().profile(1024).jobs(jobs)).unwrap();
+                simulate(&c, &trace, &SimOptions::fast().profile(1024).jobs(jobs)).unwrap();
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
     }
@@ -1679,8 +1657,8 @@ mod tests {
         let tenants = |opts: &SimOptions| crate::tenancy::simulate_tenants(&c, &streams, opts);
         let serial = tenants(&SimOptions::cycle()).unwrap();
         for opts in [
-            SimOptions::cycle().jobs(4),
             SimOptions::fast(),
+            SimOptions::fast().jobs(4),
             SimOptions::fast().jobs(8),
             SimOptions::dual_check(),
             SimOptions::dual_check().jobs(2),

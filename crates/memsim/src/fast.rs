@@ -102,9 +102,14 @@ use crate::trace::TraceBuffer;
 /// carries the run's sinks) that replayed the unit's runs.
 ///
 /// The serial path feeds each run to its unit as it is decoded. The
-/// sharded path mirrors the cycle engine's: it collects each unit's
-/// runs first, then replays the shards on up to `jobs` workers through
-/// the same [`Streak`] consumer.
+/// sharded path collects each unit's runs first, then replays the
+/// shards on up to `jobs` workers through the same [`Streak`]
+/// consumer. Sharding by unit is sound because a unit's state (banks,
+/// bus, activation window, refresh, issue pointer) is touched by its
+/// own runs only, and the merge in `finish_run` is order-independent
+/// (cycles take the max over units; counts and histogram buckets are
+/// `u64` sums), so every statistic, the derived `f64` time and energy
+/// included, is bit-identical to the serial run.
 ///
 /// Expects a pre-validated `config` and a pre-normalized `jobs`.
 pub(crate) fn run_fast(

@@ -53,9 +53,7 @@ pub use metrics::{
     validate_exposition, CounterHandle, ExpositionSummary, GaugeHandle, HistogramHandle, MetricKey,
     MetricsRegistry,
 };
-pub use profile::{
-    validate_chrome_trace, ChromeTraceWriter, IntervalEvent, Profile, TimelineTrack,
-};
+pub use profile::{validate_chrome_trace, IntervalEvent, Profile, TimelineTrack};
 pub use sketch::{QuantileSketch, SketchSummary};
 pub use slo::{Alert, AlertKind, Objective, ObjectiveKind, SloEngine, WindowObs};
 pub use timeline::{Timeline, WindowCounters};

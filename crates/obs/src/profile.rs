@@ -199,8 +199,8 @@ impl Profile {
     /// timeline windows are `"C"` counter events carrying the full
     /// [`crate::timeline::WindowCounters`] key set, summed across lanes.
     ///
-    /// Events are written straight into one buffer by a
-    /// [`ChromeTraceWriter`], and each track's `tid` is resolved once.
+    /// Events are written straight into one buffer, and each track's
+    /// `tid` is resolved once.
     pub fn to_chrome_trace(&self) -> String {
         let (tracks, tids) = self.track_ids();
         let mut w = ChromeTraceWriter::new();
@@ -222,25 +222,18 @@ impl Profile {
     }
 }
 
-/// The Chrome trace-event writer behind [`Profile::to_chrome_trace`],
-/// for callers that keep their events in a form of their own: name the
-/// tracks with [`Self::thread_name`] (`tid`s from 1, in track order),
-/// then write the spans with [`Self::span`], and [`Self::finish`].
+/// The Chrome trace-event writer behind [`Profile::to_chrome_trace`]:
+/// name the tracks with [`Self::thread_name`] (`tid`s from 1, in track
+/// order), then write the events, and [`Self::finish`].
 #[derive(Debug)]
-pub struct ChromeTraceWriter {
+struct ChromeTraceWriter {
     out: String,
     first: bool,
 }
 
-impl Default for ChromeTraceWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ChromeTraceWriter {
     /// An empty document (one process, `pid` 1).
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             out: String::from("{\"traceEvents\":["),
             first: true,
@@ -258,7 +251,7 @@ impl ChromeTraceWriter {
     }
 
     /// The `thread_name` metadata event naming track `tid`.
-    pub fn thread_name(&mut self, tid: u64, name: &str) {
+    fn thread_name(&mut self, tid: u64, name: &str) {
         self.open("thread_name");
         let _ = write!(
             self.out,
@@ -271,7 +264,7 @@ impl ChromeTraceWriter {
     /// One `"X"` complete event on track `tid`: `ts`/`dur` in
     /// microseconds of modeled time, category = phase, duration
     /// [`IntervalEvent::duration`]'s.
-    pub fn span(&mut self, tid: u64, phase: Phase, label: &str, start: Seconds, end: Seconds) {
+    fn span(&mut self, tid: u64, phase: Phase, label: &str, start: Seconds, end: Seconds) {
         self.open(label);
         self.out.push_str(",\"cat\":\"");
         write_escaped(&mut self.out, phase.name());
@@ -296,7 +289,7 @@ impl ChromeTraceWriter {
     }
 
     /// Closes the document.
-    pub fn finish(mut self) -> String {
+    fn finish(mut self) -> String {
         self.out.push_str("],\"displayTimeUnit\":\"ns\"}");
         self.out
     }

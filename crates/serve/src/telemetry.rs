@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use mealib_obs::json;
-use mealib_obs::profile::{validate_chrome_trace, ChromeTraceWriter, IntervalEvent, Profile};
+use mealib_obs::profile::{validate_chrome_trace, IntervalEvent, Profile};
 use mealib_obs::{
     Alert, AlertKind, CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, Objective,
     ObjectiveKind, Phase, SketchSummary, SloEngine, WindowObs,
@@ -71,26 +71,17 @@ use crate::decision::DecisionEvent;
 use crate::metrics::{EpochStats, ServeReport};
 use crate::session::{Catalogue, CompletedSession, SessionRequest, ShedReason};
 
-/// Telemetry knobs. [`TelemetryConfig::standard`] derives safe
-/// default objectives from the catalogue's certified solo bounds.
-#[derive(Debug, Clone)]
+/// Sliding SLO window, in epochs.
+const WINDOW_EPOCHS: usize = 8;
+
+/// The declared objectives. [`TelemetryConfig::standard`] derives safe
+/// default objectives from the catalogue's certified solo bounds. The
+/// SLO window is fixed at 8 epochs, and the quantile sketches keep
+/// [`MetricsRegistry::new`]'s 1% relative accuracy.
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
-    /// Sliding SLO window, in epochs.
-    pub window_epochs: usize,
-    /// Relative accuracy of the quantile sketches (1% default).
-    pub sketch_alpha: f64,
     /// Declared objectives: `(class, objective)` pairs.
     pub slos: Vec<(String, Objective)>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            window_epochs: 8,
-            sketch_alpha: 0.01,
-            slos: Vec::new(),
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -129,10 +120,7 @@ impl TelemetryConfig {
                 },
             ));
         }
-        Self {
-            slos,
-            ..Self::default()
-        }
+        Self { slos }
     }
 }
 
@@ -225,7 +213,7 @@ struct ClassState {
     histograms: [Option<HistogramHandle>; 3],
     /// This epoch's aggregate, pushed onto `window` at epoch end.
     pending: EpochAgg,
-    /// The last `window_epochs` aggregates.
+    /// The last [`WINDOW_EPOCHS`] aggregates.
     window: VecDeque<EpochAgg>,
 }
 
@@ -408,7 +396,6 @@ struct SnapshotRow {
 /// The live telemetry pipeline the scheduler feeds.
 #[derive(Debug)]
 pub struct Telemetry {
-    window_epochs: usize,
     registry: MetricsRegistry,
     slo: SloEngine,
     /// Every class seen so far, in first-seen order: a mark's class is
@@ -424,7 +411,7 @@ pub struct Telemetry {
     /// Per histogram handle: the sketch `count()` of its last summary.
     summarized: Vec<Option<u64>>,
     epoch_handles: Option<EpochHandles>,
-    /// Modeled clock at the end of the last `window_epochs + 1`
+    /// Modeled clock at the end of the last `WINDOW_EPOCHS + 1`
     /// epochs (front = just before the current window opened).
     clock_marks: VecDeque<f64>,
     /// Replay clock/energy re-accumulated in the scheduler's own
@@ -444,10 +431,9 @@ impl Telemetry {
         for (class, objective) in &config.slos {
             slo.declare(class, *objective);
         }
-        let mut registry = MetricsRegistry::with_alpha(config.sketch_alpha);
+        let mut registry = MetricsRegistry::new();
         describe_metrics(&mut registry);
         Self {
-            window_epochs: config.window_epochs.max(1),
             registry,
             slo,
             classes: Vec::new(),
@@ -653,10 +639,10 @@ impl Telemetry {
         self.flush_snapshot(st.epoch, st.clock_s, st.replay_elapsed_s);
 
         self.clock_marks.push_back(st.clock_s);
-        while self.clock_marks.len() > self.window_epochs + 1 {
+        while self.clock_marks.len() > WINDOW_EPOCHS + 1 {
             self.clock_marks.pop_front();
         }
-        let window_start = if self.clock_marks.len() == self.window_epochs + 1 {
+        let window_start = if self.clock_marks.len() == WINDOW_EPOCHS + 1 {
             self.clock_marks.front().copied().unwrap_or(0.0)
         } else {
             0.0
@@ -668,7 +654,7 @@ impl Telemetry {
         for (class, &i) in &self.by_name {
             let c = &mut self.classes[i];
             c.window.push_back(std::mem::take(&mut c.pending));
-            while c.window.len() > self.window_epochs {
+            while c.window.len() > WINDOW_EPOCHS {
                 c.window.pop_front();
             }
             let mut w = WindowObs {
@@ -919,37 +905,10 @@ impl TelemetryReport {
         profile
     }
 
-    /// The lifecycle trace as a Chrome trace-event document: the bytes
-    /// of `self.profile().to_chrome_trace()`, written from the marks
-    /// without building the profile.
+    /// The lifecycle trace as a Chrome trace-event document:
+    /// [`Self::profile`] rendered by [`Profile::to_chrome_trace`].
     pub fn chrome_trace(&self) -> String {
-        // Tracks are numbered by first appearance, as `Profile` numbers
-        // them; a class has at most two.
-        let mut tracks: Vec<String> = Vec::new();
-        let mut tids = vec![[0u64; 2]; self.class_names.len()];
-        for m in &self.marks {
-            let tid = &mut tids[m.class][m.track_slot()];
-            if *tid == 0 {
-                let track = m.track(&self.class_names[m.class]);
-                let i = tracks.iter().position(|t| *t == track).unwrap_or_else(|| {
-                    tracks.push(track);
-                    tracks.len() - 1
-                });
-                *tid = i as u64 + 1;
-            }
-        }
-        let mut w = ChromeTraceWriter::new();
-        for (i, track) in tracks.iter().enumerate() {
-            w.thread_name(i as u64 + 1, track);
-        }
-        let mut label = String::new();
-        for m in &self.marks {
-            label.clear();
-            m.write_label(&self.class_names[m.class], &mut label);
-            let (start, end) = (Seconds::new(m.start), Seconds::new(m.end));
-            w.span(tids[m.class][m.track_slot()], m.phase(), &label, start, end);
-        }
-        w.finish()
+        self.profile().to_chrome_trace()
     }
 
     /// Count of alerts of `kind`.
@@ -1421,16 +1380,5 @@ mod tests {
                 a.id()
             ))
         );
-    }
-
-    /// The trace written from the marks is the profile's trace, byte
-    /// for byte.
-    #[test]
-    fn chrome_trace_is_the_profiles_trace() {
-        let (report, tele) = run(99);
-        assert!(!report.rejected.is_empty());
-        let profile = tele.profile();
-        assert_eq!(profile.intervals.len(), tele.mark_count());
-        assert_eq!(tele.chrome_trace(), profile.to_chrome_trace());
     }
 }

@@ -133,6 +133,7 @@ fn lifecycle_trace_round_trips_and_rejects_carry_their_proofs() {
     let summary = validate_chrome_trace(&tele.chrome_trace()).expect("trace round-trips");
     assert!(summary.spans > 0);
     let profile = tele.profile();
+    assert_eq!(profile.intervals.len(), tele.mark_count());
 
     // Every terminal rejection appears as a lifecycle marker whose
     // label is the decision's Display line — including the exact

@@ -5,14 +5,10 @@
 //! PSAS, MSAS, MEALib — and report performance and energy efficiency
 //! normalized to Haswell, exactly as the paper's figures do.
 
-use std::sync::Arc;
-
 use mealib_accel::AccelParams;
 use mealib_host::{run_op, CodeFlavor, Platform};
-use mealib_obs::{Breakdown, Obs, Phase, TraceRecorder};
-use mealib_runtime::{Runtime, Sanitizer, VerifyMode};
-use mealib_tdl::ParamBag;
-use mealib_types::{Bytes, Joules, Seconds, Watts};
+use mealib_obs::{Breakdown, Obs, Phase};
+use mealib_types::{Joules, Seconds, Watts};
 
 use crate::platforms::AcceleratedPlatform;
 
@@ -108,65 +104,6 @@ impl OpComparison {
     }
 }
 
-/// Options for [`run_experiment`]: what to verify before running and
-/// where to send instrumentation.
-///
-/// The struct is plain data with public fields so callers can use
-/// `ExperimentOptions { verify: VerifyMode::Off, ..Default::default() }`;
-/// the builder-style helpers cover the common cases.
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentOptions {
-    /// Static-verification policy for the process-wide preflight
-    /// ([`preflight`](mod@crate::preflight)). `Enforce` (the default) fails the
-    /// experiment on coded errors; `Off` skips the preflight entirely.
-    pub verify: VerifyMode,
-    /// Instrumentation sink. [`Obs::off`] (the default) costs one
-    /// branch; an enabled recorder sees the per-platform breakdowns
-    /// and memory-system counters.
-    pub obs: Obs,
-    /// Shadow-memory sanitizer. [`Sanitizer::off`] (the default) is a
-    /// branch-on-None no-op; an active handle additionally drives the
-    /// operation through a sanitized [`Runtime`] and records the MEA1xx
-    /// coherence verdict in [`ExperimentReport::sanitizer`].
-    pub sanitizer: Sanitizer,
-    /// Modeled energy envelope for the MEALib row. When set (and
-    /// verification is not [`VerifyMode::Off`]), a run whose modeled
-    /// MEALib energy exceeds the budget fails with an MEA203
-    /// ([`mealib_types::ErrorCode::BoundsEnergyBudget`]) diagnostic.
-    pub energy_budget: Option<mealib_types::Joules>,
-}
-
-impl ExperimentOptions {
-    /// Sets the verification policy.
-    pub fn verify(mut self, mode: VerifyMode) -> Self {
-        self.verify = mode;
-        self
-    }
-
-    /// Sets the instrumentation sink.
-    pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Installs a recorder (shorthand for `obs(Obs::new(recorder))`).
-    pub fn recorder(self, recorder: Arc<TraceRecorder>) -> Self {
-        self.obs(Obs::new(recorder))
-    }
-
-    /// Installs a shadow-memory sanitizer ([`Sanitizer::active`]).
-    pub fn sanitizer(mut self, san: Sanitizer) -> Self {
-        self.sanitizer = san;
-        self
-    }
-
-    /// Declares a modeled energy envelope for the MEALib row.
-    pub fn energy_budget(mut self, budget: mealib_types::Joules) -> Self {
-        self.energy_budget = Some(budget);
-        self
-    }
-}
-
 /// The result of [`run_experiment`]: the five-platform comparison plus
 /// the MEALib phase/counter breakdown.
 #[derive(Debug, Clone)]
@@ -177,40 +114,33 @@ pub struct ExperimentReport {
     /// DRAM command counters). Its time and energy totals equal the
     /// MEALib row's `time`/`energy` exactly.
     pub breakdown: Breakdown,
-    /// The sanitizer's final MEA1xx report when an active
-    /// [`Sanitizer`] was installed; `None` otherwise.
-    pub sanitizer: Option<mealib_types::Report>,
 }
 
 /// Runs `op` on all five platforms — Haswell (MKL), Xeon Phi (MKL),
-/// PSAS, MSAS, MEALib — per the policy in `opts`.
+/// PSAS, MSAS, MEALib — and, when `obs` is enabled, folds both hosts'
+/// rooflines and the MEALib breakdown into its recorder under one lock.
 ///
-/// Under [`VerifyMode::Enforce`] the first call in a process runs the
-/// static-verification preflight ([`preflight`](mod@crate::preflight)): TDL semantics,
-/// descriptor image, memory-config validation (with the interleaving
-/// bijectivity proof), physical-memory consistency, and the dataflow &
-/// coherence analysis. Subsequent calls reuse the cached verdict.
+/// The first call in a process runs the static-verification preflight
+/// ([`preflight`](mod@crate::preflight)): TDL semantics, descriptor
+/// image, memory-config validation (with the interleaving bijectivity
+/// proof), physical-memory consistency, and the dataflow & coherence
+/// analysis. Subsequent calls reuse the cached verdict.
 ///
 /// # Errors
 ///
-/// Under `Enforce`, returns the diagnostic report if the preflight
-/// finds coded errors or the modeled MEALib energy exceeds
-/// [`ExperimentOptions::energy_budget`]. `Off` never fails.
+/// Returns the diagnostic report if the preflight finds coded errors.
 pub fn run_experiment(
     op: &AccelParams,
-    opts: &ExperimentOptions,
+    obs: &Obs,
 ) -> Result<ExperimentReport, mealib_types::Report> {
-    let enforce = opts.verify == VerifyMode::Enforce;
-    if enforce {
-        crate::preflight::preflight_checked()?;
-    }
+    crate::preflight::preflight_checked()?;
 
     let mut rows = Vec::with_capacity(5);
     // What the recorder sees: both hosts' rooflines, then the MEALib row.
     let mut recorded = Breakdown::new();
     for platform in [Platform::haswell(), Platform::xeon_phi()] {
         let r = run_op(&platform, op, CodeFlavor::Library);
-        if opts.obs.enabled() {
+        if obs.enabled() {
             recorded.merge(&r.breakdown());
             r.add_counters(&mut recorded);
         }
@@ -242,172 +172,62 @@ pub fn run_experiment(
             bytes: r.mem.bytes_moved().get(),
         });
     }
-    if opts.obs.enabled() {
+    if obs.enabled() {
         recorded.merge(&breakdown);
-        opts.obs.record_breakdown(&recorded);
+        obs.record_breakdown(&recorded);
     }
-    // MEA203-style energy-envelope check over the modeled MEALib row.
-    if let Some(budget) = opts.energy_budget {
-        let modeled = rows.last().expect("five rows").energy;
-        if enforce && modeled.get() > budget.get() {
-            let mut r = mealib_types::Report::new();
-            r.push(mealib_types::Diagnostic::error(
-                mealib_types::ErrorCode::BoundsEnergyBudget,
-                format!(
-                    "modeled MEALib energy {:.3e} J exceeds the declared budget {:.3e} J",
-                    modeled.get(),
-                    budget.get()
-                ),
-            ));
-            return Err(r);
-        }
-    }
-    let sanitizer = if opts.sanitizer.is_active() {
-        drive_sanitized(op, &opts.sanitizer);
-        Some(opts.sanitizer.final_report())
-    } else {
-        None
-    };
     Ok(ExperimentReport {
         comparison: OpComparison { op: *op, rows },
         breakdown,
-        sanitizer,
     })
-}
-
-/// Replays `op` as one MEALib library call through a sanitized
-/// [`Runtime`], following the canonical coherence protocol: host
-/// initialization, implicit `wbinvd` at invocation, `wbinvd` again
-/// before the host reads the result back. Buffer sizes are token-sized
-/// — the sanitizer checks the access *protocol*, not the dataset.
-fn drive_sanitized(op: &AccelParams, san: &Sanitizer) {
-    let mut rt = Runtime::new();
-    rt.set_sanitizer(san.clone());
-    rt.mem_alloc("san.in", Bytes::from_mib(1))
-        .expect("sanitizer buffer fits the default stack");
-    rt.mem_alloc("san.out", Bytes::from_mib(1))
-        .expect("sanitizer buffer fits the default stack");
-    rt.driver_mut()
-        .write("san.in", 0, &[0u8; 64])
-        .expect("sanitizer input initializes");
-    let mut bag = ParamBag::new();
-    bag.insert("op.para".into(), op.to_bytes());
-    let tdl = format!(
-        "PASS in=san.in out=san.out {{ COMP {} params=\"op.para\" }}",
-        op.kind().keyword()
-    );
-    let plan = rt.acc_plan(&tdl, &bag).expect("sanitizer descriptor plans");
-    rt.acc_execute(&plan)
-        .expect("sanitizer descriptor executes");
-    rt.cache_sync();
-    let _ = rt
-        .driver()
-        .read("san.out", 0, 16)
-        .expect("sanitizer output reads back");
-}
-
-/// The Table 2 datasets, one per accelerated operation.
-pub fn table2_workloads() -> Vec<AccelParams> {
-    vec![
-        // 256M-element vectors (1 GB).
-        AccelParams::Axpy {
-            n: 256 << 20,
-            alpha: 2.0,
-            incx: 1,
-            incy: 1,
-        },
-        AccelParams::Dot {
-            n: 256 << 20,
-            incx: 1,
-            incy: 1,
-            complex: false,
-        },
-        // 16384 x 16384 matrix (1 GB).
-        AccelParams::Gemv { m: 16384, n: 16384 },
-        // rgg_n_2_20-class sparse matrix.
-        AccelParams::Spmv {
-            rows: 1 << 20,
-            cols: 1 << 20,
-            nnz: 13 * (1 << 20),
-        },
-        // 16384 resampling blocks.
-        AccelParams::Resmp {
-            blocks: 16384,
-            in_per_block: 8192,
-            out_per_block: 8192,
-        },
-        // 8192 x 8192 complex FFT batch (512 MB).
-        AccelParams::Fft {
-            n: 8192,
-            batch: 8192,
-        },
-        // 16384 x 16384 transpose (1 GB).
-        AccelParams::Reshp {
-            rows: 16384,
-            cols: 16384,
-            elem_bytes: 4,
-        },
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mealib_obs::TraceRecorder;
+    use mealib_tdl::AcceleratorKind;
     use mealib_types::stats::geometric_mean;
+    use mealib_workloads::datasets;
 
-    /// Default-options experiment, unwrapped to the comparison.
-    fn compare(op: &AccelParams) -> OpComparison {
-        run_experiment(op, &ExperimentOptions::default())
-            .expect("preflight clean")
-            .comparison
+    /// The five-platform comparison of every Table 2 row, in paper order.
+    fn table2_comparisons() -> Vec<OpComparison> {
+        datasets::table2()
+            .iter()
+            .map(|row| {
+                run_experiment(&row.params, &Obs::off())
+                    .expect("preflight clean")
+                    .comparison
+            })
+            .collect()
     }
 
-    #[test]
-    fn energy_budget_enforcement_draws_mea203() {
-        let op = AccelParams::Axpy {
-            n: 1 << 20,
-            alpha: 2.0,
-            incx: 1,
-            incy: 1,
-        };
-        // An impossibly tight envelope fails under Enforce with the
-        // bounds code...
-        let err = run_experiment(
-            &op,
-            &ExperimentOptions::default().energy_budget(mealib_types::Joules::from_picos(1.0)),
-        )
-        .expect_err("picjoule budget must fail");
-        assert!(
-            err.has_code(mealib_types::ErrorCode::BoundsEnergyBudget),
-            "{err}"
-        );
-        // ...is not checked under Off...
-        let unchecked = run_experiment(
-            &op,
-            &ExperimentOptions::default()
-                .verify(VerifyMode::Off)
-                .energy_budget(mealib_types::Joules::from_picos(1.0)),
-        );
-        assert!(unchecked.is_ok());
-        // ...and a generous envelope passes untouched.
-        let ok = run_experiment(
-            &op,
-            &ExperimentOptions::default().energy_budget(mealib_types::Joules::from_millis(1e6)),
-        );
-        assert!(ok.is_ok());
+    fn small_ops() -> Vec<AccelParams> {
+        vec![
+            AccelParams::Axpy {
+                n: 1 << 16,
+                alpha: 2.0,
+                incx: 1,
+                incy: 1,
+            },
+            AccelParams::Gemv { m: 512, n: 512 },
+            AccelParams::Reshp {
+                rows: 1024,
+                cols: 1024,
+                elem_bytes: 4,
+            },
+        ]
     }
 
     #[test]
     fn mealib_wins_every_operation() {
-        for op in table2_workloads() {
-            let cmp = compare(&op);
-            let speedups = cmp.speedups();
+        for cmp in table2_comparisons() {
             let mealib = cmp.mealib_speedup();
-            for (name, s) in &speedups {
+            for (name, s) in &cmp.speedups() {
                 assert!(
                     mealib >= *s,
                     "{:?}: MEALib ({mealib:.1}x) must win, {name} has {s:.1}x",
-                    op.kind()
+                    cmp.op.kind()
                 );
             }
         }
@@ -415,20 +235,19 @@ mod tests {
 
     #[test]
     fn fig9_shape_reshp_max_spmv_min() {
-        let results: Vec<(mealib_tdl::AcceleratorKind, f64)> = table2_workloads()
+        let results: Vec<(AcceleratorKind, f64)> = table2_comparisons()
             .iter()
-            .map(|op| (op.kind(), compare(op).mealib_speedup()))
+            .map(|cmp| (cmp.op.kind(), cmp.mealib_speedup()))
             .collect();
-        let reshp = results
-            .iter()
-            .find(|(k, _)| *k == mealib_tdl::AcceleratorKind::Reshp)
-            .expect("reshp present")
-            .1;
-        let spmv = results
-            .iter()
-            .find(|(k, _)| *k == mealib_tdl::AcceleratorKind::Spmv)
-            .expect("spmv present")
-            .1;
+        let gain = |kind| {
+            results
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .expect("kind present")
+                .1
+        };
+        let reshp = gain(AcceleratorKind::Reshp);
+        let spmv = gain(AcceleratorKind::Spmv);
         for (kind, s) in &results {
             assert!(
                 *s <= reshp * 1.01,
@@ -446,9 +265,9 @@ mod tests {
 
     #[test]
     fn fig9_average_speedup_matches_scale() {
-        let speedups: Vec<f64> = table2_workloads()
+        let speedups: Vec<f64> = table2_comparisons()
             .iter()
-            .map(|op| compare(op).mealib_speedup())
+            .map(OpComparison::mealib_speedup)
             .collect();
         let avg = geometric_mean(&speedups).expect("positive speedups");
         // Paper: 38x average.
@@ -462,13 +281,12 @@ mod tests {
     fn fig10_energy_gains_exceed_performance_gains() {
         // The paper's central energy story: efficiency gains (75x avg)
         // are larger than performance gains (38x avg).
-        let mut perf = Vec::new();
-        let mut eff = Vec::new();
-        for op in table2_workloads() {
-            let cmp = compare(&op);
-            perf.push(cmp.mealib_speedup());
-            eff.push(cmp.mealib_efficiency_gain());
-        }
+        let cmps = table2_comparisons();
+        let perf: Vec<f64> = cmps.iter().map(OpComparison::mealib_speedup).collect();
+        let eff: Vec<f64> = cmps
+            .iter()
+            .map(OpComparison::mealib_efficiency_gain)
+            .collect();
         let avg_perf = geometric_mean(&perf).expect("positive");
         let avg_eff = geometric_mean(&eff).expect("positive");
         assert!(
@@ -482,40 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn baselines_normalize_to_one() {
-        for op in table2_workloads() {
-            let cmp = compare(&op);
-            let s = cmp.speedups();
-            let e = cmp.efficiency_gains();
-            assert!((s[0].1 - 1.0).abs() < 1e-12, "{:?}", op.kind());
-            assert!((e[0].1 - 1.0).abs() < 1e-12, "{:?}", op.kind());
-            assert_eq!(s.len(), 5);
-            assert!(s[0].0.contains("Haswell"));
-            assert_eq!(s[4].0, "MEALib");
-        }
-    }
-
-    #[test]
-    fn throughput_metric_switches_for_flop_free_ops() {
-        let reshp = table2_workloads()
-            .into_iter()
-            .find(|op| op.kind() == mealib_tdl::AcceleratorKind::Reshp)
-            .expect("reshp present");
-        let cmp = compare(&reshp);
-        for row in &cmp.rows {
-            assert_eq!(row.flops, 0, "{}: transpose has no FLOPs", row.name);
-            assert!(
-                row.throughput() > 0.0,
-                "{}: GB/s metric must be used",
-                row.name
-            );
-        }
-    }
-
-    #[test]
     fn experiment_breakdown_reconciles_with_mealib_row() {
         let op = AccelParams::Gemv { m: 2048, n: 2048 };
-        let report = run_experiment(&op, &ExperimentOptions::default()).expect("preflight clean");
+        let report = run_experiment(&op, &Obs::off()).expect("preflight clean");
         let mealib = report.comparison.rows.last().expect("five rows");
         let dt = (report.breakdown.total_time().get() - mealib.time.get()).abs();
         let de = (report.breakdown.total_energy().get() - mealib.energy.get()).abs();
@@ -530,14 +317,13 @@ mod tests {
     #[test]
     fn recorder_observes_experiment_phases() {
         let rec = TraceRecorder::shared();
-        let opts = ExperimentOptions::default().recorder(rec.clone());
         let op = AccelParams::Axpy {
             n: 1 << 16,
             alpha: 2.0,
             incx: 1,
             incy: 1,
         };
-        run_experiment(&op, &opts).expect("preflight clean");
+        run_experiment(&op, &Obs::new(rec.clone())).expect("preflight clean");
         let bd = rec.breakdown();
         assert!(bd.phase(Phase::Dma).time.get() > 0.0, "DMA phase recorded");
         assert!(
@@ -547,21 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_experiment_is_coherence_clean() {
-        let op = AccelParams::Axpy {
-            n: 1 << 16,
-            alpha: 2.0,
-            incx: 1,
-            incy: 1,
-        };
-        let opts = ExperimentOptions::default().sanitizer(Sanitizer::active());
-        let report = run_experiment(&op, &opts).expect("preflight clean");
-        let san = report.sanitizer.expect("active sanitizer records");
-        assert!(san.is_clean(), "{}", san.render());
-
-        // Without the knob the field stays empty.
-        let plain = run_experiment(&op, &ExperimentOptions::default()).expect("preflight clean");
-        assert!(plain.sanitizer.is_none());
+    fn shared_recording_equals_per_run_fold_exactly() {
+        // The sink is fed each run's own breakdown in input order, so
+        // its float phase totals equal that fold bit for bit, not
+        // merely closely.
+        let ops = small_ops();
+        let rec = TraceRecorder::shared();
+        let shared = Obs::new(rec.clone());
+        for op in &ops {
+            run_experiment(op, &shared).expect("preflight clean");
+        }
+        let mut want = Breakdown::new();
+        for op in &ops {
+            let own = TraceRecorder::shared();
+            run_experiment(op, &Obs::new(own.clone())).expect("preflight clean");
+            want.merge(&own.breakdown());
+        }
+        let got = rec.breakdown();
+        assert!(!got.is_empty());
+        assert_eq!(got, want);
+        assert_eq!(got.to_json(), want.to_json());
     }
 
     #[test]
@@ -569,7 +360,9 @@ mod tests {
         // PSAS < MSAS < MEALib on the streaming workloads (avg 2.51x,
         // 10.32x, 38x in the paper).
         let op = AccelParams::Gemv { m: 16384, n: 16384 };
-        let cmp = compare(&op);
+        let cmp = run_experiment(&op, &Obs::off())
+            .expect("preflight clean")
+            .comparison;
         let s = cmp.speedups();
         let find = |name: &str| s.iter().find(|(n, _)| n == name).expect("present").1;
         assert!(find("PSAS") > 1.0);

@@ -14,14 +14,9 @@ pub mod experiment;
 pub mod platforms;
 pub mod preflight;
 pub mod report;
-pub mod sweep;
 
 pub use differential::{plausible_params, run_sanitizer_experiment, SessionVerdict};
-pub use experiment::{
-    run_experiment, ExperimentOptions, ExperimentReport, OpComparison, PlatformResult,
-};
-pub use mealib_runtime::{Sanitizer, VerifyMode};
+pub use experiment::{run_experiment, ExperimentReport, OpComparison, PlatformResult};
 pub use platforms::AcceleratedPlatform;
 pub use preflight::{preflight, preflight_checked};
 pub use report::{sparkline, TextTable};
-pub use sweep::run_sweep;

@@ -29,9 +29,8 @@
 //!    back a clean ADMIT: the sharing configuration the runtime models
 //!    is itself admissible.
 //!
-//! The verdict is computed once per process and cached; the fast path of
-//! [`crate::experiment::run_experiment`] under [`VerifyMode::Enforce`] is
-//! a single atomic load, and `VerifyMode::Off` bypasses it.
+//! The verdict is computed once per process and cached; every later
+//! [`crate::experiment::run_experiment`] call pays a single atomic load.
 //!
 //! [`VerifyMode::Enforce`]: mealib_runtime::VerifyMode::Enforce
 //! [`MemoryConfig`]: mealib_memsim::MemoryConfig

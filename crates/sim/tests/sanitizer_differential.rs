@@ -16,6 +16,7 @@
 use std::path::{Path, PathBuf};
 
 use mealib_sim::run_sanitizer_experiment;
+use mealib_tdl::AcceleratorKind;
 use mealib_types::ErrorCode;
 
 fn corpus_dir(kind: &str) -> PathBuf {
@@ -134,19 +135,27 @@ fn every_bad_file_has_a_clean_twin_and_vice_versa() {
     assert_eq!(names("bad"), names("clean"));
 }
 
+/// Every accelerator, called once through the canonical host protocol
+/// (initialize, flush, run, flush, read back), replays clean under the
+/// sanitizer, and the static analysis agrees.
 #[test]
-fn sanitized_table2_workloads_stay_clean() {
-    use mealib_sim::experiment::{run_experiment, table2_workloads, ExperimentOptions};
-    use mealib_sim::Sanitizer;
-
-    for op in table2_workloads() {
-        let opts = ExperimentOptions::default().sanitizer(Sanitizer::active());
-        let report = run_experiment(&op, &opts).expect("experiment runs");
-        let san = report.sanitizer.expect("sanitizer report recorded");
-        assert!(
-            san.is_clean(),
-            "{:?}: sanitized workload must replay clean\n{san}",
-            op.kind()
+fn sanitized_accelerator_calls_stay_clean() {
+    for kind in AcceleratorKind::ALL {
+        let src = format!(
+            "HOST WRITE x\nFLUSH\nPASS in=x out=y {{\n  COMP {} params=\"op.para\"\n}}\nFLUSH\nHOST READ y\n",
+            kind.keyword()
         );
+        let v = run_sanitizer_experiment(&src).expect("canonical session parses");
+        assert!(
+            v.static_report.is_clean(),
+            "{kind}: static analysis flagged the canonical session\n{}",
+            v.static_report
+        );
+        assert!(
+            v.dynamic_report.is_clean(),
+            "{kind}: sanitizer flagged the canonical session\n{}",
+            v.dynamic_report
+        );
+        assert!(v.agree(), "{kind}: verdicts disagree");
     }
 }

@@ -311,12 +311,15 @@ for code in 200 201 202 203; do
     done
 done
 
-echo "==> perfbench: builds, and every workload passes once on the pinned seed"
+echo "==> perfbench: builds against its committed lock, and every workload passes once on the pinned seed"
 # perfbench is a package of its own, so the workspace build above never
 # compiles it, yet it calls the serve, verify and memsim crates' public
-# functions. Exit 0 means every contract and pin check passed.
-PERFBENCH=(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --)
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# functions. `--locked` fails the build when a manifest edit in a crate
+# it links would rewrite perfbench/Cargo.lock, and the build fails when
+# a public function it calls is gone. Exit 0 means every contract and
+# pin check passed.
+PERFBENCH=(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml --)
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 for w in serve_light serve_heavy trace_replay lint_corpus; do
     status=0
     out=$("${PERFBENCH[@]}" --workload "$w" --seed 1 --seconds 1 --trace 0 2>&1) || status=$?

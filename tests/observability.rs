@@ -5,7 +5,7 @@
 
 use mealib::prelude::*;
 use mealib_obs::{validate_chrome_trace, Counter, Obs, Phase, Profile, TraceRecorder};
-use mealib_sim::{run_sweep, ExperimentOptions};
+use mealib_sim::run_experiment;
 use mealib_workloads::sar;
 use mealib_workloads::stap::{self, StapConfig};
 
@@ -74,12 +74,10 @@ fn sweep_breakdowns_reconcile_per_run() {
         },
     ];
     let rec = TraceRecorder::shared();
-    let opts = ExperimentOptions::default().recorder(rec.clone());
-    let recorded = run_sweep(&ops, &opts);
-    let plain = run_sweep(&ops, &ExperimentOptions::default());
-    for (p, s) in recorded.iter().zip(&plain) {
-        let p = p.as_ref().expect("preflight clean");
-        let s = s.as_ref().expect("preflight clean");
+    let obs = Obs::new(rec.clone());
+    for op in &ops {
+        let p = run_experiment(op, &obs).expect("preflight clean");
+        let s = run_experiment(op, &Obs::off()).expect("preflight clean");
         let mealib_row = p.comparison.rows.last().expect("five rows");
         assert_within_1pct(
             "sweep run time",
